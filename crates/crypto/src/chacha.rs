@@ -9,30 +9,33 @@
 //!
 //! * the scalar path computes one 64-byte block per refill — the oracle
 //!   every other path must match byte-for-byte;
-//! * the SIMD path (selected through [`lsa_field::simd`] at
-//!   construction time) computes **four consecutive blocks per call**,
-//!   holding one `__m128i` per ChaCha state word with the four block
+//! * the AVX2 path (selected through [`lsa_field::simd`] at
+//!   construction time) computes **eight consecutive blocks per call**,
+//!   holding one `__m256i` per ChaCha state word with the eight block
 //!   counters spread across its lanes, so every `add`/`xor`/`rotate` of
-//!   the round function runs on all four blocks at once.
+//!   the round function runs on all eight blocks at once; two 8×8 word
+//!   transposes then serialize the blocks in counter order.
 //!
 //! Blocks are emitted in counter order either way, so the byte streams
 //! are identical; `counter_boundary_equivalence` and the RFC 8439
-//! vector tests pin this.
+//! vector tests pin this. [`ChaCha20::fill`] writes whole refills
+//! straight into the caller's slice, so a bulk draw never passes
+//! through the internal buffer.
 
 use lsa_field::simd::{self, Backend};
 
-/// Keystream bytes buffered per SIMD refill (four 64-byte blocks).
-const BUF: usize = 256;
+/// Keystream bytes buffered per AVX2 refill (eight 64-byte blocks).
+const BUF: usize = 512;
 
 /// ChaCha20 keystream generator.
 #[derive(Debug, Clone)]
 pub struct ChaCha20 {
     state: [u32; 16],
     buffer: [u8; BUF],
-    /// Bytes of `buffer` holding valid keystream (64 per scalar refill,
-    /// [`BUF`] per SIMD refill).
+    /// Bytes one refill produces (64 on the scalar path, [`BUF`] on the
+    /// AVX2 path).
     buf_len: usize,
-    /// Bytes of `buffer` already handed out.
+    /// Bytes of the buffered refill already handed out.
     offset: usize,
     counter: u32,
     /// Captured once at construction — a `ChaCha20` never re-dispatches
@@ -54,6 +57,32 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
+/// The 64-byte block of `state` at a given counter value (the scalar
+/// oracle).
+fn block(state: &[u32; 16], counter: u32) -> [u8; 64] {
+    let mut working = *state;
+    working[12] = counter;
+    let mut s = working;
+    for _ in 0..10 {
+        // column rounds
+        quarter_round(&mut s, 0, 4, 8, 12);
+        quarter_round(&mut s, 1, 5, 9, 13);
+        quarter_round(&mut s, 2, 6, 10, 14);
+        quarter_round(&mut s, 3, 7, 11, 15);
+        // diagonal rounds
+        quarter_round(&mut s, 0, 5, 10, 15);
+        quarter_round(&mut s, 1, 6, 11, 12);
+        quarter_round(&mut s, 2, 7, 8, 13);
+        quarter_round(&mut s, 3, 4, 9, 14);
+    }
+    let mut out = [0u8; 64];
+    for i in 0..16 {
+        let word = s[i].wrapping_add(working[i]);
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+    }
+    out
+}
+
 impl ChaCha20 {
     /// Create a keystream from a 256-bit key and 96-bit nonce, starting at
     /// block counter 0.
@@ -67,58 +96,39 @@ impl ChaCha20 {
         for i in 0..3 {
             state[13 + i] = u32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().unwrap());
         }
+        let backend = simd::backend();
+        let buf_len = if backend == Backend::Avx2 { BUF } else { 64 };
         Self {
             state,
             buffer: [0u8; BUF],
-            buf_len: 0,
-            offset: 0, // buf_len == offset forces a refill on first byte
+            buf_len,
+            offset: buf_len, // drained: the first draw refills
             counter: 0,
-            backend: simd::backend(),
+            backend,
         }
     }
 
-    /// The 64-byte block for a given counter value (the scalar oracle).
-    fn block(&self, counter: u32) -> [u8; 64] {
-        let mut working = self.state;
-        working[12] = counter;
-        let mut s = working;
-        for _ in 0..10 {
-            // column rounds
-            quarter_round(&mut s, 0, 4, 8, 12);
-            quarter_round(&mut s, 1, 5, 9, 13);
-            quarter_round(&mut s, 2, 6, 10, 14);
-            quarter_round(&mut s, 3, 7, 11, 15);
-            // diagonal rounds
-            quarter_round(&mut s, 0, 5, 10, 15);
-            quarter_round(&mut s, 1, 6, 11, 12);
-            quarter_round(&mut s, 2, 7, 8, 13);
-            quarter_round(&mut s, 3, 4, 9, 14);
-        }
-        let mut out = [0u8; 64];
-        for i in 0..16 {
-            let word = s[i].wrapping_add(working[i]);
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        out
-    }
-
-    /// Refill the keystream buffer: four blocks at once on the SIMD
-    /// path, one on the scalar path.
-    fn refill(&mut self) {
+    /// Write the next refill of keystream (eight blocks on the AVX2
+    /// path, one on the scalar path) to the front of `out` and advance
+    /// `counter` past it.
+    fn next_blocks(state: &[u32; 16], backend: Backend, counter: &mut u32, out: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
-        if self.backend == Backend::Avx2 {
+        if backend == Backend::Avx2 {
+            let out: &mut [u8; BUF] = (&mut out[..BUF]).try_into().expect("BUF bytes");
             // SAFETY: `Backend::Avx2` is only produced by
             // `lsa_field::simd` after `is_x86_feature_detected!("avx2")`.
-            unsafe { x4::blocks4(&self.state, self.counter, &mut self.buffer) };
-            self.counter = self.counter.wrapping_add(4);
-            self.buf_len = BUF;
-            self.offset = 0;
+            unsafe { x8::blocks8(state, *counter, out) };
+            *counter = counter.wrapping_add(8);
             return;
         }
-        let block = self.block(self.counter);
-        self.buffer[..64].copy_from_slice(&block);
-        self.counter = self.counter.wrapping_add(1);
-        self.buf_len = 64;
+        out[..64].copy_from_slice(&block(state, *counter));
+        *counter = counter.wrapping_add(1);
+    }
+
+    /// Refill the (drained) keystream buffer.
+    fn refill(&mut self) {
+        let (state, backend) = (&self.state, self.backend);
+        Self::next_blocks(state, backend, &mut self.counter, &mut self.buffer);
         self.offset = 0;
     }
 
@@ -151,12 +161,18 @@ impl ChaCha20 {
         u64::from_le_bytes(word)
     }
 
-    /// Fill a slice with keystream bytes (buffer-sized copies, not a
-    /// per-byte loop).
+    /// Fill a slice with keystream bytes: buffered bytes first, then
+    /// whole refills generated in place, then a buffered tail.
     pub fn fill(&mut self, out: &mut [u8]) {
         let mut written = 0;
         while written < out.len() {
             if self.offset == self.buf_len {
+                if out.len() - written >= self.buf_len {
+                    let (state, backend) = (&self.state, self.backend);
+                    Self::next_blocks(state, backend, &mut self.counter, &mut out[written..]);
+                    written += self.buf_len;
+                    continue;
+                }
                 self.refill();
             }
             let n = (out.len() - written).min(self.buf_len - self.offset);
@@ -167,51 +183,61 @@ impl ChaCha20 {
     }
 }
 
-/// Four-block SIMD kernel: one `__m128i` per ChaCha state word, block
-/// counters `ctr..ctr+3` spread across the lanes.
+/// Eight-block AVX2 kernel: one `__m256i` per ChaCha state word, block
+/// counters `ctr..ctr+7` spread across the lanes.
 #[cfg(target_arch = "x86_64")]
-mod x4 {
+mod x8 {
     use core::arch::x86_64::*;
 
-    /// Lanewise 32-bit rotate-left (no variable-rotate below AVX-512, so
-    /// shift/shift/or).
+    /// Lanewise 32-bit rotate-left by shift/shift/or (no variable
+    /// rotate below AVX-512); the byte-aligned rotates use a shuffle.
     macro_rules! rotl {
         ($x:expr, $n:literal) => {{
             let x = $x;
-            _mm_or_si128(_mm_slli_epi32::<$n>(x), _mm_srli_epi32::<{ 32 - $n }>(x))
+            _mm256_or_si256(
+                _mm256_slli_epi32::<$n>(x),
+                _mm256_srli_epi32::<{ 32 - $n }>(x),
+            )
         }};
     }
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn qr(v: &mut [__m128i; 16], a: usize, b: usize, c: usize, d: usize) {
-        v[a] = _mm_add_epi32(v[a], v[b]);
-        v[d] = rotl!(_mm_xor_si128(v[d], v[a]), 16);
-        v[c] = _mm_add_epi32(v[c], v[d]);
-        v[b] = rotl!(_mm_xor_si128(v[b], v[c]), 12);
-        v[a] = _mm_add_epi32(v[a], v[b]);
-        v[d] = rotl!(_mm_xor_si128(v[d], v[a]), 8);
-        v[c] = _mm_add_epi32(v[c], v[d]);
-        v[b] = rotl!(_mm_xor_si128(v[b], v[c]), 7);
+    unsafe fn qr(v: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usize) {
+        // per-128-bit-lane byte shuffles rotating every u32 left by 16 / 8
+        let rot16 = _mm256_setr_epi8(
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11,
+            8, 9, 14, 15, 12, 13,
+        );
+        let rot8 = _mm256_setr_epi8(
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, 3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9,
+            10, 15, 12, 13, 14,
+        );
+        v[a] = _mm256_add_epi32(v[a], v[b]);
+        v[d] = _mm256_shuffle_epi8(_mm256_xor_si256(v[d], v[a]), rot16);
+        v[c] = _mm256_add_epi32(v[c], v[d]);
+        v[b] = rotl!(_mm256_xor_si256(v[b], v[c]), 12);
+        v[a] = _mm256_add_epi32(v[a], v[b]);
+        v[d] = _mm256_shuffle_epi8(_mm256_xor_si256(v[d], v[a]), rot8);
+        v[c] = _mm256_add_epi32(v[c], v[d]);
+        v[b] = rotl!(_mm256_xor_si256(v[b], v[c]), 7);
     }
 
-    /// Blocks `counter..counter+3` (wrapping), serialized in counter
-    /// order — byte-identical to four scalar `block` calls.
+    /// Blocks `counter..counter+7` (wrapping), serialized in counter
+    /// order — byte-identical to eight scalar `block` calls.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn blocks4(state: &[u32; 16], counter: u32, out: &mut [u8; 256]) {
-        let mut v = [_mm_setzero_si128(); 16];
+    pub unsafe fn blocks8(state: &[u32; 16], counter: u32, out: &mut [u8; 512]) {
+        let mut v = [_mm256_setzero_si256(); 16];
         for (lane, &word) in v.iter_mut().zip(state.iter()) {
-            *lane = _mm_set1_epi32(word as i32);
+            *lane = _mm256_set1_epi32(word as i32);
         }
-        v[12] = _mm_setr_epi32(
-            counter as i32,
-            counter.wrapping_add(1) as i32,
-            counter.wrapping_add(2) as i32,
-            counter.wrapping_add(3) as i32,
+        v[12] = _mm256_add_epi32(
+            _mm256_set1_epi32(counter as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
         );
         let init = v;
         for _ in 0..10 {
@@ -227,23 +253,34 @@ mod x4 {
             qr(&mut v, 3, 4, 9, 14);
         }
         for (lane, seed) in v.iter_mut().zip(init.iter()) {
-            *lane = _mm_add_epi32(*lane, *seed);
+            *lane = _mm256_add_epi32(*lane, *seed);
         }
-        // Rows hold the same word of all four blocks; each group of four
-        // rows transposes into one 16-byte run per block.
-        for g in 0..4 {
-            let t0 = _mm_unpacklo_epi32(v[4 * g], v[4 * g + 1]);
-            let t1 = _mm_unpacklo_epi32(v[4 * g + 2], v[4 * g + 3]);
-            let t2 = _mm_unpackhi_epi32(v[4 * g], v[4 * g + 1]);
-            let t3 = _mm_unpackhi_epi32(v[4 * g + 2], v[4 * g + 3]);
-            let rows = [
-                _mm_unpacklo_epi64(t0, t1), // block 0: words 4g..4g+3
-                _mm_unpackhi_epi64(t0, t1), // block 1
-                _mm_unpacklo_epi64(t2, t3), // block 2
-                _mm_unpackhi_epi64(t2, t3), // block 3
+        // Row `w` holds word `w` of all eight blocks. Each group of four
+        // rows transposes (32- then 64-bit interleaves) into 16-byte
+        // runs: run `k` of `q[g]` is words 4g..4g+4 of block k in its
+        // low lane and of block k+4 in its high lane. Pairing the lanes
+        // of two groups then gives one 32-byte half-block per store.
+        let mut q = [[_mm256_setzero_si256(); 4]; 4];
+        for (g, q) in q.iter_mut().enumerate() {
+            let t0 = _mm256_unpacklo_epi32(v[4 * g], v[4 * g + 1]);
+            let t1 = _mm256_unpacklo_epi32(v[4 * g + 2], v[4 * g + 3]);
+            let t2 = _mm256_unpackhi_epi32(v[4 * g], v[4 * g + 1]);
+            let t3 = _mm256_unpackhi_epi32(v[4 * g + 2], v[4 * g + 3]);
+            *q = [
+                _mm256_unpacklo_epi64(t0, t1),
+                _mm256_unpackhi_epi64(t0, t1),
+                _mm256_unpacklo_epi64(t2, t3),
+                _mm256_unpackhi_epi64(t2, t3),
             ];
-            for (b, row) in rows.iter().enumerate() {
-                _mm_storeu_si128(out.as_mut_ptr().add(b * 64 + g * 16) as *mut __m128i, *row);
+        }
+        for (half, pair) in q.chunks_exact(2).enumerate() {
+            for (k, (&a, &b)) in pair[0].iter().zip(&pair[1]).enumerate() {
+                let at = out.as_mut_ptr().add(32 * half + 64 * k);
+                _mm256_storeu_si256(at as *mut __m256i, _mm256_permute2x128_si256::<0x20>(a, b));
+                _mm256_storeu_si256(
+                    at.add(256) as *mut __m256i,
+                    _mm256_permute2x128_si256::<0x31>(a, b),
+                );
             }
         }
     }
@@ -279,7 +316,7 @@ mod tests {
     fn rfc8439_block_test_vector() {
         let (key, nonce) = test_key();
         let cipher = ChaCha20::new(&key, &nonce);
-        assert_eq!(cipher.block(1), RFC8439_BLOCK1);
+        assert_eq!(block(&cipher.state, 1), RFC8439_BLOCK1);
     }
 
     /// The same RFC vector through the public keystream (bytes 64..128
@@ -297,23 +334,30 @@ mod tests {
         }
     }
 
-    /// The 4-block kernel must be byte-identical to four scalar block
-    /// calls, including across non-multiple-of-4 read patterns.
+    /// The 8-block kernel must be byte-identical to eight scalar block
+    /// calls, whether a refill lands in the caller's slice or in the
+    /// buffer.
     #[test]
     fn multi_block_keystream_matches_scalar() {
         let key = [0xabu8; 32];
         let nonce = [0x17u8; 12];
-        // 1000 bytes: crosses three 256-byte SIMD refills with a tail
-        // that is neither 64- nor 256-aligned
-        let mut want = vec![0u8; 1000];
+        // 1700 bytes: three whole 512-byte refills written in place and
+        // a buffered tail that is neither 64- nor 512-aligned
+        let mut want = vec![0u8; 1700];
         with_backend(lsa_field::simd::Backend::Scalar, || {
             ChaCha20::new(&key, &nonce).fill(&mut want);
         });
         for b in available() {
             with_backend(b, || {
-                let mut got = vec![0u8; 1000];
+                let mut got = vec![0u8; 1700];
                 ChaCha20::new(&key, &nonce).fill(&mut got);
                 assert_eq!(got, want, "backend {}", b.name());
+                // the same bytes when a short draw comes first, so the
+                // in-place refills land unaligned in the caller's slice
+                let mut cipher = ChaCha20::new(&key, &nonce);
+                cipher.fill(&mut got[..5]);
+                cipher.fill(&mut got[5..]);
+                assert_eq!(got, want, "backend {} after a short draw", b.name());
             });
         }
     }
@@ -326,13 +370,14 @@ mod tests {
         let nonce = [5u8; 12];
         for b in available() {
             with_backend(b, || {
-                let mut bulk = vec![0u8; 700];
+                let mut bulk = vec![0u8; 1400];
                 ChaCha20::new(&key, &nonce).fill(&mut bulk);
-                let mut piecemeal = Vec::with_capacity(700);
+                let mut piecemeal = Vec::with_capacity(1400);
                 let mut cipher = ChaCha20::new(&key, &nonce);
                 // 7-byte words + 13-byte fills + single bytes: straddles
-                // every 64-byte block boundary unaligned
-                while piecemeal.len() + 21 <= 700 {
+                // every 64-byte block and 512-byte refill boundary
+                // unaligned
+                while piecemeal.len() + 21 <= 1400 {
                     let w = cipher.next_word_le(7);
                     piecemeal.extend_from_slice(&w.to_le_bytes()[..7]);
                     let mut chunk = [0u8; 13];
@@ -340,7 +385,7 @@ mod tests {
                     piecemeal.extend_from_slice(&chunk);
                     piecemeal.push(cipher.next_byte());
                 }
-                while piecemeal.len() < 700 {
+                while piecemeal.len() < 1400 {
                     piecemeal.push(cipher.next_byte());
                 }
                 assert_eq!(piecemeal, bulk, "backend {}", b.name());
@@ -349,7 +394,7 @@ mod tests {
     }
 
     /// The 32-bit block counter wraps identically on both paths (the
-    /// SIMD refill spreads `ctr..ctr+3` with wrapping adds).
+    /// SIMD refill spreads `ctr..ctr+7` with a wrapping lane add).
     #[test]
     fn counter_wrap_matches_scalar() {
         if detected() == lsa_field::simd::Backend::Scalar {
@@ -357,8 +402,8 @@ mod tests {
         }
         let key = [0x42u8; 32];
         let nonce = [9u8; 12];
-        let start = u32::MAX - 2; // refill spans MAX-2, MAX-1, MAX, 0
-        let mut want = vec![0u8; 512];
+        let start = u32::MAX - 6; // first refill spans MAX-6 ..= MAX, then 0
+        let mut want = vec![0u8; 1024];
         with_backend(lsa_field::simd::Backend::Scalar, || {
             let mut cipher = ChaCha20::new(&key, &nonce);
             cipher.counter = start;
@@ -367,14 +412,43 @@ mod tests {
         with_backend(detected(), || {
             let mut cipher = ChaCha20::new(&key, &nonce);
             cipher.counter = start;
-            let mut got = vec![0u8; 512];
+            let mut got = vec![0u8; 1024];
             cipher.fill(&mut got);
             assert_eq!(got, want);
         });
     }
 
-    /// RFC 8439 §2.4.2 keystream (first bytes of counter-1 block with the
-    /// sunscreen nonce).
+    /// RFC 8439 §2.4.2 ("sunscreen") keystream: key = 00..1f, nonce =
+    /// 000000000000004a00000000, initial counter = 1 — so bytes 64.. of
+    /// a stream that starts at counter 0. All 114 bytes the RFC prints
+    /// (the counter-1 block and the head of counter 2), through the
+    /// public `fill` on every compiled-in backend.
+    #[test]
+    fn rfc8439_sunscreen_keystream_on_every_backend() {
+        const KEYSTREAM: [u8; 114] = [
+            0x22, 0x4f, 0x51, 0xf3, 0x40, 0x1b, 0xd9, 0xe1, 0x2f, 0xde, 0x27, 0x6f, 0xb8, 0x63,
+            0x1d, 0xed, 0x8c, 0x13, 0x1f, 0x82, 0x3d, 0x2c, 0x06, 0xe2, 0x7e, 0x4f, 0xca, 0xec,
+            0x9e, 0xf3, 0xcf, 0x78, 0x8a, 0x3b, 0x0a, 0xa3, 0x72, 0x60, 0x0a, 0x92, 0xb5, 0x79,
+            0x74, 0xcd, 0xed, 0x2b, 0x93, 0x34, 0x79, 0x4c, 0xba, 0x40, 0xc6, 0x3e, 0x34, 0xcd,
+            0xea, 0x21, 0x2c, 0x4c, 0xf0, 0x7d, 0x41, 0xb7, 0x69, 0xa6, 0x74, 0x9f, 0x3f, 0x63,
+            0x0f, 0x41, 0x22, 0xca, 0xfe, 0x28, 0xec, 0x4d, 0xc4, 0x7e, 0x26, 0xd4, 0x34, 0x6d,
+            0x70, 0xb9, 0x8c, 0x73, 0xf3, 0xe9, 0xc5, 0x3a, 0xc4, 0x0c, 0x59, 0x45, 0x39, 0x8b,
+            0x6e, 0xda, 0x1a, 0x83, 0x2c, 0x89, 0xc1, 0x67, 0xea, 0xcd, 0x90, 0x1d, 0x7e, 0x2b,
+            0xf3, 0x63,
+        ];
+        let (key, _) = test_key();
+        let nonce = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
+        for b in available() {
+            with_backend(b, || {
+                let mut stream = [0u8; 64 + 114];
+                ChaCha20::new(&key, &nonce).fill(&mut stream);
+                assert_eq!(&stream[64..], &KEYSTREAM[..], "backend {}", b.name());
+            });
+        }
+    }
+
+    /// Not an RFC vector: two streams under one key and nonce agree, and
+    /// consecutive blocks differ.
     #[test]
     fn keystream_is_deterministic_and_nonrepeating() {
         let key = [7u8; 32];

@@ -6,7 +6,7 @@
 //! `Z_p^*` for the 62-bit safe prime
 //! `p = 4611686018427377339 = 2q + 1` with generator `g = 4`.
 //!
-//! **Substitution note** (`DESIGN.md` §4): production deployments use
+//! **Substitution note**: production deployments use
 //! X25519 (~256-bit security). The 62-bit group keeps the simulation fast;
 //! the protocol logic — who publishes what, which secrets are
 //! Shamir-shared, how seeds feed the PRG — is identical, and none of the

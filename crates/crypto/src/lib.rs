@@ -4,14 +4,16 @@
 //!
 //! * a **PRG** expanding a short seed into `d` field elements — used by
 //!   SecAgg/SecAgg+ for the pairwise masks `PRG(a_{i,j})` and self-masks
-//!   `PRG(b_i)`; implemented as a from-scratch [`chacha::ChaCha20`] stream
-//!   feeding rejection sampling ([`FieldPrg`]);
+//!   `PRG(b_i)`, and by the mask ratchet for its pairwise pads; a
+//!   from-scratch [`chacha::ChaCha20`] stream (eight blocks per AVX2
+//!   refill) feeding a bulk rejection sampler ([`FieldPrg`]) that can
+//!   add a pad straight into a vector without materialising it;
 //! * a **key agreement** so each user pair derives a common seed — the
 //!   paper uses Diffie–Hellman; we implement classic DH over the
 //!   multiplicative group of a 62-bit safe prime ([`dh`]). *Substitution
 //!   note*: production systems use X25519; the group size here is a
 //!   simulation-scale parameter and does not change protocol logic,
-//!   message flow or asymptotics (documented in `DESIGN.md` §4);
+//!   message flow or asymptotics;
 //! * a **KDF/hash** to turn group elements into PRG seeds — a
 //!   from-scratch [`sha256`] implementation validated against FIPS 180-4
 //!   test vectors.
@@ -80,9 +82,58 @@ impl Seed {
 /// exactly uniform over `F_q` and two parties expanding the same seed get
 /// identical vectors (the property SecAgg's pairwise cancellation rests
 /// on).
+///
+/// [`FieldPrg::next_element`] defines the element stream: consecutive
+/// `⌈BITS/8⌉`-byte little-endian keystream words, masked to `BITS` bits,
+/// skipping words `≥ MODULUS`. The bulk forms produce exactly that
+/// stream from exactly that keystream, so draws of any form and length
+/// interleave.
 #[derive(Debug, Clone)]
 pub struct FieldPrg {
     stream: chacha::ChaCha20,
+}
+
+/// Elements decoded per bulk step: at most 4 KiB of keystream (whole
+/// refills on every backend) and of elements, so a step stays in L1.
+const CHUNK: usize = 512;
+
+/// Decode `nbytes`-byte little-endian keystream words into `out` (one
+/// slot per word), masking each to `mask` and keeping it iff it is
+/// `< modulus`; returns how many were kept. The first pass assumes no
+/// rejection (the real fields reject at most one word in 2³⁰) so it
+/// vectorizes, and is redone compacting if one occurred. Inlined so
+/// `nbytes` is a constant in every caller.
+#[inline(always)]
+fn accept_words<T>(
+    bytes: &[u8],
+    nbytes: usize,
+    mask: u64,
+    modulus: u64,
+    out: &mut [T],
+    make: impl Fn(u64) -> T,
+) -> usize {
+    let words = || {
+        bytes.chunks_exact(nbytes).map(|w| {
+            let mut le = [0u8; 8];
+            le[..nbytes].copy_from_slice(w);
+            u64::from_le_bytes(le) & mask
+        })
+    };
+    let count = bytes.len() / nbytes;
+    let mut rejected = false;
+    for (slot, v) in out[..count].iter_mut().zip(words()) {
+        rejected |= v >= modulus;
+        *slot = make(v);
+    }
+    if !rejected {
+        return count;
+    }
+    let mut kept = 0;
+    for v in words().filter(|&v| v < modulus) {
+        out[kept] = make(v);
+        kept += 1;
+    }
+    kept
 }
 
 impl FieldPrg {
@@ -95,10 +146,47 @@ impl FieldPrg {
 
     /// Generate `len` uniformly random field elements.
     pub fn expand<F: Field>(&mut self, len: usize) -> Vec<F> {
-        (0..len).map(|_| self.next_element()).collect()
+        let mut out = Vec::with_capacity(len);
+        self.chunks(len, |_, elements| out.extend_from_slice(elements));
+        out
     }
 
-    /// Generate the next single field element.
+    /// `acc[k] += e_k` for the next `acc.len()` elements `e` of the
+    /// stream — [`Self::expand`] then a vector add, without ever holding
+    /// the expansion.
+    pub fn add_into<F: Field>(&mut self, acc: &mut [F]) {
+        self.chunks(acc.len(), |at, elements| {
+            lsa_field::ops::add_assign(&mut acc[at..at + elements.len()], elements);
+        });
+    }
+
+    /// `acc[k] -= e_k`; the subtracting twin of [`Self::add_into`].
+    pub fn sub_into<F: Field>(&mut self, acc: &mut [F]) {
+        self.chunks(acc.len(), |at, elements| {
+            lsa_field::ops::sub_assign(&mut acc[at..at + elements.len()], elements);
+        });
+    }
+
+    /// Hand the next `len` elements of the stream to `sink` as
+    /// `(offset, elements)` runs of at most [`CHUNK`].
+    fn chunks<F: Field>(&mut self, len: usize, mut sink: impl FnMut(usize, &[F])) {
+        let nbytes = F::BITS.div_ceil(8) as usize;
+        let mask = u64::MAX >> (64 - F::BITS);
+        let (mut bytes, mut elements) = ([0u8; 8 * CHUNK], [F::ZERO; CHUNK]);
+        let mut done = 0;
+        while done < len {
+            // one word per element still missing and never more, so no
+            // keystream is dropped between calls
+            let bytes = &mut bytes[..nbytes * (len - done).min(CHUNK)];
+            self.stream.fill(bytes);
+            let kept = accept_words(bytes, nbytes, mask, F::MODULUS, &mut elements, F::from_u64);
+            sink(done, &elements[..kept]);
+            done += kept;
+        }
+    }
+
+    /// Generate the next single field element (the oracle the bulk forms
+    /// are pinned against).
     pub fn next_element<F: Field>(&mut self) -> F {
         // Draw ceil(BITS/8)-byte words; reject values >= MODULUS.
         let nbytes = usize::max(1, F::BITS.div_ceil(8) as usize);
@@ -160,6 +248,131 @@ mod tests {
         }
         for b in buckets {
             assert!((2000..3000).contains(&b), "bucket {b}");
+        }
+    }
+
+    /// The element stream as `next_element` defines it — the oracle.
+    fn oracle<F: Field>(prg: &mut FieldPrg, len: usize) -> Vec<F> {
+        (0..len).map(|_| prg.next_element()).collect()
+    }
+
+    fn bulk_matches_oracle<F: Field>() {
+        let seed = Seed::from_label(b"bulk vs oracle");
+        for b in lsa_field::simd::available() {
+            lsa_field::simd::with_backend(b, || {
+                for len in [0, 1, 7, 63, 64, 65, 127, 128, 129, 4097] {
+                    let got: Vec<F> = FieldPrg::new(seed).expand(len);
+                    let want = oracle::<F>(&mut FieldPrg::new(seed), len);
+                    assert_eq!(got, want, "backend {} len {len}", b.name());
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn bulk_expand_matches_next_element_fp32() {
+        bulk_matches_oracle::<Fp32>();
+    }
+
+    #[test]
+    fn bulk_expand_matches_next_element_fp61() {
+        bulk_matches_oracle::<Fp61>();
+    }
+
+    /// Bulk, single-element and raw-byte draws of odd sizes interleave
+    /// on one stream exactly as on the oracle's: no form drops or
+    /// re-reads a keystream byte, whatever the buffer offset it finds.
+    fn interleaved_draws_match_oracle<F: Field>() {
+        let seed = Seed::from_label(b"interleaved");
+        for b in lsa_field::simd::available() {
+            lsa_field::simd::with_backend(b, || {
+                let mut bulk = FieldPrg::new(seed);
+                let mut scalar = FieldPrg::new(seed);
+                for (round, len) in [3usize, 130, 1, 517, 64, 0, 1029].into_iter().enumerate() {
+                    assert_eq!(bulk.expand::<F>(len), oracle::<F>(&mut scalar, len));
+                    assert_eq!(bulk.next_element::<F>(), scalar.next_element::<F>());
+                    // knock the stream off word alignment
+                    let mut raw = vec![0u8; 1 + 2 * round];
+                    let mut raw_scalar = raw.clone();
+                    bulk.stream.fill(&mut raw);
+                    for byte in raw_scalar.iter_mut() {
+                        *byte = scalar.stream.next_byte();
+                    }
+                    assert_eq!(raw, raw_scalar, "backend {}", b.name());
+                }
+                // expand(n) then expand(m) is expand(n + m)
+                let mut split = FieldPrg::new(seed);
+                let mut joined: Vec<F> = split.expand(301);
+                joined.extend(split.expand::<F>(700));
+                assert_eq!(joined, FieldPrg::new(seed).expand::<F>(1001));
+            });
+        }
+    }
+
+    #[test]
+    fn interleaved_draws_match_next_element_fp32() {
+        interleaved_draws_match_oracle::<Fp32>();
+    }
+
+    #[test]
+    fn interleaved_draws_match_next_element_fp61() {
+        interleaved_draws_match_oracle::<Fp61>();
+    }
+
+    fn fused_matches_expand<F: Field>() {
+        let seed = Seed::from_label(b"fused");
+        for b in lsa_field::simd::available() {
+            lsa_field::simd::with_backend(b, || {
+                for len in [0, 1, 511, 512, 513, 4097] {
+                    let base: Vec<F> = FieldPrg::new(Seed::from_label(b"acc")).expand(len);
+                    let pad: Vec<F> = FieldPrg::new(seed).expand(len);
+                    let (mut added, mut want) = (base.clone(), base.clone());
+                    FieldPrg::new(seed).add_into(&mut added);
+                    lsa_field::ops::add_assign(&mut want, &pad);
+                    assert_eq!(added, want, "add, backend {} len {len}", b.name());
+                    let (mut subbed, mut want) = (base.clone(), base);
+                    FieldPrg::new(seed).sub_into(&mut subbed);
+                    lsa_field::ops::sub_assign(&mut want, &pad);
+                    assert_eq!(subbed, want, "sub, backend {} len {len}", b.name());
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn fused_add_sub_match_expand_then_ops_fp32() {
+        fused_matches_expand::<Fp32>();
+    }
+
+    #[test]
+    fn fused_add_sub_match_expand_then_ops_fp61() {
+        fused_matches_expand::<Fp61>();
+    }
+
+    /// The real fields reject at most one word in 2³⁰, so the compacting
+    /// pass is driven here through a 1-byte word with modulus 200 (22 %
+    /// rejected) and a 2-byte word masked to 9 bits with modulus 300.
+    #[test]
+    fn rejected_words_are_compacted_in_stream_order() {
+        let mut bytes = vec![0u8; 600];
+        chacha::ChaCha20::new(&[1u8; 32], &[0u8; 12]).fill(&mut bytes);
+        for (nbytes, mask, modulus) in [(1usize, 0xffu64, 200u64), (2, 0x1ff, 300)] {
+            let want: Vec<u64> = bytes
+                .chunks_exact(nbytes)
+                .map(|w| w.iter().rev().fold(0u64, |v, &b| v << 8 | b as u64) & mask)
+                .filter(|&v| v < modulus)
+                .collect();
+            assert!(want.len() < bytes.len() / nbytes, "some word is rejected");
+            let mut out = vec![u64::MAX; bytes.len() / nbytes];
+            let kept = accept_words(&bytes, nbytes, mask, modulus, &mut out, |v| v);
+            assert_eq!(&out[..kept], &want[..]);
+            // a chunk without a rejection keeps every word
+            let clean: Vec<u8> = want
+                .iter()
+                .flat_map(|v| v.to_le_bytes()[..nbytes].to_vec())
+                .collect();
+            let kept = accept_words(&clean, nbytes, mask, modulus, &mut out, |v| v);
+            assert_eq!(&out[..kept], &want[..]);
         }
     }
 

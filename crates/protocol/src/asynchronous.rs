@@ -17,10 +17,12 @@ use crate::session::{AsyncClientSession, AsyncServerSession};
 use crate::transport::Transport;
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
+use lsa_crypto::Seed;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, VectorQuantizer};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A coded mask share tagged with the generation round (Appendix F.3.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,17 +79,32 @@ pub struct AsyncClient<F> {
     code: VandermondeCode<F>,
     /// Own masks by round.
     masks: BTreeMap<u64, Vec<F>>,
-    /// Received coded shares keyed by `(sender, round)`.
-    received: BTreeMap<(usize, u64), Vec<F>>,
+    /// Received coded shares keyed by `(sender, round)`. A ratcheted
+    /// round files its base round's shares under its own key by handle,
+    /// not by copy.
+    received: BTreeMap<(usize, u64), Arc<[F]>>,
     /// Own coded shares as sent, keyed by `(recipient, round)` —
     /// retained so a stable cohort can derive pairwise ratchet pads
     /// from the share material both edge endpoints already hold
     /// ([`crate::ratchet`]).
-    sent: BTreeMap<(usize, u64), Vec<F>>,
+    sent: BTreeMap<(usize, u64), SentShare<F>>,
     /// Pad-derivation epoch mixed into every ratchet pad seed; bumped
     /// in lockstep across a cohort when seats are permuted without a
     /// fresh exchange ([`crate::ratchet::reseat_epoch`]).
     pad_epoch: u64,
+}
+
+/// A coded share as sent to one peer in one round, with the edge secret
+/// it yields.
+#[derive(Debug, Clone)]
+struct SentShare<F> {
+    share: Vec<F>,
+    /// [`crate::ratchet::pair_seed`] of this edge and round, hashed the
+    /// first time the round serves as a ratchet base (never, for a round
+    /// that is re-keyed before it ratchets) and dropped with the share.
+    /// Boxed: most sent shares never pad an edge, and at leaf sizes a
+    /// seed inline would add a quarter to every one of them.
+    edge: Option<Box<Seed>>,
 }
 
 impl<F: Field> AsyncClient<F> {
@@ -150,10 +167,12 @@ impl<F: Field> AsyncClient<F> {
         let coded = self.code.encode_all(&segments);
         self.masks.insert(round, mask);
         self.received
-            .insert((self.id, round), coded[self.id].clone());
+            .insert((self.id, round), coded[self.id].as_slice().into());
         for (j, share) in coded.iter().enumerate() {
             if j != self.id {
-                self.sent.insert((j, round), share.clone());
+                let share = share.clone();
+                self.sent
+                    .insert((j, round), SentShare { share, edge: None });
             }
         }
         Ok((0..self.cfg.n())
@@ -201,7 +220,7 @@ impl<F: Field> AsyncClient<F> {
         if self.received.contains_key(&key) {
             return Err(ProtocolError::DuplicateMessage(share.from));
         }
-        self.received.insert(key, share.payload);
+        self.received.insert(key, share.payload.into());
         Ok(())
     }
 
@@ -313,10 +332,11 @@ impl<F: Field> AsyncClient<F> {
     /// state under `nonce` ([`crate::ratchet`]): the new mask is the
     /// base mask plus pairwise-cancelling PRG pads over the edges
     /// `topology` assigns this member, and the base round's coded
-    /// shares are re-filed under `round` so aggregation requests
-    /// naming `(who, round)` resolve to the base shares (re-filing
-    /// covers *every* peer regardless of topology — recovery still
-    /// needs the full share set). No share traffic is produced. State
+    /// shares are re-filed under `round` — by handle, the share data is
+    /// not copied — so aggregation requests naming `(who, round)`
+    /// resolve to the base shares (re-filing covers *every* peer
+    /// regardless of topology — recovery still needs the full share
+    /// set). No share traffic is produced. State
     /// from earlier *ratcheted* rounds (between the base and `round`)
     /// is dropped — only the base must stay resident.
     ///
@@ -347,27 +367,18 @@ impl<F: Field> AsyncClient<F> {
             .collect();
         let mut mask = base_mask.clone();
         for j in topology.partners(&peers, self.id) {
-            if j == self.id {
-                continue;
-            }
-            let Some(sent) = self.sent.get(&(j, base_round)) else {
+            let Some(sent) = self.sent.get_mut(&(j, base_round)) else {
                 return Err(ProtocolError::RatchetMismatch);
             };
             let recv = &self.received[&(j, base_round)];
-            crate::ratchet::add_pair_pad(
-                &mut mask,
-                0,
-                base_round,
-                self.pad_epoch,
-                nonce,
-                self.id,
-                j,
-                sent,
-                recv,
-            );
+            let edge = **sent.edge.get_or_insert_with(|| {
+                let seed = crate::ratchet::pair_seed(0, base_round, self.id, j, &sent.share, recv);
+                Box::new(seed)
+            });
+            crate::ratchet::add_pair_pad(&mut mask, edge, self.pad_epoch, nonce, self.id, j);
         }
         for &j in &peers {
-            let share = self.received[&(j, base_round)].clone();
+            let share = Arc::clone(&self.received[&(j, base_round)]);
             self.received.insert((j, round), share);
         }
         self.masks.insert(round, mask);
@@ -855,6 +866,83 @@ mod tests {
             clients[0].ratchet_round_mask(5, 3, 1, crate::ratchet::PadTopology::Clique),
             Err(ProtocolError::RatchetMismatch)
         ));
+    }
+
+    /// The async ratchet against the derivation as first written
+    /// ([`crate::ratchet::tests::reference_pair_pad`]), and its re-filing
+    /// against the base's own allocations.
+    fn ratchet_matches_reference<F: Field>() {
+        use crate::ratchet::{tests::reference_pair_pad, PadTopology};
+        let cfg = LsaConfig::new(6, 1, 4, 9).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut clients: Vec<AsyncClient<F>> = (0..6)
+            .map(|id| AsyncClient::new(id, cfg).unwrap())
+            .collect();
+        let mut pending = Vec::new();
+        for c in clients.iter_mut() {
+            pending.extend(c.generate_round_mask(3, &mut rng).unwrap());
+        }
+        for s in pending {
+            clients[s.to].receive_share(s).unwrap();
+        }
+        let peers: Vec<usize> = (0..6).collect();
+        for c in clients.iter_mut() {
+            let mut round = 4;
+            for bumped in [false, true] {
+                if bumped {
+                    c.bump_pad_epoch(0xD00D);
+                }
+                for topology in [PadTopology::Clique, PadTopology::Hypercube] {
+                    // twice per setting: the first derivation may hash
+                    // an edge secret, the second only reads it back
+                    for nonce in [0xA1u64, 0xB2] {
+                        let mut want = c.masks[&3].clone();
+                        for j in topology.partners(&peers, c.id) {
+                            let sent = &c.sent[&(j, 3)].share;
+                            let recv = &c.received[&(j, 3)];
+                            reference_pair_pad(
+                                &mut want,
+                                0,
+                                3,
+                                c.pad_epoch,
+                                nonce,
+                                c.id,
+                                j,
+                                sent,
+                                recv,
+                            );
+                        }
+                        c.ratchet_round_mask(round, 3, nonce, topology).unwrap();
+                        assert_eq!(c.masks[&round], want, "{topology:?} bumped={bumped}");
+                        for &j in &peers {
+                            let (base, refiled) = (&c.received[&(j, 3)], &c.received[&(j, round)]);
+                            assert!(Arc::ptr_eq(base, refiled), "re-filed by handle");
+                        }
+                        round += 1;
+                    }
+                }
+            }
+            // every edge was hashed by the clique rounds, once
+            assert!(c.sent.values().all(|s| s.edge.is_some()));
+            // evicting the derived rounds leaves each base share with
+            // its one original owner
+            c.discard_before_keeping(round, 3);
+            assert_eq!(c.shares_stored(), 6);
+            assert!(c.received.values().all(|s| Arc::strong_count(s) == 1));
+            // and dropping the base drops its edge secrets with it
+            c.forget_round(3);
+            assert!(c.sent.is_empty());
+        }
+    }
+
+    #[test]
+    fn ratcheted_mask_matches_reference_derivation_fp61() {
+        ratchet_matches_reference::<Fp61>();
+    }
+
+    #[test]
+    fn ratcheted_mask_matches_reference_derivation_fp32() {
+        ratchet_matches_reference::<lsa_field::Fp32>();
     }
 
     #[test]

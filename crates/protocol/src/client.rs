@@ -4,9 +4,11 @@ use crate::config::LsaConfig;
 use crate::messages::{AggregatedShare, CodedMaskShare, MaskedModel};
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
+use lsa_crypto::Seed;
 use lsa_field::Field;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A LightSecAgg user.
 ///
@@ -39,17 +41,29 @@ pub struct Client<F> {
     cfg: LsaConfig,
     group: usize,
     round: u64,
-    code: VandermondeCode<F>,
     /// The local random mask `z_i`, padded length.
     mask: Vec<F>,
-    /// Own coded segments `[~z_i]_j` for every `j ∈ [N]` (including self).
-    coded_for: Vec<Vec<F>>,
-    /// Received coded segments `[~z_j]_i`, keyed by sender `j`.
-    received: BTreeMap<usize, Vec<F>>,
+    /// The round's share material: immutable once the offline exchange
+    /// completes, so rounds ratcheted from this one share the allocation.
+    shares: Arc<Shares<F>>,
     /// Pad epoch for ratchet pads derived from this state: 0 at the
     /// base exchange, evolved in lockstep across the cohort by
     /// [`Client::bump_pad_epoch`] on a reseat ([`crate::ratchet`]).
     pad_epoch: u64,
+    /// [`crate::ratchet::pair_seed`] per peer, hashed the first time a
+    /// round is ratcheted from this state (never, for a state that is
+    /// never a ratchet base) and dropped with it.
+    edge_seeds: BTreeMap<usize, Seed>,
+}
+
+/// The code and coded segments of one full offline exchange.
+#[derive(Debug, Clone)]
+pub(crate) struct Shares<F> {
+    code: VandermondeCode<F>,
+    /// Own coded segments `[~z_i]_j` for every `j ∈ [N]` (including self).
+    coded_for: Vec<Vec<F>>,
+    /// Received coded segments `[~z_j]_i`, keyed by sender `j`.
+    received: BTreeMap<usize, Vec<F>>,
 }
 
 impl<F: Field> Client<F> {
@@ -129,20 +143,25 @@ impl<F: Field> Client<F> {
             cfg,
             group,
             round,
-            code,
             mask,
-            coded_for,
-            received,
+            shares: Arc::new(Shares {
+                code,
+                coded_for,
+                received,
+            }),
             pad_epoch: 0,
+            edge_seeds: BTreeMap::new(),
         })
     }
 
     /// Derive the client for a *ratcheted* round from retained base
     /// state ([`crate::ratchet`]): same peers, same coded shares, and a
     /// fresh mask `z_i = m_i + Σ_j σ(i,j)·PRG(ρ_ij ‖ nonce)` whose
-    /// pairwise pads cancel over the full cohort. No new share traffic:
-    /// `coded_for` / `received` are carried over from the base round,
-    /// so recovery decodes `Σ m_i` exactly as it did then.
+    /// pairwise pads cancel over the full cohort. No new share traffic
+    /// and no copy: the derived client holds the base's share material
+    /// by reference count, so recovery decodes `Σ m_i` exactly as it did
+    /// then. The work is one keystream pass per pad, plus hashing the
+    /// edge secrets `ρ_ij` the first time (cached in `base`).
     ///
     /// The cohort is implicit: every peer the base client exchanged
     /// shares with (its `received` keys) is the fingerprinted
@@ -150,40 +169,38 @@ impl<F: Field> Client<F> {
     /// before ratcheting. `topology` selects which of those peers
     /// contribute a pad ([`crate::ratchet::PadTopology`]): the clique
     /// pads against all of them, the hypercube only along the
-    /// `⌈log₂ n_g⌉` edges of this member's cohort rank. The retained
-    /// share material (`coded_for` / `received`) is carried over
-    /// unchanged either way, so recovery still decodes `Σ m_i`.
+    /// `⌈log₂ n_g⌉` edges of this member's cohort rank.
     pub(crate) fn ratcheted_from(
-        base: &Self,
+        base: &mut Self,
         round: u64,
         nonce: u64,
         topology: crate::ratchet::PadTopology,
     ) -> Self {
-        let members: Vec<usize> = base.received.keys().copied().collect();
+        let shares = &base.shares;
+        let members: Vec<usize> = shares.received.keys().copied().collect();
         let mut mask = base.mask.clone();
         for peer in topology.partners(&members, base.id) {
-            crate::ratchet::add_pair_pad(
-                &mut mask,
-                base.group,
-                base.round,
-                base.pad_epoch,
-                nonce,
-                base.id,
-                peer,
-                &base.coded_for[peer],
-                &base.received[&peer],
-            );
+            let edge = *base.edge_seeds.entry(peer).or_insert_with(|| {
+                crate::ratchet::pair_seed(
+                    base.group,
+                    base.round,
+                    base.id,
+                    peer,
+                    &shares.coded_for[peer],
+                    &shares.received[&peer],
+                )
+            });
+            crate::ratchet::add_pair_pad(&mut mask, edge, base.pad_epoch, nonce, base.id, peer);
         }
         Self {
             id: base.id,
             cfg: base.cfg,
             group: base.group,
             round,
-            code: base.code.clone(),
             mask,
-            coded_for: base.coded_for.clone(),
-            received: base.received.clone(),
+            shares: Arc::clone(shares),
             pad_epoch: base.pad_epoch,
+            edge_seeds: BTreeMap::new(),
         }
     }
 
@@ -200,7 +217,13 @@ impl<F: Field> Client<F> {
     /// cohort), ascending; includes the client itself.
     #[cfg(test)]
     pub(crate) fn share_peers(&self) -> Vec<usize> {
-        self.received.keys().copied().collect()
+        self.shares.received.keys().copied().collect()
+    }
+
+    /// The share-material handle, for tests that pin who owns it.
+    #[cfg(test)]
+    pub(crate) fn share_storage(&self) -> &Arc<Shares<F>> {
+        &self.shares
     }
 
     /// This client's user index (group-local in a grouped topology).
@@ -233,7 +256,7 @@ impl<F: Field> Client<F> {
                 to: j,
                 group: self.group,
                 round: self.round,
-                payload: self.coded_for[j].clone(),
+                payload: self.shares.coded_for[j].clone(),
             })
             .collect()
     }
@@ -284,16 +307,20 @@ impl<F: Field> Client<F> {
                 },
             ));
         }
-        if self.received.contains_key(&share.from) {
+        if self.shares.received.contains_key(&share.from) {
             return Err(ProtocolError::DuplicateMessage(share.from));
         }
-        self.received.insert(share.from, share.payload);
+        // sole owner during the exchange, so this never copies; a share
+        // accepted by a *derived* round un-shares the storage first
+        Arc::make_mut(&mut self.shares)
+            .received
+            .insert(share.from, share.payload);
         Ok(())
     }
 
     /// How many coded shares have been received (incl. the self share).
     pub fn shares_received(&self) -> usize {
-        self.received.len()
+        self.shares.received.len()
     }
 
     /// Mask a quantized local model: `~x_i = x_i + z_i` (Algorithm 1
@@ -355,6 +382,7 @@ impl<F: Field> Client<F> {
         let mut shares: Vec<&[F]> = Vec::with_capacity(survivors.len());
         for &i in survivors {
             let share = self
+                .shares
                 .received
                 .get(&i)
                 .ok_or(ProtocolError::MissingShares { from: i })?;
@@ -375,7 +403,7 @@ impl<F: Field> Client<F> {
     /// The evaluation point this client's shares correspond to (needed by
     /// anyone decoding with this client's aggregated share).
     pub fn evaluation_point(&self) -> F {
-        self.code.point(self.id)
+        self.shares.code.point(self.id)
     }
 }
 
@@ -486,7 +514,7 @@ mod tests {
         let base_sum = sum(&clients);
         for topology in [PadTopology::Clique, PadTopology::Hypercube] {
             let ratcheted: Vec<Client<Fp61>> = clients
-                .iter()
+                .iter_mut()
                 .map(|c| Client::ratcheted_from(c, 1, 0xA5A5, topology))
                 .collect();
             assert_eq!(sum(&ratcheted), base_sum, "pads must cancel in the sum");
@@ -496,7 +524,7 @@ mod tests {
                 assert_eq!(r.shares_received(), b.shares_received());
             }
             // a different nonce refreshes every mask again
-            let again = Client::ratcheted_from(&clients[0], 2, 0x5A5A, topology);
+            let again = Client::ratcheted_from(&mut clients[0], 2, 0x5A5A, topology);
             assert_ne!(again.mask, ratcheted[0].mask);
         }
         assert_eq!(clients[0].share_peers(), vec![0, 1, 2, 3, 4]);
@@ -516,14 +544,14 @@ mod tests {
             clients[s.to].receive_share(s).unwrap();
         }
         let before: Vec<Client<Fp61>> = clients
-            .iter()
+            .iter_mut()
             .map(|c| Client::ratcheted_from(c, 1, 7, PadTopology::Hypercube))
             .collect();
         for c in clients.iter_mut() {
             c.bump_pad_epoch(0xD00D);
         }
         let after: Vec<Client<Fp61>> = clients
-            .iter()
+            .iter_mut()
             .map(|c| Client::ratcheted_from(c, 1, 7, PadTopology::Hypercube))
             .collect();
         let sum = |cs: &[Client<Fp61>]| {
@@ -537,6 +565,142 @@ mod tests {
         for (b, a) in before.iter().zip(&after) {
             assert_ne!(b.mask, a.mask, "epoch must refresh the edge secrets");
         }
+    }
+
+    /// A cohort of `cfg().n()` clients after the full offline exchange
+    /// of `round`.
+    fn exchanged<F: Field>(round: u64, seed: u64) -> Vec<Client<F>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut clients: Vec<Client<F>> = (0..cfg().n())
+            .map(|i| Client::for_round_in_group(i, round, 3, cfg(), &mut rng).unwrap())
+            .collect();
+        let shares: Vec<_> = clients.iter().flat_map(|c| c.outgoing_shares()).collect();
+        for s in shares {
+            clients[s.to].receive_share(s).unwrap();
+        }
+        clients
+    }
+
+    /// The derivation as first written ([`crate::ratchet::tests::reference_pair_pad`]:
+    /// hash the edge secret per pad, expand element by element into a
+    /// temporary, add or subtract it).
+    fn reference_mask<F: Field>(
+        base: &Client<F>,
+        nonce: u64,
+        topology: crate::ratchet::PadTopology,
+    ) -> Vec<F> {
+        let mut mask = base.mask.clone();
+        for peer in topology.partners(&base.share_peers(), base.id) {
+            crate::ratchet::tests::reference_pair_pad(
+                &mut mask,
+                base.group,
+                base.round,
+                base.pad_epoch,
+                nonce,
+                base.id,
+                peer,
+                &base.shares.coded_for[peer],
+                &base.shares.received[&peer],
+            );
+        }
+        mask
+    }
+
+    fn ratchet_matches_reference<F: Field>() {
+        use crate::ratchet::PadTopology;
+        for topology in [PadTopology::Clique, PadTopology::Hypercube] {
+            let mut clients = exchanged::<F>(4, 31);
+            for c in clients.iter_mut() {
+                // first derivation hashes the edge secrets, the second
+                // reads them back, the third runs under a bumped epoch
+                // over the same cache: all three match the reference
+                let first = Client::ratcheted_from(c, 5, 0xA1, topology);
+                assert_eq!(first.mask, reference_mask(c, 0xA1, topology));
+                let hashed = c.edge_seeds.clone();
+                assert_eq!(
+                    hashed.len(),
+                    topology.partners(&c.share_peers(), c.id).len()
+                );
+                let second = Client::ratcheted_from(c, 6, 0xB2, topology);
+                assert_eq!(second.mask, reference_mask(c, 0xB2, topology));
+                c.bump_pad_epoch(0xD00D);
+                let third = Client::ratcheted_from(c, 7, 0xB2, topology);
+                assert_eq!(third.mask, reference_mask(c, 0xB2, topology));
+                assert_ne!(third.mask, second.mask, "epoch refreshes the pads");
+                assert_eq!(
+                    c.edge_seeds, hashed,
+                    "edge secrets are per base, not per round"
+                );
+                // derived rounds hold the base's share material, not a copy
+                for derived in [&first, &second, &third] {
+                    assert!(Arc::ptr_eq(derived.share_storage(), c.share_storage()));
+                    assert!(derived.edge_seeds.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ratcheted_mask_matches_reference_derivation_fp61() {
+        ratchet_matches_reference::<Fp61>();
+    }
+
+    #[test]
+    fn ratcheted_mask_matches_reference_derivation_fp32() {
+        ratchet_matches_reference::<lsa_field::Fp32>();
+    }
+
+    #[test]
+    fn edge_secrets_are_never_shared_across_bases() {
+        // the same entropy re-runs the same exchange, so the two bases
+        // hold identical share material and differ only in their round:
+        // a seed cached for one must not serve the other
+        use crate::ratchet::PadTopology::Hypercube;
+        let mut old = exchanged::<Fp61>(0, 77);
+        let mut new = exchanged::<Fp61>(9, 77);
+        for (o, n) in old.iter_mut().zip(new.iter_mut()) {
+            assert_eq!(o.mask, n.mask);
+            let from_old = Client::ratcheted_from(o, 10, 0xC3, Hypercube);
+            assert!(
+                n.edge_seeds.is_empty(),
+                "a fresh base starts without secrets"
+            );
+            let from_new = Client::ratcheted_from(n, 10, 0xC3, Hypercube);
+            assert_ne!(
+                from_old.mask, from_new.mask,
+                "base round separates the pads"
+            );
+            assert_eq!(from_new.mask, reference_mask(n, 0xC3, Hypercube));
+            assert!(o
+                .edge_seeds
+                .values()
+                .all(|s| !n.edge_seeds.values().any(|t| s == t)));
+        }
+    }
+
+    #[test]
+    fn share_accepted_by_a_derived_round_leaves_the_base_untouched() {
+        // a cohort one short of N: the derived round still shares the
+        // base's storage, and un-shares it only if it must write
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut clients: Vec<Client<Fp61>> = (0..5)
+            .map(|i| Client::new(i, cfg(), &mut rng).unwrap())
+            .collect();
+        let shares: Vec<_> = clients.iter().flat_map(|c| c.outgoing_shares()).collect();
+        for s in shares.into_iter().filter(|s| s.from != 4 && s.to != 4) {
+            clients[s.to].receive_share(s).unwrap();
+        }
+        let mut derived =
+            Client::ratcheted_from(&mut clients[0], 1, 5, crate::ratchet::PadTopology::Clique);
+        let late = Client::<Fp61>::for_round(4, 1, cfg(), &mut rng).unwrap();
+        let share = late.outgoing_shares().into_iter().find(|s| s.to == 0);
+        derived.receive_share(share.unwrap()).unwrap();
+        assert_eq!(derived.shares_received(), 5);
+        assert_eq!(clients[0].shares_received(), 4);
+        assert!(!Arc::ptr_eq(
+            derived.share_storage(),
+            clients[0].share_storage()
+        ));
     }
 
     #[test]

@@ -496,16 +496,18 @@ impl<F: Field> FederationClient<F> {
         self.pending.remove(&round);
     }
 
-    /// Retain `round`'s fully-exchanged state as the ratchet base for
-    /// the cohort fingerprinted by `fingerprint` ([`crate::ratchet`]).
-    /// When the finished round was itself ratcheted its mask is
-    /// `m + u`, not valid base material, so the previous base is kept.
+    /// Retire `round`'s session into the ratchet base for the cohort
+    /// fingerprinted by `fingerprint` ([`crate::ratchet`]): the finished
+    /// round's fully-exchanged state is moved, not copied, so call this
+    /// only once nothing more will be routed to the round. When the
+    /// finished round was itself ratcheted its mask is `m + u`, not
+    /// valid base material, so the previous base is kept.
     pub(crate) fn harvest_ratchet(&mut self, round: u64, fingerprint: u64, was_ratcheted: bool) {
         if was_ratcheted {
             return;
         }
-        if let Some(session) = self.sessions.get(&round) {
-            self.ratchet = Some((session.client().clone(), fingerprint));
+        if let Some(session) = self.sessions.remove(&round) {
+            self.ratchet = Some((session.into_client(), fingerprint));
         }
     }
 
@@ -549,7 +551,7 @@ impl<F: Field> FederationClient<F> {
         if self.sessions.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
-        let Some((base, _)) = self.ratchet.as_ref() else {
+        let Some((base, _)) = self.ratchet.as_mut() else {
             return Err(ProtocolError::RatchetMismatch);
         };
         let nonce = self
@@ -590,7 +592,7 @@ impl<F: Field> FederationClient<F> {
         if self.sessions.contains_key(&ann.round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
-        let Some((base, fingerprint)) = self.ratchet.as_ref() else {
+        let Some((base, fingerprint)) = self.ratchet.as_mut() else {
             return Err(ProtocolError::RatchetMismatch);
         };
         if ann.fingerprint != *fingerprint {
@@ -628,7 +630,7 @@ impl<F: Field> FederationClient<F> {
         if self.sessions.contains_key(&commit.round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
-        let Some((base, fingerprint)) = self.ratchet.as_ref() else {
+        let Some((base, fingerprint)) = self.ratchet.as_mut() else {
             return Err(ProtocolError::RatchetMismatch);
         };
         if commit.fingerprint != *fingerprint {
@@ -1710,7 +1712,8 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
         let aggregate = self.server.close_round()?;
         // Every cohort member completed this round: retain the (full)
         // exchange as the ratchet base for the next stable round. The
-        // harvest runs before the retire below removes the sessions.
+        // harvest takes the finished sessions the retire below would
+        // drop.
         if ratchet_enabled() {
             let members: Vec<usize> = open.cohort.iter().copied().collect();
             let fp = CohortFingerprint::of_flat(self.group, self.cfg, &members).raw();
@@ -2869,5 +2872,59 @@ mod tests {
             fed.clients[0].handle(Envelope::RatchetAnnouncement(dup)),
             Err(ProtocolError::DuplicateMessage(0))
         ));
+    }
+
+    #[test]
+    fn retained_base_storage_is_shared_then_released() {
+        use std::sync::Arc;
+        if !ratchet_enabled() {
+            return; // always-rekey lane: no base is ever retained
+        }
+        let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 33).unwrap();
+        let run = |fed: &mut SyncFederation<Fp61, MemTransport>, cohort: &[usize]| {
+            fed.open_round(cohort).unwrap();
+            for (id, u) in updates(cohort) {
+                fed.submit(id, &u).unwrap();
+            }
+            fed.finish_round().unwrap()
+        };
+        let everyone: Vec<usize> = (0..5).collect();
+        run(&mut fed, &everyone); // round 0: full exchange, harvested
+        let watch: Vec<_> = fed
+            .clients
+            .iter()
+            .map(|c| {
+                // the harvest moved the finished session into the base:
+                // nothing else holds its share material
+                assert_eq!(c.active_rounds(), 0);
+                let (base, _) = c.ratchet.as_ref().expect("base retained");
+                assert_eq!(Arc::strong_count(base.share_storage()), 1);
+                Arc::downgrade(base.share_storage())
+            })
+            .collect();
+        // round 1 ratchets: while it is open, each member's live session
+        // holds the base's storage itself, not a copy
+        fed.open_round(&everyone).unwrap();
+        assert!(fed.open.as_ref().is_some_and(|open| open.ratcheted));
+        for (c, w) in fed.clients.iter().zip(&watch) {
+            let (base, _) = c.ratchet.as_ref().expect("base retained");
+            assert_eq!(Arc::strong_count(base.share_storage()), 2);
+            assert_eq!(w.strong_count(), 2);
+        }
+        for (id, u) in updates(&everyone) {
+            fed.submit(id, &u).unwrap();
+        }
+        assert_eq!(fed.finish_round().unwrap().aggregate, expected(&everyone));
+        assert!(watch.iter().all(|w| w.strong_count() == 1));
+        // churn: round 2 re-keys without member 4; its finish harvests a
+        // new base and retires everything below round 3, so the re-keyed
+        // members' old storage is left without an owner (member 4 keeps
+        // its stale base until it next completes a full round, or a
+        // mid-window purge clears it)
+        let out = run(&mut fed, &[0, 1, 2, 3]);
+        assert_eq!(out.aggregate, expected(&[0, 1, 2, 3]));
+        for (id, w) in watch.iter().enumerate().take(4) {
+            assert_eq!(w.strong_count(), 0, "client {id} still owns its old base");
+        }
     }
 }

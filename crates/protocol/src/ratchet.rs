@@ -183,10 +183,11 @@ impl RatchetWindowCommit {
 /// `LSA_RATCHET=off` (or `0`) to force the full offline exchange every
 /// round — both paths must produce identical aggregates.
 pub fn ratchet_enabled() -> bool {
-    match std::env::var("LSA_RATCHET") {
-        Ok(v) => !matches!(v.trim(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
+    parse_ratchet_enabled(std::env::var("LSA_RATCHET").ok().as_deref())
+}
+
+fn parse_ratchet_enabled(value: Option<&str>) -> bool {
+    !matches!(value.map(str::trim), Some("off" | "0" | "false"))
 }
 
 /// Which pairwise pads a ratcheted member derives per round.
@@ -299,8 +300,12 @@ impl PadTopology {
 /// (`clique` | `hypercube`); defaults to [`PadTopology::Hypercube`].
 /// Unrecognised values fall back to the default.
 pub fn pad_topology() -> PadTopology {
-    match std::env::var("LSA_PAD_TOPOLOGY") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("clique") => PadTopology::Clique,
+    parse_pad_topology(std::env::var("LSA_PAD_TOPOLOGY").ok().as_deref())
+}
+
+fn parse_pad_topology(value: Option<&str>) -> PadTopology {
+    match value {
+        Some(v) if v.trim().eq_ignore_ascii_case("clique") => PadTopology::Clique,
         _ => PadTopology::Hypercube,
     }
 }
@@ -319,12 +324,13 @@ pub const MAX_COMMIT_WINDOW: usize = 1024;
 /// byte-for-byte. Defaults to [`DEFAULT_COMMIT_WINDOW`]; values are
 /// clamped to `1..=`[`MAX_COMMIT_WINDOW`].
 pub fn commit_window() -> usize {
-    match std::env::var("LSA_COMMIT_WINDOW") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(w) => w.clamp(1, MAX_COMMIT_WINDOW),
-            Err(_) => DEFAULT_COMMIT_WINDOW,
-        },
-        Err(_) => DEFAULT_COMMIT_WINDOW,
+    parse_commit_window(std::env::var("LSA_COMMIT_WINDOW").ok().as_deref())
+}
+
+fn parse_commit_window(value: Option<&str>) -> usize {
+    match value.and_then(|v| v.trim().parse::<usize>().ok()) {
+        Some(w) => w.clamp(1, MAX_COMMIT_WINDOW),
+        None => DEFAULT_COMMIT_WINDOW,
     }
 }
 
@@ -342,24 +348,32 @@ pub(crate) fn reseat_epoch(old: u64, seed: u64) -> u64 {
     u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
 }
 
-/// Derive the pairwise pad seed for the edge `lo ↔ hi` (ids with
-/// `lo < hi`) from the two coded shares that crossed that edge during
-/// the base round's offline phase.
+/// Derive the edge secret client `id` shares with `peer` from the two
+/// coded shares that crossed that edge during the base round's offline
+/// phase: `sent` is the share `id` encoded **for** `peer`, `recv` the
+/// one it received **from** `peer`; the hash runs over the edge's
+/// `(lo, hi)` orientation, so both endpoints derive the same secret.
 ///
-/// Both endpoints hold both shares (each sent one and received the
-/// other), and no third party holds either: a share `S_{i→j}` is a
-/// point on client i's degree-(U−1) encoding polynomial, delivered only
-/// to j. Binding the seed to `(group, base_round, lo, hi)` domain-
-/// separates edges; the per-round nonce is applied by the caller via
-/// [`Seed::derive`].
+/// Both endpoints hold both shares, and no third party holds either: a
+/// share `S_{i→j}` is a point on client i's degree-(U−1) encoding
+/// polynomial, delivered only to j. Binding the seed to `(group,
+/// base_round, lo, hi)` domain-separates edges. It depends on the base
+/// alone, so callers hash it once per base and keep it beside the
+/// shares; epoch and nonce are applied per round by [`add_pair_pad`].
 pub(crate) fn pair_seed<F: Field>(
     group: usize,
     base_round: u64,
-    lo: usize,
-    hi: usize,
-    lo_to_hi: &[F],
-    hi_to_lo: &[F],
+    id: usize,
+    peer: usize,
+    sent: &[F],
+    recv: &[F],
 ) -> Seed {
+    debug_assert_ne!(id, peer);
+    let (lo, hi, lo_to_hi, hi_to_lo) = if id < peer {
+        (id, peer, sent, recv)
+    } else {
+        (peer, id, recv, sent)
+    };
     let mut buf =
         Vec::with_capacity(PAIR_DOMAIN.len() + 8 * 4 + 8 * (lo_to_hi.len() + hi_to_lo.len()));
     buf.extend_from_slice(PAIR_DOMAIN);
@@ -376,45 +390,58 @@ pub(crate) fn pair_seed<F: Field>(
 }
 
 /// Add client `id`'s pairwise pad against `peer` for the given nonce
-/// into `mask` (in place): `+PRG` if `id` is the lower endpoint of the
-/// edge, `−PRG` if it is the higher one. `sent` is the share `id`
-/// encoded **for** `peer` in the base round, `recv` the share it
-/// received **from** `peer`. `epoch` is the pad-epoch both endpoints
-/// evolved in lockstep across reseats ([`reseat_epoch`]; 0 until the
-/// first reseat).
-#[allow(clippy::too_many_arguments)]
+/// into `mask` (in place, one keystream pass): `+PRG` if `id` is the
+/// lower endpoint of the edge, `−PRG` if it is the higher one. `edge`
+/// is the edge's [`pair_seed`]; `epoch` is the pad-epoch both endpoints
+/// evolved in lockstep across reseats ([`reseat_epoch`]).
 pub(crate) fn add_pair_pad<F: Field>(
     mask: &mut [F],
-    group: usize,
-    base_round: u64,
+    edge: Seed,
     epoch: u64,
     nonce: u64,
     id: usize,
     peer: usize,
-    sent: &[F],
-    recv: &[F],
 ) {
-    debug_assert_ne!(id, peer);
-    let (lo, hi, lo_to_hi, hi_to_lo) = if id < peer {
-        (id, peer, sent, recv)
+    let mut prg = FieldPrg::new(edge.derive(epoch).derive(nonce));
+    if id < peer {
+        prg.add_into(mask);
     } else {
-        (peer, id, recv, sent)
-    };
-    let seed = pair_seed(group, base_round, lo, hi, lo_to_hi, hi_to_lo)
-        .derive(epoch)
-        .derive(nonce);
-    let pad: Vec<F> = FieldPrg::new(seed).expand(mask.len());
-    if id == lo {
-        lsa_field::ops::add_assign(mask, &pad);
-    } else {
-        lsa_field::ops::sub_assign(mask, &pad);
+        prg.sub_into(mask);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lsa_field::Fp61;
+
+    /// The pad derivation as first written — edge secret hashed on the
+    /// spot, pad expanded element by element into a temporary, then added
+    /// or subtracted — kept as the reference the cached, fused path is
+    /// pinned against.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn reference_pair_pad<F: Field>(
+        mask: &mut [F],
+        group: usize,
+        base_round: u64,
+        epoch: u64,
+        nonce: u64,
+        id: usize,
+        peer: usize,
+        sent: &[F],
+        recv: &[F],
+    ) {
+        let seed = pair_seed(group, base_round, id, peer, sent, recv)
+            .derive(epoch)
+            .derive(nonce);
+        let mut prg = FieldPrg::new(seed);
+        let pad: Vec<F> = (0..mask.len()).map(|_| prg.next_element()).collect();
+        if id < peer {
+            lsa_field::ops::add_assign(mask, &pad);
+        } else {
+            lsa_field::ops::sub_assign(mask, &pad);
+        }
+    }
 
     fn cfg() -> LsaConfig {
         LsaConfig::new(4, 1, 3, 6).unwrap()
@@ -450,9 +477,12 @@ mod tests {
         let mut a = vec![Fp61::ZERO; 8];
         let mut b = vec![Fp61::ZERO; 8];
         // endpoint 2 sent `sent` to 5 and received `recv` from it;
-        // endpoint 5 saw the mirror image of the same two vectors
-        add_pair_pad(&mut a, 3, 7, 0, 99, 2, 5, &sent, &recv);
-        add_pair_pad(&mut b, 3, 7, 0, 99, 5, 2, &recv, &sent);
+        // endpoint 5 saw the mirror image of the same two vectors and
+        // must hash them to the same edge secret
+        let edge = pair_seed(3, 7, 2, 5, &sent, &recv);
+        assert_eq!(edge, pair_seed(3, 7, 5, 2, &recv, &sent));
+        add_pair_pad(&mut a, edge, 0, 99, 2, 5);
+        add_pair_pad(&mut b, edge, 0, 99, 5, 2);
         assert!(a.iter().any(|x| *x != Fp61::ZERO), "pad must be non-zero");
         let sum: Vec<Fp61> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
         assert!(sum.iter().all(|x| *x == Fp61::ZERO), "pads must cancel");
@@ -462,26 +492,59 @@ mod tests {
     fn pads_differ_across_nonces_rounds_and_epochs() {
         let sent: Vec<Fp61> = (0..3).map(Fp61::from_u64).collect();
         let recv: Vec<Fp61> = (4..7).map(Fp61::from_u64).collect();
-        let mut n1 = vec![Fp61::ZERO; 6];
-        let mut n2 = vec![Fp61::ZERO; 6];
-        let mut r2 = vec![Fp61::ZERO; 6];
-        let mut e2 = vec![Fp61::ZERO; 6];
-        add_pair_pad(&mut n1, 0, 0, 0, 1, 0, 1, &sent, &recv);
-        add_pair_pad(&mut n2, 0, 0, 0, 2, 0, 1, &sent, &recv);
-        add_pair_pad(&mut r2, 0, 5, 0, 1, 0, 1, &sent, &recv);
-        add_pair_pad(&mut e2, 0, 0, 9, 1, 0, 1, &sent, &recv);
-        assert_ne!(n1, n2, "nonce must refresh the pad");
-        assert_ne!(n1, r2, "base round must domain-separate the pad");
-        assert_ne!(n1, e2, "pad epoch must refresh the pad");
+        let pad = |base_round: u64, epoch: u64, nonce: u64| {
+            let mut mask = vec![Fp61::ZERO; 6];
+            let edge = pair_seed(0, base_round, 0, 1, &sent, &recv);
+            add_pair_pad(&mut mask, edge, epoch, nonce, 0, 1);
+            mask
+        };
+        let n1 = pad(0, 0, 1);
+        assert_ne!(n1, pad(0, 0, 2), "nonce must refresh the pad");
+        assert_ne!(n1, pad(5, 0, 1), "base round must domain-separate the pad");
+        assert_ne!(n1, pad(0, 9, 1), "pad epoch must refresh the pad");
+    }
+
+    #[test]
+    fn fused_pad_matches_the_reference_derivation() {
+        // both signs, a length that is not a whole sampler chunk
+        let sent: Vec<Fp61> = (0..7).map(Fp61::from_u64).collect();
+        let recv: Vec<Fp61> = (20..27).map(Fp61::from_u64).collect();
+        for (id, peer) in [(2usize, 5usize), (5, 2)] {
+            let mut got: Vec<Fp61> = (0..1500).map(Fp61::from_u64).collect();
+            let mut want = got.clone();
+            let edge = pair_seed(1, 4, id, peer, &sent, &recv);
+            add_pair_pad(&mut got, edge, 3, 77, id, peer);
+            reference_pair_pad(&mut want, 1, 4, 3, 77, id, peer, &sent, &recv);
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
     fn ratchet_env_knob_parses() {
-        // no env manipulation here (tests run in parallel); just the
-        // default paths
-        assert!(ratchet_enabled() || !ratchet_enabled());
-        assert!(commit_window() >= 1);
-        let _ = pad_topology();
+        // the pure parsers behind the three env readers (no env
+        // manipulation: tests run in parallel)
+        for off in ["off", "0", "false", " off "] {
+            assert!(!parse_ratchet_enabled(Some(off)), "{off:?}");
+        }
+        for on in [None, Some(""), Some("on"), Some("1"), Some("OFF")] {
+            assert!(parse_ratchet_enabled(on), "{on:?}");
+        }
+
+        for clique in ["clique", "CLIQUE", " Clique "] {
+            assert_eq!(parse_pad_topology(Some(clique)), PadTopology::Clique);
+        }
+        for other in [None, Some("hypercube"), Some("ring"), Some("")] {
+            assert_eq!(parse_pad_topology(other), PadTopology::Hypercube);
+        }
+
+        assert_eq!(parse_commit_window(None), DEFAULT_COMMIT_WINDOW);
+        assert_eq!(parse_commit_window(Some(" 3 ")), 3);
+        assert_eq!(parse_commit_window(Some("0")), 1);
+        assert_eq!(parse_commit_window(Some("1024")), MAX_COMMIT_WINDOW);
+        assert_eq!(parse_commit_window(Some("99999")), MAX_COMMIT_WINDOW);
+        for garbage in ["", "eight", "-1", "2.5"] {
+            assert_eq!(parse_commit_window(Some(garbage)), DEFAULT_COMMIT_WINDOW);
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl<F: Field> ClientSession<F> {
     /// only envelope the offline phase produces is the fingerprint ack
     /// to the server.
     pub(crate) fn ratcheted(
-        base: &Client<F>,
+        base: &mut Client<F>,
         round: u64,
         nonce: u64,
         fingerprint: u64,
@@ -218,7 +218,7 @@ impl<F: Field> ClientSession<F> {
     /// [`RatchetWindowCommit`] window, so joining it costs zero wire
     /// traffic.
     pub(crate) fn ratcheted_quiet(
-        base: &Client<F>,
+        base: &mut Client<F>,
         round: u64,
         nonce: u64,
         topology: PadTopology,
@@ -230,9 +230,10 @@ impl<F: Field> ClientSession<F> {
         }
     }
 
-    /// The underlying client state (for harvesting ratchet bases).
-    pub(crate) fn client(&self) -> &Client<F> {
-        &self.inner
+    /// Give up the underlying client state (a finished round's session
+    /// retiring into a ratchet base).
+    pub(crate) fn into_client(self) -> Client<F> {
+        self.inner
     }
 
     /// This client's user index.
