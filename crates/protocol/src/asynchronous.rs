@@ -12,6 +12,7 @@
 //! weights `s_{c_g}(τ)` of Eq. (34).
 
 use crate::config::LsaConfig;
+use crate::federation::{drain_to, pump};
 use crate::messages::AggregatedShare;
 use crate::session::{AsyncClientSession, AsyncServerSession};
 use crate::transport::Transport;
@@ -21,7 +22,7 @@ use lsa_crypto::Seed;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, VectorQuantizer};
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A coded mask share tagged with the generation round (Appendix F.3.1).
@@ -606,6 +607,15 @@ impl<F: Field> AsyncServer<F> {
         Ok(self.shares.len() >= self.cfg.u())
     }
 
+    /// Abandon the flush in progress — buffered updates, announcement
+    /// and aggregated shares — leaving an empty buffer that accepts
+    /// uploads again.
+    pub(crate) fn abandon_flush(&mut self) {
+        self.buffer.clear();
+        self.shares.clear();
+        self.announced = None;
+    }
+
     /// Recover the weighted aggregate `Σ w_i Δ̄_i` by one-shot decoding of
     /// `Σ w_i z_i^{(t_i)}` and clear the buffer for the next round.
     ///
@@ -705,31 +715,32 @@ pub fn run_buffered_flush<F: Field, R: Rng + ?Sized, T: Transport<F>>(
     server.advance_to(now);
 
     // Offline: each contributing slot generates its round mask and the
-    // coded shares travel to every peer.
+    // coded shares travel to every peer. Nobody vanishes mid-flush.
+    let everyone: BTreeSet<usize> = (0..n).collect();
     for input in inputs {
         clients[input.slot].generate_round_mask(input.round)?;
     }
     for client in clients.iter_mut() {
-        crate::drain_session(client, transport)?;
+        drain_to(client, transport, &everyone)?;
     }
     transport.flush("mask-exchange");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     // Upload: masked, round-stamped updates.
     for input in inputs {
         clients[input.slot].upload_update(input.round, &input.update)?;
-        crate::drain_session(&mut clients[input.slot], transport)?;
+        drain_to(&mut clients[input.slot], transport, &everyone)?;
     }
     transport.flush("buffered-upload");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     // Recovery: announce the buffer, collect weighted aggregated shares.
     server.announce()?;
-    crate::drain_session(&mut server, transport)?;
+    drain_to(&mut server, transport, &everyone)?;
     transport.flush("buffer-announce");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
     transport.flush("async-recovery");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     server.recover()
 }

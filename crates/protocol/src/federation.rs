@@ -1,5 +1,6 @@
-//! Multi-round federation: one [`SecureAggregator`] trait over the sync
-//! and buffered-async session pairs, with a persistent round lifecycle.
+//! Multi-round federation: one [`SecureAggregator`] trait and one leaf
+//! round driver over the sync and buffered-async session pairs, with a
+//! persistent round lifecycle.
 //!
 //! LightSecAgg's point (§4.1 of the paper) is *amortizing* secure
 //! aggregation across a training run: the offline mask exchange for
@@ -9,10 +10,13 @@
 //!
 //! * [`SecureAggregator`] — an **object-safe** trait capturing one
 //!   round: `open_round → submit* → prepare_next? → mark_dropped* →
-//!   finish_round`. Implemented by [`SyncFederation`] (the §4.1
-//!   synchronous protocol) and [`BufferedFederation`] (the §4.2
-//!   buffered-asynchronous variant), so callers pick a variant **by
-//!   value** (`Box<dyn SecureAggregator<F>>`), not by code path.
+//!   finish_round`. Callers pick a variant **by value**
+//!   (`Box<dyn SecureAggregator<F>>`), not by code path.
+//! * [`LeafFederation`] — the one implementation of that lifecycle for
+//!   a leaf cohort (overlap, ratchet, rollback, telemetry), generic
+//!   over a [`LeafVariant`] that supplies the endpoints and the few
+//!   steps where the protocols differ: [`SyncFederation`] (§4.1) and
+//!   [`BufferedFederation`] (§4.2) are its two instantiations.
 //! * [`FederationClient`] / [`FederationServer`] — persistent endpoints
 //!   that wrap the per-round sans-IO sessions and route interleaved
 //!   multi-round traffic by the round id every wire envelope now
@@ -56,15 +60,12 @@
 
 use crate::client::Client;
 use crate::config::LsaConfig;
-use crate::ratchet::{
-    ratchet_enabled, CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetWindowCommit,
-    RATCHET_FROM_SERVER,
-};
+use crate::ratchet::{self, ClientRatchet, CohortFingerprint, PadTopology, ServerRatchet};
 use crate::session::{AsyncClientSession, AsyncServerSession, Outgoing, Recipient, Session};
 use crate::session::{ClientSession, ServerSession};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
-use crate::wire::{Envelope, EnvelopeKind};
+use crate::wire::Envelope;
 use crate::ProtocolError;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, StalenessFn};
@@ -228,8 +229,9 @@ pub trait SecureAggregator<F: Field> {
     /// seat-based and untouched by the permute) but advance every
     /// member's pad-derivation epoch in lockstep
     /// ([`crate::ratchet::reseat_epoch`]) and drop any pre-committed
-    /// nonce window. Variants that cannot reseat fall back to
-    /// [`SecureAggregator::clear_ratchet`] — correct, just slower (the
+    /// nonce window. Variants that cannot reseat — the buffered leaf
+    /// ([`BufferedFederation`]) — fall back to
+    /// [`SecureAggregator::clear_ratchet`]: correct, just slower (the
     /// next round pays a full exchange).
     fn reseat_ratchet(&mut self, seed: u64) {
         let _ = seed;
@@ -317,19 +319,10 @@ pub struct FederationClient<F> {
     replies: VecDeque<Outgoing<F>>,
     /// Rounds below this are retired; envelopes for them are stale.
     horizon: u64,
-    /// Retained ratchet base: the fully-exchanged client state of the
-    /// last full offline round and its cohort fingerprint
-    /// ([`crate::ratchet`]). Set after a full exchange completes,
-    /// cleared on churn, reassignment or mismatch.
-    ratchet: Option<(Client<F>, u64)>,
-    /// Pad topology for ratcheted rounds; a windowed commit carries the
-    /// server's choice and overwrites this, the per-round legacy commit
-    /// does not (both ends resolve the same knob).
-    topology: PadTopology,
-    /// Pre-committed window nonces, `round → nonce`
-    /// ([`crate::ratchet::RatchetWindowCommit`]): rounds here join via
-    /// [`Self::ratchet_join`] with zero wire traffic.
-    window: BTreeMap<u64, u64>,
+    /// The client half of the stable-cohort handshake
+    /// ([`crate::ratchet`]). Its base is the fully-exchanged client
+    /// state of the last full offline round.
+    ratchet: ClientRatchet<Client<F>>,
 }
 
 impl<F: Field> FederationClient<F> {
@@ -391,16 +384,8 @@ impl<F: Field> FederationClient<F> {
             pending: BTreeMap::new(),
             replies: VecDeque::new(),
             horizon: 0,
-            ratchet: None,
-            topology: crate::ratchet::pad_topology(),
-            window: BTreeMap::new(),
+            ratchet: ClientRatchet::new(id, group),
         })
-    }
-
-    /// Override the pad topology used for ratcheted rounds (defaults to
-    /// the `LSA_PAD_TOPOLOGY` environment knob at construction).
-    pub fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
     }
 
     /// This client's user index (group-local in a grouped topology).
@@ -429,6 +414,31 @@ impl<F: Field> FederationClient<F> {
         self.sessions.len()
     }
 
+    /// Whether a session for `round` may still be created: the round is
+    /// neither retired (a replay) nor already joined.
+    fn admit(&self, round: u64) -> Result<(), ProtocolError> {
+        if round < self.horizon {
+            return Err(ProtocolError::StaleRound {
+                got: round,
+                current: self.horizon,
+            });
+        }
+        if self.sessions.contains_key(&round) {
+            return Err(ProtocolError::DuplicateMessage(self.id));
+        }
+        Ok(())
+    }
+
+    /// Make `session` the live session of `round`, first replaying any
+    /// envelopes that arrived for the round before it was joined.
+    fn install(&mut self, round: u64, mut session: ClientSession<F>) -> Result<(), ProtocolError> {
+        for envelope in self.pending.remove(&round).unwrap_or_default() {
+            self.replies.extend(session.handle(envelope)?);
+        }
+        self.sessions.insert(round, session);
+        Ok(())
+    }
+
     /// Join `round`: run the offline mask generation, queue the coded
     /// shares (drain them with [`Session::poll_output`]) and replay any
     /// envelopes that arrived for this round before it was joined.
@@ -439,27 +449,15 @@ impl<F: Field> FederationClient<F> {
     /// [`ProtocolError::DuplicateMessage`] if already joined; replayed
     /// early envelopes surface their own errors.
     pub fn prepare(&mut self, round: u64) -> Result<(), ProtocolError> {
-        if round < self.horizon {
-            return Err(ProtocolError::StaleRound {
-                got: round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        let mut session = ClientSession::for_round_in_group(
+        self.admit(round)?;
+        let session = ClientSession::for_round_in_group(
             self.id,
             round,
             self.group,
             self.cfg,
             &mut self.entropy,
         )?;
-        for envelope in self.pending.remove(&round).unwrap_or_default() {
-            self.replies.extend(session.handle(envelope)?);
-        }
-        self.sessions.insert(round, session);
-        Ok(())
+        self.install(round, session)
     }
 
     /// Upload the quantized model for `round`.
@@ -487,176 +485,6 @@ impl<F: Field> FederationClient<F> {
         self.pending.retain(|&r, _| r >= round);
         self.horizon = self.horizon.max(round);
     }
-
-    /// Drop the session (and any buffered envelopes) for one round
-    /// without moving the horizon — rollback of a half-built ratcheted
-    /// round before falling back to the full exchange.
-    pub(crate) fn discard_round(&mut self, round: u64) {
-        self.sessions.remove(&round);
-        self.pending.remove(&round);
-    }
-
-    /// Retire `round`'s session into the ratchet base for the cohort
-    /// fingerprinted by `fingerprint` ([`crate::ratchet`]): the finished
-    /// round's fully-exchanged state is moved, not copied, so call this
-    /// only once nothing more will be routed to the round. When the
-    /// finished round was itself ratcheted its mask is `m + u`, not
-    /// valid base material, so the previous base is kept.
-    pub(crate) fn harvest_ratchet(&mut self, round: u64, fingerprint: u64, was_ratcheted: bool) {
-        if was_ratcheted {
-            return;
-        }
-        if let Some(session) = self.sessions.remove(&round) {
-            self.ratchet = Some((session.into_client(), fingerprint));
-        }
-    }
-
-    /// Forget the retained ratchet base (churn, reassignment, mismatch)
-    /// and every pre-committed window nonce — the nonces were bound to
-    /// the dead cohort and must never mask another one.
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window.clear();
-    }
-
-    /// Carry the retained base across a seat permutation: drop the
-    /// window (its rounds were committed under the old seating) and
-    /// advance the base's pad-derivation epoch — every cohort member
-    /// applies the same `seed`, so the permuted edges still cancel
-    /// ([`crate::ratchet::reseat_epoch`]).
-    pub(crate) fn reseat_ratchet(&mut self, seed: u64) {
-        self.window.clear();
-        if let Some((base, _)) = self.ratchet.as_mut() {
-            base.bump_pad_epoch(seed);
-        }
-    }
-
-    /// Join a round whose nonce was pre-committed in a window: derive
-    /// the round's session from the retained base, consuming the stored
-    /// nonce. Zero wire traffic — no ack is queued (the whole window
-    /// was acked when it was committed).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::StaleRound`] / [`ProtocolError::DuplicateMessage`]
-    /// as for [`Self::prepare`]; [`ProtocolError::RatchetMismatch`] when
-    /// no base is retained or `round` is not in the committed window.
-    pub(crate) fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
-        if round < self.horizon {
-            return Err(ProtocolError::StaleRound {
-                got: round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        let Some((base, _)) = self.ratchet.as_mut() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        let nonce = self
-            .window
-            .remove(&round)
-            .ok_or(ProtocolError::RatchetMismatch)?;
-        let mut session = ClientSession::ratcheted_quiet(base, round, nonce, self.topology);
-        for envelope in self.pending.remove(&round).unwrap_or_default() {
-            self.replies.extend(session.handle(envelope)?);
-        }
-        self.sessions.insert(round, session);
-        Ok(())
-    }
-
-    /// Corrupt the retained base's fingerprint — test hook for the
-    /// stale-fingerprint failure path.
-    #[doc(hidden)]
-    pub fn poison_ratchet(&mut self, fingerprint: u64) {
-        if let Some((_, fp)) = self.ratchet.as_mut() {
-            *fp = fingerprint;
-        }
-    }
-
-    /// A server ratchet commit: derive the round's mask from the
-    /// retained base under the committed nonce — no share traffic —
-    /// and return the fingerprint-agreement ack.
-    fn handle_ratchet_commit(
-        &mut self,
-        ann: &RatchetAnnouncement,
-    ) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        if ann.round < self.horizon {
-            // a commit replayed from a retired round
-            return Err(ProtocolError::StaleRound {
-                got: ann.round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&ann.round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        let Some((base, fingerprint)) = self.ratchet.as_mut() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if ann.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let mut session =
-            ClientSession::ratcheted(base, ann.round, ann.nonce, ann.fingerprint, self.topology);
-        let mut out = Vec::new();
-        while let Some(outgoing) = session.poll_output() {
-            out.push(outgoing);
-        }
-        self.sessions.insert(ann.round, session);
-        Ok(out)
-    }
-
-    /// A server *window* commit: derive the first round's mask from the
-    /// retained base, bank the remaining nonces for zero-traffic joins,
-    /// and return one fingerprint-agreement ack covering the whole
-    /// window.
-    fn handle_window_commit(
-        &mut self,
-        commit: &RatchetWindowCommit,
-    ) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        if commit.nonces.is_empty() {
-            return Err(ProtocolError::UnexpectedEnvelope {
-                kind: EnvelopeKind::RatchetWindowCommit,
-            });
-        }
-        if commit.round < self.horizon {
-            return Err(ProtocolError::StaleRound {
-                got: commit.round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&commit.round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        let Some((base, fingerprint)) = self.ratchet.as_mut() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if commit.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        self.topology = commit.topology;
-        let session =
-            ClientSession::ratcheted_quiet(base, commit.round, commit.nonces[0], self.topology);
-        self.window.clear();
-        for (i, &nonce) in commit.nonces.iter().enumerate().skip(1) {
-            self.window.insert(commit.round + i as u64, nonce);
-        }
-        let ack = (
-            Recipient::Server,
-            Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                from: self.id as u32,
-                group: self.group,
-                round: commit.round,
-                fingerprint: commit.fingerprint,
-                topology: commit.topology,
-                nonces: Vec::new(),
-            }),
-        );
-        self.sessions.insert(commit.round, session);
-        Ok(vec![ack])
-    }
 }
 
 impl<F: Field> Session<F> for FederationClient<F> {
@@ -673,26 +501,18 @@ impl<F: Field> Session<F> for FederationClient<F> {
                 expected: self.group,
             });
         }
-        // ratchet commits are round-*creating*, not round-routed: they
-        // are handled before session routing (acks are server-bound and
-        // never legitimately reach a client)
-        if let Envelope::RatchetAnnouncement(ann) = &envelope {
-            if ann.from != RATCHET_FROM_SERVER {
-                return Err(ProtocolError::UnexpectedEnvelope {
-                    kind: EnvelopeKind::RatchetAnnouncement,
-                });
-            }
-            return self.handle_ratchet_commit(ann);
-        }
-        if let Envelope::RatchetWindowCommit(commit) = &envelope {
-            if commit.from != RATCHET_FROM_SERVER {
-                return Err(ProtocolError::UnexpectedEnvelope {
-                    kind: EnvelopeKind::RatchetWindowCommit,
-                });
-            }
-            return self.handle_window_commit(commit);
-        }
         let round = envelope.round();
+        // ratchet commits are round-*creating*, not round-routed: the
+        // shared handshake state derives the round's session from the
+        // retained base — no share traffic — and returns the ack
+        if ratchet::is_handshake(&envelope) {
+            self.admit(round)?;
+            let (session, ack) = self.ratchet.accept(&envelope, |base, nonce, topology| {
+                Ok(ClientSession::ratcheted(base, round, nonce, topology))
+            })?;
+            self.sessions.insert(round, session);
+            return Ok(vec![ack]);
+        }
         let current = self.current_round();
         match self.sessions.get_mut(&round) {
             Some(session) => session.handle(envelope),
@@ -734,15 +554,10 @@ pub struct FederationServer<F: Field> {
     group: usize,
     round: u64,
     session: Option<ServerSession<F>>,
-    /// Queued ratchet commits (the per-round session cannot carry them:
-    /// the commit happens *before* its round opens).
-    outbox: VecDeque<Outgoing<F>>,
-    /// In-flight ratchet commit:
-    /// `(round, nonce, fingerprint, acks, expected)`.
-    ratchet: Option<InFlightCommit>,
-    /// In-flight windowed ratchet commit:
-    /// `(first round, fingerprint, acks, expected)`.
-    window: Option<InFlightWindow>,
+    /// The server half of the stable-cohort handshake
+    /// ([`crate::ratchet`]): the commit in flight and its queued
+    /// announcements.
+    ratchet: ServerRatchet<F>,
     /// Rejected-envelope strikes per claimed sender, reset at each
     /// `open_round` — the per-round ingress quota state.
     strikes: BTreeMap<usize, usize>,
@@ -764,14 +579,6 @@ pub struct FederationServer<F: Field> {
 /// strikes separates glitches from floods.
 pub const DEFAULT_INGRESS_QUOTA: usize = 8;
 
-/// A server's in-flight ratchet commit:
-/// `(round, nonce, fingerprint, acks, expected)`.
-type InFlightCommit = (u64, u64, u64, BTreeSet<usize>, BTreeSet<usize>);
-
-/// A server's in-flight windowed ratchet commit:
-/// `(first round, fingerprint, acks, expected)`.
-type InFlightWindow = (u64, u64, BTreeSet<usize>, BTreeSet<usize>);
-
 impl<F: Field> FederationServer<F> {
     /// Create the server; no round is open yet.
     pub fn new(cfg: LsaConfig) -> Self {
@@ -787,9 +594,7 @@ impl<F: Field> FederationServer<F> {
             group,
             round: 0,
             session: None,
-            outbox: VecDeque::new(),
-            ratchet: None,
-            window: None,
+            ratchet: ServerRatchet::new(group),
             strikes: BTreeMap::new(),
             quota: DEFAULT_INGRESS_QUOTA,
             rejections: 0,
@@ -915,119 +720,6 @@ impl<F: Field> FederationServer<F> {
         Ok(aggregate)
     }
 
-    /// Commit the ratchet nonce for `round` and queue a
-    /// [`RatchetAnnouncement`] to every cohort member
-    /// ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        nonce: u64,
-        fingerprint: u64,
-    ) {
-        self.ratchet = Some((round, nonce, fingerprint, BTreeSet::new(), cohort.clone()));
-        for &id in cohort {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                    from: RATCHET_FROM_SERVER,
-                    group: self.group,
-                    round,
-                    nonce,
-                    fingerprint,
-                }),
-            ));
-        }
-    }
-
-    /// Consume the in-flight commit: `Ok` iff every expected cohort
-    /// member acked fingerprint agreement for `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] on a missing commit, a round
-    /// mismatch or an incomplete ack set.
-    pub(crate) fn ratchet_ready(&mut self, round: u64) -> Result<(), ProtocolError> {
-        match self.ratchet.take() {
-            Some((r, _, _, acks, expected)) if r == round && acks == expected => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
-    }
-
-    /// Forget any in-flight commit and its queued announcements.
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window = None;
-        self.outbox.clear();
-    }
-
-    /// Commit a *window* of ratchet nonces starting at `round` and
-    /// queue one [`RatchetWindowCommit`] to every cohort member: one
-    /// handshake covers `nonces.len()` rounds ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet_window(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        fingerprint: u64,
-        topology: PadTopology,
-        nonces: &[u64],
-    ) {
-        self.window = Some((round, fingerprint, BTreeSet::new(), cohort.clone()));
-        for &id in cohort {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                    from: RATCHET_FROM_SERVER,
-                    group: self.group,
-                    round,
-                    fingerprint,
-                    topology,
-                    nonces: nonces.to_vec(),
-                }),
-            ));
-        }
-    }
-
-    /// Consume the in-flight window commit: `Ok` iff every expected
-    /// cohort member acked fingerprint agreement for the window opening
-    /// at `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] on a missing commit, a round
-    /// mismatch or an incomplete ack set.
-    pub(crate) fn ratchet_window_ready(&mut self, round: u64) -> Result<(), ProtocolError> {
-        match self.window.take() {
-            Some((r, _, acks, expected)) if r == round && acks == expected => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
-    }
-
-    /// A client's fingerprint-agreement ack for the in-flight window
-    /// commit.
-    fn handle_window_ack(&mut self, ack: &RatchetWindowCommit) -> Result<(), ProtocolError> {
-        let Some((round, fingerprint, acks, expected)) = self.window.as_mut() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if ack.round != *round {
-            return Err(ProtocolError::StaleRound {
-                got: ack.round,
-                current: *round,
-            });
-        }
-        if ack.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let id = ack.from as usize;
-        if !expected.contains(&id) {
-            return Err(ProtocolError::UnknownUser(id));
-        }
-        if !acks.insert(id) {
-            return Err(ProtocolError::DuplicateMessage(id));
-        }
-        Ok(())
-    }
-
     /// Group check → ratchet-ack routing → session routing, without the
     /// ingress-quota accounting that [`Session::handle`] wraps around
     /// it.
@@ -1038,11 +730,8 @@ impl<F: Field> FederationServer<F> {
                 expected: self.group,
             });
         }
-        if let Envelope::RatchetAnnouncement(ann) = &envelope {
-            return self.handle_ratchet_ack(ann).map(|()| Vec::new());
-        }
-        if let Envelope::RatchetWindowCommit(ack) = &envelope {
-            return self.handle_window_ack(ack).map(|()| Vec::new());
+        if ratchet::is_handshake(&envelope) {
+            return self.ratchet.handle(&envelope).map(|()| Vec::new());
         }
         match self.session.as_mut() {
             Some(session) => session.handle(envelope),
@@ -1051,30 +740,6 @@ impl<F: Field> FederationServer<F> {
                 current: self.round,
             }),
         }
-    }
-
-    /// A client's fingerprint-agreement ack for the in-flight commit.
-    fn handle_ratchet_ack(&mut self, ann: &RatchetAnnouncement) -> Result<(), ProtocolError> {
-        let Some((round, nonce, fingerprint, acks, expected)) = self.ratchet.as_mut() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if ann.round != *round {
-            return Err(ProtocolError::StaleRound {
-                got: ann.round,
-                current: *round,
-            });
-        }
-        if ann.nonce != *nonce || ann.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let id = ann.from as usize;
-        if !expected.contains(&id) {
-            return Err(ProtocolError::UnknownUser(id));
-        }
-        if !acks.insert(id) {
-            return Err(ProtocolError::DuplicateMessage(id));
-        }
-        Ok(())
     }
 }
 
@@ -1115,8 +780,8 @@ impl<F: Field> Session<F> for FederationServer<F> {
     }
 
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.outbox
-            .pop_front()
+        self.ratchet
+            .poll_output()
             .or_else(|| self.session.as_mut().and_then(ServerSession::poll_output))
     }
 }
@@ -1131,16 +796,14 @@ pub(crate) struct OpenRound {
     pub(crate) cohort: BTreeSet<usize>,
     pub(crate) submitted: BTreeSet<usize>,
     pub(crate) dropped: BTreeSet<usize>,
-    /// Whether this round's masks were derived by the stable-cohort
-    /// ratchet ([`crate::ratchet`]) instead of a full exchange. A
+    /// `Some` when this round's masks were derived by the stable-cohort
+    /// ratchet ([`crate::ratchet`]) instead of a full exchange: a
     /// ratcheted round's pairwise pads cancel only over the *full*
     /// cohort, so `finish_round` requires every member to have
-    /// submitted.
-    pub(crate) ratcheted: bool,
-    /// Whether this ratcheted round was *joined* from a pre-committed
-    /// nonce window with zero wire traffic, rather than paying a
-    /// commit/ack handshake ([`crate::ratchet::RatchetWindowCommit`]).
-    pub(crate) windowed: bool,
+    /// submitted. `Some(true)` when the round was *joined* from a
+    /// pre-committed nonce window with zero wire traffic, rather than
+    /// paying a commit/ack handshake.
+    pub(crate) ratcheted: Option<bool>,
 }
 
 impl OpenRound {
@@ -1150,8 +813,7 @@ impl OpenRound {
             cohort,
             submitted: BTreeSet::new(),
             dropped: BTreeSet::new(),
-            ratcheted: false,
-            windowed: false,
+            ratcheted: None,
         }
     }
 
@@ -1230,8 +892,10 @@ fn validate_cohort(cfg: &LsaConfig, cohort: &[usize]) -> Result<BTreeSet<usize>,
 /// Deliver every receivable envelope: the server always accepts;
 /// clients only while listed in `online` (everyone else has left or
 /// vanished — their envelopes are discarded undelivered). Responses are
-/// forwarded back into the transport.
-fn pump<F, T, C, S>(
+/// forwarded back into the transport. Shared by the leaf driver and the
+/// one-shot drivers ([`crate::run_sync_round_over`],
+/// [`crate::asynchronous::run_buffered_flush`]).
+pub(crate) fn pump<F, T, C, S>(
     transport: &mut T,
     server: &mut S,
     clients: &mut [C],
@@ -1263,7 +927,7 @@ where
 
 /// Drain a session's queued envelopes into the transport, discarding
 /// those addressed to clients outside `online`.
-fn drain_to<F, T, S>(
+pub(crate) fn drain_to<F, T, S>(
     session: &mut S,
     transport: &mut T,
     online: &BTreeSet<usize>,
@@ -1286,21 +950,107 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Synchronous variant
+// The leaf round driver
 // ---------------------------------------------------------------------
 
-/// The §4.1 synchronous protocol behind the [`SecureAggregator`] trait:
-/// per-round sessions with exact (unit-weight) aggregation, overlapped
-/// next-round mask sharing, and `O(d)` server memory.
+/// What a leaf protocol variant plugs into [`LeafFederation`]: its two
+/// persistent endpoint types and the steps of a round where §4.1 and
+/// §4.2 genuinely differ. Everything else — the round lifecycle, the
+/// overlap bookkeeping, the stable-cohort ratchet with its windows,
+/// rollback and reseat, traffic marks and report cuts — is the
+/// driver's, written once.
+///
+/// Implemented by [`SyncVariant`] and [`BufferedVariant`]; the hooks
+/// reach into endpoint internals, so further variants live in this
+/// crate.
+pub trait LeafVariant<F: Field> {
+    /// The persistent client endpoint.
+    type Client: Session<F>;
+    /// The persistent server endpoint.
+    type Server: Session<F>;
+    /// What a client retains as its ratchet base.
+    type Base;
+
+    /// The client half of `client`'s ratchet handshake.
+    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<Self::Base>;
+
+    /// The server half of the ratchet handshake.
+    fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F>;
+
+    /// Join `round` with a full offline exchange: sample the round's
+    /// mask and queue its coded shares.
+    fn join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError>;
+
+    /// Join `round` from the window its nonce was pre-committed in
+    /// ([`ProtocolError::RatchetMismatch`] without a base or a banked
+    /// nonce for it). Zero wire traffic.
+    fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError>;
+
+    /// Mask `update` under `round`'s mask and queue the upload.
+    fn upload(client: &mut Self::Client, round: u64, update: &[F]) -> Result<(), ProtocolError>;
+
+    /// Drop every round below `round`: they are finished or abandoned.
+    fn retire(client: &mut Self::Client, round: u64);
+
+    /// Drop exactly `round` — rollback of a half-built ratcheted round
+    /// before falling back to the full exchange.
+    fn discard(client: &mut Self::Client, round: u64);
+
+    /// Retain the finished `round` as the ratchet base of the cohort
+    /// fingerprinted by `fingerprint`. Only called for a round that ran
+    /// the full exchange (a ratcheted round's mask is `m + u`, not
+    /// valid base material), once nothing more is routed to it.
+    fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64);
+
+    /// Carry every retained base across a seat permutation derived from
+    /// `seed`. `false` when the variant cannot: the driver then clears
+    /// the ratchet instead.
+    fn reseat(clients: &mut [Self::Client], seed: u64) -> bool {
+        let _ = (clients, seed);
+        false
+    }
+
+    /// Start accepting `round`'s uploads at the server.
+    fn open(server: &mut Self::Server, round: u64) -> Result<(), ProtocolError>;
+
+    /// Close the upload phase: fix who contributed and queue the
+    /// announcements that start recovery.
+    fn close_upload(server: &mut Self::Server) -> Result<(), ProtocolError>;
+
+    /// Decode `round`'s aggregate once the recovery traffic is in
+    /// ([`ProtocolError::NotEnoughSurvivors`] below `U` aggregated
+    /// shares).
+    fn close(server: &mut Self::Server, round: u64) -> Result<RoundOutcome<F>, ProtocolError>;
+
+    /// Abandon whatever the open round left at the server.
+    fn abort(server: &mut Self::Server);
+
+    /// Cumulative `(rejected, quarantined)` envelope counts, for
+    /// servers that police their ingress.
+    fn rejections(server: &Self::Server) -> (usize, usize) {
+        let _ = server;
+        (0, 0)
+    }
+}
+
+/// One leaf aggregation domain behind the [`SecureAggregator`] trait:
+/// `cfg.n()` persistent clients and one server of variant `V` over one
+/// transport, with per-round cohorts, overlapped next-round mask
+/// sharing, the stable-cohort ratchet ([`crate::ratchet`]) and one
+/// [`RoundReport`] per round.
+///
+/// `V` is a type parameter, so the per-envelope path is statically
+/// dispatched; use the aliases [`SyncFederation`] (§4.1) and
+/// [`BufferedFederation`] (§4.2), which carry the constructors.
 #[derive(Debug, Clone)]
-pub struct SyncFederation<F: Field, T> {
+pub struct LeafFederation<F: Field, T, V: LeafVariant<F>> {
     cfg: LsaConfig,
     /// The namespaced leaf-group id every envelope is stamped with
     /// (0 for a standalone flat federation).
     group: usize,
     transport: T,
-    clients: Vec<FederationClient<F>>,
-    server: FederationServer<F>,
+    clients: Vec<V::Client>,
+    server: V::Server,
     next_round: u64,
     open: Option<OpenRound>,
     /// Rounds whose offline exchange already ran, with their cohorts.
@@ -1312,13 +1062,16 @@ pub struct SyncFederation<F: Field, T> {
     prepared_ratcheted: BTreeMap<u64, bool>,
     /// Driver-side nonce entropy for ratchet commits.
     entropy: StdRng,
+    /// Whether the stable-cohort fast path is on (`LSA_RATCHET`,
+    /// resolved once at construction).
+    ratchet: bool,
     /// Fingerprint of the cohort whose base masks the clients retain,
     /// set after each successful round ([`crate::ratchet`]).
     ratchet_fp: Option<u64>,
     /// Pad topology ratcheted rounds derive pairwise pads over.
     topology: PadTopology,
     /// Nonce commit window `W`: rounds amortized per ratchet handshake
-    /// (`1` = the per-round legacy flow).
+    /// (`1` = the per-round flow).
     commit_window: usize,
     /// Driver-side mirror of the pre-committed window, `round → nonce`
     /// — membership decides whether the next round joins with zero
@@ -1334,6 +1087,506 @@ pub struct SyncFederation<F: Field, T> {
     mark_rejections: (usize, usize),
     /// Telemetry of the most recent finished round.
     last_report: Option<RoundReport>,
+}
+
+impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
+    /// Assemble the driver around already-built endpoints. The three
+    /// ratchet settings (`LSA_RATCHET`, `LSA_PAD_TOPOLOGY`,
+    /// `LSA_COMMIT_WINDOW`) are read here, once; the topology is handed
+    /// down to the clients. `entropy` seeds the driver's nonce stream:
+    /// the master RNG's next draw *after* every endpoint seed, so those
+    /// streams do not depend on it.
+    fn assemble(
+        group: usize,
+        cfg: LsaConfig,
+        transport: T,
+        mut clients: Vec<V::Client>,
+        server: V::Server,
+        entropy: u64,
+    ) -> Self {
+        let topology = ratchet::pad_topology();
+        for client in &mut clients {
+            V::client_ratchet(client).set_topology(topology);
+        }
+        Self {
+            cfg,
+            group,
+            transport,
+            clients,
+            server,
+            next_round: 0,
+            open: None,
+            prepared: BTreeMap::new(),
+            prepared_ratcheted: BTreeMap::new(),
+            entropy: StdRng::seed_from_u64(entropy),
+            ratchet: ratchet::ratchet_enabled(),
+            ratchet_fp: None,
+            topology,
+            commit_window: ratchet::commit_window(),
+            window: BTreeMap::new(),
+            mark: TrafficMark::default(),
+            mark_rejections: (0, 0),
+            last_report: None,
+        }
+    }
+
+    /// The namespaced leaf-group id this federation stamps its
+    /// envelopes with (0 when flat).
+    pub fn group(&self) -> usize {
+        self.group
+    }
+
+    /// The underlying transport (for byte/timing statistics).
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
+    /// Mutable access to the transport (e.g. to advance a simulated
+    /// clock between rounds).
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
+    /// Corrupt client `id`'s retained base fingerprint — test hook for
+    /// the stale-fingerprint failure path.
+    #[doc(hidden)]
+    pub fn poison_ratchet(&mut self, id: usize, fingerprint: u64) {
+        V::client_ratchet(&mut self.clients[id]).poison(fingerprint);
+    }
+
+    /// Deliver everything in flight to the server and the `online`
+    /// clients.
+    fn pump(&mut self, online: &BTreeSet<usize>) -> Result<(), ProtocolError> {
+        pump(
+            &mut self.transport,
+            &mut self.server,
+            &mut self.clients,
+            online,
+        )
+    }
+
+    /// Throw away whatever a dead round or handshake left in flight.
+    fn discard_in_flight(&mut self, label: &'static str) {
+        self.transport.flush(label);
+        while let Ok(Some(_)) = self.transport.recv() {}
+    }
+
+    /// The raw seat fingerprint of `cohort` in this leaf.
+    fn fingerprint(&self, cohort: &BTreeSet<usize>) -> u64 {
+        CohortFingerprint::of_members(cohort.iter().map(|&id| (self.group, self.cfg, id, id))).raw()
+    }
+
+    /// Cut the finished round's [`RoundReport`] from the baseline taken
+    /// at `open_round`.
+    fn cut_report(&self, open: &OpenRound) -> RoundReport {
+        let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
+        let (rejections, quarantined) = V::rejections(&self.server);
+        report.events.dropouts = open.dropped.len();
+        // a windowed join is counted apart from handshake-bearing
+        // ratchets so bench JSON can tell amortized rounds from
+        // commit/ack ones
+        report.events.ratchets = usize::from(open.ratcheted == Some(false));
+        report.events.windowed_ratchets = usize::from(open.ratcheted == Some(true));
+        report.events.rejections = rejections - self.mark_rejections.0;
+        report.events.quarantined = quarantined - self.mark_rejections.1;
+        report
+    }
+
+    /// Give `round` its masks: by the ratchet when the cohort is the
+    /// one the retained bases belong to (`Some(windowed)`), by the full
+    /// offline exchange otherwise (`None`).
+    fn share_masks(
+        &mut self,
+        round: u64,
+        cohort: &BTreeSet<usize>,
+        label: &'static str,
+    ) -> Result<Option<bool>, ProtocolError> {
+        if let Some(windowed) = self.try_ratchet(round, cohort, label) {
+            return Ok(Some(windowed));
+        }
+        for &id in cohort {
+            V::join(&mut self.clients[id], round)?;
+        }
+        for &id in cohort {
+            drain_to(&mut self.clients[id], &mut self.transport, cohort)?;
+        }
+        self.transport.flush(label);
+        self.pump(cohort)?;
+        Ok(None)
+    }
+
+    /// Attempt the stable-cohort fast path for `round`:
+    /// `Some(windowed)` iff the cohort's fingerprint matches the
+    /// retained bases and either the round joined a pre-committed nonce
+    /// window with zero traffic (`Some(true)`) or the commit → derive →
+    /// ack handshake succeeded (`Some(false)`; one commit covers the
+    /// next `W` rounds when the window is wider than 1). On
+    /// ineligibility *or any failure* the half-built state is rolled
+    /// back and `None` is returned — the caller runs the full offline
+    /// exchange.
+    fn try_ratchet(
+        &mut self,
+        round: u64,
+        cohort: &BTreeSet<usize>,
+        label: &'static str,
+    ) -> Option<bool> {
+        if !self.ratchet {
+            return None;
+        }
+        let fp = self.fingerprint(cohort);
+        if self.ratchet_fp != Some(fp) {
+            // churn mid-window: the remaining nonces were committed to
+            // a cohort that no longer exists — purge them everywhere so
+            // the re-key starts clean
+            if !self.window.is_empty() {
+                self.window.clear();
+                for client in &mut self.clients {
+                    V::client_ratchet(client).clear();
+                }
+            }
+            return None;
+        }
+        let windowed = self.window.remove(&round).is_some();
+        let derived = if windowed {
+            // zero wire traffic: the whole window was committed and
+            // acked up front, every member derives driver-locally
+            cohort
+                .iter()
+                .try_for_each(|&id| V::ratchet_join(&mut self.clients[id], round))
+        } else {
+            self.exchange_ratchet(round, cohort, fp, label)
+        };
+        if derived.is_err() {
+            self.ratchet_rollback(round, cohort);
+            return None;
+        }
+        Some(windowed)
+    }
+
+    /// The ratchet handshake: the server commits `W` fresh nonces — one
+    /// [`crate::ratchet::RatchetAnnouncement`] for `round` alone at
+    /// `W = 1`, or one window covering `round..round + W` — and every
+    /// cohort member derives the first round's mask from its retained
+    /// base and acks fingerprint agreement.
+    fn exchange_ratchet(
+        &mut self,
+        round: u64,
+        cohort: &BTreeSet<usize>,
+        fingerprint: u64,
+        label: &'static str,
+    ) -> Result<(), ProtocolError> {
+        let nonces: Vec<u64> = (0..self.commit_window)
+            .map(|_| self.entropy.gen())
+            .collect();
+        let server = V::server_ratchet(&mut self.server);
+        server.commit(round, cohort, fingerprint, self.topology, &nonces);
+        self.window = ratchet::banked_nonces(round, &nonces);
+        drain_to(&mut self.server, &mut self.transport, cohort)?;
+        self.transport.flush(label);
+        self.pump(cohort)?;
+        // acks produced during the first pump may still be pending on a
+        // phase-buffered transport
+        self.transport.flush(label);
+        self.pump(cohort)?;
+        V::server_ratchet(&mut self.server).ready(round)
+    }
+
+    /// Forget the retained bases, the server commit and every
+    /// pre-committed window nonce, on every client.
+    fn forget_ratchet(&mut self) {
+        self.ratchet_fp = None;
+        self.window.clear();
+        V::server_ratchet(&mut self.server).clear();
+        for client in &mut self.clients {
+            V::client_ratchet(client).clear();
+        }
+    }
+
+    /// Discard everything a failed ratchet handshake may have built:
+    /// the ratchet state, `cohort`'s half-built round and the
+    /// announcements still in flight.
+    fn ratchet_rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
+        self.forget_ratchet();
+        for &id in cohort {
+            V::discard(&mut self.clients[id], round);
+        }
+        self.discard_in_flight("ratchet-abort");
+    }
+}
+
+impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafFederation<F, T, V> {
+    fn config(&self) -> LsaConfig {
+        self.cfg
+    }
+
+    fn round(&self) -> u64 {
+        self.open.as_ref().map_or(self.next_round, |o| o.round)
+    }
+
+    fn open_round(&mut self, cohort: &[usize]) -> Result<u64, ProtocolError> {
+        if self.open.is_some() {
+            return Err(ProtocolError::WrongPhase);
+        }
+        let cohort = validate_cohort(&self.cfg, cohort)?;
+        let round = self.next_round;
+        // telemetry baseline: everything from here to `finish_round`
+        // (including an overlapped `prepare_next`) bills to this round
+        self.mark = TrafficMark::of::<F, T>(&self.transport);
+        self.mark_rejections = V::rejections(&self.server);
+        let ratcheted = if claim_prepared(&mut self.prepared, round, &cohort)? {
+            self.prepared_ratcheted.remove(&round)
+        } else {
+            self.share_masks(round, &cohort, "offline")?
+        };
+        V::open(&mut self.server, round)?;
+        self.next_round = round + 1;
+        self.open = Some(OpenRound {
+            ratcheted,
+            ..OpenRound::new(round, cohort)
+        });
+        Ok(round)
+    }
+
+    fn prepare_next(&mut self, cohort: &[usize]) -> Result<(), ProtocolError> {
+        let round = self.next_round;
+        ensure_unprepared(&self.prepared, round)?;
+        let cohort = validate_cohort(&self.cfg, cohort)?;
+        if let Some(windowed) = self.share_masks(round, &cohort, "offline-overlap")? {
+            self.prepared_ratcheted.insert(round, windowed);
+        }
+        self.prepared.insert(round, cohort);
+        Ok(())
+    }
+
+    fn submit(&mut self, id: usize, update: &[F]) -> Result<(), ProtocolError> {
+        let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
+        open.require_member(id)?;
+        if open.submitted.contains(&id) {
+            return Err(ProtocolError::DuplicateMessage(id));
+        }
+        V::upload(&mut self.clients[id], open.round, update)?;
+        open.submitted.insert(id);
+        let online = open.online();
+        drain_to(&mut self.clients[id], &mut self.transport, &online)
+    }
+
+    fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
+        let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
+        open.require_member(id)?;
+        open.dropped.insert(id);
+        Ok(())
+    }
+
+    fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
+        let open = self.open.clone().ok_or(ProtocolError::WrongPhase)?;
+        // A ratcheted round's pairwise pads cancel only when *every*
+        // cohort member's masked upload is in the sum: a before-upload
+        // dropout invalidates the round, typed so the driver can abort
+        // and replay the plan with a full exchange. The round stays open
+        // for `abort_round`.
+        if open.ratcheted.is_some() && open.submitted.len() != open.cohort.len() {
+            return Err(ProtocolError::RatchetMismatch);
+        }
+        let online = open.online();
+
+        // Deliver the (already sent) masked uploads.
+        self.transport.flush("upload");
+        self.pump(&online)?;
+
+        // Fix the contributors, announce, collect aggregated shares.
+        V::close_upload(&mut self.server)?;
+        drain_to(&mut self.server, &mut self.transport, &online)?;
+        self.transport.flush("announce");
+        self.pump(&online)?;
+        self.transport.flush("recovery");
+        self.pump(&online)?;
+
+        let outcome = V::close(&mut self.server, open.round)?;
+        // Every cohort member completed this round: a full exchange is
+        // retained as the ratchet base for the next stable round (a
+        // ratcheted round's mask is `m + u`, so the previous base is
+        // kept). The harvest takes what the retire below would drop.
+        if self.ratchet {
+            let fp = self.fingerprint(&open.cohort);
+            if open.ratcheted.is_none() {
+                for &id in &open.cohort {
+                    V::harvest(&mut self.clients[id], open.round, fp);
+                }
+            }
+            self.ratchet_fp = Some(fp);
+        }
+        // Retire the finished round everywhere; prepared next-round
+        // state survives (it is >= round + 1).
+        for client in &mut self.clients {
+            V::retire(client, open.round + 1);
+        }
+        self.last_report = Some(self.cut_report(&open));
+        self.open = None;
+        Ok(outcome)
+    }
+
+    fn abort_round(&mut self) {
+        if let Some(open) = self.open.take() {
+            V::abort(&mut self.server);
+            // an abort means the cohort did not complete the round:
+            // conservatively forget the ratchet bases too
+            self.forget_ratchet();
+            // the aborted round can never complete; retire it so
+            // envelopes for it surface as stale, while any prepared
+            // round >= round + 1 survives
+            for client in &mut self.clients {
+                V::retire(client, open.round + 1);
+            }
+            self.discard_in_flight("abort");
+        }
+    }
+
+    fn clear_ratchet(&mut self) {
+        self.forget_ratchet();
+        // ratchet-derived preparations are as suspect as the base they
+        // came from: drop them so a retry full-exchanges
+        for round in std::mem::take(&mut self.prepared_ratcheted).into_keys() {
+            self.prepared.remove(&round);
+            for client in &mut self.clients {
+                V::discard(client, round);
+            }
+        }
+    }
+
+    fn reseat_ratchet(&mut self, seed: u64) {
+        // the leaf fingerprint is seat-based and unchanged by a global
+        // permute, so the retained bases stay valid — only the pad
+        // derivation must diverge from the pre-permute stretch (and any
+        // pre-committed window dies with the old seating)
+        if V::reseat(&mut self.clients, seed) {
+            self.window.clear();
+            V::server_ratchet(&mut self.server).clear();
+        } else {
+            self.clear_ratchet();
+        }
+    }
+
+    fn set_pad_topology(&mut self, topology: PadTopology) {
+        self.topology = topology;
+        for client in &mut self.clients {
+            V::client_ratchet(client).set_topology(topology);
+        }
+    }
+
+    fn set_commit_window(&mut self, window: usize) {
+        self.commit_window = window.clamp(1, ratchet::MAX_COMMIT_WINDOW);
+    }
+
+    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
+        Some(CohortFingerprint::of_flat(self.group, self.cfg, cohort))
+    }
+
+    fn bytes_sent(&self) -> usize {
+        self.transport.bytes_sent()
+    }
+
+    fn round_report(&self) -> Option<RoundReport> {
+        self.last_report.clone()
+    }
+}
+
+// ---------------------------------------------------------------------
+// The two variants
+// ---------------------------------------------------------------------
+
+/// §4.1: a fresh [`ClientSession`] / [`ServerSession`] pair per round
+/// behind [`FederationClient`] / [`FederationServer`], exact
+/// (unit-weight) aggregation over the survivors, `O(d)` server memory,
+/// and an ingress quota at the server.
+#[derive(Debug, Clone, Copy)]
+pub struct SyncVariant;
+
+/// The §4.1 synchronous protocol behind the [`SecureAggregator`] trait.
+pub type SyncFederation<F, T> = LeafFederation<F, T, SyncVariant>;
+
+impl<F: Field> LeafVariant<F> for SyncVariant {
+    type Client = FederationClient<F>;
+    type Server = FederationServer<F>;
+    type Base = Client<F>;
+
+    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<Client<F>> {
+        &mut client.ratchet
+    }
+
+    fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F> {
+        &mut server.ratchet
+    }
+
+    fn join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
+        client.prepare(round)
+    }
+
+    fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
+        client.admit(round)?;
+        let session = client.ratchet.join(round, |base, nonce, topology| {
+            Ok(ClientSession::ratcheted(base, round, nonce, topology))
+        })?;
+        client.install(round, session)
+    }
+
+    fn upload(client: &mut Self::Client, round: u64, update: &[F]) -> Result<(), ProtocolError> {
+        client.upload(round, update)
+    }
+
+    fn retire(client: &mut Self::Client, round: u64) {
+        client.retire_below(round);
+    }
+
+    fn discard(client: &mut Self::Client, round: u64) {
+        // the horizon does not move: the round is about to be re-joined
+        client.sessions.remove(&round);
+        client.pending.remove(&round);
+    }
+
+    fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64) {
+        // the finished session is moved into the base, not copied
+        if let Some(session) = client.sessions.remove(&round) {
+            client.ratchet.harvest(session.into_client(), fingerprint);
+        }
+    }
+
+    fn reseat(clients: &mut [Self::Client], seed: u64) -> bool {
+        // every cohort member applies the same `seed`, so the permuted
+        // edges still cancel ([`crate::ratchet::reseat_epoch`])
+        for client in clients {
+            client.ratchet.reseat(|base| base.bump_pad_epoch(seed));
+        }
+        true
+    }
+
+    fn open(server: &mut Self::Server, round: u64) -> Result<(), ProtocolError> {
+        server.open_round(round)
+    }
+
+    fn close_upload(server: &mut Self::Server) -> Result<(), ProtocolError> {
+        server.close_upload().map(drop)
+    }
+
+    fn close(server: &mut Self::Server, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
+        let contributors = server
+            .session
+            .as_ref()
+            .map_or_else(Vec::new, |session| session.survivors().to_vec());
+        Ok(RoundOutcome {
+            round,
+            aggregate: server.close_round()?,
+            total_weight: contributors.len() as u64,
+            contributors,
+        })
+    }
+
+    fn abort(server: &mut Self::Server) {
+        server.abort_round();
+    }
+
+    fn rejections(server: &Self::Server) -> (usize, usize) {
+        (server.rejections(), server.quarantined())
+    }
 }
 
 impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
@@ -1367,489 +1620,23 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
                 FederationClient::in_group(group, id, cfg, StdRng::seed_from_u64(master.gen()))
             })
             .collect::<Result<_, _>>()?;
-        // drawn after the per-client seeds so every pre-existing RNG
-        // stream is unchanged
-        let entropy = StdRng::seed_from_u64(master.gen());
-        Ok(Self {
-            cfg,
-            group,
-            transport,
-            clients,
-            server: FederationServer::in_group(group, cfg),
-            next_round: 0,
-            open: None,
-            prepared: BTreeMap::new(),
-            prepared_ratcheted: BTreeMap::new(),
-            entropy,
-            ratchet_fp: None,
-            topology: crate::ratchet::pad_topology(),
-            commit_window: crate::ratchet::commit_window(),
-            window: BTreeMap::new(),
-            mark: TrafficMark::default(),
-            mark_rejections: (0, 0),
-            last_report: None,
-        })
-    }
-
-    /// The namespaced leaf-group id this federation stamps its
-    /// envelopes with (0 when flat).
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
-    /// Snapshot the transport and server counters as the open round's
-    /// baseline.
-    fn mark_round_start(&mut self) {
-        self.mark = TrafficMark::of::<F, T>(&self.transport);
-        self.mark_rejections = (self.server.rejections(), self.server.quarantined());
-    }
-
-    /// Cut the finished round's [`RoundReport`] from the baseline.
-    fn cut_report(&mut self, open: &OpenRound) -> RoundReport {
-        let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
-        report.events.dropouts = open.dropped.len();
-        // a windowed join is counted apart from handshake-bearing
-        // ratchets so bench JSON can tell amortized rounds from
-        // commit/ack ones
-        report.events.ratchets = usize::from(open.ratcheted && !open.windowed);
-        report.events.windowed_ratchets = usize::from(open.windowed);
-        report.events.rejections = self.server.rejections() - self.mark_rejections.0;
-        report.events.quarantined = self.server.quarantined() - self.mark_rejections.1;
-        report
-    }
-
-    /// The underlying transport (for byte/timing statistics).
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Mutable access to the transport (e.g. to advance a simulated
-    /// clock between rounds).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
-    /// Run the offline mask exchange for `round` among `cohort`.
-    fn exchange_masks(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        label: &'static str,
-    ) -> Result<(), ProtocolError> {
-        for &id in cohort {
-            self.clients[id].prepare(round)?;
-        }
-        for &id in cohort {
-            drain_to(&mut self.clients[id], &mut self.transport, cohort)?;
-        }
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )
-    }
-
-    /// Attempt the stable-cohort fast path for `round`:
-    /// `Some(windowed)` iff the cohort's fingerprint matches the
-    /// retained bases and either the round joined a pre-committed nonce
-    /// window with zero traffic (`Some(true)`) or the commit → derive →
-    /// ack handshake succeeded (`Some(false)`; one commit covers the
-    /// next `W` rounds when the window is wider than 1). On
-    /// ineligibility *or any failure* the half-built state is rolled
-    /// back and `None` is returned — the caller runs the full offline
-    /// exchange.
-    fn try_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        label: &'static str,
-    ) -> Option<bool> {
-        if !ratchet_enabled() {
-            return None;
-        }
-        let members: Vec<usize> = cohort.iter().copied().collect();
-        let fp = CohortFingerprint::of_flat(self.group, self.cfg, &members).raw();
-        if self.ratchet_fp != Some(fp) {
-            // churn mid-window: the remaining nonces were committed to
-            // a cohort that no longer exists — purge them everywhere so
-            // the re-key below starts clean
-            if !self.window.is_empty() {
-                self.window.clear();
-                for client in &mut self.clients {
-                    client.clear_ratchet();
-                }
-            }
-            return None;
-        }
-        if self.window.contains_key(&round) {
-            match self.ratchet_join(round, cohort) {
-                Ok(()) => return Some(true),
-                Err(_) => {
-                    self.ratchet_rollback(round, cohort);
-                    return None;
-                }
-            }
-        }
-        match self.exchange_ratchet(round, cohort, fp, label) {
-            Ok(()) => Some(false),
-            Err(_) => {
-                self.ratchet_rollback(round, cohort);
-                None
-            }
-        }
-    }
-
-    /// Join `round` from the pre-committed nonce window: every cohort
-    /// member derives the round's session driver-locally. Zero wire
-    /// traffic — the whole window was committed and acked up front.
-    fn ratchet_join(&mut self, round: u64, cohort: &BTreeSet<usize>) -> Result<(), ProtocolError> {
-        for &id in cohort {
-            self.clients[id].ratchet_join(round)?;
-        }
-        self.window.remove(&round);
-        Ok(())
-    }
-
-    /// The ratchet handshake: the server commits fresh nonces — one for
-    /// `round` alone when `commit_window == 1` (the wire-exact legacy
-    /// flow), or a window of `W` covering `round..round + W` — and
-    /// every cohort member derives the first round's mask from its
-    /// retained base and acks fingerprint agreement.
-    fn exchange_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        fingerprint: u64,
-        label: &'static str,
-    ) -> Result<(), ProtocolError> {
-        let w = self.commit_window.max(1);
-        if w == 1 {
-            let nonce = self.entropy.gen();
-            self.server
-                .commit_ratchet(round, cohort, nonce, fingerprint);
-        } else {
-            let nonces: Vec<u64> = (0..w).map(|_| self.entropy.gen()).collect();
-            self.server
-                .commit_ratchet_window(round, cohort, fingerprint, self.topology, &nonces);
-            self.window = nonces
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(i, &n)| (round + i as u64, n))
-                .collect();
-        }
-        drain_to(&mut self.server, &mut self.transport, cohort)?;
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )?;
-        // acks produced during the first pump may still be pending on a
-        // phase-buffered transport
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )?;
-        if w == 1 {
-            self.server.ratchet_ready(round)
-        } else {
-            self.server.ratchet_window_ready(round)
-        }
-    }
-
-    /// Discard everything a failed ratchet handshake may have built:
-    /// retained bases, the server commit, pre-committed window nonces,
-    /// half-built round sessions and in-flight announcements.
-    fn ratchet_rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
-        for &id in cohort {
-            self.clients[id].clear_ratchet();
-            self.clients[id].discard_round(round);
-        }
-        self.transport.flush("ratchet-abort");
-        while let Ok(Some(_)) = self.transport.recv() {}
-    }
-
-    /// Corrupt client `id`'s retained base fingerprint — test hook for
-    /// the stale-fingerprint failure path.
-    #[doc(hidden)]
-    pub fn poison_ratchet(&mut self, id: usize, fingerprint: u64) {
-        self.clients[id].poison_ratchet(fingerprint);
+        let server = FederationServer::in_group(group, cfg);
+        let leaf = Self::assemble(group, cfg, transport, clients, server, master.gen());
+        Ok(leaf)
     }
 }
 
-impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
-    fn config(&self) -> LsaConfig {
-        self.cfg
-    }
-
-    fn round(&self) -> u64 {
-        self.open.as_ref().map_or(self.next_round, |o| o.round)
-    }
-
-    fn open_round(&mut self, cohort: &[usize]) -> Result<u64, ProtocolError> {
-        if self.open.is_some() {
-            return Err(ProtocolError::WrongPhase);
-        }
-        let cohort = validate_cohort(&self.cfg, cohort)?;
-        let round = self.next_round;
-        // telemetry baseline: everything from here to `finish_round`
-        // (including an overlapped `prepare_next`) bills to this round
-        self.mark_round_start();
-        let (ratcheted, windowed) = if claim_prepared(&mut self.prepared, round, &cohort)? {
-            match self.prepared_ratcheted.remove(&round) {
-                Some(windowed) => (true, windowed),
-                None => (false, false),
-            }
-        } else {
-            match self.try_ratchet(round, &cohort, "offline") {
-                Some(windowed) => (true, windowed),
-                None => {
-                    self.exchange_masks(round, &cohort, "offline")?;
-                    (false, false)
-                }
-            }
-        };
-        self.server.open_round(round)?;
-        self.next_round = round + 1;
-        self.open = Some(OpenRound {
-            round,
-            cohort,
-            submitted: BTreeSet::new(),
-            dropped: BTreeSet::new(),
-            ratcheted,
-            windowed,
-        });
-        Ok(round)
-    }
-
-    fn prepare_next(&mut self, cohort: &[usize]) -> Result<(), ProtocolError> {
-        let round = self.next_round;
-        ensure_unprepared(&self.prepared, round)?;
-        let cohort = validate_cohort(&self.cfg, cohort)?;
-        match self.try_ratchet(round, &cohort, "offline-overlap") {
-            Some(windowed) => {
-                self.prepared_ratcheted.insert(round, windowed);
-            }
-            None => self.exchange_masks(round, &cohort, "offline-overlap")?,
-        }
-        self.prepared.insert(round, cohort);
-        Ok(())
-    }
-
-    fn submit(&mut self, id: usize, update: &[F]) -> Result<(), ProtocolError> {
-        let open = self.open.as_ref().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        if open.submitted.contains(&id) {
-            return Err(ProtocolError::DuplicateMessage(id));
-        }
-        let round = open.round;
-        let online = open.online();
-        self.clients[id].upload(round, update)?;
-        self.open
-            .as_mut()
-            .expect("round is open")
-            .submitted
-            .insert(id);
-        drain_to(&mut self.clients[id], &mut self.transport, &online)
-    }
-
-    fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
-        let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        open.dropped.insert(id);
-        Ok(())
-    }
-
-    fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
-        let open = self.open.clone().ok_or(ProtocolError::WrongPhase)?;
-        // A ratcheted round's pairwise pads cancel only when *every*
-        // cohort member's masked upload is in the sum: a before-upload
-        // dropout invalidates the round, typed so the driver can abort
-        // and replay the plan with a full exchange. The round stays open
-        // for `abort_round`.
-        if open.ratcheted && open.submitted.len() != open.cohort.len() {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let online = open.online();
-
-        // Deliver the (already sent) masked uploads.
-        self.transport.flush("upload");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-
-        // Fix survivors, announce, collect aggregated shares.
-        let survivors = self.server.close_upload()?;
-        drain_to(&mut self.server, &mut self.transport, &online)?;
-        self.transport.flush("announce");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-        self.transport.flush("recovery");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-
-        let aggregate = self.server.close_round()?;
-        // Every cohort member completed this round: retain the (full)
-        // exchange as the ratchet base for the next stable round. The
-        // harvest takes the finished sessions the retire below would
-        // drop.
-        if ratchet_enabled() {
-            let members: Vec<usize> = open.cohort.iter().copied().collect();
-            let fp = CohortFingerprint::of_flat(self.group, self.cfg, &members).raw();
-            for &id in &open.cohort {
-                self.clients[id].harvest_ratchet(open.round, fp, open.ratcheted);
-            }
-            self.ratchet_fp = Some(fp);
-        }
-        // Retire the finished round everywhere; prepared next-round
-        // sessions survive (they are >= round + 1).
-        for client in &mut self.clients {
-            client.retire_below(open.round + 1);
-        }
-        self.last_report = Some(self.cut_report(&open));
-        self.open = None;
-        Ok(RoundOutcome {
-            round: open.round,
-            aggregate,
-            total_weight: survivors.len() as u64,
-            contributors: survivors,
-        })
-    }
-
-    fn abort_round(&mut self) {
-        if let Some(open) = self.open.take() {
-            self.server.abort_round();
-            // an abort means the cohort did not complete the round:
-            // conservatively forget the ratchet bases too
-            self.ratchet_fp = None;
-            self.window.clear();
-            self.server.clear_ratchet();
-            // the aborted round's sessions can never complete; retire
-            // them so envelopes for it surface as StaleRound, while any
-            // prepared round >= round + 1 survives
-            for client in &mut self.clients {
-                client.clear_ratchet();
-                client.retire_below(open.round + 1);
-            }
-            // discard in-flight traffic of the dead round
-            self.transport.flush("abort");
-            while let Ok(Some(_)) = self.transport.recv() {}
-        }
-    }
-
-    fn clear_ratchet(&mut self) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
-        for client in &mut self.clients {
-            client.clear_ratchet();
-        }
-        // ratchet-derived preparations are as suspect as the base they
-        // came from: drop them so a retry full-exchanges
-        let ratcheted: Vec<u64> = self.prepared_ratcheted.keys().copied().collect();
-        for round in ratcheted {
-            self.prepared.remove(&round);
-            for client in &mut self.clients {
-                client.discard_round(round);
-            }
-        }
-        self.prepared_ratcheted.clear();
-    }
-
-    fn reseat_ratchet(&mut self, seed: u64) {
-        // the leaf fingerprint is seat-based and unchanged by a global
-        // permute, so the retained bases stay valid — only the pad
-        // derivation must diverge from the pre-permute stretch (and any
-        // pre-committed window dies with the old seating)
-        self.window.clear();
-        self.server.clear_ratchet();
-        for client in &mut self.clients {
-            client.reseat_ratchet(seed);
-        }
-    }
-
-    fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
-        for client in &mut self.clients {
-            client.set_pad_topology(topology);
-        }
-    }
-
-    fn set_commit_window(&mut self, window: usize) {
-        self.commit_window = window.clamp(1, crate::ratchet::MAX_COMMIT_WINDOW);
-    }
-
-    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
-        Some(CohortFingerprint::of_flat(self.group, self.cfg, cohort))
-    }
-
-    fn bytes_sent(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn round_report(&self) -> Option<RoundReport> {
-        self.last_report.clone()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Buffered-asynchronous variant
-// ---------------------------------------------------------------------
+/// §4.2: persistent [`AsyncClientSession`]s whose round-stamped masks
+/// let the persistent [`AsyncServerSession`] recover a
+/// staleness-weighted aggregate from whatever its buffer holds when the
+/// round closes. Runs flat (group 0) and cannot reseat a retained base.
+/// Its hooks live beside those sessions, in [`crate::session`].
+#[derive(Debug, Clone, Copy)]
+pub struct BufferedVariant;
 
 /// The §4.2 buffered-asynchronous protocol behind the
-/// [`SecureAggregator`] trait: persistent [`AsyncClientSession`]s whose
-/// round-stamped masks let the server recover a staleness-weighted
-/// aggregate from whatever the buffer holds when the round closes.
-#[derive(Debug, Clone)]
-pub struct BufferedFederation<F, T> {
-    cfg: LsaConfig,
-    transport: T,
-    clients: Vec<AsyncClientSession<F>>,
-    server: AsyncServerSession<F>,
-    next_round: u64,
-    open: Option<OpenRound>,
-    prepared: BTreeMap<u64, BTreeSet<usize>>,
-    /// Prepared rounds whose masks came from the ratchet, not a full
-    /// exchange; the value records whether the round was joined from a
-    /// window with zero handshake traffic.
-    prepared_ratcheted: BTreeMap<u64, bool>,
-    /// Driver-side nonce entropy for ratchet commits.
-    entropy: StdRng,
-    /// Fingerprint of the cohort whose base masks the clients retain.
-    ratchet_fp: Option<u64>,
-    /// Pad topology ratcheted rounds derive pairwise pads over.
-    topology: PadTopology,
-    /// Nonce commit window `W` (`1` = the per-round legacy flow).
-    commit_window: usize,
-    /// Driver-side mirror of the pre-committed window, `round → nonce`.
-    window: BTreeMap<u64, u64>,
-    /// Transport counters snapshotted when the open round started (see
-    /// [`SyncFederation`]'s field of the same name).
-    mark: TrafficMark,
-    /// Telemetry of the most recent finished round.
-    last_report: Option<RoundReport>,
-}
+/// [`SecureAggregator`] trait.
+pub type BufferedFederation<F, T> = LeafFederation<F, T, BufferedVariant>;
 
 impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
     /// Create a buffered federation with the given staleness weighting.
@@ -1873,26 +1660,8 @@ impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
             .collect::<Result<_, _>>()?;
         let server =
             AsyncServerSession::new(cfg, cfg.n(), staleness, StdRng::seed_from_u64(master.gen()))?;
-        // drawn after every pre-existing seed so those streams are
-        // unchanged
-        let entropy = StdRng::seed_from_u64(master.gen());
-        Ok(Self {
-            cfg,
-            transport,
-            clients,
-            server,
-            next_round: 0,
-            open: None,
-            prepared: BTreeMap::new(),
-            prepared_ratcheted: BTreeMap::new(),
-            entropy,
-            ratchet_fp: None,
-            topology: crate::ratchet::pad_topology(),
-            commit_window: crate::ratchet::commit_window(),
-            window: BTreeMap::new(),
-            mark: TrafficMark::default(),
-            last_report: None,
-        })
+        let leaf = Self::assemble(0, cfg, transport, clients, server, master.gen());
+        Ok(leaf)
     }
 
     /// As [`Self::new`] with unit weights (`s(τ) = 1`, `c_g = 1`) —
@@ -1908,360 +1677,6 @@ impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
             transport,
             seed,
         )
-    }
-
-    /// The underlying transport (for byte/timing statistics).
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Mutable access to the transport.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
-    fn exchange_masks(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        label: &'static str,
-    ) -> Result<(), ProtocolError> {
-        for &id in cohort {
-            self.clients[id].generate_round_mask(round)?;
-        }
-        for &id in cohort {
-            drain_to(&mut self.clients[id], &mut self.transport, cohort)?;
-        }
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )
-    }
-
-    /// The stable-cohort fast path, buffered variant (see
-    /// [`SyncFederation::try_ratchet`]): join a pre-committed window
-    /// round driver-locally (`Some(true)`), or commit fresh nonces and
-    /// collect the acks (`Some(false)`); `None` falls back to the full
-    /// exchange.
-    fn try_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        label: &'static str,
-    ) -> Option<bool> {
-        if !ratchet_enabled() {
-            return None;
-        }
-        let members: Vec<usize> = cohort.iter().copied().collect();
-        let fp = CohortFingerprint::of_flat(0, self.cfg, &members).raw();
-        if self.ratchet_fp != Some(fp) {
-            // churn mid-window: purge the stale nonces so the re-key
-            // starts clean
-            if !self.window.is_empty() {
-                self.window.clear();
-                for client in &mut self.clients {
-                    client.clear_ratchet();
-                }
-            }
-            return None;
-        }
-        if self.window.contains_key(&round) {
-            let joined = cohort
-                .iter()
-                .try_for_each(|&id| self.clients[id].ratchet_join(round));
-            match joined {
-                Ok(()) => {
-                    self.window.remove(&round);
-                    return Some(true);
-                }
-                Err(_) => {
-                    self.ratchet_rollback(round, cohort);
-                    return None;
-                }
-            }
-        }
-        match self.exchange_ratchet(round, cohort, fp, label) {
-            Ok(()) => Some(false),
-            Err(_) => {
-                self.ratchet_rollback(round, cohort);
-                None
-            }
-        }
-    }
-
-    fn exchange_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        fingerprint: u64,
-        label: &'static str,
-    ) -> Result<(), ProtocolError> {
-        let w = self.commit_window.max(1);
-        if w == 1 {
-            let nonce = self.entropy.gen();
-            self.server.commit_ratchet(round, nonce, fingerprint);
-        } else {
-            let nonces: Vec<u64> = (0..w).map(|_| self.entropy.gen()).collect();
-            self.server
-                .commit_ratchet_window(round, fingerprint, self.topology, nonces.clone());
-            self.window = nonces
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(i, &n)| (round + i as u64, n))
-                .collect();
-        }
-        drain_to(&mut self.server, &mut self.transport, cohort)?;
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )?;
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )?;
-        if w == 1 {
-            self.server.ratchet_ready(round, cohort.len())
-        } else {
-            self.server.ratchet_window_ready(round, cohort.len())
-        }
-    }
-
-    fn ratchet_rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
-        for &id in cohort {
-            self.clients[id].clear_ratchet();
-            self.clients[id].forget_round(round);
-        }
-        self.transport.flush("ratchet-abort");
-        while let Ok(Some(_)) = self.transport.recv() {}
-    }
-}
-
-impl<F: Field, T: Transport<F>> SecureAggregator<F> for BufferedFederation<F, T> {
-    fn config(&self) -> LsaConfig {
-        self.cfg
-    }
-
-    fn round(&self) -> u64 {
-        self.open.as_ref().map_or(self.next_round, |o| o.round)
-    }
-
-    fn open_round(&mut self, cohort: &[usize]) -> Result<u64, ProtocolError> {
-        if self.open.is_some() {
-            return Err(ProtocolError::WrongPhase);
-        }
-        let cohort = validate_cohort(&self.cfg, cohort)?;
-        let round = self.next_round;
-        // telemetry baseline (see [`SyncFederation::open_round`])
-        self.mark = TrafficMark::of::<F, T>(&self.transport);
-        self.server.advance_to(round);
-        let (ratcheted, windowed) = if claim_prepared(&mut self.prepared, round, &cohort)? {
-            match self.prepared_ratcheted.remove(&round) {
-                Some(windowed) => (true, windowed),
-                None => (false, false),
-            }
-        } else {
-            match self.try_ratchet(round, &cohort, "offline") {
-                Some(windowed) => (true, windowed),
-                None => {
-                    self.exchange_masks(round, &cohort, "offline")?;
-                    (false, false)
-                }
-            }
-        };
-        self.next_round = round + 1;
-        self.open = Some(OpenRound {
-            round,
-            cohort,
-            submitted: BTreeSet::new(),
-            dropped: BTreeSet::new(),
-            ratcheted,
-            windowed,
-        });
-        Ok(round)
-    }
-
-    fn prepare_next(&mut self, cohort: &[usize]) -> Result<(), ProtocolError> {
-        let round = self.next_round;
-        ensure_unprepared(&self.prepared, round)?;
-        let cohort = validate_cohort(&self.cfg, cohort)?;
-        match self.try_ratchet(round, &cohort, "offline-overlap") {
-            Some(windowed) => {
-                self.prepared_ratcheted.insert(round, windowed);
-            }
-            None => {
-                self.exchange_masks(round, &cohort, "offline-overlap")?;
-            }
-        }
-        self.prepared.insert(round, cohort);
-        Ok(())
-    }
-
-    fn submit(&mut self, id: usize, update: &[F]) -> Result<(), ProtocolError> {
-        let open = self.open.as_ref().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        if open.submitted.contains(&id) {
-            return Err(ProtocolError::DuplicateMessage(id));
-        }
-        let round = open.round;
-        let online = open.online();
-        self.clients[id].upload_update(round, update)?;
-        self.open
-            .as_mut()
-            .expect("round is open")
-            .submitted
-            .insert(id);
-        drain_to(&mut self.clients[id], &mut self.transport, &online)
-    }
-
-    fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
-        let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        open.dropped.insert(id);
-        Ok(())
-    }
-
-    fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
-        let open = self.open.clone().ok_or(ProtocolError::WrongPhase)?;
-        // ratcheted rounds require the full cohort's uploads in the sum
-        // (see [`SyncFederation::finish_round`]); the round stays open
-        // for `abort_round`
-        if open.ratcheted && open.submitted.len() != open.cohort.len() {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let online = open.online();
-
-        self.transport.flush("upload");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-
-        // Fix whatever the buffer holds (§4.2: the group size need not
-        // be fixed across rounds) and collect weighted shares.
-        self.server.announce_partial()?;
-        drain_to(&mut self.server, &mut self.transport, &online)?;
-        self.transport.flush("announce");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-        self.transport.flush("recovery");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-
-        let recovered = self.server.recover()?;
-        // Retain the full exchange as the ratchet base (a ratcheted
-        // round's mask is `m + u`, so the previous base is kept).
-        if ratchet_enabled() {
-            let members: Vec<usize> = open.cohort.iter().copied().collect();
-            let fp = CohortFingerprint::of_flat(0, self.cfg, &members).raw();
-            if !open.ratcheted {
-                for &id in &open.cohort {
-                    self.clients[id].harvest_ratchet(open.round, fp);
-                }
-            }
-            self.ratchet_fp = Some(fp);
-        }
-        // Bounded memory: masks for finished rounds can never be
-        // requested again (prepared rounds are >= round + 1 and survive;
-        // a retained ratchet base round is kept alive by the clamp in
-        // `AsyncClientSession::discard_before`).
-        for client in &mut self.clients {
-            client.discard_before(open.round + 1);
-        }
-        let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
-        report.events.dropouts = open.dropped.len();
-        report.events.ratchets = usize::from(open.ratcheted && !open.windowed);
-        report.events.windowed_ratchets = usize::from(open.windowed);
-        self.last_report = Some(report);
-        self.open = None;
-        let mut contributors: Vec<usize> = recovered.entries.iter().map(|e| e.who).collect();
-        contributors.sort_unstable();
-        contributors.dedup();
-        Ok(RoundOutcome {
-            round: open.round,
-            aggregate: recovered.aggregate,
-            contributors,
-            total_weight: recovered.total_weight,
-        })
-    }
-
-    fn abort_round(&mut self) {
-        if self.open.take().is_some() {
-            // an abort means the cohort did not complete the round:
-            // conservatively forget the ratchet bases too
-            self.ratchet_fp = None;
-            self.window.clear();
-            self.server.clear_ratchet();
-            for client in &mut self.clients {
-                client.clear_ratchet();
-            }
-            // the buffered server is persistent (advance_to re-anchors it
-            // on the next open); just discard the round's in-flight traffic
-            self.transport.flush("abort");
-            while let Ok(Some(_)) = self.transport.recv() {}
-        }
-    }
-
-    fn clear_ratchet(&mut self) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
-        for client in &mut self.clients {
-            client.clear_ratchet();
-        }
-        let ratcheted: Vec<u64> = self.prepared_ratcheted.keys().copied().collect();
-        for round in ratcheted {
-            self.prepared.remove(&round);
-            for client in &mut self.clients {
-                client.forget_round(round);
-            }
-        }
-        self.prepared_ratcheted.clear();
-    }
-
-    fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
-        for client in &mut self.clients {
-            client.set_pad_topology(topology);
-        }
-    }
-
-    fn set_commit_window(&mut self, window: usize) {
-        self.commit_window = window.clamp(1, crate::ratchet::MAX_COMMIT_WINDOW);
-    }
-
-    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
-        Some(CohortFingerprint::of_flat(0, self.cfg, cohort))
-    }
-
-    fn bytes_sent(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn round_report(&self) -> Option<RoundReport> {
-        self.last_report.clone()
     }
 }
 
@@ -2502,6 +1917,7 @@ impl<F> core::fmt::Debug for Federation<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ratchet::{ratchet_enabled, RatchetAnnouncement, RATCHET_FROM_SERVER};
     use crate::transport::MemTransport;
     use lsa_field::Fp61;
 
@@ -2897,7 +2313,7 @@ mod tests {
                 // the harvest moved the finished session into the base:
                 // nothing else holds its share material
                 assert_eq!(c.active_rounds(), 0);
-                let (base, _) = c.ratchet.as_ref().expect("base retained");
+                let base = c.ratchet.base().expect("base retained");
                 assert_eq!(Arc::strong_count(base.share_storage()), 1);
                 Arc::downgrade(base.share_storage())
             })
@@ -2905,9 +2321,12 @@ mod tests {
         // round 1 ratchets: while it is open, each member's live session
         // holds the base's storage itself, not a copy
         fed.open_round(&everyone).unwrap();
-        assert!(fed.open.as_ref().is_some_and(|open| open.ratcheted));
+        assert!(fed
+            .open
+            .as_ref()
+            .is_some_and(|open| open.ratcheted.is_some()));
         for (c, w) in fed.clients.iter().zip(&watch) {
-            let (base, _) = c.ratchet.as_ref().expect("base retained");
+            let base = c.ratchet.base().expect("base retained");
             assert_eq!(Arc::strong_count(base.share_storage()), 2);
             assert_eq!(w.strong_count(), 2);
         }

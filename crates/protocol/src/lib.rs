@@ -11,12 +11,17 @@
 //! **multi-round federation layer**:
 //!
 //! * [`federation`] — the persistent multi-round API:
-//!   [`federation::SecureAggregator`] (one object-safe trait over the
-//!   sync and buffered-async variants),
+//!   [`federation::SecureAggregator`] (one object-safe trait),
+//!   [`federation::LeafFederation`] (the one leaf round driver; the
+//!   sync and buffered-async variants plug their endpoints and the few
+//!   differing steps in through [`federation::LeafVariant`]),
 //!   [`federation::FederationClient`] /
 //!   [`federation::FederationServer`] (round lifecycle with cohort
-//!   churn), and [`federation::Federation`] (the driver loop with
-//!   §4.1's overlapped next-round mask sharing);
+//!   churn), and [`federation::Federation`] (the plan loop with §4.1's
+//!   overlapped next-round mask sharing);
+//! * [`ratchet`] — the stable-cohort fast path: pairwise pads over a
+//!   retained base instead of a fresh share exchange, and the one
+//!   commit/ack handshake both variants' endpoints route into;
 //! * [`wire`] — [`wire::Envelope`], the single serializable message type
 //!   unifying every protocol message, with a canonical byte encoding;
 //!   every envelope is **round-scoped** and cross-round replays are
@@ -137,8 +142,10 @@ pub use wire::{
 };
 
 use core::fmt;
+use federation::{drain_to, pump};
 use lsa_field::Field;
 use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Errors produced by the protocol layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -468,12 +475,19 @@ pub fn run_sync_round_over<F: Field, R: Rng + ?Sized, T: Transport<F>>(
         .collect::<Result<_, _>>()?;
     let mut server = ServerSession::new(cfg)?;
 
+    // Users dropped after upload have vanished by the recovery phase:
+    // envelopes addressed to them are still sent (and billed), but
+    // discarded undelivered.
+    let everyone: BTreeSet<usize> = (0..cfg.n()).collect();
+    let mut online = everyone.clone();
+    online.retain(|id| !dropouts.after_upload.contains(id));
+
     // Offline: construction queued each client's coded shares.
     for client in clients.iter_mut() {
-        drain_session(client, transport)?;
+        drain_to(client, transport, &everyone)?;
     }
     transport.flush("offline");
-    pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     // Upload phase.
     for (id, client) in clients.iter_mut().enumerate() {
@@ -481,19 +495,18 @@ pub fn run_sync_round_over<F: Field, R: Rng + ?Sized, T: Transport<F>>(
             continue;
         }
         client.upload_model(&models[id])?;
-        drain_session(client, transport)?;
+        drain_to(client, transport, &everyone)?;
     }
     transport.flush("upload");
-    pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
-    // Recovery: announce the survivor set; users dropped after upload
-    // have vanished, so envelopes to them are discarded undelivered.
+    // Recovery: announce the survivor set, collect aggregated shares.
     let survivors = server.close_upload()?.to_vec();
-    drain_session(&mut server, transport)?;
+    drain_to(&mut server, transport, &everyone)?;
     transport.flush("announce");
-    pump_sessions(transport, &mut server, &mut clients, &dropouts.after_upload)?;
+    pump(transport, &mut server, &mut clients, &online)?;
     transport.flush("recovery");
-    pump_sessions(transport, &mut server, &mut clients, &dropouts.after_upload)?;
+    pump(transport, &mut server, &mut clients, &online)?;
 
     if !server.is_complete() {
         return Err(ProtocolError::NotEnoughSurvivors {
@@ -506,52 +519,6 @@ pub fn run_sync_round_over<F: Field, R: Rng + ?Sized, T: Transport<F>>(
         aggregate,
         survivors,
     })
-}
-
-/// Send everything a session has queued from local actions.
-pub(crate) fn drain_session<F: Field, S: Session<F>, T: Transport<F>>(
-    session: &mut S,
-    transport: &mut T,
-) -> Result<(), ProtocolError> {
-    let from = session.local_addr();
-    while let Some((to, envelope)) = session.poll_output() {
-        transport.send(from, to, &envelope)?;
-    }
-    Ok(())
-}
-
-/// Deliver every receivable envelope to its destination session,
-/// forwarding any responses back into the transport. Envelopes addressed
-/// to `vanished` clients are discarded (the user dropped out). Shared by
-/// the sync and async drivers.
-pub(crate) fn pump_sessions<F, T, CS, SS>(
-    transport: &mut T,
-    server: &mut SS,
-    clients: &mut [CS],
-    vanished: &[usize],
-) -> Result<(), ProtocolError>
-where
-    F: Field,
-    T: Transport<F>,
-    CS: Session<F>,
-    SS: Session<F>,
-{
-    while let Some(delivery) = transport.recv()? {
-        let responses = match delivery.to {
-            Recipient::Client(i) => {
-                if vanished.contains(&i) {
-                    continue;
-                }
-                clients[i].handle(delivery.envelope)?
-            }
-            Recipient::Server => server.handle(delivery.envelope)?,
-        };
-        let from = delivery.to;
-        for (to, envelope) in responses {
-            transport.send(from, to, &envelope)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -25,13 +25,27 @@
 //! their *retained* base shares). No new share traffic, no new
 //! recovery code path.
 //!
-//! The handshake that replaces the offline phase is a single
-//! [`RatchetAnnouncement`] round trip: the server commits a fresh
-//! per-round `nonce` (and the cohort fingerprint it believes in), each
-//! client checks the fingerprint against its retained state and acks.
-//! Any churn, reassignment, or disagreement surfaces as the typed
+//! The handshake that replaces the offline phase is a single round
+//! trip: the server commits a fresh `nonce` per round (one
+//! [`RatchetAnnouncement`], or one [`RatchetWindowCommit`] carrying the
+//! nonces of the next `W` rounds) under the cohort fingerprint it
+//! believes in, each client checks the fingerprint against its retained
+//! state and acks. Any churn, reassignment, or disagreement surfaces as
+//! the typed
 //! [`ProtocolError::RatchetMismatch`](crate::ProtocolError::RatchetMismatch)
 //! and falls back to the ordinary full offline exchange.
+//!
+//! That handshake is implemented **once**, here, for both protocol
+//! variants. [`ClientRatchet`] is the client half: the retained base
+//! and its fingerprint, the pad topology, the banked window nonces; it
+//! reads a commit, lets the endpoint derive the round under the
+//! committed nonce and returns the ack. [`ServerRatchet`] is the server
+//! half: the one commit in flight, the members that must ack it, the
+//! acks so far. Each endpoint owns one and routes the two handshake
+//! envelope kinds into it without looking inside; what an endpoint
+//! supplies is only *how* a round is derived from its kind of base.
+//! *When* to commit, join or roll back is decided by the one driver,
+//! [`crate::federation::LeafFederation`].
 //!
 //! Security: in a ratcheted round each mask is `m_i` plus a pad that is
 //! *pseudorandom* under the committed nonce, so per-round privacy
@@ -44,8 +58,12 @@
 
 use lsa_crypto::{sha256, FieldPrg, Seed};
 use lsa_field::Field;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::config::LsaConfig;
+use crate::session::{Outgoing, Recipient};
+use crate::wire::{Envelope, EnvelopeKind};
+use crate::ProtocolError;
 
 /// Domain tag for per-member fingerprint digests.
 const FP_DOMAIN: &[u8] = b"lsa-ratchet-fp-v1";
@@ -176,6 +194,354 @@ impl RatchetWindowCommit {
     pub fn nonce_for(&self, round: u64) -> Option<u64> {
         let offset = round.checked_sub(self.round)?;
         self.nonces.get(usize::try_from(offset).ok()?).copied()
+    }
+}
+
+/// Whether `envelope` belongs to the ratchet handshake (a commit or an
+/// ack of either form) — what an endpoint checks to route it here.
+pub(crate) fn is_handshake<F: Field>(envelope: &Envelope<F>) -> bool {
+    matches!(
+        envelope.kind(),
+        EnvelopeKind::RatchetAnnouncement | EnvelopeKind::RatchetWindowCommit
+    )
+}
+
+/// The nonces a window commit opening at `round` leaves to be joined
+/// later: `nonces[k]` serves round `round + k`, and `nonces[0]` is
+/// consumed by the commit itself.
+pub(crate) fn banked_nonces(round: u64, nonces: &[u64]) -> BTreeMap<u64, u64> {
+    // `round` arrives off the wire at a client: a window that would run
+    // past the last round number banks only the rounds that exist
+    (1u64..)
+        .zip(nonces.iter().skip(1))
+        .filter_map(|(k, &nonce)| Some((round.checked_add(k)?, nonce)))
+        .collect()
+}
+
+/// A handshake envelope of either form, reduced to what the handshake
+/// reads. The per-round form ([`RatchetAnnouncement`]) has no topology
+/// and exactly one nonce, which its ack echoes; the window form
+/// ([`RatchetWindowCommit`]) fixes the topology and carries `W` nonces,
+/// and its ack carries none.
+#[derive(Debug, Clone)]
+struct Handshake {
+    from: u32,
+    group: usize,
+    round: u64,
+    fingerprint: u64,
+    topology: Option<PadTopology>,
+    nonces: Vec<u64>,
+}
+
+impl Handshake {
+    fn read<F: Field>(envelope: &Envelope<F>) -> Result<Self, ProtocolError> {
+        match envelope {
+            Envelope::RatchetAnnouncement(a) => Ok(Self {
+                from: a.from,
+                group: a.group,
+                round: a.round,
+                fingerprint: a.fingerprint,
+                topology: None,
+                nonces: vec![a.nonce],
+            }),
+            Envelope::RatchetWindowCommit(c) => Ok(Self {
+                from: c.from,
+                group: c.group,
+                round: c.round,
+                fingerprint: c.fingerprint,
+                topology: Some(c.topology),
+                nonces: c.nonces.clone(),
+            }),
+            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
+        }
+    }
+
+    fn write<F: Field>(self) -> Envelope<F> {
+        match self.topology {
+            None => Envelope::RatchetAnnouncement(RatchetAnnouncement {
+                from: self.from,
+                group: self.group,
+                round: self.round,
+                nonce: self.nonces[0],
+                fingerprint: self.fingerprint,
+            }),
+            Some(topology) => Envelope::RatchetWindowCommit(RatchetWindowCommit {
+                from: self.from,
+                group: self.group,
+                round: self.round,
+                fingerprint: self.fingerprint,
+                topology,
+                nonces: self.nonces,
+            }),
+        }
+    }
+}
+
+/// The client half of the handshake, shared by both client endpoints.
+///
+/// `B` is whatever the endpoint retains as a ratchet base: the
+/// fully-exchanged [`crate::Client`] of the last full round for the
+/// synchronous endpoint, the base *round number* for the buffered one
+/// (its state for that round stays resident in the
+/// [`crate::asynchronous::AsyncClient`]). Every operation that derives a
+/// round takes a `derive(base, nonce, topology)` closure — the one thing
+/// the two endpoints do differently — and hands back what it built.
+#[derive(Debug, Clone)]
+pub struct ClientRatchet<B> {
+    id: usize,
+    group: usize,
+    /// The retained base and the fingerprint of the cohort it was
+    /// exchanged with: set after a full exchange completes, cleared on
+    /// churn, reassignment or mismatch.
+    base: Option<(B, u64)>,
+    /// Pad topology for ratcheted rounds; a window commit carries the
+    /// server's choice and overwrites this, the per-round commit does
+    /// not (both ends resolve the same setting).
+    topology: PadTopology,
+    /// Pre-committed window nonces, `round → nonce`: rounds here are
+    /// joined with zero wire traffic.
+    window: BTreeMap<u64, u64>,
+}
+
+impl<B> ClientRatchet<B> {
+    /// No base retained, the default pad topology.
+    pub(crate) fn new(id: usize, group: usize) -> Self {
+        Self {
+            id,
+            group,
+            base: None,
+            topology: PadTopology::default(),
+            window: BTreeMap::new(),
+        }
+    }
+
+    /// Fix the pad topology ratcheted rounds derive their pads over.
+    pub(crate) fn set_topology(&mut self, topology: PadTopology) {
+        self.topology = topology;
+    }
+
+    /// Retain `base` as the ratchet base of the cohort fingerprinted by
+    /// `fingerprint`.
+    pub(crate) fn harvest(&mut self, base: B, fingerprint: u64) {
+        self.base = Some((base, fingerprint));
+    }
+
+    /// The retained base, if any.
+    pub(crate) fn base(&self) -> Option<&B> {
+        self.base.as_ref().map(|(base, _)| base)
+    }
+
+    /// Forget the retained base and every banked window nonce — the
+    /// nonces were bound to the dead cohort and must never mask
+    /// another one.
+    pub(crate) fn clear(&mut self) {
+        self.base = None;
+        self.window.clear();
+    }
+
+    /// Carry the base across a seat permutation: `bump` advances its
+    /// pad-derivation epoch ([`reseat_epoch`]), and the window is
+    /// dropped (its rounds were committed under the old seating).
+    pub(crate) fn reseat(&mut self, bump: impl FnOnce(&mut B)) {
+        self.window.clear();
+        if let Some((base, _)) = self.base.as_mut() {
+            bump(base);
+        }
+    }
+
+    /// Corrupt the retained fingerprint — test hook for the
+    /// stale-fingerprint failure path.
+    pub(crate) fn poison(&mut self, fingerprint: u64) {
+        if let Some((_, fp)) = self.base.as_mut() {
+            *fp = fingerprint;
+        }
+    }
+
+    /// Join `round` from the banked window, consuming its nonce. No
+    /// ack: the whole window was acked when it was committed.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::RatchetMismatch`] when no base is retained or
+    /// `round` is not in the committed window; otherwise `derive`'s.
+    pub(crate) fn join<R>(
+        &mut self,
+        round: u64,
+        derive: impl FnOnce(&mut B, u64, PadTopology) -> Result<R, ProtocolError>,
+    ) -> Result<R, ProtocolError> {
+        let Some((base, _)) = self.base.as_mut() else {
+            return Err(ProtocolError::RatchetMismatch);
+        };
+        let nonce = self
+            .window
+            .remove(&round)
+            .ok_or(ProtocolError::RatchetMismatch)?;
+        derive(base, nonce, self.topology)
+    }
+
+    /// Accept the server commit in `envelope`: check its fingerprint
+    /// against the retained base, derive the (first) round under its
+    /// nonce, bank the rest of a window — replacing any previous one —
+    /// and return the derived round with the fingerprint-agreement ack.
+    /// The endpoint has already decided that `envelope.round()` is a
+    /// round it may still open.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::UnexpectedEnvelope`] for anything but a commit
+    /// (acks are server-bound; a commit carries a nonce);
+    /// [`ProtocolError::RatchetMismatch`] when no base is retained or
+    /// the fingerprints differ; otherwise `derive`'s.
+    pub(crate) fn accept<F: Field, R>(
+        &mut self,
+        envelope: &Envelope<F>,
+        derive: impl FnOnce(&mut B, u64, PadTopology) -> Result<R, ProtocolError>,
+    ) -> Result<(R, Outgoing<F>), ProtocolError> {
+        let commit = Handshake::read(envelope)?;
+        let (Some(&nonce), RATCHET_FROM_SERVER) = (commit.nonces.first(), commit.from) else {
+            return Err(ProtocolError::UnexpectedEnvelope {
+                kind: envelope.kind(),
+            });
+        };
+        let Some((base, fingerprint)) = self.base.as_mut() else {
+            return Err(ProtocolError::RatchetMismatch);
+        };
+        if commit.fingerprint != *fingerprint {
+            return Err(ProtocolError::RatchetMismatch);
+        }
+        self.topology = commit.topology.unwrap_or(self.topology);
+        let derived = derive(base, nonce, self.topology)?;
+        let mut ack = Handshake {
+            from: self.id as u32,
+            group: self.group,
+            nonces: vec![nonce],
+            ..commit
+        };
+        if commit.topology.is_some() {
+            self.window = banked_nonces(commit.round, &commit.nonces);
+            ack.nonces.clear();
+        }
+        Ok((derived, (Recipient::Server, ack.write())))
+    }
+}
+
+/// The server half of the handshake, shared by both server endpoints:
+/// the one commit in flight and the envelopes that announce it.
+#[derive(Debug, Clone)]
+pub struct ServerRatchet<F> {
+    group: usize,
+    /// The commit acks are being collected for, the cohort members
+    /// that must ack it, and those that have.
+    in_flight: Option<(Handshake, BTreeSet<usize>, BTreeSet<usize>)>,
+    /// Queued commits (they precede the round they open, so no
+    /// per-round session could carry them).
+    outbox: VecDeque<Outgoing<F>>,
+}
+
+impl<F: Field> ServerRatchet<F> {
+    /// No commit in flight.
+    pub(crate) fn new(group: usize) -> Self {
+        Self {
+            group,
+            in_flight: None,
+            outbox: VecDeque::new(),
+        }
+    }
+
+    /// Commit `nonces` for the rounds from `round` on and queue the
+    /// commit to every member of `cohort`: one nonce goes out as a
+    /// [`RatchetAnnouncement`] (the wire-exact per-round flow), more as
+    /// one [`RatchetWindowCommit`] under `topology`.
+    pub(crate) fn commit(
+        &mut self,
+        round: u64,
+        cohort: &BTreeSet<usize>,
+        fingerprint: u64,
+        topology: PadTopology,
+        nonces: &[u64],
+    ) {
+        let commit = Handshake {
+            from: RATCHET_FROM_SERVER,
+            group: self.group,
+            round,
+            fingerprint,
+            topology: (nonces.len() != 1).then_some(topology),
+            nonces: nonces.to_vec(),
+        };
+        let envelope = commit.clone().write();
+        self.outbox.extend(
+            cohort
+                .iter()
+                .map(|&id| (Recipient::Client(id), envelope.clone())),
+        );
+        self.in_flight = Some((commit, cohort.clone(), BTreeSet::new()));
+    }
+
+    /// A client's fingerprint-agreement ack for the commit in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::RatchetMismatch`] without a commit of that form
+    /// in flight, or on a different fingerprint or nonce;
+    /// [`ProtocolError::StaleRound`] for another round's ack;
+    /// [`ProtocolError::UnknownUser`] from anyone the commit was not
+    /// addressed to; [`ProtocolError::DuplicateMessage`] on a second
+    /// ack; [`ProtocolError::UnexpectedEnvelope`] for an envelope that
+    /// is not part of the handshake.
+    pub(crate) fn handle(&mut self, ack: &Envelope<F>) -> Result<(), ProtocolError> {
+        let ack = Handshake::read(ack)?;
+        let Some((commit, expected, acks)) = self
+            .in_flight
+            .as_mut()
+            .filter(|(commit, ..)| commit.topology.is_some() == ack.topology.is_some())
+        else {
+            return Err(ProtocolError::RatchetMismatch);
+        };
+        if ack.round != commit.round {
+            return Err(ProtocolError::StaleRound {
+                got: ack.round,
+                current: commit.round,
+            });
+        }
+        // the per-round ack echoes the committed nonce
+        let nonce_agrees = commit.topology.is_some() || ack.nonces == commit.nonces;
+        if ack.fingerprint != commit.fingerprint || !nonce_agrees {
+            return Err(ProtocolError::RatchetMismatch);
+        }
+        let id = ack.from as usize;
+        if !expected.contains(&id) {
+            return Err(ProtocolError::UnknownUser(id));
+        }
+        if !acks.insert(id) {
+            return Err(ProtocolError::DuplicateMessage(id));
+        }
+        Ok(())
+    }
+
+    /// Consume the commit in flight: `Ok` iff it opened `round` and
+    /// exactly the members it was addressed to acked it.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::RatchetMismatch`] on a missing commit, a round
+    /// mismatch or an incomplete ack set.
+    pub(crate) fn ready(&mut self, round: u64) -> Result<(), ProtocolError> {
+        match self.in_flight.take() {
+            Some((commit, expected, acks)) if commit.round == round && acks == expected => Ok(()),
+            _ => Err(ProtocolError::RatchetMismatch),
+        }
+    }
+
+    /// Forget the commit in flight and its queued announcements (a
+    /// commit replayed after a rollback would poison fresh sessions).
+    pub(crate) fn clear(&mut self) {
+        self.in_flight = None;
+        self.outbox.clear();
+    }
+
+    /// The next queued commit envelope, if any.
+    pub(crate) fn poll_output(&mut self) -> Option<Outgoing<F>> {
+        self.outbox.pop_front()
     }
 }
 
@@ -517,6 +883,162 @@ pub(crate) mod tests {
             reference_pair_pad(&mut want, 1, 4, 3, 77, id, peer, &sent, &recv);
             assert_eq!(got, want);
         }
+    }
+
+    /// The commits a server queued, drained.
+    fn queued(server: &mut ServerRatchet<Fp61>) -> Vec<Outgoing<Fp61>> {
+        std::iter::from_fn(|| server.poll_output()).collect()
+    }
+
+    /// Client `id`'s ack for `commit`, through the real client half.
+    fn ack_of(id: usize, fingerprint: u64, commit: &Envelope<Fp61>) -> Envelope<Fp61> {
+        let mut client = ClientRatchet::<()>::new(id, 0);
+        client.harvest((), fingerprint);
+        let ((), (to, ack)) = client.accept(commit, |_, _, _| Ok(())).unwrap();
+        assert_eq!(to, Recipient::Server);
+        ack
+    }
+
+    #[test]
+    fn an_ack_from_outside_the_cohort_never_completes_a_commit() {
+        // both envelope forms: one nonce → per-round, three → window
+        for nonces in [vec![9u64], vec![9, 10, 11]] {
+            let cohort = BTreeSet::from([0usize, 2, 3]);
+            let mut server = ServerRatchet::<Fp61>::new(0);
+            server.commit(5, &cohort, 77, PadTopology::Hypercube, &nonces);
+            let commits = queued(&mut server);
+            let to: Vec<Recipient> = commits.iter().map(|(to, _)| *to).collect();
+            assert_eq!(to, [0, 2, 3].map(Recipient::Client));
+            let commit = &commits[0].1;
+            assert!(is_handshake(commit));
+
+            server.handle(&ack_of(0, 77, commit)).unwrap();
+            server.handle(&ack_of(2, 77, commit)).unwrap();
+            // member 3 stays silent; client 1 — a valid id, but not
+            // one the commit was addressed to — acks in its place
+            assert_eq!(
+                server.handle(&ack_of(1, 77, commit)),
+                Err(ProtocolError::UnknownUser(1))
+            );
+            // three acks arrived for a cohort of three: a head count
+            // would call the commit ready
+            assert_eq!(server.clone().ready(5), Err(ProtocolError::RatchetMismatch));
+            assert_eq!(
+                server.handle(&ack_of(0, 77, commit)),
+                Err(ProtocolError::DuplicateMessage(0))
+            );
+            server.handle(&ack_of(3, 77, commit)).unwrap();
+            assert_eq!(server.clone().ready(6), Err(ProtocolError::RatchetMismatch));
+            assert_eq!(server.ready(5), Ok(()));
+            // consumed: a late ack finds nothing to attach to
+            assert_eq!(
+                server.handle(&ack_of(3, 77, commit)),
+                Err(ProtocolError::RatchetMismatch)
+            );
+        }
+    }
+
+    #[test]
+    fn acks_must_match_the_commit_in_flight() {
+        let cohort = BTreeSet::from([0usize, 1]);
+        let mut server = ServerRatchet::<Fp61>::new(0);
+        server.commit(5, &cohort, 77, PadTopology::Clique, &[9]);
+        let per_round = queued(&mut server).remove(0).1;
+        let mut other = ServerRatchet::<Fp61>::new(0);
+        other.commit(6, &cohort, 77, PadTopology::Clique, &[8]);
+        let next_round = queued(&mut other).remove(0).1;
+        other.commit(5, &cohort, 77, PadTopology::Clique, &[8]);
+        let other_nonce = queued(&mut other).remove(0).1;
+        other.commit(5, &cohort, 77, PadTopology::Clique, &[9, 8]);
+        let window = queued(&mut other).remove(0).1;
+
+        assert_eq!(
+            server.handle(&ack_of(0, 77, &next_round)),
+            Err(ProtocolError::StaleRound { got: 6, current: 5 })
+        );
+        for wrong in [&other_nonce, &window] {
+            assert_eq!(
+                server.handle(&ack_of(0, 77, wrong)),
+                Err(ProtocolError::RatchetMismatch)
+            );
+        }
+        // a fingerprint the server did not commit to
+        let Envelope::RatchetAnnouncement(mut forged) = ack_of(0, 77, &per_round) else {
+            panic!("per-round commits are acked per round");
+        };
+        forged.fingerprint = 78;
+        assert_eq!(
+            server.handle(&Envelope::RatchetAnnouncement(forged)),
+            Err(ProtocolError::RatchetMismatch)
+        );
+        server.clear();
+        assert_eq!(
+            server.handle(&ack_of(0, 77, &per_round)),
+            Err(ProtocolError::RatchetMismatch)
+        );
+    }
+
+    #[test]
+    fn client_half_banks_a_window_and_joins_it_once() {
+        let cohort = BTreeSet::from([4usize]);
+        let mut server = ServerRatchet::<Fp61>::new(3);
+        server.commit(10, &cohort, 77, PadTopology::Clique, &[100, 101, 102]);
+        let window = queued(&mut server).remove(0).1;
+        server.commit(20, &cohort, 77, PadTopology::Hypercube, &[200]);
+        let per_round = queued(&mut server).remove(0).1;
+
+        let mut client = ClientRatchet::<u8>::new(4, 3);
+        client.set_topology(PadTopology::Hypercube);
+        let derive = |_: &mut u8, nonce, topology| Ok((nonce, topology));
+        // no base yet, then the wrong cohort's base
+        assert_eq!(
+            client.accept(&window, derive).unwrap_err(),
+            ProtocolError::RatchetMismatch
+        );
+        client.harvest(0, 78);
+        assert_eq!(
+            client.accept(&window, derive).unwrap_err(),
+            ProtocolError::RatchetMismatch
+        );
+        client.poison(77);
+        // the window commit fixes the topology and derives round 10
+        let (derived, (_, ack)) = client.accept(&window, derive).unwrap();
+        assert_eq!(derived, (100, PadTopology::Clique));
+        server.commit(10, &cohort, 77, PadTopology::Clique, &[100, 101, 102]);
+        assert_eq!(
+            server.handle(&ack),
+            Ok(()),
+            "the ack is stamped (4, group 3)"
+        );
+        // an ack is not a commit
+        assert!(matches!(
+            client.accept(&ack, derive),
+            Err(ProtocolError::UnexpectedEnvelope {
+                kind: EnvelopeKind::RatchetWindowCommit
+            })
+        ));
+        // rounds 11 and 12 are banked, each joinable once; 13 is not
+        assert_eq!(client.join(12, derive), Ok((102, PadTopology::Clique)));
+        assert_eq!(client.join(12, derive), Err(ProtocolError::RatchetMismatch));
+        assert_eq!(client.join(13, derive), Err(ProtocolError::RatchetMismatch));
+        // a per-round commit leaves both the topology and the window be
+        let (derived, _) = client.accept(&per_round, derive).unwrap();
+        assert_eq!(derived, (200, PadTopology::Clique));
+        assert_eq!(client.join(11, derive), Ok((101, PadTopology::Clique)));
+        // a reseat keeps the base (bumped) and drops the window
+        client.accept(&window, derive).unwrap();
+        client.reseat(|base| *base += 1);
+        assert_eq!(client.base(), Some(&1));
+        assert_eq!(client.join(11, derive), Err(ProtocolError::RatchetMismatch));
+        client.clear();
+        assert_eq!(client.base(), None);
+    }
+
+    #[test]
+    fn a_window_past_the_last_round_banks_only_rounds_that_exist() {
+        let banked = banked_nonces(u64::MAX - 1, &[1, 2, 3, 4]);
+        assert_eq!(banked, BTreeMap::from([(u64::MAX, 2)]));
+        assert!(banked_nonces(7, &[1]).is_empty());
     }
 
     #[test]

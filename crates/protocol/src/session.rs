@@ -62,7 +62,8 @@
 use crate::asynchronous::{AsyncClient, AsyncServer, WeightedAggregate};
 use crate::client::Client;
 use crate::config::LsaConfig;
-use crate::ratchet::{PadTopology, RatchetAnnouncement, RatchetWindowCommit, RATCHET_FROM_SERVER};
+use crate::federation::{BufferedVariant, LeafVariant, RoundOutcome};
+use crate::ratchet::{self, ClientRatchet, PadTopology, ServerRatchet};
 use crate::server::{ServerPhase, ServerRound};
 use crate::wire::{BufferAnnouncement, Envelope, SurvivorAnnouncement};
 use crate::ProtocolError;
@@ -185,39 +186,9 @@ impl<F: Field> ClientSession<F> {
 
     /// Derive a session for a *ratcheted* round from retained base
     /// state ([`crate::ratchet`]): no coded shares are queued — the
-    /// only envelope the offline phase produces is the fingerprint ack
-    /// to the server.
+    /// offline phase was the commit/ack handshake (or nothing at all,
+    /// for a round joined from a pre-committed window).
     pub(crate) fn ratcheted(
-        base: &mut Client<F>,
-        round: u64,
-        nonce: u64,
-        fingerprint: u64,
-        topology: PadTopology,
-    ) -> Self {
-        let inner = Client::ratcheted_from(base, round, nonce, topology);
-        let mut outbox = VecDeque::new();
-        outbox.push_back((
-            Recipient::Server,
-            Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                from: inner.id() as u32,
-                group: inner.group(),
-                round,
-                nonce,
-                fingerprint,
-            }),
-        ));
-        Self {
-            inner,
-            outbox,
-            uploaded: false,
-        }
-    }
-
-    /// As [`Self::ratcheted`], but without queueing an ack: the round's
-    /// nonce was already committed (and acked) as part of a
-    /// [`RatchetWindowCommit`] window, so joining it costs zero wire
-    /// traffic.
-    pub(crate) fn ratcheted_quiet(
         base: &mut Client<F>,
         round: u64,
         nonce: u64,
@@ -508,16 +479,10 @@ pub struct AsyncClientSession<F> {
     inner: AsyncClient<F>,
     entropy: StdRng,
     outbox: VecDeque<Outgoing<F>>,
-    /// Retained `(base round, cohort fingerprint)` for the stable-cohort
-    /// ratchet: set after a full offline exchange completes, cleared on
-    /// any churn ([`crate::ratchet`]).
-    ratchet: Option<(u64, u64)>,
-    /// Pad topology for ratcheted rounds (which edges get pairwise
-    /// pads); both endpoints of a cohort must agree.
-    topology: PadTopology,
-    /// Pre-committed window nonces, `round → nonce`: rounds here can be
-    /// joined via [`Self::ratchet_join`] with zero wire traffic.
-    window: std::collections::BTreeMap<u64, u64>,
+    /// The client half of the stable-cohort handshake
+    /// ([`crate::ratchet`]). Its base is a *round number*: that round's
+    /// fully-exchanged state stays resident in the inner client.
+    ratchet: ClientRatchet<u64>,
 }
 
 impl<F: Field> AsyncClientSession<F> {
@@ -531,16 +496,8 @@ impl<F: Field> AsyncClientSession<F> {
             inner: AsyncClient::new(id, cfg)?,
             entropy,
             outbox: VecDeque::new(),
-            ratchet: None,
-            topology: crate::ratchet::pad_topology(),
-            window: std::collections::BTreeMap::new(),
+            ratchet: ClientRatchet::new(id, 0),
         })
-    }
-
-    /// Override the pad topology used for ratcheted rounds (defaults to
-    /// the `LSA_PAD_TOPOLOGY` environment knob at construction).
-    pub fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
     }
 
     /// Create with an entropy stream derived from `rng` (convenience for
@@ -597,8 +554,8 @@ impl<F: Field> AsyncClientSession<F> {
     /// ratchet base is retained, the base round's state is kept alive
     /// regardless (and intermediate ratcheted rounds are evicted).
     pub fn discard_before(&mut self, keep_from: u64) {
-        match self.ratchet {
-            Some((base, _)) => self.inner.discard_before_keeping(keep_from, base),
+        match self.ratchet.base() {
+            Some(&base) => self.inner.discard_before_keeping(keep_from, base),
             None => self.inner.discard_before(keep_from),
         }
     }
@@ -606,44 +563,6 @@ impl<F: Field> AsyncClientSession<F> {
     /// Number of stored `(sender, round)` coded shares.
     pub fn shares_stored(&self) -> usize {
         self.inner.shares_stored()
-    }
-
-    /// Mark `base_round`'s fully-exchanged state as the ratchet base for
-    /// the cohort identified by `fingerprint`.
-    pub(crate) fn harvest_ratchet(&mut self, base_round: u64, fingerprint: u64) {
-        self.ratchet = Some((base_round, fingerprint));
-    }
-
-    /// Forget any retained ratchet base (churn, reassignment, mismatch),
-    /// along with every pre-committed window nonce: the nonces were
-    /// bound to the dead cohort and must never mask another one.
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window.clear();
-    }
-
-    /// Join a round whose nonce was pre-committed in a window: derive
-    /// the round mask locally, consuming the stored nonce. Zero wire
-    /// traffic.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] when no base is retained or
-    /// `round` is not in the committed window.
-    pub(crate) fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
-        let (base_round, _) = self.ratchet.ok_or(ProtocolError::RatchetMismatch)?;
-        let nonce = self
-            .window
-            .remove(&round)
-            .ok_or(ProtocolError::RatchetMismatch)?;
-        self.inner
-            .ratchet_round_mask(round, base_round, nonce, self.topology)
-    }
-
-    /// Drop exactly one round's mask and share state — rollback of a
-    /// half-built ratcheted round.
-    pub(crate) fn forget_round(&mut self, round: u64) {
-        self.inner.forget_round(round);
     }
 }
 
@@ -653,111 +572,39 @@ impl<F: Field> Session<F> for AsyncClientSession<F> {
     }
 
     fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        // the buffered variant runs flat: anything stamped for another
+        // group is cross-group traffic
+        if envelope.group() != 0 {
+            return Err(ProtocolError::WrongGroup {
+                got: envelope.group(),
+                expected: 0,
+            });
+        }
         match envelope {
             Envelope::TimestampedShare(share) => {
                 self.inner.receive_share(share)?;
                 Ok(Vec::new())
             }
             Envelope::BufferAnnouncement(ann) => {
-                if ann.group != 0 {
-                    return Err(ProtocolError::WrongGroup {
-                        got: ann.group,
-                        expected: 0,
-                    });
-                }
                 let share = self.inner.aggregated_share_for(ann.round, &ann.entries)?;
                 Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
             }
-            Envelope::RatchetAnnouncement(ann) => {
-                if ann.group != 0 {
-                    return Err(ProtocolError::WrongGroup {
-                        got: ann.group,
-                        expected: 0,
+            // a server commit: the shared handshake state derives the
+            // round's mask from the retained base round and acks
+            commit if ratchet::is_handshake(&commit) => {
+                let round = commit.round();
+                // a commit for an already-masked round is a replay, not
+                // a fresh ratchet
+                if let Some(current) = self.inner.latest_mask_round().filter(|&r| round <= r) {
+                    return Err(ProtocolError::StaleRound {
+                        got: round,
+                        current,
                     });
                 }
-                if ann.from != RATCHET_FROM_SERVER {
-                    return Err(ProtocolError::UnexpectedEnvelope {
-                        kind: crate::wire::EnvelopeKind::RatchetAnnouncement,
-                    });
-                }
-                // a commit replayed from an already-masked round is a
-                // replay, not a fresh ratchet
-                if let Some(current) = self.inner.latest_mask_round() {
-                    if ann.round <= current {
-                        return Err(ProtocolError::StaleRound {
-                            got: ann.round,
-                            current,
-                        });
-                    }
-                }
-                let (base_round, fingerprint) =
-                    self.ratchet.ok_or(ProtocolError::RatchetMismatch)?;
-                if ann.fingerprint != fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                self.inner
-                    .ratchet_round_mask(ann.round, base_round, ann.nonce, self.topology)?;
-                Ok(vec![(
-                    Recipient::Server,
-                    Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                        from: self.inner.id() as u32,
-                        group: 0,
-                        round: ann.round,
-                        nonce: ann.nonce,
-                        fingerprint,
-                    }),
-                )])
-            }
-            Envelope::RatchetWindowCommit(commit) => {
-                if commit.group != 0 {
-                    return Err(ProtocolError::WrongGroup {
-                        got: commit.group,
-                        expected: 0,
-                    });
-                }
-                if commit.from != RATCHET_FROM_SERVER || commit.nonces.is_empty() {
-                    return Err(ProtocolError::UnexpectedEnvelope {
-                        kind: crate::wire::EnvelopeKind::RatchetWindowCommit,
-                    });
-                }
-                if let Some(current) = self.inner.latest_mask_round() {
-                    if commit.round <= current {
-                        return Err(ProtocolError::StaleRound {
-                            got: commit.round,
-                            current,
-                        });
-                    }
-                }
-                let (base_round, fingerprint) =
-                    self.ratchet.ok_or(ProtocolError::RatchetMismatch)?;
-                if commit.fingerprint != fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                // the window replaces any previous one; the first round
-                // is derived (and acked) immediately, the rest join
-                // later via `ratchet_join` with zero wire traffic
-                self.topology = commit.topology;
-                self.inner.ratchet_round_mask(
-                    commit.round,
-                    base_round,
-                    commit.nonces[0],
-                    self.topology,
-                )?;
-                self.window.clear();
-                for (i, &nonce) in commit.nonces.iter().enumerate().skip(1) {
-                    self.window.insert(commit.round + i as u64, nonce);
-                }
-                Ok(vec![(
-                    Recipient::Server,
-                    Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                        from: self.inner.id() as u32,
-                        group: 0,
-                        round: commit.round,
-                        fingerprint,
-                        topology: commit.topology,
-                        nonces: Vec::new(),
-                    }),
-                )])
+                let ((), ack) = self.ratchet.accept(&commit, |&mut base, nonce, topology| {
+                    self.inner.ratchet_round_mask(round, base, nonce, topology)
+                })?;
+                Ok(vec![ack])
             }
             other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
         }
@@ -780,11 +627,10 @@ pub struct AsyncServerSession<F> {
     now: u64,
     n: usize,
     outbox: VecDeque<Outgoing<F>>,
-    /// In-flight ratchet commit: `(round, nonce, fingerprint, acks)`.
-    ratchet: Option<(u64, u64, u64, std::collections::BTreeSet<usize>)>,
-    /// In-flight windowed ratchet commit:
-    /// `(first round, fingerprint, acks)`.
-    window: Option<(u64, u64, std::collections::BTreeSet<usize>)>,
+    /// The server half of the stable-cohort handshake
+    /// ([`crate::ratchet`]): the commit in flight and its queued
+    /// announcements.
+    ratchet: ServerRatchet<F>,
 }
 
 impl<F: Field> AsyncServerSession<F> {
@@ -805,8 +651,7 @@ impl<F: Field> AsyncServerSession<F> {
             now: 0,
             n: cfg.n(),
             outbox: VecDeque::new(),
-            ratchet: None,
-            window: None,
+            ratchet: ServerRatchet::new(0),
         })
     }
 
@@ -878,96 +723,6 @@ impl<F: Field> AsyncServerSession<F> {
     pub fn recover(&mut self) -> Result<WeightedAggregate<F>, ProtocolError> {
         self.inner.recover()
     }
-
-    /// Local action: commit the ratchet nonce for `round` and queue a
-    /// [`RatchetAnnouncement`] to every user ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet(&mut self, round: u64, nonce: u64, fingerprint: u64) {
-        self.ratchet = Some((round, nonce, fingerprint, std::collections::BTreeSet::new()));
-        for id in 0..self.n {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                    from: RATCHET_FROM_SERVER,
-                    group: 0,
-                    round,
-                    nonce,
-                    fingerprint,
-                }),
-            ));
-        }
-    }
-
-    /// Whether every one of the `expect` cohort members acked the
-    /// in-flight commit for `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] when no commit is in flight
-    /// for `round` or acks are missing.
-    pub(crate) fn ratchet_ready(&mut self, round: u64, expect: usize) -> Result<(), ProtocolError> {
-        match self.ratchet.take() {
-            Some((r, _, _, acks)) if r == round && acks.len() == expect => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
-    }
-
-    /// Local action: commit a *window* of ratchet nonces starting at
-    /// `round` and queue one [`RatchetWindowCommit`] to every user; one
-    /// handshake covers `nonces.len()` rounds ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet_window(
-        &mut self,
-        round: u64,
-        fingerprint: u64,
-        topology: PadTopology,
-        nonces: Vec<u64>,
-    ) {
-        self.window = Some((round, fingerprint, std::collections::BTreeSet::new()));
-        for id in 0..self.n {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                    from: RATCHET_FROM_SERVER,
-                    group: 0,
-                    round,
-                    fingerprint,
-                    topology,
-                    nonces: nonces.clone(),
-                }),
-            ));
-        }
-    }
-
-    /// Whether every one of the `expect` cohort members acked the
-    /// in-flight window commit opening at `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] when no window commit is in
-    /// flight for `round` or acks are missing.
-    pub(crate) fn ratchet_window_ready(
-        &mut self,
-        round: u64,
-        expect: usize,
-    ) -> Result<(), ProtocolError> {
-        match self.window.take() {
-            Some((r, _, acks)) if r == round && acks.len() == expect => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
-    }
-
-    /// Forget any in-flight ratchet commit, including announcements not
-    /// yet drained (a replayed commit after rollback would poison fresh
-    /// sessions).
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window = None;
-        self.outbox.retain(|(_, e)| {
-            !matches!(
-                e,
-                Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_)
-            )
-        });
-    }
 }
 
 impl<F: Field> Session<F> for AsyncServerSession<F> {
@@ -986,56 +741,94 @@ impl<F: Field> Session<F> for AsyncServerSession<F> {
                 self.inner.receive_aggregated_share(share)?;
                 Ok(Vec::new())
             }
-            Envelope::RatchetAnnouncement(ann) => {
-                let Some((round, nonce, fingerprint, acks)) = self.ratchet.as_mut() else {
-                    return Err(ProtocolError::RatchetMismatch);
-                };
-                if ann.round != *round {
-                    return Err(ProtocolError::StaleRound {
-                        got: ann.round,
-                        current: *round,
-                    });
-                }
-                if ann.nonce != *nonce || ann.fingerprint != *fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                let id = ann.from as usize;
-                if id >= self.n {
-                    return Err(ProtocolError::UnknownUser(id));
-                }
-                if !acks.insert(id) {
-                    return Err(ProtocolError::DuplicateMessage(id));
-                }
-                Ok(Vec::new())
-            }
-            Envelope::RatchetWindowCommit(ack) => {
-                let Some((round, fingerprint, acks)) = self.window.as_mut() else {
-                    return Err(ProtocolError::RatchetMismatch);
-                };
-                if ack.round != *round {
-                    return Err(ProtocolError::StaleRound {
-                        got: ack.round,
-                        current: *round,
-                    });
-                }
-                if ack.fingerprint != *fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                let id = ack.from as usize;
-                if id >= self.n {
-                    return Err(ProtocolError::UnknownUser(id));
-                }
-                if !acks.insert(id) {
-                    return Err(ProtocolError::DuplicateMessage(id));
-                }
-                Ok(Vec::new())
-            }
+            ack if ratchet::is_handshake(&ack) => self.ratchet.handle(&ack).map(|()| Vec::new()),
             other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
         }
     }
 
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.outbox.pop_front()
+        self.ratchet
+            .poll_output()
+            .or_else(|| self.outbox.pop_front())
+    }
+}
+
+/// The §4.2 hooks of the leaf round driver
+/// ([`crate::federation::LeafFederation`]).
+impl<F: Field> LeafVariant<F> for BufferedVariant {
+    type Client = AsyncClientSession<F>;
+    type Server = AsyncServerSession<F>;
+    /// The base *round*: its state stays resident in the client.
+    type Base = u64;
+
+    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<u64> {
+        &mut client.ratchet
+    }
+
+    fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F> {
+        &mut server.ratchet
+    }
+
+    fn join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
+        client.generate_round_mask(round)
+    }
+
+    fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
+        client.ratchet.join(round, |&mut base, nonce, topology| {
+            client
+                .inner
+                .ratchet_round_mask(round, base, nonce, topology)
+        })
+    }
+
+    fn upload(client: &mut Self::Client, round: u64, update: &[F]) -> Result<(), ProtocolError> {
+        client.upload_update(round, update)
+    }
+
+    fn retire(client: &mut Self::Client, round: u64) {
+        // bounded memory: masks for finished rounds can never be
+        // requested again (a retained base round is kept alive by the
+        // clamp in `discard_before`)
+        client.discard_before(round);
+    }
+
+    fn discard(client: &mut Self::Client, round: u64) {
+        client.inner.forget_round(round);
+    }
+
+    fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64) {
+        client.ratchet.harvest(round, fingerprint);
+    }
+
+    fn open(server: &mut Self::Server, round: u64) -> Result<(), ProtocolError> {
+        server.advance_to(round);
+        Ok(())
+    }
+
+    fn close_upload(server: &mut Self::Server) -> Result<(), ProtocolError> {
+        // fix whatever the buffer holds (§4.2: the group size need not
+        // be fixed across rounds)
+        server.announce_partial()
+    }
+
+    fn close(server: &mut Self::Server, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
+        let recovered = server.recover()?;
+        let mut contributors: Vec<usize> = recovered.entries.iter().map(|e| e.who).collect();
+        contributors.sort_unstable();
+        contributors.dedup();
+        Ok(RoundOutcome {
+            round,
+            aggregate: recovered.aggregate,
+            contributors,
+            total_weight: recovered.total_weight,
+        })
+    }
+
+    fn abort(server: &mut Self::Server) {
+        // the server is persistent: left alone, the dead round's buffer
+        // and announcement would refuse every later upload
+        server.inner.abandon_flush();
+        server.outbox.clear();
     }
 }
 

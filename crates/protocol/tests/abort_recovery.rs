@@ -1,0 +1,121 @@
+//! A failed round must not wedge a leaf: after a `finish_round` that
+//! fails *past* the upload pump (too many after-upload dropouts) and the
+//! `abort_round` that retires it, the next rounds run and decode
+//! exactly — for both leaf variants, standalone and as the stalled
+//! subtree of a partial-recovery tree.
+
+use lsa_field::{Field, Fp61};
+use lsa_protocol::federation::{
+    BoxedAggregator, BufferedFederation, Federation, RoundPlan, SyncFederation,
+};
+use lsa_protocol::topology::GroupedFederation;
+use lsa_protocol::transport::MemTransport;
+use lsa_protocol::{LsaConfig, ProtocolError};
+
+const D: usize = 4;
+
+fn cfg() -> LsaConfig {
+    LsaConfig::new(8, 2, 6, D).unwrap()
+}
+
+/// Leaf `group` of each variant, by name.
+fn leaves(group: usize) -> Vec<(&'static str, BoxedAggregator<Fp61>)> {
+    let seed = 40 + group as u64;
+    vec![
+        (
+            "sync",
+            Box::new(SyncFederation::in_group(group, cfg(), MemTransport::new(), seed).unwrap()),
+        ),
+        (
+            "buffered",
+            Box::new(BufferedFederation::unit_weight(cfg(), MemTransport::new(), seed).unwrap()),
+        ),
+    ]
+}
+
+fn update(id: usize, round: u64) -> Vec<Fp61> {
+    vec![Fp61::from_u64((id as u64 + 1) * (round + 2)); D]
+}
+
+fn sum(ids: impl IntoIterator<Item = usize>, round: u64) -> Vec<Fp61> {
+    let mut want = vec![Fp61::ZERO; D];
+    for id in ids {
+        lsa_field::ops::add_assign(&mut want, &update(id, round));
+    }
+    want
+}
+
+fn plan(n: usize, round: u64, drop_after_upload: &[usize]) -> RoundPlan<Fp61> {
+    let mut plan = RoundPlan::full(n);
+    for id in 0..n {
+        plan = plan.with_update(id, update(id, round));
+    }
+    plan.drop_after_upload = drop_after_upload.to_vec();
+    plan
+}
+
+#[test]
+fn a_leaf_recovers_after_a_failed_round_is_aborted() {
+    for (name, mut leaf) in leaves(0) {
+        // 3 of 8 vanish after upload: 5 < U = 6 recovery helpers remain
+        leaf.open_round(&(0..8).collect::<Vec<_>>()).unwrap();
+        for id in 0..8 {
+            leaf.submit(id, &update(id, 0)).unwrap();
+        }
+        for id in [1, 4, 6] {
+            leaf.mark_dropped(id).unwrap();
+        }
+        let err = leaf.finish_round().unwrap_err();
+        assert!(
+            matches!(err, ProtocolError::NotEnoughSurvivors { got: 5, need: 6 }),
+            "{name}: {err}"
+        );
+        leaf.abort_round();
+        // the failed round is burned; the next two run and decode exactly
+        for round in 1..=2u64 {
+            leaf.open_round(&(0..8).collect::<Vec<_>>())
+                .unwrap_or_else(|e| panic!("{name} round {round} did not open: {e}"));
+            for id in 0..8 {
+                leaf.submit(id, &update(id, round)).unwrap();
+            }
+            let out = leaf
+                .finish_round()
+                .unwrap_or_else(|e| panic!("{name} round {round} failed: {e}"));
+            assert_eq!(out.round, round, "{name}");
+            assert_eq!(out.contributors, (0..8).collect::<Vec<_>>(), "{name}");
+            assert_eq!(out.total_weight, 8, "{name}");
+            assert_eq!(out.aggregate, sum(0..8, round), "{name} round {round}");
+        }
+    }
+}
+
+#[test]
+fn a_stalled_subtree_unstalls_and_lands_its_requeue_exactly_once() {
+    for ((name, left), (_, right)) in leaves(0).into_iter().zip(leaves(1)) {
+        let tree = GroupedFederation::from_children(vec![left, right])
+            .unwrap()
+            .with_partial_recovery();
+        let mut fed: Federation<Fp61> = Federation::new(Box::new(tree));
+        // round 0: the right leaf (clients 8..16) loses 3 recovery
+        // helpers and stalls; the left leaf decodes alone
+        let out = fed.run_round(&plan(16, 0, &[9, 12, 14])).unwrap();
+        assert_eq!(out.total_weight, 8, "{name}");
+        assert_eq!(out.aggregate, sum(0..8, 0), "{name}");
+        assert_eq!(fed.aggregator().stalled_leaves(), vec![1], "{name}");
+        // round 1: the stalled leaf is back and its round-0 updates ride
+        // along, once
+        let out = fed
+            .run_round(&plan(16, 1, &[]))
+            .unwrap_or_else(|e| panic!("{name}: round after the stall failed: {e}"));
+        assert!(fed.aggregator().stalled_leaves().is_empty(), "{name}");
+        assert_eq!(out.total_weight, 16 + 8, "{name}");
+        let mut want = sum(0..16, 1);
+        lsa_field::ops::add_assign(&mut want, &sum(8..16, 0));
+        assert_eq!(out.aggregate, want, "{name}");
+        // round 2: nothing re-queued is left over
+        let out = fed.run_round(&plan(16, 2, &[])).unwrap();
+        assert!(fed.aggregator().stalled_leaves().is_empty(), "{name}");
+        assert_eq!(out.total_weight, 16, "{name}");
+        assert_eq!(out.aggregate, sum(0..16, 2), "{name}");
+    }
+}
