@@ -4,9 +4,10 @@
 //! Sweep: N ∈ {256, 1024} cohorts in leaf-16 grouped topologies, R = 20
 //! steady-state rounds per point, under both modes:
 //!
-//! * `rekey` — `LSA_RATCHET=off`: every round runs the full offline
-//!   coded-mask exchange (the pre-ratchet behaviour).
-//! * `ratchet` — default: round 0 pays the full exchange, every later
+//! * `rekey` — `RatchetPolicy::off()`: every round runs the full
+//!   offline coded-mask exchange (the pre-ratchet behaviour).
+//! * `ratchet` — per-round commits (`W = 1`) over the default pad
+//!   graph: round 0 pays the full exchange, every later
 //!   round of the unchanged cohort re-derives its masks locally and the
 //!   only offline traffic is the 33-byte `RatchetAnnouncement`
 //!   commit/ack handshake.
@@ -34,15 +35,14 @@
 //!   stderr note, on scalar-only hosts), and
 //! * the hypercube windowed round at N = 1024 leaf-16 must be ≥ 2×
 //!   faster than the full-clique baseline on the same backend (4 pads
-//!   vs 15 per member; skipped with a stderr note when `LSA_RATCHET`
-//!   is off).
+//!   vs 15 per member).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lsa_field::{simd, Fp61};
 use lsa_protocol::federation::SecureAggregator;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::MemTransport;
-use lsa_protocol::PadTopology;
+use lsa_protocol::{PadTopology, RatchetPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -63,7 +63,7 @@ fn config() -> Criterion {
 }
 
 /// A federation past its base round, ready to run steady-state rounds
-/// of an unchanged cohort (which ratchet iff `LSA_RATCHET` allows).
+/// of an unchanged cohort (which ratchet iff its policy allows).
 struct SteadyFed {
     fed: GroupedFederation<Fp61>,
     cohort: Vec<usize>,
@@ -71,15 +71,10 @@ struct SteadyFed {
 }
 
 impl SteadyFed {
-    fn new(topology: &GroupTopology, seed: u64) -> Self {
-        Self::with_ratchet(topology, lsa_protocol::pad_topology(), 1, seed)
-    }
-
-    fn with_ratchet(topology: &GroupTopology, pad: PadTopology, window: usize, seed: u64) -> Self {
-        let mut fed = GroupedFederation::new(topology.clone(), MemTransport::new(), seed)
-            .expect("valid sweep point");
-        fed.set_pad_topology(pad);
-        fed.set_commit_window(window);
+    fn new(topology: &GroupTopology, policy: RatchetPolicy, seed: u64) -> Self {
+        let leaves = topology.clone().with_ratchet(policy);
+        let fed =
+            GroupedFederation::new(leaves, MemTransport::new(), seed).expect("valid sweep point");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5aa5);
         let updates = (0..topology.n())
             .map(|_| lsa_field::ops::random_vector(D, &mut rng))
@@ -110,8 +105,8 @@ impl SteadyFed {
 }
 
 /// Average (offline, total) bytes per round over a steady stretch.
-fn stretch_bytes(topology: &GroupTopology) -> (usize, usize) {
-    let mut steady = SteadyFed::new(topology, 11);
+fn stretch_bytes(topology: &GroupTopology, policy: RatchetPolicy) -> (usize, usize) {
+    let mut steady = SteadyFed::new(topology, policy, 11);
     let (mut offline, mut total) = (0usize, 0usize);
     for _ in 0..ROUNDS {
         let (o, t) = steady.round();
@@ -127,9 +122,9 @@ fn bench_steady_rounds(c: &mut Criterion) {
         let topology =
             GroupTopology::uniform(n, n / LEAF, T_FRAC, U_FRAC, D).expect("valid sweep point");
         let mut offline_by_mode = [0usize; 2];
-        for (slot, mode) in ["rekey", "ratchet"].into_iter().enumerate() {
-            std::env::set_var("LSA_RATCHET", if mode == "rekey" { "off" } else { "on" });
-            let (offline, total) = stretch_bytes(&topology);
+        let modes = [("rekey", RatchetPolicy::off()), ("ratchet", per_round())];
+        for (slot, (mode, policy)) in modes.into_iter().enumerate() {
+            let (offline, total) = stretch_bytes(&topology, policy);
             offline_by_mode[slot] = offline;
             eprintln!(
                 "mask_ratchet/{mode}/N{n}: {offline} offline B/round, \
@@ -137,7 +132,7 @@ fn bench_steady_rounds(c: &mut Criterion) {
             );
             group.throughput(Throughput::Bytes(offline as u64));
             if mode == "rekey" {
-                let mut steady = SteadyFed::new(&topology, 5);
+                let mut steady = SteadyFed::new(&topology, policy, 5);
                 group.bench_function(
                     BenchmarkId::new("steady_round", format!("{mode}_N{n}")),
                     |b| b.iter(|| black_box(steady.round())),
@@ -149,7 +144,7 @@ fn bench_steady_rounds(c: &mut Criterion) {
                 // the pin, not just iterated there.
                 for backend in simd::available() {
                     simd::with_backend(backend, || {
-                        let mut steady = SteadyFed::new(&topology, 5);
+                        let mut steady = SteadyFed::new(&topology, policy, 5);
                         group.bench_function(
                             BenchmarkId::new(
                                 "steady_round",
@@ -169,7 +164,8 @@ fn bench_steady_rounds(c: &mut Criterion) {
                     (PadTopology::Hypercube, 1),
                     (PadTopology::Hypercube, 8),
                 ] {
-                    let mut steady = SteadyFed::with_ratchet(&topology, pad, w, 5);
+                    let policy = RatchetPolicy::new(true, pad, w);
+                    let mut steady = SteadyFed::new(&topology, policy, 5);
                     group.bench_function(
                         BenchmarkId::new(
                             "steady_round",
@@ -189,7 +185,6 @@ fn bench_steady_rounds(c: &mut Criterion) {
             offline_by_mode[1],
             offline_by_mode[0],
         );
-        std::env::set_var("LSA_RATCHET", "on");
         if n == 1024 {
             assert_simd_beats_scalar(&topology, n);
             assert_hypercube_beats_clique(&topology, n);
@@ -198,12 +193,19 @@ fn bench_steady_rounds(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `ratchet` rows' policy: per-round commits over the default pad
+/// graph.
+fn per_round() -> RatchetPolicy {
+    RatchetPolicy::new(true, PadTopology::default(), 1)
+}
+
 /// Best per-round wall-clock of a steady ratcheted stretch under the
 /// given backend (minimum over `ROUNDS` rounds — robust against
-/// scheduler noise on shared CI hosts). Called with `LSA_RATCHET=on`
-/// in force, so every timed round takes the mask-re-derivation path.
+/// scheduler noise on shared CI hosts).
 fn best_ratchet_round(topology: &GroupTopology, backend: simd::Backend) -> Duration {
-    simd::with_backend(backend, || best_steady_round(SteadyFed::new(topology, 7)))
+    simd::with_backend(backend, || {
+        best_steady_round(SteadyFed::new(topology, per_round(), 7))
+    })
 }
 
 fn best_steady_round(mut steady: SteadyFed) -> Duration {
@@ -250,23 +252,17 @@ fn assert_simd_beats_scalar(topology: &GroupTopology, n: usize) {
 /// `n_g − 1` pads per member (clique) to `⌈log₂ n_g⌉` (hypercube), so
 /// at N = 1024 leaf-16 the hypercube windowed round must be ≥ 2×
 /// faster wall-clock than the full-clique baseline on the same
-/// backend. Guarded — with `LSA_RATCHET=off` every round re-keys and
-/// the comparison is meaningless, so it is skipped with a stderr note.
+/// backend.
 fn assert_hypercube_beats_clique(topology: &GroupTopology, n: usize) {
-    if std::env::var("LSA_RATCHET").is_ok_and(|v| v == "off") {
-        eprintln!(
-            "mask_ratchet/N{n}: LSA_RATCHET=off; \
-             skipping the hypercube-vs-clique wall-clock assert"
-        );
-        return;
-    }
-    let clique = best_steady_round(SteadyFed::with_ratchet(topology, PadTopology::Clique, 1, 7));
-    let hypercube = best_steady_round(SteadyFed::with_ratchet(
-        topology,
-        PadTopology::Hypercube,
-        8,
-        7,
-    ));
+    let best = |pad, w| {
+        best_steady_round(SteadyFed::new(
+            topology,
+            RatchetPolicy::new(true, pad, w),
+            7,
+        ))
+    };
+    let clique = best(PadTopology::Clique, 1);
+    let hypercube = best(PadTopology::Hypercube, 8);
     eprintln!(
         "mask_ratchet/N{n}: ratcheted round wall-clock {hypercube:?} \
          (hypercube, W=8) vs {clique:?} (clique, W=1)"

@@ -47,11 +47,7 @@ fn cpu_features() -> Vec<&'static str> {
 /// interpretable.
 fn host_record() -> String {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let lsa_threads = std::env::var("LSA_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(cores);
+    let lsa_threads = lsa_field::par::num_threads();
     let feats: Vec<String> = cpu_features().iter().map(|f| format!("\"{f}\"")).collect();
     format!(
         "{{\"name\":\"matrix/host\",\"available_parallelism\":{cores},\

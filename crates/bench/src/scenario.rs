@@ -31,7 +31,7 @@ use lsa_protocol::federation::{
 use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation, TopologyNode};
 use lsa_protocol::transport::SimTransport;
-use lsa_protocol::{DropoutSchedule, LsaConfig, ProtocolError};
+use lsa_protocol::{DropoutSchedule, LsaConfig, PadTopology, ProtocolError, RatchetPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -81,15 +81,15 @@ pub struct Mode {
     pub variant: Variant,
     /// Aggregation topology.
     pub topo: Topo,
-    /// Stable-cohort mask ratchet enabled (`LSA_RATCHET`).
+    /// Stable-cohort mask ratchet enabled.
     pub ratchet: bool,
     /// Partial recovery enabled on the tree root (no-op on flat).
     pub partial: bool,
     /// Field arithmetic.
     pub field: FieldKind,
     /// Logarithmic pad topology: the hypercube edge graph with an
-    /// 8-round commit window (`LSA_PAD_TOPOLOGY`/`LSA_COMMIT_WINDOW`).
-    /// The cross-product cells pin the clique at `W = 1`.
+    /// 8-round commit window. The cross-product cells pin the clique
+    /// at `W = 1`.
     pub log_pads: bool,
 }
 
@@ -154,6 +154,15 @@ impl Mode {
             name.push_str("/pads=log");
         }
         name
+    }
+
+    /// The ratchet policy every leaf of this cell is built under.
+    pub fn policy(&self) -> RatchetPolicy {
+        if self.log_pads {
+            RatchetPolicy::new(self.ratchet, PadTopology::Hypercube, 8)
+        } else {
+            RatchetPolicy::new(self.ratchet, PadTopology::Clique, 1)
+        }
     }
 
     /// Deterministic construction seed for repetition `rep` of this
@@ -254,15 +263,16 @@ pub fn build_aggregator<F: Field>(
     seed: u64,
 ) -> Result<Federation<F>, ProtocolError> {
     let net = p.network();
+    let policy = mode.policy();
     let agg: BoxedAggregator<F> = match (mode.variant, mode.topo) {
         (Variant::Sync, Topo::Flat) => Box::new(SyncFederation::new(
-            p.flat_config()?,
+            p.flat_config()?.with_ratchet(policy),
             SimTransport::new(net, Duplex::Full),
             seed,
         )?),
         (Variant::Sync, topo) => {
             let grouped = GroupedFederation::new(
-                p.topology(topo)?,
+                p.topology(topo)?.with_ratchet(policy),
                 SimTransport::new(net, Duplex::Full),
                 seed,
             )?;
@@ -273,13 +283,14 @@ pub fn build_aggregator<F: Field>(
             }
         }
         (Variant::Buffered, Topo::Flat) => Box::new(BufferedFederation::unit_weight(
-            p.flat_config()?,
+            p.flat_config()?.with_ratchet(policy),
             SimTransport::new(net, Duplex::Full),
             seed,
         )?),
         (Variant::Buffered, topo) => {
             let mut master = StdRng::seed_from_u64(seed);
-            let grouped = buffered_tree(&p.topology(topo)?, net, &mut master)?;
+            let topology = p.topology(topo)?.with_ratchet(policy);
+            let grouped = buffered_tree(&topology, net, &mut master)?;
             if mode.partial {
                 Box::new(grouped.with_partial_recovery())
             } else {
@@ -317,43 +328,6 @@ fn buffered_tree<F: Field>(
     GroupedFederation::from_children(children)
 }
 
-/// Run `f` with the ratchet env knob forced to `enabled`, restoring the
-/// caller's `LSA_RATCHET` afterwards. Process-global: callers that can
-/// run concurrently with other env-sensitive code (parallel test
-/// binaries) must serialize themselves.
-pub fn with_ratchet<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var_os("LSA_RATCHET");
-    std::env::set_var("LSA_RATCHET", if enabled { "on" } else { "off" });
-    let out = f();
-    match saved {
-        Some(v) => std::env::set_var("LSA_RATCHET", v),
-        None => std::env::remove_var("LSA_RATCHET"),
-    }
-    out
-}
-
-/// Run `f` with the pad-topology and commit-window knobs forced,
-/// restoring the caller's values afterwards. Pinning through the env
-/// (rather than the programmatic setters) keeps the `pad_topology` /
-/// `commit_window` fields of the emitted JSON truthful. Process-global
-/// like [`with_ratchet`].
-pub fn with_pads<R>(topology: &str, window: usize, f: impl FnOnce() -> R) -> R {
-    let saved_topo = std::env::var_os("LSA_PAD_TOPOLOGY");
-    let saved_window = std::env::var_os("LSA_COMMIT_WINDOW");
-    std::env::set_var("LSA_PAD_TOPOLOGY", topology);
-    std::env::set_var("LSA_COMMIT_WINDOW", window.to_string());
-    let out = f();
-    match saved_topo {
-        Some(v) => std::env::set_var("LSA_PAD_TOPOLOGY", v),
-        None => std::env::remove_var("LSA_PAD_TOPOLOGY"),
-    }
-    match saved_window {
-        Some(v) => std::env::set_var("LSA_COMMIT_WINDOW", v),
-        None => std::env::remove_var("LSA_COMMIT_WINDOW"),
-    }
-    out
-}
-
 /// One repetition of one cell: the per-round telemetry and aggregates.
 #[derive(Debug, Clone)]
 pub struct CellRun<F> {
@@ -364,9 +338,7 @@ pub struct CellRun<F> {
     pub aggregates: Vec<Vec<F>>,
 }
 
-/// Drive one repetition of `mode`'s workload. The ratchet knob is NOT
-/// touched here — wrap in [`with_ratchet`] (as [`run_cell`] does) or
-/// set the env yourself.
+/// Drive one repetition of `mode`'s workload.
 ///
 /// # Errors
 ///
@@ -410,35 +382,26 @@ pub struct CellSummary {
 ///
 /// Propagates any [`ProtocolError`] from the runs.
 pub fn run_cell(mode: &Mode, p: &MatrixParams) -> Result<CellSummary, ProtocolError> {
-    let (pad, window) = if mode.log_pads {
-        ("hypercube", 8)
-    } else {
-        ("clique", 1)
-    };
-    with_pads(pad, window, || {
-        with_ratchet(mode.ratchet, || {
-            let mut reports = Vec::with_capacity(p.rounds * p.reps);
-            for rep in 0..p.reps {
-                let seed = mode.seed(rep);
-                match mode.field {
-                    FieldKind::Fp32 => {
-                        reports.extend(run_cell_typed::<Fp32>(mode, p, seed)?.reports);
-                    }
-                    FieldKind::Fp61 => {
-                        reports.extend(run_cell_typed::<Fp61>(mode, p, seed)?.reports);
-                    }
-                }
+    let mut reports = Vec::with_capacity(p.rounds * p.reps);
+    for rep in 0..p.reps {
+        let seed = mode.seed(rep);
+        match mode.field {
+            FieldKind::Fp32 => {
+                reports.extend(run_cell_typed::<Fp32>(mode, p, seed)?.reports);
             }
-            let name = mode.name();
-            let report = RoundReport::average(&reports);
-            let json = report.to_json(&name, reports.len());
-            Ok(CellSummary {
-                name,
-                report,
-                rounds: reports.len(),
-                json,
-            })
-        })
+            FieldKind::Fp61 => {
+                reports.extend(run_cell_typed::<Fp61>(mode, p, seed)?.reports);
+            }
+        }
+    }
+    let name = mode.name();
+    let report = RoundReport::average(&reports);
+    let json = report.to_json(&name, reports.len());
+    Ok(CellSummary {
+        name,
+        report,
+        rounds: reports.len(),
+        json,
     })
 }
 

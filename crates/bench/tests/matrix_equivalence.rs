@@ -6,21 +6,18 @@
 //! arithmetic or its entropy consumption, the two sides diverge and
 //! this test names the cell.
 //!
-//! All 49 cells (48 cross-product + the log-topology cell) run inside
-//! ONE `#[test]` in this dedicated binary: the ratchet axis toggles
-//! the process-global `LSA_RATCHET` variable, so the cells must not
-//! run concurrently with each other or with other env-sensitive tests.
+//! All 49 cells (48 cross-product + the log-topology cell) are covered.
 
 use lsa_bench::scenario::{
-    run_cell_typed, with_ratchet, workload, FieldKind, MatrixParams, Mode, Topo, Variant,
-    BRANCHING, GROUPS, T_FRAC, U_FRAC,
+    run_cell_typed, workload, FieldKind, MatrixParams, Mode, Topo, Variant, BRANCHING, GROUPS,
+    T_FRAC, U_FRAC,
 };
 use lsa_field::{Field, Fp32, Fp61};
 use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::federation::{BoxedAggregator, BufferedFederation, Federation, SyncFederation};
 use lsa_protocol::topology::{GroupTopology, GroupedFederation, TopologyNode};
 use lsa_protocol::transport::SimTransport;
-use lsa_protocol::{LsaConfig, ProtocolError};
+use lsa_protocol::{LsaConfig, PadTopology, ProtocolError, RatchetPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,13 +33,22 @@ fn direct_federation<F: Field>(
     let net = NetworkConfig::paper_default(p.n);
     let t = ((p.n as f64) * T_FRAC).round() as usize;
     let u = ((p.n as f64) * U_FRAC).round() as usize;
-    let flat = LsaConfig::new(p.n, t, u, p.d)?;
+    let (pads, window) = if mode.log_pads {
+        (PadTopology::Hypercube, 8)
+    } else {
+        (PadTopology::Clique, 1)
+    };
+    let policy = RatchetPolicy::new(mode.ratchet, pads, window);
+    let flat = LsaConfig::new(p.n, t, u, p.d)?.with_ratchet(policy);
     let topology = |topo: Topo| -> Result<GroupTopology, ProtocolError> {
-        match topo {
-            Topo::Flat => Ok(GroupTopology::flat(flat)),
-            Topo::Grouped => GroupTopology::uniform(p.n, GROUPS, T_FRAC, U_FRAC, p.d),
-            Topo::Hierarchical => GroupTopology::hierarchical(p.n, &BRANCHING, T_FRAC, U_FRAC, p.d),
-        }
+        let shape = match topo {
+            Topo::Flat => GroupTopology::flat(flat),
+            Topo::Grouped => GroupTopology::uniform(p.n, GROUPS, T_FRAC, U_FRAC, p.d)?,
+            Topo::Hierarchical => {
+                GroupTopology::hierarchical(p.n, &BRANCHING, T_FRAC, U_FRAC, p.d)?
+            }
+        };
+        Ok(shape.with_ratchet(policy))
     };
     fn buffered<F: Field>(
         topo: &GroupTopology,
@@ -127,9 +133,9 @@ fn every_matrix_cell_matches_a_directly_constructed_federation() {
         reps: 1,
     };
     for mode in Mode::all() {
-        with_ratchet(mode.ratchet, || match mode.field {
+        match mode.field {
             FieldKind::Fp32 => check_cell::<Fp32>(&mode, &p),
             FieldKind::Fp61 => check_cell::<Fp61>(&mode, &p),
-        });
+        }
     }
 }

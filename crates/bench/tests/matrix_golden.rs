@@ -6,20 +6,17 @@
 //! `tests/fixtures/matrix_quick.txt`: payload bytes, framing bytes,
 //! envelope count, every [`EventCounters`] field and a digest of the
 //! round's aggregate, at the `matrix_equivalence` size (`n = 16`,
-//! `d = 16`, 2 rounds) under the pad/window pinning `run_cell` applies
-//! (clique at `W = 1` for the 48 cross-product cells, hypercube at
-//! `W = 8` for the log cell). Timings are not recorded — everything in
+//! `d = 16`, 2 rounds) under each cell's `Mode::policy` (clique at
+//! `W = 1` for the 48 cross-product cells, hypercube at `W = 8` for
+//! the log cell). Timings are not recorded — everything in
 //! the fixture is a pure function of the code.
 //!
 //! A refactor that claims "49 cells bit-identical" passes this test
 //! without touching the fixture. A change that means to move a column
 //! re-blesses with `LSA_BLESS_MATRIX=1` and justifies the diff in
 //! review (the `LSA_BLESS_WIRE` convention of `wire_compat.rs`).
-//!
-//! One `#[test]` in its own binary: the ratchet and pad axes toggle
-//! process-global environment variables.
 
-use lsa_bench::scenario::{run_cell_typed, with_pads, with_ratchet, FieldKind, MatrixParams, Mode};
+use lsa_bench::scenario::{run_cell_typed, FieldKind, MatrixParams, Mode};
 use lsa_crypto::sha256;
 use lsa_field::{Field, Fp32, Fp61};
 use lsa_protocol::telemetry::EventCounters;
@@ -80,17 +77,10 @@ fn render() -> String {
          # see tests/matrix_golden.rs.\n",
     );
     for mode in Mode::all() {
-        let (pad, window) = if mode.log_pads {
-            ("hypercube", 8)
-        } else {
-            ("clique", 1)
-        };
-        with_pads(pad, window, || {
-            with_ratchet(mode.ratchet, || match mode.field {
-                FieldKind::Fp32 => render_cell::<Fp32>(&mut out, &mode, &p),
-                FieldKind::Fp61 => render_cell::<Fp61>(&mut out, &mode, &p),
-            });
-        });
+        match mode.field {
+            FieldKind::Fp32 => render_cell::<Fp32>(&mut out, &mode, &p),
+            FieldKind::Fp61 => render_cell::<Fp61>(&mut out, &mode, &p),
+        }
     }
     out
 }

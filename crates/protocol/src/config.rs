@@ -1,5 +1,6 @@
 //! Protocol configuration and parameter validation.
 
+use crate::ratchet::RatchetPolicy;
 use crate::ProtocolError;
 
 /// Design parameters of a LightSecAgg deployment (§4.1 of the paper).
@@ -12,12 +13,17 @@ use crate::ProtocolError;
 /// Validity requires `N ≥ U > T ≥ 0`; the implied dropout-resiliency is
 /// `D = N − U` and Theorem 1's condition `T + D < N` follows
 /// automatically from `U > T`.
+///
+/// The configuration also carries the cohort's [`RatchetPolicy`]
+/// (default: ratchet on, hypercube pads, 8-round commit window): every
+/// endpoint and driver built from this value reads it at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LsaConfig {
     n: usize,
     t: usize,
     u: usize,
     d: usize,
+    ratchet: RatchetPolicy,
 }
 
 impl LsaConfig {
@@ -44,7 +50,24 @@ impl LsaConfig {
                 "need N >= U > T (got N={n}, U={u}, T={t})"
             )));
         }
-        Ok(Self { n, t, u, d })
+        Ok(Self {
+            n,
+            t,
+            u,
+            d,
+            ratchet: RatchetPolicy::default(),
+        })
+    }
+
+    /// The same parameters under another [`RatchetPolicy`].
+    #[must_use]
+    pub fn with_ratchet(self, ratchet: RatchetPolicy) -> Self {
+        Self { ratchet, ..self }
+    }
+
+    /// How a cohort built from this configuration ratchets.
+    pub fn ratchet(&self) -> RatchetPolicy {
+        self.ratchet
     }
 
     /// Configuration from the guarantees `(T, D)` of Theorem 1, choosing

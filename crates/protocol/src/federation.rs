@@ -60,7 +60,7 @@
 
 use crate::client::Client;
 use crate::config::LsaConfig;
-use crate::ratchet::{self, ClientRatchet, CohortFingerprint, PadTopology, ServerRatchet};
+use crate::ratchet::{self, ClientRatchet, CohortFingerprint, ServerRatchet};
 use crate::session::{AsyncClientSession, AsyncServerSession, Outgoing, Recipient, Session};
 use crate::session::{ClientSession, ServerSession};
 use crate::telemetry::{RoundReport, TrafficMark};
@@ -238,22 +238,6 @@ pub trait SecureAggregator<F: Field> {
         self.clear_ratchet();
     }
 
-    /// Fix the pad topology ratcheted rounds derive pairwise pads over
-    /// ([`crate::ratchet::PadTopology`]), overriding the
-    /// `LSA_PAD_TOPOLOGY` environment knob resolved at construction.
-    /// Ignored by variants without a ratchet.
-    fn set_pad_topology(&mut self, topology: PadTopology) {
-        let _ = topology;
-    }
-
-    /// Fix the nonce commit window `W` (rounds amortized per ratchet
-    /// handshake), overriding the `LSA_COMMIT_WINDOW` environment knob
-    /// resolved at construction; `W = 1` reproduces the per-round
-    /// commit/ack flow exactly. Ignored by variants without a ratchet.
-    fn set_commit_window(&mut self, window: usize) {
-        let _ = window;
-    }
-
     /// The order-independent fingerprint of `cohort`'s current seating
     /// ([`crate::ratchet::CohortFingerprint`]), or `None` when the
     /// variant does not track one. A driver stamps this into its
@@ -384,7 +368,7 @@ impl<F: Field> FederationClient<F> {
             pending: BTreeMap::new(),
             replies: VecDeque::new(),
             horizon: 0,
-            ratchet: ClientRatchet::new(id, group),
+            ratchet: ClientRatchet::new(id, group, cfg.ratchet().topology()),
         })
     }
 
@@ -1062,17 +1046,9 @@ pub struct LeafFederation<F: Field, T, V: LeafVariant<F>> {
     prepared_ratcheted: BTreeMap<u64, bool>,
     /// Driver-side nonce entropy for ratchet commits.
     entropy: StdRng,
-    /// Whether the stable-cohort fast path is on (`LSA_RATCHET`,
-    /// resolved once at construction).
-    ratchet: bool,
     /// Fingerprint of the cohort whose base masks the clients retain,
     /// set after each successful round ([`crate::ratchet`]).
     ratchet_fp: Option<u64>,
-    /// Pad topology ratcheted rounds derive pairwise pads over.
-    topology: PadTopology,
-    /// Nonce commit window `W`: rounds amortized per ratchet handshake
-    /// (`1` = the per-round flow).
-    commit_window: usize,
     /// Driver-side mirror of the pre-committed window, `round → nonce`
     /// — membership decides whether the next round joins with zero
     /// traffic or opens a fresh window.
@@ -1090,24 +1066,19 @@ pub struct LeafFederation<F: Field, T, V: LeafVariant<F>> {
 }
 
 impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
-    /// Assemble the driver around already-built endpoints. The three
-    /// ratchet settings (`LSA_RATCHET`, `LSA_PAD_TOPOLOGY`,
-    /// `LSA_COMMIT_WINDOW`) are read here, once; the topology is handed
-    /// down to the clients. `entropy` seeds the driver's nonce stream:
-    /// the master RNG's next draw *after* every endpoint seed, so those
-    /// streams do not depend on it.
+    /// Assemble the driver around endpoints built from the same `cfg`
+    /// (whose [`LsaConfig::ratchet`] policy the driver follows).
+    /// `entropy` seeds the driver's nonce stream: the master RNG's next
+    /// draw *after* every endpoint seed, so those streams do not depend
+    /// on it.
     fn assemble(
         group: usize,
         cfg: LsaConfig,
         transport: T,
-        mut clients: Vec<V::Client>,
+        clients: Vec<V::Client>,
         server: V::Server,
         entropy: u64,
     ) -> Self {
-        let topology = ratchet::pad_topology();
-        for client in &mut clients {
-            V::client_ratchet(client).set_topology(topology);
-        }
         Self {
             cfg,
             group,
@@ -1119,10 +1090,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
             prepared: BTreeMap::new(),
             prepared_ratcheted: BTreeMap::new(),
             entropy: StdRng::seed_from_u64(entropy),
-            ratchet: ratchet::ratchet_enabled(),
             ratchet_fp: None,
-            topology,
-            commit_window: ratchet::commit_window(),
             window: BTreeMap::new(),
             mark: TrafficMark::default(),
             mark_rejections: (0, 0),
@@ -1180,6 +1148,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
     /// at `open_round`.
     fn cut_report(&self, open: &OpenRound) -> RoundReport {
         let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
+        report.ratchet = self.cfg.ratchet();
         let (rejections, quarantined) = V::rejections(&self.server);
         report.events.dropouts = open.dropped.len();
         // a windowed join is counted apart from handshake-bearing
@@ -1230,7 +1199,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         cohort: &BTreeSet<usize>,
         label: &'static str,
     ) -> Option<bool> {
-        if !self.ratchet {
+        if !self.cfg.ratchet().enabled() {
             return None;
         }
         let fp = self.fingerprint(cohort);
@@ -1275,11 +1244,10 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         fingerprint: u64,
         label: &'static str,
     ) -> Result<(), ProtocolError> {
-        let nonces: Vec<u64> = (0..self.commit_window)
-            .map(|_| self.entropy.gen())
-            .collect();
+        let policy = self.cfg.ratchet();
+        let nonces: Vec<u64> = (0..policy.window()).map(|_| self.entropy.gen()).collect();
         let server = V::server_ratchet(&mut self.server);
-        server.commit(round, cohort, fingerprint, self.topology, &nonces);
+        server.commit(round, cohort, fingerprint, policy.topology(), &nonces);
         self.window = ratchet::banked_nonces(round, &nonces);
         drain_to(&mut self.server, &mut self.transport, cohort)?;
         self.transport.flush(label);
@@ -1406,7 +1374,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         // retained as the ratchet base for the next stable round (a
         // ratcheted round's mask is `m + u`, so the previous base is
         // kept). The harvest takes what the retire below would drop.
-        if self.ratchet {
+        if self.cfg.ratchet().enabled() {
             let fp = self.fingerprint(&open.cohort);
             if open.ratcheted.is_none() {
                 for &id in &open.cohort {
@@ -1464,17 +1432,6 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         } else {
             self.clear_ratchet();
         }
-    }
-
-    fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
-        for client in &mut self.clients {
-            V::client_ratchet(client).set_topology(topology);
-        }
-    }
-
-    fn set_commit_window(&mut self, window: usize) {
-        self.commit_window = window.clamp(1, ratchet::MAX_COMMIT_WINDOW);
     }
 
     fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
@@ -1917,7 +1874,7 @@ impl<F> core::fmt::Debug for Federation<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ratchet::{ratchet_enabled, RatchetAnnouncement, RATCHET_FROM_SERVER};
+    use crate::ratchet::{policies, RatchetAnnouncement, RATCHET_FROM_SERVER};
     use crate::transport::MemTransport;
     use lsa_field::Fp61;
 
@@ -1936,21 +1893,20 @@ mod tests {
         vec![Fp61::from_u64(total); 4]
     }
 
-    fn variants() -> Vec<(&'static str, Federation<Fp61>)> {
-        vec![
-            (
-                "sync",
-                Federation::new(Box::new(
-                    SyncFederation::new(cfg(), MemTransport::new(), 1).unwrap(),
-                )),
-            ),
-            (
-                "buffered",
-                Federation::new(Box::new(
-                    BufferedFederation::unit_weight(cfg(), MemTransport::new(), 2).unwrap(),
-                )),
-            ),
-        ]
+    /// Both leaf variants under every policy of [`policies`].
+    fn variants() -> Vec<(String, Federation<Fp61>)> {
+        let mut out: Vec<(String, Federation<Fp61>)> = Vec::new();
+        for policy in policies() {
+            let cfg = cfg().with_ratchet(policy);
+            let sync = SyncFederation::new(cfg, MemTransport::new(), 1).unwrap();
+            out.push((format!("sync/{policy:?}"), Federation::new(Box::new(sync))));
+            let buffered = BufferedFederation::unit_weight(cfg, MemTransport::new(), 2).unwrap();
+            out.push((
+                format!("buffered/{policy:?}"),
+                Federation::new(Box::new(buffered)),
+            ));
+        }
+        out
     }
 
     #[test]
@@ -2293,9 +2249,6 @@ mod tests {
     #[test]
     fn retained_base_storage_is_shared_then_released() {
         use std::sync::Arc;
-        if !ratchet_enabled() {
-            return; // always-rekey lane: no base is ever retained
-        }
         let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 33).unwrap();
         let run = |fed: &mut SyncFederation<Fp61, MemTransport>, cohort: &[usize]| {
             fed.open_round(cohort).unwrap();

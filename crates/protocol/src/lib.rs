@@ -20,8 +20,10 @@
 //!   churn), and [`federation::Federation`] (the plan loop with §4.1's
 //!   overlapped next-round mask sharing);
 //! * [`ratchet`] — the stable-cohort fast path: pairwise pads over a
-//!   retained base instead of a fresh share exchange, and the one
-//!   commit/ack handshake both variants' endpoints route into;
+//!   retained base instead of a fresh share exchange, the one
+//!   commit/ack handshake both variants' endpoints route into, and
+//!   [`RatchetPolicy`] — whether, over which pad graph and with what
+//!   commit window a cohort ratchets, carried on [`LsaConfig`];
 //! * [`wire`] — [`wire::Envelope`], the single serializable message type
 //!   unifying every protocol message, with a canonical byte encoding;
 //!   every envelope is **round-scoped** and cross-round replays are
@@ -127,9 +129,8 @@ pub use federation::{
 };
 pub use messages::{wire_bytes, AggregatedShare, CodedMaskShare, MaskedModel};
 pub use ratchet::{
-    commit_window, pad_topology, ratchet_enabled, CohortFingerprint, PadTopology,
-    RatchetAnnouncement, RatchetWindowCommit, DEFAULT_COMMIT_WINDOW, MAX_COMMIT_WINDOW,
-    RATCHET_FROM_SERVER,
+    CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetPolicy, RatchetWindowCommit,
+    DEFAULT_COMMIT_WINDOW, MAX_COMMIT_WINDOW, RATCHET_FROM_SERVER,
 };
 pub use server::{ServerPhase, ServerRound};
 pub use session::{ClientSession, Recipient, ServerSession, Session};

@@ -294,9 +294,10 @@ pub struct ClientRatchet<B> {
     /// exchanged with: set after a full exchange completes, cleared on
     /// churn, reassignment or mismatch.
     base: Option<(B, u64)>,
-    /// Pad topology for ratcheted rounds; a window commit carries the
-    /// server's choice and overwrites this, the per-round commit does
-    /// not (both ends resolve the same setting).
+    /// Pad topology for ratcheted rounds, from the leaf's
+    /// [`RatchetPolicy`]; a window commit carries the server's choice
+    /// and overwrites this, the per-round commit does not (both ends
+    /// were built from the same configuration).
     topology: PadTopology,
     /// Pre-committed window nonces, `round → nonce`: rounds here are
     /// joined with zero wire traffic.
@@ -304,20 +305,16 @@ pub struct ClientRatchet<B> {
 }
 
 impl<B> ClientRatchet<B> {
-    /// No base retained, the default pad topology.
-    pub(crate) fn new(id: usize, group: usize) -> Self {
+    /// No base retained; ratcheted rounds derive their pads over
+    /// `topology`.
+    pub(crate) fn new(id: usize, group: usize, topology: PadTopology) -> Self {
         Self {
             id,
             group,
             base: None,
-            topology: PadTopology::default(),
+            topology,
             window: BTreeMap::new(),
         }
-    }
-
-    /// Fix the pad topology ratcheted rounds derive their pads over.
-    pub(crate) fn set_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
     }
 
     /// Retain `base` as the ratchet base of the cohort fingerprinted by
@@ -545,17 +542,6 @@ impl<F: Field> ServerRatchet<F> {
     }
 }
 
-/// Is the stable-cohort ratchet enabled? Defaults to on; set
-/// `LSA_RATCHET=off` (or `0`) to force the full offline exchange every
-/// round — both paths must produce identical aggregates.
-pub fn ratchet_enabled() -> bool {
-    parse_ratchet_enabled(std::env::var("LSA_RATCHET").ok().as_deref())
-}
-
-fn parse_ratchet_enabled(value: Option<&str>) -> bool {
-    !matches!(value.map(str::trim), Some("off" | "0" | "false"))
-}
-
 /// Which pairwise pads a ratcheted member derives per round.
 ///
 /// The signed pads (`+PRG` at the lower endpoint, `−PRG` at the
@@ -574,9 +560,9 @@ fn parse_ratchet_enabled(value: Option<&str>) -> bool {
 /// `degree − 1`. The base masks `m_i` keep their information-theoretic
 /// `T`-privacy either way — only the *per-round refresh* weakens.
 ///
-/// Selected via `LSA_PAD_TOPOLOGY` (`clique` | `hypercube`); the
-/// default is `hypercube`, which breaks the `O(n_g · d)` PRG bound of
-/// the ratcheted round down to `O(log n_g · d)`.
+/// Chosen per leaf by [`RatchetPolicy`]; the default is `hypercube`,
+/// which breaks the `O(n_g · d)` PRG bound of the ratcheted round down
+/// to `O(log n_g · d)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PadTopology {
     /// Every pair derives a pad: `n_g − 1` PRG expansions per member.
@@ -605,7 +591,7 @@ impl PadTopology {
         }
     }
 
-    /// Human-readable name (knob values, bench row labels, JSON).
+    /// Human-readable name (bench row labels, JSON).
     pub fn name(self) -> &'static str {
         match self {
             PadTopology::Clique => "clique",
@@ -662,42 +648,83 @@ impl PadTopology {
     }
 }
 
-/// The pad topology in force, from `LSA_PAD_TOPOLOGY`
-/// (`clique` | `hypercube`); defaults to [`PadTopology::Hypercube`].
-/// Unrecognised values fall back to the default.
-pub fn pad_topology() -> PadTopology {
-    parse_pad_topology(std::env::var("LSA_PAD_TOPOLOGY").ok().as_deref())
-}
-
-fn parse_pad_topology(value: Option<&str>) -> PadTopology {
-    match value {
-        Some(v) if v.trim().eq_ignore_ascii_case("clique") => PadTopology::Clique,
-        _ => PadTopology::Hypercube,
-    }
-}
-
 /// Default number of rounds a single [`RatchetWindowCommit`] covers.
 pub const DEFAULT_COMMIT_WINDOW: usize = 8;
 
-/// Hard cap on the commit-window knob (also the decode-side sanity
-/// bound on the nonce count a commit may carry).
+/// Hard cap on the commit window (also the decode-side sanity bound on
+/// the nonce count a commit may carry).
 pub const MAX_COMMIT_WINDOW: usize = 1024;
 
-/// The batched-commit window size `W`, from `LSA_COMMIT_WINDOW`:
-/// one server commit carries `W` round nonces, amortizing the
-/// commit/ack handshake to `1/W` round trips over a steady stretch.
-/// `W = 1` reproduces the per-round [`RatchetAnnouncement`] handshake
-/// byte-for-byte. Defaults to [`DEFAULT_COMMIT_WINDOW`]; values are
-/// clamped to `1..=`[`MAX_COMMIT_WINDOW`].
-pub fn commit_window() -> usize {
-    parse_commit_window(std::env::var("LSA_COMMIT_WINDOW").ok().as_deref())
+/// How one leaf cohort ratchets: whether it does, over which pad graph,
+/// and how many rounds one nonce commit covers. A value carried on
+/// [`LsaConfig`] ([`LsaConfig::with_ratchet`]) and fixed at
+/// construction; every [`crate::telemetry::RoundReport`] records the
+/// policy its round ran under.
+///
+/// The default is ratchet on, [`PadTopology::Hypercube`], a window of
+/// [`DEFAULT_COMMIT_WINDOW`] rounds. Every policy produces bit-identical
+/// aggregates — the policy moves cost and the per-round refresh's
+/// collusion threshold, never the sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RatchetPolicy {
+    enabled: bool,
+    topology: PadTopology,
+    window: usize,
 }
 
-fn parse_commit_window(value: Option<&str>) -> usize {
-    match value.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(w) => w.clamp(1, MAX_COMMIT_WINDOW),
-        None => DEFAULT_COMMIT_WINDOW,
+impl RatchetPolicy {
+    /// A policy from its three values; `window` is clamped to
+    /// `1..=`[`MAX_COMMIT_WINDOW`] (`1` reproduces the per-round
+    /// [`RatchetAnnouncement`] handshake byte-for-byte).
+    pub fn new(enabled: bool, topology: PadTopology, window: usize) -> Self {
+        Self {
+            enabled,
+            topology,
+            window: window.clamp(1, MAX_COMMIT_WINDOW),
+        }
     }
+
+    /// Always re-key: the full offline exchange every round.
+    pub fn off() -> Self {
+        Self {
+            enabled: false,
+            ..Self::default()
+        }
+    }
+
+    /// Whether a stable cohort skips the offline exchange.
+    pub fn enabled(self) -> bool {
+        self.enabled
+    }
+
+    /// The pad graph ratcheted rounds derive pairwise pads over.
+    pub fn topology(self) -> PadTopology {
+        self.topology
+    }
+
+    /// Rounds one server commit carries nonces for: a steady stretch
+    /// pays the commit/ack round trip once per `window` rounds.
+    pub fn window(self) -> usize {
+        self.window
+    }
+}
+
+impl Default for RatchetPolicy {
+    fn default() -> Self {
+        Self::new(true, PadTopology::default(), DEFAULT_COMMIT_WINDOW)
+    }
+}
+
+/// The policies every fixture is swept over in tests: the default, the
+/// always-rekey path, and the legacy clique graph with per-round
+/// commits. All three must produce the same aggregates.
+#[doc(hidden)]
+pub fn policies() -> [RatchetPolicy; 3] {
+    [
+        RatchetPolicy::default(),
+        RatchetPolicy::off(),
+        RatchetPolicy::new(true, PadTopology::Clique, 1),
+    ]
 }
 
 /// Evolve the pad epoch across a reseat ([`crate::topology`]'s
@@ -892,7 +919,7 @@ pub(crate) mod tests {
 
     /// Client `id`'s ack for `commit`, through the real client half.
     fn ack_of(id: usize, fingerprint: u64, commit: &Envelope<Fp61>) -> Envelope<Fp61> {
-        let mut client = ClientRatchet::<()>::new(id, 0);
+        let mut client = ClientRatchet::<()>::new(id, 0, PadTopology::default());
         client.harvest((), fingerprint);
         let ((), (to, ack)) = client.accept(commit, |_, _, _| Ok(())).unwrap();
         assert_eq!(to, Recipient::Server);
@@ -987,8 +1014,7 @@ pub(crate) mod tests {
         server.commit(20, &cohort, 77, PadTopology::Hypercube, &[200]);
         let per_round = queued(&mut server).remove(0).1;
 
-        let mut client = ClientRatchet::<u8>::new(4, 3);
-        client.set_topology(PadTopology::Hypercube);
+        let mut client = ClientRatchet::<u8>::new(4, 3, PadTopology::Hypercube);
         let derive = |_: &mut u8, nonce, topology| Ok((nonce, topology));
         // no base yet, then the wrong cohort's base
         assert_eq!(
@@ -1042,31 +1068,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ratchet_env_knob_parses() {
-        // the pure parsers behind the three env readers (no env
-        // manipulation: tests run in parallel)
-        for off in ["off", "0", "false", " off "] {
-            assert!(!parse_ratchet_enabled(Some(off)), "{off:?}");
+    fn ratchet_policy_defaults_and_clamps_its_window() {
+        let policy = RatchetPolicy::default();
+        assert!(policy.enabled());
+        assert_eq!(policy.topology(), PadTopology::Hypercube);
+        assert_eq!(policy.window(), DEFAULT_COMMIT_WINDOW);
+        assert!(!RatchetPolicy::off().enabled());
+        for (asked, got) in [
+            (0, 1),
+            (3, 3),
+            (1024, MAX_COMMIT_WINDOW),
+            (99_999, MAX_COMMIT_WINDOW),
+        ] {
+            let policy = RatchetPolicy::new(true, PadTopology::Clique, asked);
+            assert_eq!(policy.window(), got);
         }
-        for on in [None, Some(""), Some("on"), Some("1"), Some("OFF")] {
-            assert!(parse_ratchet_enabled(on), "{on:?}");
-        }
-
-        for clique in ["clique", "CLIQUE", " Clique "] {
-            assert_eq!(parse_pad_topology(Some(clique)), PadTopology::Clique);
-        }
-        for other in [None, Some("hypercube"), Some("ring"), Some("")] {
-            assert_eq!(parse_pad_topology(other), PadTopology::Hypercube);
-        }
-
-        assert_eq!(parse_commit_window(None), DEFAULT_COMMIT_WINDOW);
-        assert_eq!(parse_commit_window(Some(" 3 ")), 3);
-        assert_eq!(parse_commit_window(Some("0")), 1);
-        assert_eq!(parse_commit_window(Some("1024")), MAX_COMMIT_WINDOW);
-        assert_eq!(parse_commit_window(Some("99999")), MAX_COMMIT_WINDOW);
-        for garbage in ["", "eight", "-1", "2.5"] {
-            assert_eq!(parse_commit_window(Some(garbage)), DEFAULT_COMMIT_WINDOW);
-        }
+        assert_eq!(policies()[0], RatchetPolicy::default());
     }
 
     #[test]

@@ -496,7 +496,7 @@ impl<F: Field> AsyncClientSession<F> {
             inner: AsyncClient::new(id, cfg)?,
             entropy,
             outbox: VecDeque::new(),
-            ratchet: ClientRatchet::new(id, 0),
+            ratchet: ClientRatchet::new(id, 0, cfg.ratchet().topology()),
         })
     }
 

@@ -31,6 +31,7 @@
 //! [`RoundReport::to_json`] emits the one-line JSON schema shared by
 //! the `scenario_matrix` bench harness and `lsa-runner`'s root mode.
 
+use crate::ratchet::RatchetPolicy;
 use crate::transport::{PhaseTiming, Transport};
 use lsa_field::Field;
 use std::collections::BTreeMap;
@@ -102,6 +103,9 @@ pub struct RoundReport {
     pub envelopes: usize,
     /// Protocol event counters.
     pub events: EventCounters,
+    /// The policy the round ran under ([`RoundReport::merge`] and
+    /// [`RoundReport::average`] keep the first report's).
+    pub ratchet: RatchetPolicy,
 }
 
 impl RoundReport {
@@ -167,6 +171,7 @@ impl RoundReport {
         // key = (label, occurrence index of that label within one child)
         let mut merged: Vec<((&'static str, usize), PhaseTiming)> = Vec::new();
         let mut out = RoundReport::new(round);
+        out.ratchet = children.first().map(|c| c.ratchet).unwrap_or_default();
         for child in children {
             let mut seen: BTreeMap<&'static str, usize> = BTreeMap::new();
             for phase in &child.phases {
@@ -210,6 +215,7 @@ impl RoundReport {
         };
         let n = reports.len();
         let mut out = RoundReport::new(first.round);
+        out.ratchet = first.ratchet;
         // label order = first appearance across the reports
         let mut labels: Vec<&'static str> = Vec::new();
         for report in reports {
@@ -292,14 +298,10 @@ impl RoundReport {
         }
         phases.push('}');
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let lsa_threads = std::env::var("LSA_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(cores);
+        let lsa_threads = lsa_field::par::num_threads();
         let simd_backend = lsa_field::simd::backend().name();
-        let pad_topology = crate::ratchet::pad_topology().name();
-        let commit_window = crate::ratchet::commit_window();
+        let pad_topology = self.ratchet.topology().name();
+        let commit_window = self.ratchet.window();
         let e = &self.events;
         format!(
             "{{\"name\":{},\"round\":{},\"rounds\":{rounds},\"phases\":{phases},\
@@ -373,6 +375,7 @@ impl TrafficMark {
             framing_bytes: transport.framing_bytes().saturating_sub(self.framing),
             envelopes: transport.messages_sent().saturating_sub(self.envelopes),
             events: EventCounters::default(),
+            ratchet: RatchetPolicy::default(),
         }
     }
 }
@@ -452,6 +455,7 @@ mod tests {
                 dropouts: 1,
                 ..EventCounters::default()
             },
+            ..RoundReport::default()
         };
         let slow = RoundReport {
             round: 3,
@@ -462,7 +466,7 @@ mod tests {
             payload_bytes: 150,
             framing_bytes: 14,
             envelopes: 3,
-            events: EventCounters::default(),
+            ..RoundReport::default()
         };
         let merged = RoundReport::merge(3, &[fast, slow]);
         assert_eq!(merged.round, 3);
@@ -491,6 +495,7 @@ mod tests {
                 ratchets: 1,
                 ..EventCounters::default()
             },
+            ..RoundReport::default()
         };
         let b = RoundReport {
             round: 1,
@@ -504,6 +509,7 @@ mod tests {
                 dropouts: 2,
                 ..EventCounters::default()
             },
+            ..RoundReport::default()
         };
         let avg = RoundReport::average(&[a, b]);
         let upload = avg.phase("upload").unwrap();
@@ -549,7 +555,7 @@ mod tests {
             payload_bytes: 1800,
             framing_bytes: 0,
             envelopes: 18,
-            events: EventCounters::default(),
+            ..RoundReport::default()
         };
         let line = report.to_json("sync/flat/fp61/ratchet=on/partial=off", 5);
         for key in [

@@ -85,7 +85,7 @@ use crate::federation::{
     claim_prepared, ensure_unprepared, BoxedAggregator, OpenRound, RoundOutcome, SecureAggregator,
     SyncFederation,
 };
-use crate::ratchet::CohortFingerprint;
+use crate::ratchet::{CohortFingerprint, RatchetPolicy};
 use crate::telemetry::RoundReport;
 use crate::transport::Transport;
 use crate::wire::MAX_GROUP_ID;
@@ -239,7 +239,7 @@ impl GroupTopology {
         // U_g survivors — Σ U_g in total.
         let t_min = configs.iter().map(LsaConfig::t).min().unwrap_or(0);
         let u_sum = configs.iter().map(LsaConfig::u).sum::<usize>().min(n);
-        let view = LsaConfig::new(n, t_min, u_sum, d)?;
+        let view = LsaConfig::new(n, t_min, u_sum, d)?.with_ratchet(first.ratchet());
         Ok(Self {
             root,
             configs,
@@ -352,6 +352,22 @@ impl GroupTopology {
         d: usize,
     ) -> Result<Self, ProtocolError> {
         Self::hierarchical(n, &[supers, groups_per_super], t_frac, u_frac, d)
+    }
+
+    /// The same tree with every leaf under `policy`.
+    #[must_use]
+    pub fn with_ratchet(mut self, policy: RatchetPolicy) -> Self {
+        fn set(node: &mut TopologyNode, policy: RatchetPolicy) {
+            match node {
+                TopologyNode::Leaf(cfg) => *cfg = cfg.with_ratchet(policy),
+                TopologyNode::Internal(kids) => kids.iter_mut().for_each(|kid| set(kid, policy)),
+            }
+        }
+        set(&mut self.root, policy);
+        for cfg in self.configs.iter_mut().chain([&mut self.view]) {
+            *cfg = cfg.with_ratchet(policy);
+        }
+        self
     }
 
     /// The tree this topology flattens.
@@ -1215,18 +1231,6 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         }
     }
 
-    fn set_pad_topology(&mut self, topology: crate::ratchet::PadTopology) {
-        for child in &mut self.children {
-            child.agg.set_pad_topology(topology);
-        }
-    }
-
-    fn set_commit_window(&mut self, window: usize) {
-        for child in &mut self.children {
-            child.agg.set_commit_window(window);
-        }
-    }
-
     fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
         let mut members = Vec::with_capacity(cohort.len());
         for &id in cohort {
@@ -1277,6 +1281,7 @@ mod tests {
     use super::*;
     use crate::federation::{Federation, FederationClient, RoundPlan};
     use crate::messages::CodedMaskShare;
+    use crate::ratchet::policies;
     use crate::session::Session;
     use crate::transport::MemTransport;
     use crate::wire::Envelope;
@@ -1363,18 +1368,22 @@ mod tests {
 
     #[test]
     fn grouped_rounds_match_flat_aggregate() {
-        let d = 4;
-        let grouped = GroupedFederation::new(topo_2x4(d), MemTransport::new(), 1).unwrap();
-        let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
-        let all: Vec<usize> = (0..8).collect();
-        for round in 0..3u64 {
-            let mut plan = RoundPlan::new(all.clone());
-            plan.updates = updates(&all, d);
-            let out = fed.run_round(&plan).unwrap();
-            assert_eq!(out.round, round);
-            assert_eq!(out.aggregate, expected(&all, d));
-            assert_eq!(out.contributors, all);
-            assert_eq!(out.total_weight, 8);
+        for policy in policies() {
+            let d = 4;
+            let grouped =
+                GroupedFederation::new(topo_2x4(d).with_ratchet(policy), MemTransport::new(), 1)
+                    .unwrap();
+            let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
+            let all: Vec<usize> = (0..8).collect();
+            for round in 0..3u64 {
+                let mut plan = RoundPlan::new(all.clone());
+                plan.updates = updates(&all, d);
+                let out = fed.run_round(&plan).unwrap();
+                assert_eq!(out.round, round);
+                assert_eq!(out.aggregate, expected(&all, d));
+                assert_eq!(out.contributors, all);
+                assert_eq!(out.total_weight, 8);
+            }
         }
     }
 
@@ -1446,243 +1455,264 @@ mod tests {
 
     #[test]
     fn stalled_group_fails_strict_but_requeues_partial() {
-        let d = 3;
-        let all: Vec<usize> = (0..8).collect();
-        // group 1 loses 2 of 4 after upload: only 2 < u=3 recovery
-        // helpers remain, so its decode stalls
-        let mut plan = RoundPlan::new(all.clone());
-        plan.updates = updates(&all, d);
-        plan.drop_after_upload = vec![5, 6];
+        for policy in policies() {
+            let d = 3;
+            let all: Vec<usize> = (0..8).collect();
+            // group 1 loses 2 of 4 after upload: only 2 < u=3 recovery
+            // helpers remain, so its decode stalls
+            let mut plan = RoundPlan::new(all.clone());
+            plan.updates = updates(&all, d);
+            plan.drop_after_upload = vec![5, 6];
 
-        let strict = GroupedFederation::new(topo_2x4(d), MemTransport::new(), 7).unwrap();
-        let mut fed: Federation<Fp61> = Federation::new(Box::new(strict));
-        assert!(matches!(
-            fed.run_round(&plan),
-            Err(ProtocolError::NotEnoughSurvivors { .. })
-        ));
+            let strict =
+                GroupedFederation::new(topo_2x4(d).with_ratchet(policy), MemTransport::new(), 7)
+                    .unwrap();
+            let mut fed: Federation<Fp61> = Federation::new(Box::new(strict));
+            assert!(matches!(
+                fed.run_round(&plan),
+                Err(ProtocolError::NotEnoughSurvivors { .. })
+            ));
 
-        let partial = GroupedFederation::new(topo_2x4(d), MemTransport::new(), 7)
-            .unwrap()
-            .with_partial_recovery();
-        let mut fed: Federation<Fp61> = Federation::new(Box::new(partial));
-        let out = fed.run_round(&plan).unwrap();
-        // group 0 (clients 0..4) decoded alone — group 1 is deferred
-        assert_eq!(out.contributors, vec![0, 1, 2, 3]);
-        assert_eq!(out.aggregate, expected(&[0, 1, 2, 3], d));
-        assert_eq!(out.total_weight, 4);
-        assert_eq!(fed.aggregator().stalled_leaves(), vec![1]);
-        // round 1: group 1's round-0 updates ride along, exactly once
-        let mut next = RoundPlan::new(all.clone());
-        next.updates = updates(&all, d);
-        let out = fed.run_round(&next).unwrap();
-        assert_eq!(out.round, 1);
-        let mut want = expected(&all, d);
-        lsa_field::ops::add_assign(&mut want, &expected(&[4, 5, 6, 7], d));
-        assert_eq!(out.aggregate, want);
-        assert_eq!(out.total_weight, 8 + 4);
-        assert!(fed.aggregator().stalled_leaves().is_empty());
-        // round 2: nothing re-queued is left over
-        let mut last = RoundPlan::new(all.clone());
-        last.updates = updates(&all, d);
-        let out = fed.run_round(&last).unwrap();
-        assert_eq!(out.aggregate, expected(&all, d));
-        assert_eq!(out.total_weight, 8);
+            let partial =
+                GroupedFederation::new(topo_2x4(d).with_ratchet(policy), MemTransport::new(), 7)
+                    .unwrap()
+                    .with_partial_recovery();
+            let mut fed: Federation<Fp61> = Federation::new(Box::new(partial));
+            let out = fed.run_round(&plan).unwrap();
+            // group 0 (clients 0..4) decoded alone — group 1 is deferred
+            assert_eq!(out.contributors, vec![0, 1, 2, 3]);
+            assert_eq!(out.aggregate, expected(&[0, 1, 2, 3], d));
+            assert_eq!(out.total_weight, 4);
+            assert_eq!(fed.aggregator().stalled_leaves(), vec![1]);
+            // round 1: group 1's round-0 updates ride along, exactly once
+            let mut next = RoundPlan::new(all.clone());
+            next.updates = updates(&all, d);
+            let out = fed.run_round(&next).unwrap();
+            assert_eq!(out.round, 1);
+            let mut want = expected(&all, d);
+            lsa_field::ops::add_assign(&mut want, &expected(&[4, 5, 6, 7], d));
+            assert_eq!(out.aggregate, want);
+            assert_eq!(out.total_weight, 8 + 4);
+            assert!(fed.aggregator().stalled_leaves().is_empty());
+            // round 2: nothing re-queued is left over
+            let mut last = RoundPlan::new(all.clone());
+            last.updates = updates(&all, d);
+            let out = fed.run_round(&last).unwrap();
+            assert_eq!(out.aggregate, expected(&all, d));
+            assert_eq!(out.total_weight, 8);
+        }
     }
 
     #[test]
     fn nested_stall_requeues_at_the_owning_subtree() {
-        // two-level: 2 super-groups x 2 leaf groups x 4 clients, t=1,u=3
-        let d = 3;
-        let all: Vec<usize> = (0..16).collect();
-        let topo = GroupTopology::two_level(16, 2, 2, 0.25, 0.75, d).unwrap();
-        let grouped = GroupedFederation::new(topo, MemTransport::new(), 11)
-            .unwrap()
-            .with_partial_recovery();
-        let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
-        // leaf 0 (clients 0..4) loses 2 after upload and stalls; its
-        // sibling leaf 1 and the whole second super-group keep decoding
-        let mut plan = RoundPlan::new(all.clone());
-        plan.updates = updates(&all, d);
-        plan.drop_after_upload = vec![0, 1];
-        let out = fed.run_round(&plan).unwrap();
-        assert_eq!(out.contributors, (4..16).collect::<Vec<_>>());
-        assert_eq!(out.aggregate, expected(&(4..16).collect::<Vec<_>>(), d));
-        assert_eq!(fed.aggregator().stalled_leaves(), vec![0]);
-        // next round: leaf 0's deferred updates land exactly once
-        let mut next = RoundPlan::new(all.clone());
-        next.updates = updates(&all, d);
-        let out = fed.run_round(&next).unwrap();
-        let mut want = expected(&all, d);
-        lsa_field::ops::add_assign(&mut want, &expected(&[0, 1, 2, 3], d));
-        assert_eq!(out.aggregate, want);
-        assert_eq!(out.total_weight, 16 + 4);
-        // and exactly once means gone afterwards
-        let mut last = RoundPlan::new(all.clone());
-        last.updates = updates(&all, d);
-        let out = fed.run_round(&last).unwrap();
-        assert_eq!(out.aggregate, expected(&all, d));
-        assert_eq!(out.total_weight, 16);
+        for policy in policies() {
+            // two-level: 2 super-groups x 2 leaf groups x 4 clients, t=1,u=3
+            let d = 3;
+            let all: Vec<usize> = (0..16).collect();
+            let topo = GroupTopology::two_level(16, 2, 2, 0.25, 0.75, d)
+                .unwrap()
+                .with_ratchet(policy);
+            let grouped = GroupedFederation::new(topo, MemTransport::new(), 11)
+                .unwrap()
+                .with_partial_recovery();
+            let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
+            // leaf 0 (clients 0..4) loses 2 after upload and stalls; its
+            // sibling leaf 1 and the whole second super-group keep decoding
+            let mut plan = RoundPlan::new(all.clone());
+            plan.updates = updates(&all, d);
+            plan.drop_after_upload = vec![0, 1];
+            let out = fed.run_round(&plan).unwrap();
+            assert_eq!(out.contributors, (4..16).collect::<Vec<_>>());
+            assert_eq!(out.aggregate, expected(&(4..16).collect::<Vec<_>>(), d));
+            assert_eq!(fed.aggregator().stalled_leaves(), vec![0]);
+            // next round: leaf 0's deferred updates land exactly once
+            let mut next = RoundPlan::new(all.clone());
+            next.updates = updates(&all, d);
+            let out = fed.run_round(&next).unwrap();
+            let mut want = expected(&all, d);
+            lsa_field::ops::add_assign(&mut want, &expected(&[0, 1, 2, 3], d));
+            assert_eq!(out.aggregate, want);
+            assert_eq!(out.total_weight, 16 + 4);
+            // and exactly once means gone afterwards
+            let mut last = RoundPlan::new(all.clone());
+            last.updates = updates(&all, d);
+            let out = fed.run_round(&last).unwrap();
+            assert_eq!(out.aggregate, expected(&all, d));
+            assert_eq!(out.total_weight, 16);
+        }
     }
 
     #[test]
     fn aborted_round_restores_merged_carryover() {
-        // carryover consumed by a round that is then cancelled must go
-        // back to the buffer: the deferred update still lands exactly
-        // once in the next completed round
-        let d = 3;
-        let all: Vec<usize> = (0..8).collect();
-        let mut grouped = GroupedFederation::<Fp61>::new(topo_2x4(d), MemTransport::new(), 16)
+        for policy in policies() {
+            // carryover consumed by a round that is then cancelled must go
+            // back to the buffer: the deferred update still lands exactly
+            // once in the next completed round
+            let d = 3;
+            let all: Vec<usize> = (0..8).collect();
+            let mut grouped = GroupedFederation::<Fp61>::new(
+                topo_2x4(d).with_ratchet(policy),
+                MemTransport::new(),
+                16,
+            )
             .unwrap()
             .with_partial_recovery();
-        // round 0: group 1 stalls, its updates are buffered
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
+            // round 0: group 1 stalls, its updates are buffered
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            for id in [5, 6] {
+                grouped.mark_dropped(id).unwrap();
+            }
+            grouped.finish_round().unwrap();
+            assert_eq!(grouped.requeued_clients(), vec![4, 5, 6, 7]);
+            // round 1: submissions merge the carryover — then the round is
+            // cancelled
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            assert!(grouped.requeued_clients().is_empty());
+            grouped.abort_round();
+            assert_eq!(
+                grouped.requeued_clients(),
+                vec![4, 5, 6, 7],
+                "abort must hand consumed carryover back"
+            );
+            // round 2 completes: deferred updates land exactly once
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            let out = grouped.finish_round().unwrap();
+            let mut want = expected(&all, d);
+            lsa_field::ops::add_assign(&mut want, &expected(&[4, 5, 6, 7], d));
+            assert_eq!(out.aggregate, want);
+            assert_eq!(out.total_weight, 8 + 4);
+            assert!(grouped.requeued_clients().is_empty());
         }
-        for id in [5, 6] {
-            grouped.mark_dropped(id).unwrap();
-        }
-        grouped.finish_round().unwrap();
-        assert_eq!(grouped.requeued_clients(), vec![4, 5, 6, 7]);
-        // round 1: submissions merge the carryover — then the round is
-        // cancelled
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
-        }
-        assert!(grouped.requeued_clients().is_empty());
-        grouped.abort_round();
-        assert_eq!(
-            grouped.requeued_clients(),
-            vec![4, 5, 6, 7],
-            "abort must hand consumed carryover back"
-        );
-        // round 2 completes: deferred updates land exactly once
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
-        }
-        let out = grouped.finish_round().unwrap();
-        let mut want = expected(&all, d);
-        lsa_field::ops::add_assign(&mut want, &expected(&[4, 5, 6, 7], d));
-        assert_eq!(out.aggregate, want);
-        assert_eq!(out.total_weight, 8 + 4);
-        assert!(grouped.requeued_clients().is_empty());
     }
 
     #[test]
     fn carried_weight_survives_failure_of_a_self_requeuing_child() {
-        // Mixed tree: root = [Leaf(4), Internal[Leaf(4)]]. Round 0
-        // stalls the direct leaf (root buffers its updates by global
-        // id); a reassignment then moves some of those clients under
-        // the nested child; round 1 merges their carryover there and
-        // the nested child fails outright (it self-requeues the merged
-        // *values* at weight 1, the root must keep the carried
-        // *weights*). By round 2 everything has landed: across the
-        // three rounds both total value and total weight are conserved
-        // — 24 unit-weight submissions in, 24 weight out.
-        let d = 3;
-        let cfg = LsaConfig::new(4, 1, 3, d).unwrap();
-        let topo = GroupTopology::from_tree(TopologyNode::Internal(vec![
-            TopologyNode::Leaf(cfg),
-            TopologyNode::Internal(vec![TopologyNode::Leaf(cfg)]),
-        ]))
-        .unwrap();
-        // a seed that provably moves one of round 0's buffered clients
-        // (ids 0..4) into the nested child's slot range (4..8)
-        let seed = (0..100u64)
-            .find(|&s| {
-                let mut t = topo.clone();
-                t.reassign(s);
-                (0..4).any(|id| t.slot_of(id).unwrap() >= 4)
-            })
-            .expect("some seed moves a buffered client");
-        let all: Vec<usize> = (0..8).collect();
-        let mut grouped = GroupedFederation::<Fp61>::new(topo, MemTransport::new(), 18)
-            .unwrap()
-            .with_partial_recovery();
-        let mut total_value = vec![Fp61::ZERO; d];
-        let mut total_weight = 0u64;
-        // round 0: the direct leaf (clients 0..4) stalls
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
+        for policy in policies() {
+            // Mixed tree: root = [Leaf(4), Internal[Leaf(4)]]. Round 0
+            // stalls the direct leaf (root buffers its updates by global
+            // id); a reassignment then moves some of those clients under
+            // the nested child; round 1 merges their carryover there and
+            // the nested child fails outright (it self-requeues the merged
+            // *values* at weight 1, the root must keep the carried
+            // *weights*). By round 2 everything has landed: across the
+            // three rounds both total value and total weight are conserved
+            // — 24 unit-weight submissions in, 24 weight out.
+            let d = 3;
+            let cfg = LsaConfig::new(4, 1, 3, d).unwrap().with_ratchet(policy);
+            let topo = GroupTopology::from_tree(TopologyNode::Internal(vec![
+                TopologyNode::Leaf(cfg),
+                TopologyNode::Internal(vec![TopologyNode::Leaf(cfg)]),
+            ]))
+            .unwrap();
+            // a seed that provably moves one of round 0's buffered clients
+            // (ids 0..4) into the nested child's slot range (4..8)
+            let seed = (0..100u64)
+                .find(|&s| {
+                    let mut t = topo.clone();
+                    t.reassign(s);
+                    (0..4).any(|id| t.slot_of(id).unwrap() >= 4)
+                })
+                .expect("some seed moves a buffered client");
+            let all: Vec<usize> = (0..8).collect();
+            let mut grouped = GroupedFederation::<Fp61>::new(topo, MemTransport::new(), 18)
+                .unwrap()
+                .with_partial_recovery();
+            let mut total_value = vec![Fp61::ZERO; d];
+            let mut total_weight = 0u64;
+            // round 0: the direct leaf (clients 0..4) stalls
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            for id in [0, 1] {
+                grouped.mark_dropped(id).unwrap();
+            }
+            let out = grouped.finish_round().unwrap();
+            lsa_field::ops::add_assign(&mut total_value, &out.aggregate);
+            total_weight += out.total_weight;
+            assert_eq!(grouped.requeued_clients(), vec![0, 1, 2, 3]);
+            // between rounds: re-seat the mapping (root-level carryover is
+            // keyed by identity, so this is allowed)
+            grouped.reassign(seed).unwrap();
+            // round 1: the nested child fails outright after merging the
+            // moved clients' carryover
+            let nested_members = grouped.topology().members_of(1);
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            for &id in &nested_members[..2] {
+                grouped.mark_dropped(id).unwrap();
+            }
+            let out = grouped.finish_round().unwrap();
+            lsa_field::ops::add_assign(&mut total_value, &out.aggregate);
+            total_weight += out.total_weight;
+            // round 2: everything lands
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            let out = grouped.finish_round().unwrap();
+            lsa_field::ops::add_assign(&mut total_value, &out.aggregate);
+            total_weight += out.total_weight;
+            assert!(!grouped.has_pending_requeue());
+            // conservation: 3 full submission waves, nothing lost, nothing
+            // double-counted — in value or in weight
+            let want: Vec<Fp61> = expected(&all, d)
+                .into_iter()
+                .map(|x| x * Fp61::from_u64(3))
+                .collect();
+            assert_eq!(total_value, want, "every update lands exactly once");
+            assert_eq!(total_weight, 24, "every unit weight lands exactly once");
         }
-        for id in [0, 1] {
-            grouped.mark_dropped(id).unwrap();
-        }
-        let out = grouped.finish_round().unwrap();
-        lsa_field::ops::add_assign(&mut total_value, &out.aggregate);
-        total_weight += out.total_weight;
-        assert_eq!(grouped.requeued_clients(), vec![0, 1, 2, 3]);
-        // between rounds: re-seat the mapping (root-level carryover is
-        // keyed by identity, so this is allowed)
-        grouped.reassign(seed).unwrap();
-        // round 1: the nested child fails outright after merging the
-        // moved clients' carryover
-        let nested_members = grouped.topology().members_of(1);
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
-        }
-        for &id in &nested_members[..2] {
-            grouped.mark_dropped(id).unwrap();
-        }
-        let out = grouped.finish_round().unwrap();
-        lsa_field::ops::add_assign(&mut total_value, &out.aggregate);
-        total_weight += out.total_weight;
-        // round 2: everything lands
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
-        }
-        let out = grouped.finish_round().unwrap();
-        lsa_field::ops::add_assign(&mut total_value, &out.aggregate);
-        total_weight += out.total_weight;
-        assert!(!grouped.has_pending_requeue());
-        // conservation: 3 full submission waves, nothing lost, nothing
-        // double-counted — in value or in weight
-        let want: Vec<Fp61> = expected(&all, d)
-            .into_iter()
-            .map(|x| x * Fp61::from_u64(3))
-            .collect();
-        assert_eq!(total_value, want, "every update lands exactly once");
-        assert_eq!(total_weight, 24, "every unit weight lands exactly once");
     }
 
     #[test]
     fn reassignment_refused_while_subtree_holds_requeued_updates() {
-        // a nested node's re-queue buffer is keyed by seat (its local
-        // ids); re-seating the root permutation underneath it would
-        // merge a deferred update into the wrong client's submission
-        let d = 3;
-        let all: Vec<usize> = (0..16).collect();
-        let topo = GroupTopology::two_level(16, 2, 2, 0.25, 0.75, d).unwrap();
-        let mut grouped = GroupedFederation::<Fp61>::new(topo, MemTransport::new(), 17)
-            .unwrap()
-            .with_partial_recovery();
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
+        for policy in policies() {
+            // a nested node's re-queue buffer is keyed by seat (its local
+            // ids); re-seating the root permutation underneath it would
+            // merge a deferred update into the wrong client's submission
+            let d = 3;
+            let all: Vec<usize> = (0..16).collect();
+            let topo = GroupTopology::two_level(16, 2, 2, 0.25, 0.75, d)
+                .unwrap()
+                .with_ratchet(policy);
+            let mut grouped = GroupedFederation::<Fp61>::new(topo, MemTransport::new(), 17)
+                .unwrap()
+                .with_partial_recovery();
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            for id in [0, 1] {
+                grouped.mark_dropped(id).unwrap(); // leaf 0 stalls
+            }
+            grouped.finish_round().unwrap();
+            assert_eq!(grouped.stalled_leaves(), vec![0]);
+            assert!(grouped.has_pending_requeue());
+            assert!(matches!(
+                grouped.reassign(5),
+                Err(ProtocolError::InvalidConfig(_))
+            ));
+            // once the deferred updates land, reassignment is allowed again
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            grouped.finish_round().unwrap();
+            assert!(!grouped.has_pending_requeue());
+            grouped.reassign(5).unwrap();
         }
-        for id in [0, 1] {
-            grouped.mark_dropped(id).unwrap(); // leaf 0 stalls
-        }
-        grouped.finish_round().unwrap();
-        assert_eq!(grouped.stalled_leaves(), vec![0]);
-        assert!(grouped.has_pending_requeue());
-        assert!(matches!(
-            grouped.reassign(5),
-            Err(ProtocolError::InvalidConfig(_))
-        ));
-        // once the deferred updates land, reassignment is allowed again
-        grouped.open_round(&all).unwrap();
-        for (id, u) in updates(&all, d) {
-            grouped.submit(id, &u).unwrap();
-        }
-        grouped.finish_round().unwrap();
-        assert!(!grouped.has_pending_requeue());
-        grouped.reassign(5).unwrap();
     }
 
     #[test]
@@ -1715,18 +1745,22 @@ mod tests {
 
     #[test]
     fn overlapped_preparation_reused_by_next_round() {
-        let d = 4;
-        let grouped = GroupedFederation::new(topo_2x4(d), MemTransport::new(), 10).unwrap();
-        let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
-        let all: Vec<usize> = (0..8).collect();
-        let mut p0 = RoundPlan::new(all.clone()).with_prepare_next(all.clone());
-        p0.updates = updates(&all, d);
-        let out0 = fed.run_round(&p0).unwrap();
-        let mut p1 = RoundPlan::new(all.clone());
-        p1.updates = updates(&all, d);
-        let out1 = fed.run_round(&p1).unwrap();
-        assert_eq!(out0.aggregate, out1.aggregate);
-        assert_eq!(out1.round, 1);
+        for policy in policies() {
+            let d = 4;
+            let grouped =
+                GroupedFederation::new(topo_2x4(d).with_ratchet(policy), MemTransport::new(), 10)
+                    .unwrap();
+            let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
+            let all: Vec<usize> = (0..8).collect();
+            let mut p0 = RoundPlan::new(all.clone()).with_prepare_next(all.clone());
+            p0.updates = updates(&all, d);
+            let out0 = fed.run_round(&p0).unwrap();
+            let mut p1 = RoundPlan::new(all.clone());
+            p1.updates = updates(&all, d);
+            let out1 = fed.run_round(&p1).unwrap();
+            assert_eq!(out0.aggregate, out1.aggregate);
+            assert_eq!(out1.round, 1);
+        }
     }
 
     #[test]
@@ -1756,20 +1790,24 @@ mod tests {
 
     #[test]
     fn reassignment_moves_clients_and_keeps_sums_exact() {
-        let d = 4;
-        let all: Vec<usize> = (0..8).collect();
-        let grouped = GroupedFederation::new(topo_2x4(d), MemTransport::new(), 12).unwrap();
-        let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
-        let mut p0 = RoundPlan::new(all.clone());
-        p0.updates = updates(&all, d);
-        let out0 = fed.run_round(&p0).unwrap();
-        assert_eq!(out0.aggregate, expected(&all, d));
-        // round 1 under a reseated mapping: same clients, fresh peers
-        let mut p1 = RoundPlan::new(all.clone()).with_reassignment(99);
-        p1.updates = updates(&all, d);
-        let out1 = fed.run_round(&p1).unwrap();
-        assert_eq!(out1.aggregate, expected(&all, d));
-        assert_eq!(out1.contributors, all);
+        for policy in policies() {
+            let d = 4;
+            let all: Vec<usize> = (0..8).collect();
+            let grouped =
+                GroupedFederation::new(topo_2x4(d).with_ratchet(policy), MemTransport::new(), 12)
+                    .unwrap();
+            let mut fed: Federation<Fp61> = Federation::new(Box::new(grouped));
+            let mut p0 = RoundPlan::new(all.clone());
+            p0.updates = updates(&all, d);
+            let out0 = fed.run_round(&p0).unwrap();
+            assert_eq!(out0.aggregate, expected(&all, d));
+            // round 1 under a reseated mapping: same clients, fresh peers
+            let mut p1 = RoundPlan::new(all.clone()).with_reassignment(99);
+            p1.updates = updates(&all, d);
+            let out1 = fed.run_round(&p1).unwrap();
+            assert_eq!(out1.aggregate, expected(&all, d));
+            assert_eq!(out1.contributors, all);
+        }
     }
 
     #[test]

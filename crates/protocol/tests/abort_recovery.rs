@@ -8,29 +8,25 @@ use lsa_field::{Field, Fp61};
 use lsa_protocol::federation::{
     BoxedAggregator, BufferedFederation, Federation, RoundPlan, SyncFederation,
 };
+use lsa_protocol::ratchet::policies;
 use lsa_protocol::topology::GroupedFederation;
 use lsa_protocol::transport::MemTransport;
 use lsa_protocol::{LsaConfig, ProtocolError};
 
 const D: usize = 4;
 
-fn cfg() -> LsaConfig {
-    LsaConfig::new(8, 2, 6, D).unwrap()
-}
-
-/// Leaf `group` of each variant, by name.
-fn leaves(group: usize) -> Vec<(&'static str, BoxedAggregator<Fp61>)> {
+/// Leaf `group` of each variant under each ratchet policy, by name.
+fn leaves(group: usize) -> Vec<(String, BoxedAggregator<Fp61>)> {
     let seed = 40 + group as u64;
-    vec![
-        (
-            "sync",
-            Box::new(SyncFederation::in_group(group, cfg(), MemTransport::new(), seed).unwrap()),
-        ),
-        (
-            "buffered",
-            Box::new(BufferedFederation::unit_weight(cfg(), MemTransport::new(), seed).unwrap()),
-        ),
-    ]
+    let mut out: Vec<(String, BoxedAggregator<Fp61>)> = Vec::new();
+    for policy in policies() {
+        let cfg = LsaConfig::new(8, 2, 6, D).unwrap().with_ratchet(policy);
+        let sync = SyncFederation::in_group(group, cfg, MemTransport::new(), seed).unwrap();
+        out.push((format!("sync/{policy:?}"), Box::new(sync)));
+        let buffered = BufferedFederation::unit_weight(cfg, MemTransport::new(), seed).unwrap();
+        out.push((format!("buffered/{policy:?}"), Box::new(buffered)));
+    }
+    out
 }
 
 fn update(id: usize, round: u64) -> Vec<Fp61> {

@@ -8,27 +8,22 @@ use lsa_field::{Field, Fp61};
 use lsa_protocol::federation::{
     BufferedFederation, RoundOutcome, RoundPlan, SecureAggregator, SyncFederation,
 };
+use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::MemTransport;
 use lsa_protocol::wire::EnvelopeKind;
 use lsa_protocol::{
-    ratchet_enabled, CohortFingerprint, Federation, LsaConfig, PadTopology, ProtocolError,
+    CohortFingerprint, Federation, LsaConfig, PadTopology, ProtocolError, RatchetPolicy,
 };
+use std::sync::Barrier;
 
 fn cfg() -> LsaConfig {
     LsaConfig::new(8, 2, 6, 16).unwrap()
 }
 
-/// Most tests here assert that the fast path *fires*; under the CI
-/// `LSA_RATCHET=off` lane they would degenerate into always-rekey runs
-/// already covered by the rest of the suite, so they self-skip.
-macro_rules! requires_ratchet {
-    () => {
-        if !ratchet_enabled() {
-            eprintln!("LSA_RATCHET is off: skipping ratchet-behaviour test");
-            return;
-        }
-    };
+/// [`cfg`] ratcheting over `topology` with a `window`-round commit.
+fn cfg_with(topology: PadTopology, window: usize) -> LsaConfig {
+    cfg().with_ratchet(RatchetPolicy::new(true, topology, window))
 }
 
 /// Deterministic per-(member, round) update so every round's expected
@@ -82,11 +77,9 @@ fn window_commits(fed: &SyncFederation<Fp61, MemTransport>) -> usize {
 /// same seed.
 #[test]
 fn stable_stretch_ratchets_with_zero_share_traffic() {
-    requires_ratchet!();
-    let mut fast = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 7).unwrap();
-    let mut rekey = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 7).unwrap();
-    fast.set_commit_window(1);
-    rekey.set_commit_window(1);
+    let cfg = cfg_with(PadTopology::default(), 1);
+    let mut fast = SyncFederation::<Fp61, _>::new(cfg, MemTransport::new(), 7).unwrap();
+    let mut rekey = SyncFederation::<Fp61, _>::new(cfg, MemTransport::new(), 7).unwrap();
     let cohort: Vec<usize> = (0..8).collect();
 
     let base_fast = run_round(&mut fast, &cohort, &[]).unwrap();
@@ -129,11 +122,9 @@ fn stable_stretch_ratchets_with_zero_share_traffic() {
 /// round joins its pre-committed nonce with *zero* offline envelopes.
 #[test]
 fn windowed_hypercube_stretch_matches_rekey_twin() {
-    requires_ratchet!();
-    let mut fast = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 7).unwrap();
+    let fast_cfg = cfg_with(PadTopology::Hypercube, 8);
+    let mut fast = SyncFederation::<Fp61, _>::new(fast_cfg, MemTransport::new(), 7).unwrap();
     let mut rekey = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 7).unwrap();
-    fast.set_pad_topology(PadTopology::Hypercube);
-    fast.set_commit_window(8);
     let cohort: Vec<usize> = (0..8).collect();
 
     let base_fast = run_round(&mut fast, &cohort, &[]).unwrap();
@@ -184,7 +175,6 @@ fn windowed_hypercube_stretch_matches_rekey_twin() {
 /// full exchange, and the *new* cohort ratchets from then on.
 #[test]
 fn churn_mid_stretch_falls_back_then_ratchets_again() {
-    requires_ratchet!();
     let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 11).unwrap();
     let full: Vec<usize> = (0..8).collect();
     let reduced: Vec<usize> = (0..7).collect();
@@ -220,7 +210,6 @@ fn churn_mid_stretch_falls_back_then_ratchets_again() {
 /// repaired state ratchets again the round after.
 #[test]
 fn poisoned_fingerprint_falls_back_to_full_exchange() {
-    requires_ratchet!();
     let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 13).unwrap();
     let cohort: Vec<usize> = (0..8).collect();
 
@@ -249,7 +238,6 @@ fn poisoned_fingerprint_falls_back_to_full_exchange() {
 /// exactly from the retained base shares, still with zero share traffic.
 #[test]
 fn after_upload_dropout_in_ratcheted_round_decodes_exactly() {
-    requires_ratchet!();
     let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 17).unwrap();
     let cohort: Vec<usize> = (0..8).collect();
 
@@ -269,11 +257,10 @@ fn after_upload_dropout_in_ratcheted_round_decodes_exactly() {
 /// mismatch, burns the round, and replays the plan over a full exchange.
 #[test]
 fn before_upload_dropout_falls_back_via_typed_mismatch() {
-    requires_ratchet!();
-    let mut sync = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 19).unwrap();
     // explicitly hypercube: the sparse edge set must fall back exactly
     // like the clique when a member vanishes before uploading
-    sync.set_pad_topology(PadTopology::Hypercube);
+    let cfg = cfg_with(PadTopology::Hypercube, 8);
+    let sync = SyncFederation::<Fp61, _>::new(cfg, MemTransport::new(), 19).unwrap();
     let mut fed = Federation::new(Box::new(sync));
     let cohort: Vec<usize> = (0..8).collect();
 
@@ -333,13 +320,11 @@ fn plan_fingerprint_mismatch_fails_typed_without_retry() {
 /// stretch moves no timestamped mask shares, only announcements.
 #[test]
 fn buffered_variant_ratchets_stable_stretch() {
-    requires_ratchet!();
+    let cfg = cfg_with(PadTopology::default(), 1);
     let mut fast =
-        BufferedFederation::<Fp61, _>::unit_weight(cfg(), MemTransport::new(), 29).unwrap();
+        BufferedFederation::<Fp61, _>::unit_weight(cfg, MemTransport::new(), 29).unwrap();
     let mut rekey =
-        BufferedFederation::<Fp61, _>::unit_weight(cfg(), MemTransport::new(), 29).unwrap();
-    fast.set_commit_window(1);
-    rekey.set_commit_window(1);
+        BufferedFederation::<Fp61, _>::unit_weight(cfg, MemTransport::new(), 29).unwrap();
     let cohort: Vec<usize> = (0..8).collect();
 
     let a = run_round(&mut fast, &cohort, &[]).unwrap();
@@ -371,13 +356,11 @@ fn buffered_variant_ratchets_stable_stretch() {
 /// announcements, with aggregates identical to the rekey twin.
 #[test]
 fn buffered_variant_joins_windows() {
-    requires_ratchet!();
+    let fast_cfg = cfg_with(PadTopology::Hypercube, 4);
     let mut fast =
-        BufferedFederation::<Fp61, _>::unit_weight(cfg(), MemTransport::new(), 29).unwrap();
+        BufferedFederation::<Fp61, _>::unit_weight(fast_cfg, MemTransport::new(), 29).unwrap();
     let mut rekey =
         BufferedFederation::<Fp61, _>::unit_weight(cfg(), MemTransport::new(), 29).unwrap();
-    fast.set_pad_topology(PadTopology::Hypercube);
-    fast.set_commit_window(4);
     let cohort: Vec<usize> = (0..8).collect();
 
     let a = run_round(&mut fast, &cohort, &[]).unwrap();
@@ -419,10 +402,8 @@ fn buffered_variant_joins_windows() {
 /// aggregate stays exact.
 #[test]
 fn churn_mid_window_purges_banked_nonces_and_rekeys() {
-    requires_ratchet!();
-    let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 43).unwrap();
-    fed.set_pad_topology(PadTopology::Hypercube);
-    fed.set_commit_window(6);
+    let cfg = cfg_with(PadTopology::Hypercube, 6);
+    let mut fed = SyncFederation::<Fp61, _>::new(cfg, MemTransport::new(), 43).unwrap();
     let full: Vec<usize> = (0..8).collect();
     let reduced: Vec<usize> = (0..7).collect();
 
@@ -465,8 +446,9 @@ fn churn_mid_window_purges_banked_nonces_and_rekeys() {
 /// a sibling leaf churns and re-keys.
 #[test]
 fn grouped_stable_subtree_ratchets_while_sibling_churns() {
-    requires_ratchet!();
-    let topology = GroupTopology::uniform(16, 2, 0.25, 0.75, 16).unwrap();
+    let topology = GroupTopology::uniform(16, 2, 0.25, 0.75, 16)
+        .unwrap()
+        .with_ratchet(RatchetPolicy::new(true, PadTopology::default(), 8));
     let mut fed = GroupedFederation::<Fp61>::new(topology, MemTransport::new(), 31).unwrap();
     let full: Vec<usize> = (0..16).collect();
     let reduced: Vec<usize> = (0..15).collect(); // drops one member of one leaf
@@ -483,7 +465,6 @@ fn grouped_stable_subtree_ratchets_while_sibling_churns() {
         offline
     };
 
-    fed.set_commit_window(8);
     let b_full = offline(&mut fed, &full);
     // round 1 opens a window in both leaves: cheap, but not free
     let b_commit = offline(&mut fed, &full);
@@ -519,8 +500,9 @@ fn grouped_stable_subtree_ratchets_while_sibling_churns() {
 /// share exchange — and every aggregate stays exact.
 #[test]
 fn reassignment_mid_stretch_ratchets_through() {
-    requires_ratchet!();
-    let topology = GroupTopology::uniform(16, 2, 0.25, 0.75, 16).unwrap();
+    let topology = GroupTopology::uniform(16, 2, 0.25, 0.75, 16)
+        .unwrap()
+        .with_ratchet(RatchetPolicy::new(true, PadTopology::default(), 8));
     let mut fed = GroupedFederation::<Fp61>::new(topology, MemTransport::new(), 37).unwrap();
     let full: Vec<usize> = (0..16).collect();
 
@@ -536,7 +518,6 @@ fn reassignment_mid_stretch_ratchets_through() {
         offline
     };
 
-    fed.set_commit_window(8);
     let b_full = offline(&mut fed, &full);
     let b_commit = offline(&mut fed, &full);
     assert!(0 < b_commit && b_commit * 2 < b_full);
@@ -584,4 +565,60 @@ fn grouped_fingerprint_changes_under_reassignment() {
         fed.run_round(&plan),
         Err(ProtocolError::RatchetMismatch)
     ));
+}
+
+/// The policy is a value, not process state: federations under
+/// different policies run side by side, one per thread and in lockstep,
+/// agree on every aggregate bit for bit, and each reports its own
+/// policy and its own event profile.
+#[test]
+fn differing_policies_run_side_by_side_in_one_process() {
+    const ROUNDS: usize = 6;
+    let cohort: Vec<usize> = (0..8).collect();
+    // one federation's run: per-round aggregates and reports
+    let drive = |policy: RatchetPolicy, step: &Barrier| {
+        let cfg = cfg().with_ratchet(policy);
+        let mut fed = SyncFederation::<Fp61, _>::new(cfg, MemTransport::new(), 47).unwrap();
+        (0..ROUNDS)
+            .map(|_| {
+                step.wait();
+                let out = run_round(&mut fed, &cohort, &[]).unwrap();
+                let report = fed.round_report().expect("a finished round reports");
+                (out.aggregate, report)
+            })
+            .unzip::<_, _, Vec<_>, Vec<_>>()
+    };
+    let clique_w1 = RatchetPolicy::new(true, PadTopology::Clique, 1);
+    let hypercube_w8 = RatchetPolicy::new(true, PadTopology::Hypercube, 8);
+    // (policy, handshake-bearing ratchets, window joins) over ROUNDS
+    // rounds, the first of which is always the full exchange
+    let pairs = [
+        [
+            (RatchetPolicy::off(), 0, 0),
+            (RatchetPolicy::default(), 1, 4),
+        ],
+        [(clique_w1, 5, 0), (hypercube_w8, 1, 4)],
+    ];
+    for [left, right] in pairs {
+        let step = Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| drive(left.0, &step));
+            let b = scope.spawn(|| drive(right.0, &step));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.0, b.0, "{:?} and {:?} disagree", left.0, right.0);
+        for (round, aggregate) in a.0.iter().enumerate() {
+            assert_eq!(aggregate, &expected_sum(&cohort, round as u64));
+        }
+        for ((_, reports), (policy, ratchets, windowed)) in [(a, left), (b, right)] {
+            assert!(reports.iter().all(|r| r.ratchet == policy), "{policy:?}");
+            let events = |pick: fn(&RoundReport) -> usize| reports.iter().map(pick).sum::<usize>();
+            assert_eq!(events(|r| r.events.ratchets), ratchets, "{policy:?}");
+            assert_eq!(
+                events(|r| r.events.windowed_ratchets),
+                windowed,
+                "{policy:?}"
+            );
+        }
+    }
 }

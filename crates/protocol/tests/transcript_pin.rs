@@ -23,7 +23,7 @@ use lsa_protocol::federation::{
 };
 use lsa_protocol::transport::{Delivery, MemTransport, PhaseTiming, Transport};
 use lsa_protocol::wire::Envelope;
-use lsa_protocol::{ratchet_enabled, LsaConfig, PadTopology, ProtocolError, Recipient};
+use lsa_protocol::{LsaConfig, PadTopology, ProtocolError, RatchetPolicy, Recipient};
 use std::sync::{Arc, Mutex};
 
 const N: usize = 8;
@@ -116,20 +116,18 @@ fn plan<F: Field>(step: u64) -> RoundPlan<F> {
     }
 }
 
-fn transcript_digest<F: Field>(buffered: bool, topology: PadTopology, window: usize) -> String {
-    let cfg = LsaConfig::new(N, 2, 6, D).unwrap();
+fn transcript_digest<F: Field>(buffered: bool, policy: RatchetPolicy) -> String {
+    let cfg = LsaConfig::new(N, 2, 6, D).unwrap().with_ratchet(policy);
     let transcript = Arc::new(Mutex::new(Sha256::new()));
     let transport = Recording {
         inner: MemTransport::new(),
         transcript: Arc::clone(&transcript),
     };
-    let mut aggregator: Box<dyn SecureAggregator<F>> = if buffered {
+    let aggregator: Box<dyn SecureAggregator<F>> = if buffered {
         Box::new(BufferedFederation::unit_weight(cfg, transport, 0xB0FF).unwrap())
     } else {
         Box::new(SyncFederation::new(cfg, transport, 0x5EED).unwrap())
     };
-    aggregator.set_pad_topology(topology);
-    aggregator.set_commit_window(window);
     let mut fed = Federation::new(aggregator);
     let (mut fallbacks, mut ratcheted) = (0, 0);
     for step in 0..10u64 {
@@ -224,23 +222,16 @@ const PINS: [(&str, &str, &str, &str); 8] = [
 
 #[test]
 fn leaf_transcripts_match_the_pinned_digests() {
-    if !ratchet_enabled() {
-        // the always-rekey lane runs a different (ratchet-free)
-        // transcript; its exchanges are pinned here through the base,
-        // churn and replay rounds
-        eprintln!("LSA_RATCHET is off: skipping the transcript pins");
-        return;
-    }
     let mut drifted = Vec::new();
     for (variant, field, pads, pinned) in PINS {
         let buffered = variant == "buffered";
-        let (topology, window) = match pads {
-            "clique/W1" => (PadTopology::Clique, 1),
-            _ => (PadTopology::Hypercube, 8),
+        let policy = match pads {
+            "clique/W1" => RatchetPolicy::new(true, PadTopology::Clique, 1),
+            _ => RatchetPolicy::new(true, PadTopology::Hypercube, 8),
         };
         let got = match field {
-            "fp32" => transcript_digest::<Fp32>(buffered, topology, window),
-            _ => transcript_digest::<Fp61>(buffered, topology, window),
+            "fp32" => transcript_digest::<Fp32>(buffered, policy),
+            _ => transcript_digest::<Fp61>(buffered, policy),
         };
         println!("(\"{variant}\", \"{field}\", \"{pads}\", \"{got}\"),");
         if got != pinned {

@@ -27,7 +27,7 @@
 
 use lsa_field::{Field, Fp61};
 use lsa_net::{NodeId, TcpTransport, FRAME_OVERHEAD};
-use lsa_protocol::telemetry::{EventCounters, RoundReport};
+use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::PhaseTiming;
 use lsa_protocol::{
@@ -53,20 +53,21 @@ fn main() -> ExitCode {
         eprintln!("usage: lsa-runner <root|child|local> [--key value ...]");
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(&argv[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
+    // each mode with the flags it reads; anything else is a typo
+    type Run = fn(&Opts) -> Result<(), String>;
+    let (run, flags): (Run, &[&str]) = match mode {
+        "root" => (run_root, &["listen", "children", "rounds", "d"]),
+        "child" => (
+            run_child,
+            &["index", "connect", "n", "branch", "rounds", "d", "seed"],
+        ),
+        "local" => (run_local, &["n", "branch", "rounds", "d", "seed"]),
+        other => {
+            eprintln!("error: unknown mode {other:?}");
             return ExitCode::FAILURE;
         }
     };
-    let run = match mode {
-        "root" => run_root(&opts),
-        "child" => run_child(&opts),
-        "local" => run_local(&opts),
-        other => Err(format!("unknown mode {other:?}")),
-    };
-    match run {
+    match Opts::parse(&argv[1..], flags).and_then(|opts| run(&opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -84,17 +85,27 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `--key value` pairs, accepting only the mode's own
+    /// `flags`, each at most once.
+    fn parse(args: &[String], flags: &[&str]) -> Result<Self, String> {
         let mut map = BTreeMap::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected --flag, got {key:?}"));
             };
+            if !flags.contains(&name) {
+                return Err(format!(
+                    "unknown flag --{name} (this mode takes --{})",
+                    flags.join(", --")
+                ));
+            }
             let Some(value) = it.next() else {
                 return Err(format!("--{name} needs a value"));
             };
-            map.insert(name.to_string(), value.clone());
+            if map.insert(name.to_string(), value.clone()).is_some() {
+                return Err(format!("--{name} given more than once"));
+            }
         }
         Ok(Self { map })
     }
@@ -344,7 +355,7 @@ fn collect_root(
                 payload_bytes: slot.bytes,
                 framing_bytes: slot.seen * FRAME_OVERHEAD,
                 envelopes: slot.seen,
-                events: EventCounters::default(),
+                ..RoundReport::default()
             };
             (slot.sum, report)
         })

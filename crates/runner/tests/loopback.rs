@@ -82,3 +82,43 @@ fn malformed_flags_fail_fast() {
         .expect("spawn runner");
     assert!(!out.status.success(), "zero branch must fail");
 }
+
+#[test]
+fn unknown_and_repeated_flags_are_rejected() {
+    let fails_with = |args: &[&str], why: &str| {
+        let out = runner().args(args).output().expect("spawn runner");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(why),
+            "{args:?}: {stderr}"
+        );
+    };
+    // a typo must not silently run with the default
+    fails_with(
+        &["local", "--n", "16", "--ronds", "50"],
+        "unknown flag --ronds",
+    );
+    // a flag of another mode is as unknown as a typo
+    fails_with(
+        &["local", "--listen", "127.0.0.1:0"],
+        "unknown flag --listen",
+    );
+    fails_with(
+        &[
+            "root",
+            "--listen",
+            "127.0.0.1:0",
+            "--children",
+            "1",
+            "--seed",
+            "7",
+        ],
+        "unknown flag --seed",
+    );
+    // a repeated flag must not silently last-win
+    fails_with(
+        &["local", "--n", "16", "--rounds", "1", "--rounds", "2"],
+        "--rounds given more than once",
+    );
+}

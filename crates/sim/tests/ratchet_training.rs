@@ -1,18 +1,19 @@
 //! End-to-end secure FedAvg across a long stable-cohort stretch: the
-//! ratcheted run must be **bit-identical** to an always-rekey twin
-//! (masks cancel exactly in the field, so the fast path may not change
-//! a single aggregate), survive one churn fallback and one mid-round
-//! dropout, ratchet at least 10 of its rounds, and land within 5% of
-//! the plaintext-FedAvg loss.
+//! run must be **bit-identical** under every ratchet policy, the
+//! always-rekey one included (masks cancel exactly in the field, so the
+//! fast path may not change a single aggregate), survive one churn
+//! fallback and one mid-round dropout, ratchet at least 10 of its
+//! rounds, and land within 5% of the plaintext-FedAvg loss.
 
 use lsa_field::Fp61;
 use lsa_fl::{
     mean_aggregate, run_fedavg, Dataset, FedAvgConfig, LogisticRegression, Model, RoundMetrics,
 };
 use lsa_protocol::federation::{SecureAggregator, SyncFederation};
+use lsa_protocol::ratchet::policies;
 use lsa_protocol::transport::MemTransport;
 use lsa_protocol::wire::EnvelopeKind;
-use lsa_protocol::{ratchet_enabled, LsaConfig};
+use lsa_protocol::{LsaConfig, RatchetPolicy};
 use lsa_quantize::VectorQuantizer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,20 +35,17 @@ struct SecureSeam {
     fed: SyncFederation<Fp61, MemTransport>,
     quantizer: VectorQuantizer,
     qrng: StdRng,
-    /// The always-rekey twin drops its retained bases every round.
-    force_rekey: bool,
     round_idx: usize,
     ratcheted_rounds: usize,
 }
 
 impl SecureSeam {
-    fn new(d: usize, force_rekey: bool) -> Self {
-        let cfg = LsaConfig::new(N, 2, 6, d).unwrap();
+    fn new(d: usize, policy: RatchetPolicy) -> Self {
+        let cfg = LsaConfig::new(N, 2, 6, d).unwrap().with_ratchet(policy);
         Self {
             fed: SyncFederation::new(cfg, MemTransport::new(), 77).unwrap(),
             quantizer: VectorQuantizer::new(1 << 16),
             qrng: StdRng::seed_from_u64(4242),
-            force_rekey,
             round_idx: 0,
             ratcheted_rounds: 0,
         }
@@ -56,16 +54,13 @@ impl SecureSeam {
     fn aggregate(&mut self, updates: &[Vec<f32>]) -> Vec<f32> {
         let r = self.round_idx;
         self.round_idx += 1;
-        if self.force_rekey {
-            self.fed.clear_ratchet();
-        }
         let cohort: Vec<usize> = if r == CHURN_ROUND {
             (0..N - 1).collect()
         } else {
             (0..N).collect()
         };
         // quantize only the participating cohort, in cohort order, so
-        // the ratchet and rekey twins consume identical rng streams
+        // every policy's run consumes an identical rng stream
         let quantized: Vec<(usize, Vec<Fp61>)> = cohort
             .iter()
             .map(|&i| {
@@ -132,33 +127,31 @@ fn secure_training_over_ratcheted_stretch_matches_rekey_and_plaintext() {
 
     let plain = train(None);
 
-    let mut fast = SecureSeam::new(d, false);
-    let fast_metrics = train(Some(&mut fast));
-
-    let mut rekey = SecureSeam::new(d, true);
-    let rekey_metrics = train(Some(&mut rekey));
-
-    // masks cancel exactly in the field: a ratcheted round and a
-    // re-keyed round of the same inputs decode the same aggregate, so
-    // the two secure trajectories must be bit-identical
-    assert_eq!(
-        fast_metrics, rekey_metrics,
-        "ratcheted training diverged from the always-rekey twin"
-    );
-
-    if ratchet_enabled() {
-        // base round + churn round + post-churn re-key pay the full
-        // exchange; every other round — the dropout one included —
-        // rides the ratchet
-        assert!(
-            fast.ratcheted_rounds >= 10,
-            "expected a 10+ round ratcheted stretch, got {}",
-            fast.ratcheted_rounds
-        );
+    let runs = policies().map(|policy| {
+        let mut seam = SecureSeam::new(d, policy);
+        let metrics = train(Some(&mut seam));
+        (policy, metrics, seam.ratcheted_rounds)
+    });
+    let fast_metrics = &runs[0].1;
+    for (policy, metrics, ratcheted_rounds) in &runs {
+        // masks cancel exactly in the field: a ratcheted round and a
+        // re-keyed round of the same inputs decode the same aggregate,
+        // so every secure trajectory must be bit-identical
         assert_eq!(
-            rekey.ratcheted_rounds, 0,
-            "the twin must re-key every round"
+            metrics, fast_metrics,
+            "training under {policy:?} diverged from the default policy"
         );
+        if policy.enabled() {
+            // base round + churn round + post-churn re-key pay the full
+            // exchange; every other round — the dropout one included —
+            // rides the ratchet
+            assert!(
+                *ratcheted_rounds >= 10,
+                "expected a 10+ round ratcheted stretch under {policy:?}, got {ratcheted_rounds}"
+            );
+        } else {
+            assert_eq!(*ratcheted_rounds, 0, "{policy:?} must re-key every round");
+        }
     }
 
     // quantization noise and the scripted churn round are the only
