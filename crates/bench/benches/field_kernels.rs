@@ -1,7 +1,7 @@
 //! Lazy-reduction bulk kernels vs the one-reduction-per-op scalar
 //! reference, and the grouped-decode critical path serial vs parallel.
 //!
-//! Two sweeps, both emitted to `LSA_BENCH_JSON` when set:
+//! Three sweeps, all emitted to `LSA_BENCH_JSON` when set:
 //!
 //! * `field_kernels/{fused_multi_axpy,axpy_sweeps,sum_vectors_{lazy,sweeps}}
 //!   /{fp32,fp61}/d{D}/t{T}[/{backend}]` over `d ∈ {2¹⁴, 2¹⁸, 2²⁰}` ×
@@ -19,13 +19,20 @@
 //!   one-shot recoveries (`n_g = 64`) mapped serially vs on the scoped
 //!   pool, per backend. On a multi-core host the `t4` row is the
 //!   ROADMAP's parallel-decode number.
+//! * `field_kernels/encode_all/fp61/{N64_U48,N200_U150}_m1024/{backend}`
+//!   — one member's offline encode (`VandermondeCode::encode_all`) at
+//!   the round ledger's `flat_churn` leaf and at the paper's `N = 200`,
+//!   per backend: the multi-point Horner kernel against the per-point
+//!   scalar path. On a SIMD host the bench asserts the detected backend
+//!   is ≥ 1.5× the forced-scalar run at `N = 64` (best of 20 calls
+//!   each; skipped, with a stderr note, on scalar-only hosts).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lsa_coding::VandermondeCode;
 use lsa_field::{ops, par, simd, Field, Fp32, Fp61};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SIZES: [usize; 3] = [1 << 14, 1 << 18, 1 << 20];
 const THREADS: [usize; 2] = [1, 4];
@@ -207,9 +214,89 @@ fn bench_grouped_decode(c: &mut Criterion) {
     group.finish();
 }
 
+/// `(N, U)` of the encode rows: the ledger's `flat_churn` leaf and the
+/// paper's headline cohort, both at a 1024-element segment.
+const ENCODE_SHAPES: [(usize, usize); 2] = [(64, 48), (200, 150)];
+const ENCODE_SEGMENT: usize = 1024;
+
+fn bench_encode_all(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut group = c.benchmark_group("field_kernels");
+    for (n, u) in ENCODE_SHAPES {
+        let code = VandermondeCode::<Fp61>::new(n, u).unwrap();
+        let segments: Vec<Vec<Fp61>> = (0..u)
+            .map(|_| ops::random_vector(ENCODE_SEGMENT, &mut rng))
+            .collect();
+        group.throughput(Throughput::Elements((n * u * ENCODE_SEGMENT) as u64));
+        for backend in simd::available() {
+            group.bench_function(
+                BenchmarkId::new(
+                    "encode_all/fp61",
+                    format!("N{n}_U{u}_m{ENCODE_SEGMENT}/{}", backend.name()),
+                ),
+                |b| {
+                    simd::with_backend(backend, || {
+                        b.iter(|| black_box(code.encode_all(black_box(&segments))))
+                    })
+                },
+            );
+        }
+        if n == 64 {
+            assert_encode_simd_speedup(&code, &segments);
+        }
+    }
+    group.finish();
+}
+
+/// Best wall-clock of 20 `encode_all` calls under `backend` (the
+/// minimum is robust against scheduler noise on shared CI hosts).
+fn best_encode(
+    code: &VandermondeCode<Fp61>,
+    segments: &[Vec<Fp61>],
+    backend: simd::Backend,
+) -> Duration {
+    simd::with_backend(backend, || {
+        (0..20)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(code.encode_all(black_box(segments)));
+                start.elapsed()
+            })
+            .min()
+            .expect("20 > 0")
+    })
+}
+
+/// The multi-point Horner kernel must earn its keep: ≥ 1.5× the
+/// per-point scalar encode at the ledger's shape. Guarded as
+/// `mask_ratchet`'s wall-clock assert is — on a scalar-only host there
+/// is nothing to compare.
+fn assert_encode_simd_speedup(code: &VandermondeCode<Fp61>, segments: &[Vec<Fp61>]) {
+    match simd::detected() {
+        simd::Backend::Scalar => eprintln!(
+            "field_kernels/encode_all: no SIMD backend detected on this host; \
+             skipping the SIMD-vs-scalar wall-clock assert"
+        ),
+        simd_backend => {
+            let scalar = best_encode(code, segments, simd::Backend::Scalar);
+            let vectored = best_encode(code, segments, simd_backend);
+            eprintln!(
+                "field_kernels/encode_all/N64_U48: {vectored:?} ({}) vs {scalar:?} (scalar)",
+                simd_backend.name(),
+            );
+            assert!(
+                vectored.mul_f64(1.5) <= scalar,
+                "encode_all at N=64 must be at least 1.5x faster under the detected {} \
+                 backend than forced-scalar (got {vectored:?} vs {scalar:?})",
+                simd_backend.name(),
+            );
+        }
+    }
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_field_kernels, bench_grouped_decode
+    targets = bench_field_kernels, bench_grouped_decode, bench_encode_all
 }
 criterion_main!(benches);

@@ -18,6 +18,14 @@
 //! length `m`); decoding the first `k` coefficient segments from any `U`
 //! coded segments costs `O(U²)` scalar operations to derive the Lagrange
 //! basis plus `O(k·U·m)` multiply-accumulates.
+//!
+//! The points are the integers `β_j = j + 1`, and the encoder leans on
+//! that: all `N` coded segments come from one multi-point evaluation
+//! ([`lsa_field::ops::eval_points`]), which where the field has the
+//! kernel multiplies by `β_j` itself — one 32-bit limb — instead of by
+//! its full-width powers. The decoder cannot: Lagrange coefficients are
+//! arbitrary residues, so it stays on the fused
+//! [`lsa_field::ops::weighted_sum_into`].
 
 use crate::{interpolation, CodingError};
 use lsa_field::{evaluation_points, Field};
@@ -88,11 +96,8 @@ impl<F: Field> VandermondeCode<F> {
     }
 
     /// Encode the coded segment destined to user `j`:
-    /// `Σ_k segments[k] · β_j^k` (one Vandermonde column).
-    ///
-    /// The powers of `β_j` are computed once and the segments folded
-    /// through the fused widened-accumulator kernel — one reduction per
-    /// output element instead of one per segment.
+    /// `Σ_k segments[k] · β_j^k` (one Vandermonde column) — the
+    /// single-point case of [`Self::encode_all`], same kernel.
     ///
     /// # Panics
     ///
@@ -100,16 +105,20 @@ impl<F: Field> VandermondeCode<F> {
     /// `j >= n`.
     pub fn encode_for(&self, segments: &[Vec<F>], j: usize) -> Vec<F> {
         assert_eq!(segments.len(), self.u, "expected u segments");
-        lsa_field::ops::horner_eval(segments, self.points[j])
+        let mut coded = lsa_field::ops::eval_points(segments, &self.points[j..=j]);
+        coded.pop().expect("one output per point")
     }
 
-    /// Encode all `n` coded segments.
+    /// Encode all `n` coded segments in one multi-point evaluation
+    /// ([`lsa_field::ops::eval_points`]): the segments are read once
+    /// for all `n` points, not once per user.
     ///
     /// # Panics
     ///
     /// Panics if `segments.len() != u` or the segments are ragged.
     pub fn encode_all(&self, segments: &[Vec<F>]) -> Vec<Vec<F>> {
-        (0..self.n).map(|j| self.encode_for(segments, j)).collect()
+        assert_eq!(segments.len(), self.u, "expected u segments");
+        lsa_field::ops::eval_points(segments, &self.points)
     }
 
     /// Decode the first `prefix` original segments from at least `u` coded

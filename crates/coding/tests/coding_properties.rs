@@ -1,7 +1,7 @@
 //! Property-based tests for the coding layer.
 
 use lsa_coding::{vandermonde, ShamirScheme, VandermondeCode};
-use lsa_field::{Field, Fp32};
+use lsa_field::{simd, Field, Fp32, Fp61};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,4 +123,42 @@ proptest! {
         prop_assert_eq!(segs.len(), parts);
         prop_assert_eq!(vandermonde::concatenate(&segs), flat);
     }
+}
+
+/// At the ledger's and the paper's code shapes, the multi-point
+/// `encode_all` is `encode_for` column by column, and any `u` of its
+/// shares decode back — under every SIMD backend, with a segment
+/// length (13) that leaves the 8-element strip a tail.
+fn encode_all_is_per_column_and_decodes<F: Field>(n: usize, u: usize) {
+    let mut rng = StdRng::seed_from_u64((n * 1000 + u) as u64);
+    let code = VandermondeCode::<F>::new(n, u).unwrap();
+    let segs: Vec<Vec<F>> = (0..u)
+        .map(|_| lsa_field::ops::random_vector(13, &mut rng))
+        .collect();
+    let columns: Vec<Vec<F>> = (0..n).map(|j| code.encode_for(&segs, j)).collect();
+    for backend in simd::available() {
+        let coded = simd::with_backend(backend, || code.encode_all(&segs));
+        assert_eq!(coded, columns, "backend {}", backend.name());
+        // the last u shares: the largest evaluation points
+        let shares: Vec<_> = coded.into_iter().enumerate().skip(n - u).collect();
+        let prefix = u / 2;
+        assert_eq!(
+            simd::with_backend(backend, || code.decode_prefix(&shares, prefix)).unwrap(),
+            segs[..prefix],
+            "backend {}",
+            backend.name()
+        );
+    }
+}
+
+#[test]
+fn encode_all_matches_encode_for_and_roundtrips_fp61() {
+    encode_all_is_per_column_and_decodes::<Fp61>(64, 48);
+    encode_all_is_per_column_and_decodes::<Fp61>(200, 150);
+}
+
+#[test]
+fn encode_all_matches_encode_for_and_roundtrips_fp32() {
+    encode_all_is_per_column_and_decodes::<Fp32>(64, 48);
+    encode_all_is_per_column_and_decodes::<Fp32>(200, 150);
 }

@@ -143,6 +143,20 @@ impl Field for Fp61 {
         false
     }
 
+    fn simd_eval_points(
+        backend: crate::simd::Backend,
+        segs: &[Vec<Self>],
+        points: &[Self],
+    ) -> Option<Vec<Vec<Self>>> {
+        #[cfg(target_arch = "x86_64")]
+        if backend == crate::simd::Backend::Avx2 {
+            // SAFETY: as in `simd_weighted_block`.
+            return unsafe { avx2::eval_points(segs, points) };
+        }
+        let _ = (backend, segs, points);
+        None
+    }
+
     fn simd_dot(backend: crate::simd::Backend, x: &[Self], y: &[Self]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         if backend == crate::simd::Backend::Avx2 {
@@ -175,6 +189,13 @@ impl Field for Fp61 {
 ///
 /// Their sum is `< 3·2^61 + 2^34 < 2^63`, and one more fold brings the
 /// finished term below `2^61 + 4`.
+///
+/// That is the price of a full-width coefficient. The Vandermonde
+/// encode multiplies by an evaluation point below `2^16`, and
+/// [`eval_points`](avx2::eval_points) keeps only what such a
+/// multiplier needs: the `p₀₀` and `pₘ` limbs, unfolded, in a Horner
+/// recurrence whose accumulator provably stays in its lane
+/// (`horner_step`).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{Fp61, P61};
@@ -397,6 +418,205 @@ mod avx2 {
         Fp61::wide_reduce(wide)
     }
 
+    /// Evaluation points below this take the single-limb Horner step
+    /// of [`eval_points`]: the multiplier fits one 32-bit limb with 16
+    /// bits to spare, which is what keeps the accumulator bounded
+    /// without a fold.
+    const POINT_LIMIT: u64 = 1 << 16;
+
+    /// Exclusive bound the Horner accumulator stays under at every step.
+    const HORNER_BOUND: u64 = (1 << 62) + (1 << 49);
+
+    const LIMB: u64 = 0xFFFF_FFFF;
+
+    // Pin the Horner bound: from the largest accumulator, the largest
+    // point and the largest residue, one step lands under the bound
+    // again (a canonical top segment starts under it).
+    #[allow(clippy::assertions_on_constants)]
+    const _: () = {
+        let beta = (POINT_LIMIT - 1) as u128;
+        let hi = ((HORNER_BOUND - 1) >> 32) as u128;
+        // the high limb and `8β` are valid 32-bit multiplicands
+        assert!(hi < 1 << 32 && 8 * beta < 1 << 32);
+        let low = LIMB as u128 * beta;
+        let wrapped = ((LIMB as u128) << 29) + ((hi * 8 * beta) >> 32);
+        assert!(low + wrapped + (P61 as u128 - 1) < HORNER_BOUND as u128);
+        // `reduce_vec` / `lane_reduce` take lanes whose first fold lands
+        // under 2^61 + 8
+        assert!(HORNER_BOUND >> 61 < 8);
+    };
+
+    /// One Horner step `acc·β + s (mod q)` for `β <` [`POINT_LIMIT`]
+    /// and `acc <` [`HORNER_BOUND`], unreduced but under the bound
+    /// again. With `acc = lo + hi·2^32` the low product `lo·β < 2^48`
+    /// is exact, and the high product `v = hi·β` carries `2^32`, which
+    /// wraps as in the module's `pₘ` fold: `(v mod 2^29)·2^32 + (v >>
+    /// 29)`. Taken on `w = 8v = hi·8β` that is `(w mod 2^32)·2^29 +
+    /// (w >> 32)`, whose mask-and-shift is a one-limb multiply too.
+    /// The SIMD twin is [`horner_step_vec`]; this one serves the loop
+    /// tail in checked `u64` arithmetic.
+    #[inline]
+    fn horner_step(acc: u64, beta: u64, s: u64) -> u64 {
+        let w = (acc >> 32) * (8 * beta);
+        (acc & LIMB) * beta + ((w & LIMB) << 29) + (w >> 32) + s
+    }
+
+    /// `vpmuludq` itself: the product of the low 32 bits of each lane.
+    /// `_mm256_mul_epu32` reaches LLVM as a generic 64-bit multiply of
+    /// masked operands; with the point fixed across the row loop its
+    /// mask is hoisted out, the loop body no longer shows that the
+    /// operand is one limb wide, and every product comes back as two
+    /// multiplies, a shift and an add (and a product by `2^29` as the
+    /// mask and shift it stands in for).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mul_lo32(a: __m256i, b: __m256i) -> __m256i {
+        let r: __m256i;
+        core::arch::asm!(
+            "vpmuludq {r}, {a}, {b}",
+            r = lateout(ymm_reg) r,
+            a = in(ymm_reg) a,
+            b = in(ymm_reg) b,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+        r
+    }
+
+    /// Lanewise [`horner_step`] with `betas = (β, 8β)`: three
+    /// `vpmuludq` (which reads only the low 32 bits of each lane, so
+    /// `acc` is its own low limb and `w` its own `w mod 2^32`), a
+    /// shuffle, a shift and three adds — no fold.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn horner_step_vec(
+        acc: __m256i,
+        betas: (__m256i, __m256i),
+        s: __m256i,
+        two29: __m256i,
+    ) -> __m256i {
+        // each lane's high dword, copied over its low one
+        let hi = _mm256_shuffle_epi32::<0xF5>(acc);
+        let w = mul_lo32(hi, betas.1);
+        let low = mul_lo32(acc, betas.0);
+        let wrapped = _mm256_add_epi64(mul_lo32(w, two29), _mm256_srli_epi64::<32>(w));
+        _mm256_add_epi64(_mm256_add_epi64(low, s), wrapped)
+    }
+
+    /// `P` points × the 8-element strip at `k`, whose segment rows
+    /// arrive packed in `rows` (8 elements each, lowest degree first):
+    /// `2·P` independent Horner chains down the rows, which is what
+    /// hides the multiply latency.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available. (Every 256-bit load and
+    /// store below goes through a bounds-checked 4-element slice of the
+    /// `repr(transparent)` `Fp61`, exactly the 32 bytes it touches, so
+    /// a short `outs`, `points` or `rows` panics instead.)
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn horner_strip<const P: usize>(
+        outs: &mut [Vec<Fp61>],
+        points: &[Fp61],
+        rows: &[Fp61],
+        k: usize,
+    ) {
+        let load = |row: &[Fp61]| {
+            (
+                _mm256_loadu_si256(row[..4].as_ptr() as *const __m256i),
+                _mm256_loadu_si256(row[4..8].as_ptr() as *const __m256i),
+            )
+        };
+        let two29 = _mm256_set1_epi64x(1 << 29);
+        let betas: [_; P] = core::array::from_fn(|i| {
+            let beta = points[i].0 as i64;
+            (_mm256_set1_epi64x(beta), _mm256_set1_epi64x(8 * beta))
+        });
+        let mut rows = rows.chunks_exact(8).rev();
+        let (s0, s1) = load(rows.next().expect("at least one segment"));
+        let (mut a0, mut a1) = ([s0; P], [s1; P]);
+        for row in rows {
+            let (s0, s1) = load(row);
+            for i in 0..P {
+                a0[i] = horner_step_vec(a0[i], betas[i], s0, two29);
+                a1[i] = horner_step_vec(a1[i], betas[i], s1, two29);
+            }
+        }
+        let p = _mm256_set1_epi64x(P61 as i64);
+        for i in 0..P {
+            let dst = &mut outs[i][k..k + 8];
+            _mm256_storeu_si256(dst[..4].as_mut_ptr() as *mut __m256i, reduce_vec(a0[i], p));
+            _mm256_storeu_si256(dst[4..].as_mut_ptr() as *mut __m256i, reduce_vec(a1[i], p));
+        }
+    }
+
+    /// All the evaluations `Σ_k segs[k]·β^k`, `β` over `points` (see
+    /// [`Field::simd_eval_points`] for the contract), as true Horner
+    /// recurrences on the single-limb step.
+    ///
+    /// Strip-major, four points to a register block: the rows of one
+    /// 8-element strip are gathered from the segments once and then
+    /// read from L1 for every block of points, instead of streaming
+    /// every segment once per point.
+    ///
+    /// `None`, with nothing computed, if a point is not below
+    /// [`POINT_LIMIT`]: the bound proof does not cover it.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segs` is empty or ragged.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn eval_points(segs: &[Vec<Fp61>], points: &[Fp61]) -> Option<Vec<Vec<Fp61>>> {
+        if points.iter().any(|p| p.0 >= POINT_LIMIT) {
+            return None;
+        }
+        let (top, rest) = segs.split_last().expect("at least one segment");
+        let len = top.len();
+        let mut outs = vec![vec![Fp61::ZERO; len]; points.len()];
+        let mut rows = vec![Fp61::ZERO; 8 * segs.len()];
+        let blocks = points.len() / 4 * 4;
+        let mut k = 0;
+        while k + 8 <= len {
+            for (row, seg) in rows.chunks_exact_mut(8).zip(segs) {
+                row.copy_from_slice(&seg[k..k + 8]);
+            }
+            for j in (0..blocks).step_by(4) {
+                horner_strip::<4>(&mut outs[j..], &points[j..], &rows, k);
+            }
+            let (outs, points) = (&mut outs[blocks..], &points[blocks..]);
+            match points.len() {
+                1 => horner_strip::<1>(outs, points, &rows, k),
+                2 => horner_strip::<2>(outs, points, &rows, k),
+                3 => horner_strip::<3>(outs, points, &rows, k),
+                _ => {}
+            }
+            k += 8;
+        }
+        // scalar tail (< 8 elements) on the same recurrence
+        for (out, beta) in outs.iter_mut().zip(points) {
+            for k in k..len {
+                let acc = rest
+                    .iter()
+                    .rev()
+                    .fold(top[k].0, |acc, seg| horner_step(acc, beta.0, seg[k].0));
+                out[k] = Fp61(lane_reduce(acc));
+            }
+        }
+        Some(outs)
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -456,6 +676,22 @@ mod avx2 {
             // SAFETY: detection checked above.
             let got = unsafe { dot(&x, &y) };
             assert_eq!(got, crate::ops::reference::dot(&x, &y));
+        }
+
+        #[test]
+        fn horner_step_is_exact_and_stays_under_its_bound() {
+            for acc in [0, 1, LIMB, LIMB + 1, P61 - 1, HORNER_BOUND - 1] {
+                for beta in [0, 1, 2, 200, POINT_LIMIT - 1] {
+                    for s in [0, 1, P61 - 1] {
+                        let next = horner_step(acc, beta, s);
+                        assert!(next < HORNER_BOUND, "bound violated");
+                        assert_eq!(
+                            Fp61(lane_reduce(next)),
+                            Fp61::from_u64(acc) * Fp61(beta) + Fp61(s)
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -143,6 +143,25 @@ pub trait Field:
         false
     }
 
+    /// SIMD multi-point evaluation of the vector polynomial
+    /// `Σ_k segs[k]·β^k` ([`ops::eval_points`]): one output per point,
+    /// `out[j][i] = Σ_k segs[k][i] · points[j]^k`. `segs` is non-empty
+    /// and its segments have one common length.
+    ///
+    /// Returns `None` when this field has no kernel for `backend` *or
+    /// for these points* (a kernel may take only small multipliers);
+    /// the caller then evaluates point by point through
+    /// [`ops::horner_eval`]. Same bit-identical contract as
+    /// [`Field::simd_weighted_block`].
+    fn simd_eval_points(
+        backend: simd::Backend,
+        segs: &[Vec<Self>],
+        points: &[Self],
+    ) -> Option<Vec<Vec<Self>>> {
+        let _ = (backend, segs, points);
+        None
+    }
+
     /// SIMD inner product `Σ x[k]·y[k]`, or `None` when this field has
     /// no kernel for `backend`. Same bit-identical contract as
     /// [`Field::simd_weighted_block`].

@@ -24,6 +24,19 @@
 //! independently with a fixed term order, so results are bit-identical
 //! across thread counts.
 //!
+//! # Small multipliers: the multi-point evaluator
+//!
+//! The fused kernels take arbitrary coefficients. The Vandermonde
+//! encode does not need that: its evaluation points are `1..=N`, and
+//! [`eval_points`] — all `N` evaluations of one vector polynomial in
+//! one call — hands them to [`Field::simd_eval_points`], where a field
+//! may run a true Horner recurrence with the point itself as a
+//! single-limb multiplier (`Fp61` under AVX2 does: no powers, no fold
+//! per step, every segment read once per strip for all the points).
+//! Without such a kernel it is [`horner_eval`] per point over the fused
+//! pass above. Decode stays on [`weighted_sum_into`]: Lagrange
+//! coefficients are full-width.
+//!
 //! The pre-refactor one-reduction-per-op loops survive in
 //! [`reference`] as the oracle for equivalence tests and the baseline
 //! for the `field_kernels` bench.
@@ -317,6 +330,46 @@ pub fn horner_eval<F: Field>(segs: &[Vec<F>], point: F) -> Vec<F> {
     let mut out = vec![F::ZERO; len];
     weighted_sum_into(&mut out, &coeffs, &inputs);
     out
+}
+
+/// Evaluate the vector polynomial `Σ_k segs[k] · β^k` at every `β` in
+/// `points`: all the coded segments of one Vandermonde encode (Eq. (5)
+/// of the paper) in one call, `out[j]` for `points[j]`.
+///
+/// Where the field has a multi-point kernel for the active backend
+/// ([`Field::simd_eval_points`]) the segments are read once per strip
+/// for all the points; otherwise — the scalar backend, `Fp32`, points
+/// the kernel does not take — this is [`horner_eval`] per point, and
+/// the result is the same either way. Segments of at least
+/// [`par::MIN_PAR_LEN`] elements fork over the points; each output is
+/// computed by one worker from the shared inputs, so the result does
+/// not depend on the thread count.
+///
+/// # Panics
+///
+/// Panics if `segs` is empty or the segments have different lengths.
+pub fn eval_points<F: Field>(segs: &[Vec<F>], points: &[F]) -> Vec<Vec<F>> {
+    assert!(!segs.is_empty(), "no segments to evaluate");
+    let len = segs[0].len();
+    for seg in segs {
+        assert_eq!(seg.len(), len, "segment length mismatch");
+    }
+    let backend = simd::backend();
+    if backend != simd::Backend::Scalar {
+        let workers = if len < par::MIN_PAR_LEN {
+            1
+        } else {
+            par::num_threads()
+        };
+        // whole register blocks of four points per worker
+        let per = points.len().div_ceil(workers).max(1).next_multiple_of(4);
+        let shares: Vec<&[F]> = points.chunks(per).collect();
+        let parts = par::par_map(&shares, |pts| F::simd_eval_points(backend, segs, pts));
+        if let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() {
+            return parts.into_iter().flatten().collect();
+        }
+    }
+    points.iter().map(|&p| horner_eval(segs, p)).collect()
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,8 @@
 //! The delayed-reduction kernels in [`crate::ops`] and the multi-block
 //! keystream path in `lsa_crypto` each have two implementations: the
 //! portable scalar loop (autovectorization-friendly, the oracle) and a
-//! hand-written SIMD kernel over stable `core::arch` intrinsics. Which
+//! hand-written SIMD kernel over stable `core::arch` intrinsics (plus
+//! one `asm!` instruction where LLVM rewrites the intrinsic). Which
 //! one runs is decided **once per bulk call** — never per element — by
 //! [`backend`], which resolves, in order:
 //!

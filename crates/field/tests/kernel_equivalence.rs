@@ -15,6 +15,8 @@
 
 use lsa_field::{ops, par, simd, Field, Fp32, Fp61};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Run `f` once per backend this host can execute, pinned.
 fn for_each_backend(mut f: impl FnMut(simd::Backend)) {
@@ -37,6 +39,35 @@ fn vec32(len: core::ops::Range<usize>) -> impl Strategy<Value = Vec<Fp32>> {
 
 fn vec61(len: core::ops::Range<usize>) -> impl Strategy<Value = Vec<Fp61>> {
     proptest::collection::vec(fp61(), len)
+}
+
+/// `degree` coefficient segments derived from one base vector.
+fn polynomial<F: Field>(base: &[F], degree: usize, mix: F) -> Vec<Vec<F>> {
+    (0..degree)
+        .map(|k| {
+            base.iter()
+                .map(|&v| v * F::from_u64(k as u64 + 1) + mix)
+                .collect()
+        })
+        .collect()
+}
+
+/// First evaluation point the `Fp61` AVX2 Horner kernel does not take.
+const FAST_POINTS: u64 = 1 << 16;
+
+/// `ops::eval_points` equals `ops::reference::horner_eval` point by
+/// point, under every backend × thread count {1, 2, 4, 7}.
+fn assert_eval_points_match<F: Field>(segs: &[Vec<F>], points: &[F]) {
+    let expect: Vec<Vec<F>> = points
+        .iter()
+        .map(|&p| ops::reference::horner_eval(segs, p))
+        .collect();
+    for_each_backend(|b| {
+        for threads in [1usize, 2, 4, 7] {
+            let got = par::with_threads(threads, || ops::eval_points(segs, points));
+            assert_eq!(got, expect, "backend {} threads {threads}", b.name());
+        }
+    });
 }
 
 macro_rules! kernel_equivalence {
@@ -124,13 +155,7 @@ macro_rules! kernel_equivalence {
                     point in $scalar(),
                     mix in $scalar(),
                 ) {
-                    let segs: Vec<Vec<$F>> = (0..degree)
-                        .map(|k| {
-                            base.iter()
-                                .map(|&v| v * <$F>::from_u64(k as u64 + 1) + mix)
-                                .collect()
-                        })
-                        .collect();
+                    let segs = polynomial(&base, degree, mix);
                     let expect = ops::reference::horner_eval(&segs, point);
                     for_each_backend(|b| {
                         assert_eq!(
@@ -140,6 +165,22 @@ macro_rules! kernel_equivalence {
                             b.name()
                         );
                     });
+                }
+
+                /// Multi-point evaluation against the per-point Horner
+                /// reference: segment lengths around the 8-element
+                /// strip (0, below 8, not a multiple of 8) and point
+                /// counts around the 4-point register block.
+                #[test]
+                fn eval_points_matches_reference(
+                    base in $vector(0..40),
+                    degree in 1usize..10,
+                    count in 0usize..11,
+                    mix in $scalar(),
+                ) {
+                    let segs = polynomial(&base, degree, mix);
+                    let points = lsa_field::evaluation_points::<$F>(count);
+                    assert_eval_points_match(&segs, &points);
                 }
 
                 #[test]
@@ -235,6 +276,58 @@ macro_rules! kernel_equivalence {
                 });
             }
 
+            /// The no-fold Horner bound at its worst: every residue
+            /// `q−1`, degrees past the paper's `U = 150`, and the
+            /// largest point the single-limb step takes among the
+            /// points (seven of them: one register block and a
+            /// remainder of three; eleven elements: one strip and a
+            /// scalar tail).
+            #[test]
+            fn eval_points_worst_case_all_q_minus_one() {
+                let q1 = <$F>::from_u64(<$F>::MODULUS - 1);
+                let points: Vec<$F> = [1, 2, 3, 64, 200, FAST_POINTS - 2, FAST_POINTS - 1]
+                    .map(<$F>::from_u64)
+                    .to_vec();
+                for degree in [48usize, 150, 1000] {
+                    let segs = vec![vec![q1; 11]; degree];
+                    assert_eval_points_match(&segs, &points);
+                    // closed form at β = 1: Σ (−1) over `degree` terms
+                    let at_one = ops::eval_points(&segs, &points[..1]);
+                    assert_eq!(at_one[0][0], <$F>::from_i64(-(degree as i64)));
+                }
+            }
+
+            /// `2^16 − 1` is the last point the single-limb step takes
+            /// and `2^16` the first that falls back: alone, together,
+            /// and mixed with small points, the answer is the
+            /// reference's.
+            #[test]
+            fn eval_points_across_the_fast_point_limit() {
+                let mut rng = StdRng::seed_from_u64(17);
+                let segs: Vec<Vec<$F>> = (0..9).map(|_| ops::random_vector(21, &mut rng)).collect();
+                for points in [
+                    vec![FAST_POINTS - 1],
+                    vec![FAST_POINTS - 1, FAST_POINTS],
+                    vec![FAST_POINTS - 1, 1, 2, 3, FAST_POINTS - 1],
+                    vec![5, FAST_POINTS, 6, u64::MAX],
+                ] {
+                    let points: Vec<$F> = points.into_iter().map(<$F>::from_u64).collect();
+                    assert_eval_points_match(&segs, &points);
+                }
+            }
+
+            /// Segments long enough to fork: one answer for every
+            /// thread count × backend, with a point count (9) that
+            /// splits unevenly over the workers.
+            #[test]
+            fn eval_points_forks_bit_identically() {
+                let mut rng = StdRng::seed_from_u64(18);
+                let len = par::MIN_PAR_LEN + 13;
+                let segs: Vec<Vec<$F>> =
+                    (0..3).map(|_| ops::random_vector(len, &mut rng)).collect();
+                assert_eval_points_match(&segs, &lsa_field::evaluation_points::<$F>(9));
+            }
+
             /// Many max-magnitude terms through the fused kernel stay
             /// exact (the closed form makes wrap-around visible); on the
             /// SIMD path this crosses the lane re-fold cadence hundreds
@@ -298,9 +391,6 @@ kernel_equivalence!(fp61_kernels, fp61, vec61, Fp61);
 /// backend-pin propagation into [`par`] workers: the whole matrix runs
 /// under scoped `with_backend` overrides that must survive the fork.
 fn parallel_matrix_bit_identical<F: Field>(seed: u64) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
     let mut rng = StdRng::seed_from_u64(seed);
     let len = par::MIN_PAR_LEN + 7;
     let inputs: Vec<Vec<F>> = (0..16).map(|_| ops::random_vector(len, &mut rng)).collect();

@@ -15,9 +15,12 @@
 //! RNG draw fails here. They are not a wire-format fixture
 //! (`wire_compat.rs` is): a change that *means* to alter the transcript
 //! re-captures them with `--nocapture` and says why in review.
+//!
+//! A second, unpinned check runs one round at a longer segment under
+//! every SIMD backend and compares the transcripts with each other.
 
 use lsa_crypto::sha256::Sha256;
-use lsa_field::{Field, Fp32, Fp61};
+use lsa_field::{simd, Field, Fp32, Fp61};
 use lsa_protocol::federation::{
     BufferedFederation, Federation, RoundPlan, SecureAggregator, SyncFederation,
 };
@@ -116,8 +119,9 @@ fn plan<F: Field>(step: u64) -> RoundPlan<F> {
     }
 }
 
-fn transcript_digest<F: Field>(buffered: bool, policy: RatchetPolicy) -> String {
-    let cfg = LsaConfig::new(N, 2, 6, D).unwrap().with_ratchet(policy);
+/// A leaf federation over a [`Recording`] transport, and the digest
+/// the transport writes into.
+fn recorded<F: Field>(cfg: LsaConfig, buffered: bool) -> (Federation<F>, Arc<Mutex<Sha256>>) {
     let transcript = Arc::new(Mutex::new(Sha256::new()));
     let transport = Recording {
         inner: MemTransport::new(),
@@ -128,36 +132,35 @@ fn transcript_digest<F: Field>(buffered: bool, policy: RatchetPolicy) -> String 
     } else {
         Box::new(SyncFederation::new(cfg, transport, 0x5EED).unwrap())
     };
-    let mut fed = Federation::new(aggregator);
-    let (mut fallbacks, mut ratcheted) = (0, 0);
-    for step in 0..10u64 {
-        if step == 7 {
-            fed.aggregator_mut().reseat_ratchet(0xA11CE);
-        }
-        let plan = plan::<F>(step);
-        let out = fed
-            .run_round(&plan)
-            .unwrap_or_else(|e| panic!("step {step} failed: {e}"));
-        // the pin is only worth keeping if the rounds are right
-        let mut want = vec![F::ZERO; D];
-        for (_, u) in &plan.updates {
-            lsa_field::ops::add_assign(&mut want, u);
-        }
-        assert_eq!(out.aggregate, want, "step {step}: wrong aggregate");
-        let events = fed.last_report().expect("a finished round reports").events;
-        fallbacks += events.fallbacks;
-        ratcheted += events.ratchets + events.windowed_ratchets;
-        let mut transcript = transcript.lock().unwrap();
-        transcript.update(&out.round.to_le_bytes());
-        for x in &out.aggregate {
-            transcript.update(&x.residue().to_le_bytes());
-        }
+    (Federation::new(aggregator), transcript)
+}
+
+/// Run `plan`, check its aggregate against the plaintext sum of the
+/// submitted updates, and add round number and aggregate to the digest.
+fn run_checked<F: Field>(
+    fed: &mut Federation<F>,
+    transcript: &Mutex<Sha256>,
+    plan: &RoundPlan<F>,
+    step: u64,
+) {
+    let out = fed
+        .run_round(plan)
+        .unwrap_or_else(|e| panic!("step {step} failed: {e}"));
+    // the pin is only worth keeping if the rounds are right
+    let mut want = vec![F::ZERO; out.aggregate.len()];
+    for (_, u) in &plan.updates {
+        lsa_field::ops::add_assign(&mut want, u);
     }
-    // ... and if the plan walked the paths it claims to walk (the
-    // buffered variant re-keys after the reseat, the sync one ratchets
-    // through it)
-    assert_eq!(fallbacks, 1, "step 5 must abort and replay exactly once");
-    assert_eq!(ratcheted, if buffered { 5 } else { 6 });
+    assert_eq!(out.aggregate, want, "step {step}: wrong aggregate");
+    let mut transcript = transcript.lock().unwrap();
+    transcript.update(&out.round.to_le_bytes());
+    for x in &out.aggregate {
+        transcript.update(&x.residue().to_le_bytes());
+    }
+}
+
+/// Drop the federation (the last other holder) and read the digest out.
+fn finish<F: Field>(fed: Federation<F>, transcript: Arc<Mutex<Sha256>>) -> String {
     drop(fed);
     let digest = Arc::try_unwrap(transcript)
         .unwrap_or_else(|_| panic!("the federation still holds the transcript"))
@@ -165,6 +168,27 @@ fn transcript_digest<F: Field>(buffered: bool, policy: RatchetPolicy) -> String 
         .unwrap()
         .finalize();
     digest.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn transcript_digest<F: Field>(buffered: bool, policy: RatchetPolicy) -> String {
+    let cfg = LsaConfig::new(N, 2, 6, D).unwrap().with_ratchet(policy);
+    let (mut fed, transcript) = recorded::<F>(cfg, buffered);
+    let (mut fallbacks, mut ratcheted) = (0, 0);
+    for step in 0..10u64 {
+        if step == 7 {
+            fed.aggregator_mut().reseat_ratchet(0xA11CE);
+        }
+        run_checked(&mut fed, &transcript, &plan::<F>(step), step);
+        let events = fed.last_report().expect("a finished round reports").events;
+        fallbacks += events.fallbacks;
+        ratcheted += events.ratchets + events.windowed_ratchets;
+    }
+    // ... and if the plan walked the paths it claims to walk (the
+    // buffered variant re-keys after the reseat, the sync one ratchets
+    // through it)
+    assert_eq!(fallbacks, 1, "step 5 must abort and replay exactly once");
+    assert_eq!(ratcheted, if buffered { 5 } else { 6 });
+    finish(fed, transcript)
 }
 
 /// `(variant, field, topology/window, digest)`, captured at the parent
@@ -242,4 +266,45 @@ fn leaf_transcripts_match_the_pinned_digests() {
         drifted.is_empty(),
         "transcripts drifted from the pinned digests: {drifted:?}"
     );
+}
+
+/// The pins above run at segment length 4, where the multi-point
+/// encode kernel is all scalar tail. One full-exchange round at
+/// `(N, T, U, d) = (10, 2, 7, 65)` — coded segments of 13 elements,
+/// one 8-element strip and an odd tail — must put the same bytes on
+/// the wire under every SIMD backend this host has.
+fn strip_round_digest(buffered: bool) -> String {
+    let cfg = LsaConfig::new(10, 2, 7, 65).unwrap();
+    let (mut fed, transcript) = recorded::<Fp61>(cfg, buffered);
+    let mut plan = RoundPlan::new((0..10).collect());
+    for id in 0..10u64 {
+        let update = (0..65)
+            .map(|k| Fp61::from_u64((id + 1) << 40 | k))
+            .collect();
+        plan = plan.with_update(id as usize, update);
+    }
+    run_checked(&mut fed, &transcript, &plan, 0);
+    finish(fed, transcript)
+}
+
+#[test]
+fn coded_shares_are_the_same_bytes_under_every_backend() {
+    for buffered in [false, true] {
+        let digests: Vec<(&str, String)> = simd::available()
+            .into_iter()
+            .map(|b| {
+                (
+                    b.name(),
+                    simd::with_backend(b, || strip_round_digest(buffered)),
+                )
+            })
+            .collect();
+        for (backend, digest) in &digests {
+            assert_eq!(
+                digest, &digests[0].1,
+                "buffered={buffered}: {backend} delivered different bytes than {}",
+                digests[0].0
+            );
+        }
+    }
 }

@@ -69,6 +69,10 @@ impl fmt::Display for QuantizeError {
 
 impl std::error::Error for QuantizeError {}
 
+/// Scaled values `c·x` must stay below this magnitude: up to `2^62` the
+/// float-to-integer cast is exact, beyond it there is no grid neighbour.
+const GRID_LIMIT: f64 = (1i64 << 62) as f64;
+
 /// Stochastic rounding `Q_c` of Eq. (29): rounds `x` to the grid `Z/c`,
 /// choosing the upper neighbour with probability equal to the fractional
 /// part, so that `E[Q_c(x)] = x`.
@@ -91,7 +95,7 @@ pub fn try_stochastic_round<R: Rng + ?Sized>(
     let scaled = x * c as f64;
     // the product is what gets cast: x alone being finite is not enough
     // (x = 1e308, c = 2^16 scales to +inf; x = 1e30 saturates the cast)
-    if !scaled.is_finite() || scaled.abs() >= (1i64 << 62) as f64 {
+    if !scaled.is_finite() || scaled.abs() >= GRID_LIMIT {
         return Err(QuantizeError::NonFinite { index: 0, value: x });
     }
     let floor = scaled.floor();
@@ -145,23 +149,44 @@ impl VectorQuantizer {
     /// Quantize a real vector into the field: `φ(c·Q_c(x_k))` per
     /// coordinate, rejecting non-finite coordinates with a typed error.
     ///
+    /// Coordinate for coordinate this is [`try_stochastic_round`] then
+    /// [`Field::from_i64`] — same values, same one draw per accepted
+    /// coordinate — as one loop whose only branch is the rejection:
+    /// the floor comes from the truncating cast instead of a call into
+    /// `libm`, and the round-up and the sign are selected, not jumped
+    /// on (both are coin flips to a branch predictor).
+    ///
     /// # Errors
     ///
     /// Returns [`QuantizeError::NonFinite`] (with the coordinate index)
-    /// if any input is NaN or ±∞.
+    /// if any input is NaN or ±∞, or scales past the integer grid
+    /// (`|c·x| ≥ 2^62`); no draw is made for the rejected coordinate.
     pub fn try_quantize<F: Field, R: Rng + ?Sized>(
         &self,
         xs: &[f64],
         rng: &mut R,
     ) -> Result<Vec<F>, QuantizeError> {
-        xs.iter()
-            .enumerate()
-            .map(|(index, &x)| {
-                try_stochastic_round(x, self.c, rng)
-                    .map(F::from_i64)
-                    .map_err(|_| QuantizeError::NonFinite { index, value: x })
-            })
-            .collect()
+        const LIFT: u64 = 1 << 62;
+        let c = self.c as f64;
+        let lift = F::from_u64(LIFT);
+        let mut out = vec![F::ZERO; xs.len()];
+        for (index, (&x, slot)) in xs.iter().zip(&mut out).enumerate() {
+            let scaled = x * c;
+            // NaN is not on the grid either: it compares false
+            let on_grid = scaled.abs() < GRID_LIMIT;
+            if !on_grid {
+                return Err(QuantizeError::NonFinite { index, value: x });
+            }
+            // below 2^62 the cast is exact truncation towards zero
+            let toward_zero = scaled as i64;
+            let floor = toward_zero - i64::from(toward_zero as f64 > scaled);
+            let frac = scaled - floor as f64;
+            let rounded = floor + i64::from(rng.gen::<f64>() < frac);
+            // φ without asking for the sign: lift by 2^62 into the
+            // non-negatives, embed, and take the lift off in the field
+            *slot = F::from_u64((rounded as u64).wrapping_add(LIFT)) - lift;
+        }
+        Ok(out)
     }
 
     /// Infallible façade over [`Self::try_quantize`] for trusted inputs.

@@ -3,10 +3,12 @@
 //! field embedding).
 
 use lsa_field::{Field, Fp32, Fp61};
-use lsa_quantize::{stochastic_round, StalenessFn, VectorQuantizer};
+use lsa_quantize::{
+    stochastic_round, try_stochastic_round, QuantizeError, StalenessFn, VectorQuantizer,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Quantize `clients` copies of bounded vectors, sum them in the field,
 /// and check the sum dequantizes *exactly* to the integer-grid sum —
@@ -37,8 +39,109 @@ fn exact_aggregation_roundtrip<F: Field>(clients: usize, xs: &[f64], c: u64, see
     }
 }
 
+/// The vector loop against the scalar oracle it replaced — one
+/// [`try_stochastic_round`] and one `from_i64` per coordinate — on
+/// generators seeded alike: the same field elements or the same typed
+/// error, and the same generator position afterwards either way.
+fn quantize_matches_scalar_oracle<F: Field>(xs: &[f64], c: u64, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut oracle_rng = rng.clone();
+    let got = VectorQuantizer::new(c).try_quantize::<F, _>(xs, &mut rng);
+    let want: Result<Vec<F>, QuantizeError> = xs
+        .iter()
+        .enumerate()
+        .map(|(index, &x)| {
+            try_stochastic_round(x, c, &mut oracle_rng)
+                .map(F::from_i64)
+                .map_err(|_| QuantizeError::NonFinite { index, value: x })
+        })
+        .collect();
+    match (got, want) {
+        (Ok(got), Ok(want)) => assert_eq!(got, want),
+        // by bit pattern: a NaN value is not equal to itself
+        (
+            Err(QuantizeError::NonFinite { index, value }),
+            Err(QuantizeError::NonFinite {
+                index: want_index,
+                value: want_value,
+            }),
+        ) => assert_eq!((index, value.to_bits()), (want_index, want_value.to_bits())),
+        (got, want) => panic!("loop {got:?}, oracle {want:?}"),
+    }
+    assert_eq!(
+        rng.gen::<u64>(),
+        oracle_rng.gen::<u64>(),
+        "generators left at different positions"
+    );
+}
+
+/// Largest `f64` below `2^62`, the edge of the integer grid.
+const UNDER_GRID_LIMIT: f64 = ((1u64 << 62) - (1 << 9)) as f64;
+
+/// An in-range coordinate of one of the shapes the floor-by-cast and
+/// the select-not-branch rewrites could get wrong: signed zeros, values
+/// that scale below one grid step, exact grid points (fractional part
+/// zero), and the largest magnitudes the grid takes.
+fn coordinate(kind: u8, x: f64, c: u64) -> f64 {
+    match kind {
+        0 => 0.0f64.copysign(x),
+        1 => 1e-300f64.copysign(x),
+        2 => (x * c as f64).round() / c as f64,
+        3 => UNDER_GRID_LIMIT.copysign(x) / c as f64,
+        _ => x,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `try_quantize` is the scalar oracle, coordinate for coordinate.
+    #[test]
+    fn vector_loop_matches_scalar_oracle(
+        coords in proptest::collection::vec((0u8..8, -100.0f64..100.0), 1..48),
+        c_bits in 0u32..21,
+        odd in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // powers of two (the protocol's levels) and their upper neighbours
+        let c = (1u64 << c_bits) + u64::from(odd);
+        let xs: Vec<f64> = coords.iter().map(|&(kind, x)| coordinate(kind, x, c)).collect();
+        quantize_matches_scalar_oracle::<Fp32>(&xs, c, seed);
+        quantize_matches_scalar_oracle::<Fp61>(&xs, c, seed);
+    }
+
+    /// A NaN, ±∞ or over-range coordinate anywhere in the vector: the
+    /// same error index and value, and the generator stopped where the
+    /// oracle's stopped (one draw per accepted coordinate before it,
+    /// none for it).
+    #[test]
+    fn rejected_coordinate_matches_scalar_oracle(
+        coords in proptest::collection::vec((0u8..8, -100.0f64..100.0), 1..48),
+        poison in 0u8..5,
+        at in any::<usize>(),
+        c_bits in 0u32..21,
+        seed in any::<u64>(),
+    ) {
+        let c = 1u64 << c_bits;
+        let mut xs: Vec<f64> = coords.iter().map(|&(kind, x)| coordinate(kind, x, c)).collect();
+        let at = at % xs.len();
+        xs[at] = match poison {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            // first magnitudes past the grid
+            3 => (1u64 << 62) as f64 / c as f64,
+            _ => -((1u64 << 62) as f64) / c as f64,
+        };
+        let q = VectorQuantizer::new(c);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rejected = q.try_quantize::<Fp61, _>(&xs, &mut rng);
+        prop_assert!(
+            matches!(rejected, Err(QuantizeError::NonFinite { index, .. }) if index == at)
+        );
+        quantize_matches_scalar_oracle::<Fp32>(&xs, c, seed);
+        quantize_matches_scalar_oracle::<Fp61>(&xs, c, seed);
+    }
 
     /// Q_c lands on one of the two neighbouring grid points.
     #[test]
