@@ -169,14 +169,7 @@ impl<F: Field> AsyncClient<F> {
         self.masks.insert(round, mask);
         self.received
             .insert((self.id, round), coded[self.id].as_slice().into());
-        for (j, share) in coded.iter().enumerate() {
-            if j != self.id {
-                let share = share.clone();
-                self.sent
-                    .insert((j, round), SentShare { share, edge: None });
-            }
-        }
-        Ok((0..self.cfg.n())
+        let shares = (0..self.cfg.n())
             .filter(|&j| j != self.id)
             .map(|j| TimestampedShare {
                 from: self.id,
@@ -185,7 +178,15 @@ impl<F: Field> AsyncClient<F> {
                 round,
                 payload: coded[j].clone(),
             })
-            .collect())
+            .collect();
+        // the encoder's own segments move into the retained table
+        for (j, share) in coded.into_iter().enumerate() {
+            if j != self.id {
+                self.sent
+                    .insert((j, round), SentShare { share, edge: None });
+            }
+        }
+        Ok(shares)
     }
 
     /// Accept a timestamped coded share from a peer.
@@ -256,14 +257,11 @@ impl<F: Field> AsyncClient<F> {
             .masks
             .get(&round)
             .ok_or(ProtocolError::MissingShares { from: self.id })?;
-        let mut payload = update.to_vec();
-        payload.resize(self.cfg.padded_len(), F::ZERO);
-        lsa_field::ops::add_assign(&mut payload, mask);
         Ok(TimestampedUpdate {
             from: self.id,
             group: 0,
             round,
-            payload,
+            payload: crate::client::add_padded(update, mask),
         })
     }
 

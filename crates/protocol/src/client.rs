@@ -246,18 +246,23 @@ impl<F: Field> Client<F> {
         &self.cfg
     }
 
-    /// The coded mask shares destined to every *other* user
-    /// (Algorithm 1 line 8).
+    /// The coded mask share `[~z_id]_to` destined to user `to`
+    /// (Algorithm 1 line 8); panics if `to >= cfg.n()`.
+    pub fn outgoing_share(&self, to: usize) -> CodedMaskShare<F> {
+        CodedMaskShare {
+            from: self.id,
+            to,
+            group: self.group,
+            round: self.round,
+            payload: self.shares.coded_for[to].clone(),
+        }
+    }
+
+    /// The coded mask shares destined to every *other* user, ascending.
     pub fn outgoing_shares(&self) -> Vec<CodedMaskShare<F>> {
         (0..self.cfg.n())
             .filter(|&j| j != self.id)
-            .map(|j| CodedMaskShare {
-                from: self.id,
-                to: j,
-                group: self.group,
-                round: self.round,
-                payload: self.shares.coded_for[j].clone(),
-            })
+            .map(|j| self.outgoing_share(j))
             .collect()
     }
 
@@ -339,14 +344,11 @@ impl<F: Field> Client<F> {
                 },
             ));
         }
-        let mut payload = model.to_vec();
-        payload.resize(self.cfg.padded_len(), F::ZERO);
-        lsa_field::ops::add_assign(&mut payload, &self.mask);
         Ok(MaskedModel {
             from: self.id,
             group: self.group,
             round: self.round,
-            payload,
+            payload: add_padded(model, &self.mask),
         })
     }
 
@@ -405,6 +407,16 @@ impl<F: Field> Client<F> {
     pub fn evaluation_point(&self) -> F {
         self.shares.code.point(self.id)
     }
+}
+
+/// `x + z` in one pass, `x` zero-padded to `z`'s length (the masking
+/// step of both protocol variants).
+pub(crate) fn add_padded<F: Field>(x: &[F], z: &[F]) -> Vec<F> {
+    let (head, tail) = z.split_at(x.len());
+    let mut out = Vec::with_capacity(z.len());
+    out.extend(x.iter().zip(head).map(|(&x, &z)| x + z));
+    out.extend_from_slice(tail);
+    out
 }
 
 #[cfg(test)]

@@ -136,7 +136,9 @@ pub trait SecureAggregator<F: Field> {
     ///
     /// [`ProtocolError::WrongPhase`] without an open round;
     /// [`ProtocolError::UnknownUser`] if `id` is not in the cohort;
-    /// [`ProtocolError::DuplicateMessage`] on a second submission.
+    /// [`ProtocolError::DuplicateMessage`] on a second submission; on
+    /// a transport that delivers immediately, also whatever the server
+    /// rejects the upload with (otherwise from `finish_round`).
     fn submit(&mut self, id: usize, update: &[F]) -> Result<(), ProtocolError>;
 
     /// Mark a cohort client as vanished *after* its upload: its update
@@ -423,9 +425,9 @@ impl<F: Field> FederationClient<F> {
         Ok(())
     }
 
-    /// Join `round`: run the offline mask generation, queue the coded
-    /// shares (drain them with [`Session::poll_output`]) and replay any
-    /// envelopes that arrived for this round before it was joined.
+    /// Join `round`: run the offline mask generation (the coded shares
+    /// are emitted as [`Session::poll_output`] asks for them) and replay
+    /// any envelopes that arrived for this round before it was joined.
     ///
     /// # Errors
     ///
@@ -1133,10 +1135,15 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         )
     }
 
-    /// Throw away whatever a dead round or handshake left in flight.
+    /// Throw away whatever a dead round or handshake left in flight. The
+    /// `recv` that reports an undecodable frame has consumed it, so the
+    /// drain goes on; any other error (`Io`) may persist and ends it.
     fn discard_in_flight(&mut self, label: &'static str) {
         self.transport.flush(label);
-        while let Ok(Some(_)) = self.transport.recv() {}
+        while matches!(
+            self.transport.recv(),
+            Ok(Some(_)) | Err(ProtocolError::Wire(_))
+        ) {}
     }
 
     /// The raw seat fingerprint of `cohort` in this leaf.
@@ -1164,6 +1171,13 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
     /// Give `round` its masks: by the ratchet when the cohort is the
     /// one the retained bases belong to (`Some(windowed)`), by the full
     /// offline exchange otherwise (`None`).
+    ///
+    /// The exchange is streamed: each member's shares are delivered
+    /// before the next member serialises its own, so an immediate
+    /// transport holds one sender's `N − 1` envelopes, not the cohort's
+    /// `N(N − 1)`, and the order of sends and of deliveries is what it
+    /// was. A phase-buffered transport has nothing receivable before
+    /// the `flush`: there the exchange is still one phase.
     fn share_masks(
         &mut self,
         round: u64,
@@ -1173,11 +1187,14 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         if let Some(windowed) = self.try_ratchet(round, cohort, label) {
             return Ok(Some(windowed));
         }
+        // everyone joins before anyone sends: a share must find its
+        // recipient's round open
         for &id in cohort {
             V::join(&mut self.clients[id], round)?;
         }
         for &id in cohort {
             drain_to(&mut self.clients[id], &mut self.transport, cohort)?;
+            self.pump(cohort)?;
         }
         self.transport.flush(label);
         self.pump(cohort)?;
@@ -1335,7 +1352,12 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         V::upload(&mut self.clients[id], open.round, update)?;
         open.submitted.insert(id);
         let online = open.online();
-        drain_to(&mut self.clients[id], &mut self.transport, &online)
+        drain_to(&mut self.clients[id], &mut self.transport, &online)?;
+        // an immediate transport hands the upload to the server now,
+        // which folds it into the running sum while it is hot — and a
+        // server-side rejection surfaces here; a phase-buffered one
+        // delivers after `finish_round`'s "upload" flush
+        self.pump(&online)
     }
 
     fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
@@ -1357,7 +1379,8 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         }
         let online = open.online();
 
-        // Deliver the (already sent) masked uploads.
+        // Deliver the masked uploads a phase-buffered transport still
+        // holds (an immediate one delivered each at `submit`).
         self.transport.flush("upload");
         self.pump(&online)?;
 

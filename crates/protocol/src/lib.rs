@@ -483,7 +483,7 @@ pub fn run_sync_round_over<F: Field, R: Rng + ?Sized, T: Transport<F>>(
     let mut online = everyone.clone();
     online.retain(|id| !dropouts.after_upload.contains(id));
 
-    // Offline: construction queued each client's coded shares.
+    // Offline: each client emits its coded shares as it is drained.
     for client in clients.iter_mut() {
         drain_to(client, transport, &everyone)?;
     }

@@ -32,7 +32,7 @@
 //! let mut b = ClientSession::<Fp61>::new(1, cfg, &mut rng).unwrap();
 //! let mut server = ServerSession::<Fp61>::new(cfg).unwrap();
 //!
-//! // offline: construction queued each client's coded shares
+//! // offline: each client emits its coded shares as they are polled
 //! while let Some((to, env)) = a.poll_output() {
 //!     assert_eq!(to, Recipient::Client(1));
 //!     b.handle(env).unwrap();
@@ -114,12 +114,18 @@ pub trait Session<F: Field> {
 /// Sans-IO client for the synchronous protocol (§4.1).
 ///
 /// Construction runs the offline mask generation (the only entropy the
-/// session ever uses) and queues the `N − 1` coded mask shares;
+/// session ever uses); the `N − 1` coded mask shares are not queued but
+/// built one at a time as [`Session::poll_output`] asks for them, ahead
+/// of everything in the outbox, so a driver that delivers as it polls
+/// never holds a second copy of the share table.
 /// [`ClientSession::upload_model`] queues the masked model; receiving
 /// the server's [`SurvivorAnnouncement`] yields the aggregated share.
 #[derive(Debug, Clone)]
 pub struct ClientSession<F> {
     inner: Client<F>,
+    /// Next peer whose coded share is still to be emitted (`n` once the
+    /// offline phase is out, and from the start for a ratcheted round).
+    next_share: usize,
     outbox: VecDeque<Outgoing<F>>,
     uploaded: bool,
 }
@@ -171,21 +177,16 @@ impl<F: Field> ClientSession<F> {
         cfg: LsaConfig,
         rng: &mut R,
     ) -> Result<Self, ProtocolError> {
-        let inner = Client::for_round_in_group(id, round, group, cfg, rng)?;
-        let outbox = inner
-            .outgoing_shares()
-            .into_iter()
-            .map(|s| (Recipient::Client(s.to), Envelope::CodedMaskShare(s)))
-            .collect();
         Ok(Self {
-            inner,
-            outbox,
+            inner: Client::for_round_in_group(id, round, group, cfg, rng)?,
+            next_share: 0,
+            outbox: VecDeque::new(),
             uploaded: false,
         })
     }
 
     /// Derive a session for a *ratcheted* round from retained base
-    /// state ([`crate::ratchet`]): no coded shares are queued — the
+    /// state ([`crate::ratchet`]): no coded shares are emitted — the
     /// offline phase was the commit/ack handshake (or nothing at all,
     /// for a round joined from a pre-committed window).
     pub(crate) fn ratcheted(
@@ -196,6 +197,7 @@ impl<F: Field> ClientSession<F> {
     ) -> Self {
         Self {
             inner: Client::ratcheted_from(base, round, nonce, topology),
+            next_share: base.config().n(),
             outbox: VecDeque::new(),
             uploaded: false,
         }
@@ -294,6 +296,14 @@ impl<F: Field> Session<F> for ClientSession<F> {
     }
 
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
+        while self.next_share < self.inner.config().n() {
+            let to = self.next_share;
+            self.next_share += 1;
+            if to != self.inner.id() {
+                let share = self.inner.outgoing_share(to);
+                return Some((Recipient::Client(to), Envelope::CodedMaskShare(share)));
+            }
+        }
         self.outbox.pop_front()
     }
 }

@@ -4,7 +4,10 @@
 //! serialized on [`Transport::send`] and deserialized on
 //! [`Transport::recv`], so the canonical wire encoding is exercised on
 //! every hop and a transport knows the exact size of everything it
-//! moves.
+//! moves. The leaf driver ([`crate::federation`]) receives after every
+//! sender, so a backend that delivers immediately holds one sender's
+//! envelopes at a time; one that delivers at [`Transport::flush`]
+//! (`SimTransport`) sees whole phases, as it always did.
 //!
 //! Three backends ship with the workspace:
 //!

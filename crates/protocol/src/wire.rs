@@ -611,9 +611,17 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 fn put_elems<F: Field>(out: &mut Vec<u8>, elems: &[F]) {
     let eb = Envelope::<F>::elem_bytes();
+    debug_assert!(
+        elems.len() as u64 <= MAX_ELEMS,
+        "payload of {} elements exceeds what the decoder accepts",
+        elems.len()
+    );
     put_u32(out, elems.len() as u32);
-    for e in elems {
-        out.extend_from_slice(&e.residue().to_le_bytes()[..eb]);
+    // sized once, then fixed-width stores the compiler vectorises
+    let start = out.len();
+    out.resize(start + elems.len() * eb, 0);
+    for (dst, e) in out[start..].chunks_exact_mut(eb).zip(elems) {
+        dst.copy_from_slice(&e.residue().to_le_bytes()[..eb]);
     }
 }
 
@@ -674,11 +682,14 @@ impl Reader<'_> {
     fn elems<F: Field>(&mut self) -> Result<Vec<F>, WireError> {
         let eb = Envelope::<F>::elem_bytes();
         let len = self.len_prefix(eb)?;
+        // the payload is bounds-checked once; per element only the
+        // `< q` test remains, and past it `from_u64` has nothing left
+        // to reduce
+        let raw = self.take(len * eb)?;
         let mut out = Vec::with_capacity(len);
-        for index in 0..len {
-            let raw = self.take(eb)?;
+        for (index, chunk) in raw.chunks_exact(eb).enumerate() {
             let mut word = [0u8; 8];
-            word[..eb].copy_from_slice(raw);
+            word[..eb].copy_from_slice(&chunk[..eb]);
             let value = u64::from_le_bytes(word);
             if value >= F::MODULUS {
                 return Err(WireError::NonCanonicalElement { index, value });

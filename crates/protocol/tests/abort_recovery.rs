@@ -6,12 +6,14 @@
 
 use lsa_field::{Field, Fp61};
 use lsa_protocol::federation::{
-    BoxedAggregator, BufferedFederation, Federation, RoundPlan, SyncFederation,
+    BoxedAggregator, BufferedFederation, Federation, LeafFederation, LeafVariant, RoundPlan,
+    SecureAggregator, SyncFederation,
 };
 use lsa_protocol::ratchet::policies;
 use lsa_protocol::topology::GroupedFederation;
-use lsa_protocol::transport::MemTransport;
-use lsa_protocol::{LsaConfig, ProtocolError};
+use lsa_protocol::transport::{Delivery, MemTransport, Transport};
+use lsa_protocol::wire::{Envelope, WireError};
+use lsa_protocol::{AggregatedShare, LsaConfig, ProtocolError, Recipient};
 
 const D: usize = 4;
 
@@ -114,4 +116,83 @@ fn a_stalled_subtree_unstalls_and_lands_its_requeue_exactly_once() {
         assert_eq!(out.total_weight, 16, "{name}");
         assert_eq!(out.aggregate, sum(0..16, 2), "{name}");
     }
+}
+
+/// A [`MemTransport`] that, once armed, reports the `n`-th frame it
+/// dequeues as undecodable — consuming it, as a real decode failure
+/// does.
+struct Corrupting {
+    inner: MemTransport,
+    corrupt_in: Option<usize>,
+}
+
+impl Transport<Fp61> for Corrupting {
+    fn send(
+        &mut self,
+        from: Recipient,
+        to: Recipient,
+        envelope: &Envelope<Fp61>,
+    ) -> Result<(), ProtocolError> {
+        self.inner.send(from, to, envelope)
+    }
+
+    fn recv(&mut self) -> Result<Option<Delivery<Fp61>>, ProtocolError> {
+        let delivery = self.inner.recv()?;
+        if delivery.is_some() {
+            match self.corrupt_in.take() {
+                Some(0) => return Err(ProtocolError::Wire(WireError::UnknownTag(0))),
+                armed => self.corrupt_in = armed.map(|n| n - 1),
+            }
+        }
+        Ok(delivery)
+    }
+}
+
+/// Three late frames are in flight when the round is aborted and the
+/// middle one does not decode: the abort must drain all three, or the
+/// third is delivered into the next round and fails its first pump.
+fn abort_drains_past_an_undecodable_frame<V: LeafVariant<Fp61>>(
+    name: &str,
+    mut leaf: LeafFederation<Fp61, Corrupting, V>,
+) {
+    let everyone: Vec<usize> = (0..8).collect();
+    leaf.open_round(&everyone).unwrap();
+    for id in 0..4 {
+        leaf.submit(id, &update(id, 0)).unwrap();
+    }
+    let late = Envelope::AggregatedShare(AggregatedShare {
+        from: 1,
+        group: 0,
+        round: 0,
+        payload: vec![Fp61::ZERO; leaf.config().segment_len()],
+    });
+    let wire = leaf.transport_mut();
+    for _ in 0..3 {
+        wire.send(Recipient::Client(1), Recipient::Server, &late)
+            .unwrap();
+    }
+    wire.corrupt_in = Some(1);
+    leaf.abort_round();
+    assert!(leaf.transport().inner.is_empty(), "{name}");
+    leaf.open_round(&everyone)
+        .unwrap_or_else(|e| panic!("{name}: a frame outlived the abort: {e}"));
+    for id in 0..8 {
+        leaf.submit(id, &update(id, 1)).unwrap();
+    }
+    let out = leaf.finish_round().unwrap();
+    assert_eq!(out.aggregate, sum(0..8, 1), "{name}");
+}
+
+#[test]
+fn abort_discards_every_frame_in_flight_past_a_corrupt_one() {
+    let cfg = LsaConfig::new(8, 2, 6, D).unwrap();
+    let wire = || Corrupting {
+        inner: MemTransport::new(),
+        corrupt_in: None,
+    };
+    abort_drains_past_an_undecodable_frame("sync", SyncFederation::new(cfg, wire(), 40).unwrap());
+    abort_drains_past_an_undecodable_frame(
+        "buffered",
+        BufferedFederation::unit_weight(cfg, wire(), 40).unwrap(),
+    );
 }

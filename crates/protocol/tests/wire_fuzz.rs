@@ -235,6 +235,24 @@ fn seeded_corpus_is_rejected_typed() {
             corpus.push(b);
         }
     }
+    // two non-residues in one payload, every payload-bearing kind: the
+    // decoder must name one and stop, whatever follows it
+    let mut kinds = envelopes::<Fp61>(3, 8, 0xC0DE, 9);
+    for kind in [5, 4, 3, 1, 0] {
+        // the payload is the tail of the encoding: residues 3 and 8 of 9
+        let mut b = kinds.swap_remove(kind).to_bytes();
+        let n = b.len();
+        b[n - 6 * 8..n - 5 * 8].fill(0xFF);
+        b[n - 8..].fill(0xFF);
+        assert!(matches!(
+            Envelope::<Fp61>::from_bytes(&b),
+            Err(WireError::NonCanonicalElement {
+                index: 3,
+                value: u64::MAX
+            })
+        ));
+        corpus.push(b);
+    }
     for bytes in &corpus {
         assert!(
             Envelope::<Fp61>::from_bytes(bytes).is_err(),
