@@ -1,6 +1,5 @@
 //! Micro-benchmarks of the field kernels (the constants behind
-//! `KernelCosts`), including the GF(2^32−5) vs GF(2^61−1) ablation
-//! called out in DESIGN.md §6.
+//! `KernelCosts`), including the GF(2^32−5) vs GF(2^61−1) ablation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsa_field::{Field, Fp32, Fp61};

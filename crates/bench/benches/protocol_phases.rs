@@ -1,12 +1,16 @@
 //! End-to-end protocol-phase benchmarks at small scale: the *real*
-//! LightSecAgg, SecAgg and SecAgg+ rounds executed in memory. This is
-//! the measured counterpart of the simulator's op-count model (a
-//! validation test cross-checks the ordering).
+//! LightSecAgg, SecAgg and SecAgg+ rounds executed in memory — the
+//! LightSecAgg one on the deployed path, a fresh `SyncFederation` per
+//! round. This is the measured counterpart of the simulator's op-count
+//! model (a validation test cross-checks the ordering).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsa_baselines::{run_secagg_round, SecAggConfig};
 use lsa_field::Fp32;
-use lsa_protocol::{run_sync_round, DropoutSchedule, LsaConfig};
+use lsa_protocol::transport::MemTransport;
+use lsa_protocol::{
+    DropoutSchedule, Federation, LsaConfig, RoundOutcome, RoundPlan, SyncFederation,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -33,6 +37,18 @@ fn dropouts(p: f64) -> DropoutSchedule {
     DropoutSchedule::after_upload((0..k).collect())
 }
 
+fn lightsecagg_round(
+    cfg: LsaConfig,
+    ms: &[Vec<Fp32>],
+    sched: &DropoutSchedule,
+    seed: u64,
+) -> RoundOutcome<Fp32> {
+    let sync = SyncFederation::new(cfg, MemTransport::new(), seed).unwrap();
+    Federation::new(Box::new(sync))
+        .run_round(&RoundPlan::from_schedule(ms, sched))
+        .unwrap()
+}
+
 fn bench_rounds(c: &mut Criterion) {
     let ms = models(1);
 
@@ -44,12 +60,7 @@ fn bench_rounds(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("lightsecagg", format!("p{p}")),
             &p,
-            |b, _| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(2);
-                    black_box(run_sync_round(cfg, &ms, &sched, &mut rng).unwrap())
-                })
-            },
+            |b, _| b.iter(|| black_box(lightsecagg_round(cfg, &ms, &sched, 2))),
         );
 
         let sa_cfg = SecAggConfig::secagg(N, N / 2 - 1, D).unwrap();
@@ -74,16 +85,13 @@ fn bench_rounds(c: &mut Criterion) {
     }
     group.finish();
 
-    // U-ablation on the LightSecAgg round (DESIGN.md §6)
+    // U-ablation on the LightSecAgg round
     let mut group = c.benchmark_group("lightsecagg_u_ablation");
     for u in [11usize, 14, 18] {
         let cfg = LsaConfig::new(N, N / 2, u, D).unwrap();
         let sched = dropouts(0.1);
         group.bench_with_input(BenchmarkId::new("u", u), &u, |b, _| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(3);
-                black_box(run_sync_round(cfg, &ms, &sched, &mut rng).unwrap())
-            })
+            b.iter(|| black_box(lightsecagg_round(cfg, &ms, &sched, 3)))
         });
     }
     group.finish();

@@ -1,8 +1,8 @@
 //! Shared helpers for the table/figure binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §3 for the index) and writes a TSV copy under
-//! `results/`.
+//! paper (README.md, "Benches and paper figures") and writes a TSV copy
+//! under `results/`.
 
 use std::path::PathBuf;
 

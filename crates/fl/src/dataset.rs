@@ -1,7 +1,7 @@
 //! Synthetic classification datasets and federated partitioners.
 //!
-//! Substitutes for MNIST/FEMNIST/CIFAR-10/GLD-23K (DESIGN.md §4): Gaussian
-//! class clusters with controllable dimension, class count and separation.
+//! Substitutes for MNIST/FEMNIST/CIFAR-10/GLD-23K: Gaussian class
+//! clusters with controllable dimension, class count and separation.
 //! What the reproduced experiments measure — the *relative* accuracy of
 //! float FedBuff vs quantized LightSecAgg, and the effect of staleness
 //! and quantization levels — depends on having a learnable task, not on

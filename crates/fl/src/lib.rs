@@ -1,7 +1,7 @@
 //! Federated-learning training substrate for the LightSecAgg
 //! reproduction.
 //!
-//! Replaces the paper's PyTorch + real-dataset stack (DESIGN.md §4) with
+//! Replaces the paper's PyTorch + real-dataset stack with
 //! a small, fully deterministic pure-Rust pipeline:
 //!
 //! * [`Dataset`] — synthetic Gaussian-blob classification with IID and

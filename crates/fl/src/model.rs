@@ -4,9 +4,9 @@
 //! exposes its parameters as a `Vec<f32>` (the paper's `x_i ∈ R^d`).
 //! Two architectures cover the experiments: multinomial logistic
 //! regression (the paper's MNIST task) and a one-hidden-layer MLP
-//! standing in for the small CNNs (DESIGN.md §4 — training compute is an
-//! input of the timing model, so parameter count, not architecture,
-//! is what matters for the protocol comparison).
+//! standing in for the small CNNs (training compute is an input of the
+//! timing model, so parameter count, not architecture, is what matters
+//! for the protocol comparison).
 
 use crate::dataset::Dataset;
 

@@ -2,10 +2,10 @@
 //! (this module) and a real blocking TCP transport ([`tcp`]), sharing
 //! the [`timing::PhaseTiming`] accounting currency.
 //!
-//! Substitutes for the paper's AWS EC2 `m3.medium` testbed (DESIGN.md §4):
-//! every node owns transmit/receive channels with finite bandwidth, every
-//! transfer pays a propagation latency, and the server's shared
-//! ingress/egress is modelled explicitly — which is what makes the
+//! Substitutes for the paper's AWS EC2 `m3.medium` testbed: every node
+//! owns transmit/receive channels with finite bandwidth, every transfer
+//! pays a propagation latency, and the server's shared ingress/egress
+//! is modelled explicitly — which is what makes the
 //! masked-model collection phase scale with `N·d` (Table 1, "online comm.
 //! (S)") and produces the running-time curves of Figures 6 and 8–10.
 //!

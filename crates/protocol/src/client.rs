@@ -2,6 +2,8 @@
 
 use crate::config::LsaConfig;
 use crate::messages::{AggregatedShare, CodedMaskShare, MaskedModel};
+use crate::session::{Outgoing, Recipient, Session};
+use crate::wire::Envelope;
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_crypto::Seed;
@@ -22,6 +24,14 @@ use std::sync::Arc;
 /// 3. [`Client::mask_model`] — upload `~x_i = x_i + z_i`;
 /// 4. [`Client::aggregated_share_for`] — if surviving, upload
 ///    `Σ_{i∈U₁} [~z_i]_j` for the server's one-shot recovery.
+///
+/// The same round as a sans-IO [`Session`]: the `N − 1` coded shares are
+/// not queued but built one at a time as [`Session::poll_output`] asks
+/// for them, ahead of the upload, so a driver that delivers as it polls
+/// never holds a second copy of the share table;
+/// [`Client::upload_model`] queues the masked model; handling the
+/// server's [`crate::SurvivorAnnouncement`] yields the aggregated share.
+/// Construction samples the only entropy the client ever uses.
 ///
 /// # Example
 ///
@@ -54,6 +64,15 @@ pub struct Client<F> {
     /// round is ratcheted from this state (never, for a state that is
     /// never a ratchet base) and dropped with it.
     edge_seeds: BTreeMap<usize, Seed>,
+    /// Next peer whose coded share [`Session::poll_output`] has still to
+    /// emit (`n` once the offline phase is out, and from the start for a
+    /// ratcheted round).
+    next_share: usize,
+    /// The masked upload, from [`Client::upload_model`] until polled.
+    upload: Option<MaskedModel<F>>,
+    /// Whether [`Client::upload_model`] ran: a second upload is a
+    /// duplicate even after the first was polled.
+    uploaded: bool,
 }
 
 /// The code and coded segments of one full offline exchange.
@@ -151,6 +170,9 @@ impl<F: Field> Client<F> {
             }),
             pad_epoch: 0,
             edge_seeds: BTreeMap::new(),
+            next_share: 0,
+            upload: None,
+            uploaded: false,
         })
     }
 
@@ -201,6 +223,11 @@ impl<F: Field> Client<F> {
             shares: Arc::clone(shares),
             pad_epoch: base.pad_epoch,
             edge_seeds: BTreeMap::new(),
+            // the offline phase was the commit/ack handshake (or nothing
+            // at all, for a round joined from a pre-committed window)
+            next_share: base.cfg.n(),
+            upload: None,
+            uploaded: false,
         }
     }
 
@@ -352,6 +379,22 @@ impl<F: Field> Client<F> {
         })
     }
 
+    /// Local action: mask the quantized model and queue the upload for
+    /// [`Session::poll_output`] (Algorithm 1 line 14).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::DuplicateMessage`] on a second upload, or a
+    /// length mismatch as [`ProtocolError::Coding`].
+    pub fn upload_model(&mut self, model: &[F]) -> Result<(), ProtocolError> {
+        if self.uploaded {
+            return Err(ProtocolError::DuplicateMessage(self.id));
+        }
+        self.upload = Some(self.mask_model(model)?);
+        self.uploaded = true;
+        Ok(())
+    }
+
     /// Mask a *weighted* model `s_i·x_i` (Remark 3 of the paper): the
     /// weight multiplies the model only — the mask is shared unscaled, so
     /// the server recovers `Σ s_i·x_i` and can divide by `Σ s_i` to get
@@ -406,6 +449,51 @@ impl<F: Field> Client<F> {
     /// anyone decoding with this client's aggregated share).
     pub fn evaluation_point(&self) -> F {
         self.shares.code.point(self.id)
+    }
+}
+
+impl<F: Field> Session<F> for Client<F> {
+    fn local_addr(&self) -> Recipient {
+        Recipient::Client(self.id)
+    }
+
+    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        match envelope {
+            Envelope::CodedMaskShare(share) => {
+                self.receive_share(share)?;
+                Ok(Vec::new())
+            }
+            Envelope::SurvivorAnnouncement(ann) => {
+                if ann.group != self.group {
+                    return Err(ProtocolError::WrongGroup {
+                        got: ann.group,
+                        expected: self.group,
+                    });
+                }
+                if ann.round != self.round {
+                    return Err(ProtocolError::StaleRound {
+                        got: ann.round,
+                        current: self.round,
+                    });
+                }
+                let share = self.aggregated_share_for(&ann.survivors)?;
+                Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
+            }
+            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
+        }
+    }
+
+    fn poll_output(&mut self) -> Option<Outgoing<F>> {
+        while self.next_share < self.cfg.n() {
+            let to = self.next_share;
+            self.next_share += 1;
+            if to != self.id {
+                let share = self.outgoing_share(to);
+                return Some((Recipient::Client(to), Envelope::CodedMaskShare(share)));
+            }
+        }
+        let masked = self.upload.take()?;
+        Some((Recipient::Server, Envelope::MaskedModel(masked)))
     }
 }
 
@@ -713,6 +801,39 @@ mod tests {
             derived.share_storage(),
             clients[0].share_storage()
         ));
+    }
+
+    #[test]
+    fn announcement_is_checked_group_then_round_then_shares() {
+        use crate::wire::SurvivorAnnouncement;
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut c = Client::<Fp61>::for_round_in_group(0, 4, 3, cfg(), &mut rng).unwrap();
+        let ann = |group, round, survivors: &[usize]| {
+            Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
+                group,
+                round,
+                survivors: survivors.to_vec(),
+            })
+        };
+        // wrong in every way: the group is what gets reported
+        assert_eq!(
+            c.handle(ann(2, 5, &[0, 1])).unwrap_err(),
+            ProtocolError::WrongGroup {
+                got: 2,
+                expected: 3
+            }
+        );
+        assert_eq!(
+            c.handle(ann(3, 5, &[0, 1])).unwrap_err(),
+            ProtocolError::StaleRound { got: 5, current: 4 }
+        );
+        assert_eq!(
+            c.handle(ann(3, 4, &[0, 1])).unwrap_err(),
+            ProtocolError::MissingShares { from: 1 }
+        );
+        // none of the rejections cost the client anything
+        let replies = c.handle(ann(3, 4, &[0])).unwrap();
+        assert_eq!(replies.len(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Multi-round federation: one [`SecureAggregator`] trait and one leaf
-//! round driver over the sync and buffered-async session pairs, with a
-//! persistent round lifecycle.
+//! round driver over the sync and buffered-async endpoint pairs, with a
+//! persistent round lifecycle — the one way to run a round.
 //!
 //! LightSecAgg's point (§4.1 of the paper) is *amortizing* secure
 //! aggregation across a training run: the offline mask exchange for
@@ -18,14 +18,18 @@
 //!   steps where the protocols differ: [`SyncFederation`] (§4.1) and
 //!   [`BufferedFederation`] (§4.2) are its two instantiations.
 //! * [`FederationClient`] / [`FederationServer`] — persistent endpoints
-//!   that wrap the per-round sans-IO sessions and route interleaved
-//!   multi-round traffic by the round id every wire envelope now
-//!   carries. A replayed envelope from a finished round is rejected with
-//!   [`ProtocolError::StaleRound`] — never confused with a same-round
+//!   that own the per-round state machines ([`Client`] /
+//!   [`ServerRound`]) and route interleaved multi-round traffic by the
+//!   round id every wire envelope carries. A replayed envelope from a
+//!   finished round is rejected with [`ProtocolError::StaleRound`] —
+//!   never confused with a same-round
 //!   [`ProtocolError::DuplicateMessage`].
 //! * [`Federation`] / [`RoundPlan`] — the driver loop: per-round cohort
 //!   selection with cross-round churn (clients join, leave and rejoin
-//!   between rounds) and overlapped next-round mask sharing.
+//!   between rounds) and overlapped next-round mask sharing. A one-shot
+//!   round is a fresh federation run once;
+//!   [`RoundPlan::from_schedule`] bridges from the
+//!   [`DropoutSchedule`] vocabulary shared with the baselines.
 //!
 //! # Example: three rounds with churn through a trait object
 //!
@@ -61,12 +65,12 @@
 use crate::client::Client;
 use crate::config::LsaConfig;
 use crate::ratchet::{self, ClientRatchet, CohortFingerprint, ServerRatchet};
+use crate::server::{ServerPhase, ServerRound};
 use crate::session::{AsyncClientSession, AsyncServerSession, Outgoing, Recipient, Session};
-use crate::session::{ClientSession, ServerSession};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
 use crate::wire::Envelope;
-use crate::ProtocolError;
+use crate::{DropoutSchedule, ProtocolError};
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, StalenessFn};
 use rand::rngs::StdRng;
@@ -278,8 +282,8 @@ pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F> + Send>;
 // ---------------------------------------------------------------------
 
 /// A persistent federation client: one entity across the whole training
-/// run, wrapping one sans-IO [`ClientSession`] per *active* round and
-/// routing incoming envelopes by their round id.
+/// run, owning one per-round [`Client`] per *active* round and routing
+/// incoming envelopes by their round id.
 ///
 /// Holding sessions for two adjacent rounds at once is the normal state:
 /// round `t` is online while round `t+1`'s masks are being shared. An
@@ -298,7 +302,7 @@ pub struct FederationClient<F> {
     /// rejected with [`ProtocolError::WrongGroup`] before any routing.
     group: usize,
     entropy: StdRng,
-    sessions: BTreeMap<u64, ClientSession<F>>,
+    sessions: BTreeMap<u64, Client<F>>,
     /// Early-arriving envelopes for rounds not yet joined.
     pending: BTreeMap<u64, Vec<Envelope<F>>>,
     /// Responses produced while replaying buffered envelopes.
@@ -417,7 +421,7 @@ impl<F: Field> FederationClient<F> {
 
     /// Make `session` the live session of `round`, first replaying any
     /// envelopes that arrived for the round before it was joined.
-    fn install(&mut self, round: u64, mut session: ClientSession<F>) -> Result<(), ProtocolError> {
+    fn install(&mut self, round: u64, mut session: Client<F>) -> Result<(), ProtocolError> {
         for envelope in self.pending.remove(&round).unwrap_or_default() {
             self.replies.extend(session.handle(envelope)?);
         }
@@ -436,13 +440,8 @@ impl<F: Field> FederationClient<F> {
     /// early envelopes surface their own errors.
     pub fn prepare(&mut self, round: u64) -> Result<(), ProtocolError> {
         self.admit(round)?;
-        let session = ClientSession::for_round_in_group(
-            self.id,
-            round,
-            self.group,
-            self.cfg,
-            &mut self.entropy,
-        )?;
+        let session =
+            Client::for_round_in_group(self.id, round, self.group, self.cfg, &mut self.entropy)?;
         self.install(round, session)
     }
 
@@ -451,7 +450,7 @@ impl<F: Field> FederationClient<F> {
     /// # Errors
     ///
     /// [`ProtocolError::StaleRound`] if the round is not active;
-    /// otherwise as [`ClientSession::upload_model`].
+    /// otherwise as [`Client::upload_model`].
     pub fn upload(&mut self, round: u64, model: &[F]) -> Result<(), ProtocolError> {
         let current = self.current_round();
         let session = self
@@ -494,7 +493,7 @@ impl<F: Field> Session<F> for FederationClient<F> {
         if ratchet::is_handshake(&envelope) {
             self.admit(round)?;
             let (session, ack) = self.ratchet.accept(&envelope, |base, nonce, topology| {
-                Ok(ClientSession::ratcheted(base, round, nonce, topology))
+                Ok(Client::ratcheted_from(base, round, nonce, topology))
             })?;
             self.sessions.insert(round, session);
             return Ok(vec![ack]);
@@ -532,14 +531,14 @@ impl<F: Field> Session<F> for FederationClient<F> {
     }
 }
 
-/// The persistent federation server: wraps one [`ServerSession`] per
+/// The persistent federation server: owns one [`ServerRound`] per
 /// round, opened and closed through the round lifecycle.
 #[derive(Debug, Clone)]
 pub struct FederationServer<F: Field> {
     cfg: LsaConfig,
     group: usize,
     round: u64,
-    session: Option<ServerSession<F>>,
+    session: Option<ServerRound<F>>,
     /// The server half of the stable-cohort handshake
     /// ([`crate::ratchet`]): the commit in flight and its queued
     /// announcements.
@@ -620,7 +619,7 @@ impl<F: Field> FederationServer<F> {
                 current: self.round,
             });
         }
-        self.session = Some(ServerSession::for_round_in_group(
+        self.session = Some(ServerRound::for_round_in_group(
             self.cfg, round, self.group,
         )?);
         self.round = round;
@@ -660,17 +659,17 @@ impl<F: Field> FederationServer<F> {
     /// # Errors
     ///
     /// [`ProtocolError::WrongPhase`] without an open round; otherwise as
-    /// [`ServerSession::close_upload`].
+    /// [`ServerRound::close_upload_phase`].
     pub fn close_upload(&mut self) -> Result<Vec<usize>, ProtocolError> {
         let session = self.session.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        Ok(session.close_upload()?.to_vec())
+        Ok(session.close_upload_phase()?.to_vec())
     }
 
     /// How many aggregated shares the open round has received.
     pub fn shares_received(&self) -> usize {
         self.session
             .as_ref()
-            .map_or(0, ServerSession::shares_received)
+            .map_or(0, ServerRound::shares_received)
     }
 
     /// Abandon the open round, discarding its session state (used by the
@@ -692,7 +691,7 @@ impl<F: Field> FederationServer<F> {
     /// completed.
     pub fn close_round(&mut self) -> Result<Vec<F>, ProtocolError> {
         let session = self.session.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        if !session.is_complete() {
+        if session.phase() != ServerPhase::ReadyToRecover {
             // leave the round open so the caller can pump more shares
             return Err(ProtocolError::NotEnoughSurvivors {
                 got: session.shares_received(),
@@ -701,7 +700,7 @@ impl<F: Field> FederationServer<F> {
         }
         // the lazy one-shot decode runs here — the owner's thread, which
         // a grouped topology schedules in parallel across groups
-        let aggregate = session.recover()?.to_vec();
+        let aggregate = session.recover_aggregate()?;
         self.session = None;
         Ok(aggregate)
     }
@@ -768,7 +767,7 @@ impl<F: Field> Session<F> for FederationServer<F> {
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
         self.ratchet
             .poll_output()
-            .or_else(|| self.session.as_mut().and_then(ServerSession::poll_output))
+            .or_else(|| self.session.as_mut().and_then(ServerRound::poll_output))
     }
 }
 
@@ -878,9 +877,9 @@ fn validate_cohort(cfg: &LsaConfig, cohort: &[usize]) -> Result<BTreeSet<usize>,
 /// Deliver every receivable envelope: the server always accepts;
 /// clients only while listed in `online` (everyone else has left or
 /// vanished — their envelopes are discarded undelivered). Responses are
-/// forwarded back into the transport. Shared by the leaf driver and the
-/// one-shot drivers ([`crate::run_sync_round_over`],
-/// [`crate::asynchronous::run_buffered_flush`]).
+/// forwarded back into the transport. Shared by the leaf driver and
+/// the buffered one-shot driver
+/// ([`crate::asynchronous::run_buffered_flush`]).
 pub(crate) fn pump<F, T, C, S>(
     transport: &mut T,
     server: &mut S,
@@ -1474,8 +1473,8 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
 // The two variants
 // ---------------------------------------------------------------------
 
-/// §4.1: a fresh [`ClientSession`] / [`ServerSession`] pair per round
-/// behind [`FederationClient`] / [`FederationServer`], exact
+/// §4.1: a fresh [`Client`] / [`ServerRound`] pair per round behind
+/// [`FederationClient`] / [`FederationServer`], exact
 /// (unit-weight) aggregation over the survivors, `O(d)` server memory,
 /// and an ingress quota at the server.
 #[derive(Debug, Clone, Copy)]
@@ -1504,7 +1503,7 @@ impl<F: Field> LeafVariant<F> for SyncVariant {
     fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
         client.admit(round)?;
         let session = client.ratchet.join(round, |base, nonce, topology| {
-            Ok(ClientSession::ratcheted(base, round, nonce, topology))
+            Ok(Client::ratcheted_from(base, round, nonce, topology))
         })?;
         client.install(round, session)
     }
@@ -1524,9 +1523,9 @@ impl<F: Field> LeafVariant<F> for SyncVariant {
     }
 
     fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64) {
-        // the finished session is moved into the base, not copied
+        // the finished round is moved into the base, not copied
         if let Some(session) = client.sessions.remove(&round) {
-            client.ratchet.harvest(session.into_client(), fingerprint);
+            client.ratchet.harvest(session, fingerprint);
         }
     }
 
@@ -1739,6 +1738,42 @@ impl<F> RoundPlan<F> {
         self.with_updates(updates)
     }
 
+    /// The one-shot round the [`DropoutSchedule`] vocabulary describes
+    /// (shared with `lsa_baselines::run_secagg_round`): cohort
+    /// `0..models.len()`, `models[i]` as user `i`'s update unless `i` is
+    /// in `before_upload`, and everyone in either list vanished for the
+    /// recovery phase. Run it on a *fresh* federation —
+    /// `SyncFederation::new(cfg, transport, rng.gen())` — so no ratchet
+    /// engages and the round is Algorithm 1 as written.
+    ///
+    /// Strict where the schedule type is not: an id outside the cohort
+    /// in either list fails the round with
+    /// [`ProtocolError::UnknownUser`] (through
+    /// [`SecureAggregator::mark_dropped`]) instead of being ignored, as
+    /// does `models.len() > N` (through
+    /// [`SecureAggregator::open_round`]); fewer models than `N` is the
+    /// smaller cohort it says, [`ProtocolError::NotEnoughSurvivors`]
+    /// below `U`. An id in *both* lists never uploads and serves no
+    /// recovery.
+    ///
+    /// What a caller holding one RNG sees differently from drawing every
+    /// mask from it directly: per-client entropy derives from the
+    /// federation's one seed, so masks differ (aggregates cannot — they
+    /// are a function of the models and the contributor set), and the
+    /// survivor announcement is not sent to clients that vanished.
+    pub fn from_schedule(models: &[Vec<F>], schedule: &DropoutSchedule) -> Self
+    where
+        F: Clone,
+    {
+        let mut plan = Self::full(models.len());
+        plan.updates = (0..models.len())
+            .filter(|id| !schedule.before_upload.contains(id))
+            .map(|id| (id, models[id].clone()))
+            .collect();
+        plan.drop_after_upload = [&schedule.before_upload[..], &schedule.after_upload].concat();
+        plan
+    }
+
     /// Mark a client as vanishing after its upload.
     #[must_use]
     pub fn with_drop_after_upload(mut self, id: usize) -> Self {
@@ -1833,7 +1868,11 @@ impl<F: Field> Federation<F> {
     ///
     /// # Errors
     ///
-    /// Propagates any [`ProtocolError`] from the lifecycle.
+    /// Propagates any [`ProtocolError`] from the lifecycle. A plan that
+    /// fails after its round opened leaves no round open behind it: the
+    /// round is aborted (its number burned, like the fallback's) and the
+    /// next plan runs. Driving the lifecycle by hand keeps
+    /// `finish_round`'s "the round stays open for more shares".
     pub fn run_round(&mut self, plan: &RoundPlan<F>) -> Result<RoundOutcome<F>, ProtocolError> {
         if let Some(expected) = plan.fingerprint {
             match self.aggregator.cohort_fingerprint(&plan.cohort) {
@@ -1848,8 +1887,6 @@ impl<F: Field> Federation<F> {
         }
         let (out, fell_back) = match attempt_round(self.aggregator.as_mut(), plan) {
             Err(ProtocolError::RatchetMismatch) => {
-                self.aggregator.clear_ratchet();
-                self.aggregator.abort_round();
                 (attempt_round(self.aggregator.as_mut(), plan), true)
             }
             out => (out, false),
@@ -1866,11 +1903,28 @@ impl<F: Field> Federation<F> {
 
 /// One attempt at a [`RoundPlan`]'s lifecycle (extracted so
 /// [`Federation::run_round`] can replay it after a ratchet fallback).
+/// An attempt that fails once its round is open aborts that round —
+/// dropping the ratchet state first when that is what diverged.
 fn attempt_round<F: Field>(
     aggregator: &mut dyn SecureAggregator<F>,
     plan: &RoundPlan<F>,
 ) -> Result<RoundOutcome<F>, ProtocolError> {
     aggregator.open_round(&plan.cohort)?;
+    let out = drive_open_round(aggregator, plan);
+    if let Err(e) = &out {
+        if *e == ProtocolError::RatchetMismatch {
+            aggregator.clear_ratchet();
+        }
+        aggregator.abort_round();
+    }
+    out
+}
+
+/// The plan's steps after `open_round`.
+fn drive_open_round<F: Field>(
+    aggregator: &mut dyn SecureAggregator<F>,
+    plan: &RoundPlan<F>,
+) -> Result<RoundOutcome<F>, ProtocolError> {
     // §4.1 overlap: the next round's offline phase runs while this
     // round's participants are still computing their updates. It
     // must run *before* the submissions so its transport flush
@@ -2009,6 +2063,49 @@ mod tests {
                 "{name}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn from_schedule_is_strict_about_ids_and_follows_the_model_count() {
+        let models: Vec<Vec<Fp61>> = updates(&[0, 1, 2, 3, 4, 5])
+            .into_iter()
+            .map(|(_, update)| update)
+            .collect();
+        let run = |models: &[Vec<Fp61>], schedule: DropoutSchedule| {
+            let sync = SyncFederation::new(cfg(), MemTransport::new(), 8).unwrap();
+            Federation::new(Box::new(sync)).run_round(&RoundPlan::from_schedule(models, &schedule))
+        };
+        // an out-of-range id in either list is a typed error, not ignored
+        assert_eq!(
+            run(&models[..5], DropoutSchedule::before_upload(vec![5])).unwrap_err(),
+            ProtocolError::UnknownUser(5)
+        );
+        assert_eq!(
+            run(&models[..5], DropoutSchedule::after_upload(vec![9])).unwrap_err(),
+            ProtocolError::UnknownUser(9)
+        );
+        // an id in both lists never uploads and serves no recovery
+        let both = DropoutSchedule {
+            before_upload: vec![2],
+            after_upload: vec![2, 4],
+        };
+        let plan = RoundPlan::from_schedule(&models[..5], &both);
+        assert_eq!(plan.updates, updates(&[0, 1, 3, 4]));
+        let out = run(&models[..5], both).unwrap();
+        assert_eq!(out.contributors, vec![0, 1, 3, 4]);
+        assert_eq!(out.aggregate, expected(&[0, 1, 3, 4]));
+        // the cohort is `0..models.len()`: one too many is out of range,
+        // fewer is the smaller cohort, too few cannot open
+        assert_eq!(
+            run(&models, DropoutSchedule::none()).unwrap_err(),
+            ProtocolError::UnknownUser(5)
+        );
+        let four = run(&models[..4], DropoutSchedule::none()).unwrap();
+        assert_eq!(four.contributors, vec![0, 1, 2, 3]);
+        assert_eq!(
+            run(&models[..2], DropoutSchedule::none()).unwrap_err(),
+            ProtocolError::NotEnoughSurvivors { got: 2, need: 3 }
+        );
     }
 
     #[test]

@@ -10,15 +10,17 @@
 //! The crate is organised as a **sans-IO protocol engine** under a
 //! **multi-round federation layer**:
 //!
-//! * [`federation`] — the persistent multi-round API:
-//!   [`federation::SecureAggregator`] (one object-safe trait),
+//! * [`federation`] — the persistent multi-round API, and the **one**
+//!   way to run a round (a one-shot round is a fresh federation run
+//!   once): [`federation::SecureAggregator`] (one object-safe trait),
 //!   [`federation::LeafFederation`] (the one leaf round driver; the
 //!   sync and buffered-async variants plug their endpoints and the few
 //!   differing steps in through [`federation::LeafVariant`]),
 //!   [`federation::FederationClient`] /
 //!   [`federation::FederationServer`] (round lifecycle with cohort
 //!   churn), and [`federation::Federation`] (the plan loop with §4.1's
-//!   overlapped next-round mask sharing);
+//!   overlapped next-round mask sharing; [`RoundPlan::from_schedule`]
+//!   bridges from a [`DropoutSchedule`]);
 //! * [`ratchet`] — the stable-cohort fast path: pairwise pads over a
 //!   retained base instead of a fresh share exchange, the one
 //!   commit/ack handshake both variants' endpoints route into, and
@@ -28,23 +30,18 @@
 //!   unifying every protocol message, with a canonical byte encoding;
 //!   every envelope is **round-scoped** and cross-round replays are
 //!   rejected with [`ProtocolError::StaleRound`];
-//! * [`session`] — [`session::ClientSession`] /
-//!   [`session::ServerSession`] (and the async variants): pure
-//!   event-driven state machines with a uniform
+//! * [`session`] — [`session::Session`], the uniform
 //!   `handle(Envelope) -> Vec<(Recipient, Envelope)>` + `poll_output()`
-//!   interface; entropy is injected at construction, never during
-//!   message handling;
+//!   interface of every endpoint: pure event-driven state machines,
+//!   entropy injected at construction, never during message handling;
 //! * [`transport`] — the [`transport::Transport`] trait with
 //!   [`transport::MemTransport`] (ordered in-memory queues) and
 //!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
 //!   network, so protocol bytes pay simulated bandwidth/latency and
 //!   phase timings come from real serialized message sizes);
-//! * [`Client`] / [`ServerRound`] — the underlying per-endpoint protocol
-//!   logic (§4.1);
-//! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F);
-//! * [`run_sync_round`] / [`run_sync_round_over`] — thin drivers pumping
-//!   sessions over a transport (used by tests, examples and the
-//!   simulator).
+//! * [`Client`] / [`ServerRound`] — one round's protocol logic per
+//!   endpoint (§4.1), as typed messages and as [`session::Session`]s;
+//! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F).
 //!
 //! Guarantees (Theorem 1): for any `T + D < N`, privacy against any `T`
 //! colluding users (information-theoretic, given the `T`-private MDS
@@ -52,60 +49,34 @@
 //!
 //! # Example: 3 users, 1 dropout, 1 colluder — the paper's Figure 3
 //!
+//! Swap [`transport::MemTransport`] for [`transport::SimTransport`] and
+//! the identical protocol bytes pay simulated network time.
+//!
 //! ```
-//! use lsa_protocol::{run_sync_round, DropoutSchedule, LsaConfig};
+//! use lsa_protocol::transport::MemTransport;
+//! use lsa_protocol::{DropoutSchedule, Federation, LsaConfig, RoundPlan, SyncFederation};
 //! use lsa_field::{Field, Fp61};
-//! use rand::SeedableRng;
 //!
 //! let cfg = LsaConfig::new(3, 1, 2, 4).unwrap();
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 //! let models: Vec<Vec<Fp61>> = (0..3)
 //!     .map(|i| (0..4).map(|k| Fp61::from_u64((10 * i + k) as u64)).collect())
 //!     .collect();
+//! // all entropy of the run derives from the one seed
+//! let sync = SyncFederation::new(cfg, MemTransport::new(), 42).unwrap();
+//! let mut fed = Federation::new(Box::new(sync));
 //! // user 0 drops after uploading its masked model (worst case §7.1)
-//! let out = run_sync_round(
-//!     cfg,
-//!     &models,
-//!     &DropoutSchedule::after_upload(vec![0]),
-//!     &mut rng,
-//! )
-//! .unwrap();
+//! let schedule = DropoutSchedule::after_upload(vec![0]);
+//! let out = fed
+//!     .run_round(&RoundPlan::from_schedule(&models, &schedule))
+//!     .unwrap();
 //! // the aggregate covers ALL uploaders (incl. the delayed user 0)
+//! assert_eq!(out.contributors, vec![0, 1, 2]);
 //! for k in 0..4 {
 //!     let want: Fp61 = (0..3).map(|i| models[i][k]).sum();
 //!     assert_eq!(out.aggregate[k], want);
 //! }
-//! ```
-//!
-//! # Example: pumping the engine over an explicit transport
-//!
-//! The same round, but with the transport visible — swap
-//! [`transport::MemTransport`] for [`transport::SimTransport`] and the
-//! identical protocol bytes pay simulated network time:
-//!
-//! ```
-//! use lsa_protocol::transport::MemTransport;
-//! use lsa_protocol::{run_sync_round_over, DropoutSchedule, LsaConfig};
-//! use lsa_field::{Field, Fp61};
-//! use rand::SeedableRng;
-//!
-//! let cfg = LsaConfig::new(3, 1, 2, 4).unwrap();
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let models: Vec<Vec<Fp61>> = (0..3)
-//!     .map(|i| (0..4).map(|k| Fp61::from_u64((10 * i + k) as u64)).collect())
-//!     .collect();
-//! let mut transport = MemTransport::new();
-//! let out = run_sync_round_over(
-//!     cfg,
-//!     &models,
-//!     &DropoutSchedule::none(),
-//!     &mut rng,
-//!     &mut transport,
-//! )
-//! .unwrap();
-//! assert_eq!(out.survivors.len(), 3);
 //! // every protocol message crossed the wire as canonical bytes
-//! assert!(transport.bytes_sent() > 0);
+//! assert!(fed.aggregator().bytes_sent() > 0);
 //! ```
 
 pub mod asynchronous;
@@ -127,13 +98,13 @@ pub use federation::{
     BoxedAggregator, BufferedFederation, Federation, FederationClient, FederationServer,
     RoundOutcome, RoundPlan, SecureAggregator, SyncFederation,
 };
-pub use messages::{wire_bytes, AggregatedShare, CodedMaskShare, MaskedModel};
+pub use messages::{AggregatedShare, CodedMaskShare, MaskedModel};
 pub use ratchet::{
     CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetPolicy, RatchetWindowCommit,
     DEFAULT_COMMIT_WINDOW, MAX_COMMIT_WINDOW, RATCHET_FROM_SERVER,
 };
 pub use server::{ServerPhase, ServerRound};
-pub use session::{ClientSession, Recipient, ServerSession, Session};
+pub use session::{Recipient, Session};
 pub use telemetry::{EventCounters, RoundReport, TrafficMark};
 pub use topology::{GroupTopology, GroupedFederation, TopologyNode};
 pub use transport::{Delivery, MemTransport, PhaseTiming, SimTransport, Transport};
@@ -143,10 +114,6 @@ pub use wire::{
 };
 
 use core::fmt;
-use federation::{drain_to, pump};
-use lsa_field::Field;
-use rand::Rng;
-use std::collections::BTreeSet;
 
 /// Errors produced by the protocol layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -413,119 +380,10 @@ impl DropoutSchedule {
     }
 }
 
-/// Outcome of a synchronous round.
-#[derive(Debug, Clone)]
-pub struct SyncRoundOutput<F> {
-    /// The recovered aggregate `Σ_{i∈U₁} x_i` (length `d`).
-    pub aggregate: Vec<F>,
-    /// The survivor set `U₁` whose models are included.
-    pub survivors: Vec<usize>,
-}
-
-/// Reference driver: run one full synchronous LightSecAgg round in memory.
-///
-/// `models[i]` is user `i`'s quantized model (length `cfg.d()`).
-/// Users in `dropouts.before_upload` never upload; users in
-/// `dropouts.after_upload` upload but do not serve recovery.
-///
-/// This is a compatibility shim over [`run_sync_round_over`] with a
-/// [`MemTransport`]: every message still crosses a (serialized) wire.
-///
-/// # Errors
-///
-/// Propagates any protocol error; notably
-/// [`ProtocolError::NotEnoughSurvivors`] when dropouts exceed `N − U`.
-pub fn run_sync_round<F: Field, R: Rng + ?Sized>(
-    cfg: LsaConfig,
-    models: &[Vec<F>],
-    dropouts: &DropoutSchedule,
-    rng: &mut R,
-) -> Result<SyncRoundOutput<F>, ProtocolError> {
-    let mut transport = MemTransport::new();
-    run_sync_round_over(cfg, models, dropouts, rng, &mut transport)
-}
-
-/// Run one full synchronous LightSecAgg round over an explicit
-/// [`Transport`], pumping [`ClientSession`]s and a [`ServerSession`].
-///
-/// Phase boundaries are marked with [`Transport::flush`] under the
-/// labels `"offline"`, `"upload"`, `"announce"` and `"recovery"`, so a
-/// [`SimTransport`] reports per-phase wall-clock derived from the actual
-/// serialized envelope sizes.
-///
-/// Dropout semantics (§7.1): users in `dropouts.before_upload` never
-/// upload (their sessions still serve the offline exchange); users in
-/// `dropouts.after_upload` upload but vanish afterwards — envelopes
-/// addressed to them are discarded undelivered.
-///
-/// # Errors
-///
-/// Propagates any protocol error; notably
-/// [`ProtocolError::NotEnoughSurvivors`] when dropouts exceed `N − U`.
-pub fn run_sync_round_over<F: Field, R: Rng + ?Sized, T: Transport<F>>(
-    cfg: LsaConfig,
-    models: &[Vec<F>],
-    dropouts: &DropoutSchedule,
-    rng: &mut R,
-    transport: &mut T,
-) -> Result<SyncRoundOutput<F>, ProtocolError> {
-    assert_eq!(models.len(), cfg.n(), "one model per user");
-
-    let mut clients: Vec<ClientSession<F>> = (0..cfg.n())
-        .map(|id| ClientSession::new(id, cfg, rng))
-        .collect::<Result<_, _>>()?;
-    let mut server = ServerSession::new(cfg)?;
-
-    // Users dropped after upload have vanished by the recovery phase:
-    // envelopes addressed to them are still sent (and billed), but
-    // discarded undelivered.
-    let everyone: BTreeSet<usize> = (0..cfg.n()).collect();
-    let mut online = everyone.clone();
-    online.retain(|id| !dropouts.after_upload.contains(id));
-
-    // Offline: each client emits its coded shares as it is drained.
-    for client in clients.iter_mut() {
-        drain_to(client, transport, &everyone)?;
-    }
-    transport.flush("offline");
-    pump(transport, &mut server, &mut clients, &everyone)?;
-
-    // Upload phase.
-    for (id, client) in clients.iter_mut().enumerate() {
-        if dropouts.before_upload.contains(&id) {
-            continue;
-        }
-        client.upload_model(&models[id])?;
-        drain_to(client, transport, &everyone)?;
-    }
-    transport.flush("upload");
-    pump(transport, &mut server, &mut clients, &everyone)?;
-
-    // Recovery: announce the survivor set, collect aggregated shares.
-    let survivors = server.close_upload()?.to_vec();
-    drain_to(&mut server, transport, &everyone)?;
-    transport.flush("announce");
-    pump(transport, &mut server, &mut clients, &online)?;
-    transport.flush("recovery");
-    pump(transport, &mut server, &mut clients, &online)?;
-
-    if !server.is_complete() {
-        return Err(ProtocolError::NotEnoughSurvivors {
-            got: server.shares_received(),
-            need: cfg.u(),
-        });
-    }
-    let aggregate = server.recover()?.to_vec();
-    Ok(SyncRoundOutput {
-        aggregate,
-        survivors,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_field::{Fp32, Fp61};
+    use lsa_field::{Field, Fp32, Fp61};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -544,30 +402,41 @@ mod tests {
         acc
     }
 
+    /// One §4.1 round on the deployed path: a fresh [`SyncFederation`]
+    /// over a [`MemTransport`], the schedule bridged by
+    /// [`RoundPlan::from_schedule`].
+    fn round<F: Field>(
+        cfg: LsaConfig,
+        models: &[Vec<F>],
+        schedule: &DropoutSchedule,
+        seed: u64,
+    ) -> Result<RoundOutcome<F>, ProtocolError> {
+        let sync = SyncFederation::new(cfg, MemTransport::new(), seed)?;
+        Federation::new(Box::new(sync)).run_round(&RoundPlan::from_schedule(models, schedule))
+    }
+
+    /// Theorem 1, one row: under `schedule` the round recovers exactly
+    /// the plaintext sum over `want`.
+    fn recovers<F: Field>(cfg: LsaConfig, seed: u64, schedule: &DropoutSchedule, want: &[usize]) {
+        let ms = models::<F>(cfg.n(), cfg.d(), seed);
+        let out = round(cfg, &ms, schedule, seed + 1).unwrap();
+        assert_eq!(out.contributors, want);
+        assert_eq!(out.total_weight, want.len() as u64);
+        assert_eq!(out.aggregate.len(), cfg.d());
+        assert_eq!(out.aggregate, expected_sum(&ms, want));
+    }
+
     #[test]
     fn no_dropout_round_recovers_full_sum() {
         let cfg = LsaConfig::new(6, 2, 4, 17).unwrap();
-        let ms = models::<Fp61>(6, 17, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = run_sync_round(cfg, &ms, &DropoutSchedule::none(), &mut rng).unwrap();
-        assert_eq!(out.survivors, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(out.aggregate, expected_sum(&ms, &out.survivors));
+        recovers::<Fp61>(cfg, 1, &DropoutSchedule::none(), &[0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn dropouts_before_upload_excluded_from_aggregate() {
         let cfg = LsaConfig::new(6, 2, 4, 10).unwrap();
-        let ms = models::<Fp61>(6, 10, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let out = run_sync_round(
-            cfg,
-            &ms,
-            &DropoutSchedule::before_upload(vec![1, 4]),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(out.survivors, vec![0, 2, 3, 5]);
-        assert_eq!(out.aggregate, expected_sum(&ms, &[0, 2, 3, 5]));
+        let sched = DropoutSchedule::before_upload(vec![1, 4]);
+        recovers::<Fp61>(cfg, 3, &sched, &[0, 2, 3, 5]);
     }
 
     #[test]
@@ -575,45 +444,26 @@ mod tests {
         // The §7.1 worst case: users drop after uploading, so their models
         // ARE in the aggregate but they don't help recovery.
         let cfg = LsaConfig::new(6, 2, 4, 10).unwrap();
-        let ms = models::<Fp61>(6, 10, 5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let out = run_sync_round(
-            cfg,
-            &ms,
-            &DropoutSchedule::after_upload(vec![0, 5]),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(out.survivors, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(out.aggregate, expected_sum(&ms, &out.survivors));
+        let sched = DropoutSchedule::after_upload(vec![0, 5]);
+        recovers::<Fp61>(cfg, 5, &sched, &[0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn mixed_dropouts() {
         let cfg = LsaConfig::new(8, 3, 5, 12).unwrap();
-        let ms = models::<Fp61>(8, 12, 7);
-        let mut rng = StdRng::seed_from_u64(8);
         let sched = DropoutSchedule {
             before_upload: vec![2],
             after_upload: vec![0, 6],
         };
-        let out = run_sync_round(cfg, &ms, &sched, &mut rng).unwrap();
-        assert_eq!(out.survivors, vec![0, 1, 3, 4, 5, 6, 7]);
-        assert_eq!(out.aggregate, expected_sum(&ms, &out.survivors));
+        recovers::<Fp61>(cfg, 7, &sched, &[0, 1, 3, 4, 5, 6, 7]);
     }
 
     #[test]
     fn too_many_dropouts_fails_loudly() {
         let cfg = LsaConfig::new(4, 1, 3, 5).unwrap(); // tolerates 1 dropout
         let ms = models::<Fp61>(4, 5, 9);
-        let mut rng = StdRng::seed_from_u64(10);
-        let err = run_sync_round(
-            cfg,
-            &ms,
-            &DropoutSchedule::before_upload(vec![0, 1]),
-            &mut rng,
-        )
-        .unwrap_err();
+        let sched = DropoutSchedule::before_upload(vec![0, 1]);
+        let err = round(cfg, &ms, &sched, 10).unwrap_err();
         assert!(matches!(
             err,
             ProtocolError::NotEnoughSurvivors { got: 2, need: 3 }
@@ -623,16 +473,8 @@ mod tests {
     #[test]
     fn works_over_fp32() {
         let cfg = LsaConfig::new(5, 2, 3, 8).unwrap();
-        let ms = models::<Fp32>(5, 8, 11);
-        let mut rng = StdRng::seed_from_u64(12);
-        let out = run_sync_round(
-            cfg,
-            &ms,
-            &DropoutSchedule::after_upload(vec![1, 2]),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(out.aggregate, expected_sum(&ms, &out.survivors));
+        let sched = DropoutSchedule::after_upload(vec![1, 2]);
+        recovers::<Fp32>(cfg, 11, &sched, &[0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -640,11 +482,7 @@ mod tests {
         // padded_len > d exercises the truncation path
         let cfg = LsaConfig::new(5, 1, 4, 10).unwrap(); // U−T = 3, d=10 → pad to 12
         assert!(cfg.padded_len() > cfg.d());
-        let ms = models::<Fp61>(5, 10, 13);
-        let mut rng = StdRng::seed_from_u64(14);
-        let out = run_sync_round(cfg, &ms, &DropoutSchedule::none(), &mut rng).unwrap();
-        assert_eq!(out.aggregate.len(), 10);
-        assert_eq!(out.aggregate, expected_sum(&ms, &out.survivors));
+        recovers::<Fp61>(cfg, 13, &DropoutSchedule::none(), &[0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -659,10 +497,8 @@ mod tests {
             .zip(&weights)
             .map(|(m, &w)| m.iter().map(|&x| x * Fp61::from_u64(w)).collect())
             .collect();
-        let mut rng = StdRng::seed_from_u64(16);
-        let out = run_sync_round(cfg, &weighted, &DropoutSchedule::none(), &mut rng).unwrap();
-        let want = expected_sum(&weighted, &[0, 1, 2, 3]);
-        assert_eq!(out.aggregate, want);
+        let out = round(cfg, &weighted, &DropoutSchedule::none(), 16).unwrap();
+        assert_eq!(out.aggregate, expected_sum(&weighted, &[0, 1, 2, 3]));
     }
 
     #[test]

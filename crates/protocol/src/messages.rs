@@ -17,8 +17,6 @@
 //! could ever be mistaken for a same-group message from the same local
 //! index. The flat topology is simply group 0 everywhere.
 
-use lsa_field::Field;
-
 /// Offline phase: user `from` sends the coded mask segment `[~z_from]_to`
 /// to user `to` over a private channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,22 +59,4 @@ pub struct AggregatedShare<F> {
     pub round: u64,
     /// Aggregated coded segment, length `⌈d/(U−T)⌉`.
     pub payload: Vec<F>,
-}
-
-/// Number of bytes a vector of field elements occupies on the wire
-/// (canonical fixed-width encoding).
-pub fn wire_bytes<F: Field>(elements: usize) -> usize {
-    elements * (F::BITS as usize).div_ceil(8)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lsa_field::{Fp32, Fp61};
-
-    #[test]
-    fn wire_size_per_field() {
-        assert_eq!(wire_bytes::<Fp32>(10), 40);
-        assert_eq!(wire_bytes::<Fp61>(10), 80);
-    }
 }

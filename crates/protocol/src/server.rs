@@ -2,6 +2,8 @@
 
 use crate::config::LsaConfig;
 use crate::messages::{AggregatedShare, MaskedModel};
+use crate::session::{Outgoing, Recipient, Session};
+use crate::wire::{Envelope, SurvivorAnnouncement};
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_field::Field;
@@ -38,9 +40,20 @@ pub enum ServerPhase {
 /// is reduced exactly once, inside [`ServerRound::recover_aggregate`] —
 /// which also *consumes* the sum rather than cloning `O(d)` state.
 ///
+/// As a sans-IO [`Session`] it accepts both message kinds as envelopes
+/// and, once [`ServerRound::close_upload_phase`] fixed the survivors,
+/// [`Session::poll_output`] emits one [`SurvivorAnnouncement`] per
+/// survivor, each built when it is asked for.
+/// Recovery is **deliberately lazy**: receiving the `U`-th share only
+/// marks the round [`ServerPhase::ReadyToRecover`]; the `O(U²) + O(U·d)`
+/// decode runs when the owner calls [`ServerRound::recover_aggregate`] —
+/// which lets a grouped topology decode its independent groups on a
+/// thread pool instead of inline in the (serial) message pump.
+///
 /// # Example
 ///
-/// See [`crate::run_sync_round`] for a full driver.
+/// See [`crate::session`] for a round pumped by hand and
+/// [`crate::federation`] for the full driver.
 #[derive(Debug, Clone)]
 pub struct ServerRound<F: Field> {
     cfg: LsaConfig,
@@ -58,6 +71,8 @@ pub struct ServerRound<F: Field> {
     uploaders: BTreeSet<usize>,
     survivors: Vec<usize>,
     shares: Vec<(usize, Vec<F>)>,
+    /// How many of `survivors` [`Session::poll_output`] has announced to.
+    announced: usize,
 }
 
 impl<F: Field> ServerRound<F> {
@@ -105,6 +120,7 @@ impl<F: Field> ServerRound<F> {
             uploaders: BTreeSet::new(),
             survivors: Vec::new(),
             shares: Vec::new(),
+            announced: 0,
         })
     }
 
@@ -176,13 +192,15 @@ impl<F: Field> ServerRound<F> {
     }
 
     /// Close the upload phase, fixing the survivor set `U₁` (Algorithm 1
-    /// line 17). Returns the survivors, which the server announces so each
-    /// one can compute its aggregated coded mask.
+    /// line 17). Returns the survivors, which the server announces
+    /// ([`Session::poll_output`]) so each one can compute its aggregated
+    /// coded mask.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::NotEnoughSurvivors`] if fewer than `U`
-    /// users uploaded — recovery would be impossible.
+    /// users uploaded — recovery would be impossible — and
+    /// [`ProtocolError::WrongPhase`] on a second close.
     pub fn close_upload_phase(&mut self) -> Result<&[usize], ProtocolError> {
         if self.phase != ServerPhase::CollectingMaskedModels {
             return Err(ProtocolError::WrongPhase);
@@ -294,14 +312,41 @@ impl<F: Field> ServerRound<F> {
         Ok(sum_masked)
     }
 
-    /// How many masked models have been received.
-    pub fn models_received(&self) -> usize {
-        self.uploaders.len()
-    }
-
     /// How many aggregated shares have been received.
     pub fn shares_received(&self) -> usize {
         self.shares.len()
+    }
+}
+
+impl<F: Field> Session<F> for ServerRound<F> {
+    fn local_addr(&self) -> Recipient {
+        Recipient::Server
+    }
+
+    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        match envelope {
+            Envelope::MaskedModel(m) => self.receive_masked_model(m)?,
+            Envelope::AggregatedShare(s) => {
+                self.receive_aggregated_share(s)?;
+            }
+            other => return Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
+        }
+        Ok(Vec::new())
+    }
+
+    fn poll_output(&mut self) -> Option<Outgoing<F>> {
+        // `survivors` is empty until the upload phase closes
+        let to = *self.survivors.get(self.announced)?;
+        self.announced += 1;
+        let announcement = SurvivorAnnouncement {
+            group: self.group,
+            round: self.round,
+            survivors: self.survivors.clone(),
+        };
+        Some((
+            Recipient::Client(to),
+            Envelope::SurvivorAnnouncement(announcement),
+        ))
     }
 }
 
@@ -393,6 +438,39 @@ mod tests {
             s.receive_masked_model(m),
             Err(ProtocolError::DuplicateMessage(0))
         ));
+    }
+
+    #[test]
+    fn envelope_is_checked_group_then_round_then_sender() {
+        // through `Session::handle`: an upload wrong in every way reports
+        // its group, then its round, and only then counts as a duplicate
+        let mut s = ServerRound::<Fp61>::for_round_in_group(cfg(), 3, 7).unwrap();
+        let upload = |group, round| {
+            Envelope::MaskedModel(MaskedModel {
+                from: 0,
+                group,
+                round,
+                payload: vec![Fp61::ZERO; cfg().padded_len()],
+            })
+        };
+        s.handle(upload(7, 3)).unwrap();
+        assert_eq!(
+            s.handle(upload(6, 2)).unwrap_err(),
+            ProtocolError::WrongGroup {
+                got: 6,
+                expected: 7
+            }
+        );
+        assert_eq!(
+            s.handle(upload(7, 2)).unwrap_err(),
+            ProtocolError::StaleRound { got: 2, current: 3 }
+        );
+        assert_eq!(
+            s.handle(upload(7, 3)).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+        // nothing is announced before the phase closes
+        assert!(s.poll_output().is_none());
     }
 
     #[test]

@@ -13,24 +13,28 @@
 //!
 //! # Sessions
 //!
-//! * [`ClientSession`] / [`ServerSession`] — the synchronous protocol
-//!   (§4.1, Algorithm 1);
+//! * [`crate::Client`] / [`crate::ServerRound`] — one round of the
+//!   synchronous protocol (§4.1, Algorithm 1): the per-round state
+//!   machines speak [`Session`] themselves;
 //! * [`AsyncClientSession`] / [`AsyncServerSession`] — the
-//!   buffered-asynchronous variant (§4.2, Appendix F).
+//!   buffered-asynchronous variant (§4.2, Appendix F);
+//! * [`crate::federation::FederationClient`] /
+//!   [`crate::federation::FederationServer`] — the persistent
+//!   multi-round endpoints that route to the per-round ones.
 //!
 //! # Example: pumping a session by hand
 //!
 //! ```
-//! use lsa_protocol::session::{ClientSession, Recipient, ServerSession, Session};
-//! use lsa_protocol::LsaConfig;
+//! use lsa_protocol::session::{Recipient, Session};
+//! use lsa_protocol::{Client, LsaConfig, ServerRound};
 //! use lsa_field::{Field, Fp61};
 //! use rand::SeedableRng;
 //!
 //! let cfg = LsaConfig::new(2, 0, 2, 4).unwrap();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let mut a = ClientSession::<Fp61>::new(0, cfg, &mut rng).unwrap();
-//! let mut b = ClientSession::<Fp61>::new(1, cfg, &mut rng).unwrap();
-//! let mut server = ServerSession::<Fp61>::new(cfg).unwrap();
+//! let mut a = Client::<Fp61>::new(0, cfg, &mut rng).unwrap();
+//! let mut b = Client::<Fp61>::new(1, cfg, &mut rng).unwrap();
+//! let mut server = ServerRound::<Fp61>::new(cfg).unwrap();
 //!
 //! // offline: each client emits its coded shares as they are polled
 //! while let Some((to, env)) = a.poll_output() {
@@ -49,23 +53,21 @@
 //!         server.handle(env).unwrap();
 //!     }
 //! }
-//! server.close_upload().unwrap();
+//! server.close_upload_phase().unwrap();
 //! while let Some((to, env)) = server.poll_output() {
 //!     let c = if to == Recipient::Client(0) { &mut a } else { &mut b };
 //!     for (_, reply) in c.handle(env).unwrap() {
 //!         server.handle(reply).unwrap();
 //!     }
 //! }
-//! assert_eq!(server.recover().unwrap()[0], Fp61::from_u64(3));
+//! assert_eq!(server.recover_aggregate().unwrap()[0], Fp61::from_u64(3));
 //! ```
 
 use crate::asynchronous::{AsyncClient, AsyncServer, WeightedAggregate};
-use crate::client::Client;
 use crate::config::LsaConfig;
 use crate::federation::{BufferedVariant, LeafVariant, RoundOutcome};
-use crate::ratchet::{self, ClientRatchet, PadTopology, ServerRatchet};
-use crate::server::{ServerPhase, ServerRound};
-use crate::wire::{BufferAnnouncement, Envelope, SurvivorAnnouncement};
+use crate::ratchet::{self, ClientRatchet, ServerRatchet};
+use crate::wire::{BufferAnnouncement, Envelope};
 use crate::ProtocolError;
 use lsa_field::Field;
 use lsa_quantize::QuantizedStaleness;
@@ -105,374 +107,6 @@ pub trait Session<F: Field> {
     /// Drain the next envelope produced by a local action (construction,
     /// upload, phase close). Returns `None` when the outbox is empty.
     fn poll_output(&mut self) -> Option<Outgoing<F>>;
-}
-
-// ---------------------------------------------------------------------
-// Synchronous protocol
-// ---------------------------------------------------------------------
-
-/// Sans-IO client for the synchronous protocol (§4.1).
-///
-/// Construction runs the offline mask generation (the only entropy the
-/// session ever uses); the `N − 1` coded mask shares are not queued but
-/// built one at a time as [`Session::poll_output`] asks for them, ahead
-/// of everything in the outbox, so a driver that delivers as it polls
-/// never holds a second copy of the share table.
-/// [`ClientSession::upload_model`] queues the masked model; receiving
-/// the server's [`SurvivorAnnouncement`] yields the aggregated share.
-#[derive(Debug, Clone)]
-pub struct ClientSession<F> {
-    inner: Client<F>,
-    /// Next peer whose coded share is still to be emitted (`n` once the
-    /// offline phase is out, and from the start for a ratcheted round).
-    next_share: usize,
-    outbox: VecDeque<Outgoing<F>>,
-    uploaded: bool,
-}
-
-impl<F: Field> ClientSession<F> {
-    /// Create the session for user `id` at round 0, sampling the local
-    /// mask from `rng` (entropy is injected here and never used again).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn new<R: Rng + ?Sized>(
-        id: usize,
-        cfg: LsaConfig,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Self::for_round(id, 0, cfg, rng)
-    }
-
-    /// Create the session for user `id` serving federation round
-    /// `round`. Every emitted envelope is stamped with `round`; every
-    /// accepted envelope must carry it, or the session rejects it as
-    /// [`ProtocolError::StaleRound`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn for_round<R: Rng + ?Sized>(
-        id: usize,
-        round: u64,
-        cfg: LsaConfig,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Self::for_round_in_group(id, round, 0, cfg, rng)
-    }
-
-    /// As [`Self::for_round`], but serving aggregation group `group` of a
-    /// grouped topology ([`crate::topology`]); `id` is group-local and
-    /// cross-group envelopes are rejected with
-    /// [`ProtocolError::WrongGroup`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn for_round_in_group<R: Rng + ?Sized>(
-        id: usize,
-        round: u64,
-        group: usize,
-        cfg: LsaConfig,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Ok(Self {
-            inner: Client::for_round_in_group(id, round, group, cfg, rng)?,
-            next_share: 0,
-            outbox: VecDeque::new(),
-            uploaded: false,
-        })
-    }
-
-    /// Derive a session for a *ratcheted* round from retained base
-    /// state ([`crate::ratchet`]): no coded shares are emitted — the
-    /// offline phase was the commit/ack handshake (or nothing at all,
-    /// for a round joined from a pre-committed window).
-    pub(crate) fn ratcheted(
-        base: &mut Client<F>,
-        round: u64,
-        nonce: u64,
-        topology: PadTopology,
-    ) -> Self {
-        Self {
-            inner: Client::ratcheted_from(base, round, nonce, topology),
-            next_share: base.config().n(),
-            outbox: VecDeque::new(),
-            uploaded: false,
-        }
-    }
-
-    /// Give up the underlying client state (a finished round's session
-    /// retiring into a ratchet base).
-    pub(crate) fn into_client(self) -> Client<F> {
-        self.inner
-    }
-
-    /// This client's user index.
-    pub fn id(&self) -> usize {
-        self.inner.id()
-    }
-
-    /// The federation round this session is serving.
-    pub fn round(&self) -> u64 {
-        self.inner.round()
-    }
-
-    /// The aggregation group this session belongs to (0 when flat).
-    pub fn group(&self) -> usize {
-        self.inner.group()
-    }
-
-    /// How many coded shares have been received (incl. the self share).
-    pub fn shares_received(&self) -> usize {
-        self.inner.shares_received()
-    }
-
-    /// Local action: mask the quantized model and queue the upload
-    /// (Algorithm 1 line 14).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::DuplicateMessage`] on a second upload, or a
-    /// length mismatch as [`ProtocolError::Coding`].
-    pub fn upload_model(&mut self, model: &[F]) -> Result<(), ProtocolError> {
-        if self.uploaded {
-            return Err(ProtocolError::DuplicateMessage(self.inner.id()));
-        }
-        let masked = self.inner.mask_model(model)?;
-        self.uploaded = true;
-        self.outbox
-            .push_back((Recipient::Server, Envelope::MaskedModel(masked)));
-        Ok(())
-    }
-
-    /// Local action: upload a weighted model `s_i·x_i` (Remark 3).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::upload_model`].
-    pub fn upload_weighted_model(&mut self, model: &[F], weight: u64) -> Result<(), ProtocolError> {
-        if self.uploaded {
-            return Err(ProtocolError::DuplicateMessage(self.inner.id()));
-        }
-        let masked = self.inner.mask_weighted_model(model, weight)?;
-        self.uploaded = true;
-        self.outbox
-            .push_back((Recipient::Server, Envelope::MaskedModel(masked)));
-        Ok(())
-    }
-}
-
-impl<F: Field> Session<F> for ClientSession<F> {
-    fn local_addr(&self) -> Recipient {
-        Recipient::Client(self.inner.id())
-    }
-
-    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        match envelope {
-            Envelope::CodedMaskShare(share) => {
-                self.inner.receive_share(share)?;
-                Ok(Vec::new())
-            }
-            Envelope::SurvivorAnnouncement(ann) => {
-                if ann.group != self.inner.group() {
-                    return Err(ProtocolError::WrongGroup {
-                        got: ann.group,
-                        expected: self.inner.group(),
-                    });
-                }
-                if ann.round != self.inner.round() {
-                    return Err(ProtocolError::StaleRound {
-                        got: ann.round,
-                        current: self.inner.round(),
-                    });
-                }
-                let share = self.inner.aggregated_share_for(&ann.survivors)?;
-                Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
-            }
-            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
-        }
-    }
-
-    fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        while self.next_share < self.inner.config().n() {
-            let to = self.next_share;
-            self.next_share += 1;
-            if to != self.inner.id() {
-                let share = self.inner.outgoing_share(to);
-                return Some((Recipient::Client(to), Envelope::CodedMaskShare(share)));
-            }
-        }
-        self.outbox.pop_front()
-    }
-}
-
-/// Sans-IO server for the synchronous protocol (§4.1).
-///
-/// Collects masked models; [`ServerSession::close_upload`] fixes the
-/// survivor set and queues one [`SurvivorAnnouncement`] per survivor;
-/// once `U` aggregated shares arrive, [`ServerSession::recover`] runs
-/// the one-shot decode and caches the aggregate.
-///
-/// Recovery is **deliberately lazy**: receiving the `U`-th share only
-/// marks the session ready. The `O(U²) + O(U·d)` decode runs when the
-/// owner asks for the aggregate — which lets a grouped topology decode
-/// its `G` independent groups on a thread pool instead of inline in the
-/// (serial) message-pump.
-#[derive(Debug, Clone)]
-pub struct ServerSession<F: Field> {
-    inner: ServerRound<F>,
-    outbox: VecDeque<Outgoing<F>>,
-    aggregate: Option<Vec<F>>,
-}
-
-impl<F: Field> ServerSession<F> {
-    /// Start round 0 (single-round use).
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration as [`ProtocolError::Coding`].
-    pub fn new(cfg: LsaConfig) -> Result<Self, ProtocolError> {
-        Self::for_round(cfg, 0)
-    }
-
-    /// Start the server session for federation round `round`; envelopes
-    /// stamped with any other round are rejected as
-    /// [`ProtocolError::StaleRound`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration as [`ProtocolError::Coding`].
-    pub fn for_round(cfg: LsaConfig, round: u64) -> Result<Self, ProtocolError> {
-        Self::for_round_in_group(cfg, round, 0)
-    }
-
-    /// As [`Self::for_round`], but serving aggregation group `group` of a
-    /// grouped topology ([`crate::topology`]); cross-group envelopes are
-    /// rejected with [`ProtocolError::WrongGroup`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration as [`ProtocolError::Coding`].
-    pub fn for_round_in_group(
-        cfg: LsaConfig,
-        round: u64,
-        group: usize,
-    ) -> Result<Self, ProtocolError> {
-        Ok(Self {
-            inner: ServerRound::for_round_in_group(cfg, round, group)?,
-            outbox: VecDeque::new(),
-            aggregate: None,
-        })
-    }
-
-    /// Current protocol phase.
-    pub fn phase(&self) -> ServerPhase {
-        self.inner.phase()
-    }
-
-    /// The federation round this session is serving.
-    pub fn round(&self) -> u64 {
-        self.inner.round()
-    }
-
-    /// The aggregation group this session serves (0 when flat).
-    pub fn group(&self) -> usize {
-        self.inner.group()
-    }
-
-    /// How many masked models have been received.
-    pub fn models_received(&self) -> usize {
-        self.inner.models_received()
-    }
-
-    /// How many aggregated shares have been received.
-    pub fn shares_received(&self) -> usize {
-        self.inner.shares_received()
-    }
-
-    /// The survivor set `U₁` (valid after [`Self::close_upload`]).
-    pub fn survivors(&self) -> &[usize] {
-        self.inner.survivors()
-    }
-
-    /// Local action: close the upload phase, fix `U₁`, and queue a
-    /// [`SurvivorAnnouncement`] to every survivor.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::NotEnoughSurvivors`] if fewer than `U` users
-    /// uploaded, [`ProtocolError::WrongPhase`] on a second close.
-    pub fn close_upload(&mut self) -> Result<&[usize], ProtocolError> {
-        let round = self.inner.round();
-        let group = self.inner.group();
-        let survivors = self.inner.close_upload_phase()?.to_vec();
-        for &s in &survivors {
-            self.outbox.push_back((
-                Recipient::Client(s),
-                Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
-                    group,
-                    round,
-                    survivors: survivors.clone(),
-                }),
-            ));
-        }
-        Ok(self.inner.survivors())
-    }
-
-    /// The recovered aggregate. Runs the one-shot decode on first call
-    /// (once `U` aggregated shares have arrived) and caches the result;
-    /// later calls are free.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::WrongPhase`] before `U` shares arrived, or a
-    /// [`ProtocolError::Coding`] decode failure.
-    pub fn recover(&mut self) -> Result<&[F], ProtocolError> {
-        if self.aggregate.is_none() {
-            self.aggregate = Some(self.inner.recover_aggregate()?);
-        }
-        Ok(self.aggregate.as_deref().expect("just recovered"))
-    }
-
-    /// The cached aggregate, if [`Self::recover`] has run.
-    pub fn aggregate(&self) -> Option<&[F]> {
-        self.aggregate.as_deref()
-    }
-
-    /// Whether `U` aggregated shares have arrived, i.e. whether
-    /// [`Self::recover`] will succeed (or already has).
-    pub fn is_complete(&self) -> bool {
-        self.aggregate.is_some() || self.inner.phase() == ServerPhase::ReadyToRecover
-    }
-}
-
-impl<F: Field> Session<F> for ServerSession<F> {
-    fn local_addr(&self) -> Recipient {
-        Recipient::Server
-    }
-
-    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        match envelope {
-            Envelope::MaskedModel(m) => {
-                self.inner.receive_masked_model(m)?;
-                Ok(Vec::new())
-            }
-            Envelope::AggregatedShare(s) => {
-                // receiving the U-th share only marks the session ready;
-                // the decode itself is deferred to `recover()` so owners
-                // can schedule it (e.g. in parallel across groups)
-                self.inner.receive_aggregated_share(s)?;
-                Ok(Vec::new())
-            }
-            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
-        }
-    }
-
-    fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.outbox.pop_front()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -844,7 +478,12 @@ impl<F: Field> LeafVariant<F> for BufferedVariant {
 
 #[cfg(test)]
 mod tests {
+    //! The sync per-round endpoints ([`Client`], [`ServerRound`]) seen
+    //! through the [`Session`] interface alone.
     use super::*;
+    use crate::server::ServerPhase;
+    use crate::wire::SurvivorAnnouncement;
+    use crate::{Client, ServerRound};
     use lsa_field::Fp61;
 
     fn cfg() -> LsaConfig {
@@ -854,7 +493,7 @@ mod tests {
     #[test]
     fn construction_queues_shares() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut c = ClientSession::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let mut c = Client::<Fp61>::new(0, cfg(), &mut rng).unwrap();
         let mut count = 0;
         while let Some((to, env)) = c.poll_output() {
             assert!(matches!(env, Envelope::CodedMaskShare(_)));
@@ -867,18 +506,26 @@ mod tests {
     #[test]
     fn double_upload_rejected() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut c = ClientSession::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let mut c = Client::<Fp61>::new(0, cfg(), &mut rng).unwrap();
         c.upload_model(&[Fp61::ZERO; 6]).unwrap();
         assert!(matches!(
             c.upload_model(&[Fp61::ZERO; 6]),
             Err(ProtocolError::DuplicateMessage(0))
         ));
+        // …also once the first upload has left the outbox, and a
+        // rejected upload queues nothing
+        while c.poll_output().is_some() {}
+        assert!(matches!(
+            c.upload_model(&[Fp61::ZERO; 6]),
+            Err(ProtocolError::DuplicateMessage(0))
+        ));
+        assert!(c.poll_output().is_none());
     }
 
     #[test]
     fn client_rejects_server_bound_envelopes() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut c = ClientSession::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let mut c = Client::<Fp61>::new(0, cfg(), &mut rng).unwrap();
         let masked = Envelope::MaskedModel(crate::messages::MaskedModel {
             from: 1,
             group: 0,
@@ -895,7 +542,7 @@ mod tests {
 
     #[test]
     fn server_rejects_client_bound_envelopes() {
-        let mut s = ServerSession::<Fp61>::new(cfg()).unwrap();
+        let mut s = ServerRound::<Fp61>::new(cfg()).unwrap();
         let ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
             group: 0,
             round: 0,
@@ -913,10 +560,10 @@ mod tests {
     fn full_round_through_sessions() {
         let cfg = cfg();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut clients: Vec<ClientSession<Fp61>> = (0..4)
-            .map(|id| ClientSession::new(id, cfg, &mut rng).unwrap())
+        let mut clients: Vec<Client<Fp61>> = (0..4)
+            .map(|id| Client::new(id, cfg, &mut rng).unwrap())
             .collect();
-        let mut server = ServerSession::<Fp61>::new(cfg).unwrap();
+        let mut server = ServerRound::<Fp61>::new(cfg).unwrap();
 
         // offline exchange
         let mut pending = Vec::new();
@@ -940,7 +587,7 @@ mod tests {
         }
 
         // recovery
-        server.close_upload().unwrap();
+        server.close_upload_phase().unwrap();
         let mut announcements = Vec::new();
         while let Some(out) = server.poll_output() {
             announcements.push(out);
@@ -951,10 +598,12 @@ mod tests {
                 server.handle(reply).unwrap();
             }
         }
-        assert!(server.is_complete());
-        // the decode is lazy: nothing cached until recover() runs
-        assert!(server.aggregate().is_none());
-        assert_eq!(server.recover().unwrap(), vec![Fp61::from_u64(6); 6]);
-        assert_eq!(server.aggregate().unwrap(), vec![Fp61::from_u64(6); 6]);
+        // the decode is lazy: the U-th share only marks the round ready
+        assert_eq!(server.phase(), ServerPhase::ReadyToRecover);
+        assert_eq!(
+            server.recover_aggregate().unwrap(),
+            vec![Fp61::from_u64(6); 6]
+        );
+        assert_eq!(server.phase(), ServerPhase::Recovered);
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! Three backends ship with the workspace:
 //!
-//! * [`MemTransport`] — ordered in-memory queues; the default for tests,
-//!   drivers and the reference [`crate::run_sync_round`];
+//! * [`MemTransport`] — ordered in-memory queues; the default for tests
+//!   and in-process federations;
 //! * [`SimTransport`] — drives the [`lsa_net`] discrete-event network so
 //!   protocol bytes pay simulated bandwidth and latency; phase timings
 //!   come from the *actual serialized envelope sizes*, not a

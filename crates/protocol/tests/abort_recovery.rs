@@ -2,7 +2,8 @@
 //! fails *past* the upload pump (too many after-upload dropouts) and the
 //! `abort_round` that retires it, the next rounds run and decode
 //! exactly — for both leaf variants, standalone and as the stalled
-//! subtree of a partial-recovery tree.
+//! subtree of a partial-recovery tree. `Federation::run_round` does
+//! that abort itself when a plan fails, on a leaf and on a strict tree.
 
 use lsa_field::{Field, Fp61};
 use lsa_protocol::federation::{
@@ -115,6 +116,65 @@ fn a_stalled_subtree_unstalls_and_lands_its_requeue_exactly_once() {
         assert!(fed.aggregator().stalled_leaves().is_empty(), "{name}");
         assert_eq!(out.total_weight, 16, "{name}");
         assert_eq!(out.aggregate, sum(0..16, 2), "{name}");
+    }
+}
+
+/// The plans a cohort `first..first + 8` (`U = 6`) cannot finish, with
+/// the share count the typed error reports: three members vanish after
+/// upload (both variants), or only three upload at all (sync — the
+/// buffered server's partial flush legitimately accepts three).
+fn failing_plans(name: &str, n: usize, first: usize) -> Vec<(RoundPlan<Fp61>, usize)> {
+    let mut failing = vec![(plan(n, 0, &[first + 1, first + 4, first + 6]), 5)];
+    if name.starts_with("sync") {
+        let mut few = plan(n, 0, &[]);
+        few.updates.truncate(first + 3);
+        failing.push((few, 3));
+    }
+    failing
+}
+
+/// Each failing plan returns its typed error and leaves `fed` able to
+/// run the next two plans, which decode exactly.
+fn fails_typed_then_recovers(
+    name: &str,
+    fed: &mut Federation<Fp61>,
+    n: usize,
+    failing: Vec<(RoundPlan<Fp61>, usize)>,
+) {
+    for (bad, got) in failing {
+        let err = fed.run_round(&bad).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::NotEnoughSurvivors { got, need: 6 },
+            "{name}"
+        );
+        for _ in 0..2 {
+            let round = fed.round();
+            let out = fed
+                .run_round(&plan(n, round, &[]))
+                .unwrap_or_else(|e| panic!("{name}: round {round} after a failed plan: {e}"));
+            assert_eq!(out.round, round, "{name}");
+            assert_eq!(out.contributors, (0..n).collect::<Vec<_>>(), "{name}");
+            assert_eq!(out.aggregate, sum(0..n, round), "{name} round {round}");
+        }
+    }
+}
+
+#[test]
+fn a_failed_plan_does_not_wedge_run_round() {
+    // `run_round` aborts the round a failed plan opened (burning its
+    // number); sync's second failing plan meets an engaged ratchet, so
+    // it also walks fallback → replay → fail → abort
+    for (name, leaf) in leaves(0) {
+        let mut fed: Federation<Fp61> = Federation::new(leaf);
+        fails_typed_then_recovers(&name, &mut fed, 8, failing_plans(&name, 8, 0));
+    }
+    // a strict two-leaf tree: the right leaf (clients 8..16) fails, the
+    // tree's round stays open behind the error, the abort reaches both
+    for ((name, left), (_, right)) in leaves(0).into_iter().zip(leaves(1)) {
+        let tree = GroupedFederation::from_children(vec![left, right]).unwrap();
+        let mut fed: Federation<Fp61> = Federation::new(Box::new(tree));
+        fails_typed_then_recovers(&name, &mut fed, 16, failing_plans(&name, 16, 8));
     }
 }
 

@@ -1,26 +1,28 @@
-//! Cross-check: the sans-IO session drivers produce **identical**
-//! aggregates to the legacy hand-routed protocol flow under identical
-//! seeds and dropout schedules — over both `MemTransport` and
-//! `SimTransport`.
+//! Cross-check: the federation — sans-IO sessions over a serialized
+//! wire — produces **identical** aggregates and contributor sets to the
+//! hand-routed typed-message flow under identical dropout schedules,
+//! over both `MemTransport` and `SimTransport`.
 
 use lsa_field::{Field, Fp32, Fp61};
 use lsa_net::{Duplex, NetworkConfig};
-use lsa_protocol::transport::{MemTransport, SimTransport};
+use lsa_protocol::transport::{MemTransport, SimTransport, Transport};
 use lsa_protocol::{
-    run_sync_round, run_sync_round_over, Client, CodedMaskShare, DropoutSchedule, LsaConfig,
-    ServerRound, SyncRoundOutput,
+    Client, CodedMaskShare, DropoutSchedule, Federation, LsaConfig, RoundOutcome, RoundPlan,
+    RoundReport, ServerRound, SyncFederation,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The pre-refactor reference driver: direct `Vec` indexing, no wire.
-/// Kept verbatim here as the behavioural oracle for the session engine.
+/// The pre-refactor reference driver: direct `Vec` indexing over the
+/// typed-message API of `Client` / `ServerRound`, no wire. Kept here as
+/// the behavioural oracle for the session engine; returns the
+/// aggregate and the survivor set.
 fn legacy_hand_routed<F: Field, R: Rng + ?Sized>(
     cfg: LsaConfig,
     models: &[Vec<F>],
     dropouts: &DropoutSchedule,
     rng: &mut R,
-) -> SyncRoundOutput<F> {
+) -> (Vec<F>, Vec<usize>) {
     let mut clients: Vec<Client<F>> = (0..cfg.n())
         .map(|id| Client::new(id, cfg, rng).unwrap())
         .collect();
@@ -51,10 +53,25 @@ fn legacy_hand_routed<F: Field, R: Rng + ?Sized>(
             break;
         }
     }
-    SyncRoundOutput {
-        aggregate: server.recover_aggregate().unwrap(),
-        survivors,
-    }
+    (server.recover_aggregate().unwrap(), survivors)
+}
+
+/// The same schedule through a fresh federation over `transport` —
+/// the plan loop every caller goes through — with the round's report.
+fn federated<F: Field, T: Transport<F> + 'static>(
+    cfg: LsaConfig,
+    models: &[Vec<F>],
+    dropouts: &DropoutSchedule,
+    transport: T,
+    seed: u64,
+) -> (RoundOutcome<F>, RoundReport) {
+    let sync = SyncFederation::new(cfg, transport, seed).unwrap();
+    let mut fed = Federation::new(Box::new(sync));
+    let out = fed
+        .run_round(&RoundPlan::from_schedule(models, dropouts))
+        .unwrap();
+    let report = fed.last_report().expect("the round finished").clone();
+    (out, report)
 }
 
 fn models<F: Field>(n: usize, d: usize, seed: u64) -> Vec<Vec<F>> {
@@ -82,26 +99,24 @@ fn check_field<F: Field>(seed: u64) {
     let cfg = LsaConfig::new(n, 2, 6, d).unwrap();
     let ms = models::<F>(n, d, seed);
     for sched in schedules() {
-        let legacy = legacy_hand_routed(cfg, &ms, &sched, &mut StdRng::seed_from_u64(seed));
+        let (aggregate, survivors) =
+            legacy_hand_routed(cfg, &ms, &sched, &mut StdRng::seed_from_u64(seed));
 
-        let shim = run_sync_round(cfg, &ms, &sched, &mut StdRng::seed_from_u64(seed)).unwrap();
-        assert_eq!(shim.aggregate, legacy.aggregate, "MemTransport {sched:?}");
-        assert_eq!(shim.survivors, legacy.survivors);
+        let (over, mem) = federated(cfg, &ms, &sched, MemTransport::new(), seed);
+        assert_eq!(over.aggregate, aggregate, "MemTransport {sched:?}");
+        assert_eq!(over.contributors, survivors);
+        assert!(mem.payload_bytes > 0, "every message crossed the wire");
 
-        let mut mem = MemTransport::new();
-        let over =
-            run_sync_round_over(cfg, &ms, &sched, &mut StdRng::seed_from_u64(seed), &mut mem)
-                .unwrap();
-        assert_eq!(over.aggregate, legacy.aggregate, "explicit Mem {sched:?}");
-        assert_eq!(over.survivors, legacy.survivors);
-
-        let mut sim = SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full);
-        let timed =
-            run_sync_round_over(cfg, &ms, &sched, &mut StdRng::seed_from_u64(seed), &mut sim)
-                .unwrap();
-        assert_eq!(timed.aggregate, legacy.aggregate, "SimTransport {sched:?}");
-        assert_eq!(timed.survivors, legacy.survivors);
-        assert!(sim.elapsed() > 0.0, "simulated time must advance");
+        let sim = SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full);
+        let (timed, sim) = federated(cfg, &ms, &sched, sim, seed);
+        assert_eq!(timed.aggregate, aggregate, "SimTransport {sched:?}");
+        assert_eq!(timed.contributors, survivors);
+        assert!(sim.critical_path() > 0.0, "simulated time must advance");
+        // same envelopes on both backends, byte for byte in total
+        assert_eq!(
+            (sim.envelopes, sim.payload_bytes),
+            (mem.envelopes, mem.payload_bytes)
+        );
     }
 }
 
@@ -124,23 +139,16 @@ fn sim_transport_timings_cover_all_phases() {
     let n = 6;
     let cfg = LsaConfig::new(n, 2, 4, 16).unwrap();
     let ms = models::<Fp61>(n, 16, 5);
-    let mut sim = SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full);
-    run_sync_round_over(
-        cfg,
-        &ms,
-        &DropoutSchedule::after_upload(vec![1]),
-        &mut StdRng::seed_from_u64(5),
-        &mut sim,
-    )
-    .unwrap();
-    let labels: Vec<&str> = sim.timings().iter().map(|t| t.label).collect();
+    let sim = SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full);
+    let (_, report) = federated(cfg, &ms, &DropoutSchedule::after_upload(vec![1]), sim, 5);
+    let labels: Vec<&str> = report.phases.iter().map(|t| t.label).collect();
     assert_eq!(labels, vec!["offline", "upload", "announce", "recovery"]);
     // phases are contiguous and monotone
-    for w in sim.timings().windows(2) {
+    for w in report.phases.windows(2) {
         assert!(w[1].start >= w[0].end - 1e-12);
     }
     // every phase that moved messages took positive simulated time
-    for t in sim.timings() {
+    for t in &report.phases {
         if t.messages > 0 {
             assert!(t.duration() > 0.0, "{} took no time", t.label);
         }

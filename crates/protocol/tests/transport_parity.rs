@@ -14,7 +14,10 @@ use lsa_net::{NodeId, TcpTransport, FRAME_OVERHEAD};
 use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::transport::{Delivery, MemTransport, SimTransport, Transport};
 use lsa_protocol::wire::Envelope;
-use lsa_protocol::{run_sync_round_over, DropoutSchedule, LsaConfig, ProtocolError, Recipient};
+use lsa_protocol::{
+    DropoutSchedule, LsaConfig, ProtocolError, Recipient, RoundOutcome, RoundPlan,
+    SecureAggregator, SyncFederation,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -57,45 +60,63 @@ fn models(n: usize, d: usize, seed: u64) -> Vec<Vec<Fp61>> {
         .collect()
 }
 
+/// One round of `plan` on a fresh federation over `transport`, handed
+/// back so the transport's record can be read.
+fn run_over<T: Transport<Fp61>>(
+    cfg: LsaConfig,
+    plan: &RoundPlan<Fp61>,
+    transport: T,
+) -> (RoundOutcome<Fp61>, SyncFederation<Fp61, T>) {
+    let mut fed = SyncFederation::new(cfg, transport, 5).unwrap();
+    fed.open_round(&plan.cohort).unwrap();
+    for (id, update) in &plan.updates {
+        fed.submit(*id, update).unwrap();
+    }
+    for &id in &plan.drop_after_upload {
+        fed.mark_dropped(id).unwrap();
+    }
+    let out = fed.finish_round().unwrap();
+    (out, fed)
+}
+
 #[test]
 fn payload_bytes_identical_across_mem_sim_and_tcp() {
     let n = 6;
     let cfg = LsaConfig::new(n, 2, 4, 24).unwrap();
     let ms = models(n, 24, 17);
-    let sched = DropoutSchedule::after_upload(vec![3]);
+    let plan = RoundPlan::from_schedule(&ms, &DropoutSchedule::after_upload(vec![3]));
 
     // Same round over the in-memory and the discrete-event backends.
-    let mut mem = RecordingTransport {
+    let mem = RecordingTransport {
         inner: MemTransport::new(),
         frames: Vec::new(),
     };
-    let mem_out =
-        run_sync_round_over(cfg, &ms, &sched, &mut StdRng::seed_from_u64(5), &mut mem).unwrap();
-    let mut sim = SimTransport::new(
+    let (mem_out, mem_fed) = run_over(cfg, &plan, mem);
+    let sim = SimTransport::new(
         lsa_net::NetworkConfig::paper_default(n),
         lsa_net::Duplex::Full,
     );
-    let sim_out =
-        run_sync_round_over(cfg, &ms, &sched, &mut StdRng::seed_from_u64(5), &mut sim).unwrap();
+    let (sim_out, sim_fed) = run_over(cfg, &plan, sim);
     assert_eq!(mem_out.aggregate, sim_out.aggregate);
+    let (mem, sim) = (mem_fed.transport(), sim_fed.transport());
 
     let payload_total: usize = mem.frames.iter().map(Vec::len).sum();
     assert_eq!(
-        Transport::<Fp61>::bytes_sent(&mem),
+        Transport::<Fp61>::bytes_sent(mem),
         payload_total,
         "MemTransport byte accounting equals the serialized frame sizes"
     );
     assert_eq!(
-        Transport::<Fp61>::bytes_sent(&sim),
+        Transport::<Fp61>::bytes_sent(sim),
         payload_total,
         "SimTransport moves the identical payload bytes for the same round"
     );
     assert_eq!(
-        Transport::<Fp61>::messages_sent(&sim),
+        Transport::<Fp61>::messages_sent(sim),
         mem.frames.len(),
         "same envelope count on both backends"
     );
-    assert_eq!(Transport::<Fp61>::framing_bytes(&sim), 0);
+    assert_eq!(Transport::<Fp61>::framing_bytes(sim), 0);
 
     // Replay the recorded frames over a real TCP loopback: one listener
     // that dials itself, so every frame crosses an actual socket.

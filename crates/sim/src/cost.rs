@@ -3,9 +3,9 @@
 //! The timing simulator multiplies the exact operation counts of the
 //! protocols by per-operation wall-clock costs measured on *this* machine
 //! by running the real kernels ([`KernelCosts::calibrate`]). This is the
-//! substitution strategy of DESIGN.md §4: the curve *shapes* come from
-//! the op counts (which we reproduce exactly); the constants come from
-//! real measured Rust kernels.
+//! substitution strategy of this reproduction: the curve *shapes* come
+//! from the op counts (which we reproduce exactly); the constants come
+//! from real measured Rust kernels.
 
 use lsa_crypto::{FieldPrg, Seed};
 use lsa_field::{Field, Fp32};

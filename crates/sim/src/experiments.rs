@@ -267,7 +267,7 @@ pub struct ConvergenceSeries {
     pub metrics: Vec<RoundMetrics>,
 }
 
-/// Synthetic stand-ins for the two convergence datasets (DESIGN.md §4):
+/// Synthetic stand-ins for the two convergence datasets:
 /// "mnist-like" (easier: wider separation) and "cifar-like" (harder).
 pub fn convergence_dataset(kind: &str, seed: u64) -> (Dataset, Dataset) {
     let mut rng = StdRng::seed_from_u64(seed);

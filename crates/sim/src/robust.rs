@@ -17,7 +17,8 @@
 //! `T_g`-privacy/dropout guarantees apply.
 
 use lsa_field::Field;
-use lsa_protocol::{run_sync_round, DropoutSchedule, LsaConfig, ProtocolError};
+use lsa_protocol::transport::MemTransport;
+use lsa_protocol::{Federation, LsaConfig, ProtocolError, RoundPlan, SyncFederation};
 use lsa_quantize::VectorQuantizer;
 use rand::Rng;
 
@@ -86,7 +87,9 @@ pub fn group_median_aggregate<F: Field, R: Rng + ?Sized>(
                 cfg.quantizer.quantize(&reals, rng)
             })
             .collect();
-        let out = run_sync_round(lsa, &field_updates, &DropoutSchedule::none(), rng)?;
+        let sync = SyncFederation::new(lsa, MemTransport::new(), rng.gen())?;
+        let plan = RoundPlan::full(n_g).with_updates(field_updates);
+        let out = Federation::new(Box::new(sync)).run_round(&plan)?;
         let mean: Vec<f64> = cfg
             .quantizer
             .dequantize(&out.aggregate)

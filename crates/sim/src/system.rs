@@ -16,7 +16,7 @@ use lsa_field::Fp61;
 use lsa_fl::{local_update, Dataset, LocalTraining, Model};
 use lsa_net::NetworkConfig;
 use lsa_protocol::transport::MemTransport;
-use lsa_protocol::{run_sync_round_over, DropoutSchedule, LsaConfig};
+use lsa_protocol::{DropoutSchedule, Federation, LsaConfig, RoundPlan, SyncFederation};
 use lsa_quantize::VectorQuantizer;
 use rand::Rng;
 use std::time::Instant;
@@ -126,12 +126,15 @@ where
             ProtocolKind::LightSecAgg => {
                 let u = ((0.7 * n as f64) as usize).clamp(t + 1, n - dropped);
                 let lsa = LsaConfig::new(n, t, u, d).expect("valid derived config");
-                // sans-IO sessions over an in-memory transport: every
+                // a fresh federation per round (N persistent endpoints
+                // built each time) over an in-memory transport: every
                 // protocol message crosses a serialized wire
-                let mut transport = MemTransport::new();
-                let out = run_sync_round_over(lsa, &field_updates, &sched, rng, &mut transport)
+                let sync = SyncFederation::new(lsa, MemTransport::new(), rng.gen())
+                    .expect("valid derived config");
+                let out = Federation::new(Box::new(sync))
+                    .run_round(&RoundPlan::from_schedule(&field_updates, &sched))
                     .expect("within budget");
-                (out.aggregate, out.survivors.len())
+                (out.aggregate, out.contributors.len())
             }
             ProtocolKind::SecAgg => {
                 let sa = SecAggConfig::secagg(n, t.min(n - 2), d).expect("valid config");

@@ -3,7 +3,8 @@
 //!
 //! [`crate::round`] prices a round analytically from operation counts —
 //! fast at any scale but blind to what the implementation actually
-//! sends. This module instead runs the full sans-IO session protocol
+//! sends. This module instead runs the deployed round path — a
+//! [`SyncFederation`] or [`GroupedFederation`] of sans-IO sessions —
 //! over a [`SimTransport`], so every phase timing is derived from the
 //! **actual serialized envelope bytes** flowing through the
 //! [`lsa_net`] discrete-event network: headers, survivor announcements
@@ -15,13 +16,11 @@
 
 use lsa_field::Field;
 use lsa_net::{Duplex, NetworkConfig};
-use lsa_protocol::federation::SecureAggregator;
+use lsa_protocol::federation::{RoundOutcome, RoundPlan, SecureAggregator, SyncFederation};
 use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::{PhaseTiming, SimTransport};
-use lsa_protocol::{
-    run_sync_round_over, DropoutSchedule, LsaConfig, ProtocolError, SyncRoundOutput,
-};
+use lsa_protocol::{DropoutSchedule, Federation, LsaConfig, ProtocolError};
 use rand::Rng;
 
 /// One measured synchronous round: the exact aggregate plus the round's
@@ -29,9 +28,9 @@ use rand::Rng;
 /// sizes.
 #[derive(Debug, Clone)]
 pub struct TimedRoundOutput<F> {
-    /// The protocol output (aggregate + survivors), byte-identical to a
-    /// [`lsa_protocol::run_sync_round`] run with the same seed.
-    pub output: SyncRoundOutput<F>,
+    /// The protocol output (aggregate + contributors), the same as over
+    /// any other transport.
+    pub output: RoundOutcome<F>,
     /// The round's telemetry: per-phase simulated wall-clock
     /// (`"offline"`, `"upload"`, `"announce"`, `"recovery"`), traffic
     /// totals and event counters. Each phase's `end` is the *last*
@@ -60,11 +59,15 @@ impl<F> TimedRoundOutput<F> {
 }
 
 /// Run one synchronous LightSecAgg round over the discrete-event
-/// network, returning the aggregate and measured per-phase timings.
+/// network, returning the aggregate and measured per-phase timings: a
+/// fresh [`SyncFederation`] seeded from `rng` (so no ratchet engages)
+/// runs [`RoundPlan::from_schedule`] once. The survivor announcement
+/// goes to the clients still online, so `k` after-upload dropouts mean
+/// `k` fewer `"announce"` messages.
 ///
 /// # Errors
 ///
-/// Propagates any [`ProtocolError`] from the session driver.
+/// Propagates any [`ProtocolError`] from the federation.
 ///
 /// # Panics
 ///
@@ -84,16 +87,20 @@ pub fn run_timed_sync_round<F: Field, R: Rng + ?Sized>(
         net.clients,
         cfg.n()
     );
-    let mut transport = SimTransport::new(net, duplex);
-    let output = run_sync_round_over(cfg, models, dropouts, rng, &mut transport)?;
-    let report = RoundReport::of_transport::<F, SimTransport>(&transport, 0);
+    let sync = SyncFederation::new(cfg, SimTransport::new(net, duplex), rng.gen())?;
+    let mut fed = Federation::new(Box::new(sync));
+    let output = fed.run_round(&RoundPlan::from_schedule(models, dropouts))?;
+    let report = fed.last_report().cloned().unwrap_or_default();
     // The server decodes at the U-th aggregated-share arrival; helpers
     // beyond U keep transmitting but don't gate the round (the analytic
     // model's `kth_completion(u - 1)` — see sim::round).
     let total = report
         .phase("recovery")
         .filter(|p| p.messages >= cfg.u())
-        .map_or(transport.elapsed(), |p| p.kth_completion(cfg.u() - 1));
+        .map_or_else(
+            || report.phases.last().map_or(0.0, |p| p.end),
+            |p| p.kth_completion(cfg.u() - 1),
+        );
     Ok(TimedRoundOutput {
         output,
         total,
@@ -165,10 +172,7 @@ pub fn run_timed_grouped_round<F: Field>(
         |p: &PhaseTiming| p.end,
     );
     Ok(TimedRoundOutput {
-        output: SyncRoundOutput {
-            aggregate: outcome.aggregate,
-            survivors: outcome.contributors,
-        },
+        output: outcome,
         report,
         total,
     })
@@ -205,7 +209,7 @@ pub fn run_timed_hierarchical_round<F: Field>(
 mod tests {
     use super::*;
     use lsa_field::Fp61;
-    use lsa_protocol::run_sync_round;
+    use lsa_protocol::transport::MemTransport;
     use lsa_protocol::wire::Envelope;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -220,15 +224,19 @@ mod tests {
     #[test]
     fn timed_round_matches_mem_transport_aggregate() {
         // Acceptance: a full round with dropouts completes over
-        // SimTransport with byte-identical aggregates to the legacy
-        // (MemTransport) driver under the same seed.
+        // SimTransport with byte-identical aggregates to the same
+        // federation over MemTransport under the same seed.
         let cfg = LsaConfig::new(6, 2, 4, 17).unwrap();
         let ms = models(6, 17, 1);
         let sched = DropoutSchedule {
             before_upload: vec![1],
             after_upload: vec![4],
         };
-        let legacy = run_sync_round(cfg, &ms, &sched, &mut StdRng::seed_from_u64(9)).unwrap();
+        let seed = StdRng::seed_from_u64(9).gen();
+        let mem = SyncFederation::new(cfg, MemTransport::new(), seed).unwrap();
+        let legacy = Federation::new(Box::new(mem))
+            .run_round(&RoundPlan::from_schedule(&ms, &sched))
+            .unwrap();
         let timed = run_timed_sync_round(
             cfg,
             &ms,
@@ -239,8 +247,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(timed.output.aggregate, legacy.aggregate);
-        assert_eq!(timed.output.survivors, legacy.survivors);
+        assert_eq!(timed.output.contributors, legacy.contributors);
+        assert_eq!(timed.output.contributors, vec![0, 2, 3, 4, 5]);
         assert!(timed.total > 0.0);
+        // the one wire-visible difference from announcing to everyone:
+        // client 4 uploaded and vanished, so only the four survivors
+        // still online are sent (and billed) an announcement
+        assert_eq!(timed.phase("announce").unwrap().messages, 4);
+        assert_eq!(timed.phase("recovery").unwrap().messages, 4);
     }
 
     #[test]
@@ -349,7 +363,7 @@ mod tests {
             lsa_field::ops::add_assign(&mut want, m);
         }
         assert_eq!(timed.output.aggregate, want);
-        assert_eq!(timed.output.survivors.len(), 8);
+        assert_eq!(timed.output.contributors.len(), 8);
         assert!(timed.total > 0.0);
     }
 
@@ -376,7 +390,7 @@ mod tests {
             lsa_field::ops::add_assign(&mut want, m);
         }
         assert_eq!(timed.output.aggregate, want);
-        assert_eq!(timed.output.survivors.len(), n);
+        assert_eq!(timed.output.contributors.len(), n);
         assert!(timed.total > 0.0);
         // each of the 4 leaves of 4 clients moves 4*3 offline shares;
         // the merged record pools them

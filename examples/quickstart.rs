@@ -5,10 +5,10 @@
 
 use lightsecagg::field::Fp61;
 use lightsecagg::protocol::transport::MemTransport;
-use lightsecagg::protocol::{run_sync_round_over, DropoutSchedule, LsaConfig};
+use lightsecagg::protocol::{DropoutSchedule, Federation, LsaConfig, RoundPlan, SyncFederation};
 use lightsecagg::quantize::VectorQuantizer;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 8 users, privacy against any T = 3 colluders, target U = 5
@@ -33,24 +33,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // users 2 and 6 drop *after* uploading (the paper's worst case §7.1):
     // their models still count, they just can't help recovery.
     //
-    // The round runs over an explicit transport — swap MemTransport for
-    // SimTransport and the same protocol bytes pay simulated network
-    // time (see `lsa_sim::timed`).
+    // The round is one plan on a federation over an explicit transport
+    // — swap MemTransport for SimTransport and the same protocol bytes
+    // pay simulated network time (see `lsa_sim::timed`); keep the
+    // federation and run more plans for a multi-round training run.
     let dropouts = DropoutSchedule::after_upload(vec![2, 6]);
-    let mut wire = MemTransport::new();
-    let out = run_sync_round_over(cfg, &field_models, &dropouts, &mut rng, &mut wire)?;
+    let sync = SyncFederation::new(cfg, MemTransport::new(), rng.gen())?;
+    let mut fed = Federation::new(Box::new(sync));
+    let out = fed.run_round(&RoundPlan::from_schedule(&field_models, &dropouts))?;
+    let report = fed.last_report().expect("the round finished");
     println!(
         "wire traffic: {} envelopes, {} serialized bytes",
-        wire.messages_sent(),
-        wire.bytes_sent()
+        report.envelopes, report.payload_bytes
     );
 
     // dequantize the aggregate and compare to the true sum
     let aggregate = quantizer.dequantize(&out.aggregate);
-    println!("survivors: {:?}", out.survivors);
+    println!("contributors: {:?}", out.contributors);
     let mut max_err = 0.0f64;
     for k in 0..d {
-        let truth: f64 = out.survivors.iter().map(|&i| updates[i][k]).sum();
+        let truth: f64 = out.contributors.iter().map(|&i| updates[i][k]).sum();
         max_err = max_err.max((aggregate[k] - truth).abs());
     }
     println!("max |secure aggregate − true sum| = {max_err:.2e}");

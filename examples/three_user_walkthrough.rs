@@ -6,16 +6,18 @@
 //! reconstructs the aggregate mask in one shot (cost d).
 //!
 //! The LightSecAgg half is driven **envelope by envelope** through the
-//! sans-IO session API, printing every message that crosses the wire —
+//! sans-IO `Session` interface of the per-round `Client` /
+//! `ServerRound` state machines, printing every message that crosses
+//! the wire —
 //! the protocol engine with its transport stripped away.
 //!
 //! Run with: `cargo run --example three_user_walkthrough`
 
 use lightsecagg::baselines::{run_secagg_round, SecAggConfig};
 use lightsecagg::field::{Field, Fp61};
-use lightsecagg::protocol::session::{ClientSession, Recipient, ServerSession, Session};
+use lightsecagg::protocol::session::{Recipient, Session};
 use lightsecagg::protocol::wire::Envelope;
-use lightsecagg::protocol::{DropoutSchedule, LsaConfig};
+use lightsecagg::protocol::{Client, DropoutSchedule, LsaConfig, ServerRound};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,12 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== LightSecAgg (Figure 3), pumped by hand ===");
     let cfg = LsaConfig::new(3, 1, 2, d)?;
 
-    // Offline: constructing a session samples the mask z_i and queues
-    // the coded shares [~z_i]_j for the other users.
-    let mut clients: Vec<ClientSession<Fp61>> = (0..3)
-        .map(|id| ClientSession::new(id, cfg, &mut rng))
+    // Offline: constructing a client samples the mask z_i and encodes
+    // the coded shares [~z_i]_j, emitted as the client is polled.
+    let mut clients: Vec<Client<Fp61>> = (0..3)
+        .map(|id| Client::new(id, cfg, &mut rng))
         .collect::<Result<_, _>>()?;
-    let mut server = ServerSession::<Fp61>::new(cfg)?;
+    let mut server = ServerRound::<Fp61>::new(cfg)?;
 
     println!("-- offline phase: coded mask exchange --");
     let mut in_flight = Vec::new();
@@ -95,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Recovery: the server fixes U1 = {1, 2}, announces it, and each
     // survivor answers with ONE aggregated coded mask.
     println!("-- recovery phase: one-shot aggregate-mask decode --");
-    server.close_upload()?;
+    server.close_upload_phase()?;
     let mut announcements = Vec::new();
     while let Some(out) = server.poll_output() {
         announcements.push(out);
@@ -111,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let aggregate = server.recover().expect("U shares arrived").to_vec();
+    let aggregate = server.recover_aggregate().expect("U shares arrived");
     assert_eq!(aggregate, expect);
     println!("server work: ONE MDS decode of the aggregate mask (the paper's d)");
     println!("aggregate x2 + x3 recovered correctly");

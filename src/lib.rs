@@ -8,29 +8,31 @@
 //! | [`coding`] | `lsa-coding` | Vandermonde MDS codes, Shamir sharing |
 //! | [`crypto`] | `lsa-crypto` | ChaCha20 PRG, SHA-256, Diffie–Hellman |
 //! | [`quantize`] | `lsa-quantize` | stochastic quantization, staleness |
-//! | [`protocol`] | `lsa-protocol` | LightSecAgg as a sans-IO engine: round-scoped wire envelopes, client/server sessions, transports, and the multi-round `federation` API (one `SecureAggregator` trait over sync + buffered-async) |
+//! | [`protocol`] | `lsa-protocol` | LightSecAgg as a sans-IO engine: round-scoped wire envelopes, sans-IO client/server endpoints, transports, and the multi-round `federation` API (one `SecureAggregator` trait over sync + buffered-async) |
 //! | [`baselines`] | `lsa-baselines` | SecAgg, SecAgg+ |
 //! | [`net`] | `lsa-net` | discrete-event network simulator |
 //! | [`fl`] | `lsa-fl` | datasets, models, FedAvg, FedBuff |
 //! | [`sim`] | `lsa-sim` | cost model + every table/figure runner |
 //!
-//! See `README.md` for the quickstart and `DESIGN.md` for the paper →
-//! code map.
+//! See `README.md` for the quickstart, the crate map and the index of
+//! paper table/figure binaries.
 //!
 //! # Example
 //!
 //! ```
-//! use lightsecagg::protocol::{run_sync_round, DropoutSchedule, LsaConfig};
+//! use lightsecagg::protocol::transport::MemTransport;
+//! use lightsecagg::protocol::{Federation, LsaConfig, RoundPlan, SyncFederation};
 //! use lightsecagg::field::{Field, Fp61};
-//! use rand::SeedableRng;
 //!
 //! let cfg = LsaConfig::new(4, 1, 3, 8)?;
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let models: Vec<Vec<Fp61>> = (0..4)
 //!     .map(|i| (0..8).map(|k| Fp61::from_u64((i * 8 + k) as u64)).collect())
 //!     .collect();
-//! let out = run_sync_round(cfg, &models, &DropoutSchedule::none(), &mut rng)?;
-//! assert_eq!(out.aggregate.len(), 8);
+//! let sync = SyncFederation::new(cfg, MemTransport::new(), 7)?;
+//! let mut fed = Federation::new(Box::new(sync));
+//! let out = fed.run_round(&RoundPlan::full(4).with_updates(models))?;
+//! assert_eq!(out.contributors, vec![0, 1, 2, 3]);
+//! assert_eq!(out.aggregate[0], Fp61::from_u64(8 + 16 + 24));
 //! # Ok::<(), lightsecagg::protocol::ProtocolError>(())
 //! ```
 

@@ -3,9 +3,12 @@
 
 use lightsecagg::baselines::{run_secagg_round, SecAggConfig};
 use lightsecagg::field::{Field, Fp61};
-use lightsecagg::protocol::{run_sync_round, DropoutSchedule, LsaConfig};
+use lightsecagg::protocol::transport::MemTransport;
+use lightsecagg::protocol::{
+    DropoutSchedule, Federation, LsaConfig, RoundOutcome, RoundPlan, SyncFederation,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const N: usize = 10;
 const D: usize = 32;
@@ -25,6 +28,20 @@ fn sum_of(models: &[Vec<Fp61>], who: &[usize]) -> Vec<Fp61> {
     acc
 }
 
+/// One LightSecAgg round on the deployed path (a fresh federation), fed
+/// the same schedule vocabulary as the baselines' driver.
+fn lightsecagg_round(
+    cfg: LsaConfig,
+    models: &[Vec<Fp61>],
+    sched: &DropoutSchedule,
+    rng: &mut StdRng,
+) -> RoundOutcome<Fp61> {
+    let sync = SyncFederation::new(cfg, MemTransport::new(), rng.gen()).unwrap();
+    Federation::new(Box::new(sync))
+        .run_round(&RoundPlan::from_schedule(models, sched))
+        .unwrap()
+}
+
 #[test]
 fn all_protocols_agree_without_dropouts() {
     let ms = models(1);
@@ -32,13 +49,12 @@ fn all_protocols_agree_without_dropouts() {
     let want = sum_of(&ms, &all);
 
     let mut rng = StdRng::seed_from_u64(2);
-    let lsa = run_sync_round(
+    let lsa = lightsecagg_round(
         LsaConfig::new(N, 4, 7, D).unwrap(),
         &ms,
         &DropoutSchedule::none(),
         &mut rng,
-    )
-    .unwrap();
+    );
     assert_eq!(lsa.aggregate, want);
 
     let sa = run_secagg_round(
@@ -70,9 +86,9 @@ fn protocols_agree_on_before_upload_dropouts() {
     let sched = DropoutSchedule::before_upload(dropped);
 
     let mut rng = StdRng::seed_from_u64(4);
-    let lsa = run_sync_round(LsaConfig::new(N, 3, 6, D).unwrap(), &ms, &sched, &mut rng).unwrap();
+    let lsa = lightsecagg_round(LsaConfig::new(N, 3, 6, D).unwrap(), &ms, &sched, &mut rng);
     assert_eq!(lsa.aggregate, want);
-    assert_eq!(lsa.survivors, included);
+    assert_eq!(lsa.contributors, included);
 
     let sa = run_secagg_round(
         &SecAggConfig::secagg(N, 3, D).unwrap(),
@@ -94,7 +110,7 @@ fn after_upload_semantics_differ_as_the_paper_argues() {
     let sched = DropoutSchedule::after_upload(vec![0, 5]);
 
     let mut rng = StdRng::seed_from_u64(6);
-    let lsa = run_sync_round(LsaConfig::new(N, 3, 6, D).unwrap(), &ms, &sched, &mut rng).unwrap();
+    let lsa = lightsecagg_round(LsaConfig::new(N, 3, 6, D).unwrap(), &ms, &sched, &mut rng);
     let everyone: Vec<usize> = (0..N).collect();
     assert_eq!(lsa.aggregate, sum_of(&ms, &everyone));
 

@@ -7,11 +7,10 @@
 //! never a panic or a silent drop.
 
 use lightsecagg::field::{Field, Fp61};
-use lightsecagg::protocol::session::{ClientSession, ServerSession, Session};
+use lightsecagg::protocol::session::Session;
 use lightsecagg::protocol::wire::{Envelope, EnvelopeKind, SurvivorAnnouncement};
 use lightsecagg::protocol::{
-    AggregatedShare, Client, CodedMaskShare, DropoutSchedule, LsaConfig, MaskedModel,
-    ProtocolError, ServerRound,
+    AggregatedShare, Client, CodedMaskShare, LsaConfig, MaskedModel, ProtocolError, ServerRound,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -161,10 +160,10 @@ fn weighted_models_recover_weighted_sum() {
 // `handle()` yields a typed error.
 // ---------------------------------------------------------------------
 
-fn built_sessions(seed: u64) -> (Vec<ClientSession<Fp61>>, ServerSession<Fp61>) {
+fn built_sessions(seed: u64) -> (Vec<Client<Fp61>>, ServerRound<Fp61>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut clients: Vec<ClientSession<Fp61>> = (0..5)
-        .map(|id| ClientSession::new(id, cfg(), &mut rng).unwrap())
+    let mut clients: Vec<Client<Fp61>> = (0..5)
+        .map(|id| Client::new(id, cfg(), &mut rng).unwrap())
         .collect();
     let mut pending = Vec::new();
     for c in clients.iter_mut() {
@@ -178,7 +177,7 @@ fn built_sessions(seed: u64) -> (Vec<ClientSession<Fp61>>, ServerSession<Fp61>) 
         };
         clients[j].handle(env).unwrap();
     }
-    (clients, ServerSession::new(cfg()).unwrap())
+    (clients, ServerRound::new(cfg()).unwrap())
 }
 
 #[test]
@@ -324,7 +323,7 @@ fn failed_handle_leaves_session_usable() {
             server.handle(env).unwrap();
         }
     }
-    server.close_upload().unwrap();
+    server.close_upload_phase().unwrap();
     let mut anns = Vec::new();
     while let Some(out) = server.poll_output() {
         anns.push(out);
@@ -338,7 +337,7 @@ fn failed_handle_leaves_session_usable() {
         }
     }
     let want: Fp61 = (0..5).map(Fp61::from_u64).sum();
-    assert_eq!(server.recover().unwrap(), vec![want; 8]);
+    assert_eq!(server.recover_aggregate().unwrap(), vec![want; 8]);
 }
 
 // ---------------------------------------------------------------------
@@ -418,12 +417,12 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
     // it into the round-1 server: it must surface as StaleRound — a
     // *typed* cross-round rejection, distinct from DuplicateMessage.
     let mut rng = StdRng::seed_from_u64(30);
-    let mut client_r0 = ClientSession::<Fp61>::for_round(0, 0, cfg(), &mut rng).unwrap();
+    let mut client_r0 = Client::<Fp61>::for_round(0, 0, cfg(), &mut rng).unwrap();
     while client_r0.poll_output().is_some() {} // discard offline shares
     client_r0.upload_model(&[Fp61::ONE; 8]).unwrap();
     let (_, replayed) = client_r0.poll_output().unwrap();
 
-    let mut server_r0 = ServerSession::<Fp61>::for_round(cfg(), 0).unwrap();
+    let mut server_r0 = ServerRound::<Fp61>::for_round(cfg(), 0).unwrap();
     server_r0.handle(replayed.clone()).unwrap();
     // same round, same envelope again → duplicate
     assert!(matches!(
@@ -431,7 +430,7 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
         Err(ProtocolError::DuplicateMessage(0))
     ));
     // next round, replayed envelope → stale, NOT duplicate
-    let mut server_r1 = ServerSession::<Fp61>::for_round(cfg(), 1).unwrap();
+    let mut server_r1 = ServerRound::<Fp61>::for_round(cfg(), 1).unwrap();
     assert!(matches!(
         server_r1.handle(replayed),
         Err(ProtocolError::StaleRound { got: 0, current: 1 })
@@ -442,7 +441,7 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
 fn replayed_coded_share_and_announcement_also_stale() {
     let mut rng = StdRng::seed_from_u64(31);
     // a round-0 coded share delivered to a round-1 client session
-    let sender_r0 = ClientSession::<Fp61>::for_round(0, 0, cfg(), &mut rng);
+    let sender_r0 = Client::<Fp61>::for_round(0, 0, cfg(), &mut rng);
     let mut sender_r0 = sender_r0.unwrap();
     let share = loop {
         let (to, env) = sender_r0.poll_output().unwrap();
@@ -450,7 +449,7 @@ fn replayed_coded_share_and_announcement_also_stale() {
             break env;
         }
     };
-    let mut receiver_r1 = ClientSession::<Fp61>::for_round(1, 1, cfg(), &mut rng).unwrap();
+    let mut receiver_r1 = Client::<Fp61>::for_round(1, 1, cfg(), &mut rng).unwrap();
     assert!(matches!(
         receiver_r1.handle(share),
         Err(ProtocolError::StaleRound { got: 0, current: 1 })
@@ -474,9 +473,10 @@ fn aggregate_differs_from_any_individual_model() {
     let models: Vec<Vec<Fp61>> = (0..5)
         .map(|_| lsa_field::ops::random_vector(8, &mut rng))
         .collect();
-    let out =
-        lightsecagg::protocol::run_sync_round(cfg(), &models, &DropoutSchedule::none(), &mut rng)
-            .unwrap();
+    let sync = SyncFederation::new(cfg(), MemTransport::new(), 9).unwrap();
+    let out = Federation::new(Box::new(sync))
+        .run_round(&RoundPlan::full(5).with_updates(models.clone()))
+        .unwrap();
     for m in &models {
         assert_ne!(&out.aggregate, m);
     }

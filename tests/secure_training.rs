@@ -8,11 +8,12 @@ use lightsecagg::fl::{
     LogisticRegression, Model, PlainFedBuff,
 };
 use lightsecagg::net::{Duplex, NetworkConfig};
-use lightsecagg::protocol::{run_sync_round, DropoutSchedule, LsaConfig};
+use lightsecagg::protocol::transport::MemTransport;
+use lightsecagg::protocol::{DropoutSchedule, Federation, LsaConfig, RoundPlan, SyncFederation};
 use lightsecagg::quantize::{StalenessFn, VectorQuantizer};
 use lightsecagg::sim::{LsaBufferAggregator, SecureFedAvg};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn data() -> (Dataset, Dataset) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -57,17 +58,16 @@ fn fedavg_through_lightsecagg_matches_plain_training() {
                     quantizer.quantize(&reals, &mut agg_rng)
                 })
                 .collect();
-            let out = run_sync_round(
-                lsa_cfg,
-                &field_models,
-                &DropoutSchedule::after_upload(vec![1, 6]),
-                &mut agg_rng,
-            )
-            .unwrap();
+            // a fresh federation per aggregation: one §4.1 round, no ratchet
+            let sync = SyncFederation::new(lsa_cfg, MemTransport::new(), agg_rng.gen()).unwrap();
+            let sched = DropoutSchedule::after_upload(vec![1, 6]);
+            let out = Federation::new(Box::new(sync))
+                .run_round(&RoundPlan::from_schedule(&field_models, &sched))
+                .unwrap();
             quantizer
                 .dequantize(&out.aggregate)
                 .into_iter()
-                .map(|v| (v / out.survivors.len() as f64) as f32)
+                .map(|v| (v / out.contributors.len() as f64) as f32)
                 .collect()
         },
         &mut StdRng::seed_from_u64(2),
