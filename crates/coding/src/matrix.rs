@@ -142,34 +142,32 @@ impl<F: Field> Matrix<F> {
         })
     }
 
-    /// Rank via Gaussian elimination (destructive on a copy).
+    /// Rank via Gaussian elimination to row-echelon form (destructive
+    /// on a copy): only the rows below each pivot are cleared.
     pub fn rank(&self) -> usize {
         let mut m = self.clone();
+        let cols = m.cols;
         let mut rank = 0;
-        let mut col = 0;
-        while rank < m.rows && col < m.cols {
-            // find pivot
-            let pivot = (rank..m.rows).find(|&r| m[(r, col)] != F::ZERO);
-            let Some(p) = pivot else {
-                col += 1;
+        for col in 0..cols {
+            if rank == m.rows {
+                break;
+            }
+            let Some(p) = (rank..m.rows).find(|&r| m[(r, col)] != F::ZERO) else {
                 continue;
             };
             m.swap_rows(rank, p);
             let inv = m[(rank, col)].inv().expect("pivot non-zero");
-            for j in col..m.cols {
-                m[(rank, j)] *= inv;
-            }
-            for r in 0..m.rows {
-                if r != rank && m[(r, col)] != F::ZERO {
-                    let factor = m[(r, col)];
-                    for j in col..m.cols {
-                        let v = m[(rank, j)];
-                        m[(r, j)] -= factor * v;
+            let (top, below) = m.data.split_at_mut((rank + 1) * cols);
+            let pivot = &top[rank * cols + col..];
+            for row in below.chunks_exact_mut(cols) {
+                let factor = row[col] * inv;
+                if factor != F::ZERO {
+                    for (a, &b) in row[col..].iter_mut().zip(pivot) {
+                        *a -= factor * b;
                     }
                 }
             }
             rank += 1;
-            col += 1;
         }
         rank
     }

@@ -1,20 +1,26 @@
 //! Transcript pins: the leaf federations' wire behaviour, frozen.
 //!
-//! Each pin is a SHA-256 over every envelope the transport *delivered*
-//! (recipient + `to_bytes()`, in delivery order) plus every round's
-//! aggregate, for one fixed 10-round plan that walks the whole leaf
-//! lifecycle: full exchange, ratchet handshake, churn out and back in,
-//! an after-upload dropout, a before-upload dropout inside a ratcheted
-//! round (typed mismatch → abort → replay with a full exchange), an
-//! overlapped `prepare_next`, and a `reseat_ratchet` mid-stretch.
+//! Each pin is two SHA-256 digests over every envelope the transport
+//! *delivered*, in delivery order, plus every round's aggregate, for
+//! one fixed 10-round plan that walks the whole leaf lifecycle: full
+//! exchange, ratchet handshake, churn out and back in, an after-upload
+//! dropout, a before-upload dropout inside a ratcheted round (typed
+//! mismatch → abort → replay with a full exchange), an overlapped
+//! `prepare_next`, and a `reseat_ratchet` mid-stretch.
 //!
-//! The digests below were captured on the tree *before* the two leaf
-//! drivers and the four commit/ack copies were folded into one
-//! (`LeafFederation` + `ratchet::{ClientRatchet, ServerRatchet}`), so a
-//! single reordered envelope, a changed recipient filter or one moved
-//! RNG draw fails here. They are not a wire-format fixture
-//! (`wire_compat.rs` is): a change that *means* to alter the transcript
-//! re-captures them with `--nocapture` and says why in review.
+//! * The **value** digest hashes recipient + `to_bytes()`: a single
+//!   reordered envelope, a changed recipient filter, one moved RNG draw
+//!   or one changed share value fails it.
+//! * The **shape** digest hashes only recipient, kind, sender, group,
+//!   round and wire length: who sent what to whom, in which order, at
+//!   what size. A change that moves share *values* on purpose (new
+//!   evaluation points, say) re-captures the value digests and must
+//!   leave every shape digest as it is — that is what makes such a
+//!   re-capture auditable.
+//!
+//! Neither is a wire-format fixture (`wire_compat.rs` is): a change
+//! that *means* to alter the transcript re-captures them with
+//! `--nocapture` and says why in review.
 //!
 //! A second, unpinned check runs one round at a longer segment under
 //! every SIMD backend and compares the transcripts with each other.
@@ -32,12 +38,26 @@ use std::sync::{Arc, Mutex};
 const N: usize = 8;
 const D: usize = 16;
 
-/// A [`MemTransport`] that hashes everything it delivers into a digest
+/// The value and shape digests of one transcript.
+#[derive(Default)]
+struct Digests {
+    value: Sha256,
+    shape: Sha256,
+}
+
+impl Digests {
+    fn update(&mut self, bytes: &[u8]) {
+        self.value.update(bytes);
+        self.shape.update(bytes);
+    }
+}
+
+/// A [`MemTransport`] that hashes everything it delivers into digests
 /// shared with the test body.
 #[derive(Clone)]
 struct Recording {
     inner: MemTransport,
-    transcript: Arc<Mutex<Sha256>>,
+    transcript: Arc<Mutex<Digests>>,
 }
 
 impl<F: Field> Transport<F> for Recording {
@@ -57,9 +77,15 @@ impl<F: Field> Transport<F> for Recording {
                 Recipient::Client(i) => i as u64,
                 Recipient::Server => u64::MAX,
             };
+            let e = &d.envelope;
             let mut transcript = self.transcript.lock().expect("single-threaded test");
             transcript.update(&to.to_le_bytes());
-            transcript.update(&d.envelope.to_bytes());
+            transcript.value.update(&e.to_bytes());
+            let sender = e.sender().map_or(u64::MAX, |id| id as u64);
+            for field in [sender, e.group() as u64, e.round(), e.wire_len() as u64] {
+                transcript.shape.update(&field.to_le_bytes());
+            }
+            transcript.shape.update(&[e.kind().tag()]);
         }
         Ok(delivery)
     }
@@ -119,10 +145,10 @@ fn plan<F: Field>(step: u64) -> RoundPlan<F> {
     }
 }
 
-/// A leaf federation over a [`Recording`] transport, and the digest
+/// A leaf federation over a [`Recording`] transport, and the digests
 /// the transport writes into.
-fn recorded<F: Field>(cfg: LsaConfig, buffered: bool) -> (Federation<F>, Arc<Mutex<Sha256>>) {
-    let transcript = Arc::new(Mutex::new(Sha256::new()));
+fn recorded<F: Field>(cfg: LsaConfig, buffered: bool) -> (Federation<F>, Arc<Mutex<Digests>>) {
+    let transcript = Arc::new(Mutex::new(Digests::default()));
     let transport = Recording {
         inner: MemTransport::new(),
         transcript: Arc::clone(&transcript),
@@ -136,10 +162,10 @@ fn recorded<F: Field>(cfg: LsaConfig, buffered: bool) -> (Federation<F>, Arc<Mut
 }
 
 /// Run `plan`, check its aggregate against the plaintext sum of the
-/// submitted updates, and add round number and aggregate to the digest.
+/// submitted updates, and add round number and aggregate to both digests.
 fn run_checked<F: Field>(
     fed: &mut Federation<F>,
-    transcript: &Mutex<Sha256>,
+    transcript: &Mutex<Digests>,
     plan: &RoundPlan<F>,
     step: u64,
 ) {
@@ -159,18 +185,19 @@ fn run_checked<F: Field>(
     }
 }
 
-/// Drop the federation (the last other holder) and read the digest out.
-fn finish<F: Field>(fed: Federation<F>, transcript: Arc<Mutex<Sha256>>) -> String {
+/// Drop the federation (the last other holder) and read the
+/// `(value, shape)` digests out.
+fn finish<F: Field>(fed: Federation<F>, transcript: Arc<Mutex<Digests>>) -> (String, String) {
     drop(fed);
-    let digest = Arc::try_unwrap(transcript)
+    let digests = Arc::try_unwrap(transcript)
         .unwrap_or_else(|_| panic!("the federation still holds the transcript"))
         .into_inner()
-        .unwrap()
-        .finalize();
-    digest.iter().map(|b| format!("{b:02x}")).collect()
+        .unwrap();
+    let hex = |h: Sha256| h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    (hex(digests.value), hex(digests.shape))
 }
 
-fn transcript_digest<F: Field>(buffered: bool, policy: RatchetPolicy) -> String {
+fn transcript_digests<F: Field>(buffered: bool, policy: RatchetPolicy) -> (String, String) {
     let cfg = LsaConfig::new(N, 2, 6, D).unwrap().with_ratchet(policy);
     let (mut fed, transcript) = recorded::<F>(cfg, buffered);
     let (mut fallbacks, mut ratcheted) = (0, 0);
@@ -191,8 +218,8 @@ fn transcript_digest<F: Field>(buffered: bool, policy: RatchetPolicy) -> String 
     finish(fed, transcript)
 }
 
-/// `(variant, field, topology/window, digest)`, captured at the parent
-/// commit of the driver unification.
+/// `(variant, field, topology/window, value digest)`, captured at the
+/// parent commit of the driver unification.
 const PINS: [(&str, &str, &str, &str); 8] = [
     (
         "sync",
@@ -244,22 +271,37 @@ const PINS: [(&str, &str, &str, &str); 8] = [
     ),
 ];
 
+/// The shape digest of each [`PINS`] row, same order.
+const SHAPES: [&str; 8] = [
+    "de82c2b294774290d103a74c455a41b017dacaea646fcd3076bff1f0023148fd",
+    "f4bd76c6df681beb80c424677e9d28b096fea25732efce309b19eb0b61ce9032",
+    "16cc03399eaaceadbf61d97057ede0b2606202ad316face8c2839ee0f6dbca5c",
+    "035db17cb2d6dc143a20a3e524a4f6d1a43a4481b07241549002663458be194b",
+    "234edacc5df4dac215bc1105db52cd0e615ed480d45f47adfca811399c355841",
+    "8d2ab387856ad67d1b61c08b61e7b98f749c995582c3961bb7c7a10c1c7910a6",
+    "7a33a074c2000f3e3deb661d1bec6013de61d8ba05c146eabb3fcb9590db67a0",
+    "fe63f68215203bfad78c81ee3096c13b7ce73d844010f37771f7b6d6688abb6e",
+];
+
 #[test]
 fn leaf_transcripts_match_the_pinned_digests() {
     let mut drifted = Vec::new();
-    for (variant, field, pads, pinned) in PINS {
+    for ((variant, field, pads, pinned), pinned_shape) in PINS.into_iter().zip(SHAPES) {
         let buffered = variant == "buffered";
         let policy = match pads {
             "clique/W1" => RatchetPolicy::new(true, PadTopology::Clique, 1),
             _ => RatchetPolicy::new(true, PadTopology::Hypercube, 8),
         };
-        let got = match field {
-            "fp32" => transcript_digest::<Fp32>(buffered, policy),
-            _ => transcript_digest::<Fp61>(buffered, policy),
+        let (value, shape) = match field {
+            "fp32" => transcript_digests::<Fp32>(buffered, policy),
+            _ => transcript_digests::<Fp61>(buffered, policy),
         };
-        println!("(\"{variant}\", \"{field}\", \"{pads}\", \"{got}\"),");
-        if got != pinned {
-            drifted.push(format!("{variant}/{field}/{pads}"));
+        println!("(\"{variant}\", \"{field}\", \"{pads}\", \"{value}\"), shape \"{shape}\"");
+        if shape != pinned_shape {
+            drifted.push(format!("{variant}/{field}/{pads}: shape"));
+        }
+        if value != pinned {
+            drifted.push(format!("{variant}/{field}/{pads}: value"));
         }
     }
     assert!(
@@ -284,7 +326,7 @@ fn strip_round_digest(buffered: bool) -> String {
         plan = plan.with_update(id as usize, update);
     }
     run_checked(&mut fed, &transcript, &plan, 0);
-    finish(fed, transcript)
+    finish(fed, transcript).0
 }
 
 #[test]
