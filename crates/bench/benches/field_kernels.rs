@@ -22,7 +22,10 @@
 //! * `field_kernels/encode_all/fp61/{N64_U48,N200_U150}_m1024/{backend}`
 //!   — one member's offline encode (`VandermondeCode::encode_all`) at
 //!   the round ledger's `flat_churn` leaf and at the paper's `N = 200`,
-//!   per backend: the multi-point Horner kernel against the per-point
+//!   per backend. The encode splits the segments into even and odd
+//!   coefficient halves, evaluates each at the `⌈N/2⌉` squares `β²`
+//!   and combines them into `p(±β)`; the backend decides whether the
+//!   halves go through the multi-point Horner kernel or the per-point
 //!   scalar path. On a SIMD host the bench asserts the detected backend
 //!   is ≥ 1.5× the forced-scalar run at `N = 64` (best of 20 calls
 //!   each; skipped, with a stderr note, on scalar-only hosts).

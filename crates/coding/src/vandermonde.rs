@@ -14,21 +14,31 @@
 //!   (Lemma 1 of the paper: `T` coded segments are jointly uniform when the
 //!   `T` noise segments are).
 //!
-//! Encoding one coded segment is a Horner evaluation (`O(U·m)` for segment
-//! length `m`); decoding the first `k` coefficient segments from any `U`
-//! coded segments costs `O(U²)` scalar operations to derive the Lagrange
-//! basis plus `O(k·U·m)` multiply-accumulates.
+//! # The points: `±β`
 //!
-//! The points are the integers `β_j = j + 1`, and the encoder leans on
-//! that: all `N` coded segments come from one multi-point evaluation
-//! ([`lsa_field::ops::eval_points`]), which where the field has the
-//! kernel multiplies by `β_j` itself — one 32-bit limb — instead of by
-//! its full-width powers. The decoder cannot: Lagrange coefficients are
-//! arbitrary residues, so it stays on the fused
-//! [`lsa_field::ops::weighted_sum_into`].
+//! User `j` gets `β_j = +(⌊j/2⌋ + 1)` when `j` is even and
+//! `−(⌊j/2⌋ + 1)` when `j` is odd: `+1, −1, +2, −2, …`. These are
+//! distinct and non-zero (as long as `N + 1 < q`), which is all both
+//! arguments above use — `tests/mds_privacy.rs` checks them on `W`
+//! itself.
+//!
+//! Symmetric points halve the encode. Split `p(x) = Σ_k segments[k]·x^k`
+//! into its even and odd coefficients, `p(x) = E(x²) + x·O(x²)`; then
+//! `p(β) = E(β²) + β·O(β²)` and `p(−β) = E(β²) − β·O(β²)`. So all `N`
+//! coded segments come from evaluating the two half-degree polynomials
+//! at the `⌈N/2⌉` squares `β²` — half the Horner steps of evaluating
+//! `p` at `N` points — and one pass that forms the sum and difference.
+//! The halves are views of the caller's segments, never copies, and the
+//! multi-point evaluation ([`lsa_field::ops::eval_points`]) multiplies
+//! by `β²` itself — one 32-bit limb, where the field has the kernel —
+//! instead of by full-width powers. The decoder cannot: Lagrange
+//! coefficients are arbitrary residues, so it stays on the fused
+//! [`lsa_field::ops::weighted_sum_into`], `O(U²)` scalar operations for
+//! the basis plus `O(k·U·m)` multiply-accumulates for the first `k`
+//! segments of length `m`.
 
 use crate::{interpolation, CodingError};
-use lsa_field::{evaluation_points, Field};
+use lsa_field::Field;
 
 /// A systematic-free Vandermonde MDS code of length `n` and dimension `u`.
 ///
@@ -62,18 +72,25 @@ impl<F: Field> VandermondeCode<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`CodingError::InvalidParameters`] unless `0 < u ≤ n`.
+    /// Returns [`CodingError::InvalidParameters`] unless `0 < u ≤ n`
+    /// and the field has `n` distinct points `±β`.
     pub fn new(n: usize, u: usize) -> Result<Self, CodingError> {
-        if u == 0 || u > n {
+        if u == 0 || u > n || n as u64 + 1 >= F::MODULUS {
             return Err(CodingError::InvalidParameters(format!(
-                "need 0 < u <= n, got u={u}, n={n}"
+                "need 0 < u <= n < q - 1, got u={u}, n={n}"
             )));
         }
-        Ok(Self {
-            n,
-            u,
-            points: evaluation_points(n),
-        })
+        let points = (0..n as u64)
+            .map(|j| {
+                let beta = F::from_u64(j / 2 + 1);
+                if j % 2 == 0 {
+                    beta
+                } else {
+                    -beta
+                }
+            })
+            .collect();
+        Ok(Self { n, u, points })
     }
 
     /// Code length `n` (one coded segment per user).
@@ -97,28 +114,71 @@ impl<F: Field> VandermondeCode<F> {
 
     /// Encode the coded segment destined to user `j`:
     /// `Σ_k segments[k] · β_j^k` (one Vandermonde column) — the
-    /// single-point case of [`Self::encode_all`], same kernel.
+    /// single-pair case of [`Self::encode_all`], same kernel.
     ///
     /// # Panics
     ///
     /// Panics if `segments.len() != u`, the segments are ragged, or
     /// `j >= n`.
     pub fn encode_for(&self, segments: &[Vec<F>], j: usize) -> Vec<F> {
-        assert_eq!(segments.len(), self.u, "expected u segments");
-        let mut coded = lsa_field::ops::eval_points(segments, &self.points[j..=j]);
-        coded.pop().expect("one output per point")
+        let beta = self.points[j - j % 2];
+        self.encode_pairs(segments, &[beta]).swap_remove(j % 2)
     }
 
-    /// Encode all `n` coded segments in one multi-point evaluation
-    /// ([`lsa_field::ops::eval_points`]): the segments are read once
-    /// for all `n` points, not once per user.
+    /// Encode all `n` coded segments from one evaluation of each
+    /// coefficient half at the `⌈n/2⌉` squares `β²` (see the module
+    /// doc): the segments are read once for all the points, not once
+    /// per user.
     ///
     /// # Panics
     ///
     /// Panics if `segments.len() != u` or the segments are ragged.
     pub fn encode_all(&self, segments: &[Vec<F>]) -> Vec<Vec<F>> {
+        let betas: Vec<F> = self.points.iter().step_by(2).copied().collect();
+        let mut coded = self.encode_pairs(segments, &betas);
+        // odd n: the last pair's `−β` belongs to no user
+        coded.truncate(self.n);
+        coded
+    }
+
+    /// `p(β), p(−β)` for each `β` in `betas`, in that order: the even
+    /// and odd halves `E`, `O` evaluated at `β²`, then
+    /// `p(±β) = E(β²) ± β·O(β²)` written over the two buffers in one
+    /// pass.
+    fn encode_pairs(&self, segments: &[Vec<F>], betas: &[F]) -> Vec<Vec<F>> {
         assert_eq!(segments.len(), self.u, "expected u segments");
-        lsa_field::ops::eval_points(segments, &self.points)
+        let len = segments[0].len();
+        assert!(
+            segments.iter().all(|s| s.len() == len),
+            "segment length mismatch"
+        );
+        let half = |parity: usize| -> Vec<&[F]> {
+            segments
+                .iter()
+                .skip(parity)
+                .step_by(2)
+                .map(Vec::as_slice)
+                .collect()
+        };
+        let squares: Vec<F> = betas.iter().map(|&b| b * b).collect();
+        let evens = lsa_field::ops::eval_points(&half(0), &squares);
+        let odd = half(1);
+        let odds = if odd.is_empty() {
+            // u = 1: p is the constant E
+            vec![vec![F::ZERO; len]; betas.len()]
+        } else {
+            lsa_field::ops::eval_points(&odd, &squares)
+        };
+        let mut coded = Vec::with_capacity(2 * betas.len());
+        for ((mut plus, mut minus), &beta) in evens.into_iter().zip(odds).zip(betas) {
+            for (e, o) in plus.iter_mut().zip(minus.iter_mut()) {
+                let t = beta * *o;
+                (*e, *o) = (*e + t, *e - t);
+            }
+            coded.push(plus);
+            coded.push(minus);
+        }
+        coded
     }
 
     /// Decode the first `prefix` original segments from at least `u` coded

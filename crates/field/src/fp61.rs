@@ -145,7 +145,7 @@ impl Field for Fp61 {
 
     fn simd_eval_points(
         backend: crate::simd::Backend,
-        segs: &[Vec<Self>],
+        segs: &[&[Self]],
         points: &[Self],
     ) -> Option<Vec<Vec<Self>>> {
         #[cfg(target_arch = "x86_64")]
@@ -191,7 +191,7 @@ impl Field for Fp61 {
 /// finished term below `2^61 + 4`.
 ///
 /// That is the price of a full-width coefficient. The Vandermonde
-/// encode multiplies by an evaluation point below `2^16`, and
+/// encode multiplies by a square `β²` below `2^20`, and
 /// [`eval_points`](avx2::eval_points) keeps only what such a
 /// multiplier needs: the `p₀₀` and `pₘ` limbs, unfolded, in a Horner
 /// recurrence whose accumulator provably stays in its lane
@@ -419,13 +419,14 @@ mod avx2 {
     }
 
     /// Evaluation points below this take the single-limb Horner step
-    /// of [`eval_points`]: the multiplier fits one 32-bit limb with 16
+    /// of [`eval_points`]: the multiplier fits one 32-bit limb with 12
     /// bits to spare, which is what keeps the accumulator bounded
-    /// without a fold.
-    const POINT_LIMIT: u64 = 1 << 16;
+    /// without a fold. The Vandermonde encode evaluates at `β²` for
+    /// `β ≤ ⌈N/2⌉`, so every cohort up to `N = 2046` takes it.
+    const POINT_LIMIT: u64 = 1 << 20;
 
     /// Exclusive bound the Horner accumulator stays under at every step.
-    const HORNER_BOUND: u64 = (1 << 62) + (1 << 49);
+    const HORNER_BOUND: u64 = (1 << 62) + (1 << 53);
 
     const LIMB: u64 = 0xFFFF_FFFF;
 
@@ -448,7 +449,7 @@ mod avx2 {
 
     /// One Horner step `acc·β + s (mod q)` for `β <` [`POINT_LIMIT`]
     /// and `acc <` [`HORNER_BOUND`], unreduced but under the bound
-    /// again. With `acc = lo + hi·2^32` the low product `lo·β < 2^48`
+    /// again. With `acc = lo + hi·2^32` the low product `lo·β < 2^52`
     /// is exact, and the high product `v = hi·β` carries `2^32`, which
     /// wraps as in the module's `pₘ` fold: `(v mod 2^29)·2^32 + (v >>
     /// 29)`. Taken on `w = 8v = hi·8β` that is `(w mod 2^32)·2^29 +
@@ -578,7 +579,7 @@ mod avx2 {
     ///
     /// Panics if `segs` is empty or ragged.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn eval_points(segs: &[Vec<Fp61>], points: &[Fp61]) -> Option<Vec<Vec<Fp61>>> {
+    pub unsafe fn eval_points(segs: &[&[Fp61]], points: &[Fp61]) -> Option<Vec<Vec<Fp61>>> {
         if points.iter().any(|p| p.0 >= POINT_LIMIT) {
             return None;
         }

@@ -155,7 +155,7 @@ pub trait Field:
     /// [`Field::simd_weighted_block`].
     fn simd_eval_points(
         backend: simd::Backend,
-        segs: &[Vec<Self>],
+        segs: &[&[Self]],
         points: &[Self],
     ) -> Option<Vec<Vec<Self>>> {
         let _ = (backend, segs, points);

@@ -27,15 +27,17 @@
 //! # Small multipliers: the multi-point evaluator
 //!
 //! The fused kernels take arbitrary coefficients. The Vandermonde
-//! encode does not need that: its evaluation points are `1..=N`, and
-//! [`eval_points`] — all `N` evaluations of one vector polynomial in
-//! one call — hands them to [`Field::simd_eval_points`], where a field
-//! may run a true Horner recurrence with the point itself as a
-//! single-limb multiplier (`Fp61` under AVX2 does: no powers, no fold
-//! per step, every segment read once per strip for all the points).
-//! Without such a kernel it is [`horner_eval`] per point over the fused
-//! pass above. Decode stays on [`weighted_sum_into`]: Lagrange
-//! coefficients are full-width.
+//! encode does not need that: it evaluates its even and odd
+//! coefficient halves at the small squares `β²` (`lsa_coding`'s
+//! points are `±β`), and [`eval_points`] — many evaluations of one
+//! vector polynomial in one call — hands them to
+//! [`Field::simd_eval_points`], where a field may run a true Horner
+//! recurrence with the point itself as a single-limb multiplier
+//! (`Fp61` under AVX2 does: no powers, no fold per step, every segment
+//! read once per strip for all the points). Without such a kernel it
+//! is [`horner_eval`] per point over the fused pass above. Decode
+//! stays on [`weighted_sum_into`]: Lagrange coefficients are
+//! full-width.
 //!
 //! The pre-refactor one-reduction-per-op loops survive in
 //! [`reference`] as the oracle for equivalence tests and the baseline
@@ -314,11 +316,11 @@ pub fn batch_invert<F: Field>(xs: &[F]) -> Option<Vec<F>> {
 /// # Panics
 ///
 /// Panics if `segs` is empty or the segments have different lengths.
-pub fn horner_eval<F: Field>(segs: &[Vec<F>], point: F) -> Vec<F> {
+pub fn horner_eval<F: Field, S: AsRef<[F]>>(segs: &[S], point: F) -> Vec<F> {
     assert!(!segs.is_empty(), "no segments to evaluate");
-    let len = segs[0].len();
+    let len = segs[0].as_ref().len();
     for seg in segs {
-        assert_eq!(seg.len(), len, "segment length mismatch");
+        assert_eq!(seg.as_ref().len(), len, "segment length mismatch");
     }
     let mut coeffs = Vec::with_capacity(segs.len());
     let mut p = F::ONE;
@@ -326,15 +328,17 @@ pub fn horner_eval<F: Field>(segs: &[Vec<F>], point: F) -> Vec<F> {
         coeffs.push(p);
         p *= point;
     }
-    let inputs: Vec<&[F]> = segs.iter().map(Vec::as_slice).collect();
+    let inputs: Vec<&[F]> = segs.iter().map(AsRef::as_ref).collect();
     let mut out = vec![F::ZERO; len];
     weighted_sum_into(&mut out, &coeffs, &inputs);
     out
 }
 
 /// Evaluate the vector polynomial `Σ_k segs[k] · β^k` at every `β` in
-/// `points`: all the coded segments of one Vandermonde encode (Eq. (5)
-/// of the paper) in one call, `out[j]` for `points[j]`.
+/// `points`, `out[j]` for `points[j]`. The segments are borrowed views,
+/// so a caller can pass every other coefficient of a longer polynomial
+/// without copying it (the Vandermonde encode evaluates its even and
+/// odd halves this way).
 ///
 /// Where the field has a multi-point kernel for the active backend
 /// ([`Field::simd_eval_points`]) the segments are read once per strip
@@ -348,7 +352,7 @@ pub fn horner_eval<F: Field>(segs: &[Vec<F>], point: F) -> Vec<F> {
 /// # Panics
 ///
 /// Panics if `segs` is empty or the segments have different lengths.
-pub fn eval_points<F: Field>(segs: &[Vec<F>], points: &[F]) -> Vec<Vec<F>> {
+pub fn eval_points<F: Field>(segs: &[&[F]], points: &[F]) -> Vec<Vec<F>> {
     assert!(!segs.is_empty(), "no segments to evaluate");
     let len = segs[0].len();
     for seg in segs {

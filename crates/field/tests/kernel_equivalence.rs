@@ -12,7 +12,14 @@
 //! hand-written kernel are held to the identical-residue contract on
 //! the same inputs. On hosts without AVX2 the sweep degenerates to the
 //! scalar backend alone.
+//!
+//! The Vandermonde encode (`lsa_coding`) is the multi-point kernel's
+//! one caller, and it does not evaluate at its own points: it splits
+//! the segments into even and odd halves, evaluates both at `β²` and
+//! combines them into `p(±β)`. So the split encode is held to the
+//! per-point Horner reference here too, at every `±β`.
 
+use lsa_coding::VandermondeCode;
 use lsa_field::{ops, par, simd, Field, Fp32, Fp61};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,7 +60,11 @@ fn polynomial<F: Field>(base: &[F], degree: usize, mix: F) -> Vec<Vec<F>> {
 }
 
 /// First evaluation point the `Fp61` AVX2 Horner kernel does not take.
-const FAST_POINTS: u64 = 1 << 16;
+const FAST_POINTS: u64 = 1 << 20;
+
+fn views<F>(segs: &[Vec<F>]) -> Vec<&[F]> {
+    segs.iter().map(Vec::as_slice).collect()
+}
 
 /// `ops::eval_points` equals `ops::reference::horner_eval` point by
 /// point, under every backend × thread count {1, 2, 4, 7}.
@@ -64,8 +75,27 @@ fn assert_eval_points_match<F: Field>(segs: &[Vec<F>], points: &[F]) {
         .collect();
     for_each_backend(|b| {
         for threads in [1usize, 2, 4, 7] {
-            let got = par::with_threads(threads, || ops::eval_points(segs, points));
+            let got = par::with_threads(threads, || ops::eval_points(&views(segs), points));
             assert_eq!(got, expect, "backend {} threads {threads}", b.name());
+        }
+    });
+}
+
+/// The split encode of an `n`-user code over `segs` equals
+/// `ops::reference::horner_eval` at every user's point `±β`, under
+/// every backend × thread count {1, 2, 4, 7}; so does `encode_for`.
+fn assert_encode_matches<F: Field>(n: usize, segs: &[Vec<F>]) {
+    let code = VandermondeCode::<F>::new(n, segs.len()).unwrap();
+    let expect: Vec<Vec<F>> = (0..n)
+        .map(|j| ops::reference::horner_eval(segs, code.point(j)))
+        .collect();
+    for_each_backend(|b| {
+        for threads in [1usize, 2, 4, 7] {
+            let got = par::with_threads(threads, || code.encode_all(segs));
+            assert_eq!(got, expect, "n {n}: backend {} threads {threads}", b.name());
+        }
+        for j in [0, n / 2, n - 1] {
+            assert_eq!(code.encode_for(segs, j), expect[j], "n {n}: user {j}");
         }
     });
 }
@@ -183,6 +213,20 @@ macro_rules! kernel_equivalence {
                     assert_eval_points_match(&segs, &points);
                 }
 
+                /// The split encode at every `±β`: odd and even `N`
+                /// from `N = U` up, `N ∈ {1, 2}` among them, segment
+                /// lengths around the 8-element strip.
+                #[test]
+                fn split_encode_matches_reference(
+                    base in $vector(0..40),
+                    degree in 1usize..10,
+                    extra in 0usize..6,
+                    mix in $scalar(),
+                ) {
+                    let segs = polynomial(&base, degree, mix);
+                    assert_encode_matches(degree + extra, &segs);
+                }
+
                 #[test]
                 fn wide_running_sum_matches_eager(
                     base in $vector(1..100),
@@ -292,8 +336,29 @@ macro_rules! kernel_equivalence {
                     let segs = vec![vec![q1; 11]; degree];
                     assert_eval_points_match(&segs, &points);
                     // closed form at β = 1: Σ (−1) over `degree` terms
-                    let at_one = ops::eval_points(&segs, &points[..1]);
+                    let at_one = ops::eval_points(&views(&segs), &points[..1]);
                     assert_eq!(at_one[0][0], <$F>::from_i64(-(degree as i64)));
+                }
+            }
+
+            /// The split encode at its worst: every residue `q−1` at
+            /// `U ∈ {48, 150, 1000}` with odd `N`, the smallest codes,
+            /// and `N = 2045`, whose last square `1023²` is the largest
+            /// the single-limb step takes.
+            #[test]
+            fn split_encode_worst_case_all_q_minus_one() {
+                let q1 = <$F>::from_u64(<$F>::MODULUS - 1);
+                for (n, u) in [
+                    (1, 1),
+                    (2, 1),
+                    (2, 2),
+                    (49, 48),
+                    (151, 150),
+                    (1001, 1000),
+                    (2045, 48),
+                ] {
+                    let segs = vec![vec![q1; 11]; u];
+                    assert_encode_matches(n, &segs);
                 }
             }
 
@@ -326,6 +391,7 @@ macro_rules! kernel_equivalence {
                 let segs: Vec<Vec<$F>> =
                     (0..3).map(|_| ops::random_vector(len, &mut rng)).collect();
                 assert_eval_points_match(&segs, &lsa_field::evaluation_points::<$F>(9));
+                assert_encode_matches(9, &segs);
             }
 
             /// Many max-magnitude terms through the fused kernel stay

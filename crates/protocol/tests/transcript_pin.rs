@@ -218,56 +218,58 @@ fn transcript_digests<F: Field>(buffered: bool, policy: RatchetPolicy) -> (Strin
     finish(fed, transcript)
 }
 
-/// `(variant, field, topology/window, value digest)`, captured at the
-/// parent commit of the driver unification.
+/// `(variant, field, topology/window, value digest)`. Re-captured when
+/// the evaluation points became `±β` (every coded share changed value);
+/// the shape digests in [`SHAPES`] were captured before that change and
+/// held through it unedited.
 const PINS: [(&str, &str, &str, &str); 8] = [
     (
         "sync",
         "fp32",
         "clique/W1",
-        "71a392332e88c3f62a52d0d786209f7a3a73a55e49fc46f2642433128f59446d",
+        "9b4558013a8e5a843b03baf6a42ae98e63c94d4d0db22eccf49d4ccfa659cc57",
     ),
     (
         "sync",
         "fp32",
         "hypercube/W8",
-        "acb4fef363f1c81651c8b0e05d8d00149e90f9d03e66ee6447c1998da2e2f84c",
+        "e4518993565609f046c0e779f0f70a102a3cf574f2237894f13395d170d13735",
     ),
     (
         "sync",
         "fp61",
         "clique/W1",
-        "cff3420716a71789011f5ffbb806d4e41c0c99ef18e0acf5d5ea363fb1d53506",
+        "b5ec5730e8170570b3aa8a3070bee23ffeef49d6540aec6323a38ee2f011a76a",
     ),
     (
         "sync",
         "fp61",
         "hypercube/W8",
-        "2c47b5954860180a57775cae0ebdde0064ff8bcfb8c1f5310289c850b7365e20",
+        "b70f8aab4db37479820b0eda93fda0c1d6114b6eb416d4c24ce38c871f2a548f",
     ),
     (
         "buffered",
         "fp32",
         "clique/W1",
-        "8009dc5c3fe1491130117db5d42e71eb1b75370cb03ab57d6024ce0a94443105",
+        "76102e26382a1ae6d0b479527c57dcf8151a6446145b09babede23c11c1b687c",
     ),
     (
         "buffered",
         "fp32",
         "hypercube/W8",
-        "846a71818a927d6c45b36e68354ba79b2a83ea4b69f88f783635a80a356f34d9",
+        "18f332c257eecdf18bdcbd2f65b6376470908abf70564049661c6a144d396405",
     ),
     (
         "buffered",
         "fp61",
         "clique/W1",
-        "977a4f9794c8ec12d5e0fa57ca4306715cc8bd1c84962bbad4cf9298a8fba87c",
+        "e948b3200f2b9e33447d02c5fb7fd464e2d549c541fad357a074212d57ac43ec",
     ),
     (
         "buffered",
         "fp61",
         "hypercube/W8",
-        "c5e7300c73d1c833ce9010b5673ab2d46b463946e899f1afca1d54e50284c5dd",
+        "ceb8740b027639c75035504faaa6c6bb47aca6643044fd903bbc7021f4930c05",
     ),
 ];
 

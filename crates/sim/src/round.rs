@@ -185,8 +185,11 @@ fn simulate_lightsecagg(p: &RoundParams) -> (f64, f64, f64) {
     // ---- offline: generate + encode + all-to-all exchange ----
     // mask & noise generation: (U−T)·seg data + T·seg noise elements
     let gen_elems = (u * seg) as f64;
-    // encoding N coded segments, each a U-term Horner over seg-vectors
-    let encode_macs = (n * u * seg) as f64;
+    // encoding N coded segments at the points ±β: the even and odd
+    // coefficient halves are each evaluated at the ⌈N/2⌉ squares β²
+    // (U Horner steps per pair of users between them), then one β·O
+    // multiply per element forms both p(β) and p(−β)
+    let encode_macs = (n.div_ceil(2) * (u + 1) * seg) as f64;
     let offline_compute = ns(gen_elems * c.prg_elem_ns + encode_macs * c.field_mac_ns);
 
     // all-to-all exchange of coded segments, round-robin interleaved
