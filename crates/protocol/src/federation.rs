@@ -1220,10 +1220,13 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         }
         let fp = self.fingerprint(cohort);
         if self.ratchet_fp != Some(fp) {
-            // churn mid-window: the remaining nonces were committed to
-            // a cohort that no longer exists — purge them everywhere so
-            // the re-key starts clean
-            if !self.window.is_empty() {
+            // churn: the retained bases, and any window nonces, belong
+            // to a cohort that no longer exists. Nothing can use them
+            // again (this round's harvest would overwrite them), so
+            // release them now instead of carrying them through the
+            // full exchange, and purge the nonces everywhere so the
+            // re-key starts clean
+            if self.ratchet_fp.take().is_some() {
                 self.window.clear();
                 for client in &mut self.clients {
                     V::client_ratchet(client).clear();
@@ -2408,15 +2411,58 @@ mod tests {
         }
         assert_eq!(fed.finish_round().unwrap().aggregate, expected(&everyone));
         assert!(watch.iter().all(|w| w.strong_count() == 1));
-        // churn: round 2 re-keys without member 4; its finish harvests a
-        // new base and retires everything below round 3, so the re-keyed
-        // members' old storage is left without an owner (member 4 keeps
-        // its stale base until it next completes a full round, or a
-        // mid-window purge clears it)
+        // churn: round 2 re-keys without member 4, and opening it
+        // releases every member's stale base — member 4's too, which no
+        // harvest would ever overwrite
         let out = run(&mut fed, &[0, 1, 2, 3]);
         assert_eq!(out.aggregate, expected(&[0, 1, 2, 3]));
-        for (id, w) in watch.iter().enumerate().take(4) {
+        for (id, w) in watch.iter().enumerate() {
             assert_eq!(w.strong_count(), 0, "client {id} still owns its old base");
         }
+    }
+
+    #[test]
+    fn churn_releases_every_retained_base_when_the_round_opens() {
+        for policy in policies().into_iter().filter(|p| p.enabled()) {
+            let cfg = cfg().with_ratchet(policy);
+            let sync = SyncFederation::<Fp61, _>::new(cfg, MemTransport::new(), 5).unwrap();
+            let buffered =
+                BufferedFederation::<Fp61, _>::unit_weight(cfg, MemTransport::new(), 6).unwrap();
+            assert_churn_releases_bases(sync, &format!("sync/{policy:?}"));
+            assert_churn_releases_bases(buffered, &format!("buffered/{policy:?}"));
+        }
+    }
+
+    /// Two full-cohort rounds retain a base everywhere; opening a
+    /// churned round leaves none, before any share is exchanged.
+    fn assert_churn_releases_bases<V: LeafVariant<Fp61>>(
+        mut fed: LeafFederation<Fp61, MemTransport, V>,
+        name: &str,
+    ) {
+        let everyone: Vec<usize> = (0..5).collect();
+        for _ in 0..2 {
+            fed.open_round(&everyone).unwrap();
+            for (id, u) in updates(&everyone) {
+                fed.submit(id, &u).unwrap();
+            }
+            fed.finish_round().unwrap();
+        }
+        let held = |fed: &mut LeafFederation<Fp61, MemTransport, V>| {
+            fed.clients
+                .iter_mut()
+                .filter_map(|c| V::client_ratchet(c).base())
+                .count()
+        };
+        assert_eq!(held(&mut fed), 5, "{name}: bases retained while stable");
+        fed.open_round(&[0, 1, 2, 3]).unwrap();
+        assert_eq!(held(&mut fed), 0, "{name}: a churned round kept a base");
+        for (id, u) in updates(&[0, 1, 2, 3]) {
+            fed.submit(id, &u).unwrap();
+        }
+        assert_eq!(
+            fed.finish_round().unwrap().aggregate,
+            expected(&[0, 1, 2, 3]),
+            "{name}"
+        );
     }
 }
