@@ -40,32 +40,35 @@ impl KernelCosts {
     }
 
     /// Measure the real kernels on this machine (takes ~100 ms).
+    ///
+    /// Each kernel is timed as the best of [`PASSES`] passes, so a pass
+    /// the scheduler interrupted does not skew the constant.
     pub fn calibrate() -> Self {
         let mut mask = vec![Fp32::from_u64(3); 1 << 16];
         let coef = Fp32::from_u64(12345);
         let src: Vec<Fp32> = (0..1 << 16).map(|i| Fp32::from_u64(i as u64)).collect();
 
         // field MAC: axpy over 65536 elements, repeated
-        let reps = 64;
-        let start = Instant::now();
-        for _ in 0..reps {
-            lsa_field::ops::axpy(&mut mask, coef, &src);
-        }
-        let field_mac_ns = start.elapsed().as_nanos() as f64 / (reps * (1 << 16)) as f64;
+        let reps = 16;
+        let field_mac_ns = best_ns_per_elem(reps << 16, || {
+            for _ in 0..reps {
+                lsa_field::ops::axpy(&mut mask, coef, &src);
+            }
+        });
 
         // field add
-        let start = Instant::now();
-        for _ in 0..reps {
-            lsa_field::ops::add_assign(&mut mask, &src);
-        }
-        let field_add_ns = start.elapsed().as_nanos() as f64 / (reps * (1 << 16)) as f64;
+        let field_add_ns = best_ns_per_elem(reps << 16, || {
+            for _ in 0..reps {
+                lsa_field::ops::add_assign(&mut mask, &src);
+            }
+        });
 
         // PRG expansion
         let mut prg = FieldPrg::new(Seed::from_label(b"calibrate"));
-        let start = Instant::now();
-        let out: Vec<Fp32> = prg.expand(1 << 18);
-        let prg_elem_ns = start.elapsed().as_nanos() as f64 / out.len() as f64;
-        std::hint::black_box(&out);
+        let prg_elem_ns = best_ns_per_elem(1 << 16, || {
+            let out: Vec<Fp32> = prg.expand(1 << 16);
+            std::hint::black_box(&out);
+        });
         std::hint::black_box(&mask);
 
         Self {
@@ -75,6 +78,21 @@ impl KernelCosts {
             shamir_op_ns: (field_mac_ns * 1.5).max(0.1),
         }
     }
+}
+
+/// Timed passes per kernel in [`KernelCosts::calibrate`].
+const PASSES: usize = 4;
+
+/// The fastest of [`PASSES`] runs of `kernel`, in nanoseconds per each
+/// of the `elems` elements one run processes.
+fn best_ns_per_elem(elems: usize, mut kernel: impl FnMut()) -> f64 {
+    (0..PASSES)
+        .map(|_| {
+            let start = Instant::now();
+            kernel();
+            start.elapsed().as_nanos() as f64 / elems as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 impl Default for KernelCosts {
@@ -99,7 +117,8 @@ mod tests {
         ] {
             assert!((0.1..1000.0).contains(&v), "cost {v} ns out of range");
         }
-        // a MAC cannot be cheaper than an add by more than noise
+        // a MAC cannot be cheaper than an add by more than noise (each
+        // is its best pass, so one interrupted pass cannot flip this)
         assert!(c.field_mac_ns >= c.field_add_ns * 0.5);
     }
 
