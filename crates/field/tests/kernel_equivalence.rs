@@ -362,8 +362,8 @@ macro_rules! kernel_equivalence {
                 }
             }
 
-            /// `2^16 − 1` is the last point the single-limb step takes
-            /// and `2^16` the first that falls back: alone, together,
+            /// `2^20 − 1` is the last point the single-limb step takes
+            /// and `2^20` the first that falls back: alone, together,
             /// and mixed with small points, the answer is the
             /// reference's.
             #[test]
