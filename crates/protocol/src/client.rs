@@ -190,8 +190,8 @@ impl<F: Field> Client<F> {
     /// membership — callers must have verified fingerprint agreement
     /// before ratcheting. `topology` selects which of those peers
     /// contribute a pad ([`crate::ratchet::PadTopology`]): the clique
-    /// pads against all of them, the hypercube only along the
-    /// `⌈log₂ n_g⌉` edges of this member's cohort rank.
+    /// pads against all of them, the hypercube only along the (at most
+    /// `⌈log₂ n_g⌉`) edges of this member's cohort rank.
     pub(crate) fn ratcheted_from(
         base: &mut Self,
         round: u64,

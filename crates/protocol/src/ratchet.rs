@@ -549,16 +549,24 @@ impl<F: Field> ServerRatchet<F> {
 /// **any** agreed edge set — not just the full clique. The topology is
 /// therefore a pure cost/privacy dial:
 ///
-/// | topology  | pads per member | collusion threshold |
-/// |-----------|-----------------|---------------------|
-/// | clique    | `n_g − 1`       | `n_g − 2`           |
-/// | hypercube | `⌈log₂ n_g⌉`    | `⌈log₂ n_g⌉ − 1`*   |
+/// | topology  | pads per member                        | collusion threshold      |
+/// |-----------|----------------------------------------|--------------------------|
+/// | clique    | `n_g − 1`                              | `n_g − 2`                |
+/// | hypercube | `popcount(n_g − 1)` … `⌈log₂ n_g⌉`†    | `popcount(n_g − 1) − 1`* |
 ///
 /// *A member's ratchet pad is the sum of its edge pads; an adversary
 /// must corrupt **all** of a member's topology neighbours to strip its
 /// pad, so the per-member threshold drops from `n_g − 2` (clique) to
-/// `degree − 1`. The base masks `m_i` keep their information-theoretic
-/// `T`-privacy either way — only the *per-round refresh* weakens.
+/// `degree − 1`, and the least-connected member sets it. The base masks
+/// `m_i` keep their information-theoretic `T`-privacy either way — only
+/// the *per-round refresh* weakens.
+///
+/// †Every member has `⌈log₂ n_g⌉` partners only when `n_g` is a power of
+/// two. Otherwise partners past the cohort's end are missing, and the
+/// last seat, `n_g − 1`, pads with just `popcount(n_g − 1)` peers, the
+/// minimum over all seats: 2 at `n_g = 6`, and 1 at every
+/// `n_g = 2ᵏ + 1`, where the last seat pads only with seat 0.
+/// [`PadTopology::max_degree`] is the best case.
 ///
 /// Chosen per leaf by [`RatchetPolicy`]; the default is `hypercube`,
 /// which breaks the `O(n_g · d)` PRG bound of the ratcheted round down
@@ -568,7 +576,8 @@ pub enum PadTopology {
     /// Every pair derives a pad: `n_g − 1` PRG expansions per member.
     Clique,
     /// Pads only along the hypercube edges of the member's cohort rank:
-    /// `⌈log₂ n_g⌉` PRG expansions per member.
+    /// at most `⌈log₂ n_g⌉` PRG expansions per member, and as few as
+    /// `popcount(n_g − 1)` when `n_g` is not a power of two.
     #[default]
     Hypercube,
 }
@@ -599,7 +608,9 @@ impl PadTopology {
         }
     }
 
-    /// The maximum pads any one member derives in a cohort of `m`.
+    /// The maximum pads any one member derives in a cohort of `m` — the
+    /// best case. Under the hypercube the minimum is `popcount(m − 1)`,
+    /// which equals this only when `m` is a power of two.
     pub fn max_degree(self, m: usize) -> usize {
         match self {
             PadTopology::Clique => m.saturating_sub(1),
@@ -1136,6 +1147,34 @@ pub(crate) mod tests {
         assert_eq!(PadTopology::Hypercube.max_degree(17), 5);
         assert_eq!(PadTopology::Hypercube.max_degree(1024), 10);
         assert_eq!(PadTopology::Hypercube.max_degree(1), 0);
+    }
+
+    #[test]
+    fn hypercube_minimum_degree_is_the_last_seats_popcount() {
+        // the fewest pads any seat derives: `max_degree` only when the
+        // cohort is a power of two, down to one pad at m = 2ᵏ + 1
+        let min_degree = |m: usize| {
+            let members: Vec<usize> = (0..m).collect();
+            members
+                .iter()
+                .map(|&id| PadTopology::Hypercube.partners(&members, id).len())
+                .min()
+                .expect("non-empty cohort")
+        };
+        for m in 1..=64usize {
+            let min = min_degree(m);
+            assert_eq!(min, (m - 1).count_ones() as usize, "m={m}");
+            assert!(min <= PadTopology::Hypercube.max_degree(m), "m={m}");
+            if m.is_power_of_two() {
+                assert_eq!(min, PadTopology::Hypercube.max_degree(m), "m={m}");
+            }
+        }
+        assert_eq!(min_degree(64), 6);
+        assert_eq!(min_degree(16), 4);
+        assert_eq!(min_degree(6), 2);
+        for m in [5, 9, 17, 33] {
+            assert_eq!(min_degree(m), 1, "m={m}");
+        }
     }
 
     #[test]
