@@ -24,15 +24,17 @@
 //!
 //! The ratcheted round's bytes are tiny but its CPU is PRG-bound: each
 //! member expands one full-length ChaCha20 pad per pad-topology edge
-//! locally — `n_g − 1` under the clique, `⌈log₂ n_g⌉` under the
-//! hypercube. The `ratchet` rows therefore carry a SIMD-backend axis
-//! (`steady_round/ratchet_N{n}/{backend}`) plus a pad-topology ×
-//! commit-window axis (`steady_round/ratchet_N{n}/{topology}/W{w}`),
-//! and on capable hosts the bench asserts both CPU sides:
+//! locally — `n_g − 1` under the clique, at most `⌈log₂ n_g⌉` under
+//! the hypercube (exactly 4 at leaf-16). The `ratchet` rows therefore
+//! carry a SIMD-backend axis (`steady_round/ratchet_N{n}/{backend}`)
+//! plus a pad-topology × commit-window axis
+//! (`steady_round/ratchet_N{n}/{topology}/W{w}`), and on capable hosts
+//! the bench asserts both CPU sides:
 //!
-//! * the ratcheted round's wall-clock at N = 1024 under the detected
-//!   SIMD backend must beat the forced-scalar run (skipped, with a
-//!   stderr note, on scalar-only hosts), and
+//! * the ratcheted round's wall-clock at N = 1024 must fall with every
+//!   wider backend: scalar, then the 8-block AVX2 keystream, then the
+//!   16-block AVX-512 one (a backend the host lacks is skipped, with a
+//!   stderr note), and
 //! * the hypercube windowed round at N = 1024 leaf-16 must be ≥ 2×
 //!   faster than the full-clique baseline on the same backend (4 pads
 //!   vs 15 per member).
@@ -156,7 +158,7 @@ fn bench_steady_rounds(c: &mut Criterion) {
                 }
                 // Pad-topology × commit-window axis under the default
                 // backend: the clique expands n_g − 1 pads per member
-                // per round, the hypercube ⌈log₂ n_g⌉; W amortizes the
+                // per round, the hypercube ≤ ⌈log₂ n_g⌉; W amortizes the
                 // commit/ack handshake.
                 for (pad, w) in [
                     (PadTopology::Clique, 1),
@@ -186,7 +188,7 @@ fn bench_steady_rounds(c: &mut Criterion) {
             offline_by_mode[0],
         );
         if n == 1024 {
-            assert_simd_beats_scalar(&topology, n);
+            assert_wider_backends_win(&topology, n);
             assert_hypercube_beats_clique(&topology, n);
         }
     }
@@ -220,31 +222,40 @@ fn best_steady_round(mut steady: SteadyFed) -> Duration {
 }
 
 /// The CPU side of the ratchet acceptance: the PRG-bound ratcheted
-/// round must get faster under the detected SIMD backend. Guarded —
-/// on hosts where only the scalar backend exists the comparison is
-/// meaningless and is skipped with a stderr note.
-fn assert_simd_beats_scalar(topology: &GroupTopology, n: usize) {
-    match simd::detected() {
-        simd::Backend::Scalar => eprintln!(
-            "mask_ratchet/N{n}: no SIMD backend detected on this host; \
-             skipping the SIMD-vs-scalar wall-clock assert"
-        ),
-        simd_backend => {
-            let scalar = best_ratchet_round(topology, simd::Backend::Scalar);
-            let vectored = best_ratchet_round(topology, simd_backend);
-            eprintln!(
-                "mask_ratchet/N{n}: ratcheted round wall-clock {vectored:?} ({}) \
-                 vs {scalar:?} (scalar)",
-                simd_backend.name(),
-            );
-            assert!(
-                vectored < scalar,
-                "the PRG-bound ratcheted round at N={n} must be faster under the \
-                 detected {} backend than forced-scalar \
-                 (got {vectored:?} vs {scalar:?})",
-                simd_backend.name(),
-            );
-        }
+/// round must get faster with each wider backend in the chain scalar →
+/// AVX2 → AVX-512, each judged against the next narrower one the host
+/// has. A backend the host lacks is skipped with a stderr note.
+fn assert_wider_backends_win(topology: &GroupTopology, n: usize) {
+    let available = simd::available();
+    for missing in [simd::Backend::Avx2, simd::Backend::Avx512]
+        .into_iter()
+        .filter(|b| !available.contains(b))
+    {
+        eprintln!(
+            "mask_ratchet/N{n}: no {} backend on this host; \
+             skipping its wall-clock assert",
+            missing.name()
+        );
+    }
+    let rounds: Vec<(simd::Backend, Duration)> = available
+        .into_iter()
+        .map(|b| (b, best_ratchet_round(topology, b)))
+        .collect();
+    for pair in rounds.windows(2) {
+        let ((narrow, slow), (wide, fast)) = (pair[0], pair[1]);
+        eprintln!(
+            "mask_ratchet/N{n}: ratcheted round wall-clock {fast:?} ({}) \
+             vs {slow:?} ({})",
+            wide.name(),
+            narrow.name(),
+        );
+        assert!(
+            fast < slow,
+            "the PRG-bound ratcheted round at N={n} must be faster under the \
+             {} backend than under {} (got {fast:?} vs {slow:?})",
+            wide.name(),
+            narrow.name(),
+        );
     }
 }
 

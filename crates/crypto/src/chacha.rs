@@ -5,35 +5,40 @@
 //!
 //! # Backends
 //!
-//! Two keystream generators share one state schedule:
+//! Three keystream generators share one state schedule:
 //!
 //! * the scalar path computes one 64-byte block per refill — the oracle
 //!   every other path must match byte-for-byte;
-//! * the AVX2 path (selected through [`lsa_field::simd`] at
-//!   construction time) computes **eight consecutive blocks per call**,
+//! * the AVX2 path computes **eight consecutive blocks per refill**,
 //!   holding one `__m256i` per ChaCha state word with the eight block
 //!   counters spread across its lanes, so every `add`/`xor`/`rotate` of
 //!   the round function runs on all eight blocks at once; two 8×8 word
-//!   transposes then serialize the blocks in counter order.
+//!   transposes then serialize the blocks in counter order;
+//! * the AVX-512F path does the same for **sixteen blocks** in one
+//!   `__m512i` per state word, with native lane rotates (`vprold`)
+//!   instead of AVX2's shift/shift/or and byte shuffles; an in-lane 4×4
+//!   word transpose and a 4×4 transpose of 128-bit lanes serialize it.
 //!
-//! Blocks are emitted in counter order either way, so the byte streams
-//! are identical; `counter_boundary_equivalence` and the RFC 8439
-//! vector tests pin this. [`ChaCha20::fill`] writes whole refills
+//! The backend is chosen through [`lsa_field::simd`] at construction
+//! time. Blocks are emitted in counter order on every path, so the byte
+//! streams are identical; `counter_boundary_equivalence` and the RFC
+//! 8439 vector tests pin this. [`ChaCha20::fill`] writes whole refills
 //! straight into the caller's slice, so a bulk draw never passes
 //! through the internal buffer.
 
 use lsa_field::simd::{self, Backend};
 
-/// Keystream bytes buffered per AVX2 refill (eight 64-byte blocks).
-const BUF: usize = 512;
+/// Keystream bytes buffered per refill on the widest path (sixteen
+/// 64-byte blocks).
+const BUF: usize = 1024;
 
 /// ChaCha20 keystream generator.
 #[derive(Debug, Clone)]
 pub struct ChaCha20 {
     state: [u32; 16],
     buffer: [u8; BUF],
-    /// Bytes one refill produces (64 on the scalar path, [`BUF`] on the
-    /// AVX2 path).
+    /// Bytes one refill produces: 64 per block, one block on the scalar
+    /// path, eight under AVX2, sixteen under AVX-512.
     buf_len: usize,
     /// Bytes of the buffered refill already handed out.
     offset: usize,
@@ -97,7 +102,11 @@ impl ChaCha20 {
             state[13 + i] = u32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().unwrap());
         }
         let backend = simd::backend();
-        let buf_len = if backend == Backend::Avx2 { BUF } else { 64 };
+        let buf_len = match backend {
+            Backend::Scalar => 64,
+            Backend::Avx2 => 512,
+            Backend::Avx512 => BUF,
+        };
         Self {
             state,
             buffer: [0u8; BUF],
@@ -108,18 +117,27 @@ impl ChaCha20 {
         }
     }
 
-    /// Write the next refill of keystream (eight blocks on the AVX2
-    /// path, one on the scalar path) to the front of `out` and advance
-    /// `counter` past it.
+    /// Write the next refill of keystream (`buf_len` bytes) to the front
+    /// of `out` and advance `counter` past it.
     fn next_blocks(state: &[u32; 16], backend: Backend, counter: &mut u32, out: &mut [u8]) {
+        const WHOLE: &str = "room for a whole refill";
         #[cfg(target_arch = "x86_64")]
-        if backend == Backend::Avx2 {
-            let out: &mut [u8; BUF] = (&mut out[..BUF]).try_into().expect("BUF bytes");
-            // SAFETY: `Backend::Avx2` is only produced by
-            // `lsa_field::simd` after `is_x86_feature_detected!("avx2")`.
-            unsafe { x8::blocks8(state, *counter, out) };
-            *counter = counter.wrapping_add(8);
-            return;
+        match backend {
+            Backend::Avx512 => {
+                // SAFETY: `lsa_field::simd` only produces `Avx512` after
+                // detecting avx512f (and avx2).
+                unsafe { x16::blocks16(state, *counter, out.first_chunk_mut().expect(WHOLE)) };
+                *counter = counter.wrapping_add(16);
+                return;
+            }
+            Backend::Avx2 => {
+                // SAFETY: `lsa_field::simd` only produces `Avx2` after
+                // detecting avx2.
+                unsafe { x8::blocks8(state, *counter, out.first_chunk_mut().expect(WHOLE)) };
+                *counter = counter.wrapping_add(8);
+                return;
+            }
+            Backend::Scalar => {}
         }
         out[..64].copy_from_slice(&block(state, *counter));
         *counter = counter.wrapping_add(1);
@@ -286,10 +304,104 @@ mod x8 {
     }
 }
 
+/// Sixteen-block AVX-512F kernel: one `__m512i` per ChaCha state word,
+/// block counters `ctr..ctr+15` across the lanes. The sixteen state
+/// vectors stay in registers for all twenty rounds.
+#[cfg(target_arch = "x86_64")]
+mod x16 {
+    use core::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn qr(v: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        v[a] = _mm512_add_epi32(v[a], v[b]);
+        v[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(v[d], v[a]));
+        v[c] = _mm512_add_epi32(v[c], v[d]);
+        v[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(v[b], v[c]));
+        v[a] = _mm512_add_epi32(v[a], v[b]);
+        v[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(v[d], v[a]));
+        v[c] = _mm512_add_epi32(v[c], v[d]);
+        v[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(v[b], v[c]));
+    }
+
+    /// Blocks `counter..counter+15` (wrapping), serialized in counter
+    /// order — byte-identical to sixteen scalar `block` calls.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn blocks16(state: &[u32; 16], counter: u32, out: &mut [u8; 1024]) {
+        let mut v = [_mm512_setzero_si512(); 16];
+        for (lane, &word) in v.iter_mut().zip(state.iter()) {
+            *lane = _mm512_set1_epi32(word as i32);
+        }
+        v[12] = _mm512_add_epi32(
+            _mm512_set1_epi32(counter as i32),
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        );
+        let init = v;
+        for _ in 0..10 {
+            // column rounds
+            qr(&mut v, 0, 4, 8, 12);
+            qr(&mut v, 1, 5, 9, 13);
+            qr(&mut v, 2, 6, 10, 14);
+            qr(&mut v, 3, 7, 11, 15);
+            // diagonal rounds
+            qr(&mut v, 0, 5, 10, 15);
+            qr(&mut v, 1, 6, 11, 12);
+            qr(&mut v, 2, 7, 8, 13);
+            qr(&mut v, 3, 4, 9, 14);
+        }
+        for (lane, seed) in v.iter_mut().zip(init.iter()) {
+            *lane = _mm512_add_epi32(*lane, *seed);
+        }
+        // Row `w` holds word `w` of all sixteen blocks. The same in-lane
+        // transpose as `x8` leaves, in 128-bit lane `L` of `runs[k][g]`,
+        // words 4g..4g+4 of block 4L+k. For each `k` a 4×4 transpose of
+        // the lanes of runs[k] then gathers block 4L+k whole into one
+        // vector.
+        let mut runs = [[_mm512_setzero_si512(); 4]; 4];
+        for (g, rows) in v.chunks_exact(4).enumerate() {
+            let t0 = _mm512_unpacklo_epi32(rows[0], rows[1]);
+            let t1 = _mm512_unpacklo_epi32(rows[2], rows[3]);
+            let t2 = _mm512_unpackhi_epi32(rows[0], rows[1]);
+            let t3 = _mm512_unpackhi_epi32(rows[2], rows[3]);
+            let q = [
+                _mm512_unpacklo_epi64(t0, t1),
+                _mm512_unpackhi_epi64(t0, t1),
+                _mm512_unpacklo_epi64(t2, t3),
+                _mm512_unpackhi_epi64(t2, t3),
+            ];
+            for (k, run) in q.into_iter().enumerate() {
+                runs[k][g] = run;
+            }
+        }
+        for (k, [a, b, c, d]) in runs.into_iter().enumerate() {
+            // lanes (a0 a1 b0 b1), (c0 c1 d0 d1), (a2 a3 b2 b3), (c2 c3 d2 d3)
+            let ab_lo = _mm512_shuffle_i32x4::<0x44>(a, b);
+            let cd_lo = _mm512_shuffle_i32x4::<0x44>(c, d);
+            let ab_hi = _mm512_shuffle_i32x4::<0xEE>(a, b);
+            let cd_hi = _mm512_shuffle_i32x4::<0xEE>(c, d);
+            // block 4L+k is lanes (aL bL cL dL)
+            let blocks = [
+                _mm512_shuffle_i32x4::<0x88>(ab_lo, cd_lo),
+                _mm512_shuffle_i32x4::<0xDD>(ab_lo, cd_lo),
+                _mm512_shuffle_i32x4::<0x88>(ab_hi, cd_hi),
+                _mm512_shuffle_i32x4::<0xDD>(ab_hi, cd_hi),
+            ];
+            for (lane, block) in blocks.into_iter().enumerate() {
+                let at = out.as_mut_ptr().add(64 * (4 * lane + k));
+                _mm512_storeu_si512(at as *mut __m512i, block);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_field::simd::{available, detected, with_backend};
+    use lsa_field::simd::{available, with_backend};
 
     fn test_key() -> ([u8; 32], [u8; 12]) {
         let mut key = [0u8; 32];
@@ -334,26 +446,28 @@ mod tests {
         }
     }
 
-    /// The 8-block kernel must be byte-identical to eight scalar block
-    /// calls, whether a refill lands in the caller's slice or in the
-    /// buffer.
+    /// The 8- and 16-block kernels must be byte-identical to scalar
+    /// block calls, whether a refill lands in the caller's slice or in
+    /// the buffer.
     #[test]
     fn multi_block_keystream_matches_scalar() {
         let key = [0xabu8; 32];
         let nonce = [0x17u8; 12];
-        // 1700 bytes: three whole 512-byte refills written in place and
-        // a buffered tail that is neither 64- nor 512-aligned
-        let mut want = vec![0u8; 1700];
-        with_backend(lsa_field::simd::Backend::Scalar, || {
+        // 4200 bytes: four whole 1024-byte refills written in place (or
+        // eight 512-byte ones) and a buffered 104-byte tail that is
+        // neither 64- nor refill-aligned
+        let mut want = vec![0u8; 4200];
+        with_backend(Backend::Scalar, || {
             ChaCha20::new(&key, &nonce).fill(&mut want);
         });
         for b in available() {
             with_backend(b, || {
-                let mut got = vec![0u8; 1700];
+                let mut got = vec![0u8; 4200];
                 ChaCha20::new(&key, &nonce).fill(&mut got);
                 assert_eq!(got, want, "backend {}", b.name());
                 // the same bytes when a short draw comes first, so the
-                // in-place refills land unaligned in the caller's slice
+                // buffer drains unaligned and three in-place refills
+                // land at an odd offset of the caller's slice
                 let mut cipher = ChaCha20::new(&key, &nonce);
                 cipher.fill(&mut got[..5]);
                 cipher.fill(&mut got[5..]);
@@ -375,8 +489,8 @@ mod tests {
                 let mut piecemeal = Vec::with_capacity(1400);
                 let mut cipher = ChaCha20::new(&key, &nonce);
                 // 7-byte words + 13-byte fills + single bytes: straddles
-                // every 64-byte block and 512-byte refill boundary
-                // unaligned
+                // every 64-byte block and 512- or 1024-byte refill
+                // boundary unaligned
                 while piecemeal.len() + 21 <= 1400 {
                     let w = cipher.next_word_le(7);
                     piecemeal.extend_from_slice(&w.to_le_bytes()[..7]);
@@ -393,29 +507,30 @@ mod tests {
         }
     }
 
-    /// The 32-bit block counter wraps identically on both paths (the
-    /// SIMD refill spreads `ctr..ctr+7` with a wrapping lane add).
+    /// The 32-bit block counter wraps identically on every path (a SIMD
+    /// refill spreads `ctr..ctr+7` or `ctr..ctr+15` with a wrapping lane
+    /// add). Each start puts the wrap inside the first refill of one
+    /// kernel: `MAX − 6` inside an 8-block refill, `MAX − 14` inside a
+    /// 16-block one.
     #[test]
     fn counter_wrap_matches_scalar() {
-        if detected() == lsa_field::simd::Backend::Scalar {
-            return;
-        }
         let key = [0x42u8; 32];
         let nonce = [9u8; 12];
-        let start = u32::MAX - 6; // first refill spans MAX-6 ..= MAX, then 0
-        let mut want = vec![0u8; 1024];
-        with_backend(lsa_field::simd::Backend::Scalar, || {
-            let mut cipher = ChaCha20::new(&key, &nonce);
-            cipher.counter = start;
-            cipher.fill(&mut want);
-        });
-        with_backend(detected(), || {
-            let mut cipher = ChaCha20::new(&key, &nonce);
-            cipher.counter = start;
-            let mut got = vec![0u8; 1024];
-            cipher.fill(&mut got);
-            assert_eq!(got, want);
-        });
+        let stream = |backend, start| {
+            with_backend(backend, || {
+                let mut cipher = ChaCha20::new(&key, &nonce);
+                cipher.counter = start;
+                let mut out = vec![0u8; 2048 + 100];
+                cipher.fill(&mut out);
+                out
+            })
+        };
+        for start in [u32::MAX - 6, u32::MAX - 14] {
+            let want = stream(Backend::Scalar, start);
+            for b in available().into_iter().filter(|&b| b != Backend::Scalar) {
+                assert_eq!(stream(b, start), want, "backend {} start {start}", b.name());
+            }
+        }
     }
 
     /// RFC 8439 §2.4.2 ("sunscreen") keystream: key = 00..1f, nonce =

@@ -6,8 +6,9 @@
 //!   SecAgg/SecAgg+ for the pairwise masks `PRG(a_{i,j})` and self-masks
 //!   `PRG(b_i)`, and by the mask ratchet for its pairwise pads; a
 //!   from-scratch [`chacha::ChaCha20`] stream (eight blocks per AVX2
-//!   refill) feeding a bulk rejection sampler ([`FieldPrg`]) that can
-//!   add a pad straight into a vector without materialising it;
+//!   refill, sixteen per AVX-512) feeding a bulk rejection sampler
+//!   ([`FieldPrg`]) that can add a pad straight into a vector without
+//!   materialising it;
 //! * a **key agreement** so each user pair derives a common seed — the
 //!   paper uses Diffie–Hellman; we implement classic DH over the
 //!   multiplicative group of a 62-bit safe prime ([`dh`]). *Substitution

@@ -117,9 +117,9 @@ impl Field for Fp32 {
         offset: usize,
     ) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if backend == crate::simd::Backend::Avx2 {
-            // SAFETY: `Backend::Avx2` is only ever produced by
-            // `crate::simd` after `is_x86_feature_detected!("avx2")`.
+        if backend.has_avx2() {
+            // SAFETY: `crate::simd` only produces a SIMD backend after
+            // `is_x86_feature_detected!("avx2")`.
             unsafe { avx2::weighted_block(block, coeffs, inputs, offset) };
             return true;
         }
@@ -129,7 +129,7 @@ impl Field for Fp32 {
 
     fn simd_dot(backend: crate::simd::Backend, x: &[Self], y: &[Self]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        if backend == crate::simd::Backend::Avx2 {
+        if backend.has_avx2() {
             // SAFETY: as in `simd_weighted_block`.
             return Some(unsafe { avx2::dot(x, y) });
         }
@@ -319,7 +319,7 @@ mod avx2 {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use crate::simd::{detected, Backend};
+        use crate::simd::detected;
 
         fn worst() -> Fp32 {
             Fp32(P32 as u32 - 1)
@@ -327,7 +327,7 @@ mod avx2 {
 
         #[test]
         fn weighted_block_worst_case_matches_scalar() {
-            if detected() != Backend::Avx2 {
+            if !detected().has_avx2() {
                 return;
             }
             // all-(q−1) coefficients and inputs with a non-multiple-of-4
@@ -347,7 +347,7 @@ mod avx2 {
 
         #[test]
         fn dot_worst_case_matches_scalar() {
-            if detected() != Backend::Avx2 {
+            if !detected().has_avx2() {
                 return;
             }
             // 4·k + 3 so a 3-element scalar tail follows the lane loop

@@ -133,9 +133,9 @@ impl Field for Fp61 {
         offset: usize,
     ) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if backend == crate::simd::Backend::Avx2 {
-            // SAFETY: `Backend::Avx2` is only ever produced by
-            // `crate::simd` after `is_x86_feature_detected!("avx2")`.
+        if backend.has_avx2() {
+            // SAFETY: `crate::simd` only produces a SIMD backend after
+            // `is_x86_feature_detected!("avx2")`.
             unsafe { avx2::weighted_block(block, coeffs, inputs, offset) };
             return true;
         }
@@ -149,7 +149,7 @@ impl Field for Fp61 {
         points: &[Self],
     ) -> Option<Vec<Vec<Self>>> {
         #[cfg(target_arch = "x86_64")]
-        if backend == crate::simd::Backend::Avx2 {
+        if backend.has_avx2() {
             // SAFETY: as in `simd_weighted_block`.
             return unsafe { avx2::eval_points(segs, points) };
         }
@@ -159,7 +159,7 @@ impl Field for Fp61 {
 
     fn simd_dot(backend: crate::simd::Backend, x: &[Self], y: &[Self]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        if backend == crate::simd::Backend::Avx2 {
+        if backend.has_avx2() {
             // SAFETY: as in `simd_weighted_block`.
             return Some(unsafe { avx2::dot(x, y) });
         }
@@ -621,7 +621,7 @@ mod avx2 {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use crate::simd::{detected, Backend};
+        use crate::simd::detected;
 
         fn worst() -> Fp61 {
             Fp61(P61 - 1)
@@ -647,7 +647,7 @@ mod avx2 {
 
         #[test]
         fn weighted_block_worst_case_matches_scalar() {
-            if detected() != Backend::Avx2 {
+            if !detected().has_avx2() {
                 return;
             }
             // 2·LANE_CAPACITY + 3 all-(q−1) terms: crosses the re-fold
@@ -667,7 +667,7 @@ mod avx2 {
 
         #[test]
         fn dot_worst_case_matches_scalar() {
-            if detected() != Backend::Avx2 {
+            if !detected().has_avx2() {
                 return;
             }
             // long enough to re-fold, with a 3-element scalar tail

@@ -2,30 +2,32 @@
 //! ChaCha20 PRG.
 //!
 //! The delayed-reduction kernels in [`crate::ops`] and the multi-block
-//! keystream path in `lsa_crypto` each have two implementations: the
-//! portable scalar loop (autovectorization-friendly, the oracle) and a
-//! hand-written SIMD kernel over stable `core::arch` intrinsics (plus
-//! one `asm!` instruction where LLVM rewrites the intrinsic). Which
-//! one runs is decided **once per bulk call** — never per element — by
-//! [`backend`], which resolves, in order:
+//! keystream path in `lsa_crypto` each have a portable scalar loop
+//! (autovectorization-friendly, the oracle) and hand-written SIMD
+//! kernels over stable `core::arch` intrinsics (plus one `asm!`
+//! instruction where LLVM rewrites the intrinsic). Which one runs is
+//! decided **once per bulk call** — never per element — by [`backend`],
+//! which resolves, in order:
 //!
 //! 1. a scoped [`with_backend`] override on the current thread (tests
 //!    and benches; propagated into [`crate::par`] workers so a forced
 //!    backend survives the fork-join pool);
 //! 2. the `LSA_SIMD` environment variable, read once per process:
-//!    `auto` (default) picks the best backend the CPU supports,
-//!    `scalar` forces the portable path, a feature name (`avx2`)
-//!    requests that backend — silently degrading to [`Backend::Scalar`]
-//!    when the host lacks the feature (the chosen backend is surfaced
-//!    in every telemetry/bench JSON record, so a degraded knob is
-//!    visible rather than a silent misconfiguration);
+//!    `auto` (default) picks the best backend the CPU supports, and
+//!    any backend's [`Backend::name`] (`scalar`, `avx2`, `avx512`)
+//!    requests that backend. Any *supported* backend is honoured, so
+//!    `avx2` keeps the 8-block keystream on an AVX-512 host; a name the
+//!    host cannot run, or an unknown value, degrades to
+//!    [`Backend::Scalar`] (the chosen backend is surfaced in every
+//!    telemetry/bench JSON record, so a degraded knob is visible rather
+//!    than a silent misconfiguration);
 //! 3. CPU feature detection (`is_x86_feature_detected!`) on x86_64;
 //!    every other architecture runs the portable path.
 //!
 //! Every SIMD kernel is required to be **bit-identical** to its scalar
 //! oracle on all inputs — the backends only trade instruction count,
 //! never results. `crates/field/tests/kernel_equivalence.rs` pins this
-//! for every kernel on every compiled-in backend.
+//! for every kernel on every available backend.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -38,6 +40,9 @@ pub enum Backend {
     Scalar,
     /// 4-lane `u64` AVX2 kernels (x86_64 only).
     Avx2,
+    /// The 16-block AVX-512F ChaCha20 keystream, with the AVX2 field
+    /// kernels (x86_64 hosts with both features only).
+    Avx512,
 }
 
 impl Backend {
@@ -47,27 +52,32 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
+    }
+
+    /// Whether this backend may run AVX2 kernels: every SIMD backend
+    /// can, since `Avx512` is only chosen on hosts that also have AVX2.
+    pub(crate) fn has_avx2(self) -> bool {
+        self != Backend::Scalar
     }
 }
 
 /// The best backend this CPU supports, ignoring the knob and overrides.
 pub fn detected() -> Backend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return Backend::Avx2;
-        }
-    }
-    Backend::Scalar
+    *available().last().expect("scalar is always available")
 }
 
-/// All backends usable on this host, scalar first — the axis benches
-/// and equivalence tests sweep.
+/// All backends usable on this host, scalar first and widest last — the
+/// axis benches and equivalence tests sweep.
 pub fn available() -> Vec<Backend> {
     let mut out = vec![Backend::Scalar];
-    if detected() != Backend::Scalar {
-        out.push(detected());
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        out.push(Backend::Avx2);
+        if is_x86_feature_detected!("avx512f") {
+            out.push(Backend::Avx512);
+        }
     }
     out
 }
@@ -78,19 +88,13 @@ fn env_backend() -> Backend {
         let requested = std::env::var("LSA_SIMD").ok();
         match requested.as_deref().map(str::trim) {
             None | Some("auto") | Some("") => detected(),
-            Some("scalar") | Some("off") | Some("0") => Backend::Scalar,
-            Some("avx2") => {
-                if detected() == Backend::Avx2 {
-                    Backend::Avx2
-                } else {
-                    // requested feature missing: degrade loudly-enough —
-                    // the chosen backend lands in every JSON record
-                    Backend::Scalar
-                }
-            }
-            // unknown value: conservative portable path (visible in
-            // telemetry as "scalar" next to the knob the user set)
-            Some(_) => Backend::Scalar,
+            // a named backend if the host runs it; anything else (an
+            // unknown value, a missing feature) takes the portable path,
+            // visible in telemetry next to the knob the user set
+            Some(name) => available()
+                .into_iter()
+                .find(|b| b.name() == name)
+                .unwrap_or(Backend::Scalar),
         }
     })
 }
@@ -113,10 +117,11 @@ pub fn backend() -> Backend {
 /// exit, even across panics). [`crate::par`] propagates the pin into
 /// its workers, so a kernel forked across the pool still honours it.
 ///
-/// Pinning a backend the host cannot run degrades to
-/// [`Backend::Scalar`], mirroring the `LSA_SIMD` knob.
+/// Any backend in [`available`] is honoured; pinning one the host
+/// cannot run degrades to [`Backend::Scalar`], mirroring the `LSA_SIMD`
+/// knob.
 pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
-    let effective = if backend == Backend::Scalar || backend == detected() {
+    let effective = if available().contains(&backend) {
         backend
     } else {
         Backend::Scalar
@@ -158,14 +163,17 @@ mod tests {
 
     #[test]
     fn unsupported_pin_degrades_to_scalar() {
-        // pinning the detected backend is the identity; pinning one the
-        // host lacks must fall back instead of trapping later
-        for b in [Backend::Scalar, Backend::Avx2] {
+        // pinning any available backend is the identity (so a pinned
+        // `avx2` keeps the 8-block keystream on an AVX-512 host);
+        // pinning one the host lacks must fall back instead of trapping
+        // later
+        for b in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
             with_backend(b, || {
                 let eff = backend();
-                assert!(eff == b || eff == Backend::Scalar);
-                if b == detected() {
+                if available().contains(&b) {
                     assert_eq!(eff, b);
+                } else {
+                    assert_eq!(eff, Backend::Scalar);
                 }
             });
         }
@@ -175,12 +183,19 @@ mod tests {
     fn available_lists_scalar_first() {
         let all = available();
         assert_eq!(all[0], Backend::Scalar);
-        assert!(all.len() <= 2);
+        assert!(all.len() <= 3);
+        // widest last, and only AVX2 hosts get the AVX-512 backend
+        assert_eq!(all.last(), Some(&detected()));
+        if all.contains(&Backend::Avx512) {
+            assert!(all.contains(&Backend::Avx2));
+        }
+        assert!(all.iter().skip(1).all(|b| b.has_avx2()));
     }
 
     #[test]
     fn names_are_stable() {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
+        assert_eq!(Backend::Avx512.name(), "avx512");
     }
 }

@@ -354,18 +354,21 @@ impl Criterion {
 /// `with_backend` overrides are per-row and live in the benchmark
 /// *name*; this field says what the knob-level default was.
 fn resolved_simd_backend() -> &'static str {
+    let mut available = vec!["scalar"];
     #[cfg(target_arch = "x86_64")]
-    let detected = if std::arch::is_x86_feature_detected!("avx2") {
-        "avx2"
-    } else {
-        "scalar"
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let detected = "scalar";
+    if std::arch::is_x86_feature_detected!("avx2") {
+        available.push("avx2");
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            available.push("avx512");
+        }
+    }
+    let detected = available[available.len() - 1];
     match std::env::var("LSA_SIMD").ok().as_deref().map(str::trim) {
         None | Some("auto") | Some("") => detected,
-        Some("avx2") if detected == "avx2" => "avx2",
-        _ => "scalar",
+        Some(name) => available
+            .into_iter()
+            .find(|&b| b == name)
+            .unwrap_or("scalar"),
     }
 }
 
