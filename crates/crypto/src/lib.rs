@@ -15,9 +15,10 @@
 //!   note*: production systems use X25519; the group size here is a
 //!   simulation-scale parameter and does not change protocol logic,
 //!   message flow or asymptotics;
-//! * a **KDF/hash** to turn group elements into PRG seeds — a
-//!   from-scratch [`sha256`] implementation validated against FIPS 180-4
-//!   test vectors.
+//! * a **KDF/hash** to turn group elements into PRG seeds and derive
+//!   per-round seeds — [`sha256`], with a portable compressor and a
+//!   SHA-NI one chosen at run time, both validated against the FIPS
+//!   180-4 test vectors.
 //!
 //! # Example: two users derive the same pairwise mask
 //!

@@ -100,9 +100,11 @@ pub struct AsyncClient<F> {
 #[derive(Debug, Clone)]
 struct SentShare<F> {
     share: Vec<F>,
-    /// [`crate::ratchet::pair_seed`] of this edge and round, hashed the
-    /// first time the round serves as a ratchet base (never, for a round
-    /// that is re-keyed before it ratchets) and dropped with the share.
+    /// [`crate::ratchet::pair_seed`] of this edge and round derived
+    /// under the pad epoch: hashed the first time the round serves as a
+    /// ratchet base in that epoch (never, for a round that is re-keyed
+    /// before it ratchets), cleared by [`AsyncClient::bump_pad_epoch`]
+    /// and dropped with the share.
     /// Boxed: most sent shares never pad an edge, and at leaf sizes a
     /// seed inline would add a quarter to every one of them.
     edge: Option<Box<Seed>>,
@@ -134,9 +136,14 @@ impl<F: Field> AsyncClient<F> {
     }
 
     /// Advance the pad-derivation epoch (cohort reseat without a fresh
-    /// exchange); every cohort member must apply the same `seed`.
+    /// exchange); every cohort member must apply the same `seed`. The
+    /// cached edge seeds belong to the old epoch and are dropped; the
+    /// next ratchet re-hashes them from the retained shares.
     pub fn bump_pad_epoch(&mut self, seed: u64) {
         self.pad_epoch = crate::ratchet::reseat_epoch(self.pad_epoch, seed);
+        for sent in self.sent.values_mut() {
+            sent.edge = None;
+        }
     }
 
     /// This client's user index.
@@ -372,9 +379,9 @@ impl<F: Field> AsyncClient<F> {
             let recv = &self.received[&(j, base_round)];
             let edge = **sent.edge.get_or_insert_with(|| {
                 let seed = crate::ratchet::pair_seed(0, base_round, self.id, j, &sent.share, recv);
-                Box::new(seed)
+                Box::new(seed.derive(self.pad_epoch))
             });
-            crate::ratchet::add_pair_pad(&mut mask, edge, self.pad_epoch, nonce, self.id, j);
+            crate::ratchet::add_pair_pad(&mut mask, edge, nonce, self.id, j);
         }
         for &j in &peers {
             let share = Arc::clone(&self.received[&(j, base_round)]);
@@ -899,7 +906,11 @@ mod tests {
             let mut round = 4;
             for bumped in [false, true] {
                 if bumped {
+                    // a seed of the old epoch that survived the bump
+                    // would still cancel pairwise: only the reference
+                    // below can tell
                     c.bump_pad_epoch(0xD00D);
+                    assert!(c.sent.values().all(|s| s.edge.is_none()));
                 }
                 for topology in [PadTopology::Clique, PadTopology::Hypercube] {
                     // twice per setting: the first derivation may hash

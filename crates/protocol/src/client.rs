@@ -60,9 +60,10 @@ pub struct Client<F> {
     /// base exchange, evolved in lockstep across the cohort by
     /// [`Client::bump_pad_epoch`] on a reseat ([`crate::ratchet`]).
     pad_epoch: u64,
-    /// [`crate::ratchet::pair_seed`] per peer, hashed the first time a
-    /// round is ratcheted from this state (never, for a state that is
-    /// never a ratchet base) and dropped with it.
+    /// [`crate::ratchet::pair_seed`] per peer, derived under
+    /// `pad_epoch`: hashed the first time a round is ratcheted from this
+    /// state (never, for a state that is never a ratchet base), cleared
+    /// by [`Client::bump_pad_epoch`] and dropped with the state.
     edge_seeds: BTreeMap<usize, Seed>,
     /// Next peer whose coded share [`Session::poll_output`] has still to
     /// emit (`n` once the offline phase is out, and from the start for a
@@ -182,8 +183,9 @@ impl<F: Field> Client<F> {
     /// pairwise pads cancel over the full cohort. No new share traffic
     /// and no copy: the derived client holds the base's share material
     /// by reference count, so recovery decodes `Σ m_i` exactly as it did
-    /// then. The work is one keystream pass per pad, plus hashing the
-    /// edge secrets `ρ_ij` the first time (cached in `base`).
+    /// then. The work is one seed digest and one keystream pass per pad,
+    /// plus hashing the edge secrets `ρ_ij` the first time in each pad
+    /// epoch (cached in `base`).
     ///
     /// The cohort is implicit: every peer the base client exchanged
     /// shares with (its `received` keys) is the fingerprinted
@@ -211,8 +213,9 @@ impl<F: Field> Client<F> {
                     &shares.coded_for[peer],
                     &shares.received[&peer],
                 )
+                .derive(base.pad_epoch)
             });
-            crate::ratchet::add_pair_pad(&mut mask, edge, base.pad_epoch, nonce, base.id, peer);
+            crate::ratchet::add_pair_pad(&mut mask, edge, nonce, base.id, peer);
         }
         Self {
             id: base.id,
@@ -233,11 +236,13 @@ impl<F: Field> Client<F> {
 
     /// Evolve the pad epoch across a reseat ([`crate::ratchet`]): the
     /// mask and share material — the recovery-critical state — are
-    /// untouched; only future ratchet pads derive under the new epoch.
-    /// Every member of a leaf must bump with the same `seed` so the
-    /// refreshed pads still cancel.
+    /// untouched; only future ratchet pads derive under the new epoch,
+    /// from edge seeds re-hashed out of the retained shares. Every
+    /// member of a leaf must bump with the same `seed` so the refreshed
+    /// pads still cancel.
     pub(crate) fn bump_pad_epoch(&mut self, seed: u64) {
         self.pad_epoch = crate::ratchet::reseat_epoch(self.pad_epoch, seed);
+        self.edge_seeds.clear();
     }
 
     /// The peers this client holds base shares from (its ratchetable
@@ -712,8 +717,10 @@ mod tests {
             let mut clients = exchanged::<F>(4, 31);
             for c in clients.iter_mut() {
                 // first derivation hashes the edge secrets, the second
-                // reads them back, the third runs under a bumped epoch
-                // over the same cache: all three match the reference
+                // reads them back, the third runs under a bumped epoch,
+                // which must re-hash them: a seed of the old epoch that
+                // survived the bump would still cancel pairwise, and
+                // only the reference can tell
                 let first = Client::ratcheted_from(c, 5, 0xA1, topology);
                 assert_eq!(first.mask, reference_mask(c, 0xA1, topology));
                 let hashed = c.edge_seeds.clone();
@@ -723,14 +730,16 @@ mod tests {
                 );
                 let second = Client::ratcheted_from(c, 6, 0xB2, topology);
                 assert_eq!(second.mask, reference_mask(c, 0xB2, topology));
+                assert_eq!(
+                    c.edge_seeds, hashed,
+                    "edge secrets are per base and epoch, not per round"
+                );
                 c.bump_pad_epoch(0xD00D);
+                assert!(c.edge_seeds.is_empty(), "the bump drops the old epoch");
                 let third = Client::ratcheted_from(c, 7, 0xB2, topology);
                 assert_eq!(third.mask, reference_mask(c, 0xB2, topology));
                 assert_ne!(third.mask, second.mask, "epoch refreshes the pads");
-                assert_eq!(
-                    c.edge_seeds, hashed,
-                    "edge secrets are per base, not per round"
-                );
+                assert_eq!(c.edge_seeds.len(), hashed.len(), "re-hashed");
                 // derived rounds hold the base's share material, not a copy
                 for derived in [&first, &second, &third] {
                     assert!(Arc::ptr_eq(derived.share_storage(), c.share_storage()));

@@ -1050,6 +1050,10 @@ pub struct LeafFederation<F: Field, T, V: LeafVariant<F>> {
     /// Fingerprint of the cohort whose base masks the clients retain,
     /// set after each successful round ([`crate::ratchet`]).
     ratchet_fp: Option<u64>,
+    /// Every seat's [`CohortFingerprint`] digest, hashed once: a leaf's
+    /// group and config never change, so a cohort's fingerprint is a
+    /// sum of these.
+    seat_digests: Vec<u64>,
     /// Driver-side mirror of the pre-committed window, `round → nonce`
     /// — membership decides whether the next round joins with zero
     /// traffic or opens a fresh window.
@@ -1092,6 +1096,9 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
             prepared_ratcheted: BTreeMap::new(),
             entropy: StdRng::seed_from_u64(entropy),
             ratchet_fp: None,
+            seat_digests: (0..cfg.n())
+                .map(|id| ratchet::member_digest(group, cfg, id, id))
+                .collect(),
             window: BTreeMap::new(),
             mark: TrafficMark::default(),
             mark_rejections: (0, 0),
@@ -1145,9 +1152,16 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         ) {}
     }
 
-    /// The raw seat fingerprint of `cohort` in this leaf.
-    fn fingerprint(&self, cohort: &BTreeSet<usize>) -> u64 {
-        CohortFingerprint::of_members(cohort.iter().map(|&id| (self.group, self.cfg, id, id))).raw()
+    /// The raw seat fingerprint of `cohort` in this leaf, that of
+    /// [`CohortFingerprint::of_flat`]. An id past the last seat (only a
+    /// caller's unvalidated cohort has one) is hashed on the spot.
+    fn fingerprint<'a>(&self, cohort: impl IntoIterator<Item = &'a usize>) -> u64 {
+        cohort.into_iter().fold(0, |acc, &id| {
+            let seat = self.seat_digests.get(id).copied();
+            acc.wrapping_add(
+                seat.unwrap_or_else(|| ratchet::member_digest(self.group, self.cfg, id, id)),
+            )
+        })
     }
 
     /// Cut the finished round's [`RoundReport`] from the baseline taken
@@ -1460,7 +1474,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
     }
 
     fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
-        Some(CohortFingerprint::of_flat(self.group, self.cfg, cohort))
+        Some(CohortFingerprint::from_raw(self.fingerprint(cohort)))
     }
 
     fn bytes_sent(&self) -> usize {
@@ -2464,5 +2478,50 @@ mod tests {
             expected(&[0, 1, 2, 3]),
             "{name}"
         );
+    }
+
+    #[test]
+    fn cached_seat_digests_fingerprint_as_of_flat_does() {
+        let cfg = LsaConfig::new(16, 2, 10, 4).unwrap();
+        let sync = SyncFederation::<Fp61, _>::in_group(7, cfg, MemTransport::new(), 8).unwrap();
+        let buffered =
+            BufferedFederation::<Fp61, _>::unit_weight(cfg, MemTransport::new(), 9).unwrap();
+        assert_seat_fingerprints(sync, 7);
+        assert_seat_fingerprints(buffered, 0);
+    }
+
+    /// Sampled cohorts fingerprint as [`CohortFingerprint::of_flat`]
+    /// says, after a full round, after a reseat (what an aggregator
+    /// tree's `reassign` does to every leaf) and a ratcheted round, and
+    /// after a churned round.
+    fn assert_seat_fingerprints<V: LeafVariant<Fp61>>(
+        mut fed: LeafFederation<Fp61, MemTransport, V>,
+        group: usize,
+    ) {
+        let cfg = fed.cfg;
+        let mut rng = StdRng::seed_from_u64(group as u64);
+        let everyone: Vec<usize> = (0..cfg.n()).collect();
+        for (step, cohort) in [everyone.clone(), everyone, (0..12).collect()]
+            .iter()
+            .enumerate()
+        {
+            if step == 1 {
+                fed.reseat_ratchet(0xD00D);
+            }
+            fed.open_round(cohort).unwrap();
+            for (id, u) in updates(cohort) {
+                fed.submit(id, &u).unwrap();
+            }
+            fed.finish_round().unwrap();
+            for _ in 0..20 {
+                let sampled: Vec<usize> = (0..cfg.n()).filter(|_| rng.gen_bool(0.6)).collect();
+                let want = CohortFingerprint::of_flat(group, cfg, &sampled);
+                assert_eq!(fed.cohort_fingerprint(&sampled), Some(want));
+            }
+        }
+        // an id past the last seat has no cached digest
+        let stray = [0, 3, cfg.n(), 99];
+        let want = CohortFingerprint::of_flat(group, cfg, &stray);
+        assert_eq!(fed.cohort_fingerprint(&stray), Some(want));
     }
 }

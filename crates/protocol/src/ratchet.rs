@@ -56,7 +56,7 @@
 //! learns `Σ m_i` over the announced survivor set. See README
 //! ("Stable-cohort fast path") for the full argument.
 
-use lsa_crypto::{sha256, FieldPrg, Seed};
+use lsa_crypto::{sha256::Sha256, FieldPrg, Seed};
 use lsa_field::Field;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -119,22 +119,20 @@ impl CohortFingerprint {
 }
 
 /// SHA-256-derived digest of one cohort seat.
-fn member_digest(group: usize, cfg: LsaConfig, id: usize, slot: usize) -> u64 {
-    let mut buf = Vec::with_capacity(FP_DOMAIN.len() + 8 * 7);
-    buf.extend_from_slice(FP_DOMAIN);
-    for v in [
-        group as u64,
-        cfg.n() as u64,
-        cfg.t() as u64,
-        cfg.u() as u64,
-        cfg.d() as u64,
-        id as u64,
-        slot as u64,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
+pub(crate) fn member_digest(group: usize, cfg: LsaConfig, id: usize, slot: usize) -> u64 {
+    let (n, t, u, d) = (cfg.n(), cfg.t(), cfg.u(), cfg.d());
+    digest_words(FP_DOMAIN, [group, n, t, u, d, id, slot].map(|v| v as u64))
+}
+
+/// The first 8 bytes, read little-endian, of
+/// `SHA-256(domain ‖ words)` with every word little-endian.
+fn digest_words<const W: usize>(domain: &[u8], words: [u64; W]) -> u64 {
+    let mut h = Sha256::new();
+    h.update(domain);
+    for v in words {
+        h.update(&v.to_le_bytes());
     }
-    let digest = sha256::digest(&buf);
-    u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
+    u64::from_le_bytes(h.finalize()[..8].try_into().expect("8-byte prefix"))
 }
 
 /// The wire handshake that replaces the offline phase in a ratcheted
@@ -744,12 +742,7 @@ pub fn policies() -> [RatchetPolicy; 3] {
 /// agree pairwise and the pads keep cancelling — while pads from
 /// before the reseat become underivable without the new epoch.
 pub(crate) fn reseat_epoch(old: u64, seed: u64) -> u64 {
-    let mut buf = Vec::with_capacity(EPOCH_DOMAIN.len() + 16);
-    buf.extend_from_slice(EPOCH_DOMAIN);
-    buf.extend_from_slice(&old.to_le_bytes());
-    buf.extend_from_slice(&seed.to_le_bytes());
-    let digest = sha256::digest(&buf);
-    u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
+    digest_words(EPOCH_DOMAIN, [old, seed])
 }
 
 /// Derive the edge secret client `id` shares with `peer` from the two
@@ -762,8 +755,9 @@ pub(crate) fn reseat_epoch(old: u64, seed: u64) -> u64 {
 /// share `S_{i→j}` is a point on client i's degree-(U−1) encoding
 /// polynomial, delivered only to j. Binding the seed to `(group,
 /// base_round, lo, hi)` domain-separates edges. It depends on the base
-/// alone, so callers hash it once per base and keep it beside the
-/// shares; epoch and nonce are applied per round by [`add_pair_pad`].
+/// alone; callers keep `pair_seed(..).derive(epoch)` beside the shares,
+/// hashed once per base and pad epoch ([`reseat_epoch`]), and the nonce
+/// is applied per round by [`add_pair_pad`].
 pub(crate) fn pair_seed<F: Field>(
     group: usize,
     base_round: u64,
@@ -778,35 +772,35 @@ pub(crate) fn pair_seed<F: Field>(
     } else {
         (peer, id, recv, sent)
     };
-    let mut buf =
-        Vec::with_capacity(PAIR_DOMAIN.len() + 8 * 4 + 8 * (lo_to_hi.len() + hi_to_lo.len()));
-    buf.extend_from_slice(PAIR_DOMAIN);
+    let mut h = Sha256::new();
+    h.update(PAIR_DOMAIN);
     for v in [group as u64, base_round, lo as u64, hi as u64] {
-        buf.extend_from_slice(&v.to_le_bytes());
+        h.update(&v.to_le_bytes());
     }
-    for x in lo_to_hi {
-        buf.extend_from_slice(&x.residue().to_le_bytes());
+    // each residue as an 8-byte word, staged one stack chunk at a time
+    let mut chunk = [0u8; 4096];
+    for xs in lo_to_hi.chunks(512).chain(hi_to_lo.chunks(512)) {
+        for (bytes, x) in chunk.chunks_exact_mut(8).zip(xs) {
+            bytes.copy_from_slice(&x.residue().to_le_bytes());
+        }
+        h.update(&chunk[..8 * xs.len()]);
     }
-    for x in hi_to_lo {
-        buf.extend_from_slice(&x.residue().to_le_bytes());
-    }
-    Seed(sha256::digest(&buf))
+    Seed(h.finalize())
 }
 
 /// Add client `id`'s pairwise pad against `peer` for the given nonce
 /// into `mask` (in place, one keystream pass): `+PRG` if `id` is the
 /// lower endpoint of the edge, `−PRG` if it is the higher one. `edge`
-/// is the edge's [`pair_seed`]; `epoch` is the pad-epoch both endpoints
-/// evolved in lockstep across reseats ([`reseat_epoch`]).
+/// is the edge's [`pair_seed`] derived under the pad epoch both
+/// endpoints evolved in lockstep across reseats ([`reseat_epoch`]).
 pub(crate) fn add_pair_pad<F: Field>(
     mask: &mut [F],
     edge: Seed,
-    epoch: u64,
     nonce: u64,
     id: usize,
     peer: usize,
 ) {
-    let mut prg = FieldPrg::new(edge.derive(epoch).derive(nonce));
+    let mut prg = FieldPrg::new(edge.derive(nonce));
     if id < peer {
         prg.add_into(mask);
     } else {
@@ -885,8 +879,8 @@ pub(crate) mod tests {
         // must hash them to the same edge secret
         let edge = pair_seed(3, 7, 2, 5, &sent, &recv);
         assert_eq!(edge, pair_seed(3, 7, 5, 2, &recv, &sent));
-        add_pair_pad(&mut a, edge, 0, 99, 2, 5);
-        add_pair_pad(&mut b, edge, 0, 99, 5, 2);
+        add_pair_pad(&mut a, edge.derive(0), 99, 2, 5);
+        add_pair_pad(&mut b, edge.derive(0), 99, 5, 2);
         assert!(a.iter().any(|x| *x != Fp61::ZERO), "pad must be non-zero");
         let sum: Vec<Fp61> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
         assert!(sum.iter().all(|x| *x == Fp61::ZERO), "pads must cancel");
@@ -899,7 +893,7 @@ pub(crate) mod tests {
         let pad = |base_round: u64, epoch: u64, nonce: u64| {
             let mut mask = vec![Fp61::ZERO; 6];
             let edge = pair_seed(0, base_round, 0, 1, &sent, &recv);
-            add_pair_pad(&mut mask, edge, epoch, nonce, 0, 1);
+            add_pair_pad(&mut mask, edge.derive(epoch), nonce, 0, 1);
             mask
         };
         let n1 = pad(0, 0, 1);
@@ -917,7 +911,7 @@ pub(crate) mod tests {
             let mut got: Vec<Fp61> = (0..1500).map(Fp61::from_u64).collect();
             let mut want = got.clone();
             let edge = pair_seed(1, 4, id, peer, &sent, &recv);
-            add_pair_pad(&mut got, edge, 3, 77, id, peer);
+            add_pair_pad(&mut got, edge.derive(3), 77, id, peer);
             reference_pair_pad(&mut want, 1, 4, 3, 77, id, peer, &sent, &recv);
             assert_eq!(got, want);
         }
