@@ -10,50 +10,46 @@
 //!
 //! Staleness compensation happens inside the field via the quantized
 //! weights `s_{c_g}(τ)` of Eq. (34).
+//!
+//! [`AsyncClient`] / [`AsyncServer`] are the persistent endpoints and
+//! speak [`Session`] themselves: each owns the entropy stream injected
+//! at construction, its outbox and its half of the stable-cohort
+//! handshake ([`crate::ratchet`]). Local actions
+//! ([`AsyncClient::generate_round_mask`], [`AsyncClient::upload_update`],
+//! [`AsyncServer::announce`]) queue envelopes for
+//! [`Session::poll_output`]; everything a peer sends goes through
+//! [`Session::handle`]. [`BufferedVariant`]'s hooks, beside them here,
+//! plug them into the leaf round driver
+//! ([`crate::federation::LeafFederation`]), and [`run_buffered_flush`]
+//! pumps one flush of stale contributions.
 
+use crate::client::{add_padded, check_share};
 use crate::config::LsaConfig;
-use crate::federation::{drain_to, pump};
-use crate::messages::AggregatedShare;
-use crate::session::{AsyncClientSession, AsyncServerSession};
+use crate::federation::{drain_to, pump, BufferedVariant, LeafVariant, RoundOutcome};
+use crate::ratchet::{self, ClientRatchet, PadTopology, ServerRatchet};
+use crate::session::{Outgoing, Recipient, Session};
 use crate::transport::Transport;
+use crate::wire::{AggregatedShare, BufferAnnouncement, CodedMaskShare, Envelope, MaskedModel};
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_crypto::Seed;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, VectorQuantizer};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// A coded mask share tagged with the generation round (Appendix F.3.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimestampedShare<F> {
-    /// Mask owner.
-    pub from: usize,
-    /// Recipient.
-    pub to: usize,
-    /// Aggregation group (the buffered-async variant runs flat, so this
-    /// is always 0; non-zero shares are rejected as cross-group).
-    pub group: usize,
-    /// Round `t_i` in which the mask was generated.
-    pub round: u64,
-    /// Coded segment `[~z_from^{(round)}]_to`.
-    pub payload: Vec<F>,
-}
+/// A coded mask share tagged with the round its mask was generated in
+/// (Appendix F.3.1): the §4.1 share under its own wire tag. The
+/// buffered variant runs flat, so its group is always 0 and a share
+/// stamped otherwise is rejected as cross-group.
+pub type TimestampedShare<F> = CodedMaskShare<F>;
 
-/// A masked, quantized local update tagged with its base round
-/// (Appendix F.3.2): `~Δ_i = Δ̄_i + z_i^{(t_i)}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimestampedUpdate<F> {
-    /// Uploading user.
-    pub from: usize,
-    /// Aggregation group (always 0 — see [`TimestampedShare::group`]).
-    pub group: usize,
-    /// Round `t_i` the user based its update on.
-    pub round: u64,
-    /// Masked quantized update, padded length.
-    pub payload: Vec<F>,
-}
+/// A masked, quantized local update tagged with its base round `t_i`
+/// (Appendix F.3.2), `~Δ_i = Δ̄_i + z_i^{(t_i)}`: the §4.1 upload under
+/// its own wire tag.
+pub type TimestampedUpdate<F> = MaskedModel<F>;
 
 /// One buffered entry the server announces for mask aggregation:
 /// user `who` contributed an update based on round `round`, to be weighted
@@ -68,11 +64,12 @@ pub struct BufferEntry {
     pub weight: u64,
 }
 
-/// Client side of asynchronous LightSecAgg.
+/// Client endpoint of asynchronous LightSecAgg.
 ///
 /// Keeps every mask it generated (per round) plus every coded share it
 /// received (per sender and round), so it can serve aggregation requests
-/// that mix rounds.
+/// that mix rounds. Mask generation draws from the entropy stream
+/// injected at construction; message handling never does.
 #[derive(Debug, Clone)]
 pub struct AsyncClient<F> {
     id: usize,
@@ -93,6 +90,12 @@ pub struct AsyncClient<F> {
     /// in lockstep across a cohort when seats are permuted without a
     /// fresh exchange ([`crate::ratchet::reseat_epoch`]).
     pad_epoch: u64,
+    entropy: StdRng,
+    outbox: VecDeque<Outgoing<F>>,
+    /// The client half of the stable-cohort handshake. Its base is a
+    /// *round number*: that round's fully-exchanged state stays
+    /// resident here.
+    ratchet: ClientRatchet<u64>,
 }
 
 /// A coded share as sent to one peer in one round, with the edge secret
@@ -111,12 +114,12 @@ struct SentShare<F> {
 }
 
 impl<F: Field> AsyncClient<F> {
-    /// Create the client for user `id`.
+    /// Create the client for user `id` with its own entropy stream.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn new(id: usize, cfg: LsaConfig) -> Result<Self, ProtocolError> {
+    pub fn new(id: usize, cfg: LsaConfig, entropy: StdRng) -> Result<Self, ProtocolError> {
         if id >= cfg.n() {
             return Err(ProtocolError::InvalidConfig(format!(
                 "client id {id} out of range for N={}",
@@ -132,6 +135,9 @@ impl<F: Field> AsyncClient<F> {
             received: BTreeMap::new(),
             sent: BTreeMap::new(),
             pad_epoch: 0,
+            entropy,
+            outbox: VecDeque::new(),
+            ratchet: ClientRatchet::new(id, 0, cfg.ratchet().topology()),
         })
     }
 
@@ -151,22 +157,20 @@ impl<F: Field> AsyncClient<F> {
         self.id
     }
 
-    /// Offline phase for round `round`: sample `z_i^{(round)}`, encode,
-    /// and return the shares for the other users. The own share is stored
-    /// internally.
+    /// Local action: the offline phase for `round` — sample
+    /// `z_i^{(round)}` from the client's entropy stream, encode, and
+    /// queue the coded shares for every other user. The own share is
+    /// stored internally.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::DuplicateMessage`] if the round's mask was
     /// already generated.
-    pub fn generate_round_mask<R: Rng + ?Sized>(
-        &mut self,
-        round: u64,
-        rng: &mut R,
-    ) -> Result<Vec<TimestampedShare<F>>, ProtocolError> {
+    pub fn generate_round_mask(&mut self, round: u64) -> Result<(), ProtocolError> {
         if self.masks.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
+        let rng = &mut self.entropy;
         let mask = lsa_field::ops::random_vector(self.cfg.padded_len(), rng);
         let mut segments = vandermonde::partition(&mask, self.cfg.data_segments())?;
         for _ in 0..self.cfg.t() {
@@ -176,82 +180,42 @@ impl<F: Field> AsyncClient<F> {
         self.masks.insert(round, mask);
         self.received
             .insert((self.id, round), coded[self.id].as_slice().into());
-        let shares = (0..self.cfg.n())
-            .filter(|&j| j != self.id)
-            .map(|j| TimestampedShare {
-                from: self.id,
-                to: j,
-                group: 0,
-                round,
-                payload: coded[j].clone(),
-            })
-            .collect();
-        // the encoder's own segments move into the retained table
+        // a copy of each segment goes out, the encoder's own moves into
+        // the retained table
         for (j, share) in coded.into_iter().enumerate() {
             if j != self.id {
+                let out = TimestampedShare {
+                    from: self.id,
+                    to: j,
+                    group: 0,
+                    round,
+                    payload: share.clone(),
+                };
+                self.outbox
+                    .push_back((Recipient::Client(j), Envelope::TimestampedShare(out)));
                 self.sent
                     .insert((j, round), SentShare { share, edge: None });
             }
         }
-        Ok(shares)
-    }
-
-    /// Accept a timestamped coded share from a peer.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`crate::Client::receive_share`].
-    pub fn receive_share(&mut self, share: TimestampedShare<F>) -> Result<(), ProtocolError> {
-        if share.group != 0 {
-            return Err(ProtocolError::WrongGroup {
-                got: share.group,
-                expected: 0,
-            });
-        }
-        if share.to != self.id {
-            return Err(ProtocolError::MisroutedShare {
-                expected: self.id,
-                got: share.to,
-            });
-        }
-        if share.from >= self.cfg.n() {
-            return Err(ProtocolError::UnknownUser(share.from));
-        }
-        if share.payload.len() != self.cfg.segment_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.segment_len(),
-                    got: share.payload.len(),
-                },
-            ));
-        }
-        let key = (share.from, share.round);
-        if self.received.contains_key(&key) {
-            return Err(ProtocolError::DuplicateMessage(share.from));
-        }
-        self.received.insert(key, share.payload.into());
         Ok(())
     }
 
-    /// Mask a quantized local update computed from base round `round`.
+    /// Local action: mask a quantized local update computed from base
+    /// round `round` and queue the upload.
     ///
     /// **Privacy invariant**: each round's mask must protect at most one
     /// uploaded update — masking two *different* updates with the same
     /// `z_i^{(round)}` would let the server learn their difference.
     /// Generate a fresh round mask (with a fresh round id) per upload;
-    /// the type does not consume the mask because legitimate retries of
-    /// the *same* payload are safe.
+    /// the mask is not consumed because legitimate retries of the
+    /// *same* payload are safe.
     ///
     /// # Errors
     ///
     /// * [`ProtocolError::MissingShares`] if no mask was generated for the
     ///   round;
     /// * [`ProtocolError::Coding`] on length mismatch.
-    pub fn mask_update(
-        &self,
-        round: u64,
-        update: &[F],
-    ) -> Result<TimestampedUpdate<F>, ProtocolError> {
+    pub fn upload_update(&mut self, round: u64, update: &[F]) -> Result<(), ProtocolError> {
         if update.len() != self.cfg.d() {
             return Err(ProtocolError::Coding(
                 lsa_coding::CodingError::LengthMismatch {
@@ -264,12 +228,27 @@ impl<F: Field> AsyncClient<F> {
             .masks
             .get(&round)
             .ok_or(ProtocolError::MissingShares { from: self.id })?;
-        Ok(TimestampedUpdate {
+        let upload = TimestampedUpdate {
             from: self.id,
             group: 0,
             round,
-            payload: crate::client::add_padded(update, mask),
-        })
+            payload: add_padded(update, mask),
+        };
+        self.outbox
+            .push_back((Recipient::Server, Envelope::TimestampedUpdate(upload)));
+        Ok(())
+    }
+
+    /// File a timestamped coded share from a peer (its group was checked
+    /// by [`Session::handle`]).
+    fn receive_share(&mut self, share: TimestampedShare<F>) -> Result<(), ProtocolError> {
+        check_share(&share, self.id, &self.cfg)?;
+        let key = (share.from, share.round);
+        if self.received.contains_key(&key) {
+            return Err(ProtocolError::DuplicateMessage(share.from));
+        }
+        self.received.insert(key, share.payload.into());
+        Ok(())
     }
 
     /// Serve the server's aggregation request for the flush announced at
@@ -277,12 +256,7 @@ impl<F: Field> AsyncClient<F> {
     /// `Σ_entries weight · [~z_who^{(round)}]_id` (Appendix F.3.3). The
     /// response is stamped with `announced_round` so the server can
     /// reject answers to an earlier flush.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::MissingShares`] if a requested share was
-    /// never received.
-    pub fn aggregated_share_for(
+    fn aggregated_share_for(
         &self,
         announced_round: u64,
         entries: &[BufferEntry],
@@ -308,11 +282,17 @@ impl<F: Field> AsyncClient<F> {
     }
 
     /// Drop masks and shares for rounds `< keep_from` (bounded staleness
-    /// means they can never be requested again).
+    /// means they can never be requested again). A retained ratchet base
+    /// round stays resident regardless — it must outlive every round
+    /// derived from it — while the ratcheted rounds between it and
+    /// `keep_from` go, so a long stable stretch stays `O(1)` rounds of
+    /// state.
     pub fn discard_before(&mut self, keep_from: u64) {
-        self.masks.retain(|&r, _| r >= keep_from);
-        self.received.retain(|&(_, r), _| r >= keep_from);
-        self.sent.retain(|&(_, r), _| r >= keep_from);
+        let base = self.ratchet.base().copied();
+        let live = |r: u64| r >= keep_from || Some(r) == base;
+        self.masks.retain(|&r, _| live(r));
+        self.received.retain(|&(_, r), _| live(r));
+        self.sent.retain(|&(_, r), _| live(r));
     }
 
     /// Number of stored (sender, round) coded shares.
@@ -320,15 +300,10 @@ impl<F: Field> AsyncClient<F> {
         self.received.len()
     }
 
-    /// The most recent round a mask exists for, if any.
-    pub fn latest_mask_round(&self) -> Option<u64> {
-        self.masks.keys().next_back().copied()
-    }
-
     /// Drop exactly one round's mask and share state — rollback of a
     /// half-built ratcheted round before falling back to a full
     /// exchange (which regenerates the round from scratch).
-    pub fn forget_round(&mut self, round: u64) {
+    fn forget_round(&mut self, round: u64) {
         self.masks.remove(&round);
         self.received.retain(|&(_, r), _| r != round);
         self.sent.retain(|&(_, r), _| r != round);
@@ -342,9 +317,7 @@ impl<F: Field> AsyncClient<F> {
     /// not copied — so aggregation requests naming `(who, round)`
     /// resolve to the base shares (re-filing covers *every* peer
     /// regardless of topology — recovery still needs the full share
-    /// set). No share traffic is produced. State
-    /// from earlier *ratcheted* rounds (between the base and `round`)
-    /// is dropped — only the base must stay resident.
+    /// set). No share traffic is produced.
     ///
     /// # Errors
     ///
@@ -352,12 +325,12 @@ impl<F: Field> AsyncClient<F> {
     ///   mask;
     /// * [`ProtocolError::RatchetMismatch`] if the base round's mask or
     ///   any edge peer's base share material is missing.
-    pub fn ratchet_round_mask(
+    fn ratchet_round_mask(
         &mut self,
         round: u64,
         base_round: u64,
         nonce: u64,
-        topology: crate::ratchet::PadTopology,
+        topology: PadTopology,
     ) -> Result<(), ProtocolError> {
         if self.masks.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
@@ -391,16 +364,66 @@ impl<F: Field> AsyncClient<F> {
         Ok(())
     }
 
-    /// As [`Self::discard_before`], but additionally keeping exactly
-    /// round `keep` resident — the ratchet base round, which must
-    /// outlive every round derived from it. Intermediate ratcheted
-    /// rounds between the base and `keep_from` are evicted, so a long
-    /// stable stretch stays `O(1)` rounds of state.
-    pub fn discard_before_keeping(&mut self, keep_from: u64, keep: u64) {
-        self.masks.retain(|&r, _| r >= keep_from || r == keep);
-        self.received
-            .retain(|&(_, r), _| r >= keep_from || r == keep);
-        self.sent.retain(|&(_, r), _| r >= keep_from || r == keep);
+    /// Run a handshake step on the ratchet half while its derive step
+    /// ([`Self::ratchet_round_mask`]) writes the rest of the client: the
+    /// ratchet is held apart for the step.
+    fn with_ratchet<R>(&mut self, step: impl FnOnce(&mut ClientRatchet<u64>, &mut Self) -> R) -> R {
+        let idle = ClientRatchet::new(self.id, 0, PadTopology::Clique);
+        let mut ratchet = std::mem::replace(&mut self.ratchet, idle);
+        let out = step(&mut ratchet, self);
+        self.ratchet = ratchet;
+        out
+    }
+}
+
+impl<F: Field> Session<F> for AsyncClient<F> {
+    fn local_addr(&self) -> Recipient {
+        Recipient::Client(self.id)
+    }
+
+    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        // the buffered variant runs flat: anything stamped for another
+        // group is cross-group traffic
+        if envelope.group() != 0 {
+            return Err(ProtocolError::WrongGroup {
+                got: envelope.group(),
+                expected: 0,
+            });
+        }
+        match envelope {
+            Envelope::TimestampedShare(share) => {
+                self.receive_share(share)?;
+                Ok(Vec::new())
+            }
+            Envelope::BufferAnnouncement(ann) => {
+                let share = self.aggregated_share_for(ann.round, &ann.entries)?;
+                Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
+            }
+            // a server commit: the shared handshake state derives the
+            // round's mask from the retained base round and acks
+            commit if ratchet::is_handshake(&commit) => {
+                let round = commit.round();
+                // a commit for an already-masked round is a replay, not
+                // a fresh ratchet
+                if let Some(&current) = self.masks.keys().next_back().filter(|&&r| round <= r) {
+                    return Err(ProtocolError::StaleRound {
+                        got: round,
+                        current,
+                    });
+                }
+                let ((), ack) = self.with_ratchet(|ratchet, client| {
+                    ratchet.accept(&commit, |&mut base, nonce, topology| {
+                        client.ratchet_round_mask(round, base, nonce, topology)
+                    })
+                })?;
+                Ok(vec![ack])
+            }
+            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
+        }
+    }
+
+    fn poll_output(&mut self) -> Option<Outgoing<F>> {
+        self.outbox.pop_front()
     }
 }
 
@@ -426,7 +449,12 @@ impl<F: Field> WeightedAggregate<F> {
     }
 }
 
-/// Server side of asynchronous LightSecAgg with a FedBuff-style buffer.
+/// Server endpoint of asynchronous LightSecAgg, with a FedBuff-style
+/// buffer.
+///
+/// The global round clock advances only through
+/// [`AsyncServer::advance_to`]; staleness-weight randomness comes from
+/// the entropy stream injected at construction.
 #[derive(Debug, Clone)]
 pub struct AsyncServer<F> {
     cfg: LsaConfig,
@@ -437,11 +465,17 @@ pub struct AsyncServer<F> {
     shares: Vec<(usize, Vec<F>)>,
     /// `(flush round, entries)` once announced.
     announced: Option<(u64, Vec<BufferEntry>)>,
+    entropy: StdRng,
+    now: u64,
+    outbox: VecDeque<Outgoing<F>>,
+    /// The server half of the stable-cohort handshake: the commit in
+    /// flight and its queued announcements.
+    ratchet: ServerRatchet<F>,
 }
 
 impl<F: Field> AsyncServer<F> {
-    /// Create a server with buffer size `K` and a staleness-weighting
-    /// strategy.
+    /// Create a server with buffer size `K`, a staleness-weighting
+    /// strategy and its own entropy stream.
     ///
     /// # Errors
     ///
@@ -450,6 +484,7 @@ impl<F: Field> AsyncServer<F> {
         cfg: LsaConfig,
         buffer_size: usize,
         staleness: QuantizedStaleness,
+        entropy: StdRng,
     ) -> Result<Self, ProtocolError> {
         if buffer_size == 0 {
             return Err(ProtocolError::InvalidConfig(
@@ -465,42 +500,38 @@ impl<F: Field> AsyncServer<F> {
             buffer: Vec::new(),
             shares: Vec::new(),
             announced: None,
+            entropy,
+            now: 0,
+            outbox: VecDeque::new(),
+            ratchet: ServerRatchet::new(0),
         })
     }
 
-    /// Accept a masked update at global round `now`; the staleness weight
-    /// `s_{c_g}(now − update.round)` is drawn immediately. Returns `true`
-    /// when the buffer is full.
-    ///
-    /// # Errors
-    ///
-    /// * [`ProtocolError::WrongPhase`] if the buffer is already full;
-    /// * [`ProtocolError::Coding`] / [`ProtocolError::UnknownUser`] on
-    ///   malformed input;
-    /// * [`ProtocolError::StaleUpdate`] if `update.round > now`.
-    pub fn receive_update<R: Rng + ?Sized>(
-        &mut self,
-        update: TimestampedUpdate<F>,
-        now: u64,
-        rng: &mut R,
-    ) -> Result<bool, ProtocolError> {
-        if self.announced.is_some() || self.buffer.len() >= self.buffer_size {
+    /// The current global round.
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Local action: advance the global round clock (never backwards).
+    pub fn advance_to(&mut self, round: u64) {
+        self.now = self.now.max(round);
+    }
+
+    /// Buffer a masked update; the staleness weight
+    /// `s_{c_g}(now − update.round)` is drawn immediately. Checked after
+    /// its group ([`Session::handle`]): phase, then round, then sender.
+    fn receive_update(&mut self, update: TimestampedUpdate<F>) -> Result<(), ProtocolError> {
+        if self.announced.is_some() || self.buffer_full() {
             return Err(ProtocolError::WrongPhase);
         }
-        if update.group != 0 {
-            return Err(ProtocolError::WrongGroup {
-                got: update.group,
-                expected: 0,
+        if update.round > self.now {
+            return Err(ProtocolError::StaleUpdate {
+                round: update.round,
+                now: self.now,
             });
         }
         if update.from >= self.cfg.n() {
             return Err(ProtocolError::UnknownUser(update.from));
-        }
-        if update.round > now {
-            return Err(ProtocolError::StaleUpdate {
-                round: update.round,
-                now,
-            });
         }
         if update.payload.len() != self.cfg.padded_len() {
             return Err(ProtocolError::Coding(
@@ -510,17 +541,22 @@ impl<F: Field> AsyncServer<F> {
                 },
             ));
         }
-        let tau = now - update.round;
-        let weight = self.staleness.integer_weight(tau, rng);
-        self.buffer.push((
-            BufferEntry {
-                who: update.from,
-                round: update.round,
-                weight,
-            },
-            update.payload,
-        ));
-        Ok(self.buffer.len() >= self.buffer_size)
+        // one contribution per client and base round: a redelivered
+        // upload would otherwise be summed (and weighted) twice
+        let key = (update.from, update.round);
+        if self.buffer.iter().any(|(e, _)| (e.who, e.round) == key) {
+            return Err(ProtocolError::DuplicateMessage(update.from));
+        }
+        let weight = self
+            .staleness
+            .integer_weight(self.now - update.round, &mut self.entropy);
+        let entry = BufferEntry {
+            who: update.from,
+            round: update.round,
+            weight,
+        };
+        self.buffer.push((entry, update.payload));
+        Ok(())
     }
 
     /// Whether the buffer has reached capacity.
@@ -533,21 +569,22 @@ impl<F: Field> AsyncServer<F> {
         self.buffer.len()
     }
 
-    /// Fix and announce the buffer contents (entries with weights) at
-    /// flush round `round`, so users can compute weighted aggregated
-    /// shares.
+    /// Local action: fix the (full) buffer and queue a
+    /// [`BufferAnnouncement`] (stamped with the current round) to every
+    /// user, so users can compute weighted aggregated shares.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::WrongPhase`] until the buffer is full.
-    pub fn announce(&mut self, round: u64) -> Result<Vec<BufferEntry>, ProtocolError> {
+    pub fn announce(&mut self) -> Result<(), ProtocolError> {
         if !self.buffer_full() {
             return Err(ProtocolError::WrongPhase);
         }
-        self.announce_partial(round)
+        self.announce_partial()
     }
 
-    /// Announce whatever the buffer currently holds, even if not full.
+    /// Local action: announce whatever the buffer currently holds, even
+    /// if not full.
     ///
     /// §4.2 of the paper notes the aggregated group size "does not need
     /// to be fixed in all rounds" — this supports deadline-triggered
@@ -558,27 +595,31 @@ impl<F: Field> AsyncServer<F> {
     ///
     /// Returns [`ProtocolError::WrongPhase`] if the buffer is empty or a
     /// round is already announced.
-    pub fn announce_partial(&mut self, round: u64) -> Result<Vec<BufferEntry>, ProtocolError> {
+    pub fn announce_partial(&mut self) -> Result<(), ProtocolError> {
         if self.buffer.is_empty() || self.announced.is_some() {
             return Err(ProtocolError::WrongPhase);
         }
         let entries: Vec<BufferEntry> = self.buffer.iter().map(|(e, _)| *e).collect();
-        self.announced = Some((round, entries.clone()));
-        Ok(entries)
+        for id in 0..self.cfg.n() {
+            let announcement = BufferAnnouncement {
+                group: 0,
+                round: self.now,
+                entries: entries.clone(),
+            };
+            self.outbox.push_back((
+                Recipient::Client(id),
+                Envelope::BufferAnnouncement(announcement),
+            ));
+        }
+        self.announced = Some((self.now, entries));
+        Ok(())
     }
 
-    /// Accept a weighted aggregated share from any user; returns `true`
-    /// once `U` shares arrived.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`crate::ServerRound::receive_aggregated_share`]; a share
-    /// answering a different flush round is rejected with
-    /// [`ProtocolError::StaleRound`].
-    pub fn receive_aggregated_share(
-        &mut self,
-        msg: AggregatedShare<F>,
-    ) -> Result<bool, ProtocolError> {
+    /// Accept a weighted aggregated share from any user. Checked after
+    /// its group ([`Session::handle`]): phase, then the flush round
+    /// (a share answering another flush is
+    /// [`ProtocolError::StaleRound`]), then sender.
+    fn receive_aggregated_share(&mut self, msg: AggregatedShare<F>) -> Result<(), ProtocolError> {
         let Some((round, _)) = &self.announced else {
             return Err(ProtocolError::WrongPhase);
         };
@@ -586,12 +627,6 @@ impl<F: Field> AsyncServer<F> {
             return Err(ProtocolError::StaleRound {
                 got: msg.round,
                 current: *round,
-            });
-        }
-        if msg.group != 0 {
-            return Err(ProtocolError::WrongGroup {
-                got: msg.group,
-                expected: 0,
             });
         }
         if msg.from >= self.cfg.n() {
@@ -609,24 +644,17 @@ impl<F: Field> AsyncServer<F> {
             return Err(ProtocolError::DuplicateMessage(msg.from));
         }
         self.shares.push((msg.from, msg.payload));
-        Ok(self.shares.len() >= self.cfg.u())
+        Ok(())
     }
 
-    /// Abandon the flush in progress — buffered updates, announcement
-    /// and aggregated shares — leaving an empty buffer that accepts
-    /// uploads again.
-    pub(crate) fn abandon_flush(&mut self) {
-        self.buffer.clear();
-        self.shares.clear();
-        self.announced = None;
-    }
-
-    /// Recover the weighted aggregate `Σ w_i Δ̄_i` by one-shot decoding of
-    /// `Σ w_i z_i^{(t_i)}` and clear the buffer for the next round.
+    /// Local action: recover the weighted aggregate `Σ w_i Δ̄_i` by
+    /// one-shot decoding of `Σ w_i z_i^{(t_i)}` once `U` aggregated
+    /// shares have arrived, and clear the buffer for the next round.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::WrongPhase`] before `U` shares arrive.
+    /// [`ProtocolError::WrongPhase`] before an announcement,
+    /// [`ProtocolError::NotEnoughSurvivors`] before `U` shares arrive.
     pub fn recover(&mut self) -> Result<WeightedAggregate<F>, ProtocolError> {
         let Some((_, entries)) = self.announced.clone() else {
             return Err(ProtocolError::WrongPhase);
@@ -668,6 +696,117 @@ impl<F: Field> AsyncServer<F> {
     }
 }
 
+impl<F: Field> Session<F> for AsyncServer<F> {
+    fn local_addr(&self) -> Recipient {
+        Recipient::Server
+    }
+
+    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        // group, then round, then sender, like every other endpoint:
+        // the buffered variant runs flat, so the group comes first
+        if envelope.group() != 0 {
+            return Err(ProtocolError::WrongGroup {
+                got: envelope.group(),
+                expected: 0,
+            });
+        }
+        match envelope {
+            Envelope::TimestampedUpdate(update) => self.receive_update(update)?,
+            Envelope::AggregatedShare(share) => self.receive_aggregated_share(share)?,
+            ack if ratchet::is_handshake(&ack) => self.ratchet.handle(&ack)?,
+            other => return Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
+        }
+        Ok(Vec::new())
+    }
+
+    fn poll_output(&mut self) -> Option<Outgoing<F>> {
+        self.ratchet
+            .poll_output()
+            .or_else(|| self.outbox.pop_front())
+    }
+}
+
+/// The §4.2 hooks of the leaf round driver
+/// ([`crate::federation::LeafFederation`]).
+impl<F: Field> LeafVariant<F> for BufferedVariant {
+    type Client = AsyncClient<F>;
+    type Server = AsyncServer<F>;
+    /// The base *round*: its state stays resident in the client.
+    type Base = u64;
+
+    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<u64> {
+        &mut client.ratchet
+    }
+
+    fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F> {
+        &mut server.ratchet
+    }
+
+    fn join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
+        client.generate_round_mask(round)
+    }
+
+    fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
+        client.with_ratchet(|ratchet, client| {
+            ratchet.join(round, |&mut base, nonce, topology| {
+                client.ratchet_round_mask(round, base, nonce, topology)
+            })
+        })
+    }
+
+    fn upload(client: &mut Self::Client, round: u64, update: &[F]) -> Result<(), ProtocolError> {
+        client.upload_update(round, update)
+    }
+
+    fn retire(client: &mut Self::Client, round: u64) {
+        // bounded memory: masks for finished rounds can never be
+        // requested again (a retained base round is kept alive by the
+        // clamp in `discard_before`)
+        client.discard_before(round);
+    }
+
+    fn discard(client: &mut Self::Client, round: u64) {
+        client.forget_round(round);
+    }
+
+    fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64) {
+        client.ratchet.harvest(round, fingerprint);
+    }
+
+    fn open(server: &mut Self::Server, round: u64) -> Result<(), ProtocolError> {
+        server.advance_to(round);
+        Ok(())
+    }
+
+    fn close_upload(server: &mut Self::Server) -> Result<(), ProtocolError> {
+        // fix whatever the buffer holds (§4.2: the group size need not
+        // be fixed across rounds)
+        server.announce_partial()
+    }
+
+    fn close(server: &mut Self::Server, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
+        let recovered = server.recover()?;
+        let mut contributors: Vec<usize> = recovered.entries.iter().map(|e| e.who).collect();
+        contributors.sort_unstable();
+        contributors.dedup();
+        Ok(RoundOutcome {
+            round,
+            aggregate: recovered.aggregate,
+            contributors,
+            total_weight: recovered.total_weight,
+        })
+    }
+
+    fn abort(server: &mut Self::Server) {
+        // the server is persistent: left alone, the dead round's buffer
+        // and announcement would refuse every later upload
+        server.buffer.clear();
+        server.shares.clear();
+        server.announced = None;
+        server.outbox.clear();
+    }
+}
+
 /// One buffered contribution fed to [`run_buffered_flush`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlushInput<F> {
@@ -680,18 +819,17 @@ pub struct FlushInput<F> {
 }
 
 /// Thin driver: run one buffered-asynchronous flush over an explicit
-/// [`Transport`], pumping [`AsyncClientSession`]s and an
-/// [`AsyncServerSession`].
+/// [`Transport`], pumping fresh [`AsyncClient`]s and an [`AsyncServer`].
 ///
 /// Phase boundaries are flushed under the labels `"mask-exchange"`,
 /// `"buffered-upload"`, `"buffer-announce"` and `"async-recovery"`. The
-/// global round is `max` of the input rounds; each session's entropy
-/// stream is derived from `rng` at construction, after which message
-/// handling is deterministic.
+/// global round is `max` of the input rounds; each endpoint's entropy
+/// stream is derived from `rng` at construction (the clients', then
+/// the server's), after which message handling is deterministic.
 ///
 /// # Errors
 ///
-/// Propagates any protocol error from the sessions.
+/// Propagates any protocol error from the endpoints.
 pub fn run_buffered_flush<F: Field, R: Rng + ?Sized, T: Transport<F>>(
     cfg: LsaConfig,
     inputs: &[FlushInput<F>],
@@ -708,15 +846,11 @@ pub fn run_buffered_flush<F: Field, R: Rng + ?Sized, T: Transport<F>>(
     }
     let now = inputs.iter().map(|i| i.round).max().expect("non-empty");
 
-    let mut clients: Vec<AsyncClientSession<F>> = (0..n)
-        .map(|id| AsyncClientSession::from_rng(id, cfg, rng))
+    let mut clients: Vec<AsyncClient<F>> = (0..n)
+        .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(rng.gen())))
         .collect::<Result<_, _>>()?;
-    let mut server = AsyncServerSession::new(
-        cfg,
-        inputs.len(),
-        staleness,
-        rand::rngs::StdRng::seed_from_u64(rng.gen()),
-    )?;
+    let entropy = StdRng::seed_from_u64(rng.gen());
+    let mut server = AsyncServer::new(cfg, inputs.len(), staleness, entropy)?;
     server.advance_to(now);
 
     // Offline: each contributing slot generates its round mask and the
@@ -755,8 +889,6 @@ mod tests {
     use super::*;
     use lsa_field::Fp61;
     use lsa_quantize::StalenessFn;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn cfg() -> LsaConfig {
         LsaConfig::new(4, 1, 3, 6).unwrap()
@@ -766,10 +898,69 @@ mod tests {
         QuantizedStaleness::new(StalenessFn::Constant, 1)
     }
 
+    fn server(buffer_size: usize, seed: u64) -> AsyncServer<Fp61> {
+        AsyncServer::new(cfg(), buffer_size, staleness(), StdRng::seed_from_u64(seed)).unwrap()
+    }
+
+    /// `cfg.n()` clients after the full offline exchange of every round
+    /// in `rounds`.
+    fn exchanged<F: Field>(
+        cfg: LsaConfig,
+        rounds: std::ops::Range<u64>,
+        seed: u64,
+    ) -> Vec<AsyncClient<F>> {
+        let mut clients: Vec<AsyncClient<F>> = (0..cfg.n())
+            .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(seed + id as u64)).unwrap())
+            .collect();
+        for round in rounds {
+            let mut pending = Vec::new();
+            for c in clients.iter_mut() {
+                c.generate_round_mask(round).unwrap();
+                pending.extend(std::iter::from_fn(|| c.poll_output()));
+            }
+            for (to, share) in pending {
+                let Recipient::Client(j) = to else {
+                    unreachable!()
+                };
+                clients[j].handle(share).unwrap();
+            }
+        }
+        clients
+    }
+
+    /// Client `c`'s upload of `update` under base round `round`.
+    fn upload(c: &mut AsyncClient<Fp61>, round: u64, update: &[Fp61]) -> Envelope<Fp61> {
+        c.upload_update(round, update).unwrap();
+        c.poll_output().unwrap().1
+    }
+
+    /// Deliver the server's queued announcements to the `answering`
+    /// clients and their aggregated shares back.
+    fn serve(
+        server: &mut AsyncServer<Fp61>,
+        clients: &mut [AsyncClient<Fp61>],
+        answering: &[usize],
+    ) {
+        while let Some((to, announcement)) = server.poll_output() {
+            let Recipient::Client(j) = to else {
+                unreachable!()
+            };
+            if answering.contains(&j) {
+                for (_, reply) in clients[j].handle(announcement).unwrap() {
+                    server.handle(reply).unwrap();
+                }
+            }
+        }
+    }
+
+    fn announced(server: &AsyncServer<Fp61>) -> &[BufferEntry] {
+        &server.announced.as_ref().expect("announced").1
+    }
+
     #[test]
     fn update_from_future_rejected() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut server = AsyncServer::<Fp61>::new(cfg(), 2, staleness()).unwrap();
+        let mut server = server(2, 1);
+        server.advance_to(3);
         let upd = TimestampedUpdate {
             from: 0,
             group: 0,
@@ -777,32 +968,29 @@ mod tests {
             payload: vec![Fp61::ZERO; cfg().padded_len()],
         };
         assert!(matches!(
-            server.receive_update(upd, 3, &mut rng),
+            server.handle(Envelope::TimestampedUpdate(upd)),
             Err(ProtocolError::StaleUpdate { round: 5, now: 3 })
         ));
     }
 
     #[test]
     fn buffer_fills_and_announces() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut server = AsyncServer::<Fp61>::new(cfg(), 2, staleness()).unwrap();
-        assert!(matches!(server.announce(1), Err(ProtocolError::WrongPhase)));
+        let mut server = server(2, 2);
+        server.advance_to(1);
+        assert!(matches!(server.announce(), Err(ProtocolError::WrongPhase)));
         for (id, round) in [(0usize, 0u64), (1, 1)] {
-            let full = server
-                .receive_update(
-                    TimestampedUpdate {
-                        from: id,
-                        group: 0,
-                        round,
-                        payload: vec![Fp61::ZERO; cfg().padded_len()],
-                    },
-                    1,
-                    &mut rng,
-                )
+            server
+                .handle(Envelope::TimestampedUpdate(TimestampedUpdate {
+                    from: id,
+                    group: 0,
+                    round,
+                    payload: vec![Fp61::ZERO; cfg().padded_len()],
+                }))
                 .unwrap();
-            assert_eq!(full, id == 1);
+            assert_eq!(server.buffer_full(), id == 1);
         }
-        let entries = server.announce(1).unwrap();
+        server.announce().unwrap();
+        let entries = announced(&server);
         assert_eq!(entries.len(), 2);
         // constant staleness with c_g = 1 gives weight 1
         assert!(entries.iter().all(|e| e.weight == 1));
@@ -810,17 +998,16 @@ mod tests {
 
     #[test]
     fn client_discard_before_prunes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut c = AsyncClient::<Fp61>::new(0, cfg()).unwrap();
-        c.generate_round_mask(0, &mut rng).unwrap();
-        c.generate_round_mask(1, &mut rng).unwrap();
-        c.generate_round_mask(2, &mut rng).unwrap();
+        let mut c = AsyncClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(3)).unwrap();
+        c.generate_round_mask(0).unwrap();
+        c.generate_round_mask(1).unwrap();
+        c.generate_round_mask(2).unwrap();
         assert_eq!(c.shares_stored(), 3);
         c.discard_before(2);
         assert_eq!(c.shares_stored(), 1);
         // masking with a pruned round now fails
-        assert!(c.mask_update(0, &[Fp61::ZERO; 6]).is_err());
-        assert!(c.mask_update(2, &[Fp61::ZERO; 6]).is_ok());
+        assert!(c.upload_update(0, &[Fp61::ZERO; 6]).is_err());
+        assert!(c.upload_update(2, &[Fp61::ZERO; 6]).is_ok());
     }
 
     #[test]
@@ -829,18 +1016,8 @@ mod tests {
         // the pairwise pads must cancel over the cohort (Σ z_i^1 == Σ z_i^0)
         // and the base shares must be re-filed so aggregation requests
         // naming round 1 resolve without any new share traffic.
-        let mut rng = StdRng::seed_from_u64(17);
         let cfg = cfg();
-        let mut clients: Vec<AsyncClient<Fp61>> = (0..4)
-            .map(|id| AsyncClient::new(id, cfg).unwrap())
-            .collect();
-        let mut pending = Vec::new();
-        for c in clients.iter_mut() {
-            pending.extend(c.generate_round_mask(0, &mut rng).unwrap());
-        }
-        for s in pending {
-            clients[s.to].receive_share(s).unwrap();
-        }
+        let mut clients = exchanged::<Fp61>(cfg, 0..1, 17);
         let base_sum: Vec<Fp61> = {
             let mut acc = vec![Fp61::ZERO; cfg.padded_len()];
             for c in &clients {
@@ -849,10 +1026,11 @@ mod tests {
             acc
         };
         for c in clients.iter_mut() {
-            c.ratchet_round_mask(1, 0, 0xfeed, crate::ratchet::PadTopology::Clique)
+            c.ratchet_round_mask(1, 0, 0xfeed, PadTopology::Clique)
                 .unwrap();
             // shares re-filed under the new round, none sent
             assert_eq!(c.shares_stored(), 8);
+            assert!(c.poll_output().is_none());
         }
         let mut ratchet_sum = vec![Fp61::ZERO; cfg.padded_len()];
         for c in &clients {
@@ -863,23 +1041,25 @@ mod tests {
         }
         assert_eq!(ratchet_sum, base_sum);
         // a second ratchet from the same base coexists with round 1
-        // until eviction; discard_before_keeping then retires the
-        // intermediate ratcheted round while pinning the base
+        // until eviction; with round 0 retained as the ratchet base,
+        // discard_before then retires the intermediate ratcheted round
+        // while pinning the base
         for c in clients.iter_mut() {
-            c.ratchet_round_mask(2, 0, 0xbeef, crate::ratchet::PadTopology::Hypercube)
+            c.ratchet_round_mask(2, 0, 0xbeef, PadTopology::Hypercube)
                 .unwrap();
-            c.discard_before_keeping(2, 0);
+            c.ratchet.harvest(0, 0);
+            c.discard_before(2);
             assert!(!c.masks.contains_key(&1));
             assert!(c.masks.contains_key(&0), "base stays resident");
             assert_eq!(c.shares_stored(), 8);
         }
         // duplicate and missing-base cases are typed
         assert!(matches!(
-            clients[0].ratchet_round_mask(2, 0, 1, crate::ratchet::PadTopology::Clique),
+            clients[0].ratchet_round_mask(2, 0, 1, PadTopology::Clique),
             Err(ProtocolError::DuplicateMessage(0))
         ));
         assert!(matches!(
-            clients[0].ratchet_round_mask(5, 3, 1, crate::ratchet::PadTopology::Clique),
+            clients[0].ratchet_round_mask(5, 3, 1, PadTopology::Clique),
             Err(ProtocolError::RatchetMismatch)
         ));
     }
@@ -888,19 +1068,9 @@ mod tests {
     /// ([`crate::ratchet::tests::reference_pair_pad`]), and its re-filing
     /// against the base's own allocations.
     fn ratchet_matches_reference<F: Field>() {
-        use crate::ratchet::{tests::reference_pair_pad, PadTopology};
+        use crate::ratchet::tests::reference_pair_pad;
         let cfg = LsaConfig::new(6, 1, 4, 9).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut clients: Vec<AsyncClient<F>> = (0..6)
-            .map(|id| AsyncClient::new(id, cfg).unwrap())
-            .collect();
-        let mut pending = Vec::new();
-        for c in clients.iter_mut() {
-            pending.extend(c.generate_round_mask(3, &mut rng).unwrap());
-        }
-        for s in pending {
-            clients[s.to].receive_share(s).unwrap();
-        }
+        let mut clients = exchanged::<F>(cfg, 3..4, 23);
         let peers: Vec<usize> = (0..6).collect();
         for c in clients.iter_mut() {
             let mut round = 4;
@@ -946,7 +1116,8 @@ mod tests {
             assert!(c.sent.values().all(|s| s.edge.is_some()));
             // evicting the derived rounds leaves each base share with
             // its one original owner
-            c.discard_before_keeping(round, 3);
+            c.ratchet.harvest(3, 0);
+            c.discard_before(round);
             assert_eq!(c.shares_stored(), 6);
             assert!(c.received.values().all(|s| Arc::strong_count(s) == 1));
             // and dropping the base drops its edge secrets with it
@@ -969,50 +1140,134 @@ mod tests {
     fn partial_flush_aggregates_fewer_than_k() {
         // §4.2: the group size may vary per round — a deadline flush with
         // 1 < K entries still recovers exactly.
-        let mut rng = StdRng::seed_from_u64(9);
         let cfg = cfg();
-        let mut clients: Vec<AsyncClient<Fp61>> = (0..4)
-            .map(|id| AsyncClient::new(id, cfg).unwrap())
-            .collect();
-        let mut pending = Vec::new();
-        for c in clients.iter_mut() {
-            pending.extend(c.generate_round_mask(0, &mut rng).unwrap());
-        }
-        for s in pending {
-            clients[s.to].receive_share(s).unwrap();
-        }
-        let mut server = AsyncServer::<Fp61>::new(cfg, 3, staleness()).unwrap();
+        let mut clients = exchanged::<Fp61>(cfg, 0..1, 9);
+        let mut server = server(3, 9);
         let update = vec![Fp61::from_u64(7); cfg.d()];
-        let masked = clients[0].mask_update(0, &update).unwrap();
-        server.receive_update(masked, 0, &mut rng).unwrap();
+        server.handle(upload(&mut clients[0], 0, &update)).unwrap();
         // only 1 of 3 buffered; flush early
-        assert!(matches!(server.announce(0), Err(ProtocolError::WrongPhase)));
-        let entries = server.announce_partial(0).unwrap();
-        assert_eq!(entries.len(), 1);
-        for client in clients.iter().take(3) {
-            server
-                .receive_aggregated_share(client.aggregated_share_for(0, &entries).unwrap())
-                .unwrap();
-        }
+        assert!(matches!(server.announce(), Err(ProtocolError::WrongPhase)));
+        server.announce_partial().unwrap();
+        assert_eq!(announced(&server).len(), 1);
+        serve(&mut server, &mut clients, &[0, 1, 2]);
         let agg = server.recover().unwrap();
         assert_eq!(agg.aggregate, update);
     }
 
     #[test]
     fn empty_partial_flush_rejected() {
-        let mut server = AsyncServer::<Fp61>::new(cfg(), 3, staleness()).unwrap();
+        let mut server = server(3, 0);
         assert!(matches!(
-            server.announce_partial(0),
+            server.announce_partial(),
             Err(ProtocolError::WrongPhase)
         ));
     }
 
     #[test]
     fn duplicate_round_mask_rejected() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut c = AsyncClient::<Fp61>::new(0, cfg()).unwrap();
-        c.generate_round_mask(0, &mut rng).unwrap();
-        assert!(c.generate_round_mask(0, &mut rng).is_err());
+        let mut c = AsyncClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(4)).unwrap();
+        c.generate_round_mask(0).unwrap();
+        assert!(c.generate_round_mask(0).is_err());
+    }
+
+    #[test]
+    fn redelivered_upload_is_rejected_and_summed_once() {
+        // the same (client, base round) twice is a duplicate that leaves
+        // the buffer as it was; the same client on another base round is
+        // a second §4.2 contribution
+        let cfg = cfg();
+        let mut clients = exchanged::<Fp61>(cfg, 0..2, 41);
+        let mut server = server(4, 42);
+        server.advance_to(1);
+        let ones = vec![Fp61::from_u64(1); cfg.d()];
+        let first = upload(&mut clients[0], 0, &ones);
+        server.handle(first.clone()).unwrap();
+        assert_eq!(
+            server.handle(first).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+        assert_eq!(server.buffered(), 1);
+        let twos = vec![Fp61::from_u64(2); cfg.d()];
+        server.handle(upload(&mut clients[1], 0, &twos)).unwrap();
+        let fours = vec![Fp61::from_u64(4); cfg.d()];
+        server.handle(upload(&mut clients[0], 1, &fours)).unwrap();
+        server.announce_partial().unwrap();
+        serve(&mut server, &mut clients, &[0, 1, 2]);
+        let agg = server.recover().unwrap();
+        assert_eq!(agg.aggregate, vec![Fp61::from_u64(7); cfg.d()]);
+        assert_eq!(agg.total_weight, 3);
+    }
+
+    #[test]
+    fn buffered_envelope_is_checked_group_then_round_then_sender() {
+        // through `Session::handle`: an envelope wrong in every way
+        // reports its group, then its round, and only then its sender —
+        // before and after the announcement
+        let mut s = server(2, 5);
+        s.advance_to(3);
+        let upload = |group, round| {
+            Envelope::TimestampedUpdate(TimestampedUpdate {
+                from: 0,
+                group,
+                round,
+                payload: vec![Fp61::ZERO; cfg().padded_len()],
+            })
+        };
+        s.handle(upload(0, 3)).unwrap();
+        assert_eq!(
+            s.handle(upload(6, 9)).unwrap_err(),
+            ProtocolError::WrongGroup {
+                got: 6,
+                expected: 0
+            }
+        );
+        assert_eq!(
+            s.handle(upload(0, 9)).unwrap_err(),
+            ProtocolError::StaleUpdate { round: 9, now: 3 }
+        );
+        assert_eq!(
+            s.handle(upload(0, 3)).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+        s.announce_partial().unwrap();
+        assert_eq!(
+            s.handle(upload(6, 3)).unwrap_err(),
+            ProtocolError::WrongGroup {
+                got: 6,
+                expected: 0
+            }
+        );
+        let share = |from, group, round| {
+            Envelope::AggregatedShare(AggregatedShare {
+                from,
+                group,
+                round,
+                payload: vec![Fp61::ZERO; cfg().segment_len()],
+            })
+        };
+        assert_eq!(
+            s.handle(share(9, 6, 99)).unwrap_err(),
+            ProtocolError::WrongGroup {
+                got: 6,
+                expected: 0
+            }
+        );
+        assert_eq!(
+            s.handle(share(9, 0, 99)).unwrap_err(),
+            ProtocolError::StaleRound {
+                got: 99,
+                current: 3
+            }
+        );
+        assert_eq!(
+            s.handle(share(9, 0, 3)).unwrap_err(),
+            ProtocolError::UnknownUser(9)
+        );
+        s.handle(share(0, 0, 3)).unwrap();
+        assert_eq!(
+            s.handle(share(0, 0, 3)).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
     }
 
     #[test]

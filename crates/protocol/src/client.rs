@@ -1,9 +1,8 @@
 //! The LightSecAgg client (user) state machine for synchronous FL.
 
 use crate::config::LsaConfig;
-use crate::messages::{AggregatedShare, CodedMaskShare, MaskedModel};
 use crate::session::{Outgoing, Recipient, Session};
-use crate::wire::Envelope;
+use crate::wire::{AggregatedShare, CodedMaskShare, Envelope, MaskedModel};
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_crypto::Seed;
@@ -327,23 +326,7 @@ impl<F: Field> Client<F> {
                 current: self.round,
             });
         }
-        if share.to != self.id {
-            return Err(ProtocolError::MisroutedShare {
-                expected: self.id,
-                got: share.to,
-            });
-        }
-        if share.from >= self.cfg.n() {
-            return Err(ProtocolError::UnknownUser(share.from));
-        }
-        if share.payload.len() != self.cfg.segment_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.segment_len(),
-                    got: share.payload.len(),
-                },
-            ));
-        }
+        check_share(&share, self.id, &self.cfg)?;
         if self.shares.received.contains_key(&share.from) {
             return Err(ProtocolError::DuplicateMessage(share.from));
         }
@@ -500,6 +483,34 @@ impl<F: Field> Session<F> for Client<F> {
         let masked = self.upload.take()?;
         Some((Recipient::Server, Envelope::MaskedModel(masked)))
     }
+}
+
+/// What a coded share must be for client `id` of either variant to file
+/// it: addressed to `id`, from a user of `cfg`, one segment long (group
+/// and round are the endpoint's to check first).
+pub(crate) fn check_share<F>(
+    share: &CodedMaskShare<F>,
+    id: usize,
+    cfg: &LsaConfig,
+) -> Result<(), ProtocolError> {
+    if share.to != id {
+        return Err(ProtocolError::MisroutedShare {
+            expected: id,
+            got: share.to,
+        });
+    }
+    if share.from >= cfg.n() {
+        return Err(ProtocolError::UnknownUser(share.from));
+    }
+    if share.payload.len() != cfg.segment_len() {
+        return Err(ProtocolError::Coding(
+            lsa_coding::CodingError::LengthMismatch {
+                expected: cfg.segment_len(),
+                got: share.payload.len(),
+            },
+        ));
+    }
+    Ok(())
 }
 
 /// `x + z` in one pass, `x` zero-padded to `z`'s length (the masking

@@ -62,11 +62,12 @@
 //! assert_eq!(r2.aggregate, vec![Fp61::from_u64(4); 3]);
 //! ```
 
+use crate::asynchronous::{AsyncClient, AsyncServer};
 use crate::client::Client;
 use crate::config::LsaConfig;
 use crate::ratchet::{self, ClientRatchet, CohortFingerprint, ServerRatchet};
 use crate::server::{ServerPhase, ServerRound};
-use crate::session::{AsyncClientSession, AsyncServerSession, Outgoing, Recipient, Session};
+use crate::session::{Outgoing, Recipient, Session};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
 use crate::wire::Envelope;
@@ -1622,11 +1623,11 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
     }
 }
 
-/// §4.2: persistent [`AsyncClientSession`]s whose round-stamped masks
-/// let the persistent [`AsyncServerSession`] recover a
-/// staleness-weighted aggregate from whatever its buffer holds when the
-/// round closes. Runs flat (group 0) and cannot reseat a retained base.
-/// Its hooks live beside those sessions, in [`crate::session`].
+/// §4.2: persistent [`AsyncClient`]s whose round-stamped masks let the
+/// persistent [`AsyncServer`] recover a staleness-weighted aggregate
+/// from whatever its buffer holds when the round closes. Runs flat
+/// (group 0) and cannot reseat a retained base. Its hooks live beside
+/// those endpoints, in [`crate::asynchronous`].
 #[derive(Debug, Clone, Copy)]
 pub struct BufferedVariant;
 
@@ -1652,10 +1653,10 @@ impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
     ) -> Result<Self, ProtocolError> {
         let mut master = StdRng::seed_from_u64(seed);
         let clients = (0..cfg.n())
-            .map(|id| AsyncClientSession::from_rng(id, cfg, &mut master))
+            .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(master.gen())))
             .collect::<Result<_, _>>()?;
         let server =
-            AsyncServerSession::new(cfg, cfg.n(), staleness, StdRng::seed_from_u64(master.gen()))?;
+            AsyncServer::new(cfg, cfg.n(), staleness, StdRng::seed_from_u64(master.gen()))?;
         let leaf = Self::assemble(0, cfg, transport, clients, server, master.gen());
         Ok(leaf)
     }
@@ -2249,7 +2250,7 @@ mod tests {
         let r1 = b.sessions.get(&1).unwrap();
         assert_eq!(r1.shares_received(), 2, "replayed share must land");
         // far beyond the lookahead window → unroutable
-        let far = Envelope::CodedMaskShare(crate::messages::CodedMaskShare {
+        let far = Envelope::CodedMaskShare(crate::wire::CodedMaskShare {
             from: 0,
             to: 1,
             group: 0,
@@ -2271,7 +2272,7 @@ mod tests {
         let cap = b.pending_cap();
         assert_eq!(cap, 2 * (2 * cfg().n() + 2), "cap is O(LOOKAHEAD · n)");
         let flood = |round: u64| {
-            Envelope::CodedMaskShare(crate::messages::CodedMaskShare {
+            Envelope::CodedMaskShare(crate::wire::CodedMaskShare {
                 from: 0,
                 to: 1,
                 group: 0,

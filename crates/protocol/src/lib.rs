@@ -27,9 +27,10 @@
 //!   [`RatchetPolicy`] — whether, over which pad graph and with what
 //!   commit window a cohort ratchets, carried on [`LsaConfig`];
 //! * [`wire`] — [`wire::Envelope`], the single serializable message type
-//!   unifying every protocol message, with a canonical byte encoding;
-//!   every envelope is **round-scoped** and cross-round replays are
-//!   rejected with [`ProtocolError::StaleRound`];
+//!   unifying every protocol message, and the message structs it
+//!   carries, with a canonical byte encoding; every envelope is
+//!   **round-scoped** and cross-round replays are rejected with
+//!   [`ProtocolError::StaleRound`];
 //! * [`session`] — [`session::Session`], the uniform
 //!   `handle(Envelope) -> Vec<(Recipient, Envelope)>` + `poll_output()`
 //!   interface of every endpoint: pure event-driven state machines,
@@ -41,7 +42,9 @@
 //!   phase timings come from real serialized message sizes);
 //! * [`Client`] / [`ServerRound`] — one round's protocol logic per
 //!   endpoint (§4.1), as typed messages and as [`session::Session`]s;
-//! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F).
+//! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F):
+//!   [`asynchronous::AsyncClient`] / [`asynchronous::AsyncServer`] are
+//!   its persistent endpoints and speak [`session::Session`] themselves.
 //!
 //! Guarantees (Theorem 1): for any `T + D < N`, privacy against any `T`
 //! colluding users (information-theoretic, given the `T`-private MDS
@@ -83,7 +86,6 @@ pub mod asynchronous;
 mod client;
 mod config;
 pub mod federation;
-mod messages;
 pub mod ratchet;
 mod server;
 pub mod session;
@@ -98,7 +100,6 @@ pub use federation::{
     BoxedAggregator, BufferedFederation, Federation, FederationClient, FederationServer,
     RoundOutcome, RoundPlan, SecureAggregator, SyncFederation,
 };
-pub use messages::{AggregatedShare, CodedMaskShare, MaskedModel};
 pub use ratchet::{
     CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetPolicy, RatchetWindowCommit,
     DEFAULT_COMMIT_WINDOW, MAX_COMMIT_WINDOW, RATCHET_FROM_SERVER,
@@ -109,8 +110,8 @@ pub use telemetry::{EventCounters, RoundReport, TrafficMark};
 pub use topology::{GroupTopology, GroupedFederation, TopologyNode};
 pub use transport::{Delivery, MemTransport, PhaseTiming, SimTransport, Transport};
 pub use wire::{
-    peek_group, peek_version, Envelope, EnvelopeKind, SurvivorAnnouncement, WireError,
-    GROUP_VERSION_BIT, MAX_GROUP_ID, WIRE_VERSION,
+    peek_group, peek_version, AggregatedShare, CodedMaskShare, Envelope, EnvelopeKind, MaskedModel,
+    SurvivorAnnouncement, WireError, GROUP_VERSION_BIT, MAX_GROUP_ID, WIRE_VERSION,
 };
 
 use core::fmt;

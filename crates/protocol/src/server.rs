@@ -1,9 +1,8 @@
 //! The LightSecAgg server state machine for synchronous FL.
 
 use crate::config::LsaConfig;
-use crate::messages::{AggregatedShare, MaskedModel};
 use crate::session::{Outgoing, Recipient, Session};
-use crate::wire::{Envelope, SurvivorAnnouncement};
+use crate::wire::{AggregatedShare, Envelope, MaskedModel, SurvivorAnnouncement};
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_field::Field;

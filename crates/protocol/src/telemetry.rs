@@ -419,8 +419,8 @@ mod tests {
     use super::*;
     use crate::session::Recipient;
     use crate::transport::MemTransport;
-    use crate::wire::Envelope;
-    use crate::{messages::MaskedModel, LsaConfig};
+    use crate::wire::{Envelope, MaskedModel};
+    use crate::LsaConfig;
     use lsa_field::{Field, Fp61};
 
     fn phase(

@@ -1280,11 +1280,10 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
 mod tests {
     use super::*;
     use crate::federation::{Federation, FederationClient, RoundPlan};
-    use crate::messages::CodedMaskShare;
     use crate::ratchet::policies;
     use crate::session::Session;
     use crate::transport::MemTransport;
-    use crate::wire::Envelope;
+    use crate::wire::{CodedMaskShare, Envelope};
     use lsa_field::Fp61;
 
     fn topo_2x4(d: usize) -> GroupTopology {

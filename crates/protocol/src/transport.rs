@@ -417,7 +417,7 @@ impl<F: Field> Transport<F> for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::MaskedModel;
+    use crate::wire::MaskedModel;
     use lsa_field::Fp61;
 
     fn env(from: usize, elems: usize) -> Envelope<Fp61> {

@@ -53,9 +53,15 @@
 //! modulus) is rejected with [`WireError::NonCanonicalElement`] rather
 //! than silently reduced, so a corrupted byte can never masquerade as a
 //! valid share.
+//!
+//! The buffered variant's round-stamped share (`0x05`) and update
+//! (`0x06`) have exactly the shape of the synchronous share (`0x01`) and
+//! upload (`0x02`): [`crate::asynchronous::TimestampedShare`] and
+//! [`crate::asynchronous::TimestampedUpdate`] are aliases of
+//! [`CodedMaskShare`] and [`MaskedModel`], and each pair encodes
+//! byte-for-byte alike apart from the tag.
 
-use crate::asynchronous::{BufferEntry, TimestampedShare, TimestampedUpdate};
-use crate::messages::{AggregatedShare, CodedMaskShare, MaskedModel};
+use crate::asynchronous::BufferEntry;
 use crate::ratchet::{PadTopology, RatchetAnnouncement, RatchetWindowCommit};
 use core::fmt;
 use lsa_field::Field;
@@ -240,6 +246,50 @@ impl fmt::Display for EnvelopeKind {
     }
 }
 
+/// Offline phase: user `from` sends the coded mask segment `[~z_from]_to`
+/// to user `to` over a private channel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodedMaskShare<F> {
+    /// Sender (mask owner) index, local to the group.
+    pub from: usize,
+    /// Recipient index, local to the group.
+    pub to: usize,
+    /// Aggregation group (0 in the flat topology).
+    pub group: usize,
+    /// Round the mask was generated for.
+    pub round: u64,
+    /// The coded segment, length `⌈d/(U−T)⌉`.
+    pub payload: Vec<F>,
+}
+
+/// Upload phase: user `from` uploads its masked (padded, quantized) model
+/// `~x_from = x_from + z_from`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MaskedModel<F> {
+    /// Uploading user index, local to the group.
+    pub from: usize,
+    /// Aggregation group (0 in the flat topology).
+    pub group: usize,
+    /// Round the upload belongs to (the base round, for a buffered one).
+    pub round: u64,
+    /// Masked model of padded length.
+    pub payload: Vec<F>,
+}
+
+/// Recovery phase: surviving user `from` uploads its aggregated coded
+/// mask `Σ_{i∈U₁} [~z_i]_from`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AggregatedShare<F> {
+    /// Uploading user index, local to the group.
+    pub from: usize,
+    /// Aggregation group (0 in the flat topology).
+    pub group: usize,
+    /// Round (sync) or buffer-flush round (async) being recovered.
+    pub round: u64,
+    /// Aggregated coded segment, length `⌈d/(U−T)⌉`.
+    pub payload: Vec<F>,
+}
+
 /// The server's announcement of the survivor set `U₁` (Algorithm 1
 /// line 17), sent to each surviving user so it can aggregate the right
 /// coded shares.
@@ -280,9 +330,9 @@ pub enum Envelope<F> {
     /// Aggregated coded mask (both variants).
     AggregatedShare(AggregatedShare<F>),
     /// Round-stamped coded mask share (async).
-    TimestampedShare(TimestampedShare<F>),
+    TimestampedShare(CodedMaskShare<F>),
     /// Round-stamped masked update (async).
-    TimestampedUpdate(TimestampedUpdate<F>),
+    TimestampedUpdate(MaskedModel<F>),
     /// Buffered-entry announcement (async).
     BufferAnnouncement(BufferAnnouncement),
     /// Stable-cohort ratchet nonce commit / fingerprint ack.
@@ -317,12 +367,10 @@ impl<F: Field> Envelope<F> {
     /// traffic and reject cross-round replays.
     pub fn round(&self) -> u64 {
         match self {
-            Envelope::CodedMaskShare(m) => m.round,
-            Envelope::MaskedModel(m) => m.round,
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => m.round,
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => m.round,
             Envelope::SurvivorAnnouncement(a) => a.round,
             Envelope::AggregatedShare(m) => m.round,
-            Envelope::TimestampedShare(m) => m.round,
-            Envelope::TimestampedUpdate(m) => m.round,
             Envelope::BufferAnnouncement(a) => a.round,
             Envelope::RatchetAnnouncement(a) => a.round,
             Envelope::RatchetWindowCommit(w) => w.round,
@@ -336,12 +384,10 @@ impl<F: Field> Envelope<F> {
     /// group 0).
     pub fn group(&self) -> usize {
         match self {
-            Envelope::CodedMaskShare(m) => m.group,
-            Envelope::MaskedModel(m) => m.group,
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => m.group,
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => m.group,
             Envelope::SurvivorAnnouncement(a) => a.group,
             Envelope::AggregatedShare(m) => m.group,
-            Envelope::TimestampedShare(m) => m.group,
-            Envelope::TimestampedUpdate(m) => m.group,
             Envelope::BufferAnnouncement(a) => a.group,
             Envelope::RatchetAnnouncement(a) => a.group,
             Envelope::RatchetWindowCommit(w) => w.group,
@@ -357,12 +403,10 @@ impl<F: Field> Envelope<F> {
     /// round's membership.
     pub fn sender(&self) -> Option<usize> {
         match self {
-            Envelope::CodedMaskShare(m) => Some(m.from),
-            Envelope::MaskedModel(m) => Some(m.from),
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => Some(m.from),
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => Some(m.from),
             Envelope::SurvivorAnnouncement(_) | Envelope::BufferAnnouncement(_) => None,
             Envelope::AggregatedShare(m) => Some(m.from),
-            Envelope::TimestampedShare(m) => Some(m.from),
-            Envelope::TimestampedUpdate(m) => Some(m.from),
             Envelope::RatchetAnnouncement(a) => {
                 (a.from != crate::ratchet::RATCHET_FROM_SERVER).then_some(a.from as usize)
             }
@@ -378,12 +422,14 @@ impl<F: Field> Envelope<F> {
         // 1 tag + 4 group id, then the kind-specific header and payload
         1 + 4
             + match self {
-                Envelope::CodedMaskShare(m) => 4 + 4 + 8 + 4 + m.payload.len() * eb,
-                Envelope::MaskedModel(m) => 4 + 8 + 4 + m.payload.len() * eb,
+                Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => {
+                    4 + 4 + 8 + 4 + m.payload.len() * eb
+                }
+                Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => {
+                    4 + 8 + 4 + m.payload.len() * eb
+                }
                 Envelope::SurvivorAnnouncement(a) => 8 + 4 + a.survivors.len() * 4,
                 Envelope::AggregatedShare(m) => 4 + 8 + 4 + m.payload.len() * eb,
-                Envelope::TimestampedShare(m) => 4 + 4 + 8 + 4 + m.payload.len() * eb,
-                Envelope::TimestampedUpdate(m) => 4 + 8 + 4 + m.payload.len() * eb,
                 Envelope::BufferAnnouncement(a) => 8 + 4 + a.entries.len() * (4 + 8 + 8),
                 Envelope::RatchetAnnouncement(_) => 4 + 8 + 8 + 8,
                 Envelope::RatchetWindowCommit(w) => 4 + 8 + 8 + 1 + 4 + w.nonces.len() * 8,
@@ -401,13 +447,13 @@ impl<F: Field> Envelope<F> {
         );
         put_u32(&mut out, self.group() as u32 | GROUP_VERSION_BIT);
         match self {
-            Envelope::CodedMaskShare(m) => {
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => {
                 put_u32(&mut out, m.from as u32);
                 put_u32(&mut out, m.to as u32);
                 put_u64(&mut out, m.round);
                 put_elems(&mut out, &m.payload);
             }
-            Envelope::MaskedModel(m) => {
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => {
                 put_u32(&mut out, m.from as u32);
                 put_u64(&mut out, m.round);
                 put_elems(&mut out, &m.payload);
@@ -420,17 +466,6 @@ impl<F: Field> Envelope<F> {
                 }
             }
             Envelope::AggregatedShare(m) => {
-                put_u32(&mut out, m.from as u32);
-                put_u64(&mut out, m.round);
-                put_elems(&mut out, &m.payload);
-            }
-            Envelope::TimestampedShare(m) => {
-                put_u32(&mut out, m.from as u32);
-                put_u32(&mut out, m.to as u32);
-                put_u64(&mut out, m.round);
-                put_elems(&mut out, &m.payload);
-            }
-            Envelope::TimestampedUpdate(m) => {
                 put_u32(&mut out, m.from as u32);
                 put_u64(&mut out, m.round);
                 put_elems(&mut out, &m.payload);
@@ -483,19 +518,31 @@ impl<F: Field> Envelope<F> {
         }
         let group = (raw_group & MAX_GROUP_ID) as usize;
         let env = match tag {
-            0x01 => Envelope::CodedMaskShare(CodedMaskShare {
-                from: r.u32()? as usize,
-                to: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
-            0x02 => Envelope::MaskedModel(MaskedModel {
-                from: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
+            0x01 | 0x05 => {
+                let share = CodedMaskShare {
+                    from: r.u32()? as usize,
+                    to: r.u32()? as usize,
+                    group,
+                    round: r.u64()?,
+                    payload: r.elems::<F>()?,
+                };
+                match tag {
+                    0x01 => Envelope::CodedMaskShare(share),
+                    _ => Envelope::TimestampedShare(share),
+                }
+            }
+            0x02 | 0x06 => {
+                let upload = MaskedModel {
+                    from: r.u32()? as usize,
+                    group,
+                    round: r.u64()?,
+                    payload: r.elems::<F>()?,
+                };
+                match tag {
+                    0x02 => Envelope::MaskedModel(upload),
+                    _ => Envelope::TimestampedUpdate(upload),
+                }
+            }
             0x03 => {
                 let round = r.u64()?;
                 let len = r.len_prefix(4)?;
@@ -510,19 +557,6 @@ impl<F: Field> Envelope<F> {
                 })
             }
             0x04 => Envelope::AggregatedShare(AggregatedShare {
-                from: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
-            0x05 => Envelope::TimestampedShare(TimestampedShare {
-                from: r.u32()? as usize,
-                to: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
-            0x06 => Envelope::TimestampedUpdate(TimestampedUpdate {
                 from: r.u32()? as usize,
                 group,
                 round: r.u64()?,

@@ -3,11 +3,15 @@
 //! Appendix F.
 
 use lsa_field::{Field, Fp61};
-use lsa_protocol::asynchronous::{AsyncClient, AsyncServer, TimestampedShare};
-use lsa_protocol::LsaConfig;
+use lsa_protocol::asynchronous::{AsyncClient, AsyncServer, BufferEntry};
+use lsa_protocol::federation::{Federation, RoundPlan};
+use lsa_protocol::transport::{Delivery, MemTransport, Transport};
+use lsa_protocol::{
+    BufferedFederation, Envelope, EnvelopeKind, LsaConfig, ProtocolError, Recipient, Session,
+};
 use lsa_quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const N: usize = 6;
 const D_MODEL: usize = 12;
@@ -16,19 +20,66 @@ fn setup(rounds: u64) -> (LsaConfig, Vec<AsyncClient<Fp61>>, StdRng) {
     let cfg = LsaConfig::new(N, 2, 4, D_MODEL).unwrap();
     let mut rng = StdRng::seed_from_u64(99);
     let mut clients: Vec<AsyncClient<Fp61>> = (0..N)
-        .map(|id| AsyncClient::new(id, cfg).unwrap())
+        .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(rng.gen())).unwrap())
         .collect();
     // every client prepares masks for all rounds and exchanges shares
     for round in 0..rounds {
-        let mut all: Vec<TimestampedShare<Fp61>> = Vec::new();
+        let mut all = Vec::new();
         for c in clients.iter_mut() {
-            all.extend(c.generate_round_mask(round, &mut rng).unwrap());
+            c.generate_round_mask(round).unwrap();
+            all.extend(std::iter::from_fn(|| c.poll_output()));
         }
-        for share in all {
-            clients[share.to].receive_share(share).unwrap();
+        for (to, share) in all {
+            let Recipient::Client(j) = to else {
+                unreachable!()
+            };
+            clients[j].handle(share).unwrap();
         }
     }
     (cfg, clients, rng)
+}
+
+fn server(cfg: LsaConfig, k: usize, staleness: QuantizedStaleness, now: u64) -> AsyncServer<Fp61> {
+    let mut server = AsyncServer::new(cfg, k, staleness, StdRng::seed_from_u64(7)).unwrap();
+    server.advance_to(now);
+    server
+}
+
+/// Client `client` uploads `update` under base round `round`, straight
+/// into `server`.
+fn upload(
+    client: &mut AsyncClient<Fp61>,
+    server: &mut AsyncServer<Fp61>,
+    round: u64,
+    update: &[Fp61],
+) {
+    client.upload_update(round, update).unwrap();
+    while let Some((_, envelope)) = client.poll_output() {
+        server.handle(envelope).unwrap();
+    }
+}
+
+/// Announce the full buffer, let the `answering` clients serve their
+/// aggregated shares, and return the announced entries.
+fn announce(
+    server: &mut AsyncServer<Fp61>,
+    clients: &mut [AsyncClient<Fp61>],
+    answering: &[usize],
+) -> Vec<BufferEntry> {
+    server.announce().unwrap();
+    let mut entries = Vec::new();
+    while let Some((to, announcement)) = server.poll_output() {
+        let (Recipient::Client(j), Envelope::BufferAnnouncement(ann)) = (to, &announcement) else {
+            unreachable!()
+        };
+        entries.clone_from(&ann.entries);
+        if answering.contains(&j) {
+            for (_, reply) in clients[j].handle(announcement).unwrap() {
+                server.handle(reply).unwrap();
+            }
+        }
+    }
+    entries
 }
 
 #[test]
@@ -36,9 +87,9 @@ fn mixed_round_masks_cancel_exactly() {
     // Users base their updates on different rounds; the weighted mask
     // aggregate must still cancel (commutativity of MDS coding and
     // addition — the heart of Appendix F).
-    let (cfg, clients, mut rng) = setup(3);
+    let (cfg, mut clients, _) = setup(3);
     let staleness = QuantizedStaleness::new(StalenessFn::Constant, 1);
-    let mut server = AsyncServer::<Fp61>::new(cfg, 4, staleness).unwrap();
+    let mut server = server(cfg, 4, staleness, 2);
 
     // four users contribute, based on rounds 0..=2, current round 2
     let contributions = [(0usize, 0u64), (1, 1), (2, 2), (3, 0)];
@@ -48,17 +99,11 @@ fn mixed_round_masks_cancel_exactly() {
             .map(|k| Fp61::from_u64((100 * i + k) as u64))
             .collect();
         updates.push(update.clone());
-        let masked = clients[id].mask_update(round, &update).unwrap();
-        server.receive_update(masked, 2, &mut rng).unwrap();
+        upload(&mut clients[id], &mut server, round, &update);
     }
-    let entries = server.announce(2).unwrap();
 
     // any U = 4 users serve shares (including ones that didn't contribute)
-    for id in [5usize, 4, 1, 0] {
-        server
-            .receive_aggregated_share(clients[id].aggregated_share_for(2, &entries).unwrap())
-            .unwrap();
-    }
+    announce(&mut server, &mut clients, &[5, 4, 1, 0]);
     let agg = server.recover().unwrap();
     assert_eq!(agg.total_weight, 4);
     for k in 0..D_MODEL {
@@ -71,11 +116,11 @@ fn mixed_round_masks_cancel_exactly() {
 fn staleness_weights_applied_in_field() {
     // Poly staleness with c_g = 4: τ=0 → weight 4, τ=1 → weight 2
     // (0.5·4), τ=3 → weight 1 (0.25·4): all exactly representable.
-    let (cfg, clients, mut rng) = setup(4);
+    let (cfg, mut clients, _) = setup(4);
     let staleness = QuantizedStaleness::new(StalenessFn::Poly { alpha: 1.0 }, 4);
-    let mut server = AsyncServer::<Fp61>::new(cfg, 3, staleness).unwrap();
-
     let now = 3u64;
+    let mut server = server(cfg, 3, staleness, now);
+
     let contributions = [(0usize, 3u64), (1, 2), (2, 0)]; // τ = 0, 1, 3
     let mut updates: Vec<Vec<Fp61>> = Vec::new();
     for &(id, round) in &contributions {
@@ -83,20 +128,14 @@ fn staleness_weights_applied_in_field() {
             .map(|k| Fp61::from_u64((id * 10 + k) as u64))
             .collect();
         updates.push(update.clone());
-        let masked = clients[id].mask_update(round, &update).unwrap();
-        server.receive_update(masked, now, &mut rng).unwrap();
+        upload(&mut clients[id], &mut server, round, &update);
     }
-    let entries = server.announce(now).unwrap();
+    let entries = announce(&mut server, &mut clients, &[0, 1, 2, 3]);
     let expected_weights = [4u64, 2, 1];
     for (e, &w) in entries.iter().zip(&expected_weights) {
         assert_eq!(e.weight, w, "entry {e:?}");
     }
 
-    for client in clients.iter().take(4) {
-        server
-            .receive_aggregated_share(client.aggregated_share_for(now, &entries).unwrap())
-            .unwrap();
-    }
     let agg = server.recover().unwrap();
     assert_eq!(agg.total_weight, 7);
     for k in 0..D_MODEL {
@@ -112,9 +151,9 @@ fn staleness_weights_applied_in_field() {
 #[test]
 fn quantized_roundtrip_recovers_weighted_average() {
     // Full Appendix F path with real-valued updates.
-    let (cfg, clients, mut rng) = setup(2);
+    let (cfg, mut clients, mut rng) = setup(2);
     let staleness = QuantizedStaleness::new(StalenessFn::Constant, 1);
-    let mut server = AsyncServer::<Fp61>::new(cfg, 3, staleness).unwrap();
+    let mut server = server(cfg, 3, staleness, 1);
     let quantizer = VectorQuantizer::new(1 << 20);
 
     let reals: Vec<Vec<f64>> = (0..3)
@@ -126,15 +165,9 @@ fn quantized_roundtrip_recovers_weighted_average() {
         .collect();
     for (i, real) in reals.iter().enumerate() {
         let q: Vec<Fp61> = quantizer.quantize(real, &mut rng);
-        let masked = clients[i].mask_update(1, &q).unwrap();
-        server.receive_update(masked, 1, &mut rng).unwrap();
+        upload(&mut clients[i], &mut server, 1, &q);
     }
-    let entries = server.announce(1).unwrap();
-    for id in [0usize, 2, 3, 5] {
-        server
-            .receive_aggregated_share(clients[id].aggregated_share_for(1, &entries).unwrap())
-            .unwrap();
-    }
+    announce(&mut server, &mut clients, &[0, 2, 3, 5]);
     let agg = server.recover().unwrap();
     let avg = agg.dequantize(&quantizer);
     for k in 0..D_MODEL {
@@ -149,24 +182,78 @@ fn quantized_roundtrip_recovers_weighted_average() {
 
 #[test]
 fn server_reusable_across_buffer_flushes() {
-    let (cfg, clients, mut rng) = setup(2);
+    let (cfg, mut clients, _) = setup(2);
     let staleness = QuantizedStaleness::new(StalenessFn::Constant, 1);
-    let mut server = AsyncServer::<Fp61>::new(cfg, 2, staleness).unwrap();
+    let mut server = server(cfg, 2, staleness, 0);
 
     for flush in 0..3u64 {
         let round = flush % 2;
+        server.advance_to(round);
         for id in [0usize, 1] {
             let update: Vec<Fp61> = vec![Fp61::from_u64(flush + 1); D_MODEL];
-            let masked = clients[id].mask_update(round, &update).unwrap();
-            server.receive_update(masked, round, &mut rng).unwrap();
+            upload(&mut clients[id], &mut server, round, &update);
         }
-        let entries = server.announce(round).unwrap();
-        for client in clients.iter().take(4) {
-            server
-                .receive_aggregated_share(client.aggregated_share_for(round, &entries).unwrap())
-                .unwrap();
-        }
+        announce(&mut server, &mut clients, &[0, 1, 2, 3]);
         let agg = server.recover().unwrap();
         assert_eq!(agg.aggregate[0], Fp61::from_u64(2 * (flush + 1)));
     }
+}
+
+/// A [`MemTransport`] that delivers the first buffered upload frame it
+/// carries twice.
+#[derive(Default)]
+struct RedeliverFirstUpload {
+    inner: MemTransport,
+    replayed: bool,
+}
+
+impl Transport<Fp61> for RedeliverFirstUpload {
+    fn send(
+        &mut self,
+        from: Recipient,
+        to: Recipient,
+        envelope: &Envelope<Fp61>,
+    ) -> Result<(), ProtocolError> {
+        self.inner.send(from, to, envelope)?;
+        if !self.replayed && envelope.kind() == EnvelopeKind::TimestampedUpdate {
+            self.replayed = true;
+            self.inner.send(from, to, envelope)?;
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<Option<Delivery<Fp61>>, ProtocolError> {
+        self.inner.recv()
+    }
+}
+
+#[test]
+fn redelivered_upload_is_rejected_and_the_sum_stays_exact() {
+    // the second copy of client 0's upload is refused typed instead of
+    // being summed twice, and the federation goes on exactly
+    let cfg = LsaConfig::new(4, 1, 3, 5).unwrap();
+    let buffered =
+        BufferedFederation::unit_weight(cfg, RedeliverFirstUpload::default(), 3).unwrap();
+    let mut fed = Federation::new(Box::new(buffered));
+    let updates: Vec<Vec<Fp61>> = (1..=4u64).map(|v| vec![Fp61::from_u64(v); 5]).collect();
+    let sum = vec![Fp61::from_u64(10); 5];
+
+    let agg = fed.aggregator_mut();
+    agg.open_round(&[0, 1, 2, 3]).unwrap();
+    assert_eq!(
+        agg.submit(0, &updates[0]),
+        Err(ProtocolError::DuplicateMessage(0))
+    );
+    for (id, update) in updates.iter().enumerate().skip(1) {
+        agg.submit(id, update).unwrap();
+    }
+    let out = agg.finish_round().unwrap();
+    assert_eq!(out.aggregate, sum, "the first copy is in the sum once");
+    assert_eq!(out.total_weight, 4);
+
+    let next = fed
+        .run_round(&RoundPlan::full(4).with_updates(updates))
+        .unwrap();
+    assert_eq!(next.aggregate, sum);
+    assert_eq!(next.total_weight, 4);
 }

@@ -2,14 +2,16 @@
 //! base rounds are staleness-weighted *inside the field* and recovered
 //! in one shot — the setting SecAgg/SecAgg+ cannot support (Remark 1).
 //!
-//! Driven through the sans-IO async sessions over a [`MemTransport`]:
-//! every timestamped share, masked update, buffer announcement and
-//! aggregated share crosses the wire as serialized bytes.
+//! Driven by hand through the persistent sans-IO endpoints
+//! (`AsyncClient` / `AsyncServer`) over a [`MemTransport`]: every
+//! timestamped share, masked update, buffer announcement and aggregated
+//! share crosses the wire as serialized bytes.
 //!
 //! Run with: `cargo run --example async_buffered`
 
 use lightsecagg::field::Fp61;
-use lightsecagg::protocol::session::{AsyncClientSession, AsyncServerSession, Recipient, Session};
+use lightsecagg::protocol::asynchronous::{AsyncClient, AsyncServer};
+use lightsecagg::protocol::session::{Recipient, Session};
 use lightsecagg::protocol::transport::{MemTransport, Transport};
 use lightsecagg::protocol::LsaConfig;
 use lightsecagg::quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
@@ -22,14 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = LsaConfig::new(n, 2, 4, d)?;
     let mut rng = StdRng::seed_from_u64(11);
 
-    // each session owns its entropy stream, injected at construction —
+    // each endpoint owns its entropy stream, injected at construction —
     // message handling is deterministic from here on
-    let mut clients: Vec<AsyncClientSession<Fp61>> = (0..n)
-        .map(|id| AsyncClientSession::from_rng(id, cfg, &mut rng))
+    let mut clients: Vec<AsyncClient<Fp61>> = (0..n)
+        .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(rng.gen())))
         .collect::<Result<_, _>>()?;
     let staleness = QuantizedStaleness::new(StalenessFn::Poly { alpha: 1.0 }, 4);
-    let mut server =
-        AsyncServerSession::<Fp61>::new(cfg, 3, staleness, StdRng::seed_from_u64(rng.gen()))?;
+    let mut server = AsyncServer::<Fp61>::new(cfg, 3, staleness, StdRng::seed_from_u64(rng.gen()))?;
     let mut wire = MemTransport::new();
 
     // clients prepare masks for rounds 0..3; coded shares travel the wire
