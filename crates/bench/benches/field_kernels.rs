@@ -1,24 +1,20 @@
 //! Lazy-reduction bulk kernels vs the one-reduction-per-op scalar
-//! reference, and the grouped-decode critical path serial vs parallel.
+//! reference, and the grouped-decode critical path.
 //!
 //! Three sweeps, all emitted to `LSA_BENCH_JSON` when set:
 //!
 //! * `field_kernels/{fused_multi_axpy,axpy_sweeps,sum_vectors_{lazy,sweeps}}
-//!   /{fp32,fp61}/d{D}/t{T}[/{backend}]` over `d ∈ {2¹⁴, 2¹⁸, 2²⁰}` ×
-//!   `threads ∈ {1, 4}` × the compiled-in SIMD backends — the
-//!   acceptance gates are `fused_multi_axpy` (the delayed-reduction
-//!   kernel behind MDS decode/encode and the weighted-buffer folds)
-//!   beating `axpy_sweeps` (the pre-refactor per-element-reduction
-//!   decode loop) at `d = 2²⁰` on both fields single-threaded, and the
-//!   SIMD backend rows beating their `scalar` twins at `d = 2²⁰` on an
-//!   AVX2 host (≥1.5× measured on the reference machine). The `t4`
-//!   rows additionally show that fork-join scaling stacks with lanes
-//!   on multi-core hosts.
-//! * `field_kernels/grouped_decode/N1024xG16/t{1,4}/{backend}` — the
-//!   decode critical path of a grouped round: 16 independent per-group
-//!   one-shot recoveries (`n_g = 64`) mapped serially vs on the scoped
-//!   pool, per backend. On a multi-core host the `t4` row is the
-//!   ROADMAP's parallel-decode number.
+//!   /{fp32,fp61}/d{D}[/{backend}]` over `d ∈ {2¹⁴, 2¹⁸, 2²⁰}` × the
+//!   compiled-in SIMD backends — the acceptance gates are
+//!   `fused_multi_axpy` (the delayed-reduction kernel behind MDS
+//!   decode/encode and the weighted-buffer folds) beating `axpy_sweeps`
+//!   (the pre-refactor per-element-reduction decode loop) at `d = 2²⁰`
+//!   on both fields, and the SIMD backend rows beating their `scalar`
+//!   twins at `d = 2²⁰` on an AVX2 host (≥1.5× measured on the
+//!   reference machine).
+//! * `field_kernels/grouped_decode/N1024xG16/{backend}` — the decode
+//!   critical path of a grouped round: 16 independent per-group
+//!   one-shot recoveries (`n_g = 64`) one after another, per backend.
 //! * `field_kernels/encode_all/fp61/{N64_U48,N200_U150}_m1024/{backend}`
 //!   — one member's offline encode (`VandermondeCode::encode_all`) at
 //!   the round ledger's `flat_churn` leaf and at the paper's `N = 200`,
@@ -32,13 +28,12 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lsa_coding::VandermondeCode;
-use lsa_field::{ops, par, simd, Field, Fp32, Fp61};
+use lsa_field::{ops, simd, Field, Fp32, Fp61};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 const SIZES: [usize; 3] = [1 << 14, 1 << 18, 1 << 20];
-const THREADS: [usize; 2] = [1, 4];
 /// Terms in the fused multi-axpy — the shape of a per-group decode at
 /// `n_g ≈ 16` survivors.
 const TERMS: usize = 16;
@@ -64,52 +59,44 @@ fn bench_kernels_for<F: Field>(c: &mut Criterion, field: &str) {
         let mut acc: Vec<F> = ops::random_vector(d, &mut rng);
 
         group.throughput(Throughput::Elements(d as u64));
-        for threads in THREADS {
-            for backend in simd::available() {
-                group.bench_with_input(
-                    BenchmarkId::new(
-                        format!("fused_multi_axpy/{field}"),
-                        format!("d{d}/t{threads}/{}", backend.name()),
-                    ),
-                    &d,
-                    |b, _| {
-                        simd::with_backend(backend, || {
-                            par::with_threads(threads, || {
-                                b.iter(|| {
-                                    ops::weighted_sum_into(
-                                        black_box(&mut acc),
-                                        black_box(&coeffs),
-                                        black_box(&refs),
-                                    )
-                                })
-                            })
+        for backend in simd::available() {
+            group.bench_with_input(
+                BenchmarkId::new(
+                    format!("fused_multi_axpy/{field}"),
+                    format!("d{d}/{}", backend.name()),
+                ),
+                &d,
+                |b, _| {
+                    simd::with_backend(backend, || {
+                        b.iter(|| {
+                            ops::weighted_sum_into(
+                                black_box(&mut acc),
+                                black_box(&coeffs),
+                                black_box(&refs),
+                            )
                         })
-                    },
-                );
-                group.bench_with_input(
-                    BenchmarkId::new(
-                        format!("sum_vectors_lazy/{field}"),
-                        format!("d{d}/t{threads}/{}", backend.name()),
-                    ),
-                    &d,
-                    |b, _| {
-                        simd::with_backend(backend, || {
-                            par::with_threads(threads, || {
-                                b.iter(|| {
-                                    black_box(
-                                        ops::sum_vectors(black_box(&refs).iter().copied()).unwrap(),
-                                    )
-                                    .len()
-                                })
-                            })
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(
+                    format!("sum_vectors_lazy/{field}"),
+                    format!("d{d}/{}", backend.name()),
+                ),
+                &d,
+                |b, _| {
+                    simd::with_backend(backend, || {
+                        b.iter(|| {
+                            black_box(ops::sum_vectors(black_box(&refs).iter().copied()).unwrap())
+                                .len()
                         })
-                    },
-                );
-            }
+                    })
+                },
+            );
         }
-        // per-element-reduction baselines (inherently single-threaded)
+        // per-element-reduction baselines
         group.bench_with_input(
-            BenchmarkId::new(format!("axpy_sweeps/{field}"), format!("d{d}/t1")),
+            BenchmarkId::new(format!("axpy_sweeps/{field}"), format!("d{d}")),
             &d,
             |b, _| {
                 b.iter(|| {
@@ -122,7 +109,7 @@ fn bench_kernels_for<F: Field>(c: &mut Criterion, field: &str) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new(format!("sum_vectors_sweeps/{field}"), format!("d{d}/t1")),
+            BenchmarkId::new(format!("sum_vectors_sweeps/{field}"), format!("d{d}")),
             &d,
             |b, _| {
                 b.iter(|| {
@@ -135,7 +122,7 @@ fn bench_kernels_for<F: Field>(c: &mut Criterion, field: &str) {
         );
         // single-axpy context row: one term is one reduction either way
         group.bench_with_input(
-            BenchmarkId::new(format!("axpy_single/{field}"), format!("d{d}/t1")),
+            BenchmarkId::new(format!("axpy_single/{field}"), format!("d{d}")),
             &d,
             |b, _| b.iter(|| ops::axpy(black_box(&mut acc), black_box(coef), black_box(&x))),
         );
@@ -185,34 +172,26 @@ fn decode_tasks(groups: usize, seed: u64) -> Vec<DecodeTask<Fp61>> {
 }
 
 fn run_decodes(tasks: &[DecodeTask<Fp61>]) -> usize {
-    let results = par::par_map(tasks, |task| {
-        task.code
-            .decode_prefix(&task.shares, task.prefix)
-            .expect("decodes")
-            .len()
-    });
-    results.into_iter().sum()
+    tasks
+        .iter()
+        .map(|task| {
+            task.code
+                .decode_prefix(&task.shares, task.prefix)
+                .expect("decodes")
+                .len()
+        })
+        .sum()
 }
 
 fn bench_grouped_decode(c: &mut Criterion) {
     let tasks = decode_tasks(16, 2);
     let mut group = c.benchmark_group("field_kernels");
     group.throughput(Throughput::Elements(16));
-    for threads in THREADS {
-        for backend in simd::available() {
-            group.bench_with_input(
-                BenchmarkId::new(
-                    "grouped_decode/N1024xG16",
-                    format!("t{threads}/{}", backend.name()),
-                ),
-                &threads,
-                |b, &threads| {
-                    simd::with_backend(backend, || {
-                        par::with_threads(threads, || b.iter(|| black_box(run_decodes(&tasks))))
-                    })
-                },
-            );
-        }
+    for backend in simd::available() {
+        group.bench_function(
+            BenchmarkId::new("grouped_decode/N1024xG16", backend.name()),
+            |b| simd::with_backend(backend, || b.iter(|| black_box(run_decodes(&tasks)))),
+        );
     }
     group.finish();
 }

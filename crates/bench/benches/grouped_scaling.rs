@@ -9,10 +9,10 @@
 //!   `N=1024: 64 leaves`, `N=4096: 16×16`, `N=16384: 64×16` — two-level
 //!   trees at the larger points. The bench target from the ROADMAP:
 //!   **per-client offline bytes stay flat as N grows** (each client
-//!   only ever talks to its 15 leaf peers), and the root's critical
-//!   path stays sublinear in the leaf count because `finish_round` fans
-//!   the per-subtree decodes across the worker pool and each leaf
-//!   decode is O(16³) regardless of N.
+//!   only ever talks to its 15 leaf peers), and each leaf decode is
+//!   O(16³) regardless of N. `finish_round` runs the per-subtree
+//!   decodes one after another, so the root's decode time grows with
+//!   the leaf count alone.
 //!
 //! Measurements per point:
 //!
@@ -25,13 +25,11 @@
 //!   stays cheap enough for CI.
 //!
 //! Run with `LSA_BENCH_JSON=...` for the JSON-lines artifact; every
-//! line also records `available_parallelism` and the effective
-//! `lsa_threads`, so a flat multi-thread row on a 1-core container is
-//! interpretable (re-measure the ≥2× multi-core target on a host whose
-//! recorded core count exceeds the thread count). Acceptance: the
-//! N=16384 hierarchy point's `bytes_per_iter` must match the N=1024
-//! point within noise (flat per-client offline cost), and at N=1024
-//! G=16 must sit ≥4× below G=1.
+//! line also records `available_parallelism` and the resolved
+//! `simd_backend`. Acceptance: the N=16384 hierarchy point's
+//! `bytes_per_iter` must match the N=1024 point within noise (flat
+//! per-client offline cost), and at N=1024 G=16 must sit ≥4× below
+//! G=1.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lsa_field::Fp61;
@@ -154,9 +152,8 @@ fn bench_round(c: &mut Criterion) {
 }
 
 /// Full hierarchical rounds: every leaf decode is O(16³) no matter how
-/// large N grows, so the root's wall-clock grows with the *leaf count*
-/// (sublinearly once `finish_round` fans subtrees across the pool), not
-/// with N². Kept to N ≤ 4096 so CI can iterate it; the N = 16384 point
+/// large N grows, so the root's wall-clock grows with the *leaf count*,
+/// not with N². Kept to N ≤ 4096 so CI can iterate it; the N = 16384 point
 /// is covered by the offline sweep.
 fn bench_hierarchy_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("grouped_scaling");

@@ -42,20 +42,13 @@ fn cpu_features() -> Vec<&'static str> {
 }
 
 /// The execution-environment record emitted before the matrix cells:
-/// core count, knob resolutions, and detected CPU features. The
-/// threads note makes multi-thread cells from a 1-core container
-/// interpretable.
+/// core count, the `LSA_SIMD` resolution, and detected CPU features.
 fn host_record() -> String {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let lsa_threads = lsa_field::par::num_threads();
     let feats: Vec<String> = cpu_features().iter().map(|f| format!("\"{f}\"")).collect();
     format!(
         "{{\"name\":\"matrix/host\",\"available_parallelism\":{cores},\
-         \"lsa_threads\":{lsa_threads},\"simd_backend\":\"{}\",\
-         \"cpu_features\":[{}],\
-         \"threads_note\":\"thread-axis cells exceed real speedup only when \
-         available_parallelism > 1; simd-axis cells need the named feature in \
-         cpu_features\"}}",
+         \"simd_backend\":\"{}\",\"cpu_features\":[{}]}}",
         lsa_field::simd::backend().name(),
         feats.join(","),
     )

@@ -19,19 +19,39 @@ pub fn results_dir() -> PathBuf {
 
 /// Number of users for the headline experiments; override with
 /// `LSA_N=...` for quick runs.
+///
+/// # Panics
+///
+/// Panics if `LSA_N` is set to anything but a positive integer.
 pub fn n_users() -> usize {
-    std::env::var("LSA_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
+    parse_count("LSA_N", std::env::var("LSA_N").ok().as_deref(), 200)
 }
 
 /// Convergence-round count; override with `LSA_ROUNDS=...`.
+///
+/// # Panics
+///
+/// Panics if `LSA_ROUNDS` is set to anything but a positive integer.
 pub fn convergence_rounds() -> usize {
-    std::env::var("LSA_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30)
+    parse_count(
+        "LSA_ROUNDS",
+        std::env::var("LSA_ROUNDS").ok().as_deref(),
+        30,
+    )
+}
+
+/// The count the variable `name` asks for, given its `value`: `default`
+/// when unset. A typo must not quietly run the default-size sweep, so a
+/// value that is not a positive integer panics, naming the variable and
+/// what it held.
+fn parse_count(name: &str, value: Option<&str>, default: usize) -> usize {
+    let Some(raw) = value else {
+        return default;
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => panic!("{name} must be a positive integer, got {raw:?}"),
+    }
 }
 
 /// Whether to spend ~100 ms calibrating kernel costs instead of using
@@ -139,5 +159,15 @@ mod tests {
         // guard against env leakage in CI: only assert types/ranges
         assert!(n_users() >= 2);
         assert!(convergence_rounds() >= 1);
+        // the parse itself is pure: unset keeps the default, a typo or
+        // a zero panics with the variable and the value it got
+        assert_eq!(parse_count("LSA_N", None, 200), 200);
+        assert_eq!(parse_count("LSA_N", Some("16"), 200), 16);
+        for bad in ["1O", "0", "", "-3"] {
+            let err = std::panic::catch_unwind(|| parse_count("LSA_ROUNDS", Some(bad), 30))
+                .expect_err(bad);
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("LSA_ROUNDS") && msg.contains(&format!("{bad:?}")));
+        }
     }
 }

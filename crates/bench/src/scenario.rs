@@ -516,7 +516,6 @@ pub fn validate_json_line(line: &str) -> Result<(), String> {
         "\"windowed_ratchets\":",
         "\"quarantined\":",
         "\"available_parallelism\":",
-        "\"lsa_threads\":",
         "\"simd_backend\":\"",
         "\"pad_topology\":\"",
         "\"commit_window\":",

@@ -241,8 +241,7 @@ impl<F: Field> VandermondeCode<F> {
         //   coeff_k = Σ_i basis[i][k] · payload_i.
         let basis = interpolation::lagrange_basis_coefficients(&xs)?;
         // Fused multi-axpy per output segment: coeff_k accumulates all
-        // U payload terms in one widened pass, reduced once per element
-        // (and forked over segment chunks for large segments).
+        // U payload terms in one widened pass, reduced once per element.
         let payloads: Vec<&[F]> = used.iter().map(|(_, p)| p.as_slice()).collect();
         let mut out = vec![vec![F::ZERO; seg_len]; prefix];
         for (k, out_k) in out.iter_mut().enumerate() {

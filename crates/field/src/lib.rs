@@ -27,7 +27,6 @@
 mod fp32;
 mod fp61;
 pub mod ops;
-pub mod par;
 pub mod simd;
 
 pub use fp32::Fp32;

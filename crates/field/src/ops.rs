@@ -6,7 +6,7 @@
 //! invariants and a silent truncation would be a correctness bug in a
 //! secure-aggregation context.
 //!
-//! # Kernel design: delayed reduction + fork-join chunks
+//! # Kernel design: delayed reduction in cache-sized blocks
 //!
 //! The multiply-accumulate kernels ([`axpy`], [`weighted_sum_into`],
 //! [`horner_eval`], [`dot`], [`sum_vectors`]) do **not** reduce after
@@ -18,11 +18,8 @@
 //! intermediate re-fold; the kernels re-fold automatically, so callers
 //! may pass any number of terms.
 //!
-//! Long vectors are processed in cache-sized chunks and, above
-//! [`par::MIN_PAR_LEN`], forked across the [`par`] worker pool
-//! (`LSA_THREADS`). Every kernel computes each output element
-//! independently with a fixed term order, so results are bit-identical
-//! across thread counts.
+//! Long vectors are processed in cache-sized blocks, one pass on the
+//! caller's thread, with a fixed term order per output element.
 //!
 //! # Small multipliers: the multi-point evaluator
 //!
@@ -43,7 +40,7 @@
 //! [`reference`] as the oracle for equivalence tests and the baseline
 //! for the `field_kernels` bench.
 
-use crate::{par, simd, Field};
+use crate::{simd, Field};
 use rand::Rng;
 
 /// Elements per cache-sized block inside the fused kernels: the widened
@@ -55,20 +52,16 @@ pub const BLOCK: usize = 1024;
 
 /// `acc[k] += x[k]` for all `k`.
 ///
-/// A single addition per element is already one reduction; the kernel
-/// only adds chunked forking for large `d`.
+/// A single addition per element is already one reduction.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn add_assign<F: Field>(acc: &mut [F], x: &[F]) {
     assert_eq!(acc.len(), x.len(), "vector length mismatch");
-    par::par_chunks_mut(acc, |offset, chunk| {
-        let len = chunk.len();
-        for (a, b) in chunk.iter_mut().zip(&x[offset..offset + len]) {
-            *a += *b;
-        }
-    });
+    for (a, b) in acc.iter_mut().zip(x) {
+        *a += *b;
+    }
 }
 
 /// `acc[k] -= x[k]` for all `k`.
@@ -78,22 +71,18 @@ pub fn add_assign<F: Field>(acc: &mut [F], x: &[F]) {
 /// Panics if the slices have different lengths.
 pub fn sub_assign<F: Field>(acc: &mut [F], x: &[F]) {
     assert_eq!(acc.len(), x.len(), "vector length mismatch");
-    par::par_chunks_mut(acc, |offset, chunk| {
-        let len = chunk.len();
-        for (a, b) in chunk.iter_mut().zip(&x[offset..offset + len]) {
-            *a -= *b;
-        }
-    });
+    for (a, b) in acc.iter_mut().zip(x) {
+        *a -= *b;
+    }
 }
 
 /// `acc[k] += c * x[k]` for all `k` (multiply-accumulate).
 ///
 /// A *single* axpy already reduces once per element, and LLVM's
 /// strength-reduced constant modulo beats the widening tricks for one
-/// product — so this stays the plain loop (chunk-forked for large
-/// vectors). The lazy-reduction win lives in [`weighted_sum_into`],
-/// which fuses *many* axpy sweeps into one widened pass; prefer it
-/// whenever more than one term is accumulated.
+/// product — so this stays the plain loop. The lazy-reduction win lives
+/// in [`weighted_sum_into`], which fuses *many* axpy sweeps into one
+/// widened pass; prefer it whenever more than one term is accumulated.
 ///
 /// # Panics
 ///
@@ -103,12 +92,9 @@ pub fn axpy<F: Field>(acc: &mut [F], c: F, x: &[F]) {
     if c == F::ZERO {
         return;
     }
-    par::par_chunks_mut(acc, |offset, chunk| {
-        let len = chunk.len();
-        for (a, &b) in chunk.iter_mut().zip(&x[offset..offset + len]) {
-            *a += c * b;
-        }
-    });
+    for (a, &b) in acc.iter_mut().zip(x) {
+        *a += c * b;
+    }
 }
 
 /// Element-wise sum of two vectors.
@@ -133,11 +119,9 @@ pub fn sub<F: Field>(x: &[F], y: &[F]) -> Vec<F> {
 
 /// Scale a vector by a constant, in place.
 pub fn scale_assign<F: Field>(x: &mut [F], c: F) {
-    par::par_chunks_mut(x, |_, chunk| {
-        for a in chunk.iter_mut() {
-            *a *= c;
-        }
-    });
+    for a in x.iter_mut() {
+        *a *= c;
+    }
 }
 
 /// Inner product `Σ x[k]·y[k]`.
@@ -175,9 +159,8 @@ pub fn dot<F: Field>(x: &[F], y: &[F]) -> F {
 /// domain and reduced **once per element**.
 ///
 /// Zero coefficients are skipped; unit coefficients take the cheaper
-/// add-only path (this makes [`sum_vectors`] the same kernel). Chunked
-/// over `out` and forked across the worker pool for large vectors;
-/// bit-identical across thread counts (fixed term order per element).
+/// add-only path (this makes [`sum_vectors`] the same kernel). Blocked
+/// over `out` with a fixed term order per element.
 ///
 /// # Panics
 ///
@@ -192,55 +175,53 @@ pub fn weighted_sum_into<F: Field>(out: &mut [F], coeffs: &[F], inputs: &[&[F]])
         return;
     }
     // one dispatch per bulk call: the chosen backend is captured here
-    // and threaded through every forked chunk and cache block
+    // and threaded through every cache block
     let backend = simd::backend();
-    par::par_chunks_mut(out, |offset, range| {
-        // grown on the first scalar-path block; stays empty when the
-        // SIMD kernel (with its own stack scratch) handles every block
-        let mut wide: Vec<F::Wide> = Vec::new();
-        let mut start = 0;
-        while start < range.len() {
-            let end = (start + BLOCK).min(range.len());
-            let block = &mut range[start..end];
-            if backend != simd::Backend::Scalar
-                && F::simd_weighted_block(backend, block, coeffs, inputs, offset + start)
-            {
-                start = end;
+    // grown on the first scalar-path block; stays empty when the SIMD
+    // kernel (with its own stack scratch) handles every block
+    let mut wide: Vec<F::Wide> = Vec::new();
+    let mut start = 0;
+    while start < out.len() {
+        let end = (start + BLOCK).min(out.len());
+        let block = &mut out[start..end];
+        if backend != simd::Backend::Scalar
+            && F::simd_weighted_block(backend, block, coeffs, inputs, start)
+        {
+            start = end;
+            continue;
+        }
+        wide.clear();
+        wide.extend(block.iter().map(|x| x.to_wide()));
+        // terms already absorbed per accumulator (the seed residue
+        // counts as one)
+        let mut terms: u64 = 1;
+        for (&c, v) in coeffs.iter().zip(inputs) {
+            if c == F::ZERO {
                 continue;
             }
-            wide.clear();
-            wide.extend(block.iter().map(|x| x.to_wide()));
-            // terms already absorbed per accumulator (the seed residue
-            // counts as one)
-            let mut terms: u64 = 1;
-            for (&c, v) in coeffs.iter().zip(inputs) {
-                if c == F::ZERO {
-                    continue;
+            if terms == F::WIDE_CAPACITY {
+                for w in wide.iter_mut() {
+                    *w = F::wide_reduce(*w).to_wide();
                 }
-                if terms == F::WIDE_CAPACITY {
-                    for w in wide.iter_mut() {
-                        *w = F::wide_reduce(*w).to_wide();
-                    }
-                    terms = 1;
-                }
-                let src = &v[offset + start..offset + end];
-                if c == F::ONE {
-                    for (w, &x) in wide.iter_mut().zip(src) {
-                        *w = F::wide_add(*w, x);
-                    }
-                } else {
-                    for (w, &x) in wide.iter_mut().zip(src) {
-                        *w = F::wide_mul_add(*w, c, x);
-                    }
-                }
-                terms += 1;
+                terms = 1;
             }
-            for (o, &w) in block.iter_mut().zip(wide.iter()) {
-                *o = F::wide_reduce(w);
+            let src = &v[start..end];
+            if c == F::ONE {
+                for (w, &x) in wide.iter_mut().zip(src) {
+                    *w = F::wide_add(*w, x);
+                }
+            } else {
+                for (w, &x) in wide.iter_mut().zip(src) {
+                    *w = F::wide_mul_add(*w, c, x);
+                }
             }
-            start = end;
+            terms += 1;
         }
-    });
+        for (o, &w) in block.iter_mut().zip(wide.iter()) {
+            *o = F::wide_reduce(w);
+        }
+        start = end;
+    }
 }
 
 /// Sum a collection of equal-length vectors into a fresh vector.
@@ -344,10 +325,7 @@ pub fn horner_eval<F: Field, S: AsRef<[F]>>(segs: &[S], point: F) -> Vec<F> {
 /// ([`Field::simd_eval_points`]) the segments are read once per strip
 /// for all the points; otherwise — the scalar backend, `Fp32`, points
 /// the kernel does not take — this is [`horner_eval`] per point, and
-/// the result is the same either way. Segments of at least
-/// [`par::MIN_PAR_LEN`] elements fork over the points; each output is
-/// computed by one worker from the shared inputs, so the result does
-/// not depend on the thread count.
+/// the result is the same either way.
 ///
 /// # Panics
 ///
@@ -360,17 +338,8 @@ pub fn eval_points<F: Field>(segs: &[&[F]], points: &[F]) -> Vec<Vec<F>> {
     }
     let backend = simd::backend();
     if backend != simd::Backend::Scalar {
-        let workers = if len < par::MIN_PAR_LEN {
-            1
-        } else {
-            par::num_threads()
-        };
-        // whole register blocks of four points per worker
-        let per = points.len().div_ceil(workers).max(1).next_multiple_of(4);
-        let shares: Vec<&[F]> = points.chunks(per).collect();
-        let parts = par::par_map(&shares, |pts| F::simd_eval_points(backend, segs, pts));
-        if let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() {
-            return parts.into_iter().flatten().collect();
+        if let Some(out) = F::simd_eval_points(backend, segs, points) {
+            return out;
         }
     }
     points.iter().map(|&p| horner_eval(segs, p)).collect()
@@ -400,22 +369,17 @@ pub fn wide_zeros<F: Field>(len: usize) -> Vec<F::Wide> {
 /// Panics if the slices have different lengths.
 pub fn wide_accumulate<F: Field>(acc: &mut [F::Wide], x: &[F]) {
     assert_eq!(acc.len(), x.len(), "vector length mismatch");
-    par::par_chunks_mut(acc, |offset, chunk| {
-        let len = chunk.len();
-        for (a, &b) in chunk.iter_mut().zip(&x[offset..offset + len]) {
-            *a = F::wide_add(*a, b);
-        }
-    });
+    for (a, &b) in acc.iter_mut().zip(x) {
+        *a = F::wide_add(*a, b);
+    }
 }
 
 /// Re-fold every accumulator to a canonical residue in place, resetting
 /// the term count to one.
 pub fn wide_normalize<F: Field>(acc: &mut [F::Wide]) {
-    par::par_chunks_mut(acc, |_, chunk| {
-        for a in chunk.iter_mut() {
-            *a = F::wide_reduce(*a).to_wide();
-        }
-    });
+    for a in acc.iter_mut() {
+        *a = F::wide_reduce(*a).to_wide();
+    }
 }
 
 /// Collapse a widened accumulator vector to canonical residues (the one

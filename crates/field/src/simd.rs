@@ -10,8 +10,8 @@
 //! which resolves, in order:
 //!
 //! 1. a scoped [`with_backend`] override on the current thread (tests
-//!    and benches; propagated into [`crate::par`] workers so a forced
-//!    backend survives the fork-join pool);
+//!    and benches; every kernel runs on its caller's thread, so the pin
+//!    covers the whole call);
 //! 2. the `LSA_SIMD` environment variable, read once per process:
 //!    `auto` (default) picks the best backend the CPU supports, and
 //!    any backend's [`Backend::name`] (`scalar`, `avx2`, `avx512`)
@@ -100,8 +100,7 @@ fn env_backend() -> Backend {
 }
 
 thread_local! {
-    /// Scoped override installed by [`with_backend`] (and mirrored into
-    /// [`crate::par`] workers for the duration of a forked call).
+    /// Scoped override installed by [`with_backend`].
     static OVERRIDE: Cell<Option<Backend>> = const { Cell::new(None) };
 }
 
@@ -114,8 +113,7 @@ pub fn backend() -> Backend {
 }
 
 /// Run `f` with the backend pinned on the current thread (restored on
-/// exit, even across panics). [`crate::par`] propagates the pin into
-/// its workers, so a kernel forked across the pool still honours it.
+/// exit, even across panics).
 ///
 /// Any backend in [`available`] is honoured; pinning one the host
 /// cannot run degrades to [`Backend::Scalar`], mirroring the `LSA_SIMD`
@@ -134,18 +132,6 @@ pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(OVERRIDE.with(|o| o.replace(Some(effective))));
     f()
-}
-
-/// The current thread's scoped override, if any — used by
-/// [`crate::par`] to mirror the pin into worker threads.
-pub(crate) fn current_override() -> Option<Backend> {
-    OVERRIDE.with(Cell::get)
-}
-
-/// Install an override captured from a forking thread (worker-side half
-/// of the propagation; cleared when the worker's scope ends).
-pub(crate) fn set_override(backend: Option<Backend>) {
-    OVERRIDE.with(|o| o.set(backend));
 }
 
 #[cfg(test)]

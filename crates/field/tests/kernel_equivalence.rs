@@ -5,7 +5,7 @@
 //! domain and reduce once per output element; these properties pin that
 //! the optimisation never changes a single residue — including at the
 //! all-`(q−1)` worst case that stresses the accumulator overflow
-//! bounds, and across serial vs forked execution.
+//! bounds, and on vectors long enough to span many cache blocks.
 //!
 //! Every oracle comparison runs once per compiled-in SIMD backend
 //! (forced through [`simd::with_backend`]), so the scalar path and each
@@ -20,7 +20,7 @@
 //! per-point Horner reference here too, at every `±β`.
 
 use lsa_coding::VandermondeCode;
-use lsa_field::{ops, par, simd, Field, Fp32, Fp61};
+use lsa_field::{ops, simd, Field, Fp32, Fp61};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,33 +67,29 @@ fn views<F>(segs: &[Vec<F>]) -> Vec<&[F]> {
 }
 
 /// `ops::eval_points` equals `ops::reference::horner_eval` point by
-/// point, under every backend × thread count {1, 2, 4, 7}.
+/// point, under every backend.
 fn assert_eval_points_match<F: Field>(segs: &[Vec<F>], points: &[F]) {
     let expect: Vec<Vec<F>> = points
         .iter()
         .map(|&p| ops::reference::horner_eval(segs, p))
         .collect();
     for_each_backend(|b| {
-        for threads in [1usize, 2, 4, 7] {
-            let got = par::with_threads(threads, || ops::eval_points(&views(segs), points));
-            assert_eq!(got, expect, "backend {} threads {threads}", b.name());
-        }
+        let got = ops::eval_points(&views(segs), points);
+        assert_eq!(got, expect, "backend {}", b.name());
     });
 }
 
 /// The split encode of an `n`-user code over `segs` equals
 /// `ops::reference::horner_eval` at every user's point `±β`, under
-/// every backend × thread count {1, 2, 4, 7}; so does `encode_for`.
+/// every backend; so does `encode_for`.
 fn assert_encode_matches<F: Field>(n: usize, segs: &[Vec<F>]) {
     let code = VandermondeCode::<F>::new(n, segs.len()).unwrap();
     let expect: Vec<Vec<F>> = (0..n)
         .map(|j| ops::reference::horner_eval(segs, code.point(j)))
         .collect();
     for_each_backend(|b| {
-        for threads in [1usize, 2, 4, 7] {
-            let got = par::with_threads(threads, || code.encode_all(segs));
-            assert_eq!(got, expect, "n {n}: backend {} threads {threads}", b.name());
-        }
+        let got = code.encode_all(segs);
+        assert_eq!(got, expect, "n {n}: backend {}", b.name());
         for j in [0, n / 2, n - 1] {
             assert_eq!(code.encode_for(segs, j), expect[j], "n {n}: user {j}");
         }
@@ -258,27 +254,6 @@ macro_rules! kernel_equivalence {
                         );
                     });
                 }
-
-                #[test]
-                fn parallel_kernels_bit_identical_to_serial(
-                    seed in $scalar(),
-                    c in $scalar(),
-                ) {
-                    // long enough to clear MIN_PAR_LEN so forking happens
-                    let len = par::MIN_PAR_LEN + 101;
-                    let x: Vec<$F> = (0..len)
-                        .map(|i| seed * <$F>::from_u64(i as u64 + 1) + c)
-                        .collect();
-                    let acc0: Vec<$F> =
-                        (0..len).map(|i| c * <$F>::from_u64(i as u64)).collect();
-                    for_each_backend(|b| {
-                        let mut serial = acc0.clone();
-                        let mut forked = acc0.clone();
-                        par::with_threads(1, || ops::axpy(&mut serial, c, &x));
-                        par::with_threads(4, || ops::axpy(&mut forked, c, &x));
-                        assert_eq!(serial, forked, "backend {}", b.name());
-                    });
-                }
             }
 
             /// The all-`(q−1)` worst case: maximum-magnitude coefficients
@@ -381,13 +356,13 @@ macro_rules! kernel_equivalence {
                 }
             }
 
-            /// Segments long enough to fork: one answer for every
-            /// thread count × backend, with a point count (9) that
-            /// splits unevenly over the workers.
+            /// Long segments (32 781 elements: many 8-element strips
+            /// and a scalar tail) with a point count (9) that is not a
+            /// whole number of 4-point register blocks.
             #[test]
-            fn eval_points_forks_bit_identically() {
+            fn eval_points_long_segments_match_reference() {
                 let mut rng = StdRng::seed_from_u64(18);
-                let len = par::MIN_PAR_LEN + 13;
+                let len = 32_781;
                 let segs: Vec<Vec<$F>> =
                     (0..3).map(|_| ops::random_vector(len, &mut rng)).collect();
                 assert_eval_points_match(&segs, &lsa_field::evaluation_points::<$F>(9));
@@ -450,42 +425,33 @@ fn fp61_accumulator_bounds_hold_at_extremes() {
 kernel_equivalence!(fp32_kernels, fp32, vec32, Fp32);
 kernel_equivalence!(fp61_kernels, fp61, vec61, Fp61);
 
-/// Serial and forked execution must agree element-for-element on the
-/// fused decode-shaped workload (many coefficients, long vectors), for
-/// every thread count × backend combination — one answer no matter how
-/// the work is split across cores or lanes. This also exercises the
-/// backend-pin propagation into [`par`] workers: the whole matrix runs
-/// under scoped `with_backend` overrides that must survive the fork.
-fn parallel_matrix_bit_identical<F: Field>(seed: u64) {
+/// Every backend gives one answer on the fused decode-shaped workload
+/// (16 coefficients over 32 775-element vectors: 32 whole cache blocks
+/// and a ragged last one).
+fn long_matrix_bit_identical<F: Field>(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let len = par::MIN_PAR_LEN + 7;
+    let len = 32_775;
     let inputs: Vec<Vec<F>> = (0..16).map(|_| ops::random_vector(len, &mut rng)).collect();
     let coeffs: Vec<F> = (0..16).map(|_| F::random(&mut rng)).collect();
     let refs: Vec<&[F]> = inputs.iter().map(Vec::as_slice).collect();
 
     let mut baseline: Option<Vec<F>> = None;
     for_each_backend(|b| {
-        for threads in [1usize, 2, 4, 7] {
-            let mut out = vec![F::ZERO; len];
-            par::with_threads(threads, || {
-                ops::weighted_sum_into(&mut out, &coeffs, &refs);
-            });
-            match &baseline {
-                None => baseline = Some(out),
-                Some(base) => {
-                    assert_eq!(&out, base, "backend {} threads {threads}", b.name())
-                }
-            }
+        let mut out = vec![F::ZERO; len];
+        ops::weighted_sum_into(&mut out, &coeffs, &refs);
+        match &baseline {
+            None => baseline = Some(out),
+            Some(base) => assert_eq!(&out, base, "backend {}", b.name()),
         }
     });
 }
 
 #[test]
-fn parallel_weighted_sum_bit_identical_across_thread_counts_fp32() {
-    parallel_matrix_bit_identical::<Fp32>(98);
+fn long_weighted_sum_bit_identical_across_backends_fp32() {
+    long_matrix_bit_identical::<Fp32>(98);
 }
 
 #[test]
-fn parallel_weighted_sum_bit_identical_across_thread_counts_fp61() {
-    parallel_matrix_bit_identical::<Fp61>(99);
+fn long_weighted_sum_bit_identical_across_backends_fp61() {
+    long_matrix_bit_identical::<Fp61>(99);
 }

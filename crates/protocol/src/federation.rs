@@ -272,11 +272,9 @@ pub trait SecureAggregator<F: Field> {
     }
 }
 
-/// A [`SecureAggregator`] that can be handed to another thread — the
-/// unit of composition of the aggregator tree ([`crate::topology`]),
-/// where per-subtree `finish_round` decodes run on the scoped worker
-/// pool.
-pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F> + Send>;
+/// A boxed [`SecureAggregator`] — the unit of composition of the
+/// aggregator tree ([`crate::topology`]).
+pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F>>;
 
 // ---------------------------------------------------------------------
 // Persistent endpoints
@@ -699,8 +697,7 @@ impl<F: Field> FederationServer<F> {
                 need: self.cfg.u(),
             });
         }
-        // the lazy one-shot decode runs here — the owner's thread, which
-        // a grouped topology schedules in parallel across groups
+        // the lazy one-shot decode runs here, on the owner's call
         let aggregate = session.recover_aggregate()?;
         self.session = None;
         Ok(aggregate)

@@ -45,9 +45,8 @@ pub enum ServerPhase {
 /// survivor, each built when it is asked for.
 /// Recovery is **deliberately lazy**: receiving the `U`-th share only
 /// marks the round [`ServerPhase::ReadyToRecover`]; the `O(U²) + O(U·d)`
-/// decode runs when the owner calls [`ServerRound::recover_aggregate`] —
-/// which lets a grouped topology decode its independent groups on a
-/// thread pool instead of inline in the (serial) message pump.
+/// decode runs when the owner calls [`ServerRound::recover_aggregate`],
+/// not inside the message pump.
 ///
 /// # Example
 ///

@@ -298,7 +298,6 @@ impl RoundReport {
         }
         phases.push('}');
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let lsa_threads = lsa_field::par::num_threads();
         let simd_backend = lsa_field::simd::backend().name();
         let pad_topology = self.ratchet.topology().name();
         let commit_window = self.ratchet.window();
@@ -309,7 +308,7 @@ impl RoundReport {
              \"events\":{{\"dropouts\":{},\"requeues\":{},\"ratchets\":{},\
              \"windowed_ratchets\":{},\"fallbacks\":{},\"rejections\":{},\
              \"quarantined\":{}}},\
-             \"available_parallelism\":{cores},\"lsa_threads\":{lsa_threads},\
+             \"available_parallelism\":{cores},\
              \"simd_backend\":\"{simd_backend}\",\
              \"pad_topology\":\"{pad_topology}\",\"commit_window\":{commit_window}}}",
             json_string(name),
@@ -570,7 +569,6 @@ mod tests {
             "\"events\":",
             "\"windowed_ratchets\":",
             "\"available_parallelism\":",
-            "\"lsa_threads\":",
             "\"simd_backend\":\"",
             "\"pad_topology\":\"",
             "\"commit_window\":",

@@ -22,10 +22,9 @@
 //!   [`BoxedAggregator`] children (each a [`SyncFederation`] leaf or
 //!   another `GroupedFederation`), so hierarchies nest to arbitrary
 //!   depth — two-level (groups of groups) being the supported, benched
-//!   configuration. `finish_round` fans the per-subtree decodes across
-//!   the scoped worker pool (`LSA_THREADS`) and folds the results in
-//!   serial child order, so the aggregate is bit-identical for any
-//!   thread count.
+//!   configuration. `finish_round` finishes the subtrees one after
+//!   another on the caller's thread and folds their aggregates in
+//!   child order.
 //!
 //! # Id spaces
 //!
@@ -632,12 +631,11 @@ struct ChildNode<F: Field> {
 /// The driver-facing lifecycle (`open_round → submit* → finish_round`)
 /// is identical to the flat [`SyncFederation`]. Internally every call
 /// splits by the global↔slot mapping and delegates to the child
-/// subtree owning the slot; `finish_round` runs the children on the
-/// scoped worker pool ([`lsa_field::par::par_map_mut`], `LSA_THREADS`)
-/// and folds their aggregates serially in child order — bit-identical
-/// for any thread count. Each subtree owns its own transport (its own
-/// aggregator link, Turbo-Aggregate style), so one stalled subtree
-/// never blocks another's decode.
+/// subtree owning the slot; `finish_round` finishes the participating
+/// children in child order and folds their aggregates in that order.
+/// Each subtree owns its own transport (its own aggregator link,
+/// Turbo-Aggregate style), so one stalled subtree never blocks
+/// another's decode.
 pub struct GroupedFederation<F: Field> {
     topology: GroupTopology,
     children: Vec<ChildNode<F>>,
@@ -683,7 +681,7 @@ impl<F: Field> GroupedFederation<F> {
     /// Propagates invalid configuration.
     pub fn new<T>(topology: GroupTopology, transport: T, seed: u64) -> Result<Self, ProtocolError>
     where
-        T: Transport<F> + Clone + Send + 'static,
+        T: Transport<F> + Clone + 'static,
     {
         let mut master = StdRng::seed_from_u64(seed);
         Self::new_inner(topology, &transport, &mut master)
@@ -695,7 +693,7 @@ impl<F: Field> GroupedFederation<F> {
         master: &mut StdRng,
     ) -> Result<Self, ProtocolError>
     where
-        T: Transport<F> + Clone + Send + 'static,
+        T: Transport<F> + Clone + 'static,
     {
         let mut children = Vec::new();
         let mut start = 0usize;
@@ -1018,28 +1016,17 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
 
     fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
         let open = self.open.clone().ok_or(ProtocolError::WrongPhase)?;
-        let participating = self.participating.clone();
 
-        // Fan the per-subtree finishes (upload delivery, survivor
-        // announcement, recovery, one-shot decode) across the scoped
-        // worker pool: the subtrees share no state, and a nested
-        // GroupedFederation's own fan-out runs inline on its worker
-        // (nested forking is suppressed), so the machine is never
-        // oversubscribed. Results are collected in child order.
-        let mut refs: Vec<(usize, &mut ChildNode<F>)> = self
-            .children
-            .iter_mut()
-            .enumerate()
-            .filter(|(c, _)| participating.binary_search(c).is_ok())
+        // Finish every participating subtree (upload delivery, survivor
+        // announcement, recovery, one-shot decode) before folding any:
+        // the subtrees share no state.
+        let results: Vec<(usize, Result<RoundOutcome<F>, ProtocolError>)> = self
+            .participating
+            .iter()
+            .map(|&c| (c, self.children[c].agg.finish_round()))
             .collect();
-        let outcomes =
-            lsa_field::par::par_map_mut(&mut refs, |(_, child)| child.agg.finish_round());
-        drop(refs);
-        let results: Vec<(usize, Result<RoundOutcome<F>, ProtocolError>)> =
-            participating.iter().copied().zip(outcomes).collect();
 
-        // Serial fold in child order: deterministic, bit-identical
-        // across thread counts.
+        // Fold in child order.
         let mut aggregate = vec![F::ZERO; self.topology.d()];
         let mut contributors: Vec<usize> = Vec::new();
         let mut total_weight = 0u64;

@@ -1,13 +1,12 @@
-//! Parallel group recovery must be bit-identical to serial recovery.
+//! Grouped recovery is exact.
 //!
 //! `GroupedFederation::finish_round` decodes its `G` independent groups
-//! on the scoped worker pool (`LSA_THREADS`). These tests pin that the
-//! thread count never changes a single residue of the aggregate — the
-//! per-group decodes share no state and the global fold stays serial in
-//! group order — at the sizes named by the roadmap's parallel-decode
-//! item.
+//! (each with a straggler that vanished after upload, so the full
+//! recovery path runs) and folds them in group order. These tests pin
+//! that the aggregate is the plaintext sum of every submitted update,
+//! flat (`N = 256`, `G = 4`) and two-level (`[4, 4]`), on both fields.
 
-use lsa_field::{par, Field, Fp32, Fp61};
+use lsa_field::{ops, Field, Fp32, Fp61};
 use lsa_protocol::federation::{Federation, RoundOutcome, RoundPlan};
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::MemTransport;
@@ -18,8 +17,12 @@ const N: usize = 256;
 const G: usize = 4;
 const D: usize = 64;
 
-fn run_round<F: Field>(threads: usize, seed: u64) -> RoundOutcome<F> {
-    let topo = GroupTopology::uniform(N, G, 0.25, 0.9, D).unwrap();
+/// Run one round of `topo` with a random update from every client and
+/// one straggler per leaf group (`leaves` of them) vanishing after
+/// upload, so the recovery path (announcement + aggregated shares +
+/// per-group decode) really runs; assert the aggregate is the plaintext
+/// sum of all `N` updates.
+fn assert_recovers_plaintext_sum<F: Field>(topo: GroupTopology, leaves: usize, seed: u64) {
     let grouped = GroupedFederation::<F>::new(topo, MemTransport::new(), seed).unwrap();
     let mut fed = Federation::new(Box::new(grouped));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
@@ -27,96 +30,57 @@ fn run_round<F: Field>(threads: usize, seed: u64) -> RoundOutcome<F> {
     let mut plan = RoundPlan::new(cohort.clone());
     plan.updates = cohort
         .iter()
-        .map(|&i| (i, lsa_field::ops::random_vector(D, &mut rng)))
+        .map(|&i| (i, ops::random_vector(D, &mut rng)))
         .collect();
-    // one straggler per group vanishes after upload: the recovery path
-    // (announcement + aggregated shares + per-group decode) really runs
-    plan.drop_after_upload = (0..G).map(|g| g * (N / G)).collect();
-    par::with_threads(threads, || fed.run_round(&plan).unwrap())
-}
-
-fn parallel_matches_serial<F: Field>() {
-    let serial = run_round::<F>(1, 7);
-    for threads in [2usize, 4, 8] {
-        let parallel = run_round::<F>(threads, 7);
-        assert_eq!(
-            serial.aggregate, parallel.aggregate,
-            "aggregate diverged at {threads} threads"
-        );
-        assert_eq!(serial.contributors, parallel.contributors);
-        assert_eq!(serial.total_weight, parallel.total_weight);
-    }
+    plan.drop_after_upload = (0..leaves).map(|g| g * (N / leaves)).collect();
+    let out: RoundOutcome<F> = fed.run_round(&plan).unwrap();
+    let plaintext = ops::sum_vectors(plan.updates.iter().map(|(_, u)| u.as_slice())).unwrap();
+    assert_eq!(out.aggregate, plaintext);
+    assert_eq!(out.contributors, cohort);
+    assert_eq!(out.total_weight, N as u64);
 }
 
 #[test]
 fn parallel_recovery_bit_identical_n256_g4_fp61() {
-    parallel_matches_serial::<Fp61>();
+    let topo = GroupTopology::uniform(N, G, 0.25, 0.9, D).unwrap();
+    assert_recovers_plaintext_sum::<Fp61>(topo, G, 7);
 }
 
 #[test]
 fn parallel_recovery_bit_identical_n256_g4_fp32() {
-    parallel_matches_serial::<Fp32>();
+    let topo = GroupTopology::uniform(N, G, 0.25, 0.9, D).unwrap();
+    assert_recovers_plaintext_sum::<Fp32>(topo, G, 7);
 }
 
-/// The parallel path agrees with the plaintext sum, not merely with
-/// itself: known uniform updates give a closed-form aggregate.
+/// Known uniform updates give a closed-form aggregate.
 #[test]
 fn parallel_recovery_is_exact() {
     let topo = GroupTopology::uniform(N, G, 0.25, 0.9, D).unwrap();
     let grouped = GroupedFederation::<Fp61>::new(topo, MemTransport::new(), 3).unwrap();
     let mut fed = Federation::new(Box::new(grouped));
     let cohort: Vec<usize> = (0..N).collect();
-    let out = par::with_threads(4, || {
-        fed.run_round(&RoundPlan::new(cohort.clone()).with_uniform_updates(vec![Fp61::ONE; D]))
-            .unwrap()
-    });
+    let out = fed
+        .run_round(&RoundPlan::new(cohort.clone()).with_uniform_updates(vec![Fp61::ONE; D]))
+        .unwrap();
     assert_eq!(out.aggregate, vec![Fp61::from_u64(N as u64); D]);
     assert_eq!(out.total_weight, N as u64);
 }
 
-/// The tree-parallel decode path: a two-level hierarchy's
-/// `finish_round` fans its super-groups across the pool (each
-/// super-group's own fan-out runs inline on the worker), and the
-/// aggregate stays bit-identical across thread counts — the acceptance
-/// pin for `LSA_THREADS ∈ {1, 4}`.
-fn run_hierarchical_round<F: Field>(threads: usize, seed: u64) -> RoundOutcome<F> {
-    // 4 super-groups x 4 leaf groups x 16 clients
+/// 4 super-groups × 4 leaf groups × 16 clients.
+fn two_level() -> GroupTopology {
     let topo = GroupTopology::hierarchical(N, &[4, 4], 0.25, 0.9, D).unwrap();
     assert_eq!(topo.depth(), 2);
-    let grouped = GroupedFederation::<F>::new(topo, MemTransport::new(), seed).unwrap();
-    let mut fed = Federation::new(Box::new(grouped));
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-    let cohort: Vec<usize> = (0..N).collect();
-    let mut plan = RoundPlan::new(cohort.clone());
-    plan.updates = cohort
-        .iter()
-        .map(|&i| (i, lsa_field::ops::random_vector(D, &mut rng)))
-        .collect();
-    // one straggler per leaf group vanishes after upload
-    plan.drop_after_upload = (0..16).map(|g| g * (N / 16)).collect();
-    par::with_threads(threads, || fed.run_round(&plan).unwrap())
+    topo
 }
 
 #[test]
 fn tree_parallel_recovery_bit_identical_two_level_fp61() {
-    let serial = run_hierarchical_round::<Fp61>(1, 9);
-    for threads in [4usize, 8] {
-        let parallel = run_hierarchical_round::<Fp61>(threads, 9);
-        assert_eq!(
-            serial.aggregate, parallel.aggregate,
-            "aggregate diverged at {threads} threads"
-        );
-        assert_eq!(serial.contributors, parallel.contributors);
-        assert_eq!(serial.total_weight, parallel.total_weight);
-    }
+    assert_recovers_plaintext_sum::<Fp61>(two_level(), 16, 9);
 }
 
 #[test]
 fn tree_parallel_recovery_bit_identical_two_level_fp32() {
-    let serial = run_hierarchical_round::<Fp32>(1, 10);
-    let parallel = run_hierarchical_round::<Fp32>(4, 10);
-    assert_eq!(serial.aggregate, parallel.aggregate);
-    assert_eq!(serial.contributors, parallel.contributors);
+    assert_recovers_plaintext_sum::<Fp32>(two_level(), 16, 10);
 }
 
 /// Hierarchy is sum-preserving: the two-level aggregate equals the
@@ -127,7 +91,7 @@ fn two_level_matches_depth_one_aggregate() {
     let cohort: Vec<usize> = (0..N).collect();
     let updates: Vec<(usize, Vec<Fp61>)> = cohort
         .iter()
-        .map(|&i| (i, lsa_field::ops::random_vector(D, &mut rng)))
+        .map(|&i| (i, ops::random_vector(D, &mut rng)))
         .collect();
     let mut outs = Vec::new();
     for topo in [

@@ -45,7 +45,6 @@ fn two_level_loopback_matches_in_memory_run() {
             "\"envelopes\":4",
             "\"events\":",
             "\"available_parallelism\":",
-            "\"lsa_threads\":",
         ] {
             assert!(line.contains(key), "missing {key} in {line}");
         }

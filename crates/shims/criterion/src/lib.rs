@@ -19,16 +19,10 @@
 //! measurement is also appended there as one JSON object per line
 //! (`{"name": ..., "ns_per_iter": ..., "elements_per_iter": ...,
 //! "bytes_per_iter": ..., "available_parallelism": ...,
-//! "lsa_threads": ...}`), so CI can upload a machine-readable perf
+//! "simd_backend": ...}`), so CI can upload a machine-readable perf
 //! artifact and the trajectory accumulates across commits. The last two
-//! fields record the host's core count and the **process-level**
-//! `LSA_THREADS` resolution (the env var when set, else the core
-//! count). Benches that sweep thread counts via scoped
-//! `par::with_threads` overrides encode the *requested* count in the
-//! row name (`.../t4`) — the JSON fields say what hardware backed it:
-//! a `t4` row measured where `available_parallelism == 1` says nothing
-//! about the parallel speedup target — re-measure where the recorded
-//! core count exceeds the requested thread count.
+//! fields record the host's core count and the process-level `LSA_SIMD`
+//! resolution.
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -319,23 +313,12 @@ impl Criterion {
             Some(Throughput::Bytes(n)) => ("null".into(), n.to_string()),
             None => ("null".into(), String::from("null")),
         };
-        // Execution-environment metadata: the host's core count and the
-        // process-level `LSA_THREADS` resolution (mirroring lsa-field's
-        // env fallback: the variable when set and >= 1, else the
-        // available parallelism). Scoped `with_threads` overrides are
-        // per-row and live in the benchmark *name*; these fields say
-        // what hardware backed the run — without them a flat `t4` row
-        // from a 1-core CI container is indistinguishable from a real
-        // parallel-speedup regression.
+        // Execution-environment metadata: what hardware and which
+        // knob-level SIMD backend backed the run.
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let lsa_threads = std::env::var("LSA_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(cores);
         let simd_backend = resolved_simd_backend();
         let line = format!(
-            "{{\"name\":\"{name}\",\"ns_per_iter\":{ns:.1},\"elements_per_iter\":{elements},\"bytes_per_iter\":{bytes},\"available_parallelism\":{cores},\"lsa_threads\":{lsa_threads},\"simd_backend\":\"{simd_backend}\"}}\n",
+            "{{\"name\":\"{name}\",\"ns_per_iter\":{ns:.1},\"elements_per_iter\":{elements},\"bytes_per_iter\":{bytes},\"available_parallelism\":{cores},\"simd_backend\":\"{simd_backend}\"}}\n",
         );
         if let Ok(mut file) = std::fs::OpenOptions::new()
             .create(true)
@@ -348,8 +331,7 @@ impl Criterion {
 }
 
 /// The process-level SIMD backend resolution, duplicated from
-/// `lsa_field::simd` so the shim stays dependency-free (the same
-/// precedent as the `LSA_THREADS` resolution above): `LSA_SIMD` wins
+/// `lsa_field::simd` so the shim stays dependency-free: `LSA_SIMD` wins
 /// when set, else the best feature the CPU reports. Scoped
 /// `with_backend` overrides are per-row and live in the benchmark
 /// *name*; this field says what the knob-level default was.

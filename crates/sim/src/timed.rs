@@ -123,10 +123,9 @@ pub fn run_timed_sync_round<F: Field, R: Rng + ?Sized>(
 /// *within* a leaf).
 ///
 /// The server-side compute behind those arrivals — the per-subtree
-/// one-shot decodes inside `finish_round` — runs on the scoped worker
-/// pool (`LSA_THREADS`), so the wall-clock cost of this driver drops on
-/// multi-core hosts while the simulated network timings (and the
-/// aggregate, bit-for-bit) stay identical.
+/// one-shot decodes inside `finish_round` — runs one subtree after
+/// another on the calling thread; it costs this driver wall-clock time
+/// but never moves the simulated network timings.
 ///
 /// # Errors
 ///
