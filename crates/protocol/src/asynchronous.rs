@@ -300,13 +300,14 @@ impl<F: Field> AsyncClient<F> {
         self.received.len()
     }
 
-    /// Drop exactly one round's mask and share state — rollback of a
-    /// half-built ratcheted round before falling back to a full
-    /// exchange (which regenerates the round from scratch).
+    /// Drop exactly one round's mask, share state and unsent shares —
+    /// rollback of a half-built ratcheted round or a failed full
+    /// exchange before the round is joined again from scratch.
     fn forget_round(&mut self, round: u64) {
         self.masks.remove(&round);
         self.received.retain(|&(_, r), _| r != round);
         self.sent.retain(|&(_, r), _| r != round);
+        self.outbox.retain(|(_, e)| e.round() != round);
     }
 
     /// Derive the mask for `round` by ratcheting `base_round`'s retained

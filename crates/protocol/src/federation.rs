@@ -975,8 +975,8 @@ pub trait LeafVariant<F: Field> {
     /// Drop every round below `round`: they are finished or abandoned.
     fn retire(client: &mut Self::Client, round: u64);
 
-    /// Drop exactly `round` — rollback of a half-built ratcheted round
-    /// before falling back to the full exchange.
+    /// Drop exactly `round`, unsent shares included — rollback of a
+    /// failed offline phase before the round is joined again.
     fn discard(client: &mut Self::Client, round: u64);
 
     /// Retain the finished `round` as the ratchet base of the cohort
@@ -1121,13 +1121,6 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         &mut self.transport
     }
 
-    /// Corrupt client `id`'s retained base fingerprint — test hook for
-    /// the stale-fingerprint failure path.
-    #[doc(hidden)]
-    pub fn poison_ratchet(&mut self, id: usize, fingerprint: u64) {
-        V::client_ratchet(&mut self.clients[id]).poison(fingerprint);
-    }
-
     /// Deliver everything in flight to the server and the `online`
     /// clients.
     fn pump(&mut self, online: &BTreeSet<usize>) -> Result<(), ProtocolError> {
@@ -1198,6 +1191,18 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         if let Some(windowed) = self.try_ratchet(round, cohort, label) {
             return Ok(Some(windowed));
         }
+        self.exchange_shares(round, cohort, label)
+            .inspect_err(|_| self.rollback(round, cohort))?;
+        Ok(None)
+    }
+
+    /// The full offline exchange of [`Self::share_masks`].
+    fn exchange_shares(
+        &mut self,
+        round: u64,
+        cohort: &BTreeSet<usize>,
+        label: &'static str,
+    ) -> Result<(), ProtocolError> {
         // everyone joins before anyone sends: a share must find its
         // recipient's round open
         for &id in cohort {
@@ -1208,8 +1213,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
             self.pump(cohort)?;
         }
         self.transport.flush(label);
-        self.pump(cohort)?;
-        Ok(None)
+        self.pump(cohort)
     }
 
     /// Attempt the stable-cohort fast path for `round`:
@@ -1257,7 +1261,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
             self.exchange_ratchet(round, cohort, fp, label)
         };
         if derived.is_err() {
-            self.ratchet_rollback(round, cohort);
+            self.rollback(round, cohort);
             return None;
         }
         Some(windowed)
@@ -1301,15 +1305,15 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         }
     }
 
-    /// Discard everything a failed ratchet handshake may have built:
-    /// the ratchet state, `cohort`'s half-built round and the
-    /// announcements still in flight.
-    fn ratchet_rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
+    /// Discard everything a failed ratchet handshake or full exchange
+    /// may have built: the ratchet state, `cohort`'s half-joined round
+    /// and the envelopes still in flight.
+    fn rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
         self.forget_ratchet();
         for &id in cohort {
             V::discard(&mut self.clients[id], round);
         }
-        self.discard_in_flight("ratchet-abort");
+        self.discard_in_flight("offline-abort");
     }
 }
 

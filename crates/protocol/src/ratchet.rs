@@ -344,14 +344,6 @@ impl<B> ClientRatchet<B> {
         }
     }
 
-    /// Corrupt the retained fingerprint — test hook for the
-    /// stale-fingerprint failure path.
-    pub(crate) fn poison(&mut self, fingerprint: u64) {
-        if let Some((_, fp)) = self.base.as_mut() {
-            *fp = fingerprint;
-        }
-    }
-
     /// Join `round` from the banked window, consuming its nonce. No
     /// ack: the whole window was acked when it was committed.
     ///
@@ -1031,7 +1023,7 @@ pub(crate) mod tests {
             client.accept(&window, derive).unwrap_err(),
             ProtocolError::RatchetMismatch
         );
-        client.poison(77);
+        client.harvest(0, 77);
         // the window commit fixes the topology and derives round 10
         let (derived, (_, ack)) = client.accept(&window, derive).unwrap();
         assert_eq!(derived, (100, PadTopology::Clique));

@@ -21,13 +21,17 @@
 //!   this module implements [`Transport`] for it so the same poll-based
 //!   sessions run unchanged across OS processes (Wire-v2 envelopes in
 //!   length-prefixed frames).
+//!
+//! [`FaultTransport`] wraps a [`MemTransport`] for tests: it records
+//! what it delivers and duplicates or bit-flips an addressed frame.
 
 use crate::session::Recipient;
-use crate::wire::Envelope;
+use crate::wire::{Envelope, EnvelopeKind};
 use crate::ProtocolError;
 use lsa_field::Field;
 use lsa_net::{Duplex, Network, NetworkConfig, NodeId, TcpTransport, Transfer};
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 // The timing currency lives with the network backends so both the
 // simulator and the TCP transport can mint records; re-exported here so
@@ -125,7 +129,7 @@ pub struct MemTransport {
     bytes_sent: usize,
     messages_sent: usize,
     /// Messages ever sent, per envelope kind (indexed by `tag() - 1`).
-    counts: [usize; crate::wire::EnvelopeKind::ALL.len()],
+    counts: [usize; EnvelopeKind::ALL.len()],
 }
 
 impl MemTransport {
@@ -156,8 +160,8 @@ impl MemTransport {
 
     /// Messages ever sent carrying the given envelope kind. Lets tests
     /// assert traffic *shape* — e.g. that a ratcheted round moved zero
-    /// [`crate::wire::EnvelopeKind::CodedMaskShare`]s.
-    pub fn kind_count(&self, kind: crate::wire::EnvelopeKind) -> usize {
+    /// [`EnvelopeKind::CodedMaskShare`]s.
+    pub fn kind_count(&self, kind: EnvelopeKind) -> usize {
         self.counts[(kind.tag() - 1) as usize]
     }
 }
@@ -196,6 +200,115 @@ impl<F: Field> Transport<F> for MemTransport {
 
     fn messages_sent(&self) -> usize {
         self.messages_sent
+    }
+}
+
+// ---------------------------------------------------------------------
+// FaultTransport
+// ---------------------------------------------------------------------
+
+/// What a [`FaultTransport`] does to the one frame a fault is aimed at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Queue the frame twice; `bytes_sent` still counts one send.
+    Duplicate,
+    /// XOR byte `byte` of the queued frame with `mask` (byte 0 is the
+    /// envelope tag), so the receiver's decoder sees the damage. The
+    /// send panics if the frame is shorter.
+    Flip { byte: usize, mask: u8 },
+}
+
+/// The `(from, to, bytes)` frames a [`FaultTransport`] delivered, in
+/// order, behind a handle that stays readable while a federation owns it.
+pub type Transcript = Arc<Mutex<Vec<(Recipient, Recipient, Vec<u8>)>>>;
+
+/// A [`MemTransport`] for tests of a misbehaving wire: the same FIFO,
+/// byte counting and serialize → deserialize round trip, plus a
+/// [`Transcript`] of every frame `recv` returned, the peak number of
+/// frames in flight, and injected [`Fault`]s.
+#[derive(Debug, Default)]
+pub struct FaultTransport {
+    inner: MemTransport,
+    /// `(fault, kind, recipient, matching sends still to let through)`.
+    armed: Vec<(Fault, EnvelopeKind, Option<Recipient>, usize)>,
+    transcript: Transcript,
+    peak: usize,
+}
+
+impl FaultTransport {
+    /// A fault-free transport with an empty transcript.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Aim `fault` at the `nth` (0-based) send of a `kind` envelope from
+    /// now on, counting only those addressed to `to` when given.
+    pub fn inject(&mut self, fault: Fault, kind: EnvelopeKind, to: Option<Recipient>, nth: usize) {
+        self.armed.push((fault, kind, to, nth));
+    }
+
+    /// A handle on the delivered frames.
+    pub fn transcript(&self) -> Transcript {
+        Arc::clone(&self.transcript)
+    }
+
+    /// The most frames ever in flight at once.
+    pub fn peak(&self) -> usize {
+        self.peak
+    }
+
+    /// The wrapped queue: frames in flight and per-kind send counts.
+    pub fn inner(&self) -> &MemTransport {
+        &self.inner
+    }
+}
+
+impl<F: Field> Transport<F> for FaultTransport {
+    fn send(
+        &mut self,
+        from: Recipient,
+        to: Recipient,
+        envelope: &Envelope<F>,
+    ) -> Result<(), ProtocolError> {
+        Transport::<F>::send(&mut self.inner, from, to, envelope)?;
+        let mut fired = Vec::new();
+        self.armed.retain_mut(|(fault, kind, at, skip)| {
+            let aimed = *kind == envelope.kind() && at.is_none_or(|r| r == to);
+            if aimed && *skip == 0 {
+                fired.push(*fault);
+                return false;
+            }
+            *skip -= usize::from(aimed);
+            true
+        });
+        let queue = &mut self.inner.queue;
+        for fault in fired {
+            let last = queue.len() - 1;
+            match fault {
+                Fault::Duplicate => queue.push_back(queue[last].clone()),
+                Fault::Flip { byte, mask } => queue[last].2[byte] ^= mask,
+            }
+        }
+        self.peak = self.peak.max(queue.len());
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<Option<Delivery<F>>, ProtocolError> {
+        let Some(frame) = self.inner.queue.front().cloned() else {
+            return Ok(None);
+        };
+        let delivery = Transport::<F>::recv(&mut self.inner)?;
+        let mut delivered = self.transcript.lock().expect("no holder panicked");
+        delivered.push(frame);
+        Ok(delivery)
+    }
+
+    fn bytes_sent(&self) -> usize {
+        self.inner.bytes_sent
+    }
+
+    fn messages_sent(&self) -> usize {
+        self.inner.messages_sent
     }
 }
 
@@ -443,6 +556,126 @@ mod tests {
             assert_eq!(d.wire_bytes, env(i, 4).wire_len());
         }
         assert!(Transport::<Fp61>::recv(&mut t).unwrap().is_none());
+    }
+
+    /// Uploads to the server and aggregated shares to the next client,
+    /// from clients 0..4 in turn: `(from, to, envelope)`.
+    fn traffic() -> Vec<(Recipient, Recipient, Envelope<Fp61>)> {
+        (0..4)
+            .flat_map(|i| {
+                let share = Envelope::AggregatedShare(crate::wire::AggregatedShare {
+                    from: i,
+                    group: 0,
+                    round: 0,
+                    payload: vec![Fp61::from_u64(5); 3],
+                });
+                [
+                    (Recipient::Client(i), Recipient::Server, env(i, 4)),
+                    (Recipient::Client(i), Recipient::Client((i + 1) % 4), share),
+                ]
+            })
+            .collect()
+    }
+
+    fn send_all<T: Transport<Fp61>>(t: &mut T) {
+        for (from, to, envelope) in traffic() {
+            t.send(from, to, &envelope).unwrap();
+        }
+    }
+
+    /// Receive until the queue is empty, errors included.
+    fn drain<T: Transport<Fp61>>(t: &mut T) -> Vec<Result<Delivery<Fp61>, ProtocolError>> {
+        std::iter::from_fn(|| t.recv().transpose()).collect()
+    }
+
+    const UNKNOWN_TAG: Fault = Fault::Flip {
+        byte: 0,
+        mask: 0xFF,
+    };
+
+    #[test]
+    fn fault_transport_without_faults_is_a_mem_transport() {
+        let (mut mem, mut faulty) = (MemTransport::new(), FaultTransport::new());
+        send_all(&mut mem);
+        send_all(&mut faulty);
+        assert_eq!(Transport::<Fp61>::bytes_sent(&faulty), mem.bytes_sent());
+        assert_eq!(
+            Transport::<Fp61>::messages_sent(&faulty),
+            mem.messages_sent()
+        );
+        for kind in EnvelopeKind::ALL {
+            assert_eq!(faulty.inner().kind_count(kind), mem.kind_count(kind));
+        }
+        assert_eq!(drain(&mut faulty), drain(&mut mem));
+    }
+
+    #[test]
+    fn duplicate_and_flip_hit_only_their_addressed_frame() {
+        let mut t = FaultTransport::new();
+        // client 1's upload (the second to the server) and client 1's
+        // share (the first to client 2)
+        t.inject(
+            Fault::Duplicate,
+            EnvelopeKind::MaskedModel,
+            Some(Recipient::Server),
+            1,
+        );
+        t.inject(
+            UNKNOWN_TAG,
+            EnvelopeKind::AggregatedShare,
+            Some(Recipient::Client(2)),
+            0,
+        );
+        send_all(&mut t);
+        let sent = traffic();
+        let bytes: usize = sent.iter().map(|(_, _, e)| e.wire_len()).sum();
+        assert_eq!(
+            Transport::<Fp61>::bytes_sent(&t),
+            bytes,
+            "the copy is not billed"
+        );
+        assert_eq!(Transport::<Fp61>::messages_sent(&t), sent.len());
+        assert_eq!(t.peak(), sent.len() + 1, "the copy is in flight");
+
+        let mut want: Vec<Result<Delivery<Fp61>, ProtocolError>> = sent
+            .into_iter()
+            .map(|(from, to, envelope)| {
+                let wire_bytes = envelope.wire_len();
+                Ok(Delivery {
+                    from,
+                    to,
+                    envelope,
+                    wire_bytes,
+                })
+            })
+            .collect();
+        want[3] = Err(ProtocolError::Wire(crate::wire::WireError::UnknownTag(
+            0x04 ^ 0xFF,
+        )));
+        want.insert(3, want[2].clone());
+        assert_eq!(drain(&mut t), want);
+    }
+
+    #[test]
+    fn the_transcript_is_what_recv_returned_in_delivery_order() {
+        let mut t = FaultTransport::new();
+        let transcript = t.transcript();
+        t.inject(UNKNOWN_TAG, EnvelopeKind::AggregatedShare, None, 0);
+        send_all(&mut t);
+        let frame = |d: Delivery<Fp61>| (d.from, d.to, d.envelope.to_bytes());
+        let take = || std::mem::take(&mut *transcript.lock().unwrap());
+        let mut delivered = (0..3).map(|_| Transport::<Fp61>::recv(&mut t));
+        let first = delivered.next().unwrap().unwrap().unwrap();
+        assert!(delivered.next().unwrap().is_err(), "client 0's share");
+        let third = delivered.next().unwrap().unwrap().unwrap();
+        assert_eq!(take(), vec![frame(first), frame(third)]);
+        let rest: Vec<_> = drain(&mut t)
+            .into_iter()
+            .map(|d| frame(d.unwrap()))
+            .collect();
+        assert_eq!(rest.len(), 5);
+        assert_eq!(take(), rest);
+        assert!(take().is_empty());
     }
 
     #[test]

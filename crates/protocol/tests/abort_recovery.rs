@@ -4,6 +4,8 @@
 //! exactly — for both leaf variants, standalone and as the stalled
 //! subtree of a partial-recovery tree. `Federation::run_round` does
 //! that abort itself when a plan fails, on a leaf and on a strict tree.
+//! An undecodable frame fails its round typed and wedges nothing: not
+//! inside a round, not inside an offline exchange.
 
 use lsa_field::{Field, Fp61};
 use lsa_protocol::federation::{
@@ -12,21 +14,25 @@ use lsa_protocol::federation::{
 };
 use lsa_protocol::ratchet::policies;
 use lsa_protocol::topology::GroupedFederation;
-use lsa_protocol::transport::{Delivery, MemTransport, Transport};
-use lsa_protocol::wire::{Envelope, WireError};
+use lsa_protocol::transport::{Fault, FaultTransport, MemTransport, Transport};
+use lsa_protocol::wire::{Envelope, EnvelopeKind};
 use lsa_protocol::{AggregatedShare, LsaConfig, ProtocolError, Recipient};
 
 const D: usize = 4;
 
-/// Leaf `group` of each variant under each ratchet policy, by name.
-fn leaves(group: usize) -> Vec<(String, BoxedAggregator<Fp61>)> {
+/// Leaf `group` of each variant under each ratchet policy, by name,
+/// each over its own `wire()`.
+fn leaves<T: Transport<Fp61> + Send + 'static>(
+    group: usize,
+    wire: impl Fn() -> T,
+) -> Vec<(String, BoxedAggregator<Fp61>)> {
     let seed = 40 + group as u64;
     let mut out: Vec<(String, BoxedAggregator<Fp61>)> = Vec::new();
     for policy in policies() {
         let cfg = LsaConfig::new(8, 2, 6, D).unwrap().with_ratchet(policy);
-        let sync = SyncFederation::in_group(group, cfg, MemTransport::new(), seed).unwrap();
+        let sync = SyncFederation::in_group(group, cfg, wire(), seed).unwrap();
         out.push((format!("sync/{policy:?}"), Box::new(sync)));
-        let buffered = BufferedFederation::unit_weight(cfg, MemTransport::new(), seed).unwrap();
+        let buffered = BufferedFederation::unit_weight(cfg, wire(), seed).unwrap();
         out.push((format!("buffered/{policy:?}"), Box::new(buffered)));
     }
     out
@@ -55,7 +61,7 @@ fn plan(n: usize, round: u64, drop_after_upload: &[usize]) -> RoundPlan<Fp61> {
 
 #[test]
 fn a_leaf_recovers_after_a_failed_round_is_aborted() {
-    for (name, mut leaf) in leaves(0) {
+    for (name, mut leaf) in leaves(0, MemTransport::new) {
         // 3 of 8 vanish after upload: 5 < U = 6 recovery helpers remain
         leaf.open_round(&(0..8).collect::<Vec<_>>()).unwrap();
         for id in 0..8 {
@@ -90,7 +96,10 @@ fn a_leaf_recovers_after_a_failed_round_is_aborted() {
 
 #[test]
 fn a_stalled_subtree_unstalls_and_lands_its_requeue_exactly_once() {
-    for ((name, left), (_, right)) in leaves(0).into_iter().zip(leaves(1)) {
+    for ((name, left), (_, right)) in leaves(0, MemTransport::new)
+        .into_iter()
+        .zip(leaves(1, MemTransport::new))
+    {
         let tree = GroupedFederation::from_children(vec![left, right])
             .unwrap()
             .with_partial_recovery();
@@ -165,55 +174,34 @@ fn a_failed_plan_does_not_wedge_run_round() {
     // `run_round` aborts the round a failed plan opened (burning its
     // number); sync's second failing plan meets an engaged ratchet, so
     // it also walks fallback → replay → fail → abort
-    for (name, leaf) in leaves(0) {
+    for (name, leaf) in leaves(0, MemTransport::new) {
         let mut fed: Federation<Fp61> = Federation::new(leaf);
         fails_typed_then_recovers(&name, &mut fed, 8, failing_plans(&name, 8, 0));
     }
     // a strict two-leaf tree: the right leaf (clients 8..16) fails, the
     // tree's round stays open behind the error, the abort reaches both
-    for ((name, left), (_, right)) in leaves(0).into_iter().zip(leaves(1)) {
+    for ((name, left), (_, right)) in leaves(0, MemTransport::new)
+        .into_iter()
+        .zip(leaves(1, MemTransport::new))
+    {
         let tree = GroupedFederation::from_children(vec![left, right]).unwrap();
         let mut fed: Federation<Fp61> = Federation::new(Box::new(tree));
         fails_typed_then_recovers(&name, &mut fed, 16, failing_plans(&name, 16, 8));
     }
 }
 
-/// A [`MemTransport`] that, once armed, reports the `n`-th frame it
-/// dequeues as undecodable — consuming it, as a real decode failure
-/// does.
-struct Corrupting {
-    inner: MemTransport,
-    corrupt_in: Option<usize>,
-}
-
-impl Transport<Fp61> for Corrupting {
-    fn send(
-        &mut self,
-        from: Recipient,
-        to: Recipient,
-        envelope: &Envelope<Fp61>,
-    ) -> Result<(), ProtocolError> {
-        self.inner.send(from, to, envelope)
-    }
-
-    fn recv(&mut self) -> Result<Option<Delivery<Fp61>>, ProtocolError> {
-        let delivery = self.inner.recv()?;
-        if delivery.is_some() {
-            match self.corrupt_in.take() {
-                Some(0) => return Err(ProtocolError::Wire(WireError::UnknownTag(0))),
-                armed => self.corrupt_in = armed.map(|n| n - 1),
-            }
-        }
-        Ok(delivery)
-    }
-}
+/// Toggling every bit of the tag byte makes any envelope undecodable.
+const UNKNOWN_TAG: Fault = Fault::Flip {
+    byte: 0,
+    mask: 0xFF,
+};
 
 /// Three late frames are in flight when the round is aborted and the
 /// middle one does not decode: the abort must drain all three, or the
 /// third is delivered into the next round and fails its first pump.
 fn abort_drains_past_an_undecodable_frame<V: LeafVariant<Fp61>>(
     name: &str,
-    mut leaf: LeafFederation<Fp61, Corrupting, V>,
+    mut leaf: LeafFederation<Fp61, FaultTransport, V>,
 ) {
     let everyone: Vec<usize> = (0..8).collect();
     leaf.open_round(&everyone).unwrap();
@@ -227,13 +215,13 @@ fn abort_drains_past_an_undecodable_frame<V: LeafVariant<Fp61>>(
         payload: vec![Fp61::ZERO; leaf.config().segment_len()],
     });
     let wire = leaf.transport_mut();
+    wire.inject(UNKNOWN_TAG, EnvelopeKind::AggregatedShare, None, 1);
     for _ in 0..3 {
         wire.send(Recipient::Client(1), Recipient::Server, &late)
             .unwrap();
     }
-    wire.corrupt_in = Some(1);
     leaf.abort_round();
-    assert!(leaf.transport().inner.is_empty(), "{name}");
+    assert!(leaf.transport().inner().is_empty(), "{name}");
     leaf.open_round(&everyone)
         .unwrap_or_else(|e| panic!("{name}: a frame outlived the abort: {e}"));
     for id in 0..8 {
@@ -246,13 +234,47 @@ fn abort_drains_past_an_undecodable_frame<V: LeafVariant<Fp61>>(
 #[test]
 fn abort_discards_every_frame_in_flight_past_a_corrupt_one() {
     let cfg = LsaConfig::new(8, 2, 6, D).unwrap();
-    let wire = || Corrupting {
-        inner: MemTransport::new(),
-        corrupt_in: None,
-    };
+    let wire = FaultTransport::new;
     abort_drains_past_an_undecodable_frame("sync", SyncFederation::new(cfg, wire(), 40).unwrap());
     abort_drains_past_an_undecodable_frame(
         "buffered",
         BufferedFederation::unit_weight(cfg, wire(), 40).unwrap(),
     );
+}
+
+/// One offline exchange of an 8-member cohort moves `8 × 7` coded
+/// shares.
+const EXCHANGE: usize = 56;
+
+/// A coded share that does not decode fails the exchange it belongs to
+/// — round 0's own, or round 1's overlapped with round 0 — with a typed
+/// wire error, and the next `run_round` re-runs the exchange and
+/// decodes exactly: the cohort's half-joined round does not outlive the
+/// failure.
+#[test]
+fn an_undecodable_share_fails_its_exchange_without_wedging_the_leaf() {
+    for (phase, nth) in [("offline", 20), ("overlap", EXCHANGE + 20)] {
+        // one fault per variant's share kind: the other stays unarmed
+        let wire = || {
+            let mut wire = FaultTransport::new();
+            for kind in [EnvelopeKind::CodedMaskShare, EnvelopeKind::TimestampedShare] {
+                wire.inject(UNKNOWN_TAG, kind, None, nth);
+            }
+            wire
+        };
+        for (name, leaf) in leaves(0, wire) {
+            let mut fed: Federation<Fp61> = Federation::new(leaf);
+            let first = plan(8, 0, &[]).with_prepare_next((0..8).collect());
+            let err = fed.run_round(&first).unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::Wire(_)),
+                "{name} {phase}: {err}"
+            );
+            let round = fed.round();
+            let out = fed
+                .run_round(&plan(8, round, &[]))
+                .unwrap_or_else(|e| panic!("{name} {phase}: round {round} after the fault: {e}"));
+            assert_eq!(out.aggregate, sum(0..8, round), "{name} {phase}");
+        }
+    }
 }

@@ -4,10 +4,11 @@
 
 use lsa_field::{Field, Fp61};
 use lsa_protocol::asynchronous::{AsyncClient, AsyncServer, BufferEntry};
-use lsa_protocol::federation::{Federation, RoundPlan};
-use lsa_protocol::transport::{Delivery, MemTransport, Transport};
+use lsa_protocol::federation::{Federation, RoundPlan, SecureAggregator};
+use lsa_protocol::transport::{Fault, FaultTransport};
 use lsa_protocol::{
     BufferedFederation, Envelope, EnvelopeKind, LsaConfig, ProtocolError, Recipient, Session,
+    SyncFederation,
 };
 use lsa_quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
 use rand::rngs::StdRng;
@@ -199,61 +200,54 @@ fn server_reusable_across_buffer_flushes() {
     }
 }
 
-/// A [`MemTransport`] that delivers the first buffered upload frame it
-/// carries twice.
-#[derive(Default)]
-struct RedeliverFirstUpload {
-    inner: MemTransport,
-    replayed: bool,
-}
-
-impl Transport<Fp61> for RedeliverFirstUpload {
-    fn send(
-        &mut self,
-        from: Recipient,
-        to: Recipient,
-        envelope: &Envelope<Fp61>,
-    ) -> Result<(), ProtocolError> {
-        self.inner.send(from, to, envelope)?;
-        if !self.replayed && envelope.kind() == EnvelopeKind::TimestampedUpdate {
-            self.replayed = true;
-            self.inner.send(from, to, envelope)?;
-        }
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Delivery<Fp61>>, ProtocolError> {
-        self.inner.recv()
-    }
-}
-
 #[test]
 fn redelivered_upload_is_rejected_and_the_sum_stays_exact() {
     // the second copy of client 0's upload is refused typed instead of
     // being summed twice, and the federation goes on exactly
     let cfg = LsaConfig::new(4, 1, 3, 5).unwrap();
-    let buffered =
-        BufferedFederation::unit_weight(cfg, RedeliverFirstUpload::default(), 3).unwrap();
-    let mut fed = Federation::new(Box::new(buffered));
     let updates: Vec<Vec<Fp61>> = (1..=4u64).map(|v| vec![Fp61::from_u64(v); 5]).collect();
     let sum = vec![Fp61::from_u64(10); 5];
+    let wire = |upload| {
+        let mut wire = FaultTransport::new();
+        wire.inject(Fault::Duplicate, upload, None, 0);
+        wire
+    };
+    let leaves: [(&str, Box<dyn SecureAggregator<Fp61>>); 2] = [
+        (
+            "buffered",
+            Box::new(
+                BufferedFederation::unit_weight(cfg, wire(EnvelopeKind::TimestampedUpdate), 3)
+                    .unwrap(),
+            ),
+        ),
+        (
+            "sync",
+            Box::new(SyncFederation::new(cfg, wire(EnvelopeKind::MaskedModel), 3).unwrap()),
+        ),
+    ];
+    for (name, leaf) in leaves {
+        let mut fed = Federation::new(leaf);
+        let agg = fed.aggregator_mut();
+        agg.open_round(&[0, 1, 2, 3]).unwrap();
+        assert_eq!(
+            agg.submit(0, &updates[0]),
+            Err(ProtocolError::DuplicateMessage(0)),
+            "{name}"
+        );
+        for (id, update) in updates.iter().enumerate().skip(1) {
+            agg.submit(id, update).unwrap();
+        }
+        let out = agg.finish_round().unwrap();
+        assert_eq!(
+            out.aggregate, sum,
+            "{name}: the first copy is in the sum once"
+        );
+        assert_eq!(out.total_weight, 4, "{name}");
 
-    let agg = fed.aggregator_mut();
-    agg.open_round(&[0, 1, 2, 3]).unwrap();
-    assert_eq!(
-        agg.submit(0, &updates[0]),
-        Err(ProtocolError::DuplicateMessage(0))
-    );
-    for (id, update) in updates.iter().enumerate().skip(1) {
-        agg.submit(id, update).unwrap();
+        let next = fed
+            .run_round(&RoundPlan::full(4).with_updates(updates.clone()))
+            .unwrap();
+        assert_eq!(next.aggregate, sum, "{name}");
+        assert_eq!(next.total_weight, 4, "{name}");
     }
-    let out = agg.finish_round().unwrap();
-    assert_eq!(out.aggregate, sum, "the first copy is in the sum once");
-    assert_eq!(out.total_weight, 4);
-
-    let next = fed
-        .run_round(&RoundPlan::full(4).with_updates(updates))
-        .unwrap();
-    assert_eq!(next.aggregate, sum);
-    assert_eq!(next.total_weight, 4);
 }

@@ -1,6 +1,6 @@
 //! Failure-injection tests of the stable-cohort mask ratchet
 //! ([`lsa_protocol::ratchet`]): steady stretches must move **zero**
-//! coded-share envelopes, and every divergence — churn, poisoned
+//! coded-share envelopes, and every divergence — churn, corrupted
 //! fingerprints, dropouts mid-ratchet, reassignment — must fall back to
 //! the full offline exchange with the aggregate still exact.
 
@@ -10,10 +10,10 @@ use lsa_protocol::federation::{
 };
 use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
-use lsa_protocol::transport::MemTransport;
+use lsa_protocol::transport::{Fault, FaultTransport, MemTransport};
 use lsa_protocol::wire::EnvelopeKind;
 use lsa_protocol::{
-    CohortFingerprint, Federation, LsaConfig, PadTopology, ProtocolError, RatchetPolicy,
+    CohortFingerprint, Federation, LsaConfig, PadTopology, ProtocolError, RatchetPolicy, Recipient,
 };
 use std::sync::Barrier;
 
@@ -205,16 +205,30 @@ fn churn_mid_stretch_falls_back_then_ratchets_again() {
     assert_eq!(out.aggregate, expected_sum(&full, 4));
 }
 
-/// A poisoned client fingerprint makes the handshake fail: the round
-/// silently re-keys (correct aggregate, share traffic present) and the
-/// repaired state ratchets again the round after.
+/// A window commit that reaches client 2 with a fingerprint it does
+/// not hold makes the handshake fail: the round silently re-keys
+/// (correct aggregate, share traffic present) and the repaired state
+/// ratchets again the round after.
 #[test]
-fn poisoned_fingerprint_falls_back_to_full_exchange() {
-    let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 13).unwrap();
+fn corrupted_fingerprint_falls_back_to_full_exchange() {
+    let mut wire = FaultTransport::new();
+    // tag, group, sender and round fill bytes 0..17; the fingerprint
+    // follows
+    let corrupt = Fault::Flip {
+        byte: 17,
+        mask: 0xFF,
+    };
+    let commit = EnvelopeKind::RatchetWindowCommit;
+    wire.inject(corrupt, commit, Some(Recipient::Client(2)), 0);
+    let mut fed = SyncFederation::<Fp61, _>::new(cfg(), wire, 13).unwrap();
+    let coded_shares = |fed: &SyncFederation<Fp61, FaultTransport>| {
+        fed.transport()
+            .inner()
+            .kind_count(EnvelopeKind::CodedMaskShare)
+    };
     let cohort: Vec<usize> = (0..8).collect();
 
     run_round(&mut fed, &cohort, &[]).unwrap();
-    fed.poison_ratchet(2, 0xDEAD_BEEF);
 
     let s0 = coded_shares(&fed);
     let out = run_round(&mut fed, &cohort, &[]).unwrap();

@@ -10,7 +10,7 @@ use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::federation::{
     BufferedFederation, LeafFederation, LeafVariant, RoundPlan, SecureAggregator, SyncFederation,
 };
-use lsa_protocol::transport::{Delivery, MemTransport, PhaseTiming, SimTransport, Transport};
+use lsa_protocol::transport::{FaultTransport, MemTransport, PhaseTiming, SimTransport, Transport};
 use lsa_protocol::wire::Envelope;
 use lsa_protocol::{LsaConfig, MaskedModel, ProtocolError, Recipient};
 
@@ -35,64 +35,11 @@ fn sum(ids: impl IntoIterator<Item = usize>, round: u64) -> Vec<Fp61> {
     want
 }
 
-/// A transport that counts what it holds: sent and not yet received.
-struct Counting<T> {
-    inner: T,
-    in_flight: usize,
-    peak: usize,
-}
-
-impl<T> Counting<T> {
-    fn new(inner: T) -> Self {
-        Counting {
-            inner,
-            in_flight: 0,
-            peak: 0,
-        }
-    }
-}
-
-impl<F: Field, T: Transport<F>> Transport<F> for Counting<T> {
-    fn send(
-        &mut self,
-        from: Recipient,
-        to: Recipient,
-        envelope: &Envelope<F>,
-    ) -> Result<(), ProtocolError> {
-        self.inner.send(from, to, envelope)?;
-        self.in_flight += 1;
-        self.peak = self.peak.max(self.in_flight);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Delivery<F>>, ProtocolError> {
-        let delivery = self.inner.recv()?;
-        self.in_flight -= usize::from(delivery.is_some());
-        Ok(delivery)
-    }
-
-    fn flush(&mut self, label: &'static str) {
-        self.inner.flush(label);
-    }
-
-    fn bytes_sent(&self) -> usize {
-        self.inner.bytes_sent()
-    }
-
-    fn messages_sent(&self) -> usize {
-        self.inner.messages_sent()
-    }
-
-    fn timings(&self) -> &[PhaseTiming] {
-        self.inner.timings()
-    }
-}
-
 /// Three rounds by hand — full exchange, ratchet handshake, windowed
 /// join — checking the queue after every `submit`.
 fn stream_three_rounds<V: LeafVariant<Fp61>>(
     name: &str,
-    mut leaf: LeafFederation<Fp61, Counting<MemTransport>, V>,
+    mut leaf: LeafFederation<Fp61, FaultTransport, V>,
 ) {
     let everyone: Vec<usize> = (0..N).collect();
     for round in 0..3u64 {
@@ -100,7 +47,7 @@ fn stream_three_rounds<V: LeafVariant<Fp61>>(
         for id in 0..N {
             leaf.submit(id, &update(id, round)).unwrap();
             assert_eq!(
-                leaf.transport().in_flight,
+                leaf.transport().inner().len(),
                 0,
                 "{name} round {round}: member {id}'s upload was left queued"
             );
@@ -114,7 +61,7 @@ fn stream_three_rounds<V: LeafVariant<Fp61>>(
             "{name} round {round}: the plan meant to cover each offline path"
         );
     }
-    let peak = leaf.transport().peak;
+    let peak = leaf.transport().peak();
     // one sender's N − 1 shares, or the server's N announcements
     assert!(
         peak <= N,
@@ -126,7 +73,7 @@ fn stream_three_rounds<V: LeafVariant<Fp61>>(
 
 #[test]
 fn envelopes_in_flight_never_exceed_one_senders_worth() {
-    let wire = || Counting::new(MemTransport::new());
+    let wire = FaultTransport::new;
     stream_three_rounds("sync", SyncFederation::new(cfg(), wire(), 11).unwrap());
     stream_three_rounds(
         "buffered",

@@ -30,17 +30,17 @@ use lsa_field::{simd, Field, Fp32, Fp61};
 use lsa_protocol::federation::{
     BufferedFederation, Federation, RoundPlan, SecureAggregator, SyncFederation,
 };
-use lsa_protocol::transport::{Delivery, MemTransport, PhaseTiming, Transport};
+use lsa_protocol::transport::{FaultTransport, Transcript};
 use lsa_protocol::wire::Envelope;
-use lsa_protocol::{LsaConfig, PadTopology, ProtocolError, RatchetPolicy, Recipient};
-use std::sync::{Arc, Mutex};
+use lsa_protocol::{LsaConfig, PadTopology, RatchetPolicy, Recipient};
 
 const N: usize = 8;
 const D: usize = 16;
 
-/// The value and shape digests of one transcript.
-#[derive(Default)]
+/// The value and shape digests of one transcript, fed from the
+/// transport's delivered frames.
 struct Digests {
+    transcript: Transcript,
     value: Sha256,
     shape: Sha256,
 }
@@ -50,68 +50,30 @@ impl Digests {
         self.value.update(bytes);
         self.shape.update(bytes);
     }
-}
 
-/// A [`MemTransport`] that hashes everything it delivers into digests
-/// shared with the test body.
-#[derive(Clone)]
-struct Recording {
-    inner: MemTransport,
-    transcript: Arc<Mutex<Digests>>,
-}
-
-impl<F: Field> Transport<F> for Recording {
-    fn send(
-        &mut self,
-        from: Recipient,
-        to: Recipient,
-        envelope: &Envelope<F>,
-    ) -> Result<(), ProtocolError> {
-        Transport::<F>::send(&mut self.inner, from, to, envelope)
-    }
-
-    fn recv(&mut self) -> Result<Option<Delivery<F>>, ProtocolError> {
-        let delivery = Transport::<F>::recv(&mut self.inner)?;
-        if let Some(d) = &delivery {
-            let to = match d.to {
+    /// Hash every frame delivered since the last call.
+    fn absorb<F: Field>(&mut self) {
+        let frames = std::mem::take(&mut *self.transcript.lock().unwrap());
+        for (_, to, bytes) in frames {
+            let to = match to {
                 Recipient::Client(i) => i as u64,
                 Recipient::Server => u64::MAX,
             };
-            let e = &d.envelope;
-            let mut transcript = self.transcript.lock().expect("single-threaded test");
-            transcript.update(&to.to_le_bytes());
-            transcript.value.update(&e.to_bytes());
+            self.update(&to.to_le_bytes());
+            self.value.update(&bytes);
+            let e = Envelope::<F>::from_bytes(&bytes).expect("a delivered frame decodes");
             let sender = e.sender().map_or(u64::MAX, |id| id as u64);
-            for field in [sender, e.group() as u64, e.round(), e.wire_len() as u64] {
-                transcript.shape.update(&field.to_le_bytes());
+            for field in [sender, e.group() as u64, e.round(), bytes.len() as u64] {
+                self.shape.update(&field.to_le_bytes());
             }
-            transcript.shape.update(&[e.kind().tag()]);
+            self.shape.update(&[e.kind().tag()]);
         }
-        Ok(delivery)
     }
 
-    fn flush(&mut self, label: &'static str) {
-        Transport::<F>::flush(&mut self.inner, label);
-    }
-
-    fn bytes_sent(&self) -> usize {
-        Transport::<F>::bytes_sent(&self.inner)
-    }
-
-    fn messages_sent(&self) -> usize {
-        Transport::<F>::messages_sent(&self.inner)
-    }
-
-    fn framing_bytes(&self) -> usize {
-        Transport::<F>::framing_bytes(&self.inner)
-    }
-
-    fn timings(&self) -> &[PhaseTiming] {
-        Transport::<F>::timings(&self.inner)
-    }
-
-    fn elapsed(&self) -> f64 {
-        Transport::<F>::elapsed(&self.inner)
+    /// The `(value, shape)` digests, hex.
+    fn finish(self) -> (String, String) {
+        let hex = |h: Sha256| h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        (hex(self.value), hex(self.shape))
     }
 }
 
@@ -145,27 +107,29 @@ fn plan<F: Field>(step: u64) -> RoundPlan<F> {
     }
 }
 
-/// A leaf federation over a [`Recording`] transport, and the digests
-/// the transport writes into.
-fn recorded<F: Field>(cfg: LsaConfig, buffered: bool) -> (Federation<F>, Arc<Mutex<Digests>>) {
-    let transcript = Arc::new(Mutex::new(Digests::default()));
-    let transport = Recording {
-        inner: MemTransport::new(),
-        transcript: Arc::clone(&transcript),
+/// A leaf federation over a [`FaultTransport`], and the digests its
+/// transcript feeds.
+fn recorded<F: Field>(cfg: LsaConfig, buffered: bool) -> (Federation<F>, Digests) {
+    let transport = FaultTransport::new();
+    let digests = Digests {
+        transcript: transport.transcript(),
+        value: Sha256::default(),
+        shape: Sha256::default(),
     };
     let aggregator: Box<dyn SecureAggregator<F>> = if buffered {
         Box::new(BufferedFederation::unit_weight(cfg, transport, 0xB0FF).unwrap())
     } else {
         Box::new(SyncFederation::new(cfg, transport, 0x5EED).unwrap())
     };
-    (Federation::new(aggregator), transcript)
+    (Federation::new(aggregator), digests)
 }
 
 /// Run `plan`, check its aggregate against the plaintext sum of the
-/// submitted updates, and add round number and aggregate to both digests.
+/// submitted updates, and add the round's frames, its number and its
+/// aggregate to both digests.
 fn run_checked<F: Field>(
     fed: &mut Federation<F>,
-    transcript: &Mutex<Digests>,
+    digests: &mut Digests,
     plan: &RoundPlan<F>,
     step: u64,
 ) {
@@ -178,34 +142,22 @@ fn run_checked<F: Field>(
         lsa_field::ops::add_assign(&mut want, u);
     }
     assert_eq!(out.aggregate, want, "step {step}: wrong aggregate");
-    let mut transcript = transcript.lock().unwrap();
-    transcript.update(&out.round.to_le_bytes());
+    digests.absorb::<F>();
+    digests.update(&out.round.to_le_bytes());
     for x in &out.aggregate {
-        transcript.update(&x.residue().to_le_bytes());
+        digests.update(&x.residue().to_le_bytes());
     }
-}
-
-/// Drop the federation (the last other holder) and read the
-/// `(value, shape)` digests out.
-fn finish<F: Field>(fed: Federation<F>, transcript: Arc<Mutex<Digests>>) -> (String, String) {
-    drop(fed);
-    let digests = Arc::try_unwrap(transcript)
-        .unwrap_or_else(|_| panic!("the federation still holds the transcript"))
-        .into_inner()
-        .unwrap();
-    let hex = |h: Sha256| h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-    (hex(digests.value), hex(digests.shape))
 }
 
 fn transcript_digests<F: Field>(buffered: bool, policy: RatchetPolicy) -> (String, String) {
     let cfg = LsaConfig::new(N, 2, 6, D).unwrap().with_ratchet(policy);
-    let (mut fed, transcript) = recorded::<F>(cfg, buffered);
+    let (mut fed, mut digests) = recorded::<F>(cfg, buffered);
     let (mut fallbacks, mut ratcheted) = (0, 0);
     for step in 0..10u64 {
         if step == 7 {
             fed.aggregator_mut().reseat_ratchet(0xA11CE);
         }
-        run_checked(&mut fed, &transcript, &plan::<F>(step), step);
+        run_checked(&mut fed, &mut digests, &plan::<F>(step), step);
         let events = fed.last_report().expect("a finished round reports").events;
         fallbacks += events.fallbacks;
         ratcheted += events.ratchets + events.windowed_ratchets;
@@ -215,7 +167,7 @@ fn transcript_digests<F: Field>(buffered: bool, policy: RatchetPolicy) -> (Strin
     // through it)
     assert_eq!(fallbacks, 1, "step 5 must abort and replay exactly once");
     assert_eq!(ratcheted, if buffered { 5 } else { 6 });
-    finish(fed, transcript)
+    digests.finish()
 }
 
 /// `(variant, field, topology/window, value digest)`. Re-captured when
@@ -319,7 +271,7 @@ fn leaf_transcripts_match_the_pinned_digests() {
 /// the wire under every SIMD backend this host has.
 fn strip_round_digest(buffered: bool) -> String {
     let cfg = LsaConfig::new(10, 2, 7, 65).unwrap();
-    let (mut fed, transcript) = recorded::<Fp61>(cfg, buffered);
+    let (mut fed, mut digests) = recorded::<Fp61>(cfg, buffered);
     let mut plan = RoundPlan::new((0..10).collect());
     for id in 0..10u64 {
         let update = (0..65)
@@ -327,8 +279,8 @@ fn strip_round_digest(buffered: bool) -> String {
             .collect();
         plan = plan.with_update(id as usize, update);
     }
-    run_checked(&mut fed, &transcript, &plan, 0);
-    finish(fed, transcript).0
+    run_checked(&mut fed, &mut digests, &plan, 0);
+    digests.finish().0
 }
 
 #[test]

@@ -1,57 +1,25 @@
-//! Byte-accounting parity across transport backends (ISSUE 8 satellite
-//! 1): for the same protocol round, the payload-byte column must be
-//! identical on `MemTransport`, `SimTransport` and `TcpTransport`, with
-//! TCP's framing overhead reported *separately* so distributed and
-//! in-memory records stay comparable.
+//! Byte-accounting parity across transport backends: for the same
+//! protocol round, the payload-byte column must be identical on
+//! `MemTransport`, `SimTransport` and `TcpTransport`, with TCP's framing
+//! overhead reported *separately* so distributed and in-memory records
+//! stay comparable.
 //!
-//! The TCP leg replays the round's recorded envelope frames over a real
-//! loopback socket: the live federation driver polls non-blockingly, so
-//! replay (rather than driving sessions over the socket) keeps the test
-//! deterministic while still exercising the real framing path.
+//! The TCP leg replays the round's delivered frames, as a
+//! `FaultTransport` records them, over a real loopback socket: the live
+//! federation driver polls non-blockingly, so replay (rather than
+//! driving sessions over the socket) keeps the test deterministic while
+//! still exercising the real framing path.
 
 use lsa_field::Fp61;
 use lsa_net::{NodeId, TcpTransport, FRAME_OVERHEAD};
 use lsa_protocol::telemetry::RoundReport;
-use lsa_protocol::transport::{Delivery, MemTransport, SimTransport, Transport};
-use lsa_protocol::wire::Envelope;
+use lsa_protocol::transport::{FaultTransport, SimTransport, Transport};
 use lsa_protocol::{
-    DropoutSchedule, LsaConfig, ProtocolError, Recipient, RoundOutcome, RoundPlan,
-    SecureAggregator, SyncFederation,
+    DropoutSchedule, LsaConfig, RoundOutcome, RoundPlan, SecureAggregator, SyncFederation,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
-
-/// A `MemTransport` that also records every envelope's serialized
-/// frame, so the round's exact wire traffic can be replayed elsewhere.
-struct RecordingTransport {
-    inner: MemTransport,
-    frames: Vec<Vec<u8>>,
-}
-
-impl Transport<Fp61> for RecordingTransport {
-    fn send(
-        &mut self,
-        from: Recipient,
-        to: Recipient,
-        envelope: &Envelope<Fp61>,
-    ) -> Result<(), ProtocolError> {
-        self.frames.push(envelope.to_bytes());
-        self.inner.send(from, to, envelope)
-    }
-
-    fn recv(&mut self) -> Result<Option<Delivery<Fp61>>, ProtocolError> {
-        self.inner.recv()
-    }
-
-    fn bytes_sent(&self) -> usize {
-        Transport::<Fp61>::bytes_sent(&self.inner)
-    }
-
-    fn messages_sent(&self) -> usize {
-        Transport::<Fp61>::messages_sent(&self.inner)
-    }
-}
 
 fn models(n: usize, d: usize, seed: u64) -> Vec<Vec<Fp61>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -87,11 +55,7 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
     let plan = RoundPlan::from_schedule(&ms, &DropoutSchedule::after_upload(vec![3]));
 
     // Same round over the in-memory and the discrete-event backends.
-    let mem = RecordingTransport {
-        inner: MemTransport::new(),
-        frames: Vec::new(),
-    };
-    let (mem_out, mem_fed) = run_over(cfg, &plan, mem);
+    let (mem_out, mem_fed) = run_over(cfg, &plan, FaultTransport::new());
     let sim = SimTransport::new(
         lsa_net::NetworkConfig::paper_default(n),
         lsa_net::Duplex::Full,
@@ -99,8 +63,10 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
     let (sim_out, sim_fed) = run_over(cfg, &plan, sim);
     assert_eq!(mem_out.aggregate, sim_out.aggregate);
     let (mem, sim) = (mem_fed.transport(), sim_fed.transport());
+    let transcript = mem.transcript();
+    let frames: Vec<Vec<u8>> = transcript.lock().unwrap().drain(..).map(|f| f.2).collect();
 
-    let payload_total: usize = mem.frames.iter().map(Vec::len).sum();
+    let payload_total: usize = frames.iter().map(Vec::len).sum();
     assert_eq!(
         Transport::<Fp61>::bytes_sent(mem),
         payload_total,
@@ -113,7 +79,7 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
     );
     assert_eq!(
         Transport::<Fp61>::messages_sent(sim),
-        mem.frames.len(),
+        frames.len(),
         "same envelope count on both backends"
     );
     assert_eq!(Transport::<Fp61>::framing_bytes(sim), 0);
@@ -123,21 +89,18 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
     let mut tcp = TcpTransport::bind(NodeId::Server, "127.0.0.1:0").unwrap();
     let addr = tcp.local_addr().unwrap();
     tcp.dial(NodeId::Client(0), addr).unwrap();
-    for frame in &mem.frames {
+    for frame in &frames {
         tcp.send_bytes(NodeId::Server, NodeId::Client(0), frame)
             .unwrap();
     }
     let mut received = 0usize;
     let mut received_bytes = 0usize;
-    while received < mem.frames.len() {
+    while received < frames.len() {
         let delivery = tcp
             .recv_bytes_timeout(Duration::from_secs(10))
             .unwrap()
             .expect("frame arrives within the timeout");
-        assert_eq!(
-            delivery.payload, mem.frames[received],
-            "payload round-trips"
-        );
+        assert_eq!(delivery.payload, frames[received], "payload round-trips");
         received_bytes += delivery.payload.len();
         received += 1;
     }
@@ -147,10 +110,10 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
         payload_total,
         "TcpTransport's payload column matches the in-memory backends"
     );
-    assert_eq!(tcp.messages_sent(), mem.frames.len());
+    assert_eq!(tcp.messages_sent(), frames.len());
     assert_eq!(
         tcp.framing_bytes(),
-        mem.frames.len() * FRAME_OVERHEAD,
+        frames.len() * FRAME_OVERHEAD,
         "framing overhead is exactly one header per frame, reported separately"
     );
 
@@ -158,9 +121,9 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
     // framing on top.
     let report = RoundReport::of_transport::<Fp61, TcpTransport>(&tcp, 0);
     assert_eq!(report.payload_bytes, payload_total);
-    assert_eq!(report.framing_bytes, mem.frames.len() * FRAME_OVERHEAD);
+    assert_eq!(report.framing_bytes, frames.len() * FRAME_OVERHEAD);
     assert_eq!(
         report.total_bytes(),
-        payload_total + mem.frames.len() * FRAME_OVERHEAD
+        payload_total + frames.len() * FRAME_OVERHEAD
     );
 }
