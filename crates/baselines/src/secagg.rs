@@ -303,17 +303,15 @@ impl<F: Field> SecAggClient<F> {
         }
         let mut payload = model.to_vec();
         // self mask n_i = PRG(b_i)
-        let self_mask: Vec<F> = FieldPrg::new(self.b_seed.derive(self.round)).expand(self.cfg.d());
-        lsa_field::ops::add_assign(&mut payload, &self_mask);
+        FieldPrg::new(self.b_seed.derive(self.round)).add_into(&mut payload);
         // pairwise masks with neighbours
         for j in self.cfg.graph().neighbors(self.id) {
             let pk = self.directory.get(&j).ok_or(BaselineError::MissingKey(j))?;
-            let seed = self.keypair.agree(pk).derive(self.round);
-            let pairwise: Vec<F> = FieldPrg::new(seed).expand(self.cfg.d());
+            let mut pairwise = FieldPrg::new(self.keypair.agree(pk).derive(self.round));
             if self.id < j {
-                lsa_field::ops::add_assign(&mut payload, &pairwise);
+                pairwise.add_into(&mut payload);
             } else {
-                lsa_field::ops::sub_assign(&mut payload, &pairwise);
+                pairwise.sub_into(&mut payload);
             }
         }
         Ok(MaskedModel {
@@ -388,7 +386,8 @@ pub struct SecAggRoundOutput<F> {
 /// # Errors
 ///
 /// Returns [`BaselineError::Coding`] when too few shares survive to
-/// reconstruct some needed secret.
+/// reconstruct some needed secret, and [`BaselineError::InvalidConfig`]
+/// when no upload arrived or the uploads are not `d` long.
 pub fn server_recover<F: Field>(
     cfg: &SecAggConfig,
     round: u64,
@@ -405,6 +404,14 @@ pub fn server_recover<F: Field>(
     // Σ ~x_i
     let mut aggregate = lsa_field::ops::sum_vectors(masked.values().map(Vec::as_slice))
         .ok_or_else(|| BaselineError::InvalidConfig("no masked models".into()))?;
+    // the masks below are drawn at the aggregate's length
+    if aggregate.len() != cfg.d() {
+        return Err(BaselineError::InvalidConfig(format!(
+            "masked model length {} != d = {}",
+            aggregate.len(),
+            cfg.d()
+        )));
+    }
 
     // Index recovery shares: owner -> collected limb shares.
     let mut b_collected: BTreeMap<usize, Vec<Vec<Share<F>>>> = BTreeMap::new();
@@ -428,9 +435,8 @@ pub fn server_recover<F: Field>(
             })?;
         let seed = reconstruct_seed(cfg, i, collected)?;
         stats.secrets_reconstructed += 1;
-        let self_mask: Vec<F> = FieldPrg::new(seed.derive(round)).expand(cfg.d());
+        FieldPrg::new(seed.derive(round)).sub_into(&mut aggregate);
         stats.prg_expansions += 1;
-        lsa_field::ops::sub_assign(&mut aggregate, &self_mask);
     }
 
     // (b) cancel orphaned pairwise masks of every dropped user (Eq. 1).
@@ -448,15 +454,14 @@ pub fn server_recover<F: Field>(
                 continue;
             }
             let pk = directory.get(&k).ok_or(BaselineError::MissingKey(k))?;
-            let seed = dh::agree(&sk, pk).derive(round);
-            let pairwise: Vec<F> = FieldPrg::new(seed).expand(cfg.d());
+            let mut pairwise = FieldPrg::new(dh::agree(&sk, pk).derive(round));
             stats.prg_expansions += 1;
             if j < k {
                 // k's model contains −PRG(a_{j,k}) → add it back
-                lsa_field::ops::add_assign(&mut aggregate, &pairwise);
+                pairwise.add_into(&mut aggregate);
             } else {
                 // k's model contains +PRG(a_{k,j}) → subtract
-                lsa_field::ops::sub_assign(&mut aggregate, &pairwise);
+                pairwise.sub_into(&mut aggregate);
             }
         }
     }

@@ -36,7 +36,7 @@ fn bench_prg(c: &mut Criterion) {
 
     // One ratchet pad at the flat benchmark shape (d = 32768), per SIMD
     // backend: materialised (`expand`) and fused into the mask
-    // (`add_into`, what the ratchet's pad loop runs).
+    // (`add_into` / `sub_into`, what the ratchet's pad loop runs).
     let mut group = c.benchmark_group("prg_pad_d32768");
     for backend in available() {
         with_backend(backend, || {
@@ -77,6 +77,11 @@ fn pad_rows<F: Field>(
     group.bench_function(
         BenchmarkId::new(format!("add_into/{field}"), backend),
         |b| b.iter(|| FieldPrg::new(Seed::from_label(b"bench")).add_into(black_box(&mut mask[..]))),
+    );
+    // half of every pad edge is the subtraction
+    group.bench_function(
+        BenchmarkId::new(format!("sub_into/{field}"), backend),
+        |b| b.iter(|| FieldPrg::new(Seed::from_label(b"bench")).sub_into(black_box(&mut mask[..]))),
     );
 }
 

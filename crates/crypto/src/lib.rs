@@ -138,6 +138,43 @@ fn accept_words<T>(
     kept
 }
 
+/// Keystream bytes per word of `F`'s element stream, `⌈BITS/8⌉`.
+fn word_len<F: Field>() -> usize {
+    F::BITS.div_ceil(8) as usize
+}
+
+/// [`accept_words`] for `F`'s word size, mask and modulus.
+fn accept<F: Field>(words: &[u8], out: &mut [F]) -> usize {
+    let mask = u64::MAX >> (64 - F::BITS);
+    accept_words(words, word_len::<F>(), mask, F::MODULUS, out, F::from_u64)
+}
+
+/// Add (or subtract) the elements the keystream `words` decode to into
+/// the front of `acc`, which has one slot per word; returns how many.
+/// [`Field::simd_add_words`] takes the words up to the first SIMD group
+/// holding a rejected one, and the rest take the compacting path
+/// through `scratch`.
+fn add_words<F: Field>(
+    backend: lsa_field::simd::Backend,
+    acc: &mut [F],
+    words: &[u8],
+    subtract: bool,
+    scratch: &mut [F; CHUNK],
+) -> usize {
+    let fused = F::simd_add_words(backend, acc, words, subtract);
+    if fused == acc.len() {
+        return fused;
+    }
+    let kept = accept::<F>(&words[fused * word_len::<F>()..], scratch);
+    let (acc, pad) = (&mut acc[fused..fused + kept], &scratch[..kept]);
+    if subtract {
+        lsa_field::ops::sub_assign(acc, pad);
+    } else {
+        lsa_field::ops::add_assign(acc, pad);
+    }
+    fused + kept
+}
+
 impl FieldPrg {
     /// Create a PRG from a seed (ChaCha20 keyed by the seed, zero nonce).
     pub fn new(seed: Seed) -> Self {
@@ -149,7 +186,12 @@ impl FieldPrg {
     /// Generate `len` uniformly random field elements.
     pub fn expand<F: Field>(&mut self, len: usize) -> Vec<F> {
         let mut out = Vec::with_capacity(len);
-        self.chunks(len, |_, elements| out.extend_from_slice(elements));
+        let mut elements = [F::ZERO; CHUNK];
+        self.chunks::<F>(len, |_, words| {
+            let kept = accept::<F>(words, &mut elements);
+            out.extend_from_slice(&elements[..kept]);
+            kept
+        });
         out
     }
 
@@ -157,33 +199,38 @@ impl FieldPrg {
     /// stream — [`Self::expand`] then a vector add, without ever holding
     /// the expansion.
     pub fn add_into<F: Field>(&mut self, acc: &mut [F]) {
-        self.chunks(acc.len(), |at, elements| {
-            lsa_field::ops::add_assign(&mut acc[at..at + elements.len()], elements);
-        });
+        self.pad_into(acc, false);
     }
 
     /// `acc[k] -= e_k`; the subtracting twin of [`Self::add_into`].
     pub fn sub_into<F: Field>(&mut self, acc: &mut [F]) {
-        self.chunks(acc.len(), |at, elements| {
-            lsa_field::ops::sub_assign(&mut acc[at..at + elements.len()], elements);
+        self.pad_into(acc, true);
+    }
+
+    /// [`Self::add_into`], or with `subtract` [`Self::sub_into`].
+    fn pad_into<F: Field>(&mut self, acc: &mut [F], subtract: bool) {
+        // one dispatch per pad, never per chunk
+        let backend = lsa_field::simd::backend();
+        let mut scratch = [F::ZERO; CHUNK];
+        self.chunks::<F>(acc.len(), |at, words| {
+            let acc = &mut acc[at..at + words.len() / word_len::<F>()];
+            add_words(backend, acc, words, subtract, &mut scratch)
         });
     }
 
-    /// Hand the next `len` elements of the stream to `sink` as
-    /// `(offset, elements)` runs of at most [`CHUNK`].
-    fn chunks<F: Field>(&mut self, len: usize, mut sink: impl FnMut(usize, &[F])) {
-        let nbytes = F::BITS.div_ceil(8) as usize;
-        let mask = u64::MAX >> (64 - F::BITS);
-        let (mut bytes, mut elements) = ([0u8; 8 * CHUNK], [F::ZERO; CHUNK]);
+    /// Draw keystream for the next `len` elements of the stream and hand
+    /// it to `step` as `(offset, words)` runs of at most [`CHUNK`] words;
+    /// `step` returns how many elements the words decoded to.
+    fn chunks<F: Field>(&mut self, len: usize, mut step: impl FnMut(usize, &[u8]) -> usize) {
+        let nbytes = word_len::<F>();
+        let mut bytes = [0u8; 8 * CHUNK];
         let mut done = 0;
         while done < len {
             // one word per element still missing and never more, so no
             // keystream is dropped between calls
             let bytes = &mut bytes[..nbytes * (len - done).min(CHUNK)];
             self.stream.fill(bytes);
-            let kept = accept_words(bytes, nbytes, mask, F::MODULUS, &mut elements, F::from_u64);
-            sink(done, &elements[..kept]);
-            done += kept;
+            done += step(done, bytes);
         }
     }
 
@@ -325,7 +372,7 @@ mod tests {
         let seed = Seed::from_label(b"fused");
         for b in lsa_field::simd::available() {
             lsa_field::simd::with_backend(b, || {
-                for len in [0, 1, 511, 512, 513, 4097] {
+                for len in [0, 1, 3, 4, 511, 512, 513, 4097] {
                     let base: Vec<F> = FieldPrg::new(Seed::from_label(b"acc")).expand(len);
                     let pad: Vec<F> = FieldPrg::new(seed).expand(len);
                     let (mut added, mut want) = (base.clone(), base.clone());
@@ -349,6 +396,56 @@ mod tests {
     #[test]
     fn fused_add_sub_match_expand_then_ops_fp61() {
         fused_matches_expand::<Fp61>();
+    }
+
+    /// Seeded streams almost never reject a word, so the pad step is
+    /// handed crafted chunks: clean keystream with one word whose masked
+    /// value is the modulus itself, at every position of a 45-word chunk
+    /// (lane 0, middle and last lanes of every SIMD group, the tail past
+    /// the last group) and of a full one. The result is the compacting
+    /// path's: the rejected word skipped, the words after it shifted up.
+    fn rejected_word_takes_the_compacting_path<F: Field>() {
+        let nbytes = word_len::<F>();
+        let modulus_word = F::MODULUS | !(u64::MAX >> (64 - F::BITS));
+        let acc: Vec<F> = FieldPrg::new(Seed::from_label(b"acc")).expand(CHUNK);
+        let mut clean = vec![0u8; nbytes * CHUNK];
+        chacha::ChaCha20::new(&[3u8; 32], &[0u8; 12]).fill(&mut clean);
+        let mut scratch = [F::ZERO; CHUNK];
+        for len in [45, CHUNK] {
+            for at in 0..len {
+                let mut words = clean[..nbytes * len].to_vec();
+                words[nbytes * at..nbytes * (at + 1)]
+                    .copy_from_slice(&modulus_word.to_le_bytes()[..nbytes]);
+                let kept = accept::<F>(&words, &mut scratch);
+                assert_eq!(kept, len - 1, "exactly one word is rejected");
+                for subtract in [false, true] {
+                    let mut want = acc[..len].to_vec();
+                    if subtract {
+                        lsa_field::ops::sub_assign(&mut want[..kept], &scratch[..kept]);
+                    } else {
+                        lsa_field::ops::add_assign(&mut want[..kept], &scratch[..kept]);
+                    }
+                    for b in lsa_field::simd::available() {
+                        let mut got = acc[..len].to_vec();
+                        let mut fresh = [F::ZERO; CHUNK];
+                        let added = add_words(b, &mut got, &words, subtract, &mut fresh);
+                        let case = format!("backend {} len {len} at {at} sub {subtract}", b.name());
+                        assert_eq!(added, kept, "{case}");
+                        assert_eq!(got, want, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_word_takes_the_compacting_path_fp32() {
+        rejected_word_takes_the_compacting_path::<Fp32>();
+    }
+
+    #[test]
+    fn rejected_word_takes_the_compacting_path_fp61() {
+        rejected_word_takes_the_compacting_path::<Fp61>();
     }
 
     /// The real fields reject at most one word in 2³⁰, so the compacting

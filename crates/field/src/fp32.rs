@@ -136,13 +136,35 @@ impl Field for Fp32 {
         let _ = (backend, x, y);
         None
     }
+
+    fn simd_add_words(
+        backend: crate::simd::Backend,
+        acc: &mut [Self],
+        words: &[u8],
+        subtract: bool,
+    ) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if backend.has_avx2() {
+            // SAFETY: as in `simd_weighted_block`.
+            return unsafe {
+                if subtract {
+                    avx2::add_words::<true>(acc, words)
+                } else {
+                    avx2::add_words::<false>(acc, words)
+                }
+            };
+        }
+        let _ = (backend, acc, words, subtract);
+        0
+    }
 }
 
 /// AVX2 kernels: four `u64` accumulator lanes per instruction, using the
 /// **same** partial-fold arithmetic (`acc += (t >> 32)·5 + (t & 2³²−1)`)
 /// and the same [`Field::WIDE_CAPACITY`] re-fold cadence as the scalar
 /// `wide_*` primitives — so the accumulator contents, not just the
-/// reduced outputs, match the scalar path exactly.
+/// reduced outputs, match the scalar path exactly. The pad step
+/// (`add_words`) only adds, so it stays in eight `u32` lanes.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{Fp32, P32};
@@ -314,6 +336,61 @@ mod avx2 {
             k += 1;
         }
         Fp32::wide_reduce(wide)
+    }
+
+    /// The one-pass pad step (see [`Field::simd_add_words`] for the
+    /// contract), sixteen words a group in `u32` lanes: stop at a group
+    /// holding a word `≥ q`, and add into the mask as `a − (q − w)`,
+    /// adding `q` back on a borrow (`SUB` subtracts `w` the same way).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds one 4-byte word per element of `acc`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn add_words<const SUB: bool>(acc: &mut [Fp32], words: &[u8]) -> usize {
+        assert_eq!(words.len(), 4 * acc.len(), "one 4-byte word per element");
+        let p = _mm256_set1_epi32(P32 as u32 as i32);
+        let mut k = 0;
+        while k + 16 <= acc.len() {
+            // in bounds: 16 words from word `k` end within `words` (the
+            // length assert) and 16 elements from `k` within `acc`
+            let src = words.as_ptr().add(4 * k) as *const __m256i;
+            let (w0, w1) = (_mm256_loadu_si256(src), _mm256_loadu_si256(src.add(1)));
+            let rejected = _mm256_or_si256(at_least(w0, p), at_least(w1, p));
+            if _mm256_testz_si256(rejected, rejected) == 0 {
+                break;
+            }
+            let (x0, x1) = if SUB {
+                (w0, w1)
+            } else {
+                (_mm256_sub_epi32(p, w0), _mm256_sub_epi32(p, w1))
+            };
+            let dst = acc.as_mut_ptr().add(k) as *mut __m256i;
+            _mm256_storeu_si256(dst, sub_mod(_mm256_loadu_si256(dst), x0, p));
+            _mm256_storeu_si256(dst.add(1), sub_mod(_mm256_loadu_si256(dst.add(1)), x1, p));
+            k += 16;
+        }
+        k
+    }
+
+    /// All-ones in each `u32` lane where `a ≥ b` (unsigned).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn at_least(a: __m256i, b: __m256i) -> __m256i {
+        _mm256_cmpeq_epi32(_mm256_max_epu32(a, b), a)
+    }
+
+    /// Lanewise `a − x mod q` in `u32` lanes for canonical `a` and
+    /// `x ≤ q`: the wrapped difference, plus `q` where `a < x`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sub_mod(a: __m256i, x: __m256i, p: __m256i) -> __m256i {
+        let d = _mm256_sub_epi32(a, x);
+        _mm256_add_epi32(d, _mm256_andnot_si256(at_least(a, x), p))
     }
 
     #[cfg(test)]

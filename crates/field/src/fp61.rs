@@ -166,6 +166,27 @@ impl Field for Fp61 {
         let _ = (backend, x, y);
         None
     }
+
+    fn simd_add_words(
+        backend: crate::simd::Backend,
+        acc: &mut [Self],
+        words: &[u8],
+        subtract: bool,
+    ) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if backend.has_avx2() {
+            // SAFETY: as in `simd_weighted_block`.
+            return unsafe {
+                if subtract {
+                    avx2::add_words::<true>(acc, words)
+                } else {
+                    avx2::add_words::<false>(acc, words)
+                }
+            };
+        }
+        let _ = (backend, acc, words, subtract);
+        0
+    }
 }
 
 /// AVX2 kernels over four `u64` lanes.
@@ -416,6 +437,58 @@ mod avx2 {
             k += 1;
         }
         Fp61::wide_reduce(wide)
+    }
+
+    /// The one-pass pad step (see [`Field::simd_add_words`] for the
+    /// contract), eight words a group: mask each 8-byte word to 61 bits,
+    /// stop at a group holding `q` itself (the one rejected value), and
+    /// add into the mask as `a − (q − w)`, adding `q` back on a borrow
+    /// (`SUB` subtracts `w` the same way).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds one 8-byte word per element of `acc`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn add_words<const SUB: bool>(acc: &mut [Fp61], words: &[u8]) -> usize {
+        assert_eq!(words.len(), 8 * acc.len(), "one 8-byte word per element");
+        let p = _mm256_set1_epi64x(P61 as i64);
+        let mut k = 0;
+        while k + 8 <= acc.len() {
+            // in bounds: 8 words from word `k` end within `words` (the
+            // length assert) and 8 elements from `k` within `acc`
+            let src = words.as_ptr().add(8 * k) as *const __m256i;
+            let w0 = _mm256_and_si256(_mm256_loadu_si256(src), p);
+            let w1 = _mm256_and_si256(_mm256_loadu_si256(src.add(1)), p);
+            let rejected = _mm256_or_si256(_mm256_cmpeq_epi64(w0, p), _mm256_cmpeq_epi64(w1, p));
+            if _mm256_testz_si256(rejected, rejected) == 0 {
+                break;
+            }
+            let (x0, x1) = if SUB {
+                (w0, w1)
+            } else {
+                (_mm256_sub_epi64(p, w0), _mm256_sub_epi64(p, w1))
+            };
+            let dst = acc.as_mut_ptr().add(k) as *mut __m256i;
+            _mm256_storeu_si256(dst, sub_mod(_mm256_loadu_si256(dst), x0, p));
+            _mm256_storeu_si256(dst.add(1), sub_mod(_mm256_loadu_si256(dst.add(1)), x1, p));
+            k += 8;
+        }
+        k
+    }
+
+    /// Lanewise `a − x mod q` for canonical `a` and `x ≤ q`: the
+    /// difference is exact in a signed lane and negative exactly on a
+    /// borrow, where `q` is added back.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sub_mod(a: __m256i, x: __m256i, p: __m256i) -> __m256i {
+        let d = _mm256_sub_epi64(a, x);
+        let borrow = _mm256_cmpgt_epi64(_mm256_setzero_si256(), d);
+        _mm256_add_epi64(d, _mm256_and_si256(borrow, p))
     }
 
     /// Evaluation points below this take the single-limb Horner step

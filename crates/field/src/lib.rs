@@ -169,6 +169,33 @@ pub trait Field:
         None
     }
 
+    /// SIMD one-pass pad step: `acc[k] += w_k` (`-=` with `subtract`)
+    /// for the keystream words `w_k` of `words` — consecutive
+    /// `⌈BITS/8⌉`-byte little-endian words masked to `BITS` bits, one per
+    /// element of `acc`, the element stream of `lsa_crypto::FieldPrg`.
+    ///
+    /// Works from the front in groups of the kernel's width and stops
+    /// before the first group holding a word `≥ MODULUS`, or before a
+    /// tail too short for a group; returns how many leading words it
+    /// added. The caller decodes the rest (compacting any rejected
+    /// word), so `0` — what a field without a kernel for `backend`
+    /// returns — is always correct. Same bit-identical contract as
+    /// [`Field::simd_weighted_block`].
+    ///
+    /// # Panics
+    ///
+    /// A kernel panics unless `words` holds exactly one word per element
+    /// of `acc`.
+    fn simd_add_words(
+        backend: simd::Backend,
+        acc: &mut [Self],
+        words: &[u8],
+        subtract: bool,
+    ) -> usize {
+        let _ = (backend, acc, words, subtract);
+        0
+    }
+
     /// Construct an element from an unsigned integer, reducing mod `q`.
     fn from_u64(value: u64) -> Self;
 

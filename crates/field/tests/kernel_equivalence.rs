@@ -386,6 +386,45 @@ macro_rules! kernel_equivalence {
                     assert_eq!(out[0], <$F>::from_u64(terms as u64), "backend {}", b.name());
                 });
             }
+
+            /// The one-pass pad step at its borrow and carry edges: every
+            /// pairing of a residue and a keystream word from
+            /// `{0, 1, 2, (q−1)/2, q−2, q−1}`, the words carrying set bits
+            /// above `BITS` for the kernel to mask off. Each backend with
+            /// a kernel adds a non-empty prefix and leaves the rest alone.
+            #[test]
+            fn add_words_match_field_ops_at_the_edges() {
+                let q = <$F>::MODULUS;
+                let nbytes = <$F>::BITS.div_ceil(8) as usize;
+                let above_bits = !(u64::MAX >> (64 - <$F>::BITS));
+                let edges = [0, 1, 2, (q - 1) / 2, q - 2, q - 1];
+                let pairs: Vec<($F, u64)> = edges
+                    .iter()
+                    .flat_map(|&a| edges.map(|w| (<$F>::from_u64(a), w)))
+                    .collect();
+                let acc: Vec<$F> = pairs.iter().map(|&(a, _)| a).collect();
+                let words: Vec<u8> = pairs
+                    .iter()
+                    .flat_map(|&(_, w)| (w | above_bits).to_le_bytes()[..nbytes].to_vec())
+                    .collect();
+                for subtract in [false, true] {
+                    for_each_backend(|b| {
+                        let mut got = acc.clone();
+                        let n = <$F>::simd_add_words(b, &mut got, &words, subtract);
+                        assert!(n <= acc.len());
+                        assert_eq!(n > 0, b != simd::Backend::Scalar, "backend {}", b.name());
+                        for (k, (&(a, w), &g)) in pairs.iter().zip(&got).enumerate() {
+                            let w = <$F>::from_u64(w);
+                            let want = match (k < n, subtract) {
+                                (false, _) => a,
+                                (true, false) => a + w,
+                                (true, true) => a - w,
+                            };
+                            assert_eq!(g, want, "backend {} word {k}", b.name());
+                        }
+                    });
+                }
+            }
         }
     };
 }
