@@ -29,7 +29,7 @@ use lsa_protocol::federation::{
     BoxedAggregator, BufferedFederation, Federation, RoundPlan, SyncFederation,
 };
 use lsa_protocol::telemetry::RoundReport;
-use lsa_protocol::topology::{GroupTopology, GroupedFederation, TopologyNode};
+use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::SimTransport;
 use lsa_protocol::{DropoutSchedule, LsaConfig, PadTopology, ProtocolError, RatchetPolicy};
 use rand::rngs::StdRng;
@@ -301,31 +301,28 @@ pub fn build_aggregator<F: Field>(
     Ok(Federation::new(agg))
 }
 
-/// Recursively compose a buffered aggregator tree mirroring
-/// `topology`: a [`BufferedFederation`] per leaf group, a
-/// [`GroupedFederation::from_children`] per internal node. Each leaf
-/// gets its own transport, so the composition is an independent
-/// recovery domain per group exactly like the sync tree.
+/// Compose a buffered aggregator tree over `topology`'s leaves: one
+/// [`BufferedFederation`] per leaf group, depth-first, under one
+/// [`GroupedFederation::from_children`]. Each leaf gets its own
+/// transport, so the composition is an independent recovery domain per
+/// group exactly like the sync tree.
 fn buffered_tree<F: Field>(
     topology: &GroupTopology,
     net: NetworkConfig,
     master: &mut StdRng,
 ) -> Result<GroupedFederation<F>, ProtocolError> {
-    let children: Vec<BoxedAggregator<F>> = topology
-        .child_topologies()
-        .into_iter()
-        .map(|sub| -> Result<BoxedAggregator<F>, ProtocolError> {
-            match sub.root() {
-                TopologyNode::Leaf(cfg) => Ok(Box::new(BufferedFederation::unit_weight(
-                    *cfg,
-                    SimTransport::new(net, Duplex::Full),
-                    master.gen(),
-                )?)),
-                TopologyNode::Internal(_) => Ok(Box::new(buffered_tree(&sub, net, master)?)),
-            }
+    let leaves: Vec<BoxedAggregator<F>> = topology
+        .configs()
+        .iter()
+        .map(|&cfg| -> Result<BoxedAggregator<F>, ProtocolError> {
+            Ok(Box::new(BufferedFederation::unit_weight(
+                cfg,
+                SimTransport::new(net, Duplex::Full),
+                master.gen(),
+            )?))
         })
         .collect::<Result<_, _>>()?;
-    GroupedFederation::from_children(children)
+    GroupedFederation::from_children(leaves)
 }
 
 /// One repetition of one cell: the per-round telemetry and aggregates.

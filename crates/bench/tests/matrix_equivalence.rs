@@ -9,12 +9,14 @@
 //! All 49 cells (48 cross-product + the log-topology cell) are covered.
 
 use lsa_bench::scenario::{
-    run_cell_typed, workload, FieldKind, MatrixParams, Mode, Topo, Variant, BRANCHING, GROUPS,
-    T_FRAC, U_FRAC,
+    build_aggregator, run_cell_typed, workload, FieldKind, MatrixParams, Mode, Topo, Variant,
+    BRANCHING, GROUPS, T_FRAC, U_FRAC,
 };
 use lsa_field::{Field, Fp32, Fp61};
 use lsa_net::{Duplex, NetworkConfig};
-use lsa_protocol::federation::{BoxedAggregator, BufferedFederation, Federation, SyncFederation};
+use lsa_protocol::federation::{
+    BoxedAggregator, BufferedFederation, Federation, RoundPlan, SyncFederation,
+};
 use lsa_protocol::topology::{GroupTopology, GroupedFederation, TopologyNode};
 use lsa_protocol::transport::SimTransport;
 use lsa_protocol::{LsaConfig, PadTopology, ProtocolError, RatchetPolicy};
@@ -136,6 +138,47 @@ fn every_matrix_cell_matches_a_directly_constructed_federation() {
         match mode.field {
             FieldKind::Fp32 => check_cell::<Fp32>(&mode, &p),
             FieldKind::Fp61 => check_cell::<Fp61>(&mode, &p),
+        }
+    }
+}
+
+/// A stalled leaf of the two-level cells is reported under its
+/// tree-wide wire id by both variants: leaf 2 (clients 8..12) loses two
+/// of its four members after upload, falls below `u = 3` recovery
+/// helpers, and is skipped while the other three leaves decode.
+#[test]
+fn hierarchical_partial_cells_name_the_stalled_leaf_by_its_tree_id() {
+    let p = MatrixParams {
+        n: 16,
+        d: 4,
+        rounds: 1,
+        reps: 1,
+    };
+    let survivors: Vec<usize> = (0..8).chain(12..16).collect();
+    for variant in [Variant::Sync, Variant::Buffered] {
+        for ratchet in [false, true] {
+            let mode = Mode {
+                variant,
+                topo: Topo::Hierarchical,
+                ratchet,
+                partial: true,
+                field: FieldKind::Fp61,
+                log_pads: false,
+            };
+            let name = mode.name();
+            let mut fed = build_aggregator::<Fp61>(&mode, &p, mode.seed(0)).unwrap();
+            let updates: Vec<Vec<Fp61>> = (0..p.n)
+                .map(|i| vec![Fp61::from_u64(i as u64 + 1); p.d])
+                .collect();
+            let mut plan = RoundPlan::full(p.n).with_updates(updates);
+            plan.drop_after_upload = vec![8, 9];
+            let out = fed
+                .run_round(&plan)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(out.contributors, survivors, "{name}");
+            let want: u64 = survivors.iter().map(|&i| i as u64 + 1).sum();
+            assert_eq!(out.aggregate, vec![Fp61::from_u64(want); p.d], "{name}");
+            assert_eq!(fed.aggregator().stalled_leaves(), vec![2], "{name}");
         }
     }
 }

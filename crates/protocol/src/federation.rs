@@ -168,10 +168,11 @@ pub trait SecureAggregator<F: Field> {
     fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError>;
 
     /// Abandon the open round (if any), discarding its per-round state
-    /// so the next round can open. Used by an aggregator tree to retire
-    /// a stalled child after its `finish_round` failed; a no-op when no
-    /// round is open.
-    fn abort_round(&mut self) {}
+    /// so the next round can open. [`Federation`] calls it after a
+    /// failed attempt, and the aggregator tree to retire a stalled leaf
+    /// after that leaf's `finish_round` failed; a no-op when no round
+    /// is open.
+    fn abort_round(&mut self);
 
     /// Re-seat the client-id mapping with a permutation derived from
     /// `seed`, between rounds. For a flat aggregator there is a single
@@ -191,15 +192,6 @@ pub trait SecureAggregator<F: Field> {
         Ok(())
     }
 
-    /// Opt in or out of partial recovery, recursively for composed
-    /// aggregators: a subtree that cannot decode is skipped (and its
-    /// submitted updates re-queued into the next round) instead of
-    /// failing the whole round. Flat aggregators have a single recovery
-    /// domain and ignore this.
-    fn set_partial_recovery(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
     /// Leaf groups (tree-namespaced wire ids) skipped by the most
     /// recent `finish_round` under partial recovery; empty after a full
     /// round and for flat aggregators.
@@ -207,29 +199,11 @@ pub trait SecureAggregator<F: Field> {
         Vec::new()
     }
 
-    /// Whether this aggregator retains its submitted updates for
-    /// re-queue when its own `finish_round` fails outright. A parent
-    /// node skips its own re-queue for such a child — otherwise the
-    /// same update would be buffered at two levels and land twice.
-    fn requeues_on_failure(&self) -> bool {
-        false
-    }
-
-    /// Whether this aggregator (or any composed child) is holding
-    /// re-queued updates that have not yet landed in an aggregate. A
-    /// parent refuses to reassign its id mapping while a subtree holds
-    /// such updates, because subtree buffers are keyed by seat, not by
-    /// client identity.
-    fn has_pending_requeue(&self) -> bool {
-        false
-    }
-
     /// Discard all stable-cohort ratchet state ([`crate::ratchet`]):
     /// retained base masks, in-flight commits, and any *prepared* round
     /// whose masks were derived by ratcheting (so a retry runs the full
-    /// offline exchange). Recursive for composed aggregators; a no-op
-    /// where the variant keeps no such state.
-    fn clear_ratchet(&mut self) {}
+    /// offline exchange). The aggregator tree clears every leaf.
+    fn clear_ratchet(&mut self);
 
     /// Carry the ratchet *across* a seat permutation derived from
     /// `seed`: keep the retained base masks and shares (recovery is
@@ -240,40 +214,30 @@ pub trait SecureAggregator<F: Field> {
     /// ([`BufferedFederation`]) — fall back to
     /// [`SecureAggregator::clear_ratchet`]: correct, just slower (the
     /// next round pays a full exchange).
-    fn reseat_ratchet(&mut self, seed: u64) {
-        let _ = seed;
-        self.clear_ratchet();
-    }
+    fn reseat_ratchet(&mut self, seed: u64);
 
     /// The order-independent fingerprint of `cohort`'s current seating
     /// ([`crate::ratchet::CohortFingerprint`]), or `None` when the
-    /// variant does not track one. A driver stamps this into its
-    /// [`RoundPlan`] so a round silently re-seated under it fails typed
-    /// instead of aggregating across the wrong peers.
-    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
-        let _ = cohort;
-        None
-    }
+    /// cohort is malformed. A driver stamps this into its [`RoundPlan`]
+    /// so a round silently re-seated under it fails typed instead of
+    /// aggregating across the wrong peers.
+    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint>;
 
-    /// Total serialized bytes this aggregator (including any composed
-    /// children) has moved across its transport(s).
-    fn bytes_sent(&self) -> usize {
-        0
-    }
+    /// Total serialized bytes this aggregator (including every leaf of
+    /// a tree) has moved across its transport(s).
+    fn bytes_sent(&self) -> usize;
 
     /// The [`RoundReport`] of the most recent *finished* round —
     /// per-phase timings, traffic and event counters — or `None` before
-    /// any round completed. A composed aggregator returns the
-    /// [`RoundReport::merge`] of its children's reports: subtrees run
-    /// concurrently in a real hierarchy, so the merged view is the
-    /// root's critical path.
-    fn round_report(&self) -> Option<RoundReport> {
-        None
-    }
+    /// any round completed. The aggregator tree returns the
+    /// [`RoundReport::merge`] of its leaves' reports: leaves run over
+    /// independent links in a real deployment, so the merged view is
+    /// the root's critical path.
+    fn round_report(&self) -> Option<RoundReport>;
 }
 
-/// A boxed [`SecureAggregator`] — the unit of composition of the
-/// aggregator tree ([`crate::topology`]).
+/// A boxed [`SecureAggregator`]: what [`Federation`] drives, and one
+/// leaf recovery domain of the aggregator tree ([`crate::topology`]).
 pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F>>;
 
 // ---------------------------------------------------------------------

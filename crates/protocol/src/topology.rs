@@ -1,4 +1,4 @@
-//! The recursive aggregator tree: hierarchical secure aggregation for
+//! The aggregator tree: hierarchical secure aggregation for
 //! `N = 10⁴+` cohorts.
 //!
 //! The flat protocol's offline phase exchanges coded mask segments
@@ -6,25 +6,27 @@
 //! messages per round — the wall between the current benches and a
 //! "millions of users" deployment. LightSecAgg's aggregate-then-decode
 //! structure *composes*: a group's decoded aggregate is just another
-//! model update, so the fix is a topology that nests (cf.
-//! Turbo-Aggregate's multi-group rings and SwiftAgg+'s network-aware
-//! sharing): partition the cohort into groups, run the unchanged
-//! protocol independently within each group, and sum — recursively.
+//! model update, so the fix is to partition the cohort into leaf
+//! groups (cf. Turbo-Aggregate's multi-group rings and SwiftAgg+'s
+//! network-aware sharing), run the unchanged protocol independently
+//! within each group, and sum.
 //!
 //! * [`TopologyNode`] — the shape: a **leaf** is one [`LsaConfig`]
-//!   running the flat protocol; an **internal node** sums its children.
+//!   running the flat protocol; an **internal node** groups its
+//!   children. Trees nest to any depth, but the nesting is a
+//!   namespace only.
 //! * [`GroupTopology`] — the flattened view of a tree: per-leaf
 //!   configurations, the global-id ↔ `(leaf, local)` mapping (with a
 //!   reseatable permutation for cross-round reassignment), the
 //!   root→leaf paths, and the **tree-namespaced wire ids** every
 //!   envelope carries.
-//! * [`GroupedFederation`] — the runtime: an internal node holding
-//!   [`BoxedAggregator`] children (each a [`SyncFederation`] leaf or
-//!   another `GroupedFederation`), so hierarchies nest to arbitrary
-//!   depth — two-level (groups of groups) being the supported, benched
-//!   configuration. `finish_round` finishes the subtrees one after
-//!   another on the caller's thread and folds their aggregates in
-//!   child order.
+//! * [`GroupedFederation`] — the runtime: one node holding every leaf
+//!   group's [`BoxedAggregator`] directly. One leaf is one recovery
+//!   domain, and addition in `F_q` ignores grouping, so levels above
+//!   the leaves would only decide which decoded sums get added
+//!   together. `finish_round` finishes the leaves one after another on
+//!   the caller's thread and folds their aggregates in depth-first
+//!   order.
 //!
 //! # Id spaces
 //!
@@ -76,8 +78,9 @@
 //! ```
 //!
 //! Two-level at scale: `GroupTopology::hierarchical(16384, &[64, 16],
-//! 0.25, 0.9, d)` builds 64 super-groups of 16 leaf groups of 16
-//! clients — no loop anywhere touches all 16384.
+//! 0.25, 0.9, d)` names 64 super-groups of 16 leaf groups of 16
+//! clients; its `GroupedFederation` holds the 1024 leaves, and no
+//! protocol loop touches all 16384 clients.
 
 use crate::config::LsaConfig;
 use crate::federation::{
@@ -94,13 +97,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One node of an aggregator tree: the unit of composition.
+/// One node of an aggregator tree.
 ///
 /// A leaf runs the flat LightSecAgg protocol with its own
 /// configuration (own evaluation points, own dropout budget); an
-/// internal node sums the aggregates of its children. Because a
-/// decoded aggregate is just another update vector, nesting is
-/// semantically free — only the id bookkeeping deepens.
+/// internal node groups its children in the id namespace. Because a
+/// decoded aggregate is just another update vector, nesting changes
+/// only the id bookkeeping: [`GroupedFederation`] sums every leaf at
+/// one node whatever the depth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyNode {
     /// A flat protocol instance over `cfg.n()` clients.
@@ -557,7 +561,8 @@ impl GroupTopology {
     /// One sub-[`GroupTopology`] per child of the root, each carrying
     /// its absolute wire-id range and an identity permutation (only the
     /// root of a tree permutes — children see already-mapped slots). A
-    /// leaf root yields a single-leaf clone of itself.
+    /// leaf root yields a single-leaf clone of itself. This is how a
+    /// deployment splits one tree across processes (one subtree each).
     pub fn child_topologies(&self) -> Vec<GroupTopology> {
         match &self.root {
             TopologyNode::Leaf(_) => {
@@ -609,43 +614,32 @@ fn collect_leaves(
     Ok(())
 }
 
-/// One direct child of a [`GroupedFederation`]: a boxed aggregator
-/// subtree plus the slot and leaf ranges it owns.
-struct ChildNode<F: Field> {
-    agg: BoxedAggregator<F>,
-    /// First slot owned by this subtree.
-    start: usize,
-    /// Clients in this subtree.
-    n: usize,
-    /// First (tree-wide) leaf index in this subtree.
-    leaf_start: usize,
-    /// Leaves in this subtree.
-    leaf_count: usize,
-}
-
-/// An internal node of the aggregator tree, behind the same
-/// [`SecureAggregator`] trait as its children: the existing
-/// [`crate::federation::Federation`] loop drives any depth unchanged
-/// through `Box<dyn SecureAggregator>`.
+/// The aggregator tree's runtime: one root holding one
+/// [`BoxedAggregator`] per leaf group, behind the same
+/// [`SecureAggregator`] trait as its leaves, so the existing
+/// [`crate::federation::Federation`] loop drives it unchanged.
 ///
+/// The [`GroupTopology`] may nest to any depth, but that tree is only
+/// a namespace (wire ids, paths, per-leaf configurations): addition in
+/// `F_q` ignores grouping, so this one node holds every leaf directly.
 /// The driver-facing lifecycle (`open_round → submit* → finish_round`)
-/// is identical to the flat [`SyncFederation`]. Internally every call
-/// splits by the global↔slot mapping and delegates to the child
-/// subtree owning the slot; `finish_round` finishes the participating
-/// children in child order and folds their aggregates in that order.
-/// Each subtree owns its own transport (its own aggregator link,
-/// Turbo-Aggregate style), so one stalled subtree never blocks
-/// another's decode.
+/// is identical to the flat [`SyncFederation`]. Every call splits by
+/// the global↔slot mapping and delegates to the leaf owning the slot;
+/// `finish_round` finishes the participating leaves in depth-first
+/// order and folds their aggregates in that order. Each leaf owns its
+/// own transport (its own aggregator link, Turbo-Aggregate style), so
+/// one stalled leaf never blocks another's decode.
 pub struct GroupedFederation<F: Field> {
     topology: GroupTopology,
-    children: Vec<ChildNode<F>>,
+    /// One recovery domain per leaf group, depth-first.
+    leaves: Vec<BoxedAggregator<F>>,
     next_round: u64,
     open: Option<OpenRound>,
-    /// Child indices opened for the current round, ascending.
+    /// Leaf indices opened for the current round, ascending.
     participating: Vec<usize>,
     /// Rounds whose offline exchange already ran, with their cohorts.
     prepared: BTreeMap<u64, BTreeSet<usize>>,
-    /// When set, a subtree that cannot decode is skipped and its
+    /// When set, a leaf that cannot decode is skipped and its
     /// submitted updates re-queued into the next round.
     partial_recovery: bool,
     /// Leaf wire ids skipped by the last `finish_round` in partial mode.
@@ -653,7 +647,7 @@ pub struct GroupedFederation<F: Field> {
     /// This round's effective submissions (partial mode only):
     /// global id → (update incl. merged carryover, weight).
     round_updates: BTreeMap<usize, (Vec<F>, u64)>,
-    /// Updates from stalled subtrees awaiting re-submission:
+    /// Updates from stalled leaves awaiting re-submission:
     /// global id → (buffered update, weight). Merged into the owner's
     /// next submission, exactly once.
     carryover: BTreeMap<usize, (Vec<F>, u64)>,
@@ -665,16 +659,16 @@ pub struct GroupedFederation<F: Field> {
     /// update that still owes its exactly-once landing.
     merged: BTreeMap<usize, (Vec<F>, u64)>,
     /// Telemetry of the most recent finished round: the
-    /// [`RoundReport::merge`] of the participating children's reports
+    /// [`RoundReport::merge`] of the participating leaves' reports
     /// (the root's critical path) plus this node's own requeue events.
     last_report: Option<RoundReport>,
 }
 
 impl<F: Field> GroupedFederation<F> {
-    /// Build the aggregator tree described by `topology` over clones of
-    /// `transport` (one independent transport per leaf — its own
-    /// aggregator link); all entropy for the whole run derives from
-    /// `seed`.
+    /// Build one [`SyncFederation`] leaf per leaf group of `topology`,
+    /// depth-first, each over its own clone of `transport` (its own
+    /// aggregator link) and stamped with its tree-namespaced wire id;
+    /// all entropy for the whole run derives from `seed`.
     ///
     /// # Errors
     ///
@@ -684,89 +678,44 @@ impl<F: Field> GroupedFederation<F> {
         T: Transport<F> + Clone + 'static,
     {
         let mut master = StdRng::seed_from_u64(seed);
-        Self::new_inner(topology, &transport, &mut master)
-    }
-
-    fn new_inner<T>(
-        topology: GroupTopology,
-        transport: &T,
-        master: &mut StdRng,
-    ) -> Result<Self, ProtocolError>
-    where
-        T: Transport<F> + Clone + 'static,
-    {
-        let mut children = Vec::new();
-        let mut start = 0usize;
-        let mut leaf_start = 0usize;
-        for sub in topology.child_topologies() {
-            let n = sub.n();
-            let leaf_count = sub.num_groups();
-            let agg: BoxedAggregator<F> = match sub.root() {
-                TopologyNode::Leaf(cfg) => Box::new(SyncFederation::in_group(
-                    sub.wire_id(0) as usize,
-                    *cfg,
+        let leaves = (0..topology.num_groups())
+            .map(|g| -> Result<BoxedAggregator<F>, ProtocolError> {
+                Ok(Box::new(SyncFederation::in_group(
+                    topology.wire_id(g) as usize,
+                    topology.group_config(g),
                     transport.clone(),
                     master.gen(),
-                )?),
-                TopologyNode::Internal(_) => Box::new(Self::new_inner(sub, transport, master)?),
-            };
-            children.push(ChildNode {
-                agg,
-                start,
-                n,
-                leaf_start,
-                leaf_count,
-            });
-            start += n;
-            leaf_start += leaf_count;
-        }
-        Ok(Self {
-            topology,
-            children,
-            next_round: 0,
-            open: None,
-            participating: Vec::new(),
-            prepared: BTreeMap::new(),
-            partial_recovery: false,
-            stalled: Vec::new(),
-            round_updates: BTreeMap::new(),
-            carryover: BTreeMap::new(),
-            merged: BTreeMap::new(),
-            last_report: None,
-        })
+                )?))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self::with_leaves(topology, leaves))
     }
 
-    /// Compose pre-built aggregators directly: child `i` serves the
-    /// next `children[i].config().n()` global ids. Each child is one
-    /// opaque recovery domain (reported as one "leaf" with its
-    /// aggregate view); wire-id namespacing across hand-built children
-    /// is the caller's responsibility — prefer
+    /// Compose pre-built leaf aggregators directly: leaf `i` serves the
+    /// next `leaves[i].config().n()` global ids and is reported as wire
+    /// id `i`. Each child must be a leaf recovery domain (a
+    /// [`SyncFederation`] or [`crate::federation::BufferedFederation`]):
+    /// a `GroupedFederation` child with partial recovery on would buffer
+    /// its stalled updates itself while this node re-queues them too, so
+    /// they would land twice. Wire-id namespacing across hand-built
+    /// leaves is the caller's responsibility — prefer
     /// [`GroupedFederation::new`] with a [`GroupTopology`], which
     /// allocates the namespace for the whole tree.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::InvalidConfig`] if no children are
-    /// given or they disagree on the model dimension.
-    pub fn from_children(children: Vec<BoxedAggregator<F>>) -> Result<Self, ProtocolError> {
-        let views: Vec<LsaConfig> = children.iter().map(|c| c.config()).collect();
-        let topology = GroupTopology::from_configs(views)?;
-        let mut nodes = Vec::with_capacity(children.len());
-        let mut start = 0usize;
-        for (i, agg) in children.into_iter().enumerate() {
-            let n = topology.group_config(i).n();
-            nodes.push(ChildNode {
-                agg,
-                start,
-                n,
-                leaf_start: i,
-                leaf_count: 1,
-            });
-            start += n;
-        }
-        Ok(Self {
+    /// Returns [`ProtocolError::InvalidConfig`] if no leaves are given
+    /// or they disagree on the model dimension.
+    pub fn from_children(leaves: Vec<BoxedAggregator<F>>) -> Result<Self, ProtocolError> {
+        let topology = GroupTopology::from_configs(leaves.iter().map(|c| c.config()).collect())?;
+        Ok(Self::with_leaves(topology, leaves))
+    }
+
+    /// The one constructor: `leaves[g]` serves `topology`'s leaf `g`.
+    fn with_leaves(topology: GroupTopology, leaves: Vec<BoxedAggregator<F>>) -> Self {
+        Self {
             topology,
-            children: nodes,
+            leaves,
             next_round: 0,
             open: None,
             participating: Vec::new(),
@@ -777,19 +726,20 @@ impl<F: Field> GroupedFederation<F> {
             carryover: BTreeMap::new(),
             merged: BTreeMap::new(),
             last_report: None,
-        })
+        }
     }
 
-    /// Skip subtrees that cannot decode (because dropouts exceeded
+    /// Skip leaves that cannot decode (because dropouts exceeded
     /// *their* budget) instead of failing the round: the surviving
-    /// subtrees' sum is still emitted, the stalled subtrees' submitted
-    /// updates are **re-queued** into the next round (each lands in a
-    /// later aggregate exactly once), and [`Self::stalled_groups`]
-    /// reports who was left out. Off by default — deferring a whole
-    /// subtree's updates silently is a policy decision, not a default.
+    /// leaves' sum is still emitted, the stalled leaves' submitted
+    /// updates are **re-queued** by global id into the next round (each
+    /// lands in a later aggregate exactly once), and
+    /// [`SecureAggregator::stalled_leaves`] reports who was left out.
+    /// Off by default — deferring a whole leaf's updates silently is a
+    /// policy decision, not a default.
     #[must_use]
     pub fn with_partial_recovery(mut self) -> Self {
-        self.set_partial_recovery(true);
+        self.partial_recovery = true;
         self
     }
 
@@ -798,48 +748,29 @@ impl<F: Field> GroupedFederation<F> {
         &self.topology
     }
 
-    /// Leaf groups (tree-namespaced wire ids) skipped by the most
-    /// recent [`SecureAggregator::finish_round`] under
-    /// [`Self::with_partial_recovery`] (empty after a full round).
-    pub fn stalled_groups(&self) -> &[usize] {
-        &self.stalled
-    }
-
     /// Updates currently buffered for re-queue (global ids, ascending).
     pub fn requeued_clients(&self) -> Vec<usize> {
         self.carryover.keys().copied().collect()
     }
 
-    /// The child index owning `slot`.
-    fn child_of_slot(&self, slot: usize) -> usize {
-        match self
-            .children
-            .binary_search_by_key(&slot, |child| child.start)
-        {
-            Ok(exact) => exact,
-            Err(insert) => insert - 1,
-        }
-    }
-
-    /// Split a global cohort into per-child local cohorts (child-local
-    /// ids, ascending), indexed by child.
+    /// Split a global cohort into per-leaf local cohorts (leaf-local
+    /// ids, ascending), indexed by leaf.
     fn split_cohort(&self, cohort: &BTreeSet<usize>) -> Result<Vec<Vec<usize>>, ProtocolError> {
-        let mut per_child = vec![Vec::new(); self.children.len()];
+        let mut per_leaf = vec![Vec::new(); self.leaves.len()];
         for &id in cohort {
-            let slot = self.topology.slot_of(id)?;
-            let c = self.child_of_slot(slot);
-            per_child[c].push(slot - self.children[c].start);
+            let (leaf, local) = self.topology.locate(id)?;
+            per_leaf[leaf].push(local);
         }
-        for local in &mut per_child {
+        for local in &mut per_leaf {
             local.sort_unstable();
         }
-        Ok(per_child)
+        Ok(per_leaf)
     }
 
     /// Validate a global cohort: unique in-range ids, and every leaf
     /// with members present must field at least its own `U_g` (a leaf
     /// below threshold could never decode). Returns the cohort set and
-    /// the participating child indices, ascending.
+    /// the participating leaf indices, ascending.
     fn validate_cohort(
         &self,
         cohort: &[usize],
@@ -855,6 +786,7 @@ impl<F: Field> GroupedFederation<F> {
             let (leaf, _) = self.topology.locate(id)?;
             leaf_present[leaf] += 1;
         }
+        let mut participating = Vec::new();
         for (leaf, &present) in leaf_present.iter().enumerate() {
             if present == 0 {
                 continue;
@@ -863,18 +795,8 @@ impl<F: Field> GroupedFederation<F> {
             if present < need {
                 return Err(ProtocolError::NotEnoughSurvivors { got: present, need });
             }
+            participating.push(leaf);
         }
-        let participating: Vec<usize> = self
-            .children
-            .iter()
-            .enumerate()
-            .filter(|(_, child)| {
-                leaf_present[child.leaf_start..child.leaf_start + child.leaf_count]
-                    .iter()
-                    .any(|&p| p > 0)
-            })
-            .map(|(c, _)| c)
-            .collect();
         if participating.is_empty() {
             return Err(ProtocolError::NotEnoughSurvivors {
                 got: 0,
@@ -883,21 +805,12 @@ impl<F: Field> GroupedFederation<F> {
         }
         Ok((set, participating))
     }
-
-    /// All leaf wire ids of child `c`.
-    fn child_leaf_wires(&self, c: usize) -> Vec<usize> {
-        let child = &self.children[c];
-        (child.leaf_start..child.leaf_start + child.leaf_count)
-            .map(|g| self.topology.wire_id(g) as usize)
-            .collect()
-    }
 }
 
 impl<F: Field> core::fmt::Debug for GroupedFederation<F> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("GroupedFederation")
-            .field("children", &self.children.len())
-            .field("leaves", &self.topology.num_groups())
+            .field("leaves", &self.leaves.len())
             .field("n", &self.topology.n())
             .field("next_round", &self.next_round)
             .finish_non_exhaustive()
@@ -919,19 +832,19 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         }
         let (cohort, participating) = self.validate_cohort(cohort)?;
         let round = self.next_round;
-        // The parent's prepared-round bookkeeping mirrors the
-        // children's: a cohort mismatch errors here, before any child
-        // is touched, leaving every preparation intact for a retry.
+        // The root's prepared-round bookkeeping mirrors the leaves': a
+        // cohort mismatch errors here, before any leaf is touched,
+        // leaving every preparation intact for a retry.
         let _ = claim_prepared(&mut self.prepared, round, &cohort)?;
-        let per_child = self.split_cohort(&cohort)?;
+        let per_leaf = self.split_cohort(&cohort)?;
         let mut opened: Vec<usize> = Vec::with_capacity(participating.len());
-        for &c in &participating {
-            match self.children[c].agg.open_round(&per_child[c]) {
-                Ok(_) => opened.push(c),
+        for &g in &participating {
+            match self.leaves[g].open_round(&per_leaf[g]) {
+                Ok(_) => opened.push(g),
                 Err(e) => {
-                    // leave no child half-open behind a failed open
+                    // leave no leaf half-open behind a failed open
                     for &o in &opened {
-                        self.children[o].agg.abort_round();
+                        self.leaves[o].abort_round();
                     }
                     return Err(e);
                 }
@@ -947,9 +860,9 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         let round = self.next_round;
         ensure_unprepared(&self.prepared, round)?;
         let (cohort, participating) = self.validate_cohort(cohort)?;
-        let per_child = self.split_cohort(&cohort)?;
-        for &c in &participating {
-            self.children[c].agg.prepare_next(&per_child[c])?;
+        let per_leaf = self.split_cohort(&cohort)?;
+        for &g in &participating {
+            self.leaves[g].prepare_next(&per_leaf[g])?;
         }
         self.prepared.insert(round, cohort);
         Ok(())
@@ -968,21 +881,18 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
                 self.topology.d()
             )));
         }
-        let slot = self.topology.slot_of(id)?;
-        let c = self.child_of_slot(slot);
-        let local = slot - self.children[c].start;
+        let (g, local) = self.topology.locate(id)?;
         if let Some((carried, w)) = self.carryover.get(&id) {
-            // Merge the re-queued update from a previously stalled
-            // subtree into this submission — through the same mask, so
-            // the server still only ever sees the (deferred + fresh)
-            // sum.
+            // Merge the re-queued update from a previously stalled leaf
+            // into this submission — through the same mask, so the
+            // server still only ever sees the (deferred + fresh) sum.
             let weight = w + 1;
             let mut effective = carried.clone();
             lsa_field::ops::add_assign(&mut effective, update);
-            self.children[c].agg.submit(local, &effective)?;
-            // the carryover is consumed only once the child accepted
-            // it — and retained in `merged` until the round resolves,
-            // so an aborted round can hand it back
+            self.leaves[g].submit(local, &effective)?;
+            // the carryover is consumed only once the leaf accepted it
+            // — and retained in `merged` until the round resolves, so
+            // an aborted round can hand it back
             let entry = self.carryover.remove(&id).expect("carryover was just read");
             self.merged.insert(id, entry);
             if self.partial_recovery {
@@ -990,8 +900,8 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
             }
         } else {
             // nothing to merge: the update passes through unboxed (no
-            // per-level copy on the hot path)
-            self.children[c].agg.submit(local, update)?;
+            // copy on the hot path)
+            self.leaves[g].submit(local, update)?;
             if self.partial_recovery {
                 self.round_updates.insert(id, (update.to_vec(), 1));
             }
@@ -1008,132 +918,91 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
         open.require_member(id)?;
         open.dropped.insert(id);
-        let slot = self.topology.slot_of(id)?;
-        let c = self.child_of_slot(slot);
-        let local = slot - self.children[c].start;
-        self.children[c].agg.mark_dropped(local)
+        let (g, local) = self.topology.locate(id)?;
+        self.leaves[g].mark_dropped(local)
     }
 
     fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
         let open = self.open.clone().ok_or(ProtocolError::WrongPhase)?;
 
-        // Finish every participating subtree (upload delivery, survivor
+        // Finish every participating leaf (upload delivery, survivor
         // announcement, recovery, one-shot decode) before folding any:
-        // the subtrees share no state.
+        // the leaves share no state.
         let results: Vec<(usize, Result<RoundOutcome<F>, ProtocolError>)> = self
             .participating
             .iter()
-            .map(|&c| (c, self.children[c].agg.finish_round()))
+            .map(|&g| (g, self.leaves[g].finish_round()))
             .collect();
 
-        // Fold in child order.
+        // Fold in leaf order.
         let mut aggregate = vec![F::ZERO; self.topology.d()];
         let mut contributors: Vec<usize> = Vec::new();
         let mut total_weight = 0u64;
         let mut stalled: Vec<usize> = Vec::new();
-        let mut succeeded: Vec<usize> = Vec::new();
         let mut first_error = None;
         let mut requeued = 0usize;
-        let mut child_reports: Vec<RoundReport> = Vec::new();
-        for (c, outcome) in results {
+        let mut leaf_reports: Vec<RoundReport> = Vec::new();
+        for (g, outcome) in results {
             match outcome {
                 Ok(out) => {
                     lsa_field::ops::add_assign(&mut aggregate, &out.aggregate);
-                    let child = &self.children[c];
                     contributors.extend(
                         out.contributors
                             .iter()
-                            .map(|&local| self.topology.global_of_slot(child.start + local)),
+                            .map(|&local| self.topology.global_id(g, local)),
                     );
                     total_weight += out.total_weight;
-                    // a composed child may itself have skipped leaves
-                    stalled.extend(self.children[c].agg.stalled_leaves());
-                    // the child's finish_round just succeeded, so its
-                    // report is fresh (its local round number may lag the
-                    // parent's when it skipped empty-cohort rounds)
-                    child_reports.extend(self.children[c].agg.round_report());
-                    succeeded.push(c);
+                    // the leaf's finish_round just succeeded, so its
+                    // report is fresh (its local round number may lag
+                    // the root's when it skipped empty-cohort rounds)
+                    leaf_reports.extend(self.leaves[g].round_report());
                 }
                 Err(e) => {
                     if !self.partial_recovery {
                         return Err(e);
                     }
                     first_error.get_or_insert(e);
-                    // retire the stalled subtree's round so the next one
-                    // can open, and re-queue what it had been submitted —
-                    // unless the subtree buffered its updates itself (a
-                    // nested partial-recovery node that failed outright),
-                    // in which case a second buffer here would make the
-                    // deferred update land twice
-                    self.children[c].agg.abort_round();
-                    stalled.extend(self.child_leaf_wires(c));
-                    let child = &self.children[c];
-                    let range = child.start..child.start + child.n;
-                    if !self.children[c].agg.requeues_on_failure() {
-                        let requeue: Vec<usize> = self
-                            .round_updates
-                            .keys()
-                            .copied()
-                            .filter(|&id| {
-                                self.topology
-                                    .slot_of(id)
-                                    .is_ok_and(|slot| range.contains(&slot))
-                            })
-                            .collect();
-                        for id in requeue {
-                            let (update, weight) =
-                                self.round_updates.remove(&id).expect("key just listed");
-                            self.carryover.insert(id, (update, weight));
-                            requeued += 1;
-                        }
-                    } else {
-                        // the subtree buffered the merged *values*
-                        // itself, but it recorded them at weight 1 — it
-                        // never saw the carried weight. Keep that weight
-                        // here as zero-valued carryover: the next
-                        // submission merges 0 (value untouched, the
-                        // subtree supplies it) while the weight rides
-                        // along and is counted when the deferred update
-                        // finally lands.
-                        let weight_only: Vec<(usize, u64)> = self
-                            .merged
-                            .iter()
-                            .filter(|(&id, _)| {
-                                self.topology
-                                    .slot_of(id)
-                                    .is_ok_and(|slot| range.contains(&slot))
-                            })
-                            .map(|(&id, (_, w))| (id, *w))
-                            .collect();
-                        for (id, w) in weight_only {
-                            self.merged.remove(&id);
-                            self.carryover
-                                .insert(id, (vec![F::ZERO; self.topology.d()], w));
-                            requeued += 1;
-                        }
+                    // retire the stalled leaf's round so the next one
+                    // can open, and re-queue what it had been submitted
+                    self.leaves[g].abort_round();
+                    stalled.push(self.topology.wire_id(g) as usize);
+                    let seats = self.topology.group_members(g);
+                    let requeue: Vec<usize> = self
+                        .round_updates
+                        .keys()
+                        .copied()
+                        .filter(|&id| {
+                            self.topology
+                                .slot_of(id)
+                                .is_ok_and(|slot| seats.contains(&slot))
+                        })
+                        .collect();
+                    for id in requeue {
+                        let entry = self.round_updates.remove(&id).expect("key just listed");
+                        self.carryover.insert(id, entry);
+                        requeued += 1;
                     }
                 }
             }
         }
 
-        // Carryover merged into a subtree that then stalled went back to
+        // Carryover merged into a leaf that then stalled went back to
         // the buffer above (inside the effective update); carryover
-        // merged into a surviving subtree is consumed now and adds its
+        // merged into a surviving leaf is consumed now and adds its
         // weight.
         for (&id, (_, extra)) in &self.merged {
-            let slot = self.topology.slot_of(id)?;
-            if succeeded.contains(&self.child_of_slot(slot)) {
+            if !self.carryover.contains_key(&id) {
                 total_weight += extra;
             }
         }
 
-        // Root telemetry: merge the succeeded children's reports into
-        // the root's critical path, and fold in this node's own requeue
-        // events. Dropout/ratchet events live in the child reports and
+        // Root telemetry: merge the succeeded leaves' reports into the
+        // root's critical path, and fold in this node's own requeue
+        // events. Dropout/ratchet events live in the leaf reports and
         // sum through the merge. The report is cut even when every
-        // subtree stalled — the all-requeued round is exactly the one
-        // an operator wants telemetry for.
-        let mut report = RoundReport::merge(open.round, &child_reports);
+        // leaf stalled — the all-requeued round is exactly the one an
+        // operator wants telemetry for.
+        let mut report = RoundReport::merge(open.round, &leaf_reports);
         report.events.requeues += requeued;
         self.last_report = Some(report);
 
@@ -1143,8 +1012,8 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         self.open = None;
         self.participating = Vec::new();
         if contributors.is_empty() {
-            // every subtree stalled: the round is retired (its updates
-            // are all re-queued), and the caller learns why
+            // every leaf stalled: the round is retired (its updates are
+            // all re-queued), and the caller learns why
             return Err(first_error.unwrap_or(ProtocolError::NotEnoughSurvivors {
                 got: 0,
                 need: self.topology.aggregate_view().u(),
@@ -1161,8 +1030,8 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
 
     fn abort_round(&mut self) {
         if self.open.take().is_some() {
-            for &c in &self.participating {
-                self.children[c].agg.abort_round();
+            for &g in &self.participating {
+                self.leaves[g].abort_round();
             }
             self.participating = Vec::new();
             // an externally cancelled round drops its *fresh*
@@ -1185,36 +1054,26 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
                 "cannot reassign the group mapping while a prepared round is pending".into(),
             ));
         }
-        // This node's own carryover is keyed by *global* id and follows
-        // a client to its new leaf — safe. A nested node's carryover is
-        // keyed by its local ids (= this node's slots), which a root
-        // permutation would re-seat under different clients: refuse
-        // until the deferred updates have landed.
-        if self.children.iter().any(|c| c.agg.has_pending_requeue()) {
-            return Err(ProtocolError::InvalidConfig(
-                "cannot reassign the group mapping while a subtree holds re-queued updates".into(),
-            ));
-        }
+        // re-queued updates are keyed by global id and follow their
+        // client to its new leaf
         self.topology.reassign(seed);
         // a leaf sees only local seat indices, which look identical
         // across a reassignment even though different clients now sit in
         // them — freshen the pad-seed epoch under the retained bases so
         // the ratchet stretches across the permute instead of re-keying
-        for child in &mut self.children {
-            child.agg.reseat_ratchet(seed);
-        }
+        self.reseat_ratchet(seed);
         Ok(())
     }
 
     fn clear_ratchet(&mut self) {
-        for child in &mut self.children {
-            child.agg.clear_ratchet();
+        for leaf in &mut self.leaves {
+            leaf.clear_ratchet();
         }
     }
 
     fn reseat_ratchet(&mut self, seed: u64) {
-        for child in &mut self.children {
-            child.agg.reseat_ratchet(seed);
+        for leaf in &mut self.leaves {
+            leaf.reseat_ratchet(seed);
         }
     }
 
@@ -1233,29 +1092,12 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         Some(CohortFingerprint::of_members(members))
     }
 
-    fn set_partial_recovery(&mut self, enabled: bool) {
-        self.partial_recovery = enabled;
-        for child in &mut self.children {
-            child.agg.set_partial_recovery(enabled);
-        }
-    }
-
     fn stalled_leaves(&self) -> Vec<usize> {
         self.stalled.clone()
     }
 
-    fn has_pending_requeue(&self) -> bool {
-        !self.carryover.is_empty()
-            || !self.merged.is_empty()
-            || self.children.iter().any(|c| c.agg.has_pending_requeue())
-    }
-
-    fn requeues_on_failure(&self) -> bool {
-        self.partial_recovery
-    }
-
     fn bytes_sent(&self) -> usize {
-        self.children.iter().map(|c| c.agg.bytes_sent()).sum()
+        self.leaves.iter().map(|leaf| leaf.bytes_sent()).sum()
     }
 
     fn round_report(&self) -> Option<RoundReport> {
@@ -1583,15 +1425,15 @@ mod tests {
     #[test]
     fn carried_weight_survives_failure_of_a_self_requeuing_child() {
         for policy in policies() {
-            // Mixed tree: root = [Leaf(4), Internal[Leaf(4)]]. Round 0
-            // stalls the direct leaf (root buffers its updates by global
-            // id); a reassignment then moves some of those clients under
-            // the nested child; round 1 merges their carryover there and
-            // the nested child fails outright (it self-requeues the merged
-            // *values* at weight 1, the root must keep the carried
-            // *weights*). By round 2 everything has landed: across the
-            // three rounds both total value and total weight are conserved
-            // — 24 unit-weight submissions in, 24 weight out.
+            // Mixed tree: root = [Leaf(4), Internal[Leaf(4)]], held as
+            // two leaves. Round 0 stalls leaf 0 (the root buffers its
+            // updates by global id); a reassignment then moves some of
+            // those clients into the nested leaf; round 1 merges their
+            // carryover there and that leaf stalls too, so the root
+            // re-buffers the merged values *with* their carried weights.
+            // By round 2 everything has landed: across the three rounds
+            // both total value and total weight are conserved — 24
+            // unit-weight submissions in, 24 weight out.
             let d = 3;
             let cfg = LsaConfig::new(4, 1, 3, d).unwrap().with_ratchet(policy);
             let topo = GroupTopology::from_tree(TopologyNode::Internal(vec![
@@ -1600,7 +1442,7 @@ mod tests {
             ]))
             .unwrap();
             // a seed that provably moves one of round 0's buffered clients
-            // (ids 0..4) into the nested child's slot range (4..8)
+            // (ids 0..4) into the nested leaf's slot range (4..8)
             let seed = (0..100u64)
                 .find(|&s| {
                     let mut t = topo.clone();
@@ -1629,7 +1471,7 @@ mod tests {
             // between rounds: re-seat the mapping (root-level carryover is
             // keyed by identity, so this is allowed)
             grouped.reassign(seed).unwrap();
-            // round 1: the nested child fails outright after merging the
+            // round 1: the nested leaf stalls after merging the
             // moved clients' carryover
             let nested_members = grouped.topology().members_of(1);
             grouped.open_round(&all).unwrap();
@@ -1650,7 +1492,7 @@ mod tests {
             let out = grouped.finish_round().unwrap();
             lsa_field::ops::add_assign(&mut total_value, &out.aggregate);
             total_weight += out.total_weight;
-            assert!(!grouped.has_pending_requeue());
+            assert!(grouped.requeued_clients().is_empty());
             // conservation: 3 full submission waves, nothing lost, nothing
             // double-counted — in value or in weight
             let want: Vec<Fp61> = expected(&all, d)
@@ -1663,11 +1505,11 @@ mod tests {
     }
 
     #[test]
-    fn reassignment_refused_while_subtree_holds_requeued_updates() {
+    fn reassignment_with_requeued_updates_lands_them_exactly_once() {
         for policy in policies() {
-            // a nested node's re-queue buffer is keyed by seat (its local
-            // ids); re-seating the root permutation underneath it would
-            // merge a deferred update into the wrong client's submission
+            // re-queued updates are keyed by global id, so re-seating the
+            // mapping while they wait moves them with their clients: the
+            // deferred updates still land exactly once
             let d = 3;
             let all: Vec<usize> = (0..16).collect();
             let topo = GroupTopology::two_level(16, 2, 2, 0.25, 0.75, d)
@@ -1685,19 +1527,18 @@ mod tests {
             }
             grouped.finish_round().unwrap();
             assert_eq!(grouped.stalled_leaves(), vec![0]);
-            assert!(grouped.has_pending_requeue());
-            assert!(matches!(
-                grouped.reassign(5),
-                Err(ProtocolError::InvalidConfig(_))
-            ));
-            // once the deferred updates land, reassignment is allowed again
+            assert!(!grouped.requeued_clients().is_empty());
+            grouped.reassign(5).unwrap();
             grouped.open_round(&all).unwrap();
             for (id, u) in updates(&all, d) {
                 grouped.submit(id, &u).unwrap();
             }
-            grouped.finish_round().unwrap();
-            assert!(!grouped.has_pending_requeue());
-            grouped.reassign(5).unwrap();
+            let out = grouped.finish_round().unwrap();
+            let mut want = expected(&all, d);
+            lsa_field::ops::add_assign(&mut want, &expected(&[0, 1, 2, 3], d));
+            assert_eq!(out.aggregate, want);
+            assert_eq!(out.total_weight, 16 + 4);
+            assert!(grouped.requeued_clients().is_empty());
         }
     }
 

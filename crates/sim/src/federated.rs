@@ -144,56 +144,6 @@ impl<F: Field> SecureFedAvg<F> {
         ))
     }
 
-    /// Two-level hierarchical federation over in-memory queues:
-    /// `supers × groups_per_super` leaf groups splitting the `n`
-    /// clients near-equally, per-leaf thresholds from the fractions as
-    /// in [`GroupTopology::uniform`] — the `N = 10⁴+` scaling shape
-    /// where no single sum loop touches all clients.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hierarchical_mem(
-        n: usize,
-        supers: usize,
-        groups_per_super: usize,
-        t_frac: f64,
-        u_frac: f64,
-        d: usize,
-        quantizer: VectorQuantizer,
-        seed: u64,
-    ) -> Result<Self, lsa_protocol::ProtocolError> {
-        let topology = GroupTopology::two_level(n, supers, groups_per_super, t_frac, u_frac, d)?;
-        Self::grouped_mem(topology, quantizer, seed)
-    }
-
-    /// Two-level hierarchical federation over the discrete-event
-    /// network — the hierarchical analogue of [`Self::sync_sim`]. Each
-    /// leaf group runs over its own simulated link (its own aggregator
-    /// node); `net` needs a channel per leaf-local client, so sizing it
-    /// for the largest leaf (or, conventionally, for `n`) works.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hierarchical_sim(
-        n: usize,
-        supers: usize,
-        groups_per_super: usize,
-        t_frac: f64,
-        u_frac: f64,
-        d: usize,
-        quantizer: VectorQuantizer,
-        net: NetworkConfig,
-        duplex: Duplex,
-        seed: u64,
-    ) -> Result<Self, lsa_protocol::ProtocolError> {
-        let topology = GroupTopology::two_level(n, supers, groups_per_super, t_frac, u_frac, d)?;
-        Self::grouped_sim(topology, quantizer, net, duplex, seed)
-    }
-
     /// Buffered-asynchronous federation (unit weights) over in-memory
     /// queues — same training semantics as [`Self::sync_mem`], different
     /// protocol underneath.
@@ -386,17 +336,9 @@ mod tests {
             .map(|k| updates.iter().map(|u| u[k]).sum::<f32>() / n as f32)
             .collect();
         // 2 super-groups x 2 leaf groups x 4 clients
-        let mut hier = SecureFedAvg::<Fp61>::hierarchical_mem(
-            n,
-            2,
-            2,
-            0.25,
-            0.75,
-            d,
-            VectorQuantizer::new(1 << 16),
-            9,
-        )
-        .unwrap();
+        let topology = GroupTopology::two_level(n, 2, 2, 0.25, 0.75, d).unwrap();
+        let mut hier =
+            SecureFedAvg::<Fp61>::grouped_mem(topology, VectorQuantizer::new(1 << 16), 9).unwrap();
         for (a, b) in hier.aggregate(&updates).iter().zip(&mean) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }

@@ -53,6 +53,4 @@ pub use round::{
 };
 pub use secure_fedbuff::LsaBufferAggregator;
 pub use system::{run_system, SystemConfig, SystemRoundRecord};
-pub use timed::{
-    run_timed_grouped_round, run_timed_hierarchical_round, run_timed_sync_round, TimedRoundOutput,
-};
+pub use timed::{run_timed_grouped_round, run_timed_sync_round, TimedRoundOutput};

@@ -177,33 +177,6 @@ pub fn run_timed_grouped_round<F: Field>(
     })
 }
 
-/// Convenience wrapper for the supported two-level shape: build
-/// `GroupTopology::hierarchical(n, branching, ..)` and run one timed
-/// round ([`run_timed_grouped_round`]) over it.
-///
-/// # Errors
-///
-/// Propagates invalid topology parameters and any [`ProtocolError`]
-/// from the federation.
-///
-/// # Panics
-///
-/// As [`run_timed_grouped_round`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_timed_hierarchical_round<F: Field>(
-    n: usize,
-    branching: &[usize],
-    t_frac: f64,
-    u_frac: f64,
-    models: &[Vec<F>],
-    seed: u64,
-    net: NetworkConfig,
-    duplex: Duplex,
-) -> Result<TimedRoundOutput<F>, ProtocolError> {
-    let topology = GroupTopology::hierarchical(n, branching, t_frac, u_frac, models[0].len())?;
-    run_timed_grouped_round(&topology, models, seed, net, duplex)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,17 +346,10 @@ mod tests {
         let n = 16;
         let d = 10;
         let ms = models(n, d, 21);
-        let timed = run_timed_hierarchical_round(
-            n,
-            &[2, 2],
-            0.25,
-            0.75,
-            &ms,
-            6,
-            NetworkConfig::paper_default(n),
-            Duplex::Full,
-        )
-        .unwrap();
+        let topo = GroupTopology::hierarchical(n, &[2, 2], 0.25, 0.75, d).unwrap();
+        let timed =
+            run_timed_grouped_round(&topo, &ms, 6, NetworkConfig::paper_default(n), Duplex::Full)
+                .unwrap();
         let mut want = vec![Fp61::ZERO; d];
         for m in &ms {
             lsa_field::ops::add_assign(&mut want, m);
@@ -403,17 +369,10 @@ mod tests {
         let n = 16;
         let d = 6;
         let ms = models(n, d, 23);
-        let timed = run_timed_hierarchical_round(
-            n,
-            &[2, 2],
-            0.25,
-            0.75,
-            &ms,
-            7,
-            NetworkConfig::paper_default(4),
-            Duplex::Full,
-        )
-        .unwrap();
+        let topo = GroupTopology::hierarchical(n, &[2, 2], 0.25, 0.75, d).unwrap();
+        let timed =
+            run_timed_grouped_round(&topo, &ms, 7, NetworkConfig::paper_default(4), Duplex::Full)
+                .unwrap();
         let mut want = vec![Fp61::ZERO; d];
         for m in &ms {
             lsa_field::ops::add_assign(&mut want, m);

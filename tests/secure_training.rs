@@ -8,6 +8,7 @@ use lightsecagg::fl::{
     LogisticRegression, Model, PlainFedBuff,
 };
 use lightsecagg::net::{Duplex, NetworkConfig};
+use lightsecagg::protocol::topology::GroupTopology;
 use lightsecagg::protocol::transport::MemTransport;
 use lightsecagg::protocol::{DropoutSchedule, Federation, LsaConfig, RoundPlan, SyncFederation};
 use lightsecagg::quantize::{StalenessFn, VectorQuantizer};
@@ -149,8 +150,6 @@ fn fedavg_through_grouped_federation_over_simtransport_converges() {
     // thresholds and evaluation points) over a simulated network lands
     // within 5% of the plaintext FedAvg loss on the identical
     // client-sampling stream.
-    use lightsecagg::protocol::topology::GroupTopology;
-
     let (train, test) = data();
     let n_clients = 8;
     let shards = train.iid_partition(n_clients);
@@ -232,13 +231,9 @@ fn fedavg_through_two_level_hierarchy_at_n4096_converges() {
     let d = secure_model.num_params();
     // leaf groups of 16: t=4 colluders tolerated, u=15 survivors; the
     // network only needs a channel per leaf-local client
-    let mut secure_agg = SecureFedAvg::<Fp61>::hierarchical_sim(
-        n_clients,
-        16,
-        16,
-        0.25,
-        0.9,
-        d,
+    let topology = GroupTopology::two_level(n_clients, 16, 16, 0.25, 0.9, d).unwrap();
+    let mut secure_agg = SecureFedAvg::<Fp61>::grouped_sim(
+        topology,
         VectorQuantizer::new(1 << 16),
         NetworkConfig::paper_default(16),
         Duplex::Full,
