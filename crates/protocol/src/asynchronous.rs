@@ -23,7 +23,7 @@
 //! ([`crate::federation::LeafFederation`]), and [`run_buffered_flush`]
 //! pumps one flush of stale contributions.
 
-use crate::client::{add_padded, check_share};
+use crate::client::{add_padded, check_share, repeated};
 use crate::config::LsaConfig;
 use crate::federation::{drain_to, pump, BufferedVariant, LeafVariant, RoundOutcome};
 use crate::ratchet::{self, ClientRatchet, PadTopology, ServerRatchet};
@@ -255,12 +255,17 @@ impl<F: Field> AsyncClient<F> {
     /// `announced_round`: compute
     /// `Σ_entries weight · [~z_who^{(round)}]_id` (Appendix F.3.3). The
     /// response is stamped with `announced_round` so the server can
-    /// reject answers to an earlier flush.
+    /// reject answers to an earlier flush. An entry named twice is a
+    /// [`ProtocolError::DuplicateMessage`], checked before any share is
+    /// looked up.
     fn aggregated_share_for(
         &self,
         announced_round: u64,
         entries: &[BufferEntry],
     ) -> Result<AggregatedShare<F>, ProtocolError> {
+        if let Some((twice, _)) = repeated(entries, |e| (e.who, e.round)) {
+            return Err(ProtocolError::DuplicateMessage(twice));
+        }
         let mut weights = Vec::with_capacity(entries.len());
         let mut shares: Vec<&[F]> = Vec::with_capacity(entries.len());
         for e in entries {
@@ -1269,6 +1274,41 @@ mod tests {
             s.handle(share(0, 0, 3)).unwrap_err(),
             ProtocolError::DuplicateMessage(0)
         );
+    }
+
+    #[test]
+    fn announced_entry_named_twice_is_rejected_not_summed_twice() {
+        // through `Session::handle`: a repeated (sender, base round) is
+        // reported before any share is looked up, even one never
+        // received; the same sender on another base round is not a
+        // repeat
+        let mut clients = exchanged::<Fp61>(cfg(), 0..2, 43);
+        let ann = |entries: &[(usize, u64)]| {
+            Envelope::BufferAnnouncement(BufferAnnouncement {
+                group: 0,
+                round: 1,
+                entries: entries
+                    .iter()
+                    .map(|&(who, round)| BufferEntry {
+                        who,
+                        round,
+                        weight: 1,
+                    })
+                    .collect(),
+            })
+        };
+        let c = &mut clients[1];
+        assert_eq!(
+            c.handle(ann(&[(0, 0), (2, 0), (0, 0)])).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+        assert_eq!(
+            c.handle(ann(&[(2, 1), (9, 0), (2, 1)])).unwrap_err(),
+            ProtocolError::DuplicateMessage(2)
+        );
+        // none of the rejections cost the client anything
+        let replies = c.handle(ann(&[(0, 0), (2, 0), (0, 1)])).unwrap();
+        assert_eq!(replies.len(), 1);
     }
 
     #[test]

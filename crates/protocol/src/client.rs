@@ -9,7 +9,7 @@ use lsa_crypto::Seed;
 use lsa_field::Field;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A LightSecAgg user.
 ///
@@ -83,6 +83,11 @@ pub(crate) struct Shares<F> {
     coded_for: Vec<Vec<F>>,
     /// Received coded segments `[~z_j]_i`, keyed by sender `j`.
     received: BTreeMap<usize, Vec<F>>,
+    /// `Σ_j [~z_j]_i` over every `received` share: summed by the first
+    /// recovery that names exactly those senders, reset by every insert.
+    /// A stable stretch of ratcheted rounds shares this storage, so it
+    /// answers each of their recoveries from one sum.
+    total: OnceLock<Vec<F>>,
 }
 
 impl<F: Field> Client<F> {
@@ -167,6 +172,7 @@ impl<F: Field> Client<F> {
                 code,
                 coded_for,
                 received,
+                total: OnceLock::new(),
             }),
             pad_epoch: 0,
             edge_seeds: BTreeMap::new(),
@@ -257,6 +263,12 @@ impl<F: Field> Client<F> {
         &self.shares
     }
 
+    /// The retained share total, once a recovery has summed it.
+    #[cfg(test)]
+    pub(crate) fn share_total(&self) -> Option<&Vec<F>> {
+        self.shares.total.get()
+    }
+
     /// This client's user index (group-local in a grouped topology).
     pub fn id(&self) -> usize {
         self.id
@@ -332,9 +344,9 @@ impl<F: Field> Client<F> {
         }
         // sole owner during the exchange, so this never copies; a share
         // accepted by a *derived* round un-shares the storage first
-        Arc::make_mut(&mut self.shares)
-            .received
-            .insert(share.from, share.payload);
+        let shares = Arc::make_mut(&mut self.shares);
+        shares.received.insert(share.from, share.payload);
+        shares.total = OnceLock::new();
         Ok(())
     }
 
@@ -404,27 +416,43 @@ impl<F: Field> Client<F> {
     /// Compute the aggregated coded mask `Σ_{i∈survivors} [~z_i]_id`
     /// for the server's one-shot recovery (Algorithm 1 lines 20–22).
     ///
+    /// When the survivors are exactly the senders this client holds
+    /// shares from, the answer is the retained share total, summed once
+    /// and reused by every later recovery over the same shares (the
+    /// rounds of a stable ratchet stretch).
+    ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::MissingShares`] if some survivor's coded
-    /// share was never received.
+    /// Returns [`ProtocolError::DuplicateMessage`] for a survivor named
+    /// twice (checked first), and [`ProtocolError::MissingShares`] if
+    /// some survivor's coded share was never received.
     pub fn aggregated_share_for(
         &self,
         survivors: &[usize],
     ) -> Result<AggregatedShare<F>, ProtocolError> {
+        if let Some(twice) = repeated(survivors, |&i| i) {
+            return Err(ProtocolError::DuplicateMessage(twice));
+        }
+        let received = &self.shares.received;
         let mut shares: Vec<&[F]> = Vec::with_capacity(survivors.len());
         for &i in survivors {
-            let share = self
-                .shares
-                .received
+            let share = received
                 .get(&i)
                 .ok_or(ProtocolError::MissingShares { from: i })?;
             shares.push(share);
         }
         // one widened pass over all survivor shares, reduced once per
-        // element
-        let acc = lsa_field::ops::sum_vectors(shares.iter().copied())
-            .unwrap_or_else(|| vec![F::ZERO; self.cfg.segment_len()]);
+        // element; distinct and all received, so as many as received
+        // means every one of them
+        let sum = || {
+            lsa_field::ops::sum_vectors(shares.iter().copied())
+                .unwrap_or_else(|| vec![F::ZERO; self.cfg.segment_len()])
+        };
+        let acc = if shares.len() == received.len() {
+            self.shares.total.get_or_init(sum).clone()
+        } else {
+            sum()
+        };
         Ok(AggregatedShare {
             from: self.id,
             group: self.group,
@@ -483,6 +511,18 @@ impl<F: Field> Session<F> for Client<F> {
         let masked = self.upload.take()?;
         Some((Recipient::Server, Envelope::MaskedModel(masked)))
     }
+}
+
+/// A key that more than one of `items` has, if any: the smallest such.
+/// The lists servers announce are ascending, which one comparison per
+/// item confirms; any other order is checked on sorted keys.
+pub(crate) fn repeated<T, K: Ord + Copy>(items: &[T], key: impl Fn(&T) -> K) -> Option<K> {
+    if items.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+        return None;
+    }
+    let mut keys: Vec<K> = items.iter().map(key).collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 /// What a coded share must be for client `id` of either variant to file
@@ -824,6 +864,55 @@ mod tests {
     }
 
     #[test]
+    fn share_filed_after_the_total_was_summed_resets_it() {
+        // a cohort one short of N: client 0 answers for the four it
+        // holds, then files the fifth share, on a round derived from it
+        // and on the base itself
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut clients: Vec<Client<Fp61>> = (0..5)
+            .map(|i| Client::new(i, cfg(), &mut rng).unwrap())
+            .collect();
+        let shares: Vec<_> = clients.iter().flat_map(|c| c.outgoing_shares()).collect();
+        let (late, early): (Vec<_>, Vec<_>) =
+            shares.into_iter().partition(|s| s.from == 4 || s.to == 4);
+        for s in early {
+            clients[s.to].receive_share(s).unwrap();
+        }
+        let coded_for = |j: usize, from: &[usize]| {
+            let shares: Vec<Vec<Fp61>> = from
+                .iter()
+                .map(|&i| clients[i].outgoing_share(j).payload)
+                .collect();
+            lsa_field::ops::sum_vectors(shares.iter().map(Vec::as_slice)).unwrap()
+        };
+        let (four, five) = (coded_for(0, &[0, 1, 2, 3]), coded_for(0, &[0, 1, 2, 3, 4]));
+        let late = late.into_iter().find(|s| s.from == 4 && s.to == 0).unwrap();
+        let answer = |c: &Client<Fp61>, survivors: &[usize]| {
+            c.aggregated_share_for(survivors).unwrap().payload
+        };
+        let mut base = clients[0].clone();
+        let mut derived =
+            Client::ratcheted_from(&mut base, 1, 5, crate::ratchet::PadTopology::Clique);
+        assert_eq!(answer(&derived, &[3, 2, 1, 0]), four);
+        assert_eq!(base.share_total(), Some(&four), "one total for both");
+        derived
+            .receive_share(CodedMaskShare {
+                round: 1,
+                ..late.clone()
+            })
+            .unwrap();
+        assert_eq!(derived.share_total(), None, "the filed share resets it");
+        assert_eq!(base.share_total(), Some(&four), "and leaves the base's");
+        assert_eq!(answer(&derived, &[0, 1, 2, 3]), four, "now a subset");
+        assert_eq!(answer(&derived, &[0, 1, 2, 3, 4]), five);
+        assert_eq!(derived.share_total(), Some(&five));
+        base.receive_share(late).unwrap();
+        assert_eq!(base.share_total(), None);
+        assert_eq!(answer(&base, &[4, 3, 2, 1, 0]), five);
+        assert_eq!(base.share_total(), Some(&five));
+    }
+
+    #[test]
     fn announcement_is_checked_group_then_round_then_shares() {
         use crate::wire::SurvivorAnnouncement;
         let mut rng = StdRng::seed_from_u64(13);
@@ -853,6 +942,41 @@ mod tests {
         );
         // none of the rejections cost the client anything
         let replies = c.handle(ann(3, 4, &[0])).unwrap();
+        assert_eq!(replies.len(), 1);
+    }
+
+    #[test]
+    fn announced_survivor_named_twice_is_rejected_not_summed_twice() {
+        // through `Session::handle`: a repeated survivor is reported
+        // before any share is looked up, even one never received; a
+        // full-length list with a repeat is not the whole cohort
+        use crate::wire::SurvivorAnnouncement;
+        let mut clients = exchanged::<Fp61>(4, 14);
+        let n = cfg().n();
+        let ann = |survivors: Vec<usize>| {
+            Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
+                group: 3,
+                round: 4,
+                survivors,
+            })
+        };
+        let c = &mut clients[1];
+        assert_eq!(
+            c.handle(ann(vec![0, 2, 0])).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+        assert_eq!(
+            c.handle(ann(vec![2, 9, 2])).unwrap_err(),
+            ProtocolError::DuplicateMessage(2)
+        );
+        let mut repeated: Vec<usize> = (0..n).collect();
+        repeated[1] = 0;
+        assert_eq!(
+            c.handle(ann(repeated)).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+        // none of the rejections cost the client anything
+        let replies = c.handle(ann((0..n).collect())).unwrap();
         assert_eq!(replies.len(), 1);
     }
 

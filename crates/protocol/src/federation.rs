@@ -2402,6 +2402,85 @@ mod tests {
     }
 
     #[test]
+    fn recovery_answers_are_exact_whether_summed_or_retained() {
+        use crate::transport::FaultTransport;
+        use crate::wire::{AggregatedShare, SurvivorAnnouncement};
+        let everyone: Vec<usize> = (0..5).collect();
+        for policy in policies() {
+            let name = format!("{policy:?}");
+            let cfg = cfg().with_ratchet(policy);
+            let mut fed = SyncFederation::<Fp61, _>::new(cfg, FaultTransport::new(), 35).unwrap();
+            let transcript = fed.transport().transcript();
+            let mut retained: Option<*const Fp61> = None;
+            for round in 0..4 {
+                fed.open_round(&everyone).unwrap();
+                let ratcheted = fed.open.as_ref().is_some_and(|o| o.ratcheted.is_some());
+                assert_eq!(
+                    ratcheted,
+                    policy.enabled() && round > 0,
+                    "{name} round {round}"
+                );
+                for (id, u) in updates(&everyone) {
+                    fed.submit(id, &u).unwrap();
+                }
+                // `Σ_i [~z_i]_j` from the senders' side: every share the
+                // cohort coded for `j` in the round that exchanged them
+                let sessions: Vec<&Client<Fp61>> =
+                    fed.clients.iter().map(|c| &c.sessions[&round]).collect();
+                let coded_for = |j: usize, from: &[usize]| {
+                    let shares: Vec<Vec<Fp61>> = from
+                        .iter()
+                        .map(|&i| sessions[i].outgoing_share(j).payload)
+                        .collect();
+                    lsa_field::ops::sum_vectors(shares.iter().map(Vec::as_slice)).unwrap()
+                };
+                let want: Vec<Vec<Fp61>> =
+                    everyone.iter().map(|&j| coded_for(j, &everyone)).collect();
+                // a subset takes the per-survivor sum, exact too, and
+                // leaves the total as it was
+                let subset = [0, 2, 4];
+                let partial = coded_for(1, &subset);
+                let session = fed.clients[1].sessions.get_mut(&round).unwrap();
+                let total_before = session.share_total().cloned();
+                let ann = SurvivorAnnouncement {
+                    group: 0,
+                    round,
+                    survivors: subset.to_vec(),
+                };
+                let reply = session.handle(Envelope::SurvivorAnnouncement(ann)).unwrap();
+                let [(_, Envelope::AggregatedShare(share))] = &reply[..] else {
+                    panic!("{name}: one aggregated share, got {reply:?}");
+                };
+                assert_eq!(share.payload, partial, "{name} round {round}: subset");
+                assert_eq!(session.share_total().cloned(), total_before);
+
+                transcript.lock().unwrap().clear();
+                assert_eq!(fed.finish_round().unwrap().aggregate, expected(&everyone));
+                let answers: Vec<AggregatedShare<Fp61>> = transcript
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .filter_map(|(_, _, frame)| match Envelope::<Fp61>::from_bytes(frame) {
+                        Ok(Envelope::AggregatedShare(share)) => Some(share),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(answers.len(), everyone.len(), "{name} round {round}");
+                for answer in answers {
+                    assert_eq!(answer.payload, want[answer.from], "{name} round {round}");
+                }
+                // the rounds of a stable stretch answer from one total,
+                // held by the retained base
+                if ratcheted {
+                    let base = fed.clients[0].ratchet.base().expect("base retained");
+                    let total = base.share_total().expect("summed by the first answer");
+                    assert_eq!(*retained.get_or_insert(total.as_ptr()), total.as_ptr());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn churn_releases_every_retained_base_when_the_round_opens() {
         for policy in policies().into_iter().filter(|p| p.enabled()) {
             let cfg = cfg().with_ratchet(policy);

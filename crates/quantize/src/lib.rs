@@ -73,6 +73,103 @@ impl std::error::Error for QuantizeError {}
 /// float-to-integer cast is exact, beyond it there is no grid neighbour.
 const GRID_LIMIT: f64 = (1i64 << 62) as f64;
 
+/// Coordinates per block of [`VectorQuantizer::try_quantize`].
+const BLOCK: usize = 64;
+
+/// `φ` without asking for the sign: a grid integer lifted by `2^62`
+/// is non-negative, embeds with `from_u64`, and the lift comes off in
+/// the field.
+const LIFT: u64 = 1 << 62;
+
+/// Whether [`VectorQuantizer::try_quantize`] may take its AVX-512
+/// body: the `avx512` backend is selected and the CPU also converts
+/// `f64` lanes to `i64` (`avx512dq`; the backend only implies
+/// `avx512f`).
+fn has_avx512_body() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        lsa_field::simd::backend() == lsa_field::simd::Backend::Avx512
+            && is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Round and embed one on-grid coordinate (`|c·x| < 2^62`) with its
+/// draw: `φ(⌊c·x⌋ + [draw < frac])`.
+#[inline(always)]
+fn round_one<F: Field>(x: f64, draw: f64, c: f64, lift: F) -> F {
+    let scaled = x * c;
+    // below 2^62 the cast is exact truncation towards zero: the floor
+    // without a call into `libm`
+    let toward_zero = scaled as i64;
+    let floor = toward_zero - i64::from(toward_zero as f64 > scaled);
+    let frac = scaled - floor as f64;
+    let rounded = floor + i64::from(draw < frac);
+    F::from_u64((rounded as u64).wrapping_add(LIFT)) - lift
+}
+
+/// [`round_one`] for one block of at most [`BLOCK`] coordinates, its
+/// draws taken first and the block then rounded in vector registers by
+/// [`round_block_avx512`] (a ragged tail zero-padded), appended to
+/// `out`.
+///
+/// # Safety
+///
+/// As [`round_block_avx512`]: the CPU supports `avx512f` and
+/// `avx512dq`, and every `c·x` is on the grid.
+#[cfg(target_arch = "x86_64")]
+unsafe fn round_avx512<F: Field, R: Rng + ?Sized>(
+    xs: &[f64],
+    rng: &mut R,
+    c: f64,
+    lift: F,
+    out: &mut Vec<F>,
+) {
+    let mut draws = [0.0f64; BLOCK];
+    for draw in &mut draws[..xs.len()] {
+        *draw = rng.gen();
+    }
+    let mut padded = [0.0f64; BLOCK];
+    let whole = xs.try_into().unwrap_or_else(|_| {
+        padded[..xs.len()].copy_from_slice(xs);
+        &padded
+    });
+    let mut embedded = [F::ZERO; BLOCK];
+    // SAFETY: the caller's contract; zero is on the grid
+    unsafe { round_block_avx512(whole, &draws, c, lift, &mut embedded) };
+    out.extend_from_slice(&embedded[..xs.len()]);
+}
+
+/// The rounding of [`round_one`] over a whole block of drawn
+/// coordinates, branch-free: `floor` is one instruction here, and the
+/// conversion need not saturate (the saturating `as i64` cast keeps a
+/// loop scalar), so every step runs eight lanes at a time.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512dq`, and every `c·x` must
+/// be on the grid (`|c·x| < 2^62`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn round_block_avx512<F: Field>(
+    xs: &[f64; BLOCK],
+    draws: &[f64; BLOCK],
+    c: f64,
+    lift: F,
+    out: &mut [F; BLOCK],
+) {
+    for k in 0..BLOCK {
+        let scaled = xs[k] * c;
+        let floor = scaled.floor();
+        let frac = scaled - floor;
+        // SAFETY: the floor of an on-grid value is an integer below
+        // 2^62 in magnitude
+        let rounded = unsafe { floor.to_int_unchecked::<i64>() } + i64::from(draws[k] < frac);
+        out[k] = F::from_u64((rounded as u64).wrapping_add(LIFT)) - lift;
+    }
+}
+
 /// Stochastic rounding `Q_c` of Eq. (29): rounds `x` to the grid `Z/c`,
 /// choosing the upper neighbour with probability equal to the fractional
 /// part, so that `E[Q_c(x)] = x`.
@@ -151,40 +248,58 @@ impl VectorQuantizer {
     ///
     /// Coordinate for coordinate this is [`try_stochastic_round`] then
     /// [`Field::from_i64`] — same values, same one draw per accepted
-    /// coordinate — as one loop whose only branch is the rejection:
-    /// the floor comes from the truncating cast instead of a call into
-    /// `libm`, and the round-up and the sign are selected, not jumped
-    /// on (both are coin flips to a branch predictor).
+    /// coordinate, in the same order — worked in blocks of 64
+    /// coordinates, each checked against the grid before any of its
+    /// draws. The round-up and the sign are selected, not jumped on
+    /// (both are coin flips to a branch predictor). The body is chosen
+    /// once per call: the portable one floors by the truncating cast
+    /// instead of a call into `libm`; on an AVX-512 host (`avx512f` and
+    /// `avx512dq`, under [`lsa_field::simd`]'s `avx512` backend) a
+    /// block's draws are taken into an array and the block is rounded
+    /// and embedded in vector registers.
     ///
     /// # Errors
     ///
     /// Returns [`QuantizeError::NonFinite`] (with the coordinate index)
     /// if any input is NaN or ±∞, or scales past the integer grid
-    /// (`|c·x| ≥ 2^62`); no draw is made for the rejected coordinate.
+    /// (`|c·x| ≥ 2^62`); no draw is made for the rejected coordinate or
+    /// any after it.
     pub fn try_quantize<F: Field, R: Rng + ?Sized>(
         &self,
         xs: &[f64],
         rng: &mut R,
     ) -> Result<Vec<F>, QuantizeError> {
-        const LIFT: u64 = 1 << 62;
         let c = self.c as f64;
         let lift = F::from_u64(LIFT);
-        let mut out = vec![F::ZERO; xs.len()];
-        for (index, (&x, slot)) in xs.iter().zip(&mut out).enumerate() {
-            let scaled = x * c;
-            // NaN is not on the grid either: it compares false
-            let on_grid = scaled.abs() < GRID_LIMIT;
-            if !on_grid {
-                return Err(QuantizeError::NonFinite { index, value: x });
+        // NaN is not on the grid either: it compares false
+        let on_grid = |x: f64| (x * c).abs() < GRID_LIMIT;
+        let wide = has_avx512_body();
+        let mut out = Vec::with_capacity(xs.len());
+        for (start, block) in (0..).step_by(BLOCK).zip(xs.chunks(BLOCK)) {
+            if !block.iter().fold(true, |all, &x| all & on_grid(x)) {
+                let k = block.iter().position(|&x| !on_grid(x)).expect("off grid");
+                // the draws of the accepted coordinates before it
+                for _ in 0..k {
+                    rng.gen::<f64>();
+                }
+                return Err(QuantizeError::NonFinite {
+                    index: start + k,
+                    value: block[k],
+                });
             }
-            // below 2^62 the cast is exact truncation towards zero
-            let toward_zero = scaled as i64;
-            let floor = toward_zero - i64::from(toward_zero as f64 > scaled);
-            let frac = scaled - floor as f64;
-            let rounded = floor + i64::from(rng.gen::<f64>() < frac);
-            // φ without asking for the sign: lift by 2^62 into the
-            // non-negatives, embed, and take the lift off in the field
-            *slot = F::from_u64((rounded as u64).wrapping_add(LIFT)) - lift;
+            if wide {
+                // SAFETY: `has_avx512_body` saw avx512f (through the
+                // backend) and avx512dq; the block was checked above
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    round_avx512(block, rng, c, lift, &mut out)
+                };
+            } else {
+                // drawing as it rounds hides the generator's latency
+                // behind the arithmetic; without a vector `f64 → i64`
+                // conversion a block drawn ahead gains nothing
+                out.extend(block.iter().map(|&x| round_one(x, rng.gen(), c, lift)));
+            }
         }
         Ok(out)
     }

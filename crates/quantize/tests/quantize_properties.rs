@@ -2,7 +2,7 @@
 //! paper: unbiasedness and bounded variance, plus exact linearity of the
 //! field embedding).
 
-use lsa_field::{Field, Fp32, Fp61};
+use lsa_field::{simd, Field, Fp32, Fp61};
 use lsa_quantize::{
     stochastic_round, try_stochastic_round, QuantizeError, StalenessFn, VectorQuantizer,
 };
@@ -75,6 +75,21 @@ fn quantize_matches_scalar_oracle<F: Field>(xs: &[f64], c: u64, seed: u64) {
     );
 }
 
+/// [`quantize_matches_scalar_oracle`] in both fields under every
+/// backend this host runs: the portable body under each of them, and
+/// the vector body under `avx512` where the CPU has it.
+fn matches_scalar_oracle_on_every_backend(xs: &[f64], c: u64, seed: u64) {
+    for backend in simd::available() {
+        simd::with_backend(backend, || {
+            quantize_matches_scalar_oracle::<Fp32>(xs, c, seed);
+            quantize_matches_scalar_oracle::<Fp61>(xs, c, seed);
+        });
+    }
+}
+
+/// Coordinates per block of `try_quantize`.
+const BLOCK: usize = 64;
+
 /// Largest `f64` below `2^62`, the edge of the integer grid.
 const UNDER_GRID_LIMIT: f64 = ((1u64 << 62) - (1 << 9)) as f64;
 
@@ -141,6 +156,72 @@ proptest! {
         );
         quantize_matches_scalar_oracle::<Fp32>(&xs, c, seed);
         quantize_matches_scalar_oracle::<Fp61>(&xs, c, seed);
+    }
+
+    /// Three to five whole blocks and a ragged tail (or none): every
+    /// block boundary lands where the oracle keeps counting.
+    #[test]
+    fn blocked_loop_matches_scalar_oracle_on_every_backend(
+        coords in proptest::collection::vec((0u8..8, -100.0f64..100.0), 6 * BLOCK),
+        whole in 3usize..6,
+        tail in 0usize..BLOCK,
+        c_bits in 0u32..21,
+        odd in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let c = (1u64 << c_bits) + u64::from(odd);
+        let xs: Vec<f64> = coords[..whole * BLOCK + tail]
+            .iter()
+            .map(|&(kind, x)| coordinate(kind, x, c))
+            .collect();
+        matches_scalar_oracle_on_every_backend(&xs, c, seed);
+    }
+
+    /// One off-grid coordinate in the first block, in a middle block
+    /// and in the ragged tail, in turn: the same error and the same
+    /// generator position as the oracle, under every backend.
+    #[test]
+    fn rejected_coordinate_in_any_block_matches_scalar_oracle(
+        coords in proptest::collection::vec((0u8..8, -100.0f64..100.0), 6 * BLOCK),
+        whole in 3usize..6,
+        tail in 1usize..BLOCK,
+        poison in 0u8..5,
+        offsets in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+        c_bits in 0u32..21,
+        seed in any::<u64>(),
+    ) {
+        let c = 1u64 << c_bits;
+        let xs: Vec<f64> = coords[..whole * BLOCK + tail]
+            .iter()
+            .map(|&(kind, x)| coordinate(kind, x, c))
+            .collect();
+        let bad = match poison {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => (1u64 << 62) as f64 / c as f64,
+            _ => -((1u64 << 62) as f64) / c as f64,
+        };
+        let (first, middle_block, middle, last) = offsets;
+        for at in [
+            first % BLOCK,
+            (1 + middle_block % (whole - 1)) * BLOCK + middle % BLOCK,
+            whole * BLOCK + last % tail,
+        ] {
+            let mut poisoned = xs.clone();
+            poisoned[at] = bad;
+            for backend in simd::available() {
+                let rejected = simd::with_backend(backend, || {
+                    VectorQuantizer::new(c)
+                        .try_quantize::<Fp61, _>(&poisoned, &mut StdRng::seed_from_u64(seed))
+                });
+                prop_assert!(
+                    matches!(rejected, Err(QuantizeError::NonFinite { index, .. }) if index == at),
+                    "{backend:?} at {at}: {rejected:?}"
+                );
+            }
+            matches_scalar_oracle_on_every_backend(&poisoned, c, seed);
+        }
     }
 
     /// Q_c lands on one of the two neighbouring grid points.
