@@ -135,10 +135,10 @@ fn bench_field_kernels(c: &mut Criterion) {
     bench_kernels_for::<Fp61>(c, "fp61");
 }
 
-/// One group's decode inputs at the N=1024, G=16 sweep point of
-/// `grouped_scaling` (n_g = 64, t_g = 16, u_g = 58), with a model large
-/// enough that the fused multi-axpy carries real weight next to the
-/// O(u²) basis setup.
+/// One group's decode inputs at the N=1024, G=16 leaf of
+/// `GroupTopology::uniform(1024, 16, 0.25, 0.9, ..)` (n_g = 64,
+/// t_g = 16, u_g = 58), with a model large enough that the fused
+/// multi-axpy carries real weight next to the O(u²) basis setup.
 struct DecodeTask<F> {
     code: VandermondeCode<F>,
     shares: Vec<(usize, Vec<F>)>,
@@ -148,7 +148,7 @@ struct DecodeTask<F> {
 fn decode_tasks(groups: usize, seed: u64) -> Vec<DecodeTask<Fp61>> {
     let n_g = 64;
     let t_g = 16;
-    let u_g = 58; // ⌈0.9·64⌉ = 58, matches grouped_scaling's fractions
+    let u_g = 58; // ⌈0.9·64⌉ = 58
     let d = 4096usize;
     let data_segments = u_g - t_g;
     let seg_len = d.div_ceil(data_segments);

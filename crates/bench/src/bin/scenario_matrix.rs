@@ -3,8 +3,8 @@
 //! recovery on/off} × {Fp32, Fp61} cross-product, plus the SecAgg
 //! baseline, each driving the identical workload and emitting one
 //! JSON-lines record (printed to stdout and, when `LSA_BENCH_JSON`
-//! names a file, appended there — the same artifact the criterion shim
-//! writes).
+//! names a file, appended there — the file `lsa-bench`'s three benches
+//! append their `ns_per_iter` lines to).
 //!
 //! `--quick` shrinks the workload to CI size. The process exits
 //! non-zero if any cell errors or emits a malformed record, so a CI

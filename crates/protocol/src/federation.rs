@@ -509,9 +509,6 @@ pub struct FederationServer<F: Field> {
     /// Rejected-envelope strikes per claimed sender, reset at each
     /// `open_round` — the per-round ingress quota state.
     strikes: BTreeMap<usize, usize>,
-    /// Strikes a client may accumulate per round before crossing the
-    /// quota.
-    quota: usize,
     /// Envelopes rejected with a typed error, cumulatively.
     rejections: usize,
     /// Envelopes silently discarded from over-quota senders,
@@ -519,7 +516,7 @@ pub struct FederationServer<F: Field> {
     quarantined: usize,
 }
 
-/// Default per-client ingress quota: rejected envelopes a client may
+/// The per-client ingress quota: rejected envelopes a client may
 /// accumulate in one round before the server raises
 /// [`ProtocolError::QuotaExceeded`] and quarantines its further
 /// traffic. A well-behaved client triggers at most a handful of typed
@@ -544,7 +541,6 @@ impl<F: Field> FederationServer<F> {
             session: None,
             ratchet: ServerRatchet::new(group),
             strikes: BTreeMap::new(),
-            quota: DEFAULT_INGRESS_QUOTA,
             rejections: 0,
             quarantined: 0,
         }
@@ -590,17 +586,6 @@ impl<F: Field> FederationServer<F> {
         // round starts the new one with a clean slate
         self.strikes.clear();
         Ok(())
-    }
-
-    /// The per-client ingress quota in force (rejected envelopes per
-    /// round before [`ProtocolError::QuotaExceeded`]).
-    pub fn ingress_quota(&self) -> usize {
-        self.quota
-    }
-
-    /// Override the per-client ingress quota (minimum 1).
-    pub fn set_ingress_quota(&mut self, quota: usize) {
-        self.quota = quota.max(1);
     }
 
     /// Envelopes rejected with a typed error so far, cumulatively
@@ -702,7 +687,7 @@ impl<F: Field> Session<F> for FederationServer<F> {
         // would let the flood wedge the round it failed to corrupt.
         let sender = envelope.sender().filter(|&id| id < self.cfg.n());
         if let Some(id) = sender {
-            if self.strikes.get(&id).copied().unwrap_or(0) >= self.quota {
+            if self.strikes.get(&id).copied().unwrap_or(0) >= DEFAULT_INGRESS_QUOTA {
                 self.quarantined += 1;
                 return Ok(Vec::new());
             }
@@ -713,12 +698,12 @@ impl<F: Field> Session<F> for FederationServer<F> {
             if let Some(id) = sender {
                 let strikes = self.strikes.entry(id).or_insert(0);
                 *strikes += 1;
-                if *strikes >= self.quota {
+                if *strikes >= DEFAULT_INGRESS_QUOTA {
                     // the crossing envelope surfaces typed, once
                     return Err(ProtocolError::QuotaExceeded {
                         client: id,
                         strikes: *strikes,
-                        cap: self.quota,
+                        cap: DEFAULT_INGRESS_QUOTA,
                     });
                 }
             }
@@ -1601,44 +1586,28 @@ pub struct BufferedVariant;
 pub type BufferedFederation<F, T> = LeafFederation<F, T, BufferedVariant>;
 
 impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
-    /// Create a buffered federation with the given staleness weighting.
-    /// Updates submitted through the [`SecureAggregator`] interface are
-    /// always fresh (`τ = 0`), so any staleness function yields uniform
-    /// weights; the function matters when feeding the server stale
-    /// uploads directly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration.
-    pub fn new(
-        cfg: LsaConfig,
-        staleness: QuantizedStaleness,
-        transport: T,
-        seed: u64,
-    ) -> Result<Self, ProtocolError> {
-        let mut master = StdRng::seed_from_u64(seed);
-        let clients = (0..cfg.n())
-            .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(master.gen())))
-            .collect::<Result<_, _>>()?;
-        let server =
-            AsyncServer::new(cfg, cfg.n(), staleness, StdRng::seed_from_u64(master.gen()))?;
-        let leaf = Self::assemble(0, cfg, transport, clients, server, master.gen());
-        Ok(leaf)
-    }
-
-    /// As [`Self::new`] with unit weights (`s(τ) = 1`, `c_g = 1`) —
-    /// the drop-in replacement for the synchronous variant.
+    /// A buffered federation with unit weights (`s(τ) = 1`, `c_g = 1`) —
+    /// the drop-in replacement for the synchronous variant. Updates
+    /// submitted through the [`SecureAggregator`] interface are always
+    /// fresh (`τ = 0`), so no other staleness function could change a
+    /// weight here.
     ///
     /// # Errors
     ///
     /// Propagates invalid configuration.
     pub fn unit_weight(cfg: LsaConfig, transport: T, seed: u64) -> Result<Self, ProtocolError> {
-        Self::new(
+        let mut master = StdRng::seed_from_u64(seed);
+        let clients = (0..cfg.n())
+            .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(master.gen())))
+            .collect::<Result<_, _>>()?;
+        let server = AsyncServer::new(
             cfg,
+            cfg.n(),
             QuantizedStaleness::new(StalenessFn::Constant, 1),
-            transport,
-            seed,
-        )
+            StdRng::seed_from_u64(master.gen()),
+        )?;
+        let leaf = Self::assemble(0, cfg, transport, clients, server, master.gen());
+        Ok(leaf)
     }
 }
 

@@ -285,8 +285,8 @@ impl GroupTopology {
     /// Leaf thresholds derive from the fractions as in
     /// [`GroupTopology::uniform`] (which is `branching = [groups]`).
     ///
-    /// `hierarchical(16384, &[64, 16], ..)` is the benched two-level
-    /// shape: 64 super-groups × 16 leaf groups × 16 clients.
+    /// `hierarchical(16384, &[64, 16], ..)` is the largest tested
+    /// two-level shape: 64 super-groups × 16 leaf groups × 16 clients.
     ///
     /// # Errors
     ///
@@ -338,7 +338,7 @@ impl GroupTopology {
         Self::from_tree(build(n, branching, t_frac, u_frac, d)?)
     }
 
-    /// The supported, benched two-level shape: `supers` super-groups of
+    /// The supported two-level shape: `supers` super-groups of
     /// `groups_per_super` leaf groups each — shorthand for
     /// [`GroupTopology::hierarchical`] with `&[supers,
     /// groups_per_super]`.
@@ -1753,20 +1753,57 @@ mod tests {
     #[test]
     fn bytes_accounting_survives_composition() {
         let d = 16;
-        let mut grouped =
-            GroupedFederation::<Fp61>::new(topo_2x4(d), MemTransport::new(), 15).unwrap();
-        assert_eq!(grouped.bytes_sent(), 0);
-        let all: Vec<usize> = (0..8).collect();
-        grouped.prepare_next(&all).unwrap();
-        // each group of 4 moves 4*3 coded shares; bytes sum across leaves
-        assert!(grouped.bytes_sent() > 0);
-        let share = Envelope::<Fp61>::CodedMaskShare(CodedMaskShare {
-            from: 0,
-            to: 1,
-            group: 0,
-            round: 0,
-            payload: vec![Fp61::ZERO; topo_2x4(d).group_config(0).segment_len()],
-        });
-        assert_eq!(grouped.bytes_sent(), 2 * 4 * 3 * share.wire_len());
+        let share_len = |cfg: LsaConfig| {
+            Envelope::<Fp61>::CodedMaskShare(CodedMaskShare {
+                from: 0,
+                to: 1,
+                group: 0,
+                round: 0,
+                payload: vec![Fp61::ZERO; cfg.segment_len()],
+            })
+            .wire_len()
+        };
+        // One offline exchange over the whole tree. Each leaf of n_g
+        // clients moves n_g·(n_g − 1) coded shares, so every client sends
+        // (n_g − 1) shares whatever sits above its leaf; returns the bytes
+        // one client sends.
+        let per_client = |topology: GroupTopology| {
+            let n = topology.n();
+            let mut grouped =
+                GroupedFederation::<Fp61>::new(topology.clone(), MemTransport::new(), 15).unwrap();
+            assert_eq!(grouped.bytes_sent(), 0);
+            grouped.prepare_next(&(0..n).collect::<Vec<_>>()).unwrap();
+            for (g, leaf) in grouped.leaves.iter().enumerate() {
+                let cfg = topology.group_config(g);
+                assert_eq!(leaf.bytes_sent(), cfg.n() * (cfg.n() - 1) * share_len(cfg));
+            }
+            let cfg = topology.group_config(0);
+            assert!(topology.configs().iter().all(|c| c.n() == cfg.n()));
+            assert_eq!(grouped.bytes_sent(), n * (cfg.n() - 1) * share_len(cfg));
+            grouped.bytes_sent() / n
+        };
+        let topo = topo_2x4(d);
+        assert_eq!(
+            per_client(topo.clone()),
+            3 * share_len(topo.group_config(0))
+        );
+
+        // Leaf size 16 at every N: per-client offline bytes stay flat from
+        // N = 1024 to N = 16384, one and two levels deep.
+        let leaf16 =
+            [(1024, &[64][..]), (4096, &[16, 16]), (16384, &[64, 16])].map(|(n, branching)| {
+                per_client(GroupTopology::hierarchical(n, branching, 0.25, 0.9, d).unwrap())
+            });
+        assert!(leaf16.iter().all(|&bytes| bytes == leaf16[0]), "{leaf16:?}");
+
+        // At N = 1024, G = 16 sits at least 4× below flat. The flat figure
+        // is computed: a real flat exchange of 1024 clients is too slow
+        // for a unit test.
+        let grouped = per_client(GroupTopology::uniform(1024, 16, 0.25, 0.9, d).unwrap());
+        let flat_cfg = GroupTopology::uniform(1024, 1, 0.25, 0.9, d)
+            .unwrap()
+            .group_config(0);
+        let flat = 1023 * share_len(flat_cfg);
+        assert!(4 * grouped <= flat, "G = 16: {grouped} B, flat: {flat} B");
     }
 }

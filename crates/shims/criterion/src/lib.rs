@@ -42,25 +42,6 @@ impl BenchmarkId {
             id: format!("{name}/{parameter}"),
         }
     }
-
-    /// An id from a bare parameter.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        Self {
-            id: parameter.to_string(),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        Self { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        Self { id: s }
-    }
 }
 
 /// Units processed per iteration; reported as a rate.
@@ -121,38 +102,6 @@ impl Bencher {
         samples.sort_by(f64::total_cmp);
         self.last_ns_per_iter = samples[samples.len() / 2];
     }
-
-    /// Measure with caller-controlled timing (the real criterion's
-    /// `iter_custom`): `f(iters)` runs the workload `iters` times and
-    /// returns only the [`Duration`] the caller chose to time — used to
-    /// exclude setup, or work that a real deployment overlaps with
-    /// computation.
-    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
-        if self.test_mode {
-            black_box(f(1));
-            self.last_ns_per_iter = 0.0;
-            return;
-        }
-        let (floor, batches) = if self.quick_mode {
-            (Duration::from_micros(200), 3)
-        } else {
-            (Duration::from_millis(1), 7)
-        };
-        let mut iters = 1u64;
-        loop {
-            let elapsed = f(iters);
-            if elapsed >= floor || iters >= self.iters_hint {
-                break;
-            }
-            iters = (iters * 4).min(self.iters_hint);
-        }
-        let mut samples = Vec::with_capacity(batches);
-        for _ in 0..batches {
-            samples.push(f(iters).as_nanos() as f64 / iters as f64);
-        }
-        samples.sort_by(f64::total_cmp);
-        self.last_ns_per_iter = samples[samples.len() / 2];
-    }
 }
 
 /// A named set of related benchmarks.
@@ -169,18 +118,11 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Override the sample count (accepted for API compatibility).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.criterion.sample_size = n;
-        self
-    }
-
     /// Benchmark `f` under `id`.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: BenchmarkId, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
         let full = format!("{}/{}", self.name, id.id);
         let throughput = self.throughput;
         self.criterion.run_one(&full, throughput, f);
@@ -190,14 +132,13 @@ impl BenchmarkGroup<'_> {
     /// Benchmark `f` with an input value under `id`.
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
-        id: impl Into<BenchmarkId>,
+        id: BenchmarkId,
         input: &I,
         mut f: F,
     ) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let id = id.into();
         let full = format!("{}/{}", self.name, id.id);
         let throughput = self.throughput;
         self.criterion.run_one(&full, throughput, |b| f(b, input));
@@ -211,7 +152,6 @@ impl BenchmarkGroup<'_> {
 /// Benchmark driver.
 #[derive(Debug)]
 pub struct Criterion {
-    sample_size: usize,
     test_mode: bool,
     quick_mode: bool,
     json_path: Option<std::path::PathBuf>,
@@ -223,7 +163,6 @@ impl Default for Criterion {
         let quick_mode = std::env::args().any(|a| a == "--quick");
         let json_path = std::env::var_os("LSA_BENCH_JSON").map(std::path::PathBuf::from);
         Self {
-            sample_size: 20,
             test_mode,
             quick_mode,
             json_path,
@@ -233,8 +172,7 @@ impl Default for Criterion {
 
 impl Criterion {
     /// Set the sample count (accepted for API compatibility).
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n;
+    pub fn sample_size(self, _n: usize) -> Self {
         self
     }
 
@@ -245,21 +183,6 @@ impl Criterion {
 
     /// Set the measurement duration (accepted for API compatibility).
     pub fn measurement_time(self, _d: Duration) -> Self {
-        self
-    }
-
-    /// Configure from command-line arguments (accepted for API
-    /// compatibility).
-    pub fn configure_from_args(self) -> Self {
-        self
-    }
-
-    /// Benchmark a standalone function.
-    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.run_one(name, None, f);
         self
     }
 
@@ -354,8 +277,7 @@ fn resolved_simd_backend() -> &'static str {
     }
 }
 
-/// Define a benchmark group. Both criterion forms are supported:
-/// `criterion_group!(benches, f1, f2)` and the
+/// Define a benchmark group in criterion's
 /// `name = ..; config = ..; targets = ..` form.
 #[macro_export]
 macro_rules! criterion_group {
@@ -363,13 +285,6 @@ macro_rules! criterion_group {
         pub fn $name() {
             let mut criterion = $config;
             $($target(&mut criterion);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group! {
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
         }
     };
 }

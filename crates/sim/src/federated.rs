@@ -12,26 +12,25 @@
 //! curves and wall-clock estimates.
 //!
 //! Use [`SecureFedAvg::aggregate`] as the `run_fedavg` aggregation seam
-//! (`|updates| secure.aggregate(updates)`), or the
-//! [`lsa_fl::BufferAggregator`] impl as a drop-in for `run_fedbuff`.
+//! (`|updates| secure.aggregate(updates)`). The secure `run_fedbuff`
+//! drop-in, with §4.2's staleness weights, is
+//! [`crate::secure_fedbuff::LsaBufferAggregator`].
 
 use lsa_field::Field;
-use lsa_fl::{BufferAggregator, BufferedContribution};
 use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::federation::{BufferedFederation, Federation, RoundPlan, SyncFederation};
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::{MemTransport, SimTransport};
 use lsa_protocol::LsaConfig;
-use lsa_quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
+use lsa_quantize::VectorQuantizer;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Federated averaging with every round's aggregation running through a
 /// persistent secure federation.
 pub struct SecureFedAvg<F: Field> {
     federation: Federation<F>,
     quantizer: VectorQuantizer,
-    staleness: QuantizedStaleness,
     /// Total planned training rounds, when known: the last round then
     /// skips the (useless) overlapped mask exchange for a round that
     /// will never run.
@@ -45,18 +44,9 @@ impl<F: Field> SecureFedAvg<F> {
         Self {
             federation,
             quantizer,
-            staleness: QuantizedStaleness::new(StalenessFn::Constant, 1),
             horizon: None,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Weight buffered contributions by this staleness function (used by
-    /// the [`BufferAggregator`] impl; defaults to constant weights).
-    #[must_use]
-    pub fn with_staleness(mut self, staleness_fn: StalenessFn, cg: u64) -> Self {
-        self.staleness = QuantizedStaleness::new(staleness_fn, cg);
-        self
     }
 
     /// Declare the total number of training rounds. Without a horizon
@@ -223,57 +213,10 @@ impl<F: Field> SecureFedAvg<F> {
     }
 }
 
-impl<F: Field> BufferAggregator for SecureFedAvg<F> {
-    /// Drop-in secure replacement for [`lsa_fl::PlainFedBuff`]: each
-    /// buffer slot maps to one federation client, staleness weights are
-    /// applied client-side in the field (Remark 3 — the weight scales
-    /// the update, never the mask), and the server recovers only the
-    /// weighted sum.
-    fn aggregate<R: Rng + ?Sized>(
-        &mut self,
-        buffer: &[BufferedContribution],
-        rng: &mut R,
-    ) -> Vec<f32> {
-        let cfg = self.federation.config();
-        assert_eq!(
-            buffer.len(),
-            cfg.n(),
-            "buffer size must equal the federation size (construct with n = K)"
-        );
-        let mut total_weight = 0u64;
-        let mut plan = RoundPlan::full(cfg.n());
-        for (slot, contribution) in buffer.iter().enumerate() {
-            let weight = self.staleness.integer_weight(contribution.staleness, rng);
-            total_weight += weight;
-            let reals: Vec<f64> = contribution.delta.iter().map(|&v| v as f64).collect();
-            let quantized: Vec<F> = self.quantizer.quantize(&reals, rng);
-            let w = F::from_u64(weight);
-            let weighted: Vec<F> = quantized.into_iter().map(|x| x * w).collect();
-            plan = plan.with_update(slot, weighted);
-        }
-        let cohort: Vec<usize> = (0..cfg.n()).collect();
-        if let Some(fp) = self.federation.aggregator().cohort_fingerprint(&cohort) {
-            plan = plan.with_fingerprint(fp);
-        }
-        let outcome = self
-            .federation
-            .run_round(&plan)
-            .expect("federated flush within dropout budget");
-        // the aggregator applied unit weights on top of the client-side
-        // scaling, so the divisor is Σ wᵢ alone
-        self.quantizer
-            .dequantize_sum(&outcome.aggregate, total_weight.max(1))
-            .into_iter()
-            .map(|v| v as f32)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsa_field::Fp61;
-    use lsa_fl::PlainFedBuff;
 
     fn cfg(n: usize, d: usize) -> LsaConfig {
         LsaConfig::new(n, (n - 1) / 2, (n - 1) / 2 + 1, d).unwrap()
@@ -353,29 +296,6 @@ mod tests {
             assert_eq!(secure.federation().round(), round);
             let avg = secure.aggregate(&updates);
             assert!((avg[0] - 0.5).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn buffer_aggregator_matches_plain_fedbuff() {
-        let buffer: Vec<BufferedContribution> = (0..5)
-            .map(|i| BufferedContribution {
-                client: i,
-                staleness: (i % 3) as u64,
-                delta: (0..4).map(|k| (i * 4 + k) as f32 * 0.01 - 0.05).collect(),
-            })
-            .collect();
-        let mut plain = PlainFedBuff {
-            staleness: StalenessFn::Poly { alpha: 1.0 },
-        };
-        let p = plain.aggregate(&buffer, &mut StdRng::seed_from_u64(4));
-        let mut secure =
-            SecureFedAvg::<Fp61>::sync_mem(cfg(5, 4), VectorQuantizer::new(1 << 16), 5)
-                .unwrap()
-                .with_staleness(StalenessFn::Poly { alpha: 1.0 }, 1 << 6);
-        let s = BufferAggregator::aggregate(&mut secure, &buffer, &mut StdRng::seed_from_u64(4));
-        for (a, b) in p.iter().zip(&s) {
-            assert!((a - b).abs() < 2e-3, "{a} vs {b}");
         }
     }
 }

@@ -13,10 +13,11 @@
 //!   over [`lsa_net`], phase timings from actual serialized envelopes;
 //! * [`federated`] — secure FedAvg through the multi-round
 //!   [`lsa_protocol::federation`] API: quantize → federated round →
-//!   dequantize, one [`federated::SecureFedAvg`] for both the sync and
-//!   buffered-async variants;
-//! * [`secure_fedbuff`] — asynchronous LightSecAgg plugged into the
-//!   FedBuff training loop (Figures 7, 11, 12);
+//!   dequantize, one [`federated::SecureFedAvg`] for the sync, grouped
+//!   and unit-weight buffered federations (the `run_fedavg` seam);
+//! * [`secure_fedbuff`] — the secure FedBuff: asynchronous LightSecAgg
+//!   with §4.2's staleness weights plugged into the `run_fedbuff`
+//!   training loop (Figures 7, 11, 12);
 //! * [`experiments`] — one runner per table/figure;
 //! * [`report`] — console tables and TSV output.
 //!

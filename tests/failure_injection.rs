@@ -488,13 +488,14 @@ fn aggregate_differs_from_any_individual_model() {
 // completes without it.
 // ---------------------------------------------------------------------
 
+use lightsecagg::protocol::federation::DEFAULT_INGRESS_QUOTA;
 use lightsecagg::protocol::FederationServer;
 
 #[test]
 fn flooding_client_is_quarantined_and_the_round_completes() {
     let mut server = FederationServer::<Fp61>::new(cfg());
     server.open_round(0).unwrap();
-    let quota = server.ingress_quota();
+    let quota = DEFAULT_INGRESS_QUOTA;
     assert!(quota >= 2);
 
     // The flood: endlessly repeated malformed uploads claiming to come
@@ -558,9 +559,8 @@ fn flooding_client_is_quarantined_and_the_round_completes() {
 }
 
 #[test]
-fn quota_is_per_round_and_configurable() {
+fn quota_is_per_round() {
     let mut server = FederationServer::<Fp61>::new(cfg());
-    server.set_ingress_quota(2);
     server.open_round(0).unwrap();
     let flood = || {
         Envelope::MaskedModel(MaskedModel {
@@ -570,10 +570,12 @@ fn quota_is_per_round_and_configurable() {
             payload: vec![Fp61::ZERO; 3],
         })
     };
-    assert!(matches!(
-        server.handle(flood()),
-        Err(ProtocolError::Coding(_))
-    ));
+    for _ in 0..DEFAULT_INGRESS_QUOTA - 1 {
+        assert!(matches!(
+            server.handle(flood()),
+            Err(ProtocolError::Coding(_))
+        ));
+    }
     assert!(matches!(
         server.handle(flood()),
         Err(ProtocolError::QuotaExceeded { client: 1, .. })
