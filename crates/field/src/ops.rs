@@ -350,7 +350,7 @@ pub fn eval_points<F: Field>(segs: &[&[F]], points: &[F]) -> Vec<Vec<F>> {
 // ---------------------------------------------------------------------
 
 /// Lift a residue vector into the widened accumulator domain (the shape
-/// of `ServerRound`'s running masked-model sum).
+/// of the §4.1 server's running masked-model sum).
 pub fn wide_from<F: Field>(x: &[F]) -> Vec<F::Wide> {
     x.iter().map(|v| v.to_wide()).collect()
 }

@@ -23,15 +23,15 @@
 //! ([`crate::federation::LeafFederation`]), and [`run_buffered_flush`]
 //! pumps one flush of stale contributions.
 
-use crate::client::{add_padded, check_share, repeated};
+use crate::client::{add_padded, check_share, repeated, sample_mask};
 use crate::config::LsaConfig;
-use crate::federation::{drain_to, pump, BufferedVariant, LeafVariant, RoundOutcome};
+use crate::federation::{drain_to, pump, unmask, BufferedVariant, LeafVariant, RoundOutcome};
 use crate::ratchet::{self, ClientRatchet, PadTopology, ServerRatchet};
 use crate::session::{Outgoing, Recipient, Session};
 use crate::transport::Transport;
 use crate::wire::{AggregatedShare, BufferAnnouncement, CodedMaskShare, Envelope, MaskedModel};
-use crate::ProtocolError;
-use lsa_coding::{vandermonde, VandermondeCode};
+use crate::{check_len, ProtocolError};
+use lsa_coding::VandermondeCode;
 use lsa_crypto::Seed;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, VectorQuantizer};
@@ -170,13 +170,7 @@ impl<F: Field> AsyncClient<F> {
         if self.masks.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
-        let rng = &mut self.entropy;
-        let mask = lsa_field::ops::random_vector(self.cfg.padded_len(), rng);
-        let mut segments = vandermonde::partition(&mask, self.cfg.data_segments())?;
-        for _ in 0..self.cfg.t() {
-            segments.push(lsa_field::ops::random_vector(self.cfg.segment_len(), rng));
-        }
-        let coded = self.code.encode_all(&segments);
+        let (mask, coded) = sample_mask(&self.code, &self.cfg, &mut self.entropy)?;
         self.masks.insert(round, mask);
         self.received
             .insert((self.id, round), coded[self.id].as_slice().into());
@@ -216,14 +210,7 @@ impl<F: Field> AsyncClient<F> {
     ///   round;
     /// * [`ProtocolError::Coding`] on length mismatch.
     pub fn upload_update(&mut self, round: u64, update: &[F]) -> Result<(), ProtocolError> {
-        if update.len() != self.cfg.d() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.d(),
-                    got: update.len(),
-                },
-            ));
-        }
+        check_len(self.cfg.d(), update.len())?;
         let mask = self
             .masks
             .get(&round)
@@ -539,14 +526,7 @@ impl<F: Field> AsyncServer<F> {
         if update.from >= self.cfg.n() {
             return Err(ProtocolError::UnknownUser(update.from));
         }
-        if update.payload.len() != self.cfg.padded_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.padded_len(),
-                    got: update.payload.len(),
-                },
-            ));
-        }
+        check_len(self.cfg.padded_len(), update.payload.len())?;
         // one contribution per client and base round: a redelivered
         // upload would otherwise be summed (and weighted) twice
         let key = (update.from, update.round);
@@ -638,14 +618,7 @@ impl<F: Field> AsyncServer<F> {
         if msg.from >= self.cfg.n() {
             return Err(ProtocolError::UnknownUser(msg.from));
         }
-        if msg.payload.len() != self.cfg.segment_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.segment_len(),
-                    got: msg.payload.len(),
-                },
-            ));
-        }
+        check_len(self.cfg.segment_len(), msg.payload.len())?;
         if self.shares.iter().any(|(from, _)| *from == msg.from) {
             return Err(ProtocolError::DuplicateMessage(msg.from));
         }
@@ -683,19 +656,14 @@ impl<F: Field> AsyncServer<F> {
         lsa_field::ops::weighted_sum_into(&mut weighted_sum, &weights, &payloads);
         // One-shot decode of Σ w_i z_i^{(t_i)} (coding commutes with the
         // weighted sum because the weights are scalars).
-        let agg_segments = self
-            .code
-            .decode_prefix(&self.shares, self.cfg.data_segments())?;
-        let agg_mask = vandermonde::concatenate(&agg_segments);
-        lsa_field::ops::sub_assign(&mut weighted_sum, &agg_mask);
-        weighted_sum.truncate(self.cfg.d());
+        let aggregate = unmask(&self.code, &self.cfg, &self.shares, weighted_sum)?;
 
         let total_weight = entries.iter().map(|e| e.weight).sum();
         self.buffer.clear();
         self.shares.clear();
         self.announced = None;
         Ok(WeightedAggregate {
-            aggregate: weighted_sum,
+            aggregate,
             total_weight,
             entries,
         })

@@ -3,7 +3,7 @@
 use crate::config::LsaConfig;
 use crate::session::{Outgoing, Recipient, Session};
 use crate::wire::{AggregatedShare, CodedMaskShare, Envelope, MaskedModel};
-use crate::ProtocolError;
+use crate::{check_len, ProtocolError};
 use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_crypto::Seed;
 use lsa_field::Field;
@@ -75,10 +75,9 @@ pub struct Client<F> {
     uploaded: bool,
 }
 
-/// The code and coded segments of one full offline exchange.
+/// The coded segments of one full offline exchange.
 #[derive(Debug, Clone)]
 pub(crate) struct Shares<F> {
-    code: VandermondeCode<F>,
     /// Own coded segments `[~z_i]_j` for every `j ∈ [N]` (including self).
     coded_for: Vec<Vec<F>>,
     /// Received coded segments `[~z_j]_i`, keyed by sender `j`.
@@ -145,18 +144,7 @@ impl<F: Field> Client<F> {
             )));
         }
         let code = VandermondeCode::new(cfg.n(), cfg.u())?;
-
-        // z_i uniform over the padded length (Algorithm 1 line 4).
-        let mask = lsa_field::ops::random_vector(cfg.padded_len(), rng);
-        // Partition into U−T data segments (line 5), pad with T noise
-        // segments (line 6).
-        let mut segments = vandermonde::partition(&mask, cfg.data_segments())?;
-        for _ in 0..cfg.t() {
-            segments.push(lsa_field::ops::random_vector(cfg.segment_len(), rng));
-        }
-        debug_assert_eq!(segments.len(), cfg.u());
-        // Encode with the T-private MDS matrix (line 7).
-        let coded_for = code.encode_all(&segments);
+        let (mask, coded_for) = sample_mask(&code, &cfg, rng)?;
 
         let mut received = BTreeMap::new();
         // A user trivially "receives" its own coded segment.
@@ -169,7 +157,6 @@ impl<F: Field> Client<F> {
             round,
             mask,
             shares: Arc::new(Shares {
-                code,
                 coded_for,
                 received,
                 total: OnceLock::new(),
@@ -363,14 +350,7 @@ impl<F: Field> Client<F> {
     /// Returns [`ProtocolError::Coding`] if the model length is not
     /// exactly `cfg.d()`.
     pub fn mask_model(&self, model: &[F]) -> Result<MaskedModel<F>, ProtocolError> {
-        if model.len() != self.cfg.d() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.d(),
-                    got: model.len(),
-                },
-            ));
-        }
+        check_len(self.cfg.d(), model.len())?;
         Ok(MaskedModel {
             from: self.id,
             group: self.group,
@@ -460,12 +440,6 @@ impl<F: Field> Client<F> {
             payload: acc,
         })
     }
-
-    /// The evaluation point this client's shares correspond to (needed by
-    /// anyone decoding with this client's aggregated share).
-    pub fn evaluation_point(&self) -> F {
-        self.shares.code.point(self.id)
-    }
 }
 
 impl<F: Field> Session<F> for Client<F> {
@@ -542,15 +516,26 @@ pub(crate) fn check_share<F>(
     if share.from >= cfg.n() {
         return Err(ProtocolError::UnknownUser(share.from));
     }
-    if share.payload.len() != cfg.segment_len() {
-        return Err(ProtocolError::Coding(
-            lsa_coding::CodingError::LengthMismatch {
-                expected: cfg.segment_len(),
-                got: share.payload.len(),
-            },
-        ));
+    check_len(cfg.segment_len(), share.payload.len())
+}
+
+/// The offline phase's mask of a client of either variant (Algorithm 1
+/// lines 4–7): `z_i` uniform over the padded length, partitioned into
+/// `U − T` data segments, padded with `T` noise segments and encoded
+/// with the `T`-private MDS code into one coded segment per user.
+/// Returns `(z_i, coded segments)`.
+pub(crate) fn sample_mask<F: Field, R: Rng + ?Sized>(
+    code: &VandermondeCode<F>,
+    cfg: &LsaConfig,
+    rng: &mut R,
+) -> Result<(Vec<F>, Vec<Vec<F>>), ProtocolError> {
+    let mask = lsa_field::ops::random_vector(cfg.padded_len(), rng);
+    let mut segments = vandermonde::partition(&mask, cfg.data_segments())?;
+    for _ in 0..cfg.t() {
+        segments.push(lsa_field::ops::random_vector(cfg.segment_len(), rng));
     }
-    Ok(())
+    debug_assert_eq!(segments.len(), cfg.u());
+    Ok((mask, code.encode_all(&segments)))
 }
 
 /// `x + z` in one pass, `x` zero-padded to `z`'s length (the masking

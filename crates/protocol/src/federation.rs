@@ -17,10 +17,11 @@
 //!   over a [`LeafVariant`] that supplies the endpoints and the few
 //!   steps where the protocols differ: [`SyncFederation`] (§4.1) and
 //!   [`BufferedFederation`] (§4.2) are its two instantiations.
-//! * [`FederationClient`] / [`FederationServer`] — persistent endpoints
-//!   that own the per-round state machines ([`Client`] /
-//!   [`ServerRound`]) and route interleaved multi-round traffic by the
-//!   round id every wire envelope carries. A replayed envelope from a
+//! * [`FederationClient`] / [`FederationServer`] — the persistent §4.1
+//!   endpoints. The client owns one per-round [`Client`] per live round
+//!   and routes interleaved multi-round traffic by the round id every
+//!   wire envelope carries; the server is Algorithm 1's server itself
+//!   and serves one round at a time. A replayed envelope from a
 //!   finished round is rejected with [`ProtocolError::StaleRound`] —
 //!   never confused with a same-round
 //!   [`ProtocolError::DuplicateMessage`].
@@ -66,12 +67,12 @@ use crate::asynchronous::{AsyncClient, AsyncServer};
 use crate::client::Client;
 use crate::config::LsaConfig;
 use crate::ratchet::{self, ClientRatchet, CohortFingerprint, ServerRatchet};
-use crate::server::{ServerPhase, ServerRound};
 use crate::session::{Outgoing, Recipient, Session};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
-use crate::wire::Envelope;
-use crate::{DropoutSchedule, ProtocolError};
+use crate::wire::{AggregatedShare, Envelope, MaskedModel, SurvivorAnnouncement};
+use crate::{check_len, DropoutSchedule, ProtocolError};
+use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, StalenessFn};
 use rand::rngs::StdRng;
@@ -494,14 +495,28 @@ impl<F: Field> Session<F> for FederationClient<F> {
     }
 }
 
-/// The persistent federation server: owns one [`ServerRound`] per
-/// round, opened and closed through the round lifecycle.
+/// The §4.1 server (Algorithm 1, server side), persistent across
+/// rounds: it serves one round at a time, opened by
+/// [`Self::open_round`] and ended by [`Self::close_round`] or
+/// [`Self::abort_round`].
+///
+/// The server never learns an individual model: it sees masked models
+/// and aggregated coded masks, and reconstructs the *aggregate* mask in
+/// one shot (the paper's key idea). Masked models fold into a running
+/// sum the moment they arrive, kept unreduced in the field's widened
+/// accumulator domain ([`lsa_field::Field::Wide`]) and reduced once at
+/// recovery, so memory is `O(d)` however many of the `N` users upload.
+/// Recovery is **deliberately lazy**: the `U`-th aggregated share is
+/// only stored; the `O(U²) + O(U·d)` decode runs when the owner calls
+/// [`Self::close_round`], not inside the message pump.
 #[derive(Debug, Clone)]
 pub struct FederationServer<F: Field> {
     cfg: LsaConfig,
     group: usize,
     round: u64,
-    session: Option<ServerRound<F>>,
+    code: VandermondeCode<F>,
+    /// The open round's state; `None` between rounds.
+    open: Option<RoundState<F>>,
     /// The server half of the stable-cohort handshake
     /// ([`crate::ratchet`]): the commit in flight and its queued
     /// announcements.
@@ -516,6 +531,25 @@ pub struct FederationServer<F: Field> {
     quarantined: usize,
 }
 
+/// What the server holds for the round it is serving.
+#[derive(Debug, Clone)]
+struct RoundState<F: Field> {
+    /// Running `Σ ~x_i` over every upload (padded length), unreduced in
+    /// the widened domain.
+    sum_masked: Vec<F::Wide>,
+    /// Terms absorbed per `sum_masked` accumulator since the last
+    /// normalisation, checked against [`Field::WIDE_CAPACITY`].
+    sum_terms: u64,
+    uploaders: BTreeSet<usize>,
+    /// The survivor set `U₁`: empty while uploads are collected, fixed
+    /// by [`FederationServer::close_upload`] (never empty after, as
+    /// `U ≥ 1`).
+    survivors: Vec<usize>,
+    shares: Vec<(usize, Vec<F>)>,
+    /// How many of `survivors` [`Session::poll_output`] has announced to.
+    announced: usize,
+}
+
 /// The per-client ingress quota: rejected envelopes a client may
 /// accumulate in one round before the server raises
 /// [`ProtocolError::QuotaExceeded`] and quarantines its further
@@ -526,24 +560,33 @@ pub const DEFAULT_INGRESS_QUOTA: usize = 8;
 
 impl<F: Field> FederationServer<F> {
     /// Create the server; no round is open yet.
-    pub fn new(cfg: LsaConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid configuration as [`ProtocolError::Coding`].
+    pub fn new(cfg: LsaConfig) -> Result<Self, ProtocolError> {
         Self::in_group(0, cfg)
     }
 
     /// Create the server for aggregation group `group` of a grouped
     /// topology ([`crate::topology`]); envelopes from any other group
     /// are rejected with [`ProtocolError::WrongGroup`].
-    pub fn in_group(group: usize, cfg: LsaConfig) -> Self {
-        Self {
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid configuration as [`ProtocolError::Coding`].
+    pub fn in_group(group: usize, cfg: LsaConfig) -> Result<Self, ProtocolError> {
+        Ok(Self {
             cfg,
             group,
             round: 0,
-            session: None,
+            code: VandermondeCode::new(cfg.n(), cfg.u())?,
+            open: None,
             ratchet: ServerRatchet::new(group),
             strikes: BTreeMap::new(),
             rejections: 0,
             quarantined: 0,
-        }
+        })
     }
 
     /// The round currently open (or the last one served).
@@ -556,11 +599,6 @@ impl<F: Field> FederationServer<F> {
         self.group
     }
 
-    /// Whether a round is currently open.
-    pub fn is_open(&self) -> bool {
-        self.session.is_some()
-    }
-
     /// Open `round`: accept uploads stamped with it, reject everything
     /// else as stale.
     ///
@@ -569,7 +607,7 @@ impl<F: Field> FederationServer<F> {
     /// [`ProtocolError::WrongPhase`] if a round is already open;
     /// [`ProtocolError::StaleRound`] when reopening a past round.
     pub fn open_round(&mut self, round: u64) -> Result<(), ProtocolError> {
-        if self.session.is_some() {
+        if self.open.is_some() {
             return Err(ProtocolError::WrongPhase);
         }
         if round < self.round {
@@ -578,9 +616,14 @@ impl<F: Field> FederationServer<F> {
                 current: self.round,
             });
         }
-        self.session = Some(ServerRound::for_round_in_group(
-            self.cfg, round, self.group,
-        )?);
+        self.open = Some(RoundState {
+            sum_masked: lsa_field::ops::wide_zeros::<F>(self.cfg.padded_len()),
+            sum_terms: 0,
+            uploaders: BTreeSet::new(),
+            survivors: Vec::new(),
+            shares: Vec::new(),
+            announced: 0,
+        });
         self.round = round;
         // the ingress quota is per round: a client that misbehaved last
         // round starts the new one with a clean slate
@@ -601,61 +644,77 @@ impl<F: Field> FederationServer<F> {
         self.quarantined
     }
 
-    /// Close the upload phase of the open round, fixing the survivor set
-    /// and queueing the announcements.
+    /// Close the upload phase of the open round, fixing the survivor
+    /// set `U₁` (Algorithm 1 line 17). [`Session::poll_output`] then
+    /// announces it to each survivor, so each can compute its
+    /// aggregated coded mask.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::WrongPhase`] without an open round; otherwise as
-    /// [`ServerRound::close_upload_phase`].
+    /// [`ProtocolError::WrongPhase`] without an open round or on a
+    /// second close; [`ProtocolError::NotEnoughSurvivors`] if fewer than
+    /// `U` users uploaded — recovery would be impossible.
     pub fn close_upload(&mut self) -> Result<Vec<usize>, ProtocolError> {
-        let session = self.session.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        Ok(session.close_upload_phase()?.to_vec())
+        let state = self
+            .open
+            .as_mut()
+            .filter(|state| state.survivors.is_empty())
+            .ok_or(ProtocolError::WrongPhase)?;
+        if state.uploaders.len() < self.cfg.u() {
+            return Err(ProtocolError::NotEnoughSurvivors {
+                got: state.uploaders.len(),
+                need: self.cfg.u(),
+            });
+        }
+        state.survivors = state.uploaders.iter().copied().collect();
+        Ok(state.survivors.clone())
     }
 
     /// How many aggregated shares the open round has received.
     pub fn shares_received(&self) -> usize {
-        self.session
-            .as_ref()
-            .map_or(0, ServerRound::shares_received)
+        self.open.as_ref().map_or(0, |state| state.shares.len())
     }
 
-    /// Abandon the open round, discarding its session state (used by the
+    /// Abandon the open round, discarding its state (used by the
     /// grouped topology's partial-recovery mode to retire a stalled
     /// group without blocking the next round). A no-op when no round is
     /// open.
     pub fn abort_round(&mut self) {
-        self.session = None;
+        self.open = None;
     }
 
-    /// Close the open round, returning the recovered aggregate. The
-    /// server holds **no per-round state** afterwards — its memory
-    /// across the run is `O(d)`, not `O(rounds · N · d)`.
+    /// Close the open round with the one-shot recovery of Algorithm 1
+    /// lines 24–28, returning the survivor set `U₁` and the aggregate
+    /// `Σ_{i∈U₁} x_i`. The server holds **no per-round state**
+    /// afterwards — its memory across the run is `O(d)`, not
+    /// `O(rounds · N · d)`.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::WrongPhase`] without an open round;
-    /// [`ProtocolError::NotEnoughSurvivors`] if recovery never
-    /// completed.
-    pub fn close_round(&mut self) -> Result<Vec<F>, ProtocolError> {
-        let session = self.session.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        if session.phase() != ServerPhase::ReadyToRecover {
-            // leave the round open so the caller can pump more shares
+    /// [`ProtocolError::NotEnoughSurvivors`] below `U` aggregated shares
+    /// and [`ProtocolError::Coding`] on a decode failure, both of which
+    /// leave the round open so the caller can pump more shares.
+    pub fn close_round(&mut self) -> Result<(Vec<usize>, Vec<F>), ProtocolError> {
+        let state = self.open.as_ref().ok_or(ProtocolError::WrongPhase)?;
+        if state.shares.len() < self.cfg.u() {
             return Err(ProtocolError::NotEnoughSurvivors {
-                got: session.shares_received(),
+                got: state.shares.len(),
                 need: self.cfg.u(),
             });
         }
-        // the lazy one-shot decode runs here, on the owner's call
-        let aggregate = session.recover_aggregate()?;
-        self.session = None;
-        Ok(aggregate)
+        // every uploader is a survivor once the phase closes, so Σ ~x_i
+        // over U₁ is the running sum, collapsed in one reduction pass
+        let masked_sum = lsa_field::ops::wide_collapse::<F>(&state.sum_masked);
+        let aggregate = unmask(&self.code, &self.cfg, &state.shares, masked_sum)?;
+        let state = self.open.take().expect("the round is open");
+        Ok((state.survivors, aggregate))
     }
 
-    /// Group check → ratchet-ack routing → session routing, without the
-    /// ingress-quota accounting that [`Session::handle`] wraps around
-    /// it.
-    fn handle_inner(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+    /// Group check → ratchet-ack routing → round check → the open
+    /// round, without the ingress-quota accounting that
+    /// [`Session::handle`] wraps around it.
+    fn handle_inner(&mut self, envelope: Envelope<F>) -> Result<(), ProtocolError> {
         if envelope.group() != self.group {
             return Err(ProtocolError::WrongGroup {
                 got: envelope.group(),
@@ -663,16 +722,107 @@ impl<F: Field> FederationServer<F> {
             });
         }
         if ratchet::is_handshake(&envelope) {
-            return self.ratchet.handle(&envelope).map(|()| Vec::new());
+            return self.ratchet.handle(&envelope);
         }
-        match self.session.as_mut() {
-            Some(session) => session.handle(envelope),
-            None => Err(ProtocolError::StaleRound {
+        let Some(state) = self.open.as_mut() else {
+            return Err(ProtocolError::StaleRound {
                 got: envelope.round(),
                 current: self.round,
-            }),
+            });
+        };
+        match envelope {
+            Envelope::MaskedModel(m) => state.fold_upload(&self.cfg, self.round, m),
+            Envelope::AggregatedShare(s) => state.file_share(&self.cfg, self.round, s),
+            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
         }
     }
+}
+
+impl<F: Field> RoundState<F> {
+    /// Fold a masked upload into the running sum. Checked after its
+    /// group: phase, then round (a replay from round `t−1` is *stale*,
+    /// not a duplicate), then sender, length and duplicate.
+    fn fold_upload(
+        &mut self,
+        cfg: &LsaConfig,
+        round: u64,
+        msg: MaskedModel<F>,
+    ) -> Result<(), ProtocolError> {
+        if !self.survivors.is_empty() {
+            return Err(ProtocolError::WrongPhase);
+        }
+        if msg.round != round {
+            return Err(ProtocolError::StaleRound {
+                got: msg.round,
+                current: round,
+            });
+        }
+        if msg.from >= cfg.n() {
+            return Err(ProtocolError::UnknownUser(msg.from));
+        }
+        check_len(cfg.padded_len(), msg.payload.len())?;
+        if !self.uploaders.insert(msg.from) {
+            return Err(ProtocolError::DuplicateMessage(msg.from));
+        }
+        // plain integer adds, no per-element reduction; normalise if a
+        // (pathologically long) run of uploads approaches the
+        // accumulator capacity
+        if self.sum_terms >= F::WIDE_CAPACITY {
+            lsa_field::ops::wide_normalize::<F>(&mut self.sum_masked);
+            self.sum_terms = 1;
+        }
+        lsa_field::ops::wide_accumulate::<F>(&mut self.sum_masked, &msg.payload);
+        self.sum_terms += 1;
+        Ok(())
+    }
+
+    /// Store a survivor's aggregated coded mask. Shares beyond `U` are
+    /// accepted and ignored by the decoder (it uses the first `U`).
+    /// Checked after its group: phase, round, survivor, length,
+    /// duplicate.
+    fn file_share(
+        &mut self,
+        cfg: &LsaConfig,
+        round: u64,
+        msg: AggregatedShare<F>,
+    ) -> Result<(), ProtocolError> {
+        if self.survivors.is_empty() {
+            return Err(ProtocolError::WrongPhase);
+        }
+        if msg.round != round {
+            return Err(ProtocolError::StaleRound {
+                got: msg.round,
+                current: round,
+            });
+        }
+        if !self.survivors.contains(&msg.from) {
+            return Err(ProtocolError::UnknownUser(msg.from));
+        }
+        check_len(cfg.segment_len(), msg.payload.len())?;
+        if self.shares.iter().any(|(from, _)| *from == msg.from) {
+            return Err(ProtocolError::DuplicateMessage(msg.from));
+        }
+        self.shares.push((msg.from, msg.payload));
+        Ok(())
+    }
+}
+
+/// The one-shot recovery both variants' servers finish with
+/// (Algorithm 1 lines 24–28, Appendix F.3.3): MDS-decode the aggregate
+/// mask from the first `U` aggregated shares — evaluations of the
+/// aggregated mask polynomial at the senders' points (Eq. 6) — and
+/// subtract it from the (weighted) sum of masked uploads, truncated to
+/// `d`.
+pub(crate) fn unmask<F: Field>(
+    code: &VandermondeCode<F>,
+    cfg: &LsaConfig,
+    shares: &[(usize, Vec<F>)],
+    mut masked_sum: Vec<F>,
+) -> Result<Vec<F>, ProtocolError> {
+    let segments = code.decode_prefix(shares, cfg.data_segments())?;
+    lsa_field::ops::sub_assign(&mut masked_sum, &vandermonde::concatenate(&segments));
+    masked_sum.truncate(cfg.d());
+    Ok(masked_sum)
 }
 
 impl<F: Field> Session<F> for FederationServer<F> {
@@ -708,13 +858,26 @@ impl<F: Field> Session<F> for FederationServer<F> {
                 }
             }
         }
-        result
+        result.map(|()| Vec::new())
     }
 
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.ratchet
-            .poll_output()
-            .or_else(|| self.session.as_mut().and_then(ServerRound::poll_output))
+        if let Some(out) = self.ratchet.poll_output() {
+            return Some(out);
+        }
+        // `survivors` is empty until the upload phase closes
+        let state = self.open.as_mut()?;
+        let to = *state.survivors.get(state.announced)?;
+        state.announced += 1;
+        let announcement = SurvivorAnnouncement {
+            group: self.group,
+            round: self.round,
+            survivors: state.survivors.clone(),
+        };
+        Some((
+            Recipient::Client(to),
+            Envelope::SurvivorAnnouncement(announcement),
+        ))
     }
 }
 
@@ -1441,10 +1604,10 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
 // The two variants
 // ---------------------------------------------------------------------
 
-/// §4.1: a fresh [`Client`] / [`ServerRound`] pair per round behind
-/// [`FederationClient`] / [`FederationServer`], exact
-/// (unit-weight) aggregation over the survivors, `O(d)` server memory,
-/// and an ingress quota at the server.
+/// §4.1: a fresh [`Client`] per round behind [`FederationClient`], one
+/// persistent [`FederationServer`], exact (unit-weight) aggregation
+/// over the survivors, `O(d)` server memory, and an ingress quota at
+/// the server.
 #[derive(Debug, Clone, Copy)]
 pub struct SyncVariant;
 
@@ -1515,13 +1678,10 @@ impl<F: Field> LeafVariant<F> for SyncVariant {
     }
 
     fn close(server: &mut Self::Server, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
-        let contributors = server
-            .session
-            .as_ref()
-            .map_or_else(Vec::new, |session| session.survivors().to_vec());
+        let (contributors, aggregate) = server.close_round()?;
         Ok(RoundOutcome {
             round,
-            aggregate: server.close_round()?,
+            aggregate,
             total_weight: contributors.len() as u64,
             contributors,
         })
@@ -1567,7 +1727,7 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
                 FederationClient::in_group(group, id, cfg, StdRng::seed_from_u64(master.gen()))
             })
             .collect::<Result<_, _>>()?;
-        let server = FederationServer::in_group(group, cfg);
+        let server = FederationServer::in_group(group, cfg)?;
         let leaf = Self::assemble(group, cfg, transport, clients, server, master.gen());
         Ok(leaf)
     }
@@ -2537,5 +2697,131 @@ mod tests {
         let stray = [0, 3, cfg.n(), 99];
         let want = CohortFingerprint::of_flat(group, cfg, &stray);
         assert_eq!(fed.cohort_fingerprint(&stray), Some(want));
+    }
+
+    // -----------------------------------------------------------------
+    // The §4.1 server's typed rejections, envelope by envelope
+    // -----------------------------------------------------------------
+
+    fn server(group: usize, round: u64) -> FederationServer<Fp61> {
+        let mut server = FederationServer::in_group(group, cfg()).unwrap();
+        server.open_round(round).unwrap();
+        server
+    }
+
+    fn upload(from: usize, group: usize, round: u64) -> Envelope<Fp61> {
+        Envelope::MaskedModel(MaskedModel {
+            from,
+            group,
+            round,
+            payload: vec![Fp61::ZERO; cfg().padded_len()],
+        })
+    }
+
+    fn agg_share(from: usize) -> Envelope<Fp61> {
+        Envelope::AggregatedShare(AggregatedShare {
+            from,
+            group: 0,
+            round: 0,
+            payload: vec![Fp61::ZERO; cfg().segment_len()],
+        })
+    }
+
+    #[test]
+    fn phase_transitions_enforced() {
+        // nothing to recover before a round opens
+        let mut idle = FederationServer::<Fp61>::new(cfg()).unwrap();
+        assert_eq!(idle.close_round().unwrap_err(), ProtocolError::WrongPhase);
+        let mut s = server(0, 0);
+        // cannot accept aggregated shares yet
+        assert_eq!(
+            s.handle(agg_share(0)).unwrap_err(),
+            ProtocolError::WrongPhase
+        );
+        // cannot recover yet, and the round stays open
+        assert_eq!(
+            s.close_round().unwrap_err(),
+            ProtocolError::NotEnoughSurvivors { got: 0, need: 3 }
+        );
+        s.handle(upload(0, 0, 0)).unwrap();
+    }
+
+    #[test]
+    fn close_requires_u_models() {
+        let mut s = server(0, 0);
+        for id in 0..2 {
+            s.handle(upload(id, 0, 0)).unwrap();
+        }
+        assert_eq!(
+            s.close_upload().unwrap_err(),
+            ProtocolError::NotEnoughSurvivors { got: 2, need: 3 }
+        );
+    }
+
+    #[test]
+    fn non_survivor_share_rejected() {
+        let mut s = server(0, 0);
+        for id in 0..3 {
+            s.handle(upload(id, 0, 0)).unwrap();
+        }
+        s.close_upload().unwrap();
+        // user 3 dropped before upload
+        assert_eq!(
+            s.handle(agg_share(3)).unwrap_err(),
+            ProtocolError::UnknownUser(3)
+        );
+    }
+
+    #[test]
+    fn duplicate_model_rejected() {
+        let mut s = server(0, 0);
+        s.handle(upload(0, 0, 0)).unwrap();
+        assert_eq!(
+            s.handle(upload(0, 0, 0)).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+    }
+
+    #[test]
+    fn envelope_is_checked_group_then_round_then_sender() {
+        // an upload wrong in every way reports its group, then its
+        // round, and only then counts as a duplicate
+        let mut s = server(7, 3);
+        s.handle(upload(0, 7, 3)).unwrap();
+        assert_eq!(
+            s.handle(upload(0, 6, 2)).unwrap_err(),
+            ProtocolError::WrongGroup {
+                got: 6,
+                expected: 7
+            }
+        );
+        assert_eq!(
+            s.handle(upload(0, 7, 2)).unwrap_err(),
+            ProtocolError::StaleRound { got: 2, current: 3 }
+        );
+        assert_eq!(
+            s.handle(upload(0, 7, 3)).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
+        // nothing is announced before the phase closes
+        assert!(s.poll_output().is_none());
+    }
+
+    #[test]
+    fn cross_round_upload_is_stale_not_duplicate() {
+        // a round-3 server must reject a round-2 upload as StaleRound —
+        // and a same-round repeat as DuplicateMessage. The two failure
+        // modes are distinct typed errors.
+        let mut s = server(0, 3);
+        assert_eq!(s.round(), 3);
+        assert_eq!(
+            s.handle(upload(0, 0, 2)).unwrap_err(),
+            ProtocolError::StaleRound { got: 2, current: 3 }
+        );
+        s.handle(upload(0, 0, 3)).unwrap();
+        assert_eq!(
+            s.handle(upload(0, 0, 3)).unwrap_err(),
+            ProtocolError::DuplicateMessage(0)
+        );
     }
 }

@@ -40,8 +40,9 @@
 //!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
 //!   network, so protocol bytes pay simulated bandwidth/latency and
 //!   phase timings come from real serialized message sizes);
-//! * [`Client`] / [`ServerRound`] — one round's protocol logic per
-//!   endpoint (§4.1), as typed messages and as [`session::Session`]s;
+//! * [`Client`] — one round of the §4.1 client, as typed messages and
+//!   as a [`session::Session`]; its server is
+//!   [`federation::FederationServer`], which serves every round itself;
 //! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F):
 //!   [`asynchronous::AsyncClient`] / [`asynchronous::AsyncServer`] are
 //!   its persistent endpoints and speak [`session::Session`] themselves.
@@ -87,7 +88,6 @@ mod client;
 mod config;
 pub mod federation;
 pub mod ratchet;
-mod server;
 pub mod session;
 pub mod telemetry;
 pub mod topology;
@@ -104,7 +104,6 @@ pub use ratchet::{
     CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetPolicy, RatchetWindowCommit,
     DEFAULT_COMMIT_WINDOW, MAX_COMMIT_WINDOW, RATCHET_FROM_SERVER,
 };
-pub use server::{ServerPhase, ServerRound};
 pub use session::{Recipient, Session};
 pub use telemetry::{EventCounters, RoundReport, TrafficMark};
 pub use topology::{GroupTopology, GroupedFederation, TopologyNode};
@@ -329,6 +328,18 @@ impl From<lsa_coding::CodingError> for ProtocolError {
 impl From<std::io::Error> for ProtocolError {
     fn from(e: std::io::Error) -> Self {
         ProtocolError::Io(e.to_string())
+    }
+}
+
+/// The one payload-length check of every endpoint: `got` elements where
+/// `expected` belong is a [`lsa_coding::CodingError::LengthMismatch`].
+pub(crate) fn check_len(expected: usize, got: usize) -> Result<(), ProtocolError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(ProtocolError::Coding(
+            lsa_coding::CodingError::LengthMismatch { expected, got },
+        ))
     }
 }
 

@@ -13,12 +13,13 @@
 //!
 //! # Sessions
 //!
-//! * [`crate::Client`] / [`crate::ServerRound`] — one round of the
-//!   synchronous protocol (§4.1, Algorithm 1): the per-round state
-//!   machines speak [`Session`] themselves;
+//! * [`crate::Client`] — one round of the synchronous client (§4.1,
+//!   Algorithm 1), a [`Session`] itself;
 //! * [`crate::federation::FederationClient`] /
 //!   [`crate::federation::FederationServer`] — the persistent
-//!   multi-round endpoints that route to the per-round ones;
+//!   multi-round endpoints of §4.1: the client routes each round's
+//!   traffic to its per-round [`crate::Client`], the server serves one
+//!   round at a time itself;
 //! * [`crate::asynchronous::AsyncClient`] /
 //!   [`crate::asynchronous::AsyncServer`] — the persistent endpoints of
 //!   the buffered-asynchronous variant (§4.2, Appendix F), which serve
@@ -28,7 +29,7 @@
 //!
 //! ```
 //! use lsa_protocol::session::{Recipient, Session};
-//! use lsa_protocol::{Client, LsaConfig, ServerRound};
+//! use lsa_protocol::{Client, FederationServer, LsaConfig};
 //! use lsa_field::{Field, Fp61};
 //! use rand::SeedableRng;
 //!
@@ -36,7 +37,8 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let mut a = Client::<Fp61>::new(0, cfg, &mut rng).unwrap();
 //! let mut b = Client::<Fp61>::new(1, cfg, &mut rng).unwrap();
-//! let mut server = ServerRound::<Fp61>::new(cfg).unwrap();
+//! let mut server = FederationServer::<Fp61>::new(cfg).unwrap();
+//! server.open_round(0).unwrap();
 //!
 //! // offline: each client emits its coded shares as they are polled
 //! while let Some((to, env)) = a.poll_output() {
@@ -55,14 +57,16 @@
 //!         server.handle(env).unwrap();
 //!     }
 //! }
-//! server.close_upload_phase().unwrap();
+//! server.close_upload().unwrap();
 //! while let Some((to, env)) = server.poll_output() {
 //!     let c = if to == Recipient::Client(0) { &mut a } else { &mut b };
 //!     for (_, reply) in c.handle(env).unwrap() {
 //!         server.handle(reply).unwrap();
 //!     }
 //! }
-//! assert_eq!(server.recover_aggregate().unwrap()[0], Fp61::from_u64(3));
+//! let (survivors, aggregate) = server.close_round().unwrap();
+//! assert_eq!(survivors, vec![0, 1]);
+//! assert_eq!(aggregate[0], Fp61::from_u64(3));
 //! ```
 
 use crate::wire::Envelope;
@@ -105,12 +109,11 @@ pub trait Session<F: Field> {
 
 #[cfg(test)]
 mod tests {
-    //! The sync per-round endpoints ([`Client`], [`ServerRound`]) seen
+    //! The sync endpoints ([`Client`], [`FederationServer`]) seen
     //! through the [`Session`] interface alone.
     use super::*;
-    use crate::server::ServerPhase;
     use crate::wire::{MaskedModel, SurvivorAnnouncement};
-    use crate::{Client, LsaConfig, ServerRound};
+    use crate::{Client, FederationServer, LsaConfig};
     use lsa_field::Fp61;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -171,7 +174,8 @@ mod tests {
 
     #[test]
     fn server_rejects_client_bound_envelopes() {
-        let mut s = ServerRound::<Fp61>::new(cfg()).unwrap();
+        let mut s = FederationServer::<Fp61>::new(cfg()).unwrap();
+        s.open_round(0).unwrap();
         let ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
             group: 0,
             round: 0,
@@ -192,7 +196,8 @@ mod tests {
         let mut clients: Vec<Client<Fp61>> = (0..4)
             .map(|id| Client::new(id, cfg, &mut rng).unwrap())
             .collect();
-        let mut server = ServerRound::<Fp61>::new(cfg).unwrap();
+        let mut server = FederationServer::<Fp61>::new(cfg).unwrap();
+        server.open_round(0).unwrap();
 
         // offline exchange
         let mut pending = Vec::new();
@@ -216,23 +221,31 @@ mod tests {
         }
 
         // recovery
-        server.close_upload_phase().unwrap();
+        server.close_upload().unwrap();
         let mut announcements = Vec::new();
         while let Some(out) = server.poll_output() {
             announcements.push(out);
         }
+        let mut replies = Vec::new();
         for (to, env) in announcements {
             let Recipient::Client(i) = to else { panic!() };
             for (_, reply) in clients[i].handle(env).unwrap() {
-                server.handle(reply).unwrap();
+                server.handle(reply.clone()).unwrap();
+                replies.push(reply);
             }
         }
-        // the decode is lazy: the U-th share only marks the round ready
-        assert_eq!(server.phase(), ServerPhase::ReadyToRecover);
+        // the decode is lazy: the U-th share is only stored
+        assert_eq!(server.shares_received(), 4);
         assert_eq!(
-            server.recover_aggregate().unwrap(),
-            vec![Fp61::from_u64(6); 6]
+            server.close_round().unwrap(),
+            (vec![0, 1, 2, 3], vec![Fp61::from_u64(6); 6])
         );
-        assert_eq!(server.phase(), ServerPhase::Recovered);
+        // the round is over: a late share is stale and a second close
+        // has no round to close; neither touches the spent sum
+        assert_eq!(
+            server.handle(replies[0].clone()).unwrap_err(),
+            ProtocolError::StaleRound { got: 0, current: 0 }
+        );
+        assert_eq!(server.close_round().unwrap_err(), ProtocolError::WrongPhase);
     }
 }

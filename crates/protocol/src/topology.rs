@@ -447,15 +447,6 @@ impl GroupTopology {
             .ok_or(ProtocolError::UnknownUser(global))
     }
 
-    /// Map a slot back to the global client id seated there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= n`.
-    pub fn global_of_slot(&self, slot: usize) -> usize {
-        self.inv[slot]
-    }
-
     /// Map a global client id to its current `(leaf, local index)`.
     ///
     /// # Errors
@@ -532,13 +523,6 @@ impl GroupTopology {
     /// `Σ_g u_g` survivors required in total.
     pub fn aggregate_view(&self) -> LsaConfig {
         self.view
-    }
-
-    /// Offline coded-share messages each client of leaf `g` sends per
-    /// round (`n_g − 1`) — the quantity the tree keeps flat as `N`
-    /// grows at fixed leaf size.
-    pub fn offline_messages_per_client(&self, g: usize) -> usize {
-        self.configs[g].n() - 1
     }
 
     /// Re-seat the global↔slot permutation from `seed` (Fisher–Yates

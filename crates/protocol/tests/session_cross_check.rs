@@ -7,16 +7,17 @@ use lsa_field::{Field, Fp32, Fp61};
 use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::transport::{MemTransport, SimTransport, Transport};
 use lsa_protocol::{
-    Client, CodedMaskShare, DropoutSchedule, Federation, LsaConfig, RoundOutcome, RoundPlan,
-    RoundReport, ServerRound, SyncFederation,
+    Client, CodedMaskShare, DropoutSchedule, Envelope, Federation, FederationServer, LsaConfig,
+    RoundOutcome, RoundPlan, RoundReport, Session, SyncFederation,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The pre-refactor reference driver: direct `Vec` indexing over the
-/// typed-message API of `Client` / `ServerRound`, no wire. Kept here as
-/// the behavioural oracle for the session engine; returns the
-/// aggregate and the survivor set.
+/// typed-message API of `Client`, each message handed straight to one
+/// `FederationServer` round, no wire. Kept here as the behavioural
+/// oracle for the session engine; returns the aggregate and the
+/// survivor set.
 fn legacy_hand_routed<F: Field, R: Rng + ?Sized>(
     cfg: LsaConfig,
     models: &[Vec<F>],
@@ -32,28 +33,29 @@ fn legacy_hand_routed<F: Field, R: Rng + ?Sized>(
         clients[share.to].receive_share(share).unwrap();
     }
 
-    let mut server = ServerRound::new(cfg).unwrap();
+    let mut server = FederationServer::new(cfg).unwrap();
+    server.open_round(0).unwrap();
     for (id, client) in clients.iter().enumerate() {
         if dropouts.before_upload.contains(&id) {
             continue;
         }
-        server
-            .receive_masked_model(client.mask_model(&models[id]).unwrap())
-            .unwrap();
+        let upload = client.mask_model(&models[id]).unwrap();
+        server.handle(Envelope::MaskedModel(upload)).unwrap();
     }
-    let survivors: Vec<usize> = server.close_upload_phase().unwrap().to_vec();
+    let survivors = server.close_upload().unwrap();
     for &id in &survivors {
         if dropouts.after_upload.contains(&id) {
             continue;
         }
-        let done = server
-            .receive_aggregated_share(clients[id].aggregated_share_for(&survivors).unwrap())
-            .unwrap();
-        if done {
+        let share = clients[id].aggregated_share_for(&survivors).unwrap();
+        server.handle(Envelope::AggregatedShare(share)).unwrap();
+        if server.shares_received() == cfg.u() {
             break;
         }
     }
-    (server.recover_aggregate().unwrap(), survivors)
+    let (contributors, aggregate) = server.close_round().unwrap();
+    assert_eq!(contributors, survivors);
+    (aggregate, survivors)
 }
 
 /// The same schedule through a fresh federation over `transport` —

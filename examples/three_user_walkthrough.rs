@@ -6,10 +6,10 @@
 //! reconstructs the aggregate mask in one shot (cost d).
 //!
 //! The LightSecAgg half is driven **envelope by envelope** through the
-//! sans-IO `Session` interface of the per-round `Client` /
-//! `ServerRound` state machines, printing every message that crosses
-//! the wire —
-//! the protocol engine with its transport stripped away.
+//! sans-IO `Session` interface of the per-round `Client` state machines
+//! and the `FederationServer` serving their round, printing every
+//! message that crosses the wire — the protocol engine with its
+//! transport stripped away.
 //!
 //! Run with: `cargo run --example three_user_walkthrough`
 
@@ -17,7 +17,7 @@ use lightsecagg::baselines::{run_secagg_round, SecAggConfig};
 use lightsecagg::field::{Field, Fp61};
 use lightsecagg::protocol::session::{Recipient, Session};
 use lightsecagg::protocol::wire::Envelope;
-use lightsecagg::protocol::{Client, DropoutSchedule, LsaConfig, ServerRound};
+use lightsecagg::protocol::{Client, DropoutSchedule, FederationServer, LsaConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut clients: Vec<Client<Fp61>> = (0..3)
         .map(|id| Client::new(id, cfg, &mut rng))
         .collect::<Result<_, _>>()?;
-    let mut server = ServerRound::<Fp61>::new(cfg)?;
+    let mut server = FederationServer::<Fp61>::new(cfg)?;
+    server.open_round(0)?;
 
     println!("-- offline phase: coded mask exchange --");
     let mut in_flight = Vec::new();
@@ -97,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Recovery: the server fixes U1 = {1, 2}, announces it, and each
     // survivor answers with ONE aggregated coded mask.
     println!("-- recovery phase: one-shot aggregate-mask decode --");
-    server.close_upload_phase()?;
+    server.close_upload()?;
     let mut announcements = Vec::new();
     while let Some(out) = server.poll_output() {
         announcements.push(out);
@@ -113,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let aggregate = server.recover_aggregate().expect("U shares arrived");
+    let (_, aggregate) = server.close_round().expect("U shares arrived");
     assert_eq!(aggregate, expect);
     println!("server work: ONE MDS decode of the aggregate mask (the paper's d)");
     println!("aggregate x2 + x3 recovered correctly");

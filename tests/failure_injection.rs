@@ -1,16 +1,18 @@
 //! Failure injection: malformed, duplicated, misrouted and corrupted
 //! messages must yield clean errors — never a silently wrong aggregate.
 //!
-//! The second half drives the same failures through the sans-IO
-//! [`Session::handle`] interface: every misrouted, duplicate or
-//! wrong-phase *envelope* must surface as a typed [`ProtocolError`],
+//! Every envelope reaches the §4.1 server through the sans-IO
+//! [`Session::handle`] interface, the deployed path; the second half
+//! drives the client sessions the same way. Every misrouted, duplicate
+//! or wrong-phase *envelope* must surface as a typed [`ProtocolError`],
 //! never a panic or a silent drop.
 
 use lightsecagg::field::{Field, Fp61};
 use lightsecagg::protocol::session::Session;
 use lightsecagg::protocol::wire::{Envelope, EnvelopeKind, SurvivorAnnouncement};
 use lightsecagg::protocol::{
-    AggregatedShare, Client, CodedMaskShare, LsaConfig, MaskedModel, ProtocolError, ServerRound,
+    AggregatedShare, Client, CodedMaskShare, FederationServer, LsaConfig, MaskedModel,
+    ProtocolError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,9 +33,27 @@ fn built_clients(seed: u64) -> Vec<Client<Fp61>> {
     clients
 }
 
+/// The §4.1 server with round `round` open.
+fn server_at(round: u64) -> FederationServer<Fp61> {
+    let mut server = FederationServer::new(cfg()).unwrap();
+    server.open_round(round).unwrap();
+    server
+}
+
+/// Deliver client `c`'s masked `model` to the server.
+fn upload(server: &mut FederationServer<Fp61>, c: &Client<Fp61>, model: &[Fp61]) {
+    let env = Envelope::MaskedModel(c.mask_model(model).unwrap());
+    server.handle(env).unwrap();
+}
+
+/// Client `c`'s aggregated share for `survivors`, as an envelope.
+fn share_of(c: &Client<Fp61>, survivors: &[usize]) -> Envelope<Fp61> {
+    Envelope::AggregatedShare(c.aggregated_share_for(survivors).unwrap())
+}
+
 #[test]
 fn truncated_masked_model_rejected() {
-    let mut server = ServerRound::<Fp61>::new(cfg()).unwrap();
+    let mut server = server_at(0);
     let msg = MaskedModel {
         from: 0,
         group: 0,
@@ -41,7 +61,7 @@ fn truncated_masked_model_rejected() {
         payload: vec![Fp61::ZERO; 3], // wrong length
     };
     assert!(matches!(
-        server.receive_masked_model(msg),
+        server.handle(Envelope::MaskedModel(msg)),
         Err(ProtocolError::Coding(_))
     ));
 }
@@ -53,14 +73,12 @@ fn corrupted_share_changes_aggregate_but_protocol_detects_shape_errors() {
     // but every SHAPE violation must be caught. This test documents the
     // boundary: wrong length → error; extra shares → ignored.
     let clients = built_clients(1);
-    let mut server = ServerRound::<Fp61>::new(cfg()).unwrap();
+    let mut server = server_at(0);
     let models: Vec<Vec<Fp61>> = (0..5).map(|_| vec![Fp61::ONE; 8]).collect();
     for (id, c) in clients.iter().enumerate() {
-        server
-            .receive_masked_model(c.mask_model(&models[id]).unwrap())
-            .unwrap();
+        upload(&mut server, c, &models[id]);
     }
-    let survivors = server.close_upload_phase().unwrap().to_vec();
+    let survivors = server.close_upload().unwrap();
 
     // wrong-length aggregated share rejected
     let bad = AggregatedShare {
@@ -70,39 +88,35 @@ fn corrupted_share_changes_aggregate_but_protocol_detects_shape_errors() {
         payload: vec![Fp61::ZERO; 1],
     };
     assert!(matches!(
-        server.receive_aggregated_share(bad),
+        server.handle(Envelope::AggregatedShare(bad)),
         Err(ProtocolError::Coding(_))
     ));
 
     // correct shares still recover the exact aggregate afterwards
     for c in &clients {
-        let done = server
-            .receive_aggregated_share(c.aggregated_share_for(&survivors).unwrap())
-            .unwrap();
-        if done {
+        server.handle(share_of(c, &survivors)).unwrap();
+        if server.shares_received() == cfg().u() {
             break;
         }
     }
-    let agg = server.recover_aggregate().unwrap();
+    let (_, agg) = server.close_round().unwrap();
     assert_eq!(agg, vec![Fp61::from_u64(5); 8]);
 }
 
 #[test]
 fn extra_shares_beyond_u_are_harmless() {
     let clients = built_clients(2);
-    let mut server = ServerRound::<Fp61>::new(cfg()).unwrap();
+    let mut server = server_at(0);
     let models: Vec<Vec<Fp61>> = (0..5).map(|i| vec![Fp61::from_u64(i as u64); 8]).collect();
     for (id, c) in clients.iter().enumerate() {
-        server
-            .receive_masked_model(c.mask_model(&models[id]).unwrap())
-            .unwrap();
+        upload(&mut server, c, &models[id]);
     }
-    let survivors = server.close_upload_phase().unwrap().to_vec();
+    let survivors = server.close_upload().unwrap();
     // all five survivors send although U = 3 suffice
     for c in &clients {
-        let _ = server.receive_aggregated_share(c.aggregated_share_for(&survivors).unwrap());
+        let _ = server.handle(share_of(c, &survivors));
     }
-    let agg = server.recover_aggregate().unwrap();
+    let (_, agg) = server.close_round().unwrap();
     let want: Fp61 = (0..5).map(Fp61::from_u64).sum();
     assert_eq!(agg, vec![want; 8]);
 }
@@ -110,21 +124,19 @@ fn extra_shares_beyond_u_are_harmless() {
 #[test]
 fn double_close_of_upload_phase_rejected() {
     let clients = built_clients(3);
-    let mut server = ServerRound::<Fp61>::new(cfg()).unwrap();
+    let mut server = server_at(0);
     for c in clients.iter().take(4) {
-        server
-            .receive_masked_model(c.mask_model(&[Fp61::ZERO; 8]).unwrap())
-            .unwrap();
+        upload(&mut server, c, &[Fp61::ZERO; 8]);
     }
-    server.close_upload_phase().unwrap();
+    server.close_upload().unwrap();
     assert!(matches!(
-        server.close_upload_phase(),
+        server.close_upload(),
         Err(ProtocolError::WrongPhase)
     ));
     // late masked model after close also rejected
     let late = clients[4].mask_model(&[Fp61::ZERO; 8]).unwrap();
     assert!(matches!(
-        server.receive_masked_model(late),
+        server.handle(Envelope::MaskedModel(late)),
         Err(ProtocolError::WrongPhase)
     ));
 }
@@ -133,24 +145,21 @@ fn double_close_of_upload_phase_rejected() {
 fn weighted_models_recover_weighted_sum() {
     // Remark 3 end-to-end through the public API.
     let clients = built_clients(4);
-    let mut server = ServerRound::<Fp61>::new(cfg()).unwrap();
+    let mut server = server_at(0);
     let weights = [5u64, 1, 3, 2, 4];
     let model = vec![Fp61::ONE; 8];
     for (c, &w) in clients.iter().zip(&weights) {
-        server
-            .receive_masked_model(c.mask_weighted_model(&model, w).unwrap())
-            .unwrap();
+        let env = Envelope::MaskedModel(c.mask_weighted_model(&model, w).unwrap());
+        server.handle(env).unwrap();
     }
-    let survivors = server.close_upload_phase().unwrap().to_vec();
+    let survivors = server.close_upload().unwrap();
     for c in &clients {
-        if server
-            .receive_aggregated_share(c.aggregated_share_for(&survivors).unwrap())
-            .unwrap()
-        {
+        server.handle(share_of(c, &survivors)).unwrap();
+        if server.shares_received() == cfg().u() {
             break;
         }
     }
-    let agg = server.recover_aggregate().unwrap();
+    let (_, agg) = server.close_round().unwrap();
     let total: u64 = weights.iter().sum();
     assert_eq!(agg, vec![Fp61::from_u64(total); 8]);
 }
@@ -160,7 +169,7 @@ fn weighted_models_recover_weighted_sum() {
 // `handle()` yields a typed error.
 // ---------------------------------------------------------------------
 
-fn built_sessions(seed: u64) -> (Vec<Client<Fp61>>, ServerRound<Fp61>) {
+fn built_sessions(seed: u64) -> (Vec<Client<Fp61>>, FederationServer<Fp61>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut clients: Vec<Client<Fp61>> = (0..5)
         .map(|id| Client::new(id, cfg(), &mut rng).unwrap())
@@ -177,7 +186,7 @@ fn built_sessions(seed: u64) -> (Vec<Client<Fp61>>, ServerRound<Fp61>) {
         };
         clients[j].handle(env).unwrap();
     }
-    (clients, ServerRound::new(cfg()).unwrap())
+    (clients, server_at(0))
 }
 
 #[test]
@@ -323,7 +332,7 @@ fn failed_handle_leaves_session_usable() {
             server.handle(env).unwrap();
         }
     }
-    server.close_upload_phase().unwrap();
+    server.close_upload().unwrap();
     let mut anns = Vec::new();
     while let Some(out) = server.poll_output() {
         anns.push(out);
@@ -337,7 +346,7 @@ fn failed_handle_leaves_session_usable() {
         }
     }
     let want: Fp61 = (0..5).map(Fp61::from_u64).sum();
-    assert_eq!(server.recover_aggregate().unwrap(), vec![want; 8]);
+    assert_eq!(server.close_round().unwrap().1, vec![want; 8]);
 }
 
 // ---------------------------------------------------------------------
@@ -422,7 +431,7 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
     client_r0.upload_model(&[Fp61::ONE; 8]).unwrap();
     let (_, replayed) = client_r0.poll_output().unwrap();
 
-    let mut server_r0 = ServerRound::<Fp61>::for_round(cfg(), 0).unwrap();
+    let mut server_r0 = server_at(0);
     server_r0.handle(replayed.clone()).unwrap();
     // same round, same envelope again → duplicate
     assert!(matches!(
@@ -430,7 +439,7 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
         Err(ProtocolError::DuplicateMessage(0))
     ));
     // next round, replayed envelope → stale, NOT duplicate
-    let mut server_r1 = ServerRound::<Fp61>::for_round(cfg(), 1).unwrap();
+    let mut server_r1 = server_at(1);
     assert!(matches!(
         server_r1.handle(replayed),
         Err(ProtocolError::StaleRound { got: 0, current: 1 })
@@ -489,12 +498,10 @@ fn aggregate_differs_from_any_individual_model() {
 // ---------------------------------------------------------------------
 
 use lightsecagg::protocol::federation::DEFAULT_INGRESS_QUOTA;
-use lightsecagg::protocol::FederationServer;
 
 #[test]
 fn flooding_client_is_quarantined_and_the_round_completes() {
-    let mut server = FederationServer::<Fp61>::new(cfg());
-    server.open_round(0).unwrap();
+    let mut server = server_at(0);
     let quota = DEFAULT_INGRESS_QUOTA;
     assert!(quota >= 2);
 
@@ -549,19 +556,16 @@ fn flooding_client_is_quarantined_and_the_round_completes() {
     let survivors = server.close_upload().unwrap();
     assert_eq!(survivors, vec![0, 1, 2, 4]);
     for id in [0usize, 1, 2, 4] {
-        let share =
-            Envelope::AggregatedShare(clients[id].aggregated_share_for(&survivors).unwrap());
-        server.handle(share).unwrap();
+        server.handle(share_of(&clients[id], &survivors)).unwrap();
     }
-    let aggregate = server.close_round().unwrap();
+    let (_, aggregate) = server.close_round().unwrap();
     let want: Fp61 = [0u64, 1, 2, 4].iter().map(|&i| Fp61::from_u64(i)).sum();
     assert_eq!(aggregate, vec![want; 8]);
 }
 
 #[test]
 fn quota_is_per_round() {
-    let mut server = FederationServer::<Fp61>::new(cfg());
-    server.open_round(0).unwrap();
+    let mut server = server_at(0);
     let flood = || {
         Envelope::MaskedModel(MaskedModel {
             from: 1,
