@@ -500,11 +500,6 @@ impl<F: Field> AsyncServer<F> {
         })
     }
 
-    /// The current global round.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Local action: advance the global round clock (never backwards).
     pub fn advance_to(&mut self, round: u64) {
         self.now = self.now.max(round);

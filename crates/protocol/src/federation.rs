@@ -18,10 +18,10 @@
 //!   steps where the protocols differ: [`SyncFederation`] (§4.1) and
 //!   [`BufferedFederation`] (§4.2) are its two instantiations.
 //! * [`FederationClient`] / [`FederationServer`] — the persistent §4.1
-//!   endpoints. The client owns one per-round [`Client`] per live round
-//!   and routes interleaved multi-round traffic by the round id every
-//!   wire envelope carries; the server is Algorithm 1's server itself
-//!   and serves one round at a time. A replayed envelope from a
+//!   endpoints, Algorithm 1's user and server themselves. The client
+//!   holds the state of each live round and routes interleaved
+//!   multi-round traffic by the round id every wire envelope carries;
+//!   the server serves one round at a time. A replayed envelope from a
 //!   finished round is rejected with [`ProtocolError::StaleRound`] —
 //!   never confused with a same-round
 //!   [`ProtocolError::DuplicateMessage`].
@@ -64,7 +64,8 @@
 //! ```
 
 use crate::asynchronous::{AsyncClient, AsyncServer};
-use crate::client::Client;
+use crate::client::ClientRound;
+pub use crate::client::FederationClient;
 use crate::config::LsaConfig;
 use crate::ratchet::{self, ClientRatchet, CohortFingerprint, ServerRatchet};
 use crate::session::{Outgoing, Recipient, Session};
@@ -77,7 +78,7 @@ use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, StalenessFn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of one federated round, uniform across variants.
 ///
@@ -244,256 +245,6 @@ pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F>>;
 // ---------------------------------------------------------------------
 // Persistent endpoints
 // ---------------------------------------------------------------------
-
-/// A persistent federation client: one entity across the whole training
-/// run, owning one per-round [`Client`] per *active* round and routing
-/// incoming envelopes by their round id.
-///
-/// Holding sessions for two adjacent rounds at once is the normal state:
-/// round `t` is online while round `t+1`'s masks are being shared. An
-/// envelope for a *near-future* round (within [`Self::LOOKAHEAD`] of the
-/// newest active round) that arrives before this client joined it — a
-/// peer raced ahead on a non-lockstep transport — is buffered and
-/// replayed when [`FederationClient::prepare`] creates the session;
-/// [`ProtocolError::StaleRound`] is reserved for rounds that are
-/// genuinely unroutable (retired, or implausibly far ahead).
-#[derive(Debug, Clone)]
-pub struct FederationClient<F> {
-    id: usize,
-    cfg: LsaConfig,
-    /// The aggregation group this client belongs to (0 when flat); every
-    /// envelope is stamped with it and cross-group envelopes are
-    /// rejected with [`ProtocolError::WrongGroup`] before any routing.
-    group: usize,
-    entropy: StdRng,
-    sessions: BTreeMap<u64, Client<F>>,
-    /// Early-arriving envelopes for rounds not yet joined.
-    pending: BTreeMap<u64, Vec<Envelope<F>>>,
-    /// Responses produced while replaying buffered envelopes.
-    replies: VecDeque<Outgoing<F>>,
-    /// Rounds below this are retired; envelopes for them are stale.
-    horizon: u64,
-    /// The client half of the stable-cohort handshake
-    /// ([`crate::ratchet`]). Its base is the fully-exchanged client
-    /// state of the last full offline round.
-    ratchet: ClientRatchet<Client<F>>,
-}
-
-impl<F: Field> FederationClient<F> {
-    /// How many rounds ahead of the newest active round an envelope may
-    /// arrive and still be buffered (overlap keeps at most the next
-    /// round in flight; one extra round of slack bounds the buffer
-    /// against misbehaving peers).
-    pub const LOOKAHEAD: u64 = 2;
-
-    /// Hard cap on envelopes buffered across all lookahead rounds. A
-    /// legitimate future round delivers at most `n − 1` coded shares
-    /// plus a couple of server announcements, so `2n + 2` per lookahead
-    /// round is generous for both protocol variants — while keeping the
-    /// worst case a peer can pin at `O(LOOKAHEAD · n)` envelopes
-    /// instead of unbounded (the memory-amplification vector once
-    /// untrusted sockets feed [`Session::handle`]).
-    pub fn pending_cap(&self) -> usize {
-        Self::LOOKAHEAD as usize * (2 * self.cfg.n() + 2)
-    }
-
-    /// Create the persistent client for user `id` with its own entropy
-    /// stream (the only randomness it will ever use).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn new(id: usize, cfg: LsaConfig, entropy: StdRng) -> Result<Self, ProtocolError> {
-        Self::in_group(0, id, cfg, entropy)
-    }
-
-    /// Create the persistent client for the *group-local* user `id` of
-    /// aggregation group `group` in a grouped topology
-    /// ([`crate::topology`]): `cfg` is the group's own configuration,
-    /// every emitted envelope is stamped with `group`, and any incoming
-    /// envelope from another group is rejected with
-    /// [`ProtocolError::WrongGroup`] — never buffered, never routed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn in_group(
-        group: usize,
-        id: usize,
-        cfg: LsaConfig,
-        entropy: StdRng,
-    ) -> Result<Self, ProtocolError> {
-        if id >= cfg.n() {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "client id {id} out of range for N={}",
-                cfg.n()
-            )));
-        }
-        Ok(Self {
-            id,
-            cfg,
-            group,
-            entropy,
-            sessions: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            replies: VecDeque::new(),
-            horizon: 0,
-            ratchet: ClientRatchet::new(id, group, cfg.ratchet().topology()),
-        })
-    }
-
-    /// This client's user index (group-local in a grouped topology).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The aggregation group this client belongs to (0 when flat).
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
-    /// The highest active round, or the retirement horizon when no
-    /// session is live.
-    pub fn current_round(&self) -> u64 {
-        self.sessions
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(self.horizon)
-    }
-
-    /// Number of live per-round sessions (usually 1, or 2 while the next
-    /// round's masks are being shared).
-    pub fn active_rounds(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether a session for `round` may still be created: the round is
-    /// neither retired (a replay) nor already joined.
-    fn admit(&self, round: u64) -> Result<(), ProtocolError> {
-        if round < self.horizon {
-            return Err(ProtocolError::StaleRound {
-                got: round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        Ok(())
-    }
-
-    /// Make `session` the live session of `round`, first replaying any
-    /// envelopes that arrived for the round before it was joined.
-    fn install(&mut self, round: u64, mut session: Client<F>) -> Result<(), ProtocolError> {
-        for envelope in self.pending.remove(&round).unwrap_or_default() {
-            self.replies.extend(session.handle(envelope)?);
-        }
-        self.sessions.insert(round, session);
-        Ok(())
-    }
-
-    /// Join `round`: run the offline mask generation (the coded shares
-    /// are emitted as [`Session::poll_output`] asks for them) and replay
-    /// any envelopes that arrived for this round before it was joined.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::StaleRound`] for a retired round,
-    /// [`ProtocolError::DuplicateMessage`] if already joined; replayed
-    /// early envelopes surface their own errors.
-    pub fn prepare(&mut self, round: u64) -> Result<(), ProtocolError> {
-        self.admit(round)?;
-        let session =
-            Client::for_round_in_group(self.id, round, self.group, self.cfg, &mut self.entropy)?;
-        self.install(round, session)
-    }
-
-    /// Upload the quantized model for `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::StaleRound`] if the round is not active;
-    /// otherwise as [`Client::upload_model`].
-    pub fn upload(&mut self, round: u64, model: &[F]) -> Result<(), ProtocolError> {
-        let current = self.current_round();
-        let session = self
-            .sessions
-            .get_mut(&round)
-            .ok_or(ProtocolError::StaleRound {
-                got: round,
-                current,
-            })?;
-        session.upload_model(model)
-    }
-
-    /// Retire every session below `round` (their aggregates are
-    /// recovered; any further envelope for them is a stale replay).
-    pub fn retire_below(&mut self, round: u64) {
-        self.sessions.retain(|&r, _| r >= round);
-        self.pending.retain(|&r, _| r >= round);
-        self.horizon = self.horizon.max(round);
-    }
-}
-
-impl<F: Field> Session<F> for FederationClient<F> {
-    fn local_addr(&self) -> Recipient {
-        Recipient::Client(self.id)
-    }
-
-    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        // cross-group traffic is rejected before any routing or
-        // buffering: its local indices mean nothing in this group
-        if envelope.group() != self.group {
-            return Err(ProtocolError::WrongGroup {
-                got: envelope.group(),
-                expected: self.group,
-            });
-        }
-        let round = envelope.round();
-        // ratchet commits are round-*creating*, not round-routed: the
-        // shared handshake state derives the round's session from the
-        // retained base — no share traffic — and returns the ack
-        if ratchet::is_handshake(&envelope) {
-            self.admit(round)?;
-            let (session, ack) = self.ratchet.accept(&envelope, |base, nonce, topology| {
-                Ok(Client::ratcheted_from(base, round, nonce, topology))
-            })?;
-            self.sessions.insert(round, session);
-            return Ok(vec![ack]);
-        }
-        let current = self.current_round();
-        match self.sessions.get_mut(&round) {
-            Some(session) => session.handle(envelope),
-            // a peer raced ahead: hold the envelope for prepare() —
-            // within the bounded budget
-            None if round > current && round <= current + Self::LOOKAHEAD => {
-                let cap = self.pending_cap();
-                if self.pending.values().map(Vec::len).sum::<usize>() >= cap {
-                    return Err(ProtocolError::PendingOverflow {
-                        client: self.id,
-                        round,
-                        cap,
-                    });
-                }
-                self.pending.entry(round).or_default().push(envelope);
-                Ok(Vec::new())
-            }
-            None => Err(ProtocolError::StaleRound {
-                got: round,
-                current,
-            }),
-        }
-    }
-
-    fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.replies.pop_front().or_else(|| {
-            self.sessions
-                .values_mut()
-                .find_map(|session| session.poll_output())
-        })
-    }
-}
 
 /// The §4.1 server (Algorithm 1, server side), persistent across
 /// rounds: it serves one round at a time, opened by
@@ -1604,10 +1355,9 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
 // The two variants
 // ---------------------------------------------------------------------
 
-/// §4.1: a fresh [`Client`] per round behind [`FederationClient`], one
-/// persistent [`FederationServer`], exact (unit-weight) aggregation
-/// over the survivors, `O(d)` server memory, and an ingress quota at
-/// the server.
+/// §4.1: persistent [`FederationClient`]s, one persistent
+/// [`FederationServer`], exact (unit-weight) aggregation over the
+/// survivors, `O(d)` server memory, and an ingress quota at the server.
 #[derive(Debug, Clone, Copy)]
 pub struct SyncVariant;
 
@@ -1617,10 +1367,11 @@ pub type SyncFederation<F, T> = LeafFederation<F, T, SyncVariant>;
 impl<F: Field> LeafVariant<F> for SyncVariant {
     type Client = FederationClient<F>;
     type Server = FederationServer<F>;
-    type Base = Client<F>;
+    /// The finished round itself, moved out of the client.
+    type Base = ClientRound<F>;
 
-    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<Client<F>> {
-        &mut client.ratchet
+    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<ClientRound<F>> {
+        client.ratchet()
     }
 
     fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F> {
@@ -1632,11 +1383,7 @@ impl<F: Field> LeafVariant<F> for SyncVariant {
     }
 
     fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
-        client.admit(round)?;
-        let session = client.ratchet.join(round, |base, nonce, topology| {
-            Ok(Client::ratcheted_from(base, round, nonce, topology))
-        })?;
-        client.install(round, session)
+        client.ratchet_join(round)
     }
 
     fn upload(client: &mut Self::Client, round: u64, update: &[F]) -> Result<(), ProtocolError> {
@@ -1648,23 +1395,18 @@ impl<F: Field> LeafVariant<F> for SyncVariant {
     }
 
     fn discard(client: &mut Self::Client, round: u64) {
-        // the horizon does not move: the round is about to be re-joined
-        client.sessions.remove(&round);
-        client.pending.remove(&round);
+        client.discard(round);
     }
 
     fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64) {
-        // the finished round is moved into the base, not copied
-        if let Some(session) = client.sessions.remove(&round) {
-            client.ratchet.harvest(session, fingerprint);
-        }
+        client.harvest(round, fingerprint);
     }
 
     fn reseat(clients: &mut [Self::Client], seed: u64) -> bool {
         // every cohort member applies the same `seed`, so the permuted
         // edges still cancel ([`crate::ratchet::reseat_epoch`])
         for client in clients {
-            client.ratchet.reseat(|base| base.bump_pad_epoch(seed));
+            client.ratchet().reseat(|base| base.bump_pad_epoch(seed));
         }
         true
     }
@@ -2323,26 +2065,49 @@ mod tests {
     #[test]
     fn early_next_round_share_buffered_until_prepare() {
         // a peer's round-1 share arriving before this client joined
-        // round 1 is held, then replayed by prepare(1); an implausibly
-        // far-future round is still rejected
+        // round 1 is held, then replayed by prepare(1); a duplicated
+        // early frame is rejected typed at the replay without costing
+        // the round or the good shares; an implausibly far-future round
+        // is still rejected
         let mut rng = StdRng::seed_from_u64(6);
         let mut a =
             FederationClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
         let mut b =
             FederationClient::<Fp61>::new(1, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
-        b.prepare(0).unwrap();
-        a.prepare(1).unwrap();
-        let share_r1 = loop {
-            let (to, env) = a.poll_output().expect("has shares");
-            if to == Recipient::Client(1) {
+        let mut c =
+            FederationClient::<Fp61>::new(2, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
+        // `from`'s round-1 share for `j`
+        let share_to = |from: &mut FederationClient<Fp61>, j: usize| loop {
+            let (to, env) = from.poll_output().expect("has shares");
+            if to == Recipient::Client(j) && env.round() == 1 {
                 break env;
             }
         };
+        b.prepare(0).unwrap();
+        c.prepare(0).unwrap();
+        a.prepare(1).unwrap();
+        let share_r1 = share_to(&mut a, 1);
         // b is still on round 0: the round-1 share is buffered, not lost
         assert_eq!(b.handle(share_r1).unwrap(), Vec::new());
         b.prepare(1).unwrap();
-        let r1 = b.sessions.get(&1).unwrap();
+        let r1 = b.live(1);
         assert_eq!(r1.shares_received(), 2, "replayed share must land");
+        // c is still on round 0 when b's and a's round-1 shares arrive,
+        // then a's again as a duplicated frame: all three are buffered
+        let (from_b, from_a) = (share_to(&mut b, 2), share_to(&mut a, 2));
+        for env in [from_b, from_a.clone(), from_a] {
+            assert_eq!(c.handle(env).unwrap(), Vec::new());
+        }
+        // the duplicate is reported once both good shares are filed,
+        // with round 1 joined: a recovery naming all three is answered
+        assert_eq!(c.prepare(1), Err(ProtocolError::DuplicateMessage(0)));
+        assert_eq!(c.live(1).shares_received(), 3);
+        let ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
+            group: 0,
+            round: 1,
+            survivors: vec![0, 1, 2],
+        });
+        assert_eq!(c.handle(ann).unwrap().len(), 1);
         // far beyond the lookahead window → unroutable
         let far = Envelope::CodedMaskShare(crate::wire::CodedMaskShare {
             from: 0,
@@ -2397,8 +2162,9 @@ mod tests {
             })
         ));
         // joining round 1 drains its share of the buffer: new round-2
-        // traffic fits again (the replay of duplicate shares errors —
-        // only the buffering policy is under test here)
+        // traffic fits again (the replay files the first flooded share
+        // and reports the first of the duplicates after it — only the
+        // buffering policy is under test here)
         let _ = b.prepare(1);
         assert!(b.handle(flood(2)).is_ok(), "buffer frees as rounds open");
     }
@@ -2462,7 +2228,7 @@ mod tests {
             fed.server.handle(Envelope::RatchetAnnouncement(ack)),
             Err(ProtocolError::RatchetMismatch)
         ));
-        // a commit for a round the client already holds a session for is
+        // a commit for a round the client has already joined is
         // a duplicate — a second nonce must not rebuild the round's mask
         fed.open_round(&cohort).unwrap();
         let dup = RatchetAnnouncement {
@@ -2498,7 +2264,7 @@ mod tests {
                 // the harvest moved the finished session into the base:
                 // nothing else holds its share material
                 assert_eq!(c.active_rounds(), 0);
-                let base = c.ratchet.base().expect("base retained");
+                let base = c.base().expect("base retained");
                 assert_eq!(Arc::strong_count(base.share_storage()), 1);
                 Arc::downgrade(base.share_storage())
             })
@@ -2511,7 +2277,7 @@ mod tests {
             .as_ref()
             .is_some_and(|open| open.ratcheted.is_some()));
         for (c, w) in fed.clients.iter().zip(&watch) {
-            let base = c.ratchet.base().expect("base retained");
+            let base = c.base().expect("base retained");
             assert_eq!(Arc::strong_count(base.share_storage()), 2);
             assert_eq!(w.strong_count(), 2);
         }
@@ -2554,14 +2320,11 @@ mod tests {
                 }
                 // `Σ_i [~z_i]_j` from the senders' side: every share the
                 // cohort coded for `j` in the round that exchanged them
-                let sessions: Vec<&Client<Fp61>> =
-                    fed.clients.iter().map(|c| &c.sessions[&round]).collect();
                 let coded_for = |j: usize, from: &[usize]| {
-                    let shares: Vec<Vec<Fp61>> = from
+                    let shares = from
                         .iter()
-                        .map(|&i| sessions[i].outgoing_share(j).payload)
-                        .collect();
-                    lsa_field::ops::sum_vectors(shares.iter().map(Vec::as_slice)).unwrap()
+                        .map(|&i| fed.clients[i].live(round).coded_for(j));
+                    lsa_field::ops::sum_vectors(shares).unwrap()
                 };
                 let want: Vec<Vec<Fp61>> =
                     everyone.iter().map(|&j| coded_for(j, &everyone)).collect();
@@ -2569,19 +2332,19 @@ mod tests {
                 // leaves the total as it was
                 let subset = [0, 2, 4];
                 let partial = coded_for(1, &subset);
-                let session = fed.clients[1].sessions.get_mut(&round).unwrap();
-                let total_before = session.share_total().cloned();
+                let client = &mut fed.clients[1];
+                let total_before = client.live(round).share_total().cloned();
                 let ann = SurvivorAnnouncement {
                     group: 0,
                     round,
                     survivors: subset.to_vec(),
                 };
-                let reply = session.handle(Envelope::SurvivorAnnouncement(ann)).unwrap();
+                let reply = client.handle(Envelope::SurvivorAnnouncement(ann)).unwrap();
                 let [(_, Envelope::AggregatedShare(share))] = &reply[..] else {
                     panic!("{name}: one aggregated share, got {reply:?}");
                 };
                 assert_eq!(share.payload, partial, "{name} round {round}: subset");
-                assert_eq!(session.share_total().cloned(), total_before);
+                assert_eq!(client.live(round).share_total().cloned(), total_before);
 
                 transcript.lock().unwrap().clear();
                 assert_eq!(fed.finish_round().unwrap().aggregate, expected(&everyone));
@@ -2601,7 +2364,7 @@ mod tests {
                 // the rounds of a stable stretch answer from one total,
                 // held by the retained base
                 if ratcheted {
-                    let base = fed.clients[0].ratchet.base().expect("base retained");
+                    let base = fed.clients[0].base().expect("base retained");
                     let total = base.share_total().expect("summed by the first answer");
                     assert_eq!(*retained.get_or_insert(total.as_ptr()), total.as_ptr());
                 }

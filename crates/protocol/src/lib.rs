@@ -40,9 +40,9 @@
 //!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
 //!   network, so protocol bytes pay simulated bandwidth/latency and
 //!   phase timings come from real serialized message sizes);
-//! * [`Client`] — one round of the §4.1 client, as typed messages and
-//!   as a [`session::Session`]; its server is
-//!   [`federation::FederationServer`], which serves every round itself;
+//! * [`FederationClient`] / [`FederationServer`] — the §4.1 user and
+//!   server, each one persistent [`session::Session`] that serves
+//!   every round itself;
 //! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F):
 //!   [`asynchronous::AsyncClient`] / [`asynchronous::AsyncServer`] are
 //!   its persistent endpoints and speak [`session::Session`] themselves.
@@ -94,7 +94,6 @@ pub mod topology;
 pub mod transport;
 pub mod wire;
 
-pub use client::Client;
 pub use config::LsaConfig;
 pub use federation::{
     BoxedAggregator, BufferedFederation, Federation, FederationClient, FederationServer,
@@ -519,10 +518,16 @@ mod tests {
         // uniformly distributed — empirically its low bits look uniform —
         // and differs from the raw model.
         let cfg = LsaConfig::new(3, 1, 2, 256).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let client = Client::<Fp61>::new(0, cfg, &mut rng).unwrap();
+        let mut client = FederationClient::<Fp61>::new(0, cfg, StdRng::seed_from_u64(17)).unwrap();
+        client.prepare(0).unwrap();
         let model = vec![Fp61::ZERO; 256];
-        let masked = client.mask_model(&model).unwrap();
+        client.upload(0, &model).unwrap();
+        let masked = std::iter::from_fn(|| client.poll_output())
+            .find_map(|(_, env)| match env {
+                Envelope::MaskedModel(m) => Some(m),
+                _ => None,
+            })
+            .unwrap();
         assert_ne!(&masked.payload[..256], model.as_slice());
         let ones: u32 = masked
             .payload

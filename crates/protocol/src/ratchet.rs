@@ -277,11 +277,11 @@ impl Handshake {
 
 /// The client half of the handshake, shared by both client endpoints.
 ///
-/// `B` is whatever the endpoint retains as a ratchet base: the
-/// fully-exchanged [`crate::Client`] of the last full round for the
-/// synchronous endpoint, the base *round number* for the buffered one
-/// (its state for that round stays resident in the
-/// [`crate::asynchronous::AsyncClient`]). Every operation that derives a
+/// `B` is whatever the endpoint retains as a ratchet base: for the
+/// synchronous [`crate::FederationClient`], the state of its last
+/// fully-exchanged round, moved out of the client; for the buffered
+/// one, the base *round number* (its state for that round stays
+/// resident in the [`crate::asynchronous::AsyncClient`]). Every operation that derives a
 /// round takes a `derive(base, nonce, topology)` closure — the one thing
 /// the two endpoints do differently — and hands back what it built.
 #[derive(Debug, Clone)]

@@ -13,13 +13,11 @@
 //!
 //! # Sessions
 //!
-//! * [`crate::Client`] — one round of the synchronous client (§4.1,
-//!   Algorithm 1), a [`Session`] itself;
 //! * [`crate::federation::FederationClient`] /
 //!   [`crate::federation::FederationServer`] — the persistent
-//!   multi-round endpoints of §4.1: the client routes each round's
-//!   traffic to its per-round [`crate::Client`], the server serves one
-//!   round at a time itself;
+//!   endpoints of the synchronous variant (§4.1, Algorithm 1): the
+//!   client holds each live round's state and routes its traffic by
+//!   round id, the server serves one round at a time;
 //! * [`crate::asynchronous::AsyncClient`] /
 //!   [`crate::asynchronous::AsyncServer`] — the persistent endpoints of
 //!   the buffered-asynchronous variant (§4.2, Appendix F), which serve
@@ -29,18 +27,21 @@
 //!
 //! ```
 //! use lsa_protocol::session::{Recipient, Session};
-//! use lsa_protocol::{Client, FederationServer, LsaConfig};
+//! use lsa_protocol::{FederationClient, FederationServer, LsaConfig};
 //! use lsa_field::{Field, Fp61};
+//! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
 //! let cfg = LsaConfig::new(2, 0, 2, 4).unwrap();
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let mut a = Client::<Fp61>::new(0, cfg, &mut rng).unwrap();
-//! let mut b = Client::<Fp61>::new(1, cfg, &mut rng).unwrap();
+//! let mut a = FederationClient::<Fp61>::new(0, cfg, StdRng::seed_from_u64(1)).unwrap();
+//! let mut b = FederationClient::<Fp61>::new(1, cfg, StdRng::seed_from_u64(2)).unwrap();
 //! let mut server = FederationServer::<Fp61>::new(cfg).unwrap();
 //! server.open_round(0).unwrap();
 //!
-//! // offline: each client emits its coded shares as they are polled
+//! // offline: each client joins round 0 and emits its coded shares as
+//! // they are polled
+//! a.prepare(0).unwrap();
+//! b.prepare(0).unwrap();
 //! while let Some((to, env)) = a.poll_output() {
 //!     assert_eq!(to, Recipient::Client(1));
 //!     b.handle(env).unwrap();
@@ -50,8 +51,8 @@
 //! }
 //!
 //! // upload + recovery
-//! a.upload_model(&[Fp61::from_u64(1); 4]).unwrap();
-//! b.upload_model(&[Fp61::from_u64(2); 4]).unwrap();
+//! a.upload(0, &[Fp61::from_u64(1); 4]).unwrap();
+//! b.upload(0, &[Fp61::from_u64(2); 4]).unwrap();
 //! for c in [&mut a, &mut b] {
 //!     while let Some((_, env)) = c.poll_output() {
 //!         server.handle(env).unwrap();
@@ -109,11 +110,11 @@ pub trait Session<F: Field> {
 
 #[cfg(test)]
 mod tests {
-    //! The sync endpoints ([`Client`], [`FederationServer`]) seen
-    //! through the [`Session`] interface alone.
+    //! The sync endpoints ([`FederationClient`], [`FederationServer`])
+    //! seen through the [`Session`] interface (and the local actions).
     use super::*;
     use crate::wire::{MaskedModel, SurvivorAnnouncement};
-    use crate::{Client, FederationServer, LsaConfig};
+    use crate::{FederationClient, FederationServer, LsaConfig};
     use lsa_field::Fp61;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -122,10 +123,16 @@ mod tests {
         LsaConfig::new(4, 1, 3, 6).unwrap()
     }
 
+    /// Client `id`, its entropy seeded by `seed`, joined to round 0.
+    fn joined(id: usize, seed: u64) -> FederationClient<Fp61> {
+        let mut c = FederationClient::new(id, cfg(), StdRng::seed_from_u64(seed)).unwrap();
+        c.prepare(0).unwrap();
+        c
+    }
+
     #[test]
     fn construction_queues_shares() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut c = Client::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let mut c = joined(0, 1);
         let mut count = 0;
         while let Some((to, env)) = c.poll_output() {
             assert!(matches!(env, Envelope::CodedMaskShare(_)));
@@ -137,18 +144,17 @@ mod tests {
 
     #[test]
     fn double_upload_rejected() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut c = Client::<Fp61>::new(0, cfg(), &mut rng).unwrap();
-        c.upload_model(&[Fp61::ZERO; 6]).unwrap();
+        let mut c = joined(0, 2);
+        c.upload(0, &[Fp61::ZERO; 6]).unwrap();
         assert!(matches!(
-            c.upload_model(&[Fp61::ZERO; 6]),
+            c.upload(0, &[Fp61::ZERO; 6]),
             Err(ProtocolError::DuplicateMessage(0))
         ));
         // …also once the first upload has left the outbox, and a
         // rejected upload queues nothing
         while c.poll_output().is_some() {}
         assert!(matches!(
-            c.upload_model(&[Fp61::ZERO; 6]),
+            c.upload(0, &[Fp61::ZERO; 6]),
             Err(ProtocolError::DuplicateMessage(0))
         ));
         assert!(c.poll_output().is_none());
@@ -156,8 +162,7 @@ mod tests {
 
     #[test]
     fn client_rejects_server_bound_envelopes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut c = Client::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let mut c = joined(0, 3);
         let masked = Envelope::MaskedModel(MaskedModel {
             from: 1,
             group: 0,
@@ -192,10 +197,8 @@ mod tests {
     #[test]
     fn full_round_through_sessions() {
         let cfg = cfg();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut clients: Vec<Client<Fp61>> = (0..4)
-            .map(|id| Client::new(id, cfg, &mut rng).unwrap())
-            .collect();
+        let mut clients: Vec<FederationClient<Fp61>> =
+            (0..4).map(|id| joined(id, 4 + id as u64)).collect();
         let mut server = FederationServer::<Fp61>::new(cfg).unwrap();
         server.open_round(0).unwrap();
 
@@ -213,7 +216,7 @@ mod tests {
 
         // upload
         for (i, c) in clients.iter_mut().enumerate() {
-            c.upload_model(&[Fp61::from_u64(i as u64); 6]).unwrap();
+            c.upload(0, &[Fp61::from_u64(i as u64); 6]).unwrap();
             while let Some((to, env)) = c.poll_output() {
                 assert_eq!(to, Recipient::Server);
                 server.handle(env).unwrap();

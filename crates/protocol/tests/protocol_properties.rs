@@ -153,14 +153,23 @@ proptest! {
     /// mask dominates the payload).
     #[test]
     fn masked_models_look_random(seed in any::<u64>()) {
-        use lsa_protocol::Client;
+        use lsa_protocol::{FederationClient, Session};
         let cfg = LsaConfig::new(4, 1, 3, 64).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let client = Client::<Fp61>::new(0, cfg, &mut rng).unwrap();
+        // the same entropy twice: one client, one mask, two models
+        let upload = |model: &[Fp61]| {
+            let entropy = StdRng::seed_from_u64(seed);
+            let mut client = FederationClient::<Fp61>::new(0, cfg, entropy).unwrap();
+            client.prepare(0).unwrap();
+            client.upload(0, model).unwrap();
+            match std::iter::from_fn(|| client.poll_output()).last() {
+                Some((_, lsa_protocol::Envelope::MaskedModel(m))) => m.payload,
+                other => panic!("the upload comes last, got {other:?}"),
+            }
+        };
         let zeros = vec![Fp61::ZERO; 64];
         let ones = vec![Fp61::ONE; 64];
-        let m0 = client.mask_model(&zeros).unwrap().payload;
-        let m1 = client.mask_model(&ones).unwrap().payload;
+        let m0 = upload(&zeros);
+        let m1 = upload(&ones);
         // difference of the two uploads reveals exactly the model delta —
         // same-client masks cancel — but each individually is shifted by
         // the (uniform) mask:

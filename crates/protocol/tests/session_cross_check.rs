@@ -1,54 +1,70 @@
 //! Cross-check: the federation — sans-IO sessions over a serialized
-//! wire — produces **identical** aggregates and contributor sets to the
-//! hand-routed typed-message flow under identical dropout schedules,
-//! over both `MemTransport` and `SimTransport`.
+//! wire — produces **identical** aggregates and contributor sets to a
+//! hand-routed flow of the same endpoints under identical dropout
+//! schedules, over both `MemTransport` and `SimTransport`.
 
 use lsa_field::{Field, Fp32, Fp61};
 use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::transport::{MemTransport, SimTransport, Transport};
 use lsa_protocol::{
-    Client, CodedMaskShare, DropoutSchedule, Envelope, Federation, FederationServer, LsaConfig,
-    RoundOutcome, RoundPlan, RoundReport, Session, SyncFederation,
+    DropoutSchedule, Envelope, Federation, FederationClient, FederationServer, LsaConfig,
+    Recipient, RoundOutcome, RoundPlan, RoundReport, Session, SurvivorAnnouncement, SyncFederation,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The pre-refactor reference driver: direct `Vec` indexing over the
-/// typed-message API of `Client`, each message handed straight to one
-/// `FederationServer` round, no wire. Kept here as the behavioural
-/// oracle for the session engine; returns the aggregate and the
-/// survivor set.
+/// The reference driver: direct `Vec` indexing over the
+/// [`FederationClient`]s, each envelope handed straight to its
+/// recipient — one `FederationServer` round, no wire, no transport.
+/// Kept here as the behavioural oracle for the federation driver;
+/// returns the aggregate and the survivor set.
 fn legacy_hand_routed<F: Field, R: Rng + ?Sized>(
     cfg: LsaConfig,
     models: &[Vec<F>],
     dropouts: &DropoutSchedule,
     rng: &mut R,
 ) -> (Vec<F>, Vec<usize>) {
-    let mut clients: Vec<Client<F>> = (0..cfg.n())
-        .map(|id| Client::new(id, cfg, rng).unwrap())
+    let mut clients: Vec<FederationClient<F>> = (0..cfg.n())
+        .map(|id| FederationClient::new(id, cfg, StdRng::seed_from_u64(rng.gen())).unwrap())
         .collect();
-    let all_shares: Vec<CodedMaskShare<F>> =
-        clients.iter().flat_map(Client::outgoing_shares).collect();
-    for share in all_shares {
-        clients[share.to].receive_share(share).unwrap();
+    let mut all_shares = Vec::new();
+    for client in clients.iter_mut() {
+        client.prepare(0).unwrap();
+        all_shares.extend(std::iter::from_fn(|| client.poll_output()));
+    }
+    for (to, share) in all_shares {
+        let Recipient::Client(j) = to else {
+            panic!("offline shares go to clients")
+        };
+        clients[j].handle(share).unwrap();
     }
 
     let mut server = FederationServer::new(cfg).unwrap();
     server.open_round(0).unwrap();
-    for (id, client) in clients.iter().enumerate() {
+    for (id, client) in clients.iter_mut().enumerate() {
         if dropouts.before_upload.contains(&id) {
             continue;
         }
-        let upload = client.mask_model(&models[id]).unwrap();
-        server.handle(Envelope::MaskedModel(upload)).unwrap();
+        client.upload(0, &models[id]).unwrap();
+        let (_, upload) = client.poll_output().unwrap();
+        server.handle(upload).unwrap();
     }
     let survivors = server.close_upload().unwrap();
     for &id in &survivors {
         if dropouts.after_upload.contains(&id) {
             continue;
         }
-        let share = clients[id].aggregated_share_for(&survivors).unwrap();
-        server.handle(Envelope::AggregatedShare(share)).unwrap();
+        let ann = SurvivorAnnouncement {
+            group: 0,
+            round: 0,
+            survivors: survivors.clone(),
+        };
+        for (_, share) in clients[id]
+            .handle(Envelope::SurvivorAnnouncement(ann))
+            .unwrap()
+        {
+            server.handle(share).unwrap();
+        }
         if server.shares_received() == cfg.u() {
             break;
         }

@@ -6,10 +6,10 @@
 //! reconstructs the aggregate mask in one shot (cost d).
 //!
 //! The LightSecAgg half is driven **envelope by envelope** through the
-//! sans-IO `Session` interface of the per-round `Client` state machines
-//! and the `FederationServer` serving their round, printing every
-//! message that crosses the wire — the protocol engine with its
-//! transport stripped away.
+//! sans-IO `Session` interface of three `FederationClient`s and the
+//! `FederationServer`, all serving round 0, printing every message that
+//! crosses the wire — the protocol engine with its transport stripped
+//! away.
 //!
 //! Run with: `cargo run --example three_user_walkthrough`
 
@@ -17,9 +17,9 @@ use lightsecagg::baselines::{run_secagg_round, SecAggConfig};
 use lightsecagg::field::{Field, Fp61};
 use lightsecagg::protocol::session::{Recipient, Session};
 use lightsecagg::protocol::wire::Envelope;
-use lightsecagg::protocol::{Client, DropoutSchedule, FederationServer, LsaConfig};
+use lightsecagg::protocol::{DropoutSchedule, FederationClient, FederationServer, LsaConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn describe(env: &Envelope<Fp61>) -> String {
     format!("{} ({} bytes)", env.kind().name(), env.wire_len())
@@ -60,11 +60,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== LightSecAgg (Figure 3), pumped by hand ===");
     let cfg = LsaConfig::new(3, 1, 2, d)?;
 
-    // Offline: constructing a client samples the mask z_i and encodes
-    // the coded shares [~z_i]_j, emitted as the client is polled.
-    let mut clients: Vec<Client<Fp61>> = (0..3)
-        .map(|id| Client::new(id, cfg, &mut rng))
-        .collect::<Result<_, _>>()?;
+    // Offline: joining round 0 samples the mask z_i and encodes the
+    // coded shares [~z_i]_j, emitted as the client is polled. Each
+    // client draws from its own entropy stream.
+    let mut clients = Vec::new();
+    for id in 0..3 {
+        let mut client = FederationClient::<Fp61>::new(id, cfg, StdRng::seed_from_u64(rng.gen()))?;
+        client.prepare(0)?;
+        clients.push(client);
+    }
     let mut server = FederationServer::<Fp61>::new(cfg)?;
     server.open_round(0)?;
 
@@ -88,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the local action; nothing else changes.
     println!("-- upload phase (user 0 dropped) --");
     for c in clients.iter_mut().skip(1) {
-        c.upload_model(&models[c.id()])?;
+        c.upload(0, &models[c.id()])?;
         while let Some((_, env)) = c.poll_output() {
             println!("  user {} -> Server: {}", c.id(), describe(&env));
             server.handle(env)?;

@@ -11,24 +11,38 @@ use lightsecagg::field::{Field, Fp61};
 use lightsecagg::protocol::session::Session;
 use lightsecagg::protocol::wire::{Envelope, EnvelopeKind, SurvivorAnnouncement};
 use lightsecagg::protocol::{
-    AggregatedShare, Client, CodedMaskShare, FederationServer, LsaConfig, MaskedModel,
-    ProtocolError,
+    AggregatedShare, CodedMaskShare, FederationClient, FederationServer, LsaConfig, MaskedModel,
+    ProtocolError, Recipient,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn cfg() -> LsaConfig {
     LsaConfig::new(5, 1, 3, 8).unwrap()
 }
 
-fn built_clients(seed: u64) -> Vec<Client<Fp61>> {
+/// Five clients, their entropy drawn from `seed`, after round 0's full
+/// offline exchange.
+fn built_clients(seed: u64) -> Vec<FederationClient<Fp61>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut clients: Vec<Client<Fp61>> = (0..5)
-        .map(|id| Client::new(id, cfg(), &mut rng).unwrap())
+    let mut clients: Vec<FederationClient<Fp61>> = (0..5)
+        .map(|id| {
+            let mut c = FederationClient::new(id, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
+            c.prepare(0).unwrap();
+            c
+        })
         .collect();
-    let shares: Vec<_> = clients.iter().flat_map(Client::outgoing_shares).collect();
-    for s in shares {
-        clients[s.to].receive_share(s).unwrap();
+    let mut pending = Vec::new();
+    for c in clients.iter_mut() {
+        while let Some(out) = c.poll_output() {
+            pending.push(out);
+        }
+    }
+    for (to, env) in pending {
+        let Recipient::Client(j) = to else {
+            panic!("offline shares go to clients")
+        };
+        clients[j].handle(env).unwrap();
     }
     clients
 }
@@ -40,15 +54,29 @@ fn server_at(round: u64) -> FederationServer<Fp61> {
     server
 }
 
+/// Client `c`'s masked `model` for round 0, as the envelope it sends.
+fn masked(c: &mut FederationClient<Fp61>, model: &[Fp61]) -> Envelope<Fp61> {
+    c.upload(0, model).unwrap();
+    let (to, env) = c.poll_output().expect("the upload is queued");
+    assert_eq!(to, Recipient::Server);
+    env
+}
+
 /// Deliver client `c`'s masked `model` to the server.
-fn upload(server: &mut FederationServer<Fp61>, c: &Client<Fp61>, model: &[Fp61]) {
-    let env = Envelope::MaskedModel(c.mask_model(model).unwrap());
-    server.handle(env).unwrap();
+fn upload(server: &mut FederationServer<Fp61>, c: &mut FederationClient<Fp61>, model: &[Fp61]) {
+    server.handle(masked(c, model)).unwrap();
 }
 
 /// Client `c`'s aggregated share for `survivors`, as an envelope.
-fn share_of(c: &Client<Fp61>, survivors: &[usize]) -> Envelope<Fp61> {
-    Envelope::AggregatedShare(c.aggregated_share_for(survivors).unwrap())
+fn share_of(c: &mut FederationClient<Fp61>, survivors: &[usize]) -> Envelope<Fp61> {
+    let ann = SurvivorAnnouncement {
+        group: 0,
+        round: 0,
+        survivors: survivors.to_vec(),
+    };
+    let mut reply = c.handle(Envelope::SurvivorAnnouncement(ann)).unwrap();
+    assert_eq!(reply.len(), 1, "one aggregated share");
+    reply.remove(0).1
 }
 
 #[test]
@@ -72,10 +100,10 @@ fn corrupted_share_changes_aggregate_but_protocol_detects_shape_errors() {
     // *detected* information-theoretically (any vector is plausible) —
     // but every SHAPE violation must be caught. This test documents the
     // boundary: wrong length → error; extra shares → ignored.
-    let clients = built_clients(1);
+    let mut clients = built_clients(1);
     let mut server = server_at(0);
     let models: Vec<Vec<Fp61>> = (0..5).map(|_| vec![Fp61::ONE; 8]).collect();
-    for (id, c) in clients.iter().enumerate() {
+    for (id, c) in clients.iter_mut().enumerate() {
         upload(&mut server, c, &models[id]);
     }
     let survivors = server.close_upload().unwrap();
@@ -93,7 +121,7 @@ fn corrupted_share_changes_aggregate_but_protocol_detects_shape_errors() {
     ));
 
     // correct shares still recover the exact aggregate afterwards
-    for c in &clients {
+    for c in &mut clients {
         server.handle(share_of(c, &survivors)).unwrap();
         if server.shares_received() == cfg().u() {
             break;
@@ -105,15 +133,15 @@ fn corrupted_share_changes_aggregate_but_protocol_detects_shape_errors() {
 
 #[test]
 fn extra_shares_beyond_u_are_harmless() {
-    let clients = built_clients(2);
+    let mut clients = built_clients(2);
     let mut server = server_at(0);
     let models: Vec<Vec<Fp61>> = (0..5).map(|i| vec![Fp61::from_u64(i as u64); 8]).collect();
-    for (id, c) in clients.iter().enumerate() {
+    for (id, c) in clients.iter_mut().enumerate() {
         upload(&mut server, c, &models[id]);
     }
     let survivors = server.close_upload().unwrap();
     // all five survivors send although U = 3 suffice
-    for c in &clients {
+    for c in &mut clients {
         let _ = server.handle(share_of(c, &survivors));
     }
     let (_, agg) = server.close_round().unwrap();
@@ -123,9 +151,9 @@ fn extra_shares_beyond_u_are_harmless() {
 
 #[test]
 fn double_close_of_upload_phase_rejected() {
-    let clients = built_clients(3);
+    let mut clients = built_clients(3);
     let mut server = server_at(0);
-    for c in clients.iter().take(4) {
+    for c in clients.iter_mut().take(4) {
         upload(&mut server, c, &[Fp61::ZERO; 8]);
     }
     server.close_upload().unwrap();
@@ -134,26 +162,27 @@ fn double_close_of_upload_phase_rejected() {
         Err(ProtocolError::WrongPhase)
     ));
     // late masked model after close also rejected
-    let late = clients[4].mask_model(&[Fp61::ZERO; 8]).unwrap();
+    let late = masked(&mut clients[4], &[Fp61::ZERO; 8]);
     assert!(matches!(
-        server.handle(Envelope::MaskedModel(late)),
+        server.handle(late),
         Err(ProtocolError::WrongPhase)
     ));
 }
 
 #[test]
 fn weighted_models_recover_weighted_sum() {
-    // Remark 3 end-to-end through the public API.
-    let clients = built_clients(4);
+    // Remark 3 end-to-end through the public API: each user scales its
+    // model by its weight before masking; the masks are shared unscaled.
+    let mut clients = built_clients(4);
     let mut server = server_at(0);
     let weights = [5u64, 1, 3, 2, 4];
-    let model = vec![Fp61::ONE; 8];
-    for (c, &w) in clients.iter().zip(&weights) {
-        let env = Envelope::MaskedModel(c.mask_weighted_model(&model, w).unwrap());
-        server.handle(env).unwrap();
+    let model = [Fp61::ONE; 8];
+    for (c, &w) in clients.iter_mut().zip(&weights) {
+        let weighted: Vec<Fp61> = model.iter().map(|&x| x * Fp61::from_u64(w)).collect();
+        upload(&mut server, c, &weighted);
     }
     let survivors = server.close_upload().unwrap();
-    for c in &clients {
+    for c in &mut clients {
         server.handle(share_of(c, &survivors)).unwrap();
         if server.shares_received() == cfg().u() {
             break;
@@ -169,24 +198,8 @@ fn weighted_models_recover_weighted_sum() {
 // `handle()` yields a typed error.
 // ---------------------------------------------------------------------
 
-fn built_sessions(seed: u64) -> (Vec<Client<Fp61>>, FederationServer<Fp61>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut clients: Vec<Client<Fp61>> = (0..5)
-        .map(|id| Client::new(id, cfg(), &mut rng).unwrap())
-        .collect();
-    let mut pending = Vec::new();
-    for c in clients.iter_mut() {
-        while let Some(out) = c.poll_output() {
-            pending.push(out);
-        }
-    }
-    for (to, env) in pending {
-        let lightsecagg::protocol::Recipient::Client(j) = to else {
-            panic!("offline shares go to clients")
-        };
-        clients[j].handle(env).unwrap();
-    }
-    (clients, server_at(0))
+fn built_sessions(seed: u64) -> (Vec<FederationClient<Fp61>>, FederationServer<Fp61>) {
+    (built_clients(seed), server_at(0))
 }
 
 #[test]
@@ -225,8 +238,7 @@ fn duplicate_envelope_yields_typed_error() {
         Err(ProtocolError::DuplicateMessage(0))
     ));
     // duplicate masked model at the server
-    clients[0].upload_model(&[Fp61::ZERO; 8]).unwrap();
-    let (_, upload) = clients[0].poll_output().unwrap();
+    let upload = masked(&mut clients[0], &[Fp61::ZERO; 8]);
     server.handle(upload.clone()).unwrap();
     assert!(matches!(
         server.handle(upload),
@@ -327,10 +339,7 @@ fn failed_handle_leaves_session_usable() {
     assert!(server.handle(garbage).is_err());
 
     for (i, c) in clients.iter_mut().enumerate() {
-        c.upload_model(&[Fp61::from_u64(i as u64); 8]).unwrap();
-        while let Some((_, env)) = c.poll_output() {
-            server.handle(env).unwrap();
-        }
+        upload(&mut server, c, &[Fp61::from_u64(i as u64); 8]);
     }
     server.close_upload().unwrap();
     let mut anns = Vec::new();
@@ -338,9 +347,7 @@ fn failed_handle_leaves_session_usable() {
         anns.push(out);
     }
     for (to, env) in anns {
-        let lightsecagg::protocol::Recipient::Client(j) = to else {
-            panic!()
-        };
+        let Recipient::Client(j) = to else { panic!() };
         for (_, reply) in clients[j].handle(env).unwrap() {
             server.handle(reply).unwrap();
         }
@@ -425,11 +432,10 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
     // Capture a round-0 masked-model envelope off the wire, then replay
     // it into the round-1 server: it must surface as StaleRound — a
     // *typed* cross-round rejection, distinct from DuplicateMessage.
-    let mut rng = StdRng::seed_from_u64(30);
-    let mut client_r0 = Client::<Fp61>::for_round(0, 0, cfg(), &mut rng).unwrap();
+    let mut client_r0 = FederationClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(30)).unwrap();
+    client_r0.prepare(0).unwrap();
     while client_r0.poll_output().is_some() {} // discard offline shares
-    client_r0.upload_model(&[Fp61::ONE; 8]).unwrap();
-    let (_, replayed) = client_r0.poll_output().unwrap();
+    let replayed = masked(&mut client_r0, &[Fp61::ONE; 8]);
 
     let mut server_r0 = server_at(0);
     server_r0.handle(replayed.clone()).unwrap();
@@ -449,21 +455,24 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
 #[test]
 fn replayed_coded_share_and_announcement_also_stale() {
     let mut rng = StdRng::seed_from_u64(31);
-    // a round-0 coded share delivered to a round-1 client session
-    let sender_r0 = Client::<Fp61>::for_round(0, 0, cfg(), &mut rng);
-    let mut sender_r0 = sender_r0.unwrap();
+    // a round-0 coded share delivered to a client on round 1
+    let mut sender_r0 =
+        FederationClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
+    sender_r0.prepare(0).unwrap();
     let share = loop {
         let (to, env) = sender_r0.poll_output().unwrap();
-        if to == lightsecagg::protocol::Recipient::Client(1) {
+        if to == Recipient::Client(1) {
             break env;
         }
     };
-    let mut receiver_r1 = Client::<Fp61>::for_round(1, 1, cfg(), &mut rng).unwrap();
+    let mut receiver_r1 =
+        FederationClient::<Fp61>::new(1, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
+    receiver_r1.prepare(1).unwrap();
     assert!(matches!(
         receiver_r1.handle(share),
         Err(ProtocolError::StaleRound { got: 0, current: 1 })
     ));
-    // a round-0 survivor announcement into a round-1 client session
+    // a round-0 survivor announcement into a client on round 1
     let stale_ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
         group: 0,
         round: 0,
@@ -546,17 +555,19 @@ fn flooding_client_is_quarantined_and_the_round_completes() {
     // The round completes without the flooder: its own (valid!) upload
     // is quarantined too, so it drops before upload; the other four
     // survivors recover their exact sum.
-    let clients = built_clients(40);
+    let mut clients = built_clients(40);
     let models: Vec<Vec<Fp61>> = (0..5).map(|i| vec![Fp61::from_u64(i as u64); 8]).collect();
-    for (id, c) in clients.iter().enumerate() {
-        let upload = Envelope::MaskedModel(c.mask_model(&models[id]).unwrap());
+    for (id, c) in clients.iter_mut().enumerate() {
+        let upload = masked(c, &models[id]);
         assert!(server.handle(upload).unwrap().is_empty());
     }
     assert_eq!(server.quarantined(), 21, "the flooder's upload was binned");
     let survivors = server.close_upload().unwrap();
     assert_eq!(survivors, vec![0, 1, 2, 4]);
     for id in [0usize, 1, 2, 4] {
-        server.handle(share_of(&clients[id], &survivors)).unwrap();
+        server
+            .handle(share_of(&mut clients[id], &survivors))
+            .unwrap();
     }
     let (_, aggregate) = server.close_round().unwrap();
     let want: Fp61 = [0u64, 1, 2, 4].iter().map(|&i| Fp61::from_u64(i)).sum();
