@@ -1,11 +1,13 @@
-//! The LightSecAgg client (user) of synchronous FL: one persistent
-//! [`FederationClient`] per user across the whole run (Algorithm 1 and
-//! §4.1 of the paper).
+//! The LightSecAgg client (user): one persistent [`FederationClient`]
+//! per user across the whole run, for synchronous FL (Algorithm 1 and
+//! §4.1 of the paper) and for buffered-asynchronous FL (§4.2 and
+//! Appendix F), whose user runs the same offline phase.
 
+use crate::asynchronous::BufferEntry;
 use crate::config::LsaConfig;
 use crate::ratchet::{self, ClientRatchet};
 use crate::session::{Outgoing, Recipient, Session};
-use crate::wire::{AggregatedShare, CodedMaskShare, Envelope, MaskedModel};
+use crate::wire::{AggregatedShare, CodedMaskShare, Envelope, EnvelopeKind, MaskedModel};
 use crate::{check_len, ProtocolError};
 use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_crypto::Seed;
@@ -33,6 +35,15 @@ use std::sync::{Arc, OnceLock};
 /// 4. handling the server's [`crate::SurvivorAnnouncement`] — if
 ///    surviving, answer `Σ_{i∈U₁} [~z_i]_j` for the server's one-shot
 ///    recovery.
+///
+/// The §4.2 user ([`Self::timestamped`]) runs the same rounds. Its
+/// shares and uploads go out under the
+/// [`crate::asynchronous::TimestampedShare`] /
+/// [`crate::asynchronous::TimestampedUpdate`] tags, and it answers a
+/// [`crate::wire::BufferAnnouncement`] instead: `Σ weight · [~z_who^{(round)}]_j`
+/// over the live rounds the buffer entries name (Appendix F.3.3). Each
+/// kind of client rejects the other's share and announcement tags with
+/// [`ProtocolError::UnexpectedEnvelope`].
 ///
 /// Holding two adjacent rounds at once is the normal state: round `t`
 /// is online while round `t+1`'s masks are being shared. An envelope for
@@ -70,6 +81,9 @@ pub struct FederationClient<F> {
     /// envelope is stamped with it and cross-group envelopes are
     /// rejected with [`ProtocolError::WrongGroup`] before any routing.
     group: usize,
+    /// Whether this is the §4.2 user: its shares and uploads carry the
+    /// timestamped tags and it answers buffer announcements.
+    timestamped: bool,
     entropy: StdRng,
     /// The live rounds (usually one, or two while the next round's masks
     /// are being shared).
@@ -88,10 +102,8 @@ pub struct FederationClient<F> {
 
 /// One live round of a [`FederationClient`], and the retained ratchet
 /// base ([`crate::ratchet`]) once a fully-exchanged round finishes.
-/// `pub` only so that [`crate::federation::LeafVariant::Base`] can name
-/// it; the module is private, so nothing outside the crate can.
 #[derive(Debug, Clone)]
-pub struct ClientRound<F> {
+pub(crate) struct ClientRound<F> {
     round: u64,
     /// The local random mask `z_i`, padded length.
     mask: Vec<F>,
@@ -185,12 +197,27 @@ impl<F: Field> FederationClient<F> {
             id,
             cfg,
             group,
+            timestamped: false,
             entropy,
             rounds: BTreeMap::new(),
             pending: BTreeMap::new(),
             replies: VecDeque::new(),
             horizon: 0,
             ratchet: ClientRatchet::new(id, group, cfg.ratchet().topology()),
+        })
+    }
+
+    /// Create the persistent §4.2 (buffered-asynchronous) client for
+    /// user `id`: flat (group 0), its shares and uploads stamped with
+    /// the timestamped tags, answering [`crate::wire::BufferAnnouncement`]s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
+    pub fn timestamped(id: usize, cfg: LsaConfig, entropy: StdRng) -> Result<Self, ProtocolError> {
+        Ok(Self {
+            timestamped: true,
+            ..Self::new(id, cfg, entropy)?
         })
     }
 
@@ -304,7 +331,9 @@ impl<F: Field> FederationClient<F> {
 
     /// Mask the quantized `model` under `round`'s mask and queue the
     /// upload `~x_i = x_i + z_i` (Algorithm 1 line 14); the model is
-    /// zero-padded to the padded length.
+    /// zero-padded to the padded length. A round's mask protects one
+    /// upload: masking two different models with it would hand the
+    /// server their difference.
     ///
     /// # Errors
     ///
@@ -356,6 +385,42 @@ impl<F: Field> FederationClient<F> {
     pub(crate) fn ratchet(&mut self) -> &mut ClientRatchet<ClientRound<F>> {
         &mut self.ratchet
     }
+
+    /// Answer the buffer announced at flush round `flush` (Appendix
+    /// F.3.3): `Σ weight · [~z_who^{(round)}]_id` over the entries, each
+    /// share looked up in the live round the entry names, stamped with
+    /// `flush` so the server can reject answers to an earlier flush. An
+    /// entry named twice is a [`ProtocolError::DuplicateMessage`],
+    /// checked before any share is looked up.
+    fn answer_buffer(
+        &self,
+        flush: u64,
+        entries: &[BufferEntry],
+    ) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        if let Some((twice, _)) = repeated(entries, |e| (e.who, e.round)) {
+            return Err(ProtocolError::DuplicateMessage(twice));
+        }
+        let mut weights = Vec::with_capacity(entries.len());
+        let mut shares: Vec<&[F]> = Vec::with_capacity(entries.len());
+        for e in entries {
+            let share = self
+                .rounds
+                .get(&e.round)
+                .and_then(|state| state.shares.received.get(&e.who))
+                .ok_or(ProtocolError::MissingShares { from: e.who })?;
+            weights.push(F::from_u64(e.weight));
+            shares.push(share);
+        }
+        let mut payload = vec![F::ZERO; self.cfg.segment_len()];
+        lsa_field::ops::weighted_sum_into(&mut payload, &weights, &shares);
+        let share = AggregatedShare {
+            from: self.id,
+            group: self.group,
+            round: flush,
+            payload,
+        };
+        Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
+    }
 }
 
 impl<F: Field> Session<F> for FederationClient<F> {
@@ -371,6 +436,27 @@ impl<F: Field> Session<F> for FederationClient<F> {
                 got: envelope.group(),
                 expected: self.group,
             });
+        }
+        // the wire tag is the protocol: only this variant's share and
+        // announcement, and ratchet commits, are ever routed or buffered
+        let kind = envelope.kind();
+        let ours = if self.timestamped {
+            [
+                EnvelopeKind::TimestampedShare,
+                EnvelopeKind::BufferAnnouncement,
+            ]
+        } else {
+            [
+                EnvelopeKind::CodedMaskShare,
+                EnvelopeKind::SurvivorAnnouncement,
+            ]
+        };
+        if !ours.contains(&kind) && !ratchet::is_handshake(&envelope) {
+            return Err(ProtocolError::UnexpectedEnvelope { kind });
+        }
+        // a buffer's entries name their own rounds (Appendix F.3.3)
+        if let Envelope::BufferAnnouncement(ann) = envelope {
+            return self.answer_buffer(ann.round, &ann.entries);
         }
         let round = envelope.round();
         // ratchet commits are round-*creating*, not round-routed: the
@@ -410,7 +496,7 @@ impl<F: Field> Session<F> for FederationClient<F> {
         };
         match envelope {
             // Algorithm 1 line 9: file `[~z_from]_id`
-            Envelope::CodedMaskShare(share) => {
+            Envelope::CodedMaskShare(share) | Envelope::TimestampedShare(share) => {
                 check_share(&share, self.id, &self.cfg)?;
                 if state.shares.received.contains_key(&share.from) {
                     return Err(ProtocolError::DuplicateMessage(share.from));
@@ -469,6 +555,11 @@ impl<F: Field> Session<F> for FederationClient<F> {
             return Some(reply);
         }
         let (id, group, n) = (self.id, self.group, self.cfg.n());
+        let (share_tag, upload_tag): (fn(_) -> _, fn(_) -> _) = if self.timestamped {
+            (Envelope::TimestampedShare, Envelope::TimestampedUpdate)
+        } else {
+            (Envelope::CodedMaskShare, Envelope::MaskedModel)
+        };
         self.rounds.values_mut().find_map(|state| {
             // the coded shares, built as they are asked for (Algorithm 1
             // line 8), then the masked upload
@@ -483,7 +574,7 @@ impl<F: Field> Session<F> for FederationClient<F> {
                         round: state.round,
                         payload: state.shares.coded_for[to].clone(),
                     };
-                    return Some((Recipient::Client(to), Envelope::CodedMaskShare(share)));
+                    return Some((Recipient::Client(to), share_tag(share)));
                 }
             }
             let payload = state.upload.as_mut()?.take()?;
@@ -493,7 +584,7 @@ impl<F: Field> Session<F> for FederationClient<F> {
                 round: state.round,
                 payload,
             };
-            Some((Recipient::Server, Envelope::MaskedModel(masked)))
+            Some((Recipient::Server, upload_tag(masked)))
         })
     }
 }
@@ -566,10 +657,11 @@ impl<F: Field> ClientRound<F> {
         self.edge_seeds.clear();
     }
 }
+
 /// A key that more than one of `items` has, if any: the smallest such.
 /// The lists servers announce are ascending, which one comparison per
 /// item confirms; any other order is checked on sorted keys.
-pub(crate) fn repeated<T, K: Ord + Copy>(items: &[T], key: impl Fn(&T) -> K) -> Option<K> {
+fn repeated<T, K: Ord + Copy>(items: &[T], key: impl Fn(&T) -> K) -> Option<K> {
     if items.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
         return None;
     }
@@ -578,10 +670,10 @@ pub(crate) fn repeated<T, K: Ord + Copy>(items: &[T], key: impl Fn(&T) -> K) -> 
     keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
-/// What a coded share must be for client `id` of either variant to file
-/// it: addressed to `id`, from a user of `cfg`, one segment long (group
-/// and round are the endpoint's to check first).
-pub(crate) fn check_share<F>(
+/// What a coded share must be for client `id` to file it: addressed
+/// to `id`, from a user of `cfg`, one segment long (group and round are
+/// checked first).
+fn check_share<F>(
     share: &CodedMaskShare<F>,
     id: usize,
     cfg: &LsaConfig,
@@ -598,12 +690,12 @@ pub(crate) fn check_share<F>(
     check_len(cfg.segment_len(), share.payload.len())
 }
 
-/// The offline phase's mask of a client of either variant (Algorithm 1
-/// lines 4–7): `z_i` uniform over the padded length, partitioned into
-/// `U − T` data segments, padded with `T` noise segments and encoded
-/// with the `T`-private MDS code into one coded segment per user.
+/// The offline phase's mask (Algorithm 1 lines 4–7): `z_i` uniform
+/// over the padded length, partitioned into `U − T` data segments,
+/// padded with `T` noise segments and encoded with the `T`-private MDS
+/// code into one coded segment per user.
 /// Returns `(z_i, coded segments)`.
-pub(crate) fn sample_mask<F: Field, R: Rng + ?Sized>(
+fn sample_mask<F: Field, R: Rng + ?Sized>(
     code: &VandermondeCode<F>,
     cfg: &LsaConfig,
     rng: &mut R,
@@ -618,8 +710,8 @@ pub(crate) fn sample_mask<F: Field, R: Rng + ?Sized>(
 }
 
 /// `x + z` in one pass, `x` zero-padded to `z`'s length (the masking
-/// step of both protocol variants).
-pub(crate) fn add_padded<F: Field>(x: &[F], z: &[F]) -> Vec<F> {
+/// step).
+fn add_padded<F: Field>(x: &[F], z: &[F]) -> Vec<F> {
     let (head, tail) = z.split_at(x.len());
     let mut out = Vec::with_capacity(z.len());
     out.extend(x.iter().zip(head).map(|(&x, &z)| x + z));

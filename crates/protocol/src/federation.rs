@@ -13,17 +13,18 @@
 //!   finish_round`. Callers pick a variant **by value**
 //!   (`Box<dyn SecureAggregator<F>>`), not by code path.
 //! * [`LeafFederation`] — the one implementation of that lifecycle for
-//!   a leaf cohort (overlap, ratchet, rollback, telemetry), generic
-//!   over a [`LeafVariant`] that supplies the endpoints and the few
-//!   steps where the protocols differ: [`SyncFederation`] (§4.1) and
-//!   [`BufferedFederation`] (§4.2) are its two instantiations.
-//! * [`FederationClient`] / [`FederationServer`] — the persistent §4.1
-//!   endpoints, Algorithm 1's user and server themselves. The client
-//!   holds the state of each live round and routes interleaved
-//!   multi-round traffic by the round id every wire envelope carries;
-//!   the server serves one round at a time. A replayed envelope from a
-//!   finished round is rejected with [`ProtocolError::StaleRound`] —
-//!   never confused with a same-round
+//!   a leaf cohort (overlap, ratchet, rollback, telemetry) over
+//!   [`FederationClient`]s, generic over a [`LeafVariant`] that
+//!   supplies the server and the few server steps where the protocols
+//!   differ: [`SyncFederation`] (§4.1) and [`BufferedFederation`]
+//!   (§4.2) are its two instantiations.
+//! * [`FederationClient`] / [`FederationServer`] — the persistent
+//!   user of both protocols and the §4.1 server, Algorithm 1's user and
+//!   server themselves. The client holds the state of each live round
+//!   and routes interleaved multi-round traffic by the round id every
+//!   wire envelope carries; the server serves one round at a time. A
+//!   replayed envelope from a finished round is rejected with
+//!   [`ProtocolError::StaleRound`] — never confused with a same-round
 //!   [`ProtocolError::DuplicateMessage`].
 //! * [`Federation`] / [`RoundPlan`] — the driver loop: per-round cohort
 //!   selection with cross-round churn (clients join, leave and rejoin
@@ -63,11 +64,10 @@
 //! assert_eq!(r2.aggregate, vec![Fp61::from_u64(4); 3]);
 //! ```
 
-use crate::asynchronous::{AsyncClient, AsyncServer};
-use crate::client::ClientRound;
+use crate::asynchronous::AsyncServer;
 pub use crate::client::FederationClient;
 use crate::config::LsaConfig;
-use crate::ratchet::{self, ClientRatchet, CohortFingerprint, ServerRatchet};
+use crate::ratchet::{self, CohortFingerprint, ServerRatchet};
 use crate::session::{Outgoing, Recipient, Session};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
@@ -799,59 +799,28 @@ where
 // The leaf round driver
 // ---------------------------------------------------------------------
 
-/// What a leaf protocol variant plugs into [`LeafFederation`]: its two
-/// persistent endpoint types and the steps of a round where §4.1 and
-/// §4.2 genuinely differ. Everything else — the round lifecycle, the
-/// overlap bookkeeping, the stable-cohort ratchet with its windows,
-/// rollback and reseat, traffic marks and report cuts — is the
-/// driver's, written once.
+/// What a leaf protocol variant plugs into [`LeafFederation`]: its
+/// persistent server type and the server-side steps of a round where
+/// §4.1 and §4.2 genuinely differ. The users are [`FederationClient`]s
+/// of either protocol, driven directly. Everything else — the round
+/// lifecycle, the overlap bookkeeping, the stable-cohort ratchet with
+/// its windows, rollback and reseat, traffic marks and report cuts — is
+/// the driver's, written once.
 ///
 /// Implemented by [`SyncVariant`] and [`BufferedVariant`]; the hooks
 /// reach into endpoint internals, so further variants live in this
 /// crate.
 pub trait LeafVariant<F: Field> {
-    /// The persistent client endpoint.
-    type Client: Session<F>;
     /// The persistent server endpoint.
     type Server: Session<F>;
-    /// What a client retains as its ratchet base.
-    type Base;
-
-    /// The client half of `client`'s ratchet handshake.
-    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<Self::Base>;
 
     /// The server half of the ratchet handshake.
     fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F>;
 
-    /// Join `round` with a full offline exchange: sample the round's
-    /// mask and queue its coded shares.
-    fn join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError>;
-
-    /// Join `round` from the window its nonce was pre-committed in
-    /// ([`ProtocolError::RatchetMismatch`] without a base or a banked
-    /// nonce for it). Zero wire traffic.
-    fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError>;
-
-    /// Mask `update` under `round`'s mask and queue the upload.
-    fn upload(client: &mut Self::Client, round: u64, update: &[F]) -> Result<(), ProtocolError>;
-
-    /// Drop every round below `round`: they are finished or abandoned.
-    fn retire(client: &mut Self::Client, round: u64);
-
-    /// Drop exactly `round`, unsent shares included — rollback of a
-    /// failed offline phase before the round is joined again.
-    fn discard(client: &mut Self::Client, round: u64);
-
-    /// Retain the finished `round` as the ratchet base of the cohort
-    /// fingerprinted by `fingerprint`. Only called for a round that ran
-    /// the full exchange (a ratcheted round's mask is `m + u`, not
-    /// valid base material), once nothing more is routed to it.
-    fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64);
-
     /// Carry every retained base across a seat permutation derived from
     /// `seed`. `false` when the variant cannot: the driver then clears
     /// the ratchet instead.
-    fn reseat(clients: &mut [Self::Client], seed: u64) -> bool {
+    fn reseat(clients: &mut [FederationClient<F>], seed: u64) -> bool {
         let _ = (clients, seed);
         false
     }
@@ -895,7 +864,7 @@ pub struct LeafFederation<F: Field, T, V: LeafVariant<F>> {
     /// (0 for a standalone flat federation).
     group: usize,
     transport: T,
-    clients: Vec<V::Client>,
+    clients: Vec<FederationClient<F>>,
     server: V::Server,
     next_round: u64,
     open: Option<OpenRound>,
@@ -941,7 +910,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         group: usize,
         cfg: LsaConfig,
         transport: T,
-        clients: Vec<V::Client>,
+        clients: Vec<FederationClient<F>>,
         server: V::Server,
         entropy: u64,
     ) -> Self {
@@ -1069,7 +1038,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         // everyone joins before anyone sends: a share must find its
         // recipient's round open
         for &id in cohort {
-            V::join(&mut self.clients[id], round)?;
+            self.clients[id].prepare(round)?;
         }
         for &id in cohort {
             drain_to(&mut self.clients[id], &mut self.transport, cohort)?;
@@ -1108,7 +1077,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
             if self.ratchet_fp.take().is_some() {
                 self.window.clear();
                 for client in &mut self.clients {
-                    V::client_ratchet(client).clear();
+                    client.ratchet().clear();
                 }
             }
             return None;
@@ -1119,7 +1088,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
             // acked up front, every member derives driver-locally
             cohort
                 .iter()
-                .try_for_each(|&id| V::ratchet_join(&mut self.clients[id], round))
+                .try_for_each(|&id| self.clients[id].ratchet_join(round))
         } else {
             self.exchange_ratchet(round, cohort, fp, label)
         };
@@ -1164,7 +1133,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         self.window.clear();
         V::server_ratchet(&mut self.server).clear();
         for client in &mut self.clients {
-            V::client_ratchet(client).clear();
+            client.ratchet().clear();
         }
     }
 
@@ -1174,7 +1143,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
     fn rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
         self.forget_ratchet();
         for &id in cohort {
-            V::discard(&mut self.clients[id], round);
+            self.clients[id].discard(round);
         }
         self.discard_in_flight("offline-abort");
     }
@@ -1230,7 +1199,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         if open.submitted.contains(&id) {
             return Err(ProtocolError::DuplicateMessage(id));
         }
-        V::upload(&mut self.clients[id], open.round, update)?;
+        self.clients[id].upload(open.round, update)?;
         open.submitted.insert(id);
         let online = open.online();
         drain_to(&mut self.clients[id], &mut self.transport, &online)?;
@@ -1282,7 +1251,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
             let fp = self.fingerprint(&open.cohort);
             if open.ratcheted.is_none() {
                 for &id in &open.cohort {
-                    V::harvest(&mut self.clients[id], open.round, fp);
+                    self.clients[id].harvest(open.round, fp);
                 }
             }
             self.ratchet_fp = Some(fp);
@@ -1290,7 +1259,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         // Retire the finished round everywhere; prepared next-round
         // state survives (it is >= round + 1).
         for client in &mut self.clients {
-            V::retire(client, open.round + 1);
+            client.retire_below(open.round + 1);
         }
         self.last_report = Some(self.cut_report(&open));
         self.open = None;
@@ -1307,7 +1276,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
             // envelopes for it surface as stale, while any prepared
             // round >= round + 1 survives
             for client in &mut self.clients {
-                V::retire(client, open.round + 1);
+                client.retire_below(open.round + 1);
             }
             self.discard_in_flight("abort");
         }
@@ -1320,7 +1289,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         for round in std::mem::take(&mut self.prepared_ratcheted).into_keys() {
             self.prepared.remove(&round);
             for client in &mut self.clients {
-                V::discard(client, round);
+                client.discard(round);
             }
         }
     }
@@ -1365,44 +1334,13 @@ pub struct SyncVariant;
 pub type SyncFederation<F, T> = LeafFederation<F, T, SyncVariant>;
 
 impl<F: Field> LeafVariant<F> for SyncVariant {
-    type Client = FederationClient<F>;
     type Server = FederationServer<F>;
-    /// The finished round itself, moved out of the client.
-    type Base = ClientRound<F>;
-
-    fn client_ratchet(client: &mut Self::Client) -> &mut ClientRatchet<ClientRound<F>> {
-        client.ratchet()
-    }
 
     fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F> {
         &mut server.ratchet
     }
 
-    fn join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
-        client.prepare(round)
-    }
-
-    fn ratchet_join(client: &mut Self::Client, round: u64) -> Result<(), ProtocolError> {
-        client.ratchet_join(round)
-    }
-
-    fn upload(client: &mut Self::Client, round: u64, update: &[F]) -> Result<(), ProtocolError> {
-        client.upload(round, update)
-    }
-
-    fn retire(client: &mut Self::Client, round: u64) {
-        client.retire_below(round);
-    }
-
-    fn discard(client: &mut Self::Client, round: u64) {
-        client.discard(round);
-    }
-
-    fn harvest(client: &mut Self::Client, round: u64, fingerprint: u64) {
-        client.harvest(round, fingerprint);
-    }
-
-    fn reseat(clients: &mut [Self::Client], seed: u64) -> bool {
+    fn reseat(clients: &mut [FederationClient<F>], seed: u64) -> bool {
         // every cohort member applies the same `seed`, so the permuted
         // edges still cancel ([`crate::ratchet::reseat_epoch`])
         for client in clients {
@@ -1475,11 +1413,12 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
     }
 }
 
-/// §4.2: persistent [`AsyncClient`]s whose round-stamped masks let the
-/// persistent [`AsyncServer`] recover a staleness-weighted aggregate
+/// §4.2: persistent timestamped [`FederationClient`]s
+/// ([`FederationClient::timestamped`]) whose round-stamped masks let
+/// the persistent [`AsyncServer`] recover a staleness-weighted aggregate
 /// from whatever its buffer holds when the round closes. Runs flat
 /// (group 0) and cannot reseat a retained base. Its hooks live beside
-/// those endpoints, in [`crate::asynchronous`].
+/// that server, in [`crate::asynchronous`].
 #[derive(Debug, Clone, Copy)]
 pub struct BufferedVariant;
 
@@ -1500,7 +1439,7 @@ impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
     pub fn unit_weight(cfg: LsaConfig, transport: T, seed: u64) -> Result<Self, ProtocolError> {
         let mut master = StdRng::seed_from_u64(seed);
         let clients = (0..cfg.n())
-            .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(master.gen())))
+            .map(|id| FederationClient::timestamped(id, cfg, StdRng::seed_from_u64(master.gen())))
             .collect::<Result<_, _>>()?;
         let server = AsyncServer::new(
             cfg,
@@ -2122,77 +2061,93 @@ mod tests {
         ));
     }
 
+    /// Both users' constructors, each with the tag its coded shares
+    /// travel under.
+    type MakeClient = fn(usize, LsaConfig, StdRng) -> Result<FederationClient<Fp61>, ProtocolError>;
+    type ShareTag = fn(crate::wire::CodedMaskShare<Fp61>) -> Envelope<Fp61>;
+    const CLIENTS: [(MakeClient, ShareTag); 2] = [
+        (FederationClient::new, Envelope::CodedMaskShare),
+        (FederationClient::timestamped, Envelope::TimestampedShare),
+    ];
+
     #[test]
     fn future_round_buffer_is_bounded_with_typed_rejection() {
         // an untrusted peer flooding near-future envelopes hits the cap
         // instead of growing the buffer without bound
-        let mut b = FederationClient::<Fp61>::new(1, cfg(), StdRng::seed_from_u64(9)).unwrap();
-        b.prepare(0).unwrap();
-        let cap = b.pending_cap();
-        assert_eq!(cap, 2 * (2 * cfg().n() + 2), "cap is O(LOOKAHEAD · n)");
-        let flood = |round: u64| {
-            Envelope::CodedMaskShare(crate::wire::CodedMaskShare {
-                from: 0,
-                to: 1,
-                group: 0,
-                round,
-                payload: vec![Fp61::ZERO; cfg().segment_len()],
-            })
-        };
-        for i in 0..cap {
-            // alternate between the two lookahead rounds: the cap is
-            // shared, not per-round
-            let round = 1 + (i as u64 % 2);
-            assert_eq!(
-                b.handle(flood(round)).unwrap(),
-                Vec::new(),
-                "under cap at {i}"
-            );
+        for (make, tag) in CLIENTS {
+            let mut b = make(1, cfg(), StdRng::seed_from_u64(9)).unwrap();
+            b.prepare(0).unwrap();
+            let cap = b.pending_cap();
+            assert_eq!(cap, 2 * (2 * cfg().n() + 2), "cap is O(LOOKAHEAD · n)");
+            let flood = |round: u64| {
+                tag(crate::wire::CodedMaskShare {
+                    from: 0,
+                    to: 1,
+                    group: 0,
+                    round,
+                    payload: vec![Fp61::ZERO; cfg().segment_len()],
+                })
+            };
+            for i in 0..cap {
+                // alternate between the two lookahead rounds: the cap is
+                // shared, not per-round
+                let round = 1 + (i as u64 % 2);
+                assert_eq!(
+                    b.handle(flood(round)).unwrap(),
+                    Vec::new(),
+                    "under cap at {i}"
+                );
+            }
+            assert!(matches!(
+                b.handle(flood(1)),
+                Err(ProtocolError::PendingOverflow { client: 1, round: 1, cap: c }) if c == cap
+            ));
+            assert!(matches!(
+                b.handle(flood(2)),
+                Err(ProtocolError::PendingOverflow {
+                    client: 1,
+                    round: 2,
+                    ..
+                })
+            ));
+            // past the lookahead nothing is buffered at all
+            assert!(matches!(
+                b.handle(flood(3)),
+                Err(ProtocolError::StaleRound { got: 3, current: 0 })
+            ));
+            // joining round 1 drains its share of the buffer: new round-2
+            // traffic fits again (the replay files the first flooded share
+            // and reports the first of the duplicates after it — only the
+            // buffering policy is under test here)
+            let _ = b.prepare(1);
+            assert!(b.handle(flood(2)).is_ok(), "buffer frees as rounds open");
         }
-        assert!(matches!(
-            b.handle(flood(1)),
-            Err(ProtocolError::PendingOverflow { client: 1, round: 1, cap: c }) if c == cap
-        ));
-        assert!(matches!(
-            b.handle(flood(2)),
-            Err(ProtocolError::PendingOverflow {
-                client: 1,
-                round: 2,
-                ..
-            })
-        ));
-        // joining round 1 drains its share of the buffer: new round-2
-        // traffic fits again (the replay files the first flooded share
-        // and reports the first of the duplicates after it — only the
-        // buffering policy is under test here)
-        let _ = b.prepare(1);
-        assert!(b.handle(flood(2)).is_ok(), "buffer frees as rounds open");
     }
 
     #[test]
     fn federation_client_rejects_retired_round_envelopes() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut a =
-            FederationClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
-        let mut b =
-            FederationClient::<Fp61>::new(1, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
-        a.prepare(0).unwrap();
-        b.prepare(0).unwrap();
-        // capture one of a's round-0 shares for b
-        let share_for_b = loop {
-            let (to, env) = a.poll_output().expect("has shares");
-            if to == Recipient::Client(1) {
-                break env;
-            }
-        };
-        b.handle(share_for_b.clone()).unwrap();
-        // b moves on to round 1; the replayed round-0 share is stale
-        b.retire_below(1);
-        b.prepare(1).unwrap();
-        assert!(matches!(
-            b.handle(share_for_b),
-            Err(ProtocolError::StaleRound { got: 0, current: 1 })
-        ));
+        for (make, _) in CLIENTS {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut a = make(0, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
+            let mut b = make(1, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
+            a.prepare(0).unwrap();
+            b.prepare(0).unwrap();
+            // capture one of a's round-0 shares for b
+            let share_for_b = loop {
+                let (to, env) = a.poll_output().expect("has shares");
+                if to == Recipient::Client(1) {
+                    break env;
+                }
+            };
+            b.handle(share_for_b.clone()).unwrap();
+            // b moves on to round 1; the replayed round-0 share is stale
+            b.retire_below(1);
+            b.prepare(1).unwrap();
+            assert!(matches!(
+                b.handle(share_for_b),
+                Err(ProtocolError::StaleRound { got: 0, current: 1 })
+            ));
+        }
     }
 
     #[test]
@@ -2399,10 +2354,7 @@ mod tests {
             fed.finish_round().unwrap();
         }
         let held = |fed: &mut LeafFederation<Fp61, MemTransport, V>| {
-            fed.clients
-                .iter_mut()
-                .filter_map(|c| V::client_ratchet(c).base())
-                .count()
+            fed.clients.iter_mut().filter_map(|c| c.base()).count()
         };
         assert_eq!(held(&mut fed), 5, "{name}: bases retained while stable");
         fed.open_round(&[0, 1, 2, 3]).unwrap();

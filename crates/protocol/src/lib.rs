@@ -14,8 +14,8 @@
 //!   way to run a round (a one-shot round is a fresh federation run
 //!   once): [`federation::SecureAggregator`] (one object-safe trait),
 //!   [`federation::LeafFederation`] (the one leaf round driver; the
-//!   sync and buffered-async variants plug their endpoints and the few
-//!   differing steps in through [`federation::LeafVariant`]),
+//!   sync and buffered-async variants plug their servers and the few
+//!   differing server steps in through [`federation::LeafVariant`]),
 //!   [`federation::FederationClient`] /
 //!   [`federation::FederationServer`] (round lifecycle with cohort
 //!   churn), and [`federation::Federation`] (the plan loop with §4.1's
@@ -40,12 +40,13 @@
 //!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
 //!   network, so protocol bytes pay simulated bandwidth/latency and
 //!   phase timings come from real serialized message sizes);
-//! * [`FederationClient`] / [`FederationServer`] — the §4.1 user and
-//!   server, each one persistent [`session::Session`] that serves
-//!   every round itself;
+//! * [`FederationClient`] — the user of both variants, one persistent
+//!   [`session::Session`] that serves every round itself
+//!   ([`FederationClient::timestamped`] builds the §4.2 one), and
+//!   [`FederationServer`] — the §4.1 server;
 //! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F):
-//!   [`asynchronous::AsyncClient`] / [`asynchronous::AsyncServer`] are
-//!   its persistent endpoints and speak [`session::Session`] themselves.
+//!   [`asynchronous::AsyncServer`] is its persistent server and speaks
+//!   [`session::Session`] itself.
 //!
 //! Guarantees (Theorem 1): for any `T + D < N`, privacy against any `T`
 //! colluding users (information-theoretic, given the `T`-private MDS

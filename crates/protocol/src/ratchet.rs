@@ -42,8 +42,8 @@
 //! committed nonce and returns the ack. [`ServerRatchet`] is the server
 //! half: the one commit in flight, the members that must ack it, the
 //! acks so far. Each endpoint owns one and routes the two handshake
-//! envelope kinds into it without looking inside; what an endpoint
-//! supplies is only *how* a round is derived from its kind of base.
+//! envelope kinds into it without looking inside; what the client
+//! supplies is only *how* a round is derived from its base.
 //! *When* to commit, join or roll back is decided by the one driver,
 //! [`crate::federation::LeafFederation`].
 //!
@@ -275,15 +275,14 @@ impl Handshake {
     }
 }
 
-/// The client half of the handshake, shared by both client endpoints.
+/// The client half of the handshake, held by every
+/// [`crate::FederationClient`] of either protocol.
 ///
-/// `B` is whatever the endpoint retains as a ratchet base: for the
-/// synchronous [`crate::FederationClient`], the state of its last
-/// fully-exchanged round, moved out of the client; for the buffered
-/// one, the base *round number* (its state for that round stays
-/// resident in the [`crate::asynchronous::AsyncClient`]). Every operation that derives a
-/// round takes a `derive(base, nonce, topology)` closure — the one thing
-/// the two endpoints do differently — and hands back what it built.
+/// `B` is what the client retains as a ratchet base: the state of its
+/// last fully-exchanged round, moved out of the client (the handshake's
+/// own tests retain a stand-in). Every operation that derives a round
+/// takes a `derive(base, nonce, topology)` closure and hands back what
+/// it built.
 #[derive(Debug, Clone)]
 pub struct ClientRatchet<B> {
     id: usize,
@@ -322,6 +321,7 @@ impl<B> ClientRatchet<B> {
     }
 
     /// The retained base, if any.
+    #[cfg(test)]
     pub(crate) fn base(&self) -> Option<&B> {
         self.base.as_ref().map(|(base, _)| base)
     }

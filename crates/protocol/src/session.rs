@@ -13,15 +13,16 @@
 //!
 //! # Sessions
 //!
-//! * [`crate::federation::FederationClient`] /
-//!   [`crate::federation::FederationServer`] — the persistent
-//!   endpoints of the synchronous variant (§4.1, Algorithm 1): the
-//!   client holds each live round's state and routes its traffic by
-//!   round id, the server serves one round at a time;
-//! * [`crate::asynchronous::AsyncClient`] /
-//!   [`crate::asynchronous::AsyncServer`] — the persistent endpoints of
-//!   the buffered-asynchronous variant (§4.2, Appendix F), which serve
-//!   every round themselves.
+//! * [`crate::federation::FederationClient`] — the persistent user of
+//!   both variants: it holds each live round's state and routes its
+//!   traffic by round id; [`crate::FederationClient::timestamped`]
+//!   builds the buffered-asynchronous user (§4.2, Appendix F);
+//! * [`crate::federation::FederationServer`] — the persistent server
+//!   of the synchronous variant (§4.1, Algorithm 1), serving one round
+//!   at a time;
+//! * [`crate::asynchronous::AsyncServer`] — the persistent server of
+//!   the buffered-asynchronous variant, which buffers updates from
+//!   every base round.
 //!
 //! # Example: pumping a session by hand
 //!
@@ -113,7 +114,7 @@ mod tests {
     //! The sync endpoints ([`FederationClient`], [`FederationServer`])
     //! seen through the [`Session`] interface (and the local actions).
     use super::*;
-    use crate::wire::{MaskedModel, SurvivorAnnouncement};
+    use crate::wire::{BufferAnnouncement, CodedMaskShare, MaskedModel, SurvivorAnnouncement};
     use crate::{FederationClient, FederationServer, LsaConfig};
     use lsa_field::Fp61;
     use rand::rngs::StdRng;
@@ -162,19 +163,62 @@ mod tests {
 
     #[test]
     fn client_rejects_server_bound_envelopes() {
-        let mut c = joined(0, 3);
-        let masked = Envelope::MaskedModel(MaskedModel {
+        // server-bound kinds, and the other protocol's share and
+        // announcement — for a round ahead too, so none is buffered: the
+        // wire tag is the protocol
+        let masked = MaskedModel {
             from: 1,
             group: 0,
             round: 0,
             payload: vec![Fp61::ZERO; cfg().padded_len()],
-        });
-        assert!(matches!(
-            c.handle(masked),
-            Err(ProtocolError::UnexpectedEnvelope {
-                kind: crate::wire::EnvelopeKind::MaskedModel
-            })
-        ));
+        };
+        let share = CodedMaskShare {
+            from: 1,
+            to: 0,
+            group: 0,
+            round: 1,
+            payload: vec![Fp61::ZERO; cfg().segment_len()],
+        };
+        let buffer = BufferAnnouncement {
+            group: 0,
+            round: 0,
+            entries: Vec::new(),
+        };
+        let survivors = SurvivorAnnouncement {
+            group: 0,
+            round: 0,
+            survivors: vec![0],
+        };
+        let mut timestamped =
+            FederationClient::timestamped(0, cfg(), StdRng::seed_from_u64(3)).unwrap();
+        timestamped.prepare(0).unwrap();
+        let cases = [
+            (
+                joined(0, 3),
+                [
+                    Envelope::MaskedModel(masked.clone()),
+                    Envelope::TimestampedShare(share.clone()),
+                    Envelope::BufferAnnouncement(buffer),
+                ],
+            ),
+            (
+                timestamped,
+                [
+                    Envelope::TimestampedUpdate(masked),
+                    Envelope::CodedMaskShare(share),
+                    Envelope::SurvivorAnnouncement(survivors),
+                ],
+            ),
+        ];
+        for (mut c, inputs) in cases {
+            for envelope in inputs {
+                let kind = envelope.kind();
+                assert_eq!(
+                    c.handle(envelope).unwrap_err(),
+                    ProtocolError::UnexpectedEnvelope { kind }
+                );
+            }
+        }
     }
 
     #[test]

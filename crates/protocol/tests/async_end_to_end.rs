@@ -3,12 +3,12 @@
 //! Appendix F.
 
 use lsa_field::{Field, Fp61};
-use lsa_protocol::asynchronous::{AsyncClient, AsyncServer, BufferEntry};
+use lsa_protocol::asynchronous::{AsyncServer, BufferEntry};
 use lsa_protocol::federation::{Federation, RoundPlan, SecureAggregator};
 use lsa_protocol::transport::{Fault, FaultTransport};
 use lsa_protocol::{
-    BufferedFederation, Envelope, EnvelopeKind, LsaConfig, ProtocolError, Recipient, Session,
-    SyncFederation,
+    BufferedFederation, Envelope, EnvelopeKind, FederationClient, LsaConfig, ProtocolError,
+    Recipient, Session, SyncFederation,
 };
 use lsa_quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
 use rand::rngs::StdRng;
@@ -17,17 +17,17 @@ use rand::{Rng, SeedableRng};
 const N: usize = 6;
 const D_MODEL: usize = 12;
 
-fn setup(rounds: u64) -> (LsaConfig, Vec<AsyncClient<Fp61>>, StdRng) {
+fn setup(rounds: u64) -> (LsaConfig, Vec<FederationClient<Fp61>>, StdRng) {
     let cfg = LsaConfig::new(N, 2, 4, D_MODEL).unwrap();
     let mut rng = StdRng::seed_from_u64(99);
-    let mut clients: Vec<AsyncClient<Fp61>> = (0..N)
-        .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(rng.gen())).unwrap())
+    let mut clients: Vec<FederationClient<Fp61>> = (0..N)
+        .map(|id| FederationClient::timestamped(id, cfg, StdRng::seed_from_u64(rng.gen())).unwrap())
         .collect();
     // every client prepares masks for all rounds and exchanges shares
     for round in 0..rounds {
         let mut all = Vec::new();
         for c in clients.iter_mut() {
-            c.generate_round_mask(round).unwrap();
+            c.prepare(round).unwrap();
             all.extend(std::iter::from_fn(|| c.poll_output()));
         }
         for (to, share) in all {
@@ -49,12 +49,12 @@ fn server(cfg: LsaConfig, k: usize, staleness: QuantizedStaleness, now: u64) -> 
 /// Client `client` uploads `update` under base round `round`, straight
 /// into `server`.
 fn upload(
-    client: &mut AsyncClient<Fp61>,
+    client: &mut FederationClient<Fp61>,
     server: &mut AsyncServer<Fp61>,
     round: u64,
     update: &[Fp61],
 ) {
-    client.upload_update(round, update).unwrap();
+    client.upload(round, update).unwrap();
     while let Some((_, envelope)) = client.poll_output() {
         server.handle(envelope).unwrap();
     }
@@ -64,7 +64,7 @@ fn upload(
 /// aggregated shares, and return the announced entries.
 fn announce(
     server: &mut AsyncServer<Fp61>,
-    clients: &mut [AsyncClient<Fp61>],
+    clients: &mut [FederationClient<Fp61>],
     answering: &[usize],
 ) -> Vec<BufferEntry> {
     server.announce().unwrap();
@@ -183,12 +183,13 @@ fn quantized_roundtrip_recovers_weighted_average() {
 
 #[test]
 fn server_reusable_across_buffer_flushes() {
-    let (cfg, mut clients, _) = setup(2);
+    // a fresh base round per flush: a round's mask protects one upload
+    let (cfg, mut clients, _) = setup(3);
     let staleness = QuantizedStaleness::new(StalenessFn::Constant, 1);
     let mut server = server(cfg, 2, staleness, 0);
 
     for flush in 0..3u64 {
-        let round = flush % 2;
+        let round = flush;
         server.advance_to(round);
         for id in [0usize, 1] {
             let update: Vec<Fp61> = vec![Fp61::from_u64(flush + 1); D_MODEL];

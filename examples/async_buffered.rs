@@ -2,18 +2,18 @@
 //! base rounds are staleness-weighted *inside the field* and recovered
 //! in one shot — the setting SecAgg/SecAgg+ cannot support (Remark 1).
 //!
-//! Driven by hand through the persistent sans-IO endpoints
-//! (`AsyncClient` / `AsyncServer`) over a [`MemTransport`]: every
+//! Driven by hand through the persistent sans-IO endpoints (timestamped
+//! `FederationClient`s and an `AsyncServer`) over a [`MemTransport`]: every
 //! timestamped share, masked update, buffer announcement and aggregated
 //! share crosses the wire as serialized bytes.
 //!
 //! Run with: `cargo run --example async_buffered`
 
 use lightsecagg::field::Fp61;
-use lightsecagg::protocol::asynchronous::{AsyncClient, AsyncServer};
+use lightsecagg::protocol::asynchronous::AsyncServer;
 use lightsecagg::protocol::session::{Recipient, Session};
 use lightsecagg::protocol::transport::{MemTransport, Transport};
-use lightsecagg::protocol::LsaConfig;
+use lightsecagg::protocol::{FederationClient, LsaConfig};
 use lightsecagg::quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // each endpoint owns its entropy stream, injected at construction —
     // message handling is deterministic from here on
-    let mut clients: Vec<AsyncClient<Fp61>> = (0..n)
-        .map(|id| AsyncClient::new(id, cfg, StdRng::seed_from_u64(rng.gen())))
+    let mut clients: Vec<FederationClient<Fp61>> = (0..n)
+        .map(|id| FederationClient::timestamped(id, cfg, StdRng::seed_from_u64(rng.gen())))
         .collect::<Result<_, _>>()?;
     let staleness = QuantizedStaleness::new(StalenessFn::Poly { alpha: 1.0 }, 4);
     let mut server = AsyncServer::<Fp61>::new(cfg, 3, staleness, StdRng::seed_from_u64(rng.gen()))?;
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // clients prepare masks for rounds 0..3; coded shares travel the wire
     for round in 0..3u64 {
         for c in clients.iter_mut() {
-            c.generate_round_mask(round)?;
+            c.prepare(round)?;
         }
     }
     for c in clients.iter_mut() {
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &(id, round, value) in &contributions {
         let reals = vec![value; d];
         let quantized: Vec<Fp61> = quantizer.quantize(&reals, &mut rng);
-        clients[id].upload_update(round, &quantized)?;
+        clients[id].upload(round, &quantized)?;
         let from = Recipient::Client(id);
         while let Some((to, env)) = clients[id].poll_output() {
             wire.send(from, to, &env)?;
