@@ -25,6 +25,12 @@
 //!   scalar path. On a SIMD host the bench asserts the detected backend
 //!   is ≥ 1.5× the forced-scalar run at `N = 64` (best of 20 calls
 //!   each; skipped, with a stderr note, on scalar-only hosts).
+//! * `field_kernels/encode_at/{fp32,fp61}/{N16_U12_m32,N64_U48_m1024}`
+//!   — what a fresh ratchet base pays to re-encode the shares it sent
+//!   to its hypercube pad partners (`VandermondeCode::encode_at` over
+//!   views of the draw), at the ledger's tree leaf and flat shapes. One
+//!   iteration is every member of the cohort's re-encode, so the time
+//!   per element is the time per member.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lsa_coding::VandermondeCode;
@@ -276,9 +282,51 @@ fn assert_encode_simd_speedup(code: &VandermondeCode<Fp61>, segments: &[Vec<Fp61
     }
 }
 
+/// `(N, U, segment length)` of the re-encode rows: the ledger's tree
+/// leaf and its flat cohort.
+const REENCODE_SHAPES: [(usize, usize, usize); 2] = [(16, 12, 32), (64, 48, 1024)];
+
+/// The hypercube pad partners of `rank` in a full cohort of `n`.
+fn hypercube_partners(n: usize, rank: usize) -> Vec<usize> {
+    (0..)
+        .map(|k| 1usize << k)
+        .take_while(|&bit| bit < n)
+        .map(|bit| rank ^ bit)
+        .filter(|&peer| peer < n)
+        .collect()
+}
+
+fn bench_reencode<F: Field>(c: &mut Criterion, field: &str) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut group = c.benchmark_group("field_kernels");
+    for (n, u, m) in REENCODE_SHAPES {
+        let code = VandermondeCode::<F>::new(n, u).unwrap();
+        let draw: Vec<F> = ops::random_vector(u * m, &mut rng);
+        let views: Vec<&[F]> = draw.chunks_exact(m).collect();
+        let partners: Vec<Vec<usize>> = (0..n).map(|r| hypercube_partners(n, r)).collect();
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(
+            BenchmarkId::new(format!("encode_at/{field}"), format!("N{n}_U{u}_m{m}")),
+            |b| {
+                b.iter(|| {
+                    for users in &partners {
+                        black_box(code.encode_at(black_box(&views), users));
+                    }
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_encode_at(c: &mut Criterion) {
+    bench_reencode::<Fp32>(c, "fp32");
+    bench_reencode::<Fp61>(c, "fp61");
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_field_kernels, bench_grouped_decode, bench_encode_all
+    targets = bench_field_kernels, bench_grouped_decode, bench_encode_all, bench_encode_at
 }
 criterion_main!(benches);

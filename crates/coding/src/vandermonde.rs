@@ -114,15 +114,60 @@ impl<F: Field> VandermondeCode<F> {
 
     /// Encode the coded segment destined to user `j`:
     /// `Σ_k segments[k] · β_j^k` (one Vandermonde column) — the
-    /// single-pair case of [`Self::encode_all`], same kernel.
+    /// single-user case of [`Self::encode_at`], same kernel.
     ///
     /// # Panics
     ///
     /// Panics if `segments.len() != u`, the segments are ragged, or
     /// `j >= n`.
-    pub fn encode_for(&self, segments: &[Vec<F>], j: usize) -> Vec<F> {
-        let beta = self.points[j - j % 2];
-        self.encode_pairs(segments, &[beta]).swap_remove(j % 2)
+    pub fn encode_for<S: AsRef<[F]>>(&self, segments: &[S], j: usize) -> Vec<F> {
+        self.encode_at(segments, &[j]).swap_remove(0)
+    }
+
+    /// Encode the coded segments destined to each of `users`, in that
+    /// order. Where the field's multi-point kernel runs, each coefficient
+    /// half is evaluated once at the squares `β²` of the users' points,
+    /// so two users that share a `±β` pair cost one evaluation; without
+    /// it the halves cost what `p` does, and each user's column is one
+    /// fused pass at its own point. The segments are borrowed views (any
+    /// `AsRef<[F]>`), so a caller can encode straight from chunks of a
+    /// longer vector without copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segments.len() != u`, the segments are ragged, a user
+    /// is listed twice, or a user is `>= n`.
+    pub fn encode_at<S: AsRef<[F]>>(&self, segments: &[S], users: &[usize]) -> Vec<Vec<F>> {
+        assert_eq!(segments.len(), self.u, "expected u segments");
+        let mut sorted = users.to_vec();
+        sorted.sort_unstable();
+        assert!(
+            sorted.windows(2).all(|w| w[0] < w[1]),
+            "each user is listed once"
+        );
+        assert!(
+            sorted.last().is_none_or(|&j| j < self.n),
+            "user out of range"
+        );
+        let mut pairs: Vec<usize> = sorted.iter().map(|j| j / 2).collect();
+        pairs.dedup();
+        let betas: Vec<F> = pairs.iter().map(|&p| self.points[2 * p]).collect();
+        if !has_eval_kernel(&betas) {
+            return users
+                .iter()
+                .map(|&j| lsa_field::ops::horner_eval(segments, self.points[j]))
+                .collect();
+        }
+        let mut coded = self.encode_pairs(segments, &betas);
+        users
+            .iter()
+            .map(|&j| {
+                let pair = pairs
+                    .binary_search(&(j / 2))
+                    .expect("every pair was encoded");
+                std::mem::take(&mut coded[2 * pair + j % 2])
+            })
+            .collect()
     }
 
     /// Encode all `n` coded segments from one evaluation of each
@@ -133,7 +178,7 @@ impl<F: Field> VandermondeCode<F> {
     /// # Panics
     ///
     /// Panics if `segments.len() != u` or the segments are ragged.
-    pub fn encode_all(&self, segments: &[Vec<F>]) -> Vec<Vec<F>> {
+    pub fn encode_all<S: AsRef<[F]>>(&self, segments: &[S]) -> Vec<Vec<F>> {
         let betas: Vec<F> = self.points.iter().step_by(2).copied().collect();
         let mut coded = self.encode_pairs(segments, &betas);
         // odd n: the last pair's `−β` belongs to no user
@@ -145,11 +190,11 @@ impl<F: Field> VandermondeCode<F> {
     /// and odd halves `E`, `O` evaluated at `β²`, then
     /// `p(±β) = E(β²) ± β·O(β²)` written over the two buffers in one
     /// pass.
-    fn encode_pairs(&self, segments: &[Vec<F>], betas: &[F]) -> Vec<Vec<F>> {
+    fn encode_pairs<S: AsRef<[F]>>(&self, segments: &[S], betas: &[F]) -> Vec<Vec<F>> {
         assert_eq!(segments.len(), self.u, "expected u segments");
-        let len = segments[0].len();
+        let len = segments[0].as_ref().len();
         assert!(
-            segments.iter().all(|s| s.len() == len),
+            segments.iter().all(|s| s.as_ref().len() == len),
             "segment length mismatch"
         );
         let half = |parity: usize| -> Vec<&[F]> {
@@ -157,7 +202,7 @@ impl<F: Field> VandermondeCode<F> {
                 .iter()
                 .skip(parity)
                 .step_by(2)
-                .map(Vec::as_slice)
+                .map(AsRef::as_ref)
                 .collect()
         };
         let squares: Vec<F> = betas.iter().map(|&b| b * b).collect();
@@ -268,6 +313,15 @@ impl<F: Field> VandermondeCode<F> {
     }
 }
 
+/// Whether the field's multi-point kernel evaluates at the squares of
+/// `betas` on this thread's backend (tried on a one-element segment).
+fn has_eval_kernel<F: Field>(betas: &[F]) -> bool {
+    let backend = lsa_field::simd::backend();
+    let squares: Vec<F> = betas.iter().map(|&b| b * b).collect();
+    backend != lsa_field::simd::Backend::Scalar
+        && F::simd_eval_points(backend, &[&[F::ZERO]], &squares).is_some()
+}
+
 /// Split a flat vector into `parts` equal segments.
 ///
 /// This is the mask partitioning step of the paper (`z_i` into `U−T`
@@ -357,6 +411,21 @@ mod tests {
             let eb = code.encode_for(&b, j);
             let esum = code.encode_for(&sum, j);
             assert_eq!(lsa_field::ops::add(&ea, &eb), esum);
+        }
+    }
+
+    #[test]
+    fn encode_at_is_encode_all_for_the_listed_users() {
+        // unsorted, both members of a pair, and a lone odd user, over
+        // borrowed views of one flat vector
+        let code = VandermondeCode::<Fp32>::new(7, 3).unwrap();
+        let flat = random_segments::<Fp32>(1, 12, 10).swap_remove(0);
+        let views: Vec<&[Fp32]> = flat.chunks_exact(4).collect();
+        let all = code.encode_all(&views);
+        let users = [5, 0, 6, 1, 3];
+        let picked = code.encode_at(&views, &users);
+        for (&j, got) in users.iter().zip(&picked) {
+            assert_eq!(got, &all[j], "user {j}");
         }
     }
 

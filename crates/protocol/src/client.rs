@@ -9,12 +9,13 @@ use crate::ratchet::{self, ClientRatchet};
 use crate::session::{Outgoing, Recipient, Session};
 use crate::wire::{AggregatedShare, CodedMaskShare, Envelope, EnvelopeKind, MaskedModel};
 use crate::{check_len, ProtocolError};
-use lsa_coding::{vandermonde, VandermondeCode};
+use lsa_coding::VandermondeCode;
 use lsa_crypto::Seed;
 use lsa_field::Field;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
+use std::mem;
 use std::sync::{Arc, OnceLock};
 
 /// A LightSecAgg user: one entity across the whole training run, holding
@@ -27,10 +28,11 @@ use std::sync::{Arc, OnceLock};
 ///    segments, and encodes the `N` coded segments (offline phase,
 ///    overlappable with training);
 /// 2. [`Session::poll_output`] / [`Session::handle`] — exchange
-///    `[~z_i]_j` with every other user. The `N − 1` coded shares are not
-///    queued but built one at a time as they are polled, so a driver
-///    that delivers as it polls never holds a second copy of the share
-///    table;
+///    `[~z_i]_j` with every other user. Each of the `N − 1` coded
+///    segments moves into its envelope as it is polled, so once the
+///    shares are out the client holds none of them: what it keeps is
+///    its draw (the mask and the noise segments), from which a ratchet
+///    base re-encodes the few shares its pad edges hash;
 /// 3. [`Self::upload`] — queue the masked model `~x_i = x_i + z_i`;
 /// 4. handling the server's [`crate::SurvivorAnnouncement`] — if
 ///    surviving, answer `Σ_{i∈U₁} [~z_i]_j` for the server's one-shot
@@ -84,6 +86,8 @@ pub struct FederationClient<F> {
     /// Whether this is the §4.2 user: its shares and uploads carry the
     /// timestamped tags and it answers buffer announcements.
     timestamped: bool,
+    /// The `T`-private MDS code of `cfg`, built once.
+    code: VandermondeCode<F>,
     entropy: StdRng,
     /// The live rounds (usually one, or two while the next round's masks
     /// are being shared).
@@ -114,26 +118,32 @@ pub(crate) struct ClientRound<F> {
     /// base exchange, evolved in lockstep across the cohort by
     /// [`ClientRound::bump_pad_epoch`] on a reseat ([`crate::ratchet`]).
     pad_epoch: u64,
-    /// [`crate::ratchet::pair_seed`] per peer, derived under
-    /// `pad_epoch`: hashed the first time a round is ratcheted from this
-    /// state (never, for a state that is never a ratchet base), cleared
-    /// by [`ClientRound::bump_pad_epoch`] and dropped with the state.
+    /// [`crate::ratchet::pair_seed`] per pad partner: hashed the first
+    /// time a round is ratcheted from this state (never, for a state
+    /// that is never a ratchet base), over a re-encode of the shares
+    /// sent to those partners; kept across pad epochs and dropped with
+    /// the state.
+    pair_seeds: BTreeMap<usize, Seed>,
+    /// `pair_seeds` derived under `pad_epoch`, each the first time a
+    /// pad needs it; cleared by [`ClientRound::bump_pad_epoch`].
     edge_seeds: BTreeMap<usize, Seed>,
-    /// Next peer whose coded share [`Session::poll_output`] has still to
-    /// emit (`n` once the offline phase is out, and from the start for a
-    /// ratcheted round).
-    next_share: usize,
+    /// The coded segments `[~z_i]_j` still to send, by recipient in
+    /// ascending order: [`Session::poll_output`] moves each into its
+    /// envelope (empty from the start for a ratcheted round).
+    outbox: VecDeque<(usize, Vec<F>)>,
     /// `None` before [`FederationClient::upload`]; then the masked
     /// payload until it is polled, and `Some(None)` once sent — a second
     /// upload is a duplicate either way.
     upload: Option<Option<Vec<F>>>,
 }
 
-/// The coded segments of one full offline exchange.
+/// The share material of one full offline exchange.
 #[derive(Debug, Clone)]
 pub(crate) struct Shares<F> {
-    /// Own coded segments `[~z_i]_j` for every `j ∈ [N]` (including self).
-    coded_for: Vec<Vec<F>>,
+    /// The `T` noise segments drawn with the mask. With the chunks of
+    /// the drawn mask they re-encode any sent share `[~z_i]_j`, which
+    /// only a ratchet base's pad partners ever need again.
+    noise: Vec<Vec<F>>,
     /// Received coded segments `[~z_j]_i`, keyed by sender `j`.
     received: BTreeMap<usize, Vec<F>>,
     /// `Σ_j [~z_j]_i` over every `received` share: summed by the first
@@ -198,6 +208,7 @@ impl<F: Field> FederationClient<F> {
             cfg,
             group,
             timestamped: false,
+            code: VandermondeCode::new(cfg.n(), cfg.u())?,
             entropy,
             rounds: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -280,7 +291,7 @@ impl<F: Field> FederationClient<F> {
     }
 
     /// Join `round`: run the offline mask generation (the coded shares
-    /// are emitted as [`Session::poll_output`] asks for them) and replay
+    /// wait in the round's outbox for [`Session::poll_output`]) and replay
     /// any envelopes that arrived for this round before it was joined.
     ///
     /// # Errors
@@ -290,12 +301,20 @@ impl<F: Field> FederationClient<F> {
     /// early envelope surfaces its own error, with the round joined.
     pub fn prepare(&mut self, round: u64) -> Result<(), ProtocolError> {
         self.admit(round)?;
-        let code = VandermondeCode::new(self.cfg.n(), self.cfg.u())?;
-        let (mask, coded_for) = sample_mask(&code, &self.cfg, &mut self.entropy)?;
+        let id = self.id;
+        let (mask, noise) = sample_mask(&self.cfg, &mut self.entropy);
+        let mut coded = self
+            .code
+            .encode_all(&drawn_segments(&mask, &noise, self.cfg.u()));
         // a user trivially "receives" its own coded segment
-        let received = BTreeMap::from([(self.id, coded_for[self.id].clone())]);
+        let received = BTreeMap::from([(id, mem::take(&mut coded[id]))]);
+        let outbox = coded
+            .into_iter()
+            .enumerate()
+            .filter(|&(to, _)| to != id)
+            .collect();
         let shares = Shares {
-            coded_for,
+            noise,
             received,
             total: OnceLock::new(),
         };
@@ -304,8 +323,9 @@ impl<F: Field> FederationClient<F> {
             mask,
             shares: Arc::new(shares),
             pad_epoch: 0,
+            pair_seeds: BTreeMap::new(),
             edge_seeds: BTreeMap::new(),
-            next_share: 0,
+            outbox,
             upload: None,
         };
         self.install(round, state)
@@ -320,10 +340,10 @@ impl<F: Field> FederationClient<F> {
     /// without a base or a banked nonce for `round`.
     pub(crate) fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
         self.admit(round)?;
-        let (id, group) = (self.id, self.group);
+        let (id, group, code) = (self.id, self.group, &self.code);
         let state = self.ratchet.join(round, |base, nonce, topology| {
             Ok(ClientRound::ratcheted_from(
-                base, id, group, round, nonce, topology,
+                base, code, id, group, round, nonce, topology,
             ))
         })?;
         self.install(round, state)
@@ -464,10 +484,10 @@ impl<F: Field> Session<F> for FederationClient<F> {
         // base — no share traffic — and returns the ack
         if ratchet::is_handshake(&envelope) {
             self.admit(round)?;
-            let (id, group) = (self.id, self.group);
+            let (id, group, code) = (self.id, self.group, &self.code);
             let (state, ack) = self.ratchet.accept(&envelope, |base, nonce, topology| {
                 Ok(ClientRound::ratcheted_from(
-                    base, id, group, round, nonce, topology,
+                    base, code, id, group, round, nonce, topology,
                 ))
             })?;
             self.rounds.insert(round, state);
@@ -554,28 +574,28 @@ impl<F: Field> Session<F> for FederationClient<F> {
         if let Some(reply) = self.replies.pop_front() {
             return Some(reply);
         }
-        let (id, group, n) = (self.id, self.group, self.cfg.n());
+        let (id, group) = (self.id, self.group);
         let (share_tag, upload_tag): (fn(_) -> _, fn(_) -> _) = if self.timestamped {
             (Envelope::TimestampedShare, Envelope::TimestampedUpdate)
         } else {
             (Envelope::CodedMaskShare, Envelope::MaskedModel)
         };
         self.rounds.values_mut().find_map(|state| {
-            // the coded shares, built as they are asked for (Algorithm 1
-            // line 8), then the masked upload
-            while state.next_share < n {
-                let to = state.next_share;
-                state.next_share += 1;
-                if to != id {
-                    let share = CodedMaskShare {
-                        from: id,
-                        to,
-                        group,
-                        round: state.round,
-                        payload: state.shares.coded_for[to].clone(),
-                    };
-                    return Some((Recipient::Client(to), share_tag(share)));
+            // the coded shares, each moved into its envelope (Algorithm
+            // 1 line 8), then the masked upload
+            if let Some((to, payload)) = state.outbox.pop_front() {
+                if state.outbox.is_empty() {
+                    // the last share is out: release the queue's buffer
+                    state.outbox = VecDeque::new();
                 }
+                let share = CodedMaskShare {
+                    from: id,
+                    to,
+                    group,
+                    round: state.round,
+                    payload,
+                };
+                return Some((Recipient::Client(to), share_tag(share)));
             }
             let payload = state.upload.as_mut()?.take()?;
             let masked = MaskedModel {
@@ -597,9 +617,11 @@ impl<F: Field> ClientRound<F> {
     /// cancel over the full cohort. No new share traffic and no copy: the
     /// derived round holds the base's share material by reference count,
     /// so recovery decodes `Σ m_i` exactly as it did then. The work is
-    /// one seed digest and one keystream pass per pad, plus hashing the
-    /// edge secrets `ρ_ij` the first time in each pad epoch (cached in
-    /// `base`).
+    /// one seed digest and one keystream pass per pad, plus, the first
+    /// time per base, one re-encode of the shares sent to the pad
+    /// partners (from the base's draw, at their points only) and the
+    /// hash of each edge secret `ρ_ij`, and the first time in each pad
+    /// epoch one digest per edge (all cached in `base`).
     ///
     /// The cohort is implicit: every peer the base exchanged shares with
     /// (its `received` keys) is the fingerprinted membership — callers
@@ -610,46 +632,63 @@ impl<F: Field> ClientRound<F> {
     /// this member's cohort rank.
     pub(crate) fn ratcheted_from(
         base: &mut Self,
+        code: &VandermondeCode<F>,
         id: usize,
         group: usize,
         round: u64,
         nonce: u64,
         topology: ratchet::PadTopology,
     ) -> Self {
-        let shares = &base.shares;
-        let members: Vec<usize> = shares.received.keys().copied().collect();
+        let members: Vec<usize> = base.shares.received.keys().copied().collect();
+        let partners = topology.partners(&members, id);
+        let unseeded: Vec<usize> = partners
+            .iter()
+            .copied()
+            .filter(|peer| !base.pair_seeds.contains_key(peer))
+            .collect();
+        if !unseeded.is_empty() {
+            let sent = base.sent_shares(code, &unseeded);
+            for (peer, sent) in unseeded.into_iter().zip(sent) {
+                let recv = &base.shares.received[&peer];
+                let seed = ratchet::pair_seed(group, base.round, id, peer, &sent, recv);
+                base.pair_seeds.insert(peer, seed);
+            }
+        }
         let mut mask = base.mask.clone();
-        for peer in topology.partners(&members, id) {
-            let edge = *base.edge_seeds.entry(peer).or_insert_with(|| {
-                ratchet::pair_seed(
-                    group,
-                    base.round,
-                    id,
-                    peer,
-                    &shares.coded_for[peer],
-                    &shares.received[&peer],
-                )
-                .derive(base.pad_epoch)
-            });
+        for peer in partners {
+            let edge = *base
+                .edge_seeds
+                .entry(peer)
+                .or_insert_with(|| base.pair_seeds[&peer].derive(base.pad_epoch));
             ratchet::add_pair_pad(&mut mask, edge, nonce, id, peer);
         }
         Self {
             round,
             mask,
-            shares: Arc::clone(shares),
+            shares: Arc::clone(&base.shares),
             pad_epoch: base.pad_epoch,
+            pair_seeds: BTreeMap::new(),
             edge_seeds: BTreeMap::new(),
             // the offline phase was the commit/ack handshake (or nothing
             // at all, for a round joined from a pre-committed window)
-            next_share: shares.coded_for.len(),
+            outbox: VecDeque::new(),
             upload: None,
         }
+    }
+
+    /// The coded segments this state's draw sent to `users`, re-encoded
+    /// at their points only (Algorithm 1 line 7). Only a full
+    /// exchange's state has its draw as its mask: a ratchet base does,
+    /// a round ratcheted from one (`m + u`) does not.
+    fn sent_shares(&self, code: &VandermondeCode<F>, users: &[usize]) -> Vec<Vec<F>> {
+        let segments = drawn_segments(&self.mask, &self.shares.noise, code.u());
+        code.encode_at(&segments, users)
     }
 
     /// Evolve the pad epoch across a reseat ([`crate::ratchet`]): the
     /// mask and share material — the recovery-critical state — are
     /// untouched; only future ratchet pads derive under the new epoch,
-    /// from edge seeds re-hashed out of the retained shares. Every
+    /// from the kept pair seeds, with no second re-encode. Every
     /// member of a leaf must bump with the same `seed` so the refreshed
     /// pads still cancel.
     pub(crate) fn bump_pad_epoch(&mut self, seed: u64) {
@@ -690,23 +729,25 @@ fn check_share<F>(
     check_len(cfg.segment_len(), share.payload.len())
 }
 
-/// The offline phase's mask (Algorithm 1 lines 4–7): `z_i` uniform
-/// over the padded length, partitioned into `U − T` data segments,
-/// padded with `T` noise segments and encoded with the `T`-private MDS
-/// code into one coded segment per user.
-/// Returns `(z_i, coded segments)`.
-fn sample_mask<F: Field, R: Rng + ?Sized>(
-    code: &VandermondeCode<F>,
-    cfg: &LsaConfig,
-    rng: &mut R,
-) -> Result<(Vec<F>, Vec<Vec<F>>), ProtocolError> {
+/// The offline phase's draw (Algorithm 1 lines 4–6): `z_i` uniform
+/// over the padded length, then the `T` noise segments.
+/// Returns `(z_i, noise segments)`.
+fn sample_mask<F: Field, R: Rng + ?Sized>(cfg: &LsaConfig, rng: &mut R) -> (Vec<F>, Vec<Vec<F>>) {
     let mask = lsa_field::ops::random_vector(cfg.padded_len(), rng);
-    let mut segments = vandermonde::partition(&mask, cfg.data_segments())?;
-    for _ in 0..cfg.t() {
-        segments.push(lsa_field::ops::random_vector(cfg.segment_len(), rng));
-    }
-    debug_assert_eq!(segments.len(), cfg.u());
-    Ok((mask, code.encode_all(&segments)))
+    let noise = (0..cfg.t())
+        .map(|_| lsa_field::ops::random_vector(cfg.segment_len(), rng))
+        .collect();
+    (mask, noise)
+}
+
+/// The `U` segments the `T`-private MDS code encodes (Algorithm 1 line
+/// 7), as views of the draw: the mask's `U − T` equal chunks, then the
+/// `T` noise segments.
+fn drawn_segments<'a, F>(mask: &'a [F], noise: &'a [Vec<F>], u: usize) -> Vec<&'a [F]> {
+    let len = mask.len() / (u - noise.len());
+    mask.chunks_exact(len)
+        .chain(noise.iter().map(Vec::as_slice))
+        .collect()
 }
 
 /// `x + z` in one pass, `x` zero-padded to `z`'s length (the masking
@@ -745,9 +786,22 @@ impl<F: Field> ClientRound<F> {
         self.shares.received.len()
     }
 
-    /// The own coded segment `[~z_i]_to`.
-    pub(crate) fn coded_for(&self, to: usize) -> &[F] {
-        &self.shares.coded_for[to]
+    /// The coded segment `[~z_i]_to` this state's draw sent, re-encoded:
+    /// only a full exchange's state (a base, not a round ratcheted from
+    /// one) holds its draw.
+    pub(crate) fn coded_for(&self, code: &VandermondeCode<F>, to: usize) -> Vec<F> {
+        self.sent_shares(code, &[to]).swap_remove(0)
+    }
+
+    /// How many coded segments wait to be sent, and how many noise
+    /// segments are kept.
+    pub(crate) fn held_segments(&self) -> (usize, usize) {
+        (self.outbox.len(), self.shares.noise.len())
+    }
+
+    /// The un-derived pair seed per pad partner, once hashed.
+    pub(crate) fn pair_seeds(&self) -> &BTreeMap<usize, Seed> {
+        &self.pair_seeds
     }
 
     /// The share-material handle, for tests that pin who owns it.
@@ -775,6 +829,11 @@ mod tests {
 
     fn cfg4() -> LsaConfig {
         LsaConfig::new(4, 1, 3, 6).unwrap()
+    }
+
+    /// The MDS code a client of `cfg` encodes with.
+    fn code_of<F: Field>(cfg: LsaConfig) -> VandermondeCode<F> {
+        VandermondeCode::new(cfg.n(), cfg.u()).unwrap()
     }
 
     /// `cfg.n()` clients of `group`, their entropy drawn from `seed`,
@@ -840,8 +899,15 @@ mod tests {
     fn derive_live<F: Field>(c: &mut FederationClient<F>, base: u64, round: u64, nonce: u64) {
         let (id, group) = (c.id, c.group);
         let base = c.rounds.get_mut(&base).unwrap();
-        let derived =
-            ClientRound::ratcheted_from(base, id, group, round, nonce, PadTopology::Clique);
+        let derived = ClientRound::ratcheted_from(
+            base,
+            &c.code,
+            id,
+            group,
+            round,
+            nonce,
+            PadTopology::Clique,
+        );
         c.rounds.insert(round, derived);
     }
 
@@ -946,6 +1012,7 @@ mod tests {
         let mut clients = joined::<Fp61>(cfg(), 0, 0, 8);
         deliver(&mut clients, None);
         let mut bases = bases(&mut clients, 0);
+        let code = code_of(cfg());
         let sum = |cs: &[ClientRound<Fp61>]| {
             let mut acc = vec![Fp61::ZERO; cfg().padded_len()];
             for c in cs {
@@ -958,7 +1025,7 @@ mod tests {
             let ratcheted: Vec<ClientRound<Fp61>> = bases
                 .iter_mut()
                 .enumerate()
-                .map(|(id, c)| ClientRound::ratcheted_from(c, id, 0, 1, 0xA5A5, topology))
+                .map(|(id, c)| ClientRound::ratcheted_from(c, &code, id, 0, 1, 0xA5A5, topology))
                 .collect();
             assert_eq!(sum(&ratcheted), base_sum, "pads must cancel in the sum");
             for (id, (b, r)) in bases.iter().zip(&ratcheted).enumerate() {
@@ -967,7 +1034,8 @@ mod tests {
                 assert_eq!(r.shares_received(), b.shares_received());
             }
             // a different nonce refreshes every mask again
-            let again = ClientRound::ratcheted_from(&mut bases[0], 0, 0, 2, 0x5A5A, topology);
+            let again =
+                ClientRound::ratcheted_from(&mut bases[0], &code, 0, 0, 2, 0x5A5A, topology);
             assert_ne!(again.mask, ratcheted[0].mask);
         }
         assert_eq!(bases[0].share_peers(), vec![0, 1, 2, 3, 4]);
@@ -980,11 +1048,14 @@ mod tests {
         let mut clients = joined::<Fp61>(cfg4(), 0, 0, 9);
         deliver(&mut clients, None);
         let mut bases = bases(&mut clients, 0);
+        let code = code_of(cfg4());
         let ratchet = |bases: &mut [ClientRound<Fp61>]| -> Vec<ClientRound<Fp61>> {
             bases
                 .iter_mut()
                 .enumerate()
-                .map(|(id, c)| ClientRound::ratcheted_from(c, id, 0, 1, 7, PadTopology::Hypercube))
+                .map(|(id, c)| {
+                    ClientRound::ratcheted_from(c, &code, id, 0, 1, 7, PadTopology::Hypercube)
+                })
                 .collect()
         };
         let before = ratchet(&mut bases);
@@ -1024,7 +1095,7 @@ mod tests {
                 nonce,
                 id,
                 peer,
-                &base.shares.coded_for[peer],
+                &base.coded_for(&code_of(cfg()), peer),
                 &base.shares.received[&peer],
             );
         }
@@ -1034,17 +1105,18 @@ mod tests {
     fn ratchet_matches_reference<F: Field>() {
         for topology in [PadTopology::Clique, PadTopology::Hypercube] {
             let mut clients = exchanged::<F>(4, 31);
+            let code = code_of(cfg());
             for (id, c) in bases(&mut clients, 4).iter_mut().enumerate() {
                 // first derivation hashes the edge secrets, the second
                 // reads them back, the third runs under a bumped epoch,
                 // which must re-hash them: a seed of the old epoch that
                 // survived the bump would still cancel pairwise, and
                 // only the reference can tell
-                let first = ClientRound::ratcheted_from(c, id, 3, 5, 0xA1, topology);
+                let first = ClientRound::ratcheted_from(c, &code, id, 3, 5, 0xA1, topology);
                 assert_eq!(first.mask, reference_mask(c, id, 0xA1, topology));
                 let hashed = c.edge_seeds.clone();
                 assert_eq!(hashed.len(), topology.partners(&c.share_peers(), id).len());
-                let second = ClientRound::ratcheted_from(c, id, 3, 6, 0xB2, topology);
+                let second = ClientRound::ratcheted_from(c, &code, id, 3, 6, 0xB2, topology);
                 assert_eq!(second.mask, reference_mask(c, id, 0xB2, topology));
                 assert_eq!(
                     c.edge_seeds, hashed,
@@ -1052,7 +1124,7 @@ mod tests {
                 );
                 c.bump_pad_epoch(0xD00D);
                 assert!(c.edge_seeds.is_empty(), "the bump drops the old epoch");
-                let third = ClientRound::ratcheted_from(c, id, 3, 7, 0xB2, topology);
+                let third = ClientRound::ratcheted_from(c, &code, id, 3, 7, 0xB2, topology);
                 assert_eq!(third.mask, reference_mask(c, id, 0xB2, topology));
                 assert_ne!(third.mask, second.mask, "epoch refreshes the pads");
                 assert_eq!(c.edge_seeds.len(), hashed.len(), "re-hashed");
@@ -1083,14 +1155,15 @@ mod tests {
         use crate::ratchet::PadTopology::Hypercube;
         let mut old = bases(&mut exchanged::<Fp61>(0, 77), 0);
         let mut new = bases(&mut exchanged::<Fp61>(9, 77), 9);
+        let code = code_of(cfg());
         for (id, (o, n)) in old.iter_mut().zip(new.iter_mut()).enumerate() {
             assert_eq!(o.mask, n.mask);
-            let from_old = ClientRound::ratcheted_from(o, id, 3, 10, 0xC3, Hypercube);
+            let from_old = ClientRound::ratcheted_from(o, &code, id, 3, 10, 0xC3, Hypercube);
             assert!(
                 n.edge_seeds.is_empty(),
                 "a fresh base starts without secrets"
             );
-            let from_new = ClientRound::ratcheted_from(n, id, 3, 10, 0xC3, Hypercube);
+            let from_new = ClientRound::ratcheted_from(n, &code, id, 3, 10, 0xC3, Hypercube);
             assert_ne!(
                 from_old.mask, from_new.mask,
                 "base round separates the pads"
@@ -1129,9 +1202,13 @@ mod tests {
         // and on the base itself
         let mut clients = joined::<Fp61>(cfg(), 0, 0, 15);
         let late = deliver(&mut clients, Some(4));
+        let code = code_of(cfg());
         let coded_for = |j: usize, from: &[usize]| {
-            let shares = from.iter().map(|&i| clients[i].live(0).coded_for(j));
-            lsa_field::ops::sum_vectors(shares).unwrap()
+            let shares: Vec<Vec<Fp61>> = from
+                .iter()
+                .map(|&i| clients[i].live(0).coded_for(&code, j))
+                .collect();
+            lsa_field::ops::sum_vectors(shares.iter().map(Vec::as_slice)).unwrap()
         };
         let (four, five) = (coded_for(0, &[0, 1, 2, 3]), coded_for(0, &[0, 1, 2, 3, 4]));
         let late = late.into_iter().find(|s| s.from == 4 && s.to == 0).unwrap();

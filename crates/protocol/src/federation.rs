@@ -641,7 +641,10 @@ pub(crate) struct OpenRound {
     pub(crate) round: u64,
     pub(crate) cohort: BTreeSet<usize>,
     pub(crate) submitted: BTreeSet<usize>,
-    pub(crate) dropped: BTreeSet<usize>,
+    /// Cohort members not marked dropped: every delivery of the round
+    /// is filtered by it, so it is kept as members drop instead of
+    /// rebuilt per upload.
+    online: BTreeSet<usize>,
     /// `Some` when this round's masks were derived by the stable-cohort
     /// ratchet ([`crate::ratchet`]) instead of a full exchange: a
     /// ratcheted round's pairwise pads cancel only over the *full*
@@ -656,9 +659,9 @@ impl OpenRound {
     pub(crate) fn new(round: u64, cohort: BTreeSet<usize>) -> Self {
         Self {
             round,
+            online: cohort.clone(),
             cohort,
             submitted: BTreeSet::new(),
-            dropped: BTreeSet::new(),
             ratcheted: None,
         }
     }
@@ -672,8 +675,20 @@ impl OpenRound {
     }
 
     /// Clients still online: cohort members that have not vanished.
-    pub(crate) fn online(&self) -> BTreeSet<usize> {
-        self.cohort.difference(&self.dropped).copied().collect()
+    pub(crate) fn online(&self) -> &BTreeSet<usize> {
+        &self.online
+    }
+
+    /// Record that cohort member `id` vanished.
+    pub(crate) fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
+        self.require_member(id)?;
+        self.online.remove(&id);
+        Ok(())
+    }
+
+    /// How many cohort members vanished.
+    pub(crate) fn dropouts(&self) -> usize {
+        self.cohort.len() - self.online.len()
     }
 }
 
@@ -993,7 +1008,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
         report.ratchet = self.cfg.ratchet();
         let (rejections, quarantined) = V::rejections(&self.server);
-        report.events.dropouts = open.dropped.len();
+        report.events.dropouts = open.dropouts();
         // a windowed join is counted apart from handshake-bearing
         // ratchets so bench JSON can tell amortized rounds from
         // commit/ack ones
@@ -1202,19 +1217,22 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         self.clients[id].upload(open.round, update)?;
         open.submitted.insert(id);
         let online = open.online();
-        drain_to(&mut self.clients[id], &mut self.transport, &online)?;
+        drain_to(&mut self.clients[id], &mut self.transport, online)?;
         // an immediate transport hands the upload to the server now,
         // which folds it into the running sum while it is hot — and a
         // server-side rejection surfaces here; a phase-buffered one
         // delivers after `finish_round`'s "upload" flush
-        self.pump(&online)
+        pump(
+            &mut self.transport,
+            &mut self.server,
+            &mut self.clients,
+            online,
+        )
     }
 
     fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
         let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        open.dropped.insert(id);
-        Ok(())
+        open.mark_dropped(id)
     }
 
     fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
@@ -1232,15 +1250,15 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         // Deliver the masked uploads a phase-buffered transport still
         // holds (an immediate one delivered each at `submit`).
         self.transport.flush("upload");
-        self.pump(&online)?;
+        self.pump(online)?;
 
         // Fix the contributors, announce, collect aggregated shares.
         V::close_upload(&mut self.server)?;
-        drain_to(&mut self.server, &mut self.transport, &online)?;
+        drain_to(&mut self.server, &mut self.transport, online)?;
         self.transport.flush("announce");
-        self.pump(&online)?;
+        self.pump(online)?;
         self.transport.flush("recovery");
-        self.pump(&online)?;
+        self.pump(online)?;
 
         let outcome = V::close(&mut self.server, open.round)?;
         // Every cohort member completed this round: a full exchange is
@@ -2251,6 +2269,84 @@ mod tests {
         }
     }
 
+    /// A full exchange, then a ratcheted round, over a recording
+    /// transport: each base's partner shares, re-encoded from its draw,
+    /// are the `CodedMaskShare` payloads that went on the wire, and the
+    /// pair seeds its pads use hash exactly those payloads.
+    fn reencoded_shares_are_the_wire_shares<F: Field>(topology: ratchet::PadTopology) {
+        use crate::transport::FaultTransport;
+        let name = format!("{topology:?}");
+        let cfg = cfg().with_ratchet(ratchet::RatchetPolicy::new(true, topology, 1));
+        let code = VandermondeCode::<F>::new(cfg.n(), cfg.u()).unwrap();
+        let mut fed = SyncFederation::<F, _>::new(cfg, FaultTransport::new(), 36).unwrap();
+        let transcript = fed.transport().transcript();
+        let everyone: Vec<usize> = (0..cfg.n()).collect();
+        let model = vec![F::ONE; cfg.d()];
+        let run = |fed: &mut SyncFederation<F, FaultTransport>| {
+            for &id in &everyone {
+                fed.submit(id, &model).unwrap();
+            }
+            let sum = fed.finish_round().unwrap().aggregate;
+            assert_eq!(sum, vec![F::from_u64(cfg.n() as u64); cfg.d()], "{name}");
+        };
+        fed.open_round(&everyone).unwrap();
+        let wire: BTreeMap<(usize, usize), Vec<F>> = transcript
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(|(_, _, frame)| match Envelope::<F>::from_bytes(frame) {
+                Ok(Envelope::CodedMaskShare(s)) => Some(((s.from, s.to), s.payload)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(wire.len(), cfg.n() * (cfg.n() - 1), "{name}");
+        for c in &fed.clients {
+            // drained: every coded segment left in its envelope
+            assert_eq!(c.live(0).held_segments(), (0, cfg.t()), "{name}");
+        }
+        run(&mut fed);
+        fed.open_round(&everyone).unwrap();
+        assert!(fed.open.as_ref().is_some_and(|o| o.ratcheted.is_some()));
+        for (id, c) in fed.clients.iter().enumerate() {
+            let base = c.base().expect("round 0 is the base");
+            let partners = topology.partners(&everyone, id);
+            let seeded: Vec<usize> = base.pair_seeds().keys().copied().collect();
+            let mut want = partners.clone();
+            want.sort_unstable();
+            assert_eq!(seeded, want, "{name}: client {id} seeds its partners");
+            for peer in partners {
+                let (sent, recv) = (&wire[&(id, peer)], &wire[&(peer, id)]);
+                assert_eq!(&base.coded_for(&code, peer), sent, "{name}: {id} -> {peer}");
+                assert_eq!(
+                    base.pair_seeds()[&peer],
+                    ratchet::pair_seed(0, 0, id, peer, sent, recv),
+                    "{name}: edge {id}-{peer}"
+                );
+            }
+        }
+        run(&mut fed);
+    }
+
+    #[test]
+    fn reencoded_partner_shares_match_the_wire_fp61() {
+        for topology in [
+            ratchet::PadTopology::Clique,
+            ratchet::PadTopology::Hypercube,
+        ] {
+            reencoded_shares_are_the_wire_shares::<Fp61>(topology);
+        }
+    }
+
+    #[test]
+    fn reencoded_partner_shares_match_the_wire_fp32() {
+        for topology in [
+            ratchet::PadTopology::Clique,
+            ratchet::PadTopology::Hypercube,
+        ] {
+            reencoded_shares_are_the_wire_shares::<lsa_field::Fp32>(topology);
+        }
+    }
+
     #[test]
     fn recovery_answers_are_exact_whether_summed_or_retained() {
         use crate::transport::FaultTransport;
@@ -2274,12 +2370,24 @@ mod tests {
                     fed.submit(id, &u).unwrap();
                 }
                 // `Σ_i [~z_i]_j` from the senders' side: every share the
-                // cohort coded for `j` in the round that exchanged them
+                // cohort coded for `j` in the round that exchanged them,
+                // re-encoded from that round's draw (the base's, for a
+                // ratcheted round)
+                let code = VandermondeCode::new(cfg.n(), cfg.u()).unwrap();
                 let coded_for = |j: usize, from: &[usize]| {
-                    let shares = from
+                    let shares: Vec<Vec<Fp61>> = from
                         .iter()
-                        .map(|&i| fed.clients[i].live(round).coded_for(j));
-                    lsa_field::ops::sum_vectors(shares).unwrap()
+                        .map(|&i| {
+                            let client = &fed.clients[i];
+                            let drawn = if ratcheted {
+                                client.base().expect("a ratcheted round has a base")
+                            } else {
+                                client.live(round)
+                            };
+                            drawn.coded_for(&code, j)
+                        })
+                        .collect();
+                    lsa_field::ops::sum_vectors(shares.iter().map(Vec::as_slice)).unwrap()
                 };
                 let want: Vec<Vec<Fp61>> =
                     everyone.iter().map(|&j| coded_for(j, &everyone)).collect();

@@ -900,8 +900,7 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
 
     fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
         let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        open.dropped.insert(id);
+        open.mark_dropped(id)?;
         let (g, local) = self.topology.locate(id)?;
         self.leaves[g].mark_dropped(local)
     }
