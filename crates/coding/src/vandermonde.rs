@@ -322,37 +322,6 @@ fn has_eval_kernel<F: Field>(betas: &[F]) -> bool {
         && F::simd_eval_points(backend, &[&[F::ZERO]], &squares).is_some()
 }
 
-/// Split a flat vector into `parts` equal segments.
-///
-/// This is the mask partitioning step of the paper (`z_i` into `U−T`
-/// sub-masks). The vector length must be divisible by `parts`; the protocol
-/// layer zero-pads models to a multiple before masking.
-///
-/// # Errors
-///
-/// Returns [`CodingError::InvalidParameters`] if `parts == 0` or the length
-/// is not divisible by `parts`.
-pub fn partition<F: Field>(flat: &[F], parts: usize) -> Result<Vec<Vec<F>>, CodingError> {
-    if parts == 0 || !flat.len().is_multiple_of(parts) {
-        return Err(CodingError::InvalidParameters(format!(
-            "cannot partition length {} into {} equal segments",
-            flat.len(),
-            parts
-        )));
-    }
-    let m = flat.len() / parts;
-    Ok(flat.chunks_exact(m).map(<[F]>::to_vec).collect())
-}
-
-/// Concatenate segments back into a flat vector (inverse of [`partition`]).
-pub fn concatenate<F: Field>(segments: &[Vec<F>]) -> Vec<F> {
-    let mut out = Vec::with_capacity(segments.iter().map(Vec::len).sum());
-    for s in segments {
-        out.extend_from_slice(s);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,22 +463,6 @@ mod tests {
         assert!(w.is_mds());
         let bottom = w.submatrix(&[2, 3], &(0..6).collect::<Vec<_>>());
         assert!(bottom.is_mds());
-    }
-
-    #[test]
-    fn partition_concatenate_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let flat = lsa_field::ops::random_vector::<Fp32, _>(12, &mut rng);
-        let parts = partition(&flat, 4).unwrap();
-        assert_eq!(parts.len(), 4);
-        assert_eq!(concatenate(&parts), flat);
-    }
-
-    #[test]
-    fn partition_rejects_indivisible() {
-        let flat = vec![Fp32::ZERO; 10];
-        assert!(partition(&flat, 3).is_err());
-        assert!(partition(&flat, 0).is_err());
     }
 
     #[test]

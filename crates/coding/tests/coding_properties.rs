@@ -1,6 +1,6 @@
 //! Property-based tests for the coding layer.
 
-use lsa_coding::{vandermonde, ShamirScheme, VandermondeCode};
+use lsa_coding::{ShamirScheme, VandermondeCode};
 use lsa_field::{simd, Field, Fp32, Fp61};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -112,16 +112,6 @@ proptest! {
             .collect();
         let rec = scheme.reconstruct(&sum_shares[1..4]).unwrap();
         prop_assert_eq!(rec, Fp32::from_u64(s1) + Fp32::from_u64(s2));
-    }
-
-    /// partition/concatenate are mutually inverse whenever lengths divide.
-    #[test]
-    fn partition_roundtrip(parts in 1usize..10, m in 1usize..20, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let flat = lsa_field::ops::random_vector::<Fp32, _>(parts * m, &mut rng);
-        let segs = vandermonde::partition(&flat, parts).unwrap();
-        prop_assert_eq!(segs.len(), parts);
-        prop_assert_eq!(vandermonde::concatenate(&segs), flat);
     }
 }
 

@@ -14,17 +14,19 @@
 //!   (`Box<dyn SecureAggregator<F>>`), not by code path.
 //! * [`LeafFederation`] — the one implementation of that lifecycle for
 //!   a leaf cohort (overlap, ratchet, rollback, telemetry) over
-//!   [`FederationClient`]s, generic over a [`LeafVariant`] that
-//!   supplies the server and the few server steps where the protocols
-//!   differ: [`SyncFederation`] (§4.1) and [`BufferedFederation`]
-//!   (§4.2) are its two instantiations.
+//!   [`FederationClient`]s and one [`FederationServer`];
+//!   [`SyncFederation::new`] (§4.1) and
+//!   [`BufferedFederation::unit_weight`] (§4.2) build it for either
+//!   protocol.
 //! * [`FederationClient`] / [`FederationServer`] — the persistent
-//!   user of both protocols and the §4.1 server, Algorithm 1's user and
-//!   server themselves. The client holds the state of each live round
-//!   and routes interleaved multi-round traffic by the round id every
-//!   wire envelope carries; the server serves one round at a time. A
-//!   replayed envelope from a finished round is rejected with
-//!   [`ProtocolError::StaleRound`] — never confused with a same-round
+//!   user and server of both protocols, Algorithm 1's user and server
+//!   themselves; [`FederationClient::timestamped`] and
+//!   [`FederationServer::timestamped`] build the §4.2 pair. The client
+//!   holds the state of each live round and routes interleaved
+//!   multi-round traffic by the round id every wire envelope carries;
+//!   the server serves one round at a time. A replayed envelope from a
+//!   finished round is rejected with [`ProtocolError::StaleRound`] —
+//!   never confused with a same-round
 //!   [`ProtocolError::DuplicateMessage`].
 //! * [`Federation`] / [`RoundPlan`] — the driver loop: per-round cohort
 //!   selection with cross-round churn (clients join, leave and rejoin
@@ -64,16 +66,18 @@
 //! assert_eq!(r2.aggregate, vec![Fp61::from_u64(4); 3]);
 //! ```
 
-use crate::asynchronous::AsyncServer;
+use crate::asynchronous::BufferEntry;
 pub use crate::client::FederationClient;
 use crate::config::LsaConfig;
 use crate::ratchet::{self, CohortFingerprint, ServerRatchet};
 use crate::session::{Outgoing, Recipient, Session};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
-use crate::wire::{AggregatedShare, Envelope, MaskedModel, SurvivorAnnouncement};
+use crate::wire::{
+    AggregatedShare, BufferAnnouncement, Envelope, EnvelopeKind, MaskedModel, SurvivorAnnouncement,
+};
 use crate::{check_len, DropoutSchedule, ProtocolError};
-use lsa_coding::{vandermonde, VandermondeCode};
+use lsa_coding::VandermondeCode;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, StalenessFn};
 use rand::rngs::StdRng;
@@ -212,10 +216,9 @@ pub trait SecureAggregator<F: Field> {
     /// seat-based and untouched by the permute) but advance every
     /// member's pad-derivation epoch in lockstep
     /// ([`crate::ratchet::reseat_epoch`]) and drop any pre-committed
-    /// nonce window. Variants that cannot reseat — the buffered leaf
-    /// ([`BufferedFederation`]) — fall back to
-    /// [`SecureAggregator::clear_ratchet`]: correct, just slower (the
-    /// next round pays a full exchange).
+    /// nonce window. The buffered leaf ([`BufferedFederation`]) does not
+    /// reseat: it falls back to [`SecureAggregator::clear_ratchet`],
+    /// correct, just slower (the next round pays a full exchange).
     fn reseat_ratchet(&mut self, seed: u64);
 
     /// The order-independent fingerprint of `cohort`'s current seating
@@ -243,11 +246,11 @@ pub trait SecureAggregator<F: Field> {
 pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F>>;
 
 // ---------------------------------------------------------------------
-// Persistent endpoints
+// The persistent server
 // ---------------------------------------------------------------------
 
-/// The §4.1 server (Algorithm 1, server side), persistent across
-/// rounds: it serves one round at a time, opened by
+/// The LightSecAgg server, persistent across rounds, for both
+/// protocols: it serves one round at a time, opened by
 /// [`Self::open_round`] and ended by [`Self::close_round`] or
 /// [`Self::abort_round`].
 ///
@@ -256,10 +259,16 @@ pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F>>;
 /// one shot (the paper's key idea). Masked models fold into a running
 /// sum the moment they arrive, kept unreduced in the field's widened
 /// accumulator domain ([`lsa_field::Field::Wide`]) and reduced once at
-/// recovery, so memory is `O(d)` however many of the `N` users upload.
+/// recovery, so memory is `O(d)` however many users upload.
 /// Recovery is **deliberately lazy**: the `U`-th aggregated share is
 /// only stored; the `O(U²) + O(U·d)` decode runs when the owner calls
 /// [`Self::close_round`], not inside the message pump.
+///
+/// [`Self::new`] builds the §4.1 server (Algorithm 1): each survivor's
+/// upload counts once. [`Self::timestamped`] builds the §4.2 one
+/// (Appendix F): it buffers up to `K` uploads masked in any round up to
+/// the open one, each scaled on receipt by its staleness weight, and
+/// the same one-shot decode recovers their weighted sum.
 #[derive(Debug, Clone)]
 pub struct FederationServer<F: Field> {
     cfg: LsaConfig,
@@ -268,6 +277,8 @@ pub struct FederationServer<F: Field> {
     code: VandermondeCode<F>,
     /// The open round's state; `None` between rounds.
     open: Option<RoundState<F>>,
+    /// The §4.2 buffer's rules; `None` for the §4.1 server.
+    buffer: Option<Buffer>,
     /// The server half of the stable-cohort handshake
     /// ([`crate::ratchet`]): the commit in flight and its queued
     /// announcements.
@@ -282,22 +293,35 @@ pub struct FederationServer<F: Field> {
     quarantined: usize,
 }
 
+/// What makes a server the §4.2 one: its buffer size and how it weighs
+/// a stale upload.
+#[derive(Debug, Clone)]
+struct Buffer {
+    /// `K`: uploads one round accepts.
+    capacity: usize,
+    staleness: QuantizedStaleness,
+    /// The randomness of the staleness weights' rounding.
+    entropy: StdRng,
+}
+
 /// What the server holds for the round it is serving.
 #[derive(Debug, Clone)]
 struct RoundState<F: Field> {
-    /// Running `Σ ~x_i` over every upload (padded length), unreduced in
-    /// the widened domain.
+    /// Running `Σ w_i·~x_i` over every upload (padded length),
+    /// unreduced in the widened domain.
     sum_masked: Vec<F::Wide>,
     /// Terms absorbed per `sum_masked` accumulator since the last
     /// normalisation, checked against [`Field::WIDE_CAPACITY`].
     sum_terms: u64,
-    uploaders: BTreeSet<usize>,
-    /// The survivor set `U₁`: empty while uploads are collected, fixed
-    /// by [`FederationServer::close_upload`] (never empty after, as
-    /// `U ≥ 1`).
+    /// One `(who, round, weight)` per upload, in arrival order; a §4.1
+    /// upload is `(from, the open round, 1)`.
+    entries: Vec<BufferEntry>,
+    /// The contributors, ascending: empty while uploads are collected,
+    /// fixed by [`FederationServer::close_upload`] (never empty after).
+    /// §4.1's survivor set `U₁`.
     survivors: Vec<usize>,
     shares: Vec<(usize, Vec<F>)>,
-    /// How many of `survivors` [`Session::poll_output`] has announced to.
+    /// How many announcements [`Session::poll_output`] has sent.
     announced: usize,
 }
 
@@ -310,7 +334,7 @@ struct RoundState<F: Field> {
 pub const DEFAULT_INGRESS_QUOTA: usize = 8;
 
 impl<F: Field> FederationServer<F> {
-    /// Create the server; no round is open yet.
+    /// Create the §4.1 server; no round is open yet.
     ///
     /// # Errors
     ///
@@ -319,7 +343,7 @@ impl<F: Field> FederationServer<F> {
         Self::in_group(0, cfg)
     }
 
-    /// Create the server for aggregation group `group` of a grouped
+    /// Create the §4.1 server for aggregation group `group` of a grouped
     /// topology ([`crate::topology`]); envelopes from any other group
     /// are rejected with [`ProtocolError::WrongGroup`].
     ///
@@ -333,10 +357,44 @@ impl<F: Field> FederationServer<F> {
             round: 0,
             code: VandermondeCode::new(cfg.n(), cfg.u())?,
             open: None,
+            buffer: None,
             ratchet: ServerRatchet::new(group),
             strikes: BTreeMap::new(),
             rejections: 0,
             quarantined: 0,
+        })
+    }
+
+    /// Create the §4.2 (buffered-asynchronous) server, flat (group 0):
+    /// a round accepts up to `buffer_size`
+    /// [`EnvelopeKind::TimestampedUpdate`]s masked in any round up to
+    /// the open one, and weighs each by `staleness` when it arrives,
+    /// drawing from `entropy`. Closing the upload phase announces the
+    /// buffer to every user.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::InvalidConfig`] if `buffer_size == 0`;
+    /// invalid configuration as [`ProtocolError::Coding`].
+    pub fn timestamped(
+        cfg: LsaConfig,
+        buffer_size: usize,
+        staleness: QuantizedStaleness,
+        entropy: StdRng,
+    ) -> Result<Self, ProtocolError> {
+        if buffer_size == 0 {
+            return Err(ProtocolError::InvalidConfig(
+                "buffer size must be positive".into(),
+            ));
+        }
+        let buffer = Buffer {
+            capacity: buffer_size,
+            staleness,
+            entropy,
+        };
+        Ok(Self {
+            buffer: Some(buffer),
+            ..Self::new(cfg)?
         })
     }
 
@@ -350,8 +408,8 @@ impl<F: Field> FederationServer<F> {
         self.group
     }
 
-    /// Open `round`: accept uploads stamped with it, reject everything
-    /// else as stale.
+    /// Open `round`: accept uploads stamped with it (§4.2: with it or
+    /// any earlier round), reject everything else.
     ///
     /// # Errors
     ///
@@ -370,7 +428,7 @@ impl<F: Field> FederationServer<F> {
         self.open = Some(RoundState {
             sum_masked: lsa_field::ops::wide_zeros::<F>(self.cfg.padded_len()),
             sum_terms: 0,
-            uploaders: BTreeSet::new(),
+            entries: Vec::new(),
             survivors: Vec::new(),
             shares: Vec::new(),
             announced: 0,
@@ -395,29 +453,38 @@ impl<F: Field> FederationServer<F> {
         self.quarantined
     }
 
-    /// Close the upload phase of the open round, fixing the survivor
-    /// set `U₁` (Algorithm 1 line 17). [`Session::poll_output`] then
-    /// announces it to each survivor, so each can compute its
+    /// Close the upload phase of the open round, fixing and returning
+    /// its contributors (§4.1: the survivor set `U₁`, Algorithm 1 line
+    /// 17). [`Session::poll_output`] then announces them — §4.1: the
+    /// survivors to each survivor; §4.2: the buffer's entries, in
+    /// arrival order, to every user — so each can compute its
     /// aggregated coded mask.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::WrongPhase`] without an open round or on a
-    /// second close; [`ProtocolError::NotEnoughSurvivors`] if fewer than
-    /// `U` users uploaded — recovery would be impossible.
+    /// [`ProtocolError::WrongPhase`] without an open round, on a second
+    /// close, or on an empty §4.2 buffer;
+    /// [`ProtocolError::NotEnoughSurvivors`] if fewer than `U` users
+    /// uploaded to the §4.1 server — recovery would be impossible.
     pub fn close_upload(&mut self) -> Result<Vec<usize>, ProtocolError> {
         let state = self
             .open
             .as_mut()
             .filter(|state| state.survivors.is_empty())
             .ok_or(ProtocolError::WrongPhase)?;
-        if state.uploaders.len() < self.cfg.u() {
+        let uploads = state.entries.len();
+        if self.buffer.is_some() && uploads == 0 {
+            return Err(ProtocolError::WrongPhase);
+        }
+        if self.buffer.is_none() && uploads < self.cfg.u() {
             return Err(ProtocolError::NotEnoughSurvivors {
-                got: state.uploaders.len(),
+                got: uploads,
                 need: self.cfg.u(),
             });
         }
-        state.survivors = state.uploaders.iter().copied().collect();
+        state.survivors = state.entries.iter().map(|e| e.who).collect();
+        state.survivors.sort_unstable();
+        state.survivors.dedup();
         Ok(state.survivors.clone())
     }
 
@@ -435,10 +502,10 @@ impl<F: Field> FederationServer<F> {
     }
 
     /// Close the open round with the one-shot recovery of Algorithm 1
-    /// lines 24–28, returning the survivor set `U₁` and the aggregate
-    /// `Σ_{i∈U₁} x_i`. The server holds **no per-round state**
-    /// afterwards — its memory across the run is `O(d)`, not
-    /// `O(rounds · N · d)`.
+    /// lines 24–28 (Appendix F.3.3 for §4.2), returning the
+    /// contributors and the aggregate `Σ w_i·x_i` (every `w_i = 1` in
+    /// §4.1). The server holds **no per-round state** afterwards — its
+    /// memory across the run is `O(d)`, not `O(rounds · N · d)`.
     ///
     /// # Errors
     ///
@@ -446,7 +513,7 @@ impl<F: Field> FederationServer<F> {
     /// [`ProtocolError::NotEnoughSurvivors`] below `U` aggregated shares
     /// and [`ProtocolError::Coding`] on a decode failure, both of which
     /// leave the round open so the caller can pump more shares.
-    pub fn close_round(&mut self) -> Result<(Vec<usize>, Vec<F>), ProtocolError> {
+    pub fn close_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
         let state = self.open.as_ref().ok_or(ProtocolError::WrongPhase)?;
         if state.shares.len() < self.cfg.u() {
             return Err(ProtocolError::NotEnoughSurvivors {
@@ -454,12 +521,17 @@ impl<F: Field> FederationServer<F> {
                 need: self.cfg.u(),
             });
         }
-        // every uploader is a survivor once the phase closes, so Σ ~x_i
-        // over U₁ is the running sum, collapsed in one reduction pass
+        // every upload is a contributor once the phase closes, so
+        // Σ w_i·~x_i is the running sum, collapsed in one reduction pass
         let masked_sum = lsa_field::ops::wide_collapse::<F>(&state.sum_masked);
         let aggregate = unmask(&self.code, &self.cfg, &state.shares, masked_sum)?;
         let state = self.open.take().expect("the round is open");
-        Ok((state.survivors, aggregate))
+        Ok(RoundOutcome {
+            round: self.round,
+            aggregate,
+            total_weight: state.entries.iter().map(|e| e.weight).sum(),
+            contributors: state.survivors,
+        })
     }
 
     /// Group check → ratchet-ack routing → round check → the open
@@ -481,39 +553,79 @@ impl<F: Field> FederationServer<F> {
                 current: self.round,
             });
         };
+        // the wire tag is the protocol: each server takes its own upload
+        let kind = envelope.kind();
+        let upload = if self.buffer.is_some() {
+            EnvelopeKind::TimestampedUpdate
+        } else {
+            EnvelopeKind::MaskedModel
+        };
         match envelope {
-            Envelope::MaskedModel(m) => state.fold_upload(&self.cfg, self.round, m),
-            Envelope::AggregatedShare(s) => state.file_share(&self.cfg, self.round, s),
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) if kind == upload => {
+                state.fold_upload(&self.cfg, self.round, m, self.buffer.as_mut())
+            }
+            Envelope::AggregatedShare(s) => {
+                state.file_share(&self.cfg, self.round, s, self.buffer.is_some())
+            }
             other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
         }
     }
 }
 
 impl<F: Field> RoundState<F> {
-    /// Fold a masked upload into the running sum. Checked after its
-    /// group: phase, then round (a replay from round `t−1` is *stale*,
-    /// not a duplicate), then sender, length and duplicate.
+    /// Fold a masked upload into the running sum, scaled by its weight
+    /// (§4.2: drawn here, on receipt). Checked after its group: phase
+    /// (§4.2: also a full buffer), then round (§4.1: a replay from
+    /// round `t−1` is *stale*, not a duplicate; §4.2: only a round
+    /// later than the open one is), then sender, length and duplicate
+    /// `(sender, round)`.
     fn fold_upload(
         &mut self,
         cfg: &LsaConfig,
-        round: u64,
+        now: u64,
         msg: MaskedModel<F>,
+        buffer: Option<&mut Buffer>,
     ) -> Result<(), ProtocolError> {
-        if !self.survivors.is_empty() {
+        let full = buffer
+            .as_ref()
+            .is_some_and(|b| self.entries.len() >= b.capacity);
+        if !self.survivors.is_empty() || full {
             return Err(ProtocolError::WrongPhase);
         }
-        if msg.round != round {
-            return Err(ProtocolError::StaleRound {
-                got: msg.round,
-                current: round,
-            });
+        match buffer {
+            Some(_) if msg.round > now => {
+                return Err(ProtocolError::StaleUpdate {
+                    round: msg.round,
+                    now,
+                })
+            }
+            None if msg.round != now => {
+                return Err(ProtocolError::StaleRound {
+                    got: msg.round,
+                    current: now,
+                })
+            }
+            _ => {}
         }
         if msg.from >= cfg.n() {
             return Err(ProtocolError::UnknownUser(msg.from));
         }
         check_len(cfg.padded_len(), msg.payload.len())?;
-        if !self.uploaders.insert(msg.from) {
+        // one contribution per client and mask round: a redelivered
+        // upload would otherwise be summed (and weighted) twice
+        if self
+            .entries
+            .iter()
+            .any(|e| (e.who, e.round) == (msg.from, msg.round))
+        {
             return Err(ProtocolError::DuplicateMessage(msg.from));
+        }
+        let weight = buffer.map_or(1, |b| {
+            b.staleness.integer_weight(now - msg.round, &mut b.entropy)
+        });
+        let mut payload = msg.payload;
+        if weight != 1 {
+            lsa_field::ops::scale_assign(&mut payload, F::from_u64(weight));
         }
         // plain integer adds, no per-element reduction; normalise if a
         // (pathologically long) run of uploads approaches the
@@ -522,20 +634,26 @@ impl<F: Field> RoundState<F> {
             lsa_field::ops::wide_normalize::<F>(&mut self.sum_masked);
             self.sum_terms = 1;
         }
-        lsa_field::ops::wide_accumulate::<F>(&mut self.sum_masked, &msg.payload);
+        lsa_field::ops::wide_accumulate::<F>(&mut self.sum_masked, &payload);
         self.sum_terms += 1;
+        self.entries.push(BufferEntry {
+            who: msg.from,
+            round: msg.round,
+            weight,
+        });
         Ok(())
     }
 
-    /// Store a survivor's aggregated coded mask. Shares beyond `U` are
-    /// accepted and ignored by the decoder (it uses the first `U`).
-    /// Checked after its group: phase, round, survivor, length,
-    /// duplicate.
+    /// Store an aggregated coded mask from a survivor (§4.2: from any
+    /// user). Shares beyond `U` are accepted and ignored by the decoder
+    /// (it uses the first `U`). Checked after its group: phase, round,
+    /// sender, length, duplicate.
     fn file_share(
         &mut self,
         cfg: &LsaConfig,
         round: u64,
         msg: AggregatedShare<F>,
+        any_user: bool,
     ) -> Result<(), ProtocolError> {
         if self.survivors.is_empty() {
             return Err(ProtocolError::WrongPhase);
@@ -546,7 +664,12 @@ impl<F: Field> RoundState<F> {
                 current: round,
             });
         }
-        if !self.survivors.contains(&msg.from) {
+        let known = if any_user {
+            msg.from < cfg.n()
+        } else {
+            self.survivors.contains(&msg.from)
+        };
+        if !known {
             return Err(ProtocolError::UnknownUser(msg.from));
         }
         check_len(cfg.segment_len(), msg.payload.len())?;
@@ -558,20 +681,21 @@ impl<F: Field> RoundState<F> {
     }
 }
 
-/// The one-shot recovery both variants' servers finish with
-/// (Algorithm 1 lines 24–28, Appendix F.3.3): MDS-decode the aggregate
-/// mask from the first `U` aggregated shares — evaluations of the
-/// aggregated mask polynomial at the senders' points (Eq. 6) — and
-/// subtract it from the (weighted) sum of masked uploads, truncated to
-/// `d`.
-pub(crate) fn unmask<F: Field>(
+/// The one-shot recovery (Algorithm 1 lines 24–28, Appendix F.3.3):
+/// MDS-decode the aggregate mask from the first `U` aggregated shares —
+/// evaluations of the aggregated mask polynomial at the senders' points
+/// (Eq. 6) — and subtract each decoded segment from its chunk of the
+/// (weighted) sum of masked uploads, truncated to `d`.
+fn unmask<F: Field>(
     code: &VandermondeCode<F>,
     cfg: &LsaConfig,
     shares: &[(usize, Vec<F>)],
     mut masked_sum: Vec<F>,
 ) -> Result<Vec<F>, ProtocolError> {
     let segments = code.decode_prefix(shares, cfg.data_segments())?;
-    lsa_field::ops::sub_assign(&mut masked_sum, &vandermonde::concatenate(&segments));
+    for (chunk, segment) in masked_sum.chunks_mut(cfg.segment_len()).zip(&segments) {
+        lsa_field::ops::sub_assign(chunk, segment);
+    }
     masked_sum.truncate(cfg.d());
     Ok(masked_sum)
 }
@@ -617,18 +741,26 @@ impl<F: Field> Session<F> for FederationServer<F> {
             return Some(out);
         }
         // `survivors` is empty until the upload phase closes
-        let state = self.open.as_mut()?;
-        let to = *state.survivors.get(state.announced)?;
-        state.announced += 1;
-        let announcement = SurvivorAnnouncement {
-            group: self.group,
-            round: self.round,
-            survivors: state.survivors.clone(),
+        let state = self.open.as_mut().filter(|s| !s.survivors.is_empty())?;
+        let (to, announcement) = if self.buffer.is_some() {
+            let to = (state.announced < self.cfg.n()).then_some(state.announced)?;
+            let announcement = BufferAnnouncement {
+                group: self.group,
+                round: self.round,
+                entries: state.entries.clone(),
+            };
+            (to, Envelope::BufferAnnouncement(announcement))
+        } else {
+            let to = *state.survivors.get(state.announced)?;
+            let announcement = SurvivorAnnouncement {
+                group: self.group,
+                round: self.round,
+                survivors: state.survivors.clone(),
+            };
+            (to, Envelope::SurvivorAnnouncement(announcement))
         };
-        Some((
-            Recipient::Client(to),
-            Envelope::SurvivorAnnouncement(announcement),
-        ))
+        state.announced += 1;
+        Some((Recipient::Client(to), announcement))
     }
 }
 
@@ -756,18 +888,12 @@ fn validate_cohort(cfg: &LsaConfig, cohort: &[usize]) -> Result<BTreeSet<usize>,
 /// forwarded back into the transport. Shared by the leaf driver and
 /// the buffered one-shot driver
 /// ([`crate::asynchronous::run_buffered_flush`]).
-pub(crate) fn pump<F, T, C, S>(
+pub(crate) fn pump<F: Field, T: Transport<F>>(
     transport: &mut T,
-    server: &mut S,
-    clients: &mut [C],
+    server: &mut FederationServer<F>,
+    clients: &mut [FederationClient<F>],
     online: &BTreeSet<usize>,
-) -> Result<(), ProtocolError>
-where
-    F: Field,
-    T: Transport<F>,
-    C: Session<F>,
-    S: Session<F>,
-{
+) -> Result<(), ProtocolError> {
     while let Some(delivery) = transport.recv()? {
         let responses = match delivery.to {
             Recipient::Client(i) => {
@@ -814,73 +940,23 @@ where
 // The leaf round driver
 // ---------------------------------------------------------------------
 
-/// What a leaf protocol variant plugs into [`LeafFederation`]: its
-/// persistent server type and the server-side steps of a round where
-/// §4.1 and §4.2 genuinely differ. The users are [`FederationClient`]s
-/// of either protocol, driven directly. Everything else — the round
-/// lifecycle, the overlap bookkeeping, the stable-cohort ratchet with
-/// its windows, rollback and reseat, traffic marks and report cuts — is
-/// the driver's, written once.
-///
-/// Implemented by [`SyncVariant`] and [`BufferedVariant`]; the hooks
-/// reach into endpoint internals, so further variants live in this
-/// crate.
-pub trait LeafVariant<F: Field> {
-    /// The persistent server endpoint.
-    type Server: Session<F>;
-
-    /// The server half of the ratchet handshake.
-    fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F>;
-
-    /// Carry every retained base across a seat permutation derived from
-    /// `seed`. `false` when the variant cannot: the driver then clears
-    /// the ratchet instead.
-    fn reseat(clients: &mut [FederationClient<F>], seed: u64) -> bool {
-        let _ = (clients, seed);
-        false
-    }
-
-    /// Start accepting `round`'s uploads at the server.
-    fn open(server: &mut Self::Server, round: u64) -> Result<(), ProtocolError>;
-
-    /// Close the upload phase: fix who contributed and queue the
-    /// announcements that start recovery.
-    fn close_upload(server: &mut Self::Server) -> Result<(), ProtocolError>;
-
-    /// Decode `round`'s aggregate once the recovery traffic is in
-    /// ([`ProtocolError::NotEnoughSurvivors`] below `U` aggregated
-    /// shares).
-    fn close(server: &mut Self::Server, round: u64) -> Result<RoundOutcome<F>, ProtocolError>;
-
-    /// Abandon whatever the open round left at the server.
-    fn abort(server: &mut Self::Server);
-
-    /// Cumulative `(rejected, quarantined)` envelope counts, for
-    /// servers that police their ingress.
-    fn rejections(server: &Self::Server) -> (usize, usize) {
-        let _ = server;
-        (0, 0)
-    }
-}
-
 /// One leaf aggregation domain behind the [`SecureAggregator`] trait:
-/// `cfg.n()` persistent clients and one server of variant `V` over one
-/// transport, with per-round cohorts, overlapped next-round mask
-/// sharing, the stable-cohort ratchet ([`crate::ratchet`]) and one
-/// [`RoundReport`] per round.
-///
-/// `V` is a type parameter, so the per-envelope path is statically
-/// dispatched; use the aliases [`SyncFederation`] (§4.1) and
-/// [`BufferedFederation`] (§4.2), which carry the constructors.
+/// `cfg.n()` persistent [`FederationClient`]s and one
+/// [`FederationServer`] of either protocol over one transport, with
+/// per-round cohorts, overlapped next-round mask sharing, the
+/// stable-cohort ratchet ([`crate::ratchet`]) and one [`RoundReport`]
+/// per round. The constructors pick the protocol:
+/// [`SyncFederation::new`] (§4.1) and [`BufferedFederation::unit_weight`]
+/// (§4.2).
 #[derive(Debug, Clone)]
-pub struct LeafFederation<F: Field, T, V: LeafVariant<F>> {
+pub struct LeafFederation<F: Field, T> {
     cfg: LsaConfig,
     /// The namespaced leaf-group id every envelope is stamped with
     /// (0 for a standalone flat federation).
     group: usize,
     transport: T,
     clients: Vec<FederationClient<F>>,
-    server: V::Server,
+    server: FederationServer<F>,
     next_round: u64,
     open: Option<OpenRound>,
     /// Rounds whose offline exchange already ran, with their cohorts.
@@ -915,7 +991,7 @@ pub struct LeafFederation<F: Field, T, V: LeafVariant<F>> {
     last_report: Option<RoundReport>,
 }
 
-impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
+impl<F: Field, T: Transport<F>> LeafFederation<F, T> {
     /// Assemble the driver around endpoints built from the same `cfg`
     /// (whose [`LsaConfig::ratchet`] policy the driver follows).
     /// `entropy` seeds the driver's nonce stream: the master RNG's next
@@ -926,7 +1002,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         cfg: LsaConfig,
         transport: T,
         clients: Vec<FederationClient<F>>,
-        server: V::Server,
+        server: FederationServer<F>,
         entropy: u64,
     ) -> Self {
         Self {
@@ -1007,7 +1083,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
     fn cut_report(&self, open: &OpenRound) -> RoundReport {
         let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
         report.ratchet = self.cfg.ratchet();
-        let (rejections, quarantined) = V::rejections(&self.server);
+        let (rejections, quarantined) = self.rejections();
         report.events.dropouts = open.dropouts();
         // a windowed join is counted apart from handshake-bearing
         // ratchets so bench JSON can tell amortized rounds from
@@ -1128,7 +1204,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
     ) -> Result<(), ProtocolError> {
         let policy = self.cfg.ratchet();
         let nonces: Vec<u64> = (0..policy.window()).map(|_| self.entropy.gen()).collect();
-        let server = V::server_ratchet(&mut self.server);
+        let server = &mut self.server.ratchet;
         server.commit(round, cohort, fingerprint, policy.topology(), &nonces);
         self.window = ratchet::banked_nonces(round, &nonces);
         drain_to(&mut self.server, &mut self.transport, cohort)?;
@@ -1138,7 +1214,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
         // phase-buffered transport
         self.transport.flush(label);
         self.pump(cohort)?;
-        V::server_ratchet(&mut self.server).ready(round)
+        self.server.ratchet.ready(round)
     }
 
     /// Forget the retained bases, the server commit and every
@@ -1146,10 +1222,15 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
     fn forget_ratchet(&mut self) {
         self.ratchet_fp = None;
         self.window.clear();
-        V::server_ratchet(&mut self.server).clear();
+        self.server.ratchet.clear();
         for client in &mut self.clients {
             client.ratchet().clear();
         }
+    }
+
+    /// The server's cumulative `(rejected, quarantined)` envelope counts.
+    fn rejections(&self) -> (usize, usize) {
+        (self.server.rejections(), self.server.quarantined())
     }
 
     /// Discard everything a failed ratchet handshake or full exchange
@@ -1164,7 +1245,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> LeafFederation<F, T, V> {
     }
 }
 
-impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafFederation<F, T, V> {
+impl<F: Field, T: Transport<F>> SecureAggregator<F> for LeafFederation<F, T> {
     fn config(&self) -> LsaConfig {
         self.cfg
     }
@@ -1182,13 +1263,13 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         // telemetry baseline: everything from here to `finish_round`
         // (including an overlapped `prepare_next`) bills to this round
         self.mark = TrafficMark::of::<F, T>(&self.transport);
-        self.mark_rejections = V::rejections(&self.server);
+        self.mark_rejections = self.rejections();
         let ratcheted = if claim_prepared(&mut self.prepared, round, &cohort)? {
             self.prepared_ratcheted.remove(&round)
         } else {
             self.share_masks(round, &cohort, "offline")?
         };
-        V::open(&mut self.server, round)?;
+        self.server.open_round(round)?;
         self.next_round = round + 1;
         self.open = Some(OpenRound {
             ratcheted,
@@ -1253,14 +1334,14 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
         self.pump(online)?;
 
         // Fix the contributors, announce, collect aggregated shares.
-        V::close_upload(&mut self.server)?;
+        self.server.close_upload()?;
         drain_to(&mut self.server, &mut self.transport, online)?;
         self.transport.flush("announce");
         self.pump(online)?;
         self.transport.flush("recovery");
         self.pump(online)?;
 
-        let outcome = V::close(&mut self.server, open.round)?;
+        let outcome = self.server.close_round()?;
         // Every cohort member completed this round: a full exchange is
         // retained as the ratchet base for the next stable round (a
         // ratcheted round's mask is `m + u`, so the previous base is
@@ -1286,7 +1367,7 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
 
     fn abort_round(&mut self) {
         if let Some(open) = self.open.take() {
-            V::abort(&mut self.server);
+            self.server.abort_round();
             // an abort means the cohort did not complete the round:
             // conservatively forget the ratchet bases too
             self.forget_ratchet();
@@ -1313,16 +1394,22 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
     }
 
     fn reseat_ratchet(&mut self, seed: u64) {
+        // a buffered leaf does not carry its bases across a reseat
+        if self.server.buffer.is_some() {
+            self.clear_ratchet();
+            return;
+        }
         // the leaf fingerprint is seat-based and unchanged by a global
         // permute, so the retained bases stay valid — only the pad
         // derivation must diverge from the pre-permute stretch (and any
-        // pre-committed window dies with the old seating)
-        if V::reseat(&mut self.clients, seed) {
-            self.window.clear();
-            V::server_ratchet(&mut self.server).clear();
-        } else {
-            self.clear_ratchet();
+        // pre-committed window dies with the old seating). Every member
+        // applies the same `seed`, so the permuted edges still cancel
+        // ([`crate::ratchet::reseat_epoch`])
+        for client in &mut self.clients {
+            client.ratchet().reseat(|base| base.bump_pad_epoch(seed));
         }
+        self.window.clear();
+        self.server.ratchet.clear();
     }
 
     fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
@@ -1339,60 +1426,14 @@ impl<F: Field, T: Transport<F>, V: LeafVariant<F>> SecureAggregator<F> for LeafF
 }
 
 // ---------------------------------------------------------------------
-// The two variants
+// The two protocols' constructors
 // ---------------------------------------------------------------------
 
-/// §4.1: persistent [`FederationClient`]s, one persistent
+/// The §4.1 synchronous protocol behind the [`SecureAggregator`] trait:
+/// persistent [`FederationClient`]s, one persistent §4.1
 /// [`FederationServer`], exact (unit-weight) aggregation over the
-/// survivors, `O(d)` server memory, and an ingress quota at the server.
-#[derive(Debug, Clone, Copy)]
-pub struct SyncVariant;
-
-/// The §4.1 synchronous protocol behind the [`SecureAggregator`] trait.
-pub type SyncFederation<F, T> = LeafFederation<F, T, SyncVariant>;
-
-impl<F: Field> LeafVariant<F> for SyncVariant {
-    type Server = FederationServer<F>;
-
-    fn server_ratchet(server: &mut Self::Server) -> &mut ServerRatchet<F> {
-        &mut server.ratchet
-    }
-
-    fn reseat(clients: &mut [FederationClient<F>], seed: u64) -> bool {
-        // every cohort member applies the same `seed`, so the permuted
-        // edges still cancel ([`crate::ratchet::reseat_epoch`])
-        for client in clients {
-            client.ratchet().reseat(|base| base.bump_pad_epoch(seed));
-        }
-        true
-    }
-
-    fn open(server: &mut Self::Server, round: u64) -> Result<(), ProtocolError> {
-        server.open_round(round)
-    }
-
-    fn close_upload(server: &mut Self::Server) -> Result<(), ProtocolError> {
-        server.close_upload().map(drop)
-    }
-
-    fn close(server: &mut Self::Server, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
-        let (contributors, aggregate) = server.close_round()?;
-        Ok(RoundOutcome {
-            round,
-            aggregate,
-            total_weight: contributors.len() as u64,
-            contributors,
-        })
-    }
-
-    fn abort(server: &mut Self::Server) {
-        server.abort_round();
-    }
-
-    fn rejections(server: &Self::Server) -> (usize, usize) {
-        (server.rejections(), server.quarantined())
-    }
-}
+/// survivors.
+pub type SyncFederation<F, T> = LeafFederation<F, T>;
 
 impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
     /// Create a federation of `cfg.n()` persistent clients over
@@ -1431,18 +1472,15 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
     }
 }
 
-/// §4.2: persistent timestamped [`FederationClient`]s
-/// ([`FederationClient::timestamped`]) whose round-stamped masks let
-/// the persistent [`AsyncServer`] recover a staleness-weighted aggregate
-/// from whatever its buffer holds when the round closes. Runs flat
-/// (group 0) and cannot reseat a retained base. Its hooks live beside
-/// that server, in [`crate::asynchronous`].
-#[derive(Debug, Clone, Copy)]
-pub struct BufferedVariant;
-
 /// The §4.2 buffered-asynchronous protocol behind the
-/// [`SecureAggregator`] trait.
-pub type BufferedFederation<F, T> = LeafFederation<F, T, BufferedVariant>;
+/// [`SecureAggregator`] trait: persistent timestamped
+/// [`FederationClient`]s ([`FederationClient::timestamped`]) whose
+/// round-stamped masks let the §4.2 [`FederationServer`]
+/// ([`FederationServer::timestamped`]) recover a staleness-weighted
+/// aggregate from whatever its buffer holds when the round closes. Runs
+/// flat (group 0) and clears, rather than reseats, its ratchet on a
+/// reseat.
+pub type BufferedFederation<F, T> = LeafFederation<F, T>;
 
 impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
     /// A buffered federation with unit weights (`s(τ) = 1`, `c_g = 1`) —
@@ -1459,7 +1497,7 @@ impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
         let clients = (0..cfg.n())
             .map(|id| FederationClient::timestamped(id, cfg, StdRng::seed_from_u64(master.gen())))
             .collect::<Result<_, _>>()?;
-        let server = AsyncServer::new(
+        let server = FederationServer::timestamped(
             cfg,
             cfg.n(),
             QuantizedStaleness::new(StalenessFn::Constant, 1),
@@ -2449,10 +2487,7 @@ mod tests {
 
     /// Two full-cohort rounds retain a base everywhere; opening a
     /// churned round leaves none, before any share is exchanged.
-    fn assert_churn_releases_bases<V: LeafVariant<Fp61>>(
-        mut fed: LeafFederation<Fp61, MemTransport, V>,
-        name: &str,
-    ) {
+    fn assert_churn_releases_bases(mut fed: LeafFederation<Fp61, MemTransport>, name: &str) {
         let everyone: Vec<usize> = (0..5).collect();
         for _ in 0..2 {
             fed.open_round(&everyone).unwrap();
@@ -2461,7 +2496,7 @@ mod tests {
             }
             fed.finish_round().unwrap();
         }
-        let held = |fed: &mut LeafFederation<Fp61, MemTransport, V>| {
+        let held = |fed: &mut LeafFederation<Fp61, MemTransport>| {
             fed.clients.iter_mut().filter_map(|c| c.base()).count()
         };
         assert_eq!(held(&mut fed), 5, "{name}: bases retained while stable");
@@ -2491,10 +2526,7 @@ mod tests {
     /// says, after a full round, after a reseat (what an aggregator
     /// tree's `reassign` does to every leaf) and a ratcheted round, and
     /// after a churned round.
-    fn assert_seat_fingerprints<V: LeafVariant<Fp61>>(
-        mut fed: LeafFederation<Fp61, MemTransport, V>,
-        group: usize,
-    ) {
+    fn assert_seat_fingerprints(mut fed: LeafFederation<Fp61, MemTransport>, group: usize) {
         let cfg = fed.cfg;
         let mut rng = StdRng::seed_from_u64(group as u64);
         let everyone: Vec<usize> = (0..cfg.n()).collect();

@@ -13,9 +13,8 @@
 //! * [`federation`] — the persistent multi-round API, and the **one**
 //!   way to run a round (a one-shot round is a fresh federation run
 //!   once): [`federation::SecureAggregator`] (one object-safe trait),
-//!   [`federation::LeafFederation`] (the one leaf round driver; the
-//!   sync and buffered-async variants plug their servers and the few
-//!   differing server steps in through [`federation::LeafVariant`]),
+//!   [`federation::LeafFederation`] (the one leaf round driver, over
+//!   one server and its clients of either protocol),
 //!   [`federation::FederationClient`] /
 //!   [`federation::FederationServer`] (round lifecycle with cohort
 //!   churn), and [`federation::Federation`] (the plan loop with §4.1's
@@ -40,13 +39,13 @@
 //!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
 //!   network, so protocol bytes pay simulated bandwidth/latency and
 //!   phase timings come from real serialized message sizes);
-//! * [`FederationClient`] — the user of both variants, one persistent
-//!   [`session::Session`] that serves every round itself
-//!   ([`FederationClient::timestamped`] builds the §4.2 one), and
-//!   [`FederationServer`] — the §4.1 server;
-//! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F):
-//!   [`asynchronous::AsyncServer`] is its persistent server and speaks
-//!   [`session::Session`] itself.
+//! * [`FederationClient`] and [`FederationServer`] — the user and the
+//!   server of both variants, each one persistent [`session::Session`]
+//!   that serves every round itself;
+//!   [`FederationClient::timestamped`] and
+//!   [`FederationServer::timestamped`] build the §4.2 pair;
+//! * [`asynchronous`] — the buffered asynchronous variant's wire
+//!   vocabulary (§4.2, Appendix F) and its one-shot flush driver.
 //!
 //! Guarantees (Theorem 1): for any `T + D < N`, privacy against any `T`
 //! colluding users (information-theoretic, given the `T`-private MDS

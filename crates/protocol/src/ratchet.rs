@@ -41,9 +41,11 @@
 //! reads a commit, lets the endpoint derive the round under the
 //! committed nonce and returns the ack. [`ServerRatchet`] is the server
 //! half: the one commit in flight, the members that must ack it, the
-//! acks so far. Each endpoint owns one and routes the two handshake
-//! envelope kinds into it without looking inside; what the client
-//! supplies is only *how* a round is derived from its base.
+//! acks so far. The [`crate::FederationClient`] and the
+//! [`crate::FederationServer`] of either protocol own one each and route
+//! the two handshake envelope kinds into it without looking inside;
+//! what the client supplies is only *how* a round is derived from its
+//! base.
 //! *When* to commit, join or roll back is decided by the one driver,
 //! [`crate::federation::LeafFederation`].
 //!

@@ -18,11 +18,10 @@
 //!   traffic by round id; [`crate::FederationClient::timestamped`]
 //!   builds the buffered-asynchronous user (§4.2, Appendix F);
 //! * [`crate::federation::FederationServer`] — the persistent server
-//!   of the synchronous variant (§4.1, Algorithm 1), serving one round
-//!   at a time;
-//! * [`crate::asynchronous::AsyncServer`] — the persistent server of
-//!   the buffered-asynchronous variant, which buffers updates from
-//!   every base round.
+//!   of both variants (§4.1, Algorithm 1), serving one round at a time;
+//!   [`crate::FederationServer::timestamped`] builds the
+//!   buffered-asynchronous one, which buffers updates from every base
+//!   round up to the open one.
 //!
 //! # Example: pumping a session by hand
 //!
@@ -66,9 +65,9 @@
 //!         server.handle(reply).unwrap();
 //!     }
 //! }
-//! let (survivors, aggregate) = server.close_round().unwrap();
-//! assert_eq!(survivors, vec![0, 1]);
-//! assert_eq!(aggregate[0], Fp61::from_u64(3));
+//! let out = server.close_round().unwrap();
+//! assert_eq!(out.contributors, vec![0, 1]);
+//! assert_eq!(out.aggregate[0], Fp61::from_u64(3));
 //! ```
 
 use crate::wire::Envelope;
@@ -111,12 +110,13 @@ pub trait Session<F: Field> {
 
 #[cfg(test)]
 mod tests {
-    //! The sync endpoints ([`FederationClient`], [`FederationServer`])
-    //! seen through the [`Session`] interface (and the local actions).
+    //! The endpoints ([`FederationClient`], [`FederationServer`]) seen
+    //! through the [`Session`] interface (and the local actions).
     use super::*;
     use crate::wire::{BufferAnnouncement, CodedMaskShare, MaskedModel, SurvivorAnnouncement};
     use crate::{FederationClient, FederationServer, LsaConfig};
     use lsa_field::Fp61;
+    use lsa_quantize::{QuantizedStaleness, StalenessFn};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -223,19 +223,46 @@ mod tests {
 
     #[test]
     fn server_rejects_client_bound_envelopes() {
-        let mut s = FederationServer::<Fp61>::new(cfg()).unwrap();
-        s.open_round(0).unwrap();
+        // client-bound kinds, and the other protocol's upload: the wire
+        // tag is the protocol
         let ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
             group: 0,
             round: 0,
             survivors: vec![0, 1, 2],
         });
-        assert!(matches!(
-            s.handle(ann),
-            Err(ProtocolError::UnexpectedEnvelope {
-                kind: crate::wire::EnvelopeKind::SurvivorAnnouncement
-            })
-        ));
+        let buffer = Envelope::BufferAnnouncement(BufferAnnouncement {
+            group: 0,
+            round: 0,
+            entries: Vec::new(),
+        });
+        let masked = MaskedModel {
+            from: 1,
+            group: 0,
+            round: 0,
+            payload: vec![Fp61::ZERO; cfg().padded_len()],
+        };
+        let staleness = QuantizedStaleness::new(StalenessFn::Constant, 1);
+        let entropy = StdRng::seed_from_u64(5);
+        let cases = [
+            (
+                FederationServer::<Fp61>::new(cfg()).unwrap(),
+                Envelope::TimestampedUpdate(masked.clone()),
+            ),
+            (
+                FederationServer::timestamped(cfg(), 4, staleness, entropy).unwrap(),
+                Envelope::MaskedModel(masked),
+            ),
+        ];
+        for (mut s, upload) in cases {
+            s.open_round(0).unwrap();
+            for envelope in [ann.clone(), buffer.clone(), upload] {
+                let kind = envelope.kind();
+                assert_eq!(
+                    s.handle(envelope).unwrap_err(),
+                    ProtocolError::UnexpectedEnvelope { kind }
+                );
+            }
+        }
     }
 
     #[test]
@@ -283,8 +310,9 @@ mod tests {
         }
         // the decode is lazy: the U-th share is only stored
         assert_eq!(server.shares_received(), 4);
+        let out = server.close_round().unwrap();
         assert_eq!(
-            server.close_round().unwrap(),
+            (out.contributors, out.aggregate),
             (vec![0, 1, 2, 3], vec![Fp61::from_u64(6); 6])
         );
         // the round is over: a late share is stale and a second close

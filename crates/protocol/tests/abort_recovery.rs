@@ -9,8 +9,8 @@
 
 use lsa_field::{Field, Fp61};
 use lsa_protocol::federation::{
-    BoxedAggregator, BufferedFederation, Federation, LeafFederation, LeafVariant, RoundPlan,
-    SecureAggregator, SyncFederation,
+    BoxedAggregator, BufferedFederation, Federation, LeafFederation, RoundPlan, SecureAggregator,
+    SyncFederation,
 };
 use lsa_protocol::ratchet::policies;
 use lsa_protocol::topology::GroupedFederation;
@@ -199,9 +199,9 @@ const UNKNOWN_TAG: Fault = Fault::Flip {
 /// Three late frames are in flight when the round is aborted and the
 /// middle one does not decode: the abort must drain all three, or the
 /// third is delivered into the next round and fails its first pump.
-fn abort_drains_past_an_undecodable_frame<V: LeafVariant<Fp61>>(
+fn abort_drains_past_an_undecodable_frame(
     name: &str,
-    mut leaf: LeafFederation<Fp61, FaultTransport, V>,
+    mut leaf: LeafFederation<Fp61, FaultTransport>,
 ) {
     let everyone: Vec<usize> = (0..8).collect();
     leaf.open_round(&everyone).unwrap();

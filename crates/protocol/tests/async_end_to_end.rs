@@ -3,12 +3,12 @@
 //! Appendix F.
 
 use lsa_field::{Field, Fp61};
-use lsa_protocol::asynchronous::{AsyncServer, BufferEntry};
+use lsa_protocol::asynchronous::BufferEntry;
 use lsa_protocol::federation::{Federation, RoundPlan, SecureAggregator};
 use lsa_protocol::transport::{Fault, FaultTransport};
 use lsa_protocol::{
-    BufferedFederation, Envelope, EnvelopeKind, FederationClient, LsaConfig, ProtocolError,
-    Recipient, Session, SyncFederation,
+    BufferedFederation, Envelope, EnvelopeKind, FederationClient, FederationServer, LsaConfig,
+    ProtocolError, Recipient, Session, SyncFederation,
 };
 use lsa_quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
 use rand::rngs::StdRng;
@@ -40,9 +40,16 @@ fn setup(rounds: u64) -> (LsaConfig, Vec<FederationClient<Fp61>>, StdRng) {
     (cfg, clients, rng)
 }
 
-fn server(cfg: LsaConfig, k: usize, staleness: QuantizedStaleness, now: u64) -> AsyncServer<Fp61> {
-    let mut server = AsyncServer::new(cfg, k, staleness, StdRng::seed_from_u64(7)).unwrap();
-    server.advance_to(now);
+/// A §4.2 server with buffer size `k` and round `now` open.
+fn server(
+    cfg: LsaConfig,
+    k: usize,
+    staleness: QuantizedStaleness,
+    now: u64,
+) -> FederationServer<Fp61> {
+    let entropy = StdRng::seed_from_u64(7);
+    let mut server = FederationServer::timestamped(cfg, k, staleness, entropy).unwrap();
+    server.open_round(now).unwrap();
     server
 }
 
@@ -50,7 +57,7 @@ fn server(cfg: LsaConfig, k: usize, staleness: QuantizedStaleness, now: u64) -> 
 /// into `server`.
 fn upload(
     client: &mut FederationClient<Fp61>,
-    server: &mut AsyncServer<Fp61>,
+    server: &mut FederationServer<Fp61>,
     round: u64,
     update: &[Fp61],
 ) {
@@ -60,14 +67,14 @@ fn upload(
     }
 }
 
-/// Announce the full buffer, let the `answering` clients serve their
+/// Announce the buffer, let the `answering` clients serve their
 /// aggregated shares, and return the announced entries.
 fn announce(
-    server: &mut AsyncServer<Fp61>,
+    server: &mut FederationServer<Fp61>,
     clients: &mut [FederationClient<Fp61>],
     answering: &[usize],
 ) -> Vec<BufferEntry> {
-    server.announce().unwrap();
+    server.close_upload().unwrap();
     let mut entries = Vec::new();
     while let Some((to, announcement)) = server.poll_output() {
         let (Recipient::Client(j), Envelope::BufferAnnouncement(ann)) = (to, &announcement) else {
@@ -105,7 +112,7 @@ fn mixed_round_masks_cancel_exactly() {
 
     // any U = 4 users serve shares (including ones that didn't contribute)
     announce(&mut server, &mut clients, &[5, 4, 1, 0]);
-    let agg = server.recover().unwrap();
+    let agg = server.close_round().unwrap();
     assert_eq!(agg.total_weight, 4);
     for k in 0..D_MODEL {
         let want: Fp61 = updates.iter().map(|u| u[k]).sum();
@@ -137,7 +144,7 @@ fn staleness_weights_applied_in_field() {
         assert_eq!(e.weight, w, "entry {e:?}");
     }
 
-    let agg = server.recover().unwrap();
+    let agg = server.close_round().unwrap();
     assert_eq!(agg.total_weight, 7);
     for k in 0..D_MODEL {
         let want: Fp61 = updates
@@ -169,8 +176,8 @@ fn quantized_roundtrip_recovers_weighted_average() {
         upload(&mut clients[i], &mut server, 1, &q);
     }
     announce(&mut server, &mut clients, &[0, 2, 3, 5]);
-    let agg = server.recover().unwrap();
-    let avg = agg.dequantize(&quantizer);
+    let agg = server.close_round().unwrap();
+    let avg = quantizer.dequantize_sum(&agg.aggregate, agg.total_weight);
     for k in 0..D_MODEL {
         let want: f64 = reals.iter().map(|r| r[k]).sum::<f64>() / 3.0;
         assert!(
@@ -190,13 +197,15 @@ fn server_reusable_across_buffer_flushes() {
 
     for flush in 0..3u64 {
         let round = flush;
-        server.advance_to(round);
+        if flush > 0 {
+            server.open_round(round).unwrap();
+        }
         for id in [0usize, 1] {
             let update: Vec<Fp61> = vec![Fp61::from_u64(flush + 1); D_MODEL];
             upload(&mut clients[id], &mut server, round, &update);
         }
         announce(&mut server, &mut clients, &[0, 1, 2, 3]);
-        let agg = server.recover().unwrap();
+        let agg = server.close_round().unwrap();
         assert_eq!(agg.aggregate[0], Fp61::from_u64(2 * (flush + 1)));
     }
 }

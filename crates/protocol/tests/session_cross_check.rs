@@ -69,9 +69,9 @@ fn legacy_hand_routed<F: Field, R: Rng + ?Sized>(
             break;
         }
     }
-    let (contributors, aggregate) = server.close_round().unwrap();
-    assert_eq!(contributors, survivors);
-    (aggregate, survivors)
+    let out = server.close_round().unwrap();
+    assert_eq!(out.contributors, survivors);
+    (out.aggregate, survivors)
 }
 
 /// The same schedule through a fresh federation over `transport` —

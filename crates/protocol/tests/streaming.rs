@@ -8,7 +8,7 @@
 use lsa_field::{Field, Fp61};
 use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::federation::{
-    BufferedFederation, LeafFederation, LeafVariant, RoundPlan, SecureAggregator, SyncFederation,
+    BufferedFederation, LeafFederation, RoundPlan, SecureAggregator, SyncFederation,
 };
 use lsa_protocol::transport::{FaultTransport, MemTransport, PhaseTiming, SimTransport, Transport};
 use lsa_protocol::wire::Envelope;
@@ -37,10 +37,7 @@ fn sum(ids: impl IntoIterator<Item = usize>, round: u64) -> Vec<Fp61> {
 
 /// Three rounds by hand — full exchange, ratchet handshake, windowed
 /// join — checking the queue after every `submit`.
-fn stream_three_rounds<V: LeafVariant<Fp61>>(
-    name: &str,
-    mut leaf: LeafFederation<Fp61, FaultTransport, V>,
-) {
+fn stream_three_rounds(name: &str, mut leaf: LeafFederation<Fp61, FaultTransport>) {
     let everyone: Vec<usize> = (0..N).collect();
     for round in 0..3u64 {
         leaf.open_round(&everyone).unwrap();

@@ -87,10 +87,10 @@ impl<F: Field> BufferAggregator for LsaBufferAggregator<F> {
             })
             .collect();
         let mut transport = MemTransport::new();
-        let aggregate = run_buffered_flush(cfg, &inputs, self.staleness, rng, &mut transport)
+        let out = run_buffered_flush(cfg, &inputs, self.staleness, rng, &mut transport)
             .expect("one-shot recovery");
-        aggregate
-            .dequantize(&self.quantizer)
+        self.quantizer
+            .dequantize_sum(&out.aggregate, out.total_weight.max(1))
             .into_iter()
             .map(|v| v as f32)
             .collect()

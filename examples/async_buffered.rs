@@ -3,17 +3,17 @@
 //! in one shot — the setting SecAgg/SecAgg+ cannot support (Remark 1).
 //!
 //! Driven by hand through the persistent sans-IO endpoints (timestamped
-//! `FederationClient`s and an `AsyncServer`) over a [`MemTransport`]: every
+//! `FederationClient`s and a timestamped `FederationServer`, the §4.1
+//! pair with §4.2's wire tags and buffer) over a [`MemTransport`]: every
 //! timestamped share, masked update, buffer announcement and aggregated
 //! share crosses the wire as serialized bytes.
 //!
 //! Run with: `cargo run --example async_buffered`
 
 use lightsecagg::field::Fp61;
-use lightsecagg::protocol::asynchronous::AsyncServer;
 use lightsecagg::protocol::session::{Recipient, Session};
 use lightsecagg::protocol::transport::{MemTransport, Transport};
-use lightsecagg::protocol::{FederationClient, LsaConfig};
+use lightsecagg::protocol::{Envelope, FederationClient, FederationServer, LsaConfig};
 use lightsecagg::quantize::{QuantizedStaleness, StalenessFn, VectorQuantizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|id| FederationClient::timestamped(id, cfg, StdRng::seed_from_u64(rng.gen())))
         .collect::<Result<_, _>>()?;
     let staleness = QuantizedStaleness::new(StalenessFn::Poly { alpha: 1.0 }, 4);
-    let mut server = AsyncServer::<Fp61>::new(cfg, 3, staleness, StdRng::seed_from_u64(rng.gen()))?;
+    let entropy = StdRng::seed_from_u64(rng.gen());
+    let mut server = FederationServer::<Fp61>::timestamped(cfg, 3, staleness, entropy)?;
     let mut wire = MemTransport::new();
 
     // clients prepare masks for rounds 0..3; coded shares travel the wire
@@ -59,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // three clients contribute updates based on different rounds
     let now = 2u64;
-    server.advance_to(now);
+    server.open_round(now)?;
     let quantizer = VectorQuantizer::new(1 << 16);
     let contributions = [(0usize, 2u64, 1.0f64), (1, 1, -0.5), (4, 0, 0.25)];
     for &(id, round, value) in &contributions {
@@ -77,8 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // one-shot recovery of the staleness-weighted aggregate: the buffer
     // announcement fans out, aggregated shares flow back
-    server.announce()?;
+    server.close_upload()?;
+    let mut entries = Vec::new();
     while let Some((to, env)) = server.poll_output() {
+        if let Envelope::BufferAnnouncement(ann) = &env {
+            entries.clone_from(&ann.entries);
+        }
         wire.send(Recipient::Server, to, &env)?;
     }
     while let Some(delivery) = wire.recv()? {
@@ -93,12 +98,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    let agg = server.recover()?;
+    let agg = server.close_round()?;
     println!("buffer entries (who, base round, field weight):");
-    for e in &agg.entries {
+    for e in &entries {
         println!("  user {} round {} weight {}", e.who, e.round, e.weight);
     }
-    let update = agg.dequantize(&quantizer);
+    let update = quantizer.dequantize_sum(&agg.aggregate, agg.total_weight);
     println!("weighted-average update (coordinate 0): {:.4}", update[0]);
 
     // verify against the plain-float weighted average

@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let (_, aggregate) = server.close_round().expect("U shares arrived");
+    let aggregate = server.close_round().expect("U shares arrived").aggregate;
     assert_eq!(aggregate, expect);
     println!("server work: ONE MDS decode of the aggregate mask (the paper's d)");
     println!("aggregate x2 + x3 recovered correctly");

@@ -1,11 +1,12 @@
 //! Failure injection: malformed, duplicated, misrouted and corrupted
 //! messages must yield clean errors — never a silently wrong aggregate.
 //!
-//! Every envelope reaches the §4.1 server through the sans-IO
+//! Every envelope reaches the server through the sans-IO
 //! [`Session::handle`] interface, the deployed path; the second half
 //! drives the client sessions the same way. Every misrouted, duplicate
 //! or wrong-phase *envelope* must surface as a typed [`ProtocolError`],
-//! never a panic or a silent drop.
+//! never a panic or a silent drop. The ingress quota is checked on the
+//! §4.1 and the §4.2 server alike.
 
 use lightsecagg::field::{Field, Fp61};
 use lightsecagg::protocol::session::Session;
@@ -14,6 +15,7 @@ use lightsecagg::protocol::{
     AggregatedShare, CodedMaskShare, FederationClient, FederationServer, LsaConfig, MaskedModel,
     ProtocolError, Recipient,
 };
+use lightsecagg::quantize::{QuantizedStaleness, StalenessFn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,13 +23,22 @@ fn cfg() -> LsaConfig {
     LsaConfig::new(5, 1, 3, 8).unwrap()
 }
 
+/// A client constructor: [`FederationClient::new`] (§4.1) or
+/// [`FederationClient::timestamped`] (§4.2).
+type NewClient = fn(usize, LsaConfig, StdRng) -> Result<FederationClient<Fp61>, ProtocolError>;
+
 /// Five clients, their entropy drawn from `seed`, after round 0's full
 /// offline exchange.
 fn built_clients(seed: u64) -> Vec<FederationClient<Fp61>> {
+    built_clients_of(seed, FederationClient::new)
+}
+
+/// As [`built_clients`], each built by `new`.
+fn built_clients_of(seed: u64, new: NewClient) -> Vec<FederationClient<Fp61>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut clients: Vec<FederationClient<Fp61>> = (0..5)
         .map(|id| {
-            let mut c = FederationClient::new(id, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
+            let mut c = new(id, cfg(), StdRng::seed_from_u64(rng.gen())).unwrap();
             c.prepare(0).unwrap();
             c
         })
@@ -127,7 +138,7 @@ fn corrupted_share_changes_aggregate_but_protocol_detects_shape_errors() {
             break;
         }
     }
-    let (_, agg) = server.close_round().unwrap();
+    let agg = server.close_round().unwrap().aggregate;
     assert_eq!(agg, vec![Fp61::from_u64(5); 8]);
 }
 
@@ -144,7 +155,7 @@ fn extra_shares_beyond_u_are_harmless() {
     for c in &mut clients {
         let _ = server.handle(share_of(c, &survivors));
     }
-    let (_, agg) = server.close_round().unwrap();
+    let agg = server.close_round().unwrap().aggregate;
     let want: Fp61 = (0..5).map(Fp61::from_u64).sum();
     assert_eq!(agg, vec![want; 8]);
 }
@@ -188,7 +199,7 @@ fn weighted_models_recover_weighted_sum() {
             break;
         }
     }
-    let (_, agg) = server.close_round().unwrap();
+    let agg = server.close_round().unwrap().aggregate;
     let total: u64 = weights.iter().sum();
     assert_eq!(agg, vec![Fp61::from_u64(total); 8]);
 }
@@ -353,7 +364,7 @@ fn failed_handle_leaves_session_usable() {
         }
     }
     let want: Fp61 = (0..5).map(Fp61::from_u64).sum();
-    assert_eq!(server.close_round().unwrap().1, vec![want; 8]);
+    assert_eq!(server.close_round().unwrap().aggregate, vec![want; 8]);
 }
 
 // ---------------------------------------------------------------------
@@ -508,109 +519,157 @@ fn aggregate_differs_from_any_individual_model() {
 
 use lightsecagg::protocol::federation::DEFAULT_INGRESS_QUOTA;
 
+/// The tag a server takes uploads under.
+type UploadTag = fn(MaskedModel<Fp61>) -> Envelope<Fp61>;
+
+/// The §4.1 and the §4.2 server, each with round 0 open, with the tag
+/// its uploads travel under and the constructor of its clients.
+fn both_servers() -> [(&'static str, FederationServer<Fp61>, UploadTag, NewClient); 2] {
+    let staleness = QuantizedStaleness::new(StalenessFn::Constant, 1);
+    let mut buffered =
+        FederationServer::timestamped(cfg(), 5, staleness, StdRng::seed_from_u64(50)).unwrap();
+    buffered.open_round(0).unwrap();
+    [
+        (
+            "sync",
+            server_at(0),
+            Envelope::MaskedModel,
+            FederationClient::new,
+        ),
+        (
+            "timestamped",
+            buffered,
+            Envelope::TimestampedUpdate,
+            FederationClient::timestamped,
+        ),
+    ]
+}
+
 #[test]
 fn flooding_client_is_quarantined_and_the_round_completes() {
-    let mut server = server_at(0);
-    let quota = DEFAULT_INGRESS_QUOTA;
-    assert!(quota >= 2);
+    for (name, mut server, tag, new) in both_servers() {
+        let quota = DEFAULT_INGRESS_QUOTA;
+        assert!(quota >= 2);
 
-    // The flood: endlessly repeated malformed uploads claiming to come
-    // from client 3 (wrong payload length → typed Coding rejection).
-    let flood = || {
-        Envelope::MaskedModel(MaskedModel {
-            from: 3,
-            group: 0,
-            round: 0,
-            payload: vec![Fp61::ZERO; 3],
-        })
-    };
-    // Below the quota every rejection surfaces with its own typed error.
-    for _ in 0..quota - 1 {
-        assert!(matches!(
-            server.handle(flood()),
-            Err(ProtocolError::Coding(_))
-        ));
-    }
-    // The crossing envelope surfaces as the quota error, exactly once.
-    match server.handle(flood()) {
-        Err(ProtocolError::QuotaExceeded {
-            client,
-            strikes,
-            cap,
-        }) => {
-            assert_eq!(client, 3);
-            assert_eq!(strikes, quota);
-            assert_eq!(cap, quota);
+        // The flood: endlessly repeated malformed uploads claiming to
+        // come from client 3 (wrong payload length → typed Coding
+        // rejection).
+        let flood = || {
+            tag(MaskedModel {
+                from: 3,
+                group: 0,
+                round: 0,
+                payload: vec![Fp61::ZERO; 3],
+            })
+        };
+        // Below the quota every rejection surfaces with its own typed
+        // error.
+        for _ in 0..quota - 1 {
+            assert!(
+                matches!(server.handle(flood()), Err(ProtocolError::Coding(_))),
+                "{name}"
+            );
         }
-        other => panic!("expected QuotaExceeded, got {other:?}"),
-    }
-    assert_eq!(server.rejections(), quota);
-    // Everything further from the flooder is silently discarded — an
-    // erroring server would let the flood wedge the round instead.
-    for _ in 0..20 {
-        assert!(server.handle(flood()).unwrap().is_empty());
-    }
-    assert_eq!(server.quarantined(), 20);
+        // The crossing envelope surfaces as the quota error, exactly
+        // once.
+        match server.handle(flood()) {
+            Err(ProtocolError::QuotaExceeded {
+                client,
+                strikes,
+                cap,
+            }) => {
+                assert_eq!(client, 3, "{name}");
+                assert_eq!(strikes, quota, "{name}");
+                assert_eq!(cap, quota, "{name}");
+            }
+            other => panic!("{name}: expected QuotaExceeded, got {other:?}"),
+        }
+        assert_eq!(server.rejections(), quota, "{name}");
+        // Everything further from the flooder is silently discarded —
+        // an erroring server would let the flood wedge the round
+        // instead.
+        for _ in 0..20 {
+            assert!(server.handle(flood()).unwrap().is_empty(), "{name}");
+        }
+        assert_eq!(server.quarantined(), 20, "{name}");
 
-    // The round completes without the flooder: its own (valid!) upload
-    // is quarantined too, so it drops before upload; the other four
-    // survivors recover their exact sum.
-    let mut clients = built_clients(40);
-    let models: Vec<Vec<Fp61>> = (0..5).map(|i| vec![Fp61::from_u64(i as u64); 8]).collect();
-    for (id, c) in clients.iter_mut().enumerate() {
-        let upload = masked(c, &models[id]);
-        assert!(server.handle(upload).unwrap().is_empty());
+        // The round completes without the flooder: its own (valid!)
+        // upload is quarantined too, so it drops before upload; the
+        // other four survivors recover their exact sum.
+        let mut clients = built_clients_of(40, new);
+        let models: Vec<Vec<Fp61>> = (0..5).map(|i| vec![Fp61::from_u64(i as u64); 8]).collect();
+        for (id, c) in clients.iter_mut().enumerate() {
+            let upload = masked(c, &models[id]);
+            assert!(server.handle(upload).unwrap().is_empty(), "{name}");
+        }
+        assert_eq!(
+            server.quarantined(),
+            21,
+            "{name}: the flooder's upload was binned"
+        );
+        let survivors = server.close_upload().unwrap();
+        assert_eq!(survivors, vec![0, 1, 2, 4], "{name}");
+        while let Some((to, announcement)) = server.poll_output() {
+            let Recipient::Client(j) = to else {
+                panic!("{name}: announcements go to clients")
+            };
+            if survivors.contains(&j) {
+                for (_, share) in clients[j].handle(announcement).unwrap() {
+                    server.handle(share).unwrap();
+                }
+            }
+        }
+        let aggregate = server.close_round().unwrap().aggregate;
+        let want: Fp61 = [0u64, 1, 2, 4].iter().map(|&i| Fp61::from_u64(i)).sum();
+        assert_eq!(aggregate, vec![want; 8], "{name}");
     }
-    assert_eq!(server.quarantined(), 21, "the flooder's upload was binned");
-    let survivors = server.close_upload().unwrap();
-    assert_eq!(survivors, vec![0, 1, 2, 4]);
-    for id in [0usize, 1, 2, 4] {
-        server
-            .handle(share_of(&mut clients[id], &survivors))
-            .unwrap();
-    }
-    let (_, aggregate) = server.close_round().unwrap();
-    let want: Fp61 = [0u64, 1, 2, 4].iter().map(|&i| Fp61::from_u64(i)).sum();
-    assert_eq!(aggregate, vec![want; 8]);
 }
 
 #[test]
 fn quota_is_per_round() {
-    let mut server = server_at(0);
-    let flood = || {
-        Envelope::MaskedModel(MaskedModel {
+    for (name, mut server, tag, _) in both_servers() {
+        let flood = || {
+            tag(MaskedModel {
+                from: 1,
+                group: 0,
+                round: 0,
+                payload: vec![Fp61::ZERO; 3],
+            })
+        };
+        for _ in 0..DEFAULT_INGRESS_QUOTA - 1 {
+            assert!(
+                matches!(server.handle(flood()), Err(ProtocolError::Coding(_))),
+                "{name}"
+            );
+        }
+        assert!(
+            matches!(
+                server.handle(flood()),
+                Err(ProtocolError::QuotaExceeded { client: 1, .. })
+            ),
+            "{name}"
+        );
+        assert!(server.handle(flood()).unwrap().is_empty(), "{name}");
+
+        // A fresh round wipes the strikes: the same client is heard
+        // again.
+        server.abort_round();
+        server.open_round(1).unwrap();
+        // §4.1 refuses any round but the open one; §4.2 only a later one
+        let (round, stale) = if name == "sync" {
+            (0, ProtocolError::StaleRound { got: 0, current: 1 })
+        } else {
+            (2, ProtocolError::StaleUpdate { round: 2, now: 1 })
+        };
+        let upload = tag(MaskedModel {
             from: 1,
             group: 0,
-            round: 0,
-            payload: vec![Fp61::ZERO; 3],
-        })
-    };
-    for _ in 0..DEFAULT_INGRESS_QUOTA - 1 {
-        assert!(matches!(
-            server.handle(flood()),
-            Err(ProtocolError::Coding(_))
-        ));
+            round,
+            payload: vec![Fp61::ZERO; 8],
+        });
+        // heard (and typed-rejected as stale), not silently quarantined
+        assert_eq!(server.handle(upload).unwrap_err(), stale, "{name}");
     }
-    assert!(matches!(
-        server.handle(flood()),
-        Err(ProtocolError::QuotaExceeded { client: 1, .. })
-    ));
-    assert!(server.handle(flood()).unwrap().is_empty());
-
-    // A fresh round wipes the strikes: the same client is heard again.
-    server.abort_round();
-    server.open_round(1).unwrap();
-    let stale = Envelope::MaskedModel(MaskedModel {
-        from: 1,
-        group: 0,
-        round: 0,
-        payload: vec![Fp61::ZERO; 8],
-    });
-    // heard (and typed-rejected as stale), not silently quarantined
-    assert!(matches!(
-        server.handle(stale),
-        Err(ProtocolError::StaleRound { .. })
-    ));
 }
 
 #[test]
