@@ -33,7 +33,7 @@ pub enum CommunicationGraph {
 
 impl CommunicationGraph {
     /// Complete graph on `n` users.
-    pub fn complete(n: usize) -> Self {
+    pub(crate) fn complete(n: usize) -> Self {
         CommunicationGraph::Complete { n }
     }
 
@@ -64,7 +64,7 @@ impl CommunicationGraph {
     }
 
     /// Number of users.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         match *self {
             CommunicationGraph::Complete { n } | CommunicationGraph::Harary { n, .. } => n,
         }
@@ -79,7 +79,7 @@ impl CommunicationGraph {
     }
 
     /// Whether `i` and `j` are neighbours (irreflexive, symmetric).
-    pub fn are_neighbors(&self, i: usize, j: usize) -> bool {
+    pub(crate) fn are_neighbors(&self, i: usize, j: usize) -> bool {
         if i == j {
             return false;
         }
@@ -100,7 +100,7 @@ impl CommunicationGraph {
     /// # Panics
     ///
     /// Panics if `i >= n`.
-    pub fn neighbors(&self, i: usize) -> Vec<usize> {
+    pub(crate) fn neighbors(&self, i: usize) -> Vec<usize> {
         let n = self.n();
         assert!(i < n, "node {i} out of range");
         (0..n).filter(|&j| self.are_neighbors(i, j)).collect()

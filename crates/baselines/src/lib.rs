@@ -14,7 +14,7 @@
 //!
 //! Both are implemented by one engine ([`secagg`]) parameterised by a
 //! [`CommunicationGraph`]. The server's recovery work is instrumented
-//! ([`RecoveryStats`]) because that is precisely the bottleneck
+//! ([`secagg::RecoveryStats`]) because that is precisely the bottleneck
 //! LightSecAgg's one-shot reconstruction removes (Table 1, Table 4 of
 //! the paper).
 //!
@@ -41,10 +41,7 @@ pub mod limbs;
 pub mod secagg;
 
 pub use graph::CommunicationGraph;
-pub use secagg::{
-    run_secagg_round, KeyAdvertisement, RecoveryShares, RecoveryStats, SecAggClient, SecAggConfig,
-    SecAggRoundOutput, SecretShares,
-};
+pub use secagg::{run_secagg_round, SecAggConfig};
 
 use core::fmt;
 

@@ -8,7 +8,7 @@ use lsa_field::Field;
 
 /// Encode bytes as little-endian 16-bit limbs (zero-padded to even
 /// length).
-pub fn bytes_to_limbs<F: Field>(bytes: &[u8]) -> Vec<F> {
+pub(crate) fn bytes_to_limbs<F: Field>(bytes: &[u8]) -> Vec<F> {
     bytes
         .chunks(2)
         .map(|c| {
@@ -25,7 +25,7 @@ pub fn bytes_to_limbs<F: Field>(bytes: &[u8]) -> Vec<F> {
 ///
 /// Panics if a limb exceeds 16 bits (corrupt reconstruction) or if the
 /// limbs cannot cover `len` bytes.
-pub fn limbs_to_bytes<F: Field>(limbs: &[F], len: usize) -> Vec<u8> {
+pub(crate) fn limbs_to_bytes<F: Field>(limbs: &[F], len: usize) -> Vec<u8> {
     assert!(limbs.len() * 2 >= len, "not enough limbs for {len} bytes");
     let mut out = Vec::with_capacity(len);
     for limb in limbs {
@@ -39,7 +39,7 @@ pub fn limbs_to_bytes<F: Field>(limbs: &[F], len: usize) -> Vec<u8> {
 }
 
 /// Encode a `u64` as four 16-bit limbs.
-pub fn u64_to_limbs<F: Field>(value: u64) -> Vec<F> {
+pub(crate) fn u64_to_limbs<F: Field>(value: u64) -> Vec<F> {
     bytes_to_limbs(&value.to_le_bytes())
 }
 
@@ -48,7 +48,7 @@ pub fn u64_to_limbs<F: Field>(value: u64) -> Vec<F> {
 /// # Panics
 ///
 /// Panics on corrupt limbs (see [`limbs_to_bytes`]).
-pub fn limbs_to_u64<F: Field>(limbs: &[F]) -> u64 {
+pub(crate) fn limbs_to_u64<F: Field>(limbs: &[F]) -> u64 {
     let bytes = limbs_to_bytes(limbs, 8);
     u64::from_le_bytes(bytes.try_into().expect("exactly 8 bytes"))
 }

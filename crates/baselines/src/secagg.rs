@@ -103,60 +103,60 @@ impl SecAggConfig {
     }
 
     /// Number of users.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// Shamir threshold `t`.
-    pub fn threshold(&self) -> usize {
+    pub(crate) fn threshold(&self) -> usize {
         self.threshold
     }
 
     /// Model dimension.
-    pub fn d(&self) -> usize {
+    pub(crate) fn d(&self) -> usize {
         self.d
     }
 
     /// The communication graph.
-    pub fn graph(&self) -> &CommunicationGraph {
+    pub(crate) fn graph(&self) -> &CommunicationGraph {
         &self.graph
     }
 }
 
 /// Key advertisement message (round 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyAdvertisement {
+pub(crate) struct KeyAdvertisement {
     /// Advertising user.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Their DH public key.
-    pub public_key: PublicKey,
+    pub(crate) public_key: PublicKey,
 }
 
 /// Secret-share delivery message (round 1): `from`'s shares of `b_from`
 /// and `sk_from` destined to neighbour `to`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecretShares<F> {
+pub(crate) struct SecretShares<F> {
     /// Owner of the shared secrets.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Receiving neighbour.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Shares of the seed `b_from` (one per 16-bit limb).
-    pub b_share: Vec<Share<F>>,
+    pub(crate) b_share: Vec<Share<F>>,
     /// Shares of the secret key `sk_from` (one per limb).
-    pub sk_share: Vec<Share<F>>,
+    pub(crate) sk_share: Vec<Share<F>>,
 }
 
 /// What a surviving helper reveals during recovery: for included users
 /// the `b` share, for dropped users the `sk` share — never both for the
 /// same owner (the SecAgg privacy invariant).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryShares<F> {
+pub(crate) struct RecoveryShares<F> {
     /// The responding helper.
-    pub from: usize,
+    pub(crate) from: usize,
     /// `(owner, limb shares of b_owner)` for included owners.
-    pub b_shares: Vec<(usize, Vec<Share<F>>)>,
+    pub(crate) b_shares: Vec<(usize, Vec<Share<F>>)>,
     /// `(owner, limb shares of sk_owner)` for dropped owners.
-    pub sk_shares: Vec<(usize, Vec<Share<F>>)>,
+    pub(crate) sk_shares: Vec<(usize, Vec<Share<F>>)>,
 }
 
 /// The limb shares a holder keeps for one owner: `(b` shares, `sk`
@@ -165,7 +165,7 @@ type HeldShares<F> = (Vec<Share<F>>, Vec<Share<F>>);
 
 /// A SecAgg/SecAgg+ user.
 #[derive(Debug, Clone)]
-pub struct SecAggClient<F> {
+pub(crate) struct SecAggClient<F> {
     id: usize,
     cfg: SecAggConfig,
     round: u64,
@@ -183,7 +183,7 @@ impl<F: Field> SecAggClient<F> {
     /// # Errors
     ///
     /// Returns [`BaselineError::InvalidConfig`] if `id` is out of range.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         id: usize,
         cfg: SecAggConfig,
         round: u64,
@@ -206,13 +206,8 @@ impl<F: Field> SecAggClient<F> {
         })
     }
 
-    /// This client's id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Round 0: advertise the public key.
-    pub fn advertise(&self) -> KeyAdvertisement {
+    pub(crate) fn advertise(&self) -> KeyAdvertisement {
         KeyAdvertisement {
             from: self.id,
             public_key: self.keypair.public_key(),
@@ -220,7 +215,7 @@ impl<F: Field> SecAggClient<F> {
     }
 
     /// Install the public-key directory collected by the server.
-    pub fn install_directory(&mut self, ads: &[KeyAdvertisement]) {
+    pub(crate) fn install_directory(&mut self, ads: &[KeyAdvertisement]) {
         for ad in ads {
             self.directory.insert(ad.from, ad.public_key);
         }
@@ -235,7 +230,7 @@ impl<F: Field> SecAggClient<F> {
     ///
     /// Returns [`BaselineError::Coding`] if the holder set is too small
     /// for the threshold.
-    pub fn share_secrets<R: Rng + ?Sized>(
+    pub(crate) fn share_secrets<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
     ) -> Result<Vec<SecretShares<F>>, BaselineError> {
@@ -269,7 +264,7 @@ impl<F: Field> SecAggClient<F> {
     /// * [`BaselineError::MisroutedShare`] if not addressed to this user;
     /// * [`BaselineError::NotNeighbors`] if the sender is not adjacent;
     /// * [`BaselineError::DuplicateMessage`] on re-delivery.
-    pub fn receive_shares(&mut self, msg: SecretShares<F>) -> Result<(), BaselineError> {
+    pub(crate) fn receive_shares(&mut self, msg: SecretShares<F>) -> Result<(), BaselineError> {
         if msg.to != self.id {
             return Err(BaselineError::MisroutedShare {
                 expected: self.id,
@@ -293,7 +288,7 @@ impl<F: Field> SecAggClient<F> {
     /// * [`BaselineError::InvalidConfig`] on model length mismatch;
     /// * [`BaselineError::MissingKey`] if a neighbour's public key is
     ///   unknown.
-    pub fn mask_model(&self, model: &[F]) -> Result<MaskedModel<F>, BaselineError> {
+    pub(crate) fn mask_model(&self, model: &[F]) -> Result<MaskedModel<F>, BaselineError> {
         if model.len() != self.cfg.d() {
             return Err(BaselineError::InvalidConfig(format!(
                 "model length {} != d = {}",
@@ -330,7 +325,7 @@ impl<F: Field> SecAggClient<F> {
     /// # Errors
     ///
     /// Returns [`BaselineError::BothSharesRequested`] on overlap.
-    pub fn recovery_shares(
+    pub(crate) fn recovery_shares(
         &self,
         included: &[usize],
         dropped: &[usize],
@@ -388,7 +383,7 @@ pub struct SecAggRoundOutput<F> {
 /// Returns [`BaselineError::Coding`] when too few shares survive to
 /// reconstruct some needed secret, and [`BaselineError::InvalidConfig`]
 /// when no upload arrived or the uploads are not `d` long.
-pub fn server_recover<F: Field>(
+pub(crate) fn server_recover<F: Field>(
     cfg: &SecAggConfig,
     round: u64,
     masked: &BTreeMap<usize, Vec<F>>,

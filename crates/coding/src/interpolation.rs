@@ -15,7 +15,7 @@ use lsa_field::Field;
 /// # Errors
 ///
 /// Returns [`CodingError::DuplicateShareIndex`] if two `xs` coincide.
-pub fn lagrange_weights_at<F: Field>(xs: &[F], target: F) -> Result<Vec<F>, CodingError> {
+pub(crate) fn lagrange_weights_at<F: Field>(xs: &[F], target: F) -> Result<Vec<F>, CodingError> {
     let n = xs.len();
     let mut weights = vec![F::ONE; n];
     for i in 0..n {
@@ -74,7 +74,7 @@ pub fn interpolate_coefficients<F: Field>(xs: &[F], ys: &[F]) -> Result<Vec<F>, 
 /// # Errors
 ///
 /// Returns [`CodingError::DuplicateShareIndex`] on duplicate points.
-pub fn lagrange_basis_coefficients<F: Field>(xs: &[F]) -> Result<Vec<Vec<F>>, CodingError> {
+pub(crate) fn lagrange_basis_coefficients<F: Field>(xs: &[F]) -> Result<Vec<Vec<F>>, CodingError> {
     let n = xs.len();
     for i in 0..n {
         for j in i + 1..n {

@@ -28,7 +28,7 @@ pub struct Matrix<F> {
 
 impl<F: Field> Matrix<F> {
     /// Create a matrix filled with zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -45,28 +45,8 @@ impl<F: Field> Matrix<F> {
         m
     }
 
-    /// Build a matrix from a row-major nested `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have unequal lengths.
-    pub fn from_rows(rows: Vec<Vec<F>>) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend(row);
-        }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// Build from a generator function `f(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F) -> Self {
+    pub(crate) fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F) -> Self {
         let mut m = Self::zeros(rows, cols);
         for i in 0..rows {
             for j in 0..cols {
@@ -112,7 +92,8 @@ impl<F: Field> Matrix<F> {
     /// # Panics
     ///
     /// Panics if `self.cols != other.rows`.
-    pub fn mul(&self, other: &Self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn mul(&self, other: &Self) -> Self {
         assert_eq!(self.cols, other.rows, "dimension mismatch");
         let mut out = Self::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -226,7 +207,8 @@ impl<F: Field> Matrix<F> {
 
     /// Check the MDS property by brute force: every maximal square
     /// submatrix is non-singular. Exponential in size — test helper only.
-    pub fn is_mds(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_mds(&self) -> bool {
         let (k, n) = (self.rows.min(self.cols), self.cols.max(self.rows));
         let wide = if self.rows <= self.cols {
             self.clone()

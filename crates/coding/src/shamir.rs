@@ -71,16 +71,6 @@ impl<F: Field> ShamirScheme<F> {
         })
     }
 
-    /// Number of shares produced.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Privacy threshold `t` (need `t+1` shares to reconstruct).
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
     /// Share a single secret.
     pub fn share<R: Rng + ?Sized>(&self, secret: F, rng: &mut R) -> Vec<Share<F>> {
         // f(x) = secret + c_1 x + … + c_t x^t with uniform c_k.

@@ -22,7 +22,7 @@
 //! The backend is chosen through [`lsa_field::simd`] at construction
 //! time. Blocks are emitted in counter order on every path, so the byte
 //! streams are identical; `counter_boundary_equivalence` and the RFC
-//! 8439 vector tests pin this. [`ChaCha20::fill`] writes whole refills
+//! 8439 vector tests pin this. `ChaCha20::fill` writes whole refills
 //! straight into the caller's slice, so a bulk draw never passes
 //! through the internal buffer.
 
@@ -34,7 +34,7 @@ const BUF: usize = 1024;
 
 /// ChaCha20 keystream generator.
 #[derive(Debug, Clone)]
-pub struct ChaCha20 {
+pub(crate) struct ChaCha20 {
     state: [u32; 16],
     buffer: [u8; BUF],
     /// Bytes one refill produces: 64 per block, one block on the scalar
@@ -91,7 +91,7 @@ fn block(state: &[u32; 16], counter: u32) -> [u8; 64] {
 impl ChaCha20 {
     /// Create a keystream from a 256-bit key and 96-bit nonce, starting at
     /// block counter 0.
-    pub fn new(key: &[u8; 32], nonce: &[u8; 12]) -> Self {
+    pub(crate) fn new(key: &[u8; 32], nonce: &[u8; 12]) -> Self {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&SIGMA);
         for i in 0..8 {
@@ -152,7 +152,7 @@ impl ChaCha20 {
 
     /// Next keystream byte.
     #[inline]
-    pub fn next_byte(&mut self) -> u8 {
+    pub(crate) fn next_byte(&mut self) -> u8 {
         if self.offset == self.buf_len {
             self.refill();
         }
@@ -165,7 +165,7 @@ impl ChaCha20 {
     /// word-sized draw rejection sampling makes, pulled from the buffer
     /// in one copy instead of `nbytes` calls.
     #[inline]
-    pub fn next_word_le(&mut self, nbytes: usize) -> u64 {
+    pub(crate) fn next_word_le(&mut self, nbytes: usize) -> u64 {
         debug_assert!(nbytes <= 8);
         let mut word = [0u8; 8];
         if self.buf_len - self.offset >= nbytes {
@@ -181,7 +181,7 @@ impl ChaCha20 {
 
     /// Fill a slice with keystream bytes: buffered bytes first, then
     /// whole refills generated in place, then a buffered tail.
-    pub fn fill(&mut self, out: &mut [u8]) {
+    pub(crate) fn fill(&mut self, out: &mut [u8]) {
         let mut written = 0;
         while written < out.len() {
             if self.offset == self.buf_len {
@@ -248,7 +248,7 @@ mod x8 {
     ///
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn blocks8(state: &[u32; 16], counter: u32, out: &mut [u8; 512]) {
+    pub(crate) unsafe fn blocks8(state: &[u32; 16], counter: u32, out: &mut [u8; 512]) {
         let mut v = [_mm256_setzero_si256(); 16];
         for (lane, &word) in v.iter_mut().zip(state.iter()) {
             *lane = _mm256_set1_epi32(word as i32);
@@ -331,7 +331,7 @@ mod x16 {
     ///
     /// Caller must ensure AVX-512F is available.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn blocks16(state: &[u32; 16], counter: u32, out: &mut [u8; 1024]) {
+    pub(crate) unsafe fn blocks16(state: &[u32; 16], counter: u32, out: &mut [u8; 1024]) {
         let mut v = [_mm512_setzero_si512(); 16];
         for (lane, &word) in v.iter_mut().zip(state.iter()) {
             *lane = _mm512_set1_epi32(word as i32);

@@ -21,7 +21,7 @@ pub const P: u64 = 4_611_686_018_427_377_339;
 /// The group order `q = (p − 1)/2` (prime).
 pub const Q: u64 = 2_305_843_009_213_688_669;
 /// Generator of the order-`q` quadratic-residue subgroup.
-pub const G: u64 = 4;
+pub(crate) const G: u64 = 4;
 
 #[inline]
 fn mul_mod(a: u64, b: u64) -> u64 {

@@ -5,7 +5,7 @@
 //! * a **PRG** expanding a short seed into `d` field elements — used by
 //!   SecAgg/SecAgg+ for the pairwise masks `PRG(a_{i,j})` and self-masks
 //!   `PRG(b_i)`, and by the mask ratchet for its pairwise pads; a
-//!   from-scratch [`chacha::ChaCha20`] stream (eight blocks per AVX2
+//!   from-scratch `chacha::ChaCha20` stream (eight blocks per AVX2
 //!   refill, sixteen per AVX-512) feeding a bulk rejection sampler
 //!   ([`FieldPrg`]) that can add a pad straight into a vector without
 //!   materialising it;

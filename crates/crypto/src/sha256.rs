@@ -205,7 +205,7 @@ mod ni {
     ///
     /// Caller must ensure the CPU supports `sha` and `sse4.1`.
     #[target_feature(enable = "sha,sse4.1")]
-    pub unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    pub(crate) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
         // reverses the bytes of every 32-bit lane: message words are
         // big-endian
         let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);

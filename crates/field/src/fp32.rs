@@ -8,7 +8,7 @@ use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
 
 /// The modulus `q = 2^32 − 5`.
-pub const P32: u64 = 4_294_967_291;
+pub(crate) const P32: u64 = 4_294_967_291;
 
 /// An element of `GF(2^32 − 5)` stored as its canonical residue.
 ///
@@ -24,19 +24,6 @@ pub const P32: u64 = 4_294_967_291;
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct Fp32(u32);
-
-impl Fp32 {
-    /// Construct from a raw residue that is already `< q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `value >= q`.
-    #[inline]
-    pub fn from_canonical(value: u32) -> Self {
-        debug_assert!((value as u64) < P32);
-        Self(value)
-    }
-}
 
 impl Field for Fp32 {
     const MODULUS: u64 = P32;
@@ -206,7 +193,7 @@ mod avx2 {
     ///
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn weighted_block(
+    pub(crate) unsafe fn weighted_block(
         block: &mut [Fp32],
         coeffs: &[Fp32],
         inputs: &[&[Fp32]],
@@ -301,7 +288,7 @@ mod avx2 {
     ///
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot(x: &[Fp32], y: &[Fp32]) -> Fp32 {
+    pub(crate) unsafe fn dot(x: &[Fp32], y: &[Fp32]) -> Fp32 {
         debug_assert_eq!(x.len(), y.len());
         let n = x.len();
         let mask32 = _mm256_set1_epi64x(0xFFFF_FFFF);
@@ -351,7 +338,7 @@ mod avx2 {
     ///
     /// Panics unless `words` holds one 4-byte word per element of `acc`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn add_words<const SUB: bool>(acc: &mut [Fp32], words: &[u8]) -> usize {
+    pub(crate) unsafe fn add_words<const SUB: bool>(acc: &mut [Fp32], words: &[u8]) -> usize {
         assert_eq!(words.len(), 4 * acc.len(), "one 4-byte word per element");
         let p = _mm256_set1_epi32(P32 as u32 as i32);
         let mut k = 0;

@@ -11,7 +11,7 @@ use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
 
 /// The modulus `q = 2^61 − 1` (a Mersenne prime).
-pub const P61: u64 = (1u64 << 61) - 1;
+pub(crate) const P61: u64 = (1u64 << 61) - 1;
 
 /// An element of `GF(2^61 − 1)` stored as its canonical residue.
 ///
@@ -33,19 +33,6 @@ fn reduce128(x: u128) -> u64 {
         s -= P61;
     }
     s
-}
-
-impl Fp61 {
-    /// Construct from a raw residue that is already `< q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `value >= q`.
-    #[inline]
-    pub fn from_canonical(value: u64) -> Self {
-        debug_assert!(value < P61);
-        Self(value)
-    }
 }
 
 impl Field for Fp61 {
@@ -327,7 +314,7 @@ mod avx2 {
     ///
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn weighted_block(
+    pub(crate) unsafe fn weighted_block(
         block: &mut [Fp61],
         coeffs: &[Fp61],
         inputs: &[&[Fp61]],
@@ -405,7 +392,7 @@ mod avx2 {
     ///
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot(x: &[Fp61], y: &[Fp61]) -> Fp61 {
+    pub(crate) unsafe fn dot(x: &[Fp61], y: &[Fp61]) -> Fp61 {
         debug_assert_eq!(x.len(), y.len());
         let n = x.len();
         let p = _mm256_set1_epi64x(P61 as i64);
@@ -453,7 +440,7 @@ mod avx2 {
     ///
     /// Panics unless `words` holds one 8-byte word per element of `acc`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn add_words<const SUB: bool>(acc: &mut [Fp61], words: &[u8]) -> usize {
+    pub(crate) unsafe fn add_words<const SUB: bool>(acc: &mut [Fp61], words: &[u8]) -> usize {
         assert_eq!(words.len(), 8 * acc.len(), "one 8-byte word per element");
         let p = _mm256_set1_epi64x(P61 as i64);
         let mut k = 0;
@@ -652,7 +639,7 @@ mod avx2 {
     ///
     /// Panics if `segs` is empty or ragged.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn eval_points(segs: &[&[Fp61]], points: &[Fp61]) -> Option<Vec<Vec<Fp61>>> {
+    pub(crate) unsafe fn eval_points(segs: &[&[Fp61]], points: &[Fp61]) -> Option<Vec<Vec<Fp61>>> {
         if points.iter().any(|p| p.0 >= POINT_LIMIT) {
             return None;
         }

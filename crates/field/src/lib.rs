@@ -121,7 +121,7 @@ pub trait Field:
     /// `block[k] = reduce(block[k] + Σ_i coeffs[i] · inputs[i][offset + k])`,
     /// with the same zero/one-coefficient fast paths as the scalar path
     /// in [`ops::weighted_sum_into`]. `block.len()` is at most
-    /// [`ops::BLOCK`] and each `inputs[i]` extends at least
+    /// `ops::BLOCK` (1024) and each `inputs[i]` extends at least
     /// `offset + block.len()` elements.
     ///
     /// Returns `false` when this field has no kernel for `backend` (the

@@ -37,7 +37,7 @@
 //! full-width.
 //!
 //! The pre-refactor one-reduction-per-op loops survive in
-//! [`reference`] as the oracle for equivalence tests and the baseline
+//! [`reference`](mod@reference) as the oracle for equivalence tests and the baseline
 //! for the `field_kernels` bench.
 
 use crate::{simd, Field};
@@ -48,7 +48,7 @@ use rand::Rng;
 /// per-input-vector loop. This is also the maximum block length handed
 /// to [`Field::simd_weighted_block`], so SIMD kernels can size their
 /// stack scratch statically.
-pub const BLOCK: usize = 1024;
+pub(crate) const BLOCK: usize = 1024;
 
 /// `acc[k] += x[k]` for all `k`.
 ///
@@ -105,16 +105,6 @@ pub fn axpy<F: Field>(acc: &mut [F], c: F, x: &[F]) {
 pub fn add<F: Field>(x: &[F], y: &[F]) -> Vec<F> {
     assert_eq!(x.len(), y.len(), "vector length mismatch");
     x.iter().zip(y).map(|(a, b)| *a + *b).collect()
-}
-
-/// Element-wise difference `x - y`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sub<F: Field>(x: &[F], y: &[F]) -> Vec<F> {
-    assert_eq!(x.len(), y.len(), "vector length mismatch");
-    x.iter().zip(y).map(|(a, b)| *a - *b).collect()
 }
 
 /// Scale a vector by a constant, in place.
@@ -349,12 +339,6 @@ pub fn eval_points<F: Field>(segs: &[&[F]], points: &[F]) -> Vec<Vec<F>> {
 // Widened-vector helpers (running sums that stay unreduced across calls)
 // ---------------------------------------------------------------------
 
-/// Lift a residue vector into the widened accumulator domain (the shape
-/// of the §4.1 server's running masked-model sum).
-pub fn wide_from<F: Field>(x: &[F]) -> Vec<F::Wide> {
-    x.iter().map(|v| v.to_wide()).collect()
-}
-
 /// A fresh all-zero widened accumulator vector.
 pub fn wide_zeros<F: Field>(len: usize) -> Vec<F::Wide> {
     vec![F::ZERO.to_wide(); len]
@@ -468,8 +452,8 @@ mod tests {
     fn add_sub_roundtrip() {
         let x = v32(&[1, 2, 3, 4]);
         let y = v32(&[10, 20, 30, 40]);
-        let s = add(&x, &y);
-        let back = sub(&s, &y);
+        let mut back = add(&x, &y);
+        sub_assign(&mut back, &y);
         assert_eq!(back, x);
     }
 

@@ -23,9 +23,9 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Feature vectors, all of length [`Dataset::dim`].
-    pub xs: Vec<Vec<f32>>,
+    pub(crate) xs: Vec<Vec<f32>>,
     /// Class labels in `[0, classes)`.
-    pub ys: Vec<usize>,
+    pub(crate) ys: Vec<usize>,
     /// Feature dimension.
     pub dim: usize,
     /// Number of classes.
@@ -34,12 +34,12 @@ pub struct Dataset {
 
 impl Dataset {
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.xs.len()
     }
 
     /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.xs.is_empty()
     }
 

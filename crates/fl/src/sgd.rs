@@ -9,11 +9,11 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalTraining {
     /// Local epochs `E`.
-    pub epochs: usize,
+    pub(crate) epochs: usize,
     /// Mini-batch size.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Local learning rate `η_l`.
-    pub lr: f32,
+    pub(crate) lr: f32,
 }
 
 impl Default for LocalTraining {

@@ -37,10 +37,8 @@
 pub mod tcp;
 pub mod timing;
 
-pub use tcp::{TcpDelivery, TcpTransport, FRAME_OVERHEAD};
+pub use tcp::{TcpTransport, FRAME_OVERHEAD};
 pub use timing::PhaseTiming;
-
-use std::collections::BTreeMap;
 
 /// A network endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,30 +89,20 @@ impl NetworkConfig {
     pub fn paper_default(clients: usize) -> Self {
         Self::mbps(clients, 320.0, 3200.0, 0.002)
     }
-
-    /// 4G (LTE-A) setting of Table 3: 98 Mb/s.
-    pub fn lte(clients: usize) -> Self {
-        Self::mbps(clients, 98.0, 980.0, 0.030)
-    }
-
-    /// 5G setting of Table 3: 802 Mb/s.
-    pub fn five_g(clients: usize) -> Self {
-        Self::mbps(clients, 802.0, 8020.0, 0.005)
-    }
 }
 
 /// One bulk transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     /// Sender.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Receiver.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Payload size in bytes.
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// Earliest time the transfer may start (relative to the phase
     /// start passed to [`Network::run_phase`]); defaults to `0`.
-    pub ready_at: f64,
+    pub(crate) ready_at: f64,
 }
 
 impl Transfer {
@@ -178,8 +166,6 @@ pub struct Network {
 pub struct PhaseReport {
     /// Completion time of each transfer, in input order.
     pub finish_times: Vec<f64>,
-    /// When each receiver finished its last transfer of this phase.
-    pub node_done: BTreeMap<NodeId, f64>,
     /// The phase end (max of all completions, or the phase start when
     /// there were no transfers).
     pub phase_end: f64,
@@ -217,11 +203,6 @@ impl Network {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
     /// Reset all channels to idle (start of a fresh round).
     pub fn reset(&mut self) {
         for c in self.client_tx.iter_mut().chain(self.client_rx.iter_mut()) {
@@ -240,7 +221,6 @@ impl Network {
     /// concurrent queues of the paper's §6).
     pub fn run_phase(&mut self, start: f64, transfers: &[Transfer]) -> PhaseReport {
         let mut finish_times = Vec::with_capacity(transfers.len());
-        let mut node_done: BTreeMap<NodeId, f64> = BTreeMap::new();
         let mut phase_end = start;
         for t in transfers {
             let ready = start + t.ready_at;
@@ -258,13 +238,10 @@ impl Network {
             // the receive cannot complete before the data fully arrived
             let end = rx_end.max(arrival);
             finish_times.push(end);
-            let e = node_done.entry(t.to).or_insert(end);
-            *e = e.max(end);
             phase_end = phase_end.max(end);
         }
         PhaseReport {
             finish_times,
-            node_done,
             phase_end,
         }
     }
@@ -434,9 +411,5 @@ mod tests {
     fn paper_presets_have_expected_rates() {
         let d = NetworkConfig::paper_default(10);
         assert_eq!(d.client_bps, 320e6);
-        let lte = NetworkConfig::lte(10);
-        assert_eq!(lte.client_bps, 98e6);
-        let g5 = NetworkConfig::five_g(10);
-        assert_eq!(g5.client_bps, 802e6);
     }
 }

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 /// Default hard ceiling on a frame's declared length (64 MiB) — large
 /// enough for multi-million-element model payloads, small enough that a
 /// hostile length prefix cannot OOM the receiver.
-pub const DEFAULT_MAX_FRAME: usize = 1 << 26;
+pub(crate) const DEFAULT_MAX_FRAME: usize = 1 << 26;
 
 /// Bytes of routing header inside every frame (after the length word).
 const HEADER_LEN: usize = 10;
@@ -263,7 +263,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// Propagates the bind failure.
-    pub fn bind_with_max_frame<A: ToSocketAddrs>(
+    pub(crate) fn bind_with_max_frame<A: ToSocketAddrs>(
         local: NodeId,
         addr: A,
         max_frame: usize,
@@ -289,11 +289,6 @@ impl TcpTransport {
     /// The address the accept loop listens on, if this endpoint binds.
     pub fn local_addr(&self) -> Option<SocketAddr> {
         self.local_addr
-    }
-
-    /// This endpoint's node id.
-    pub fn local_node(&self) -> NodeId {
-        self.local
     }
 
     /// Open a connection to `peer` at `addr`, announce ourselves with a
@@ -493,11 +488,6 @@ impl TcpTransport {
     /// Wall-clock seconds since this endpoint was created.
     pub fn elapsed(&self) -> f64 {
         self.shared.epoch.elapsed().as_secs_f64()
-    }
-
-    /// The frame ceiling in force.
-    pub fn max_frame(&self) -> usize {
-        self.shared.max_frame
     }
 }
 

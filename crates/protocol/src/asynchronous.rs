@@ -203,22 +203,25 @@ mod tests {
     }
 
     /// Deliver the server's queued announcements to the `answering`
-    /// clients and their aggregated shares back.
+    /// clients and their aggregated shares back; returns the shares.
     fn serve(
         server: &mut FederationServer<Fp61>,
         clients: &mut [FederationClient<Fp61>],
         answering: &[usize],
-    ) {
+    ) -> Vec<Envelope<Fp61>> {
+        let mut shares = Vec::new();
         while let Some((to, announcement)) = server.poll_output() {
             let Recipient::Client(j) = to else {
                 unreachable!()
             };
             if answering.contains(&j) {
                 for (_, reply) in clients[j].handle(announcement).unwrap() {
-                    server.handle(reply).unwrap();
+                    server.handle(reply.clone()).unwrap();
+                    shares.push(reply);
                 }
             }
         }
+        shares
     }
 
     /// The entries the server announces, read off a copy of it.
@@ -366,11 +369,18 @@ mod tests {
             .map(|e| (e.who, e.round))
             .collect();
         assert_eq!(buffered, vec![(0, 0), (1, 0), (0, 1)]);
-        serve(&mut server, &mut clients, &[0, 1, 2]);
+        let shares = serve(&mut server, &mut clients, &[0, 1, 2]);
         let agg = server.close_round().unwrap();
         assert_eq!(agg.aggregate, vec![Fp61::from_u64(7); cfg.d()]);
         assert_eq!(agg.total_weight, 3);
         assert_eq!(agg.contributors, vec![0, 1]);
+        // the round is over: a re-delivered share is stale and a second
+        // close has no round to close; neither touches the spent sum
+        assert_eq!(
+            server.handle(shares[0].clone()).unwrap_err(),
+            ProtocolError::StaleRound { got: 1, current: 1 }
+        );
+        assert_eq!(server.close_round().unwrap_err(), ProtocolError::WrongPhase);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Holding two adjacent rounds at once is the normal state: round `t`
 /// is online while round `t+1`'s masks are being shared. An envelope for
-/// a *near-future* round (within [`Self::LOOKAHEAD`] of the newest live
+/// a *near-future* round (within `LOOKAHEAD` (2) of the newest live
 /// round) that arrives before this client joined it — a peer raced
 /// ahead on a non-lockstep transport — is buffered and replayed when the
 /// round is joined; [`ProtocolError::StaleRound`] is reserved for rounds
@@ -158,7 +158,7 @@ impl<F: Field> FederationClient<F> {
     /// arrive and still be buffered (overlap keeps at most the next
     /// round in flight; one extra round of slack bounds the buffer
     /// against misbehaving peers).
-    pub const LOOKAHEAD: u64 = 2;
+    pub(crate) const LOOKAHEAD: u64 = 2;
 
     /// Hard cap on envelopes buffered across all lookahead rounds. A
     /// legitimate future round delivers at most `n − 1` coded shares
@@ -167,7 +167,7 @@ impl<F: Field> FederationClient<F> {
     /// worst case a peer can pin at `O(LOOKAHEAD · n)` envelopes
     /// instead of unbounded (the memory-amplification vector once
     /// untrusted sockets feed [`Session::handle`]).
-    pub fn pending_cap(&self) -> usize {
+    pub(crate) fn pending_cap(&self) -> usize {
         Self::LOOKAHEAD as usize * (2 * self.cfg.n() + 2)
     }
 
@@ -191,7 +191,7 @@ impl<F: Field> FederationClient<F> {
     /// # Errors
     ///
     /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn in_group(
+    pub(crate) fn in_group(
         group: usize,
         id: usize,
         cfg: LsaConfig,
@@ -237,11 +237,6 @@ impl<F: Field> FederationClient<F> {
         self.id
     }
 
-    /// The aggregation group this client belongs to (0 when flat).
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
     /// The highest live round, or the retirement horizon when no round
     /// is live.
     fn current_round(&self) -> u64 {
@@ -254,7 +249,8 @@ impl<F: Field> FederationClient<F> {
 
     /// Number of live rounds (usually 1, or 2 while the next round's
     /// masks are being shared).
-    pub fn active_rounds(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_rounds(&self) -> usize {
         self.rounds.len()
     }
 
@@ -379,7 +375,7 @@ impl<F: Field> FederationClient<F> {
 
     /// Retire every round below `round` (their aggregates are
     /// recovered; any further envelope for them is a stale replay).
-    pub fn retire_below(&mut self, round: u64) {
+    pub(crate) fn retire_below(&mut self, round: u64) {
         self.rounds.retain(|&r, _| r >= round);
         self.pending.retain(|&r, _| r >= round);
         self.horizon = self.horizon.max(round);

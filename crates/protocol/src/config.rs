@@ -66,28 +66,8 @@ impl LsaConfig {
     }
 
     /// How a cohort built from this configuration ratchets.
-    pub fn ratchet(&self) -> RatchetPolicy {
+    pub(crate) fn ratchet(&self) -> RatchetPolicy {
         self.ratchet
-    }
-
-    /// Configuration from the guarantees `(T, D)` of Theorem 1, choosing
-    /// the maximum `U = N − D` (most decoding slack).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] unless `T + D < N`.
-    pub fn for_guarantees(
-        n: usize,
-        t: usize,
-        dropouts: usize,
-        d: usize,
-    ) -> Result<Self, ProtocolError> {
-        if t + dropouts >= n {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "Theorem 1 requires T + D < N (got T={t}, D={dropouts}, N={n})"
-            )));
-        }
-        Self::new(n, t, n - dropouts, d)
     }
 
     /// Total number of users `N`.
@@ -96,7 +76,7 @@ impl LsaConfig {
     }
 
     /// Privacy guarantee `T`.
-    pub fn t(&self) -> usize {
+    pub(crate) fn t(&self) -> usize {
         self.t
     }
 
@@ -108,11 +88,6 @@ impl LsaConfig {
     /// Model dimension `d` (before padding).
     pub fn d(&self) -> usize {
         self.d
-    }
-
-    /// Worst-case dropout tolerance `D = N − U`.
-    pub fn dropout_tolerance(&self) -> usize {
-        self.n - self.u
     }
 
     /// Number of data sub-masks `U − T` each mask is partitioned into.
@@ -139,24 +114,16 @@ mod tests {
     #[test]
     fn valid_config() {
         let c = LsaConfig::new(10, 4, 7, 100).unwrap();
-        assert_eq!(c.dropout_tolerance(), 3);
         assert_eq!(c.data_segments(), 3);
         assert_eq!(c.segment_len(), 34); // ceil(100/3)
         assert_eq!(c.padded_len(), 102);
     }
 
     #[test]
-    fn guarantees_constructor_maximizes_u() {
-        let c = LsaConfig::for_guarantees(10, 5, 4, 50).unwrap();
-        assert_eq!(c.u(), 6);
-        assert_eq!(c.dropout_tolerance(), 4);
-    }
-
-    #[test]
     fn theorem1_boundary() {
-        // T + D = N is rejected, T + D = N − 1 accepted
-        assert!(LsaConfig::for_guarantees(10, 5, 5, 10).is_err());
-        assert!(LsaConfig::for_guarantees(10, 5, 4, 10).is_ok());
+        // D = N − U dropouts: T + D = N is rejected, T + D = N − 1 accepted
+        assert!(LsaConfig::new(10, 5, 10 - 5, 10).is_err());
+        assert!(LsaConfig::new(10, 5, 10 - 4, 10).is_ok());
     }
 
     #[test]

@@ -67,7 +67,7 @@
 //! ```
 
 use crate::asynchronous::BufferEntry;
-pub use crate::client::FederationClient;
+use crate::client::FederationClient;
 use crate::config::LsaConfig;
 use crate::ratchet::{self, CohortFingerprint, ServerRatchet};
 use crate::session::{Outgoing, Recipient, Session};
@@ -215,7 +215,7 @@ pub trait SecureAggregator<F: Field> {
     /// `seed`: keep the retained base masks and shares (recovery is
     /// seat-based and untouched by the permute) but advance every
     /// member's pad-derivation epoch in lockstep
-    /// ([`crate::ratchet::reseat_epoch`]) and drop any pre-committed
+    /// (`ratchet::reseat_epoch`) and drop any pre-committed
     /// nonce window. The buffered leaf ([`BufferedFederation`]) does not
     /// reseat: it falls back to [`SecureAggregator::clear_ratchet`],
     /// correct, just slower (the next round pays a full exchange).
@@ -235,7 +235,7 @@ pub trait SecureAggregator<F: Field> {
     /// The [`RoundReport`] of the most recent *finished* round —
     /// per-phase timings, traffic and event counters — or `None` before
     /// any round completed. The aggregator tree returns the
-    /// [`RoundReport::merge`] of its leaves' reports: leaves run over
+    /// `RoundReport::merge` of its leaves' reports: leaves run over
     /// independent links in a real deployment, so the merged view is
     /// the root's critical path.
     fn round_report(&self) -> Option<RoundReport>;
@@ -350,7 +350,7 @@ impl<F: Field> FederationServer<F> {
     /// # Errors
     ///
     /// Propagates invalid configuration as [`ProtocolError::Coding`].
-    pub fn in_group(group: usize, cfg: LsaConfig) -> Result<Self, ProtocolError> {
+    pub(crate) fn in_group(group: usize, cfg: LsaConfig) -> Result<Self, ProtocolError> {
         Ok(Self {
             cfg,
             group,
@@ -396,16 +396,6 @@ impl<F: Field> FederationServer<F> {
             buffer: Some(buffer),
             ..Self::new(cfg)?
         })
-    }
-
-    /// The round currently open (or the last one served).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The aggregation group this server serves (0 when flat).
-    pub fn group(&self) -> usize {
-        self.group
     }
 
     /// Open `round`: accept uploads stamped with it (§4.2: with it or
@@ -1027,12 +1017,6 @@ impl<F: Field, T: Transport<F>> LeafFederation<F, T> {
         }
     }
 
-    /// The namespaced leaf-group id this federation stamps its
-    /// envelopes with (0 when flat).
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
     /// The underlying transport (for byte/timing statistics).
     pub fn transport(&self) -> &T {
         &self.transport
@@ -1526,18 +1510,13 @@ pub struct RoundPlan<F> {
     /// When set, the next round's mask exchange runs overlapped with
     /// this round (§4.1).
     pub prepare_next: Option<Vec<usize>>,
-    /// When set, [`SecureAggregator::reassign`] runs with this seed
-    /// *before* the round opens: an aggregator tree permutes its
-    /// global↔leaf id mapping so clients face fresh group peers
-    /// (privacy against slowly-accumulating intra-group collusion).
-    pub reassign_seed: Option<u64>,
     /// When set, the aggregator's
     /// [`SecureAggregator::cohort_fingerprint`] of this plan's cohort
     /// must match before the round opens — a seating change under the
     /// caller's feet fails typed
     /// ([`ProtocolError::RatchetMismatch`], never retried) instead of
     /// aggregating across the wrong peers.
-    pub fingerprint: Option<CohortFingerprint>,
+    pub(crate) fingerprint: Option<CohortFingerprint>,
 }
 
 impl<F> RoundPlan<F> {
@@ -1548,7 +1527,6 @@ impl<F> RoundPlan<F> {
             updates: Vec::new(),
             drop_after_upload: Vec::new(),
             prepare_next: None,
-            reassign_seed: None,
             fingerprint: None,
         }
     }
@@ -1637,14 +1615,6 @@ impl<F> RoundPlan<F> {
         self
     }
 
-    /// Permute the aggregator's global↔leaf id mapping with this seed
-    /// before the round opens (no-op on flat aggregators).
-    #[must_use]
-    pub fn with_reassignment(mut self, seed: u64) -> Self {
-        self.reassign_seed = Some(seed);
-        self
-    }
-
     /// Pin the cohort's seating: the round only opens if the
     /// aggregator's fingerprint of this cohort still matches.
     #[must_use]
@@ -1712,7 +1682,7 @@ impl<F: Field> Federation<F> {
     /// discarded, the round aborted, and the plan replayed **once**
     /// with a full mask exchange; the failed round number is burned. A
     /// mismatch against the plan's own pinned
-    /// [`RoundPlan::fingerprint`] is a caller error and is never
+    /// fingerprint ([`RoundPlan::with_fingerprint`]) is a caller error and is never
     /// retried.
     ///
     /// # Errors
@@ -1728,11 +1698,6 @@ impl<F: Field> Federation<F> {
                 Some(actual) if actual == expected => {}
                 _ => return Err(ProtocolError::RatchetMismatch),
             }
-        }
-        // cross-round reassignment happens strictly between rounds: the
-        // permutation is part of the opened round's identity
-        if let Some(seed) = plan.reassign_seed {
-            self.aggregator.reassign(seed)?;
         }
         let (out, fell_back) = match attempt_round(self.aggregator.as_mut(), plan) {
             Err(ProtocolError::RatchetMismatch) => {
@@ -2668,7 +2633,7 @@ mod tests {
         // and a same-round repeat as DuplicateMessage. The two failure
         // modes are distinct typed errors.
         let mut s = server(0, 3);
-        assert_eq!(s.round(), 3);
+        assert_eq!(s.round, 3);
         assert_eq!(
             s.handle(upload(0, 0, 2)).unwrap_err(),
             ProtocolError::StaleRound { got: 2, current: 3 }

@@ -15,7 +15,7 @@
 //!   once): [`federation::SecureAggregator`] (one object-safe trait),
 //!   [`federation::LeafFederation`] (the one leaf round driver, over
 //!   one server and its clients of either protocol),
-//!   [`federation::FederationClient`] /
+//!   [`FederationClient`] /
 //!   [`federation::FederationServer`] (round lifecycle with cohort
 //!   churn), and [`federation::Federation`] (the plan loop with §4.1's
 //!   overlapped next-round mask sharing; [`RoundPlan::from_schedule`]
@@ -94,22 +94,21 @@ pub mod topology;
 pub mod transport;
 pub mod wire;
 
+pub use client::FederationClient;
 pub use config::LsaConfig;
 pub use federation::{
-    BoxedAggregator, BufferedFederation, Federation, FederationClient, FederationServer,
-    RoundOutcome, RoundPlan, SecureAggregator, SyncFederation,
+    BufferedFederation, Federation, FederationServer, RoundOutcome, RoundPlan, SecureAggregator,
+    SyncFederation,
 };
 pub use ratchet::{
     CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetPolicy, RatchetWindowCommit,
-    DEFAULT_COMMIT_WINDOW, MAX_COMMIT_WINDOW, RATCHET_FROM_SERVER,
+    RATCHET_FROM_SERVER,
 };
 pub use session::{Recipient, Session};
-pub use telemetry::{EventCounters, RoundReport, TrafficMark};
-pub use topology::{GroupTopology, GroupedFederation, TopologyNode};
-pub use transport::{Delivery, MemTransport, PhaseTiming, SimTransport, Transport};
+pub use telemetry::RoundReport;
+pub use transport::{MemTransport, Transport};
 pub use wire::{
-    peek_group, peek_version, AggregatedShare, CodedMaskShare, Envelope, EnvelopeKind, MaskedModel,
-    SurvivorAnnouncement, WireError, GROUP_VERSION_BIT, MAX_GROUP_ID, WIRE_VERSION,
+    AggregatedShare, CodedMaskShare, Envelope, EnvelopeKind, MaskedModel, SurvivorAnnouncement,
 };
 
 use core::fmt;
@@ -375,19 +374,6 @@ impl DropoutSchedule {
             before_upload: Vec::new(),
             after_upload: users,
         }
-    }
-
-    /// Total number of distinct dropped users.
-    pub fn total(&self) -> usize {
-        let mut all: Vec<usize> = self
-            .before_upload
-            .iter()
-            .chain(&self.after_upload)
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.len()
     }
 }
 

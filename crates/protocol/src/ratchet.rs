@@ -32,14 +32,14 @@
 //! believes in, each client checks the fingerprint against its retained
 //! state and acks. Any churn, reassignment, or disagreement surfaces as
 //! the typed
-//! [`ProtocolError::RatchetMismatch`](crate::ProtocolError::RatchetMismatch)
+//! [`ProtocolError::RatchetMismatch`]
 //! and falls back to the ordinary full offline exchange.
 //!
 //! That handshake is implemented **once**, here, for both protocol
-//! variants. [`ClientRatchet`] is the client half: the retained base
+//! variants. `ClientRatchet` is the client half: the retained base
 //! and its fingerprint, the pad topology, the banked window nonces; it
 //! reads a commit, lets the endpoint derive the round under the
-//! committed nonce and returns the ack. [`ServerRatchet`] is the server
+//! committed nonce and returns the ack. `ServerRatchet` is the server
 //! half: the one commit in flight, the members that must ack it, the
 //! acks so far. The [`crate::FederationClient`] and the
 //! [`crate::FederationServer`] of either protocol own one each and route
@@ -96,13 +96,14 @@ impl CohortFingerprint {
     }
 
     /// The raw 64-bit value (what [`RatchetAnnouncement`] carries).
-    pub fn raw(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 
     /// Fingerprint a cohort given per-member `(group, config, global
     /// id, slot)` tuples. Order-independent.
-    pub fn of_members<I>(members: I) -> Self
+    pub(crate) fn of_members<I>(members: I) -> Self
     where
         I: IntoIterator<Item = (usize, LsaConfig, usize, usize)>,
     {
@@ -115,7 +116,8 @@ impl CohortFingerprint {
 
     /// Fingerprint a flat (single-group) cohort, where each member's
     /// slot is its own id.
-    pub fn of_flat(group: usize, cfg: LsaConfig, cohort: &[usize]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn of_flat(group: usize, cfg: LsaConfig, cohort: &[usize]) -> Self {
         Self::of_members(cohort.iter().map(|&id| (group, cfg, id, id)))
     }
 }
@@ -144,9 +146,9 @@ fn digest_words<const W: usize>(domain: &[u8], words: [u64; W]) -> u64 {
 /// `fingerprint` the server expects (`from` is
 /// [`RATCHET_FROM_SERVER`]). Client → server: echoes the same fields as
 /// an ack (`from` is the client id). A mismatched fingerprint or nonce
-/// is [`ProtocolError::RatchetMismatch`](crate::ProtocolError::RatchetMismatch);
+/// is [`ProtocolError::RatchetMismatch`];
 /// a replayed announcement from an earlier round is
-/// [`ProtocolError::StaleRound`](crate::ProtocolError::StaleRound).
+/// [`ProtocolError::StaleRound`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RatchetAnnouncement {
     /// [`RATCHET_FROM_SERVER`] for the commit, the client id for acks.
@@ -157,7 +159,8 @@ pub struct RatchetAnnouncement {
     pub round: u64,
     /// Per-round nonce hashed into every pairwise pad seed.
     pub nonce: u64,
-    /// [`CohortFingerprint::raw`] of the cohort both sides must agree on.
+    /// Raw value of the [`CohortFingerprint`] both sides must agree on
+    /// ([`CohortFingerprint::from_raw`] reads it back).
     pub fingerprint: u64,
 }
 
@@ -171,7 +174,7 @@ pub struct RatchetAnnouncement {
 /// ack (`from` is the client id). The first window round is derived and
 /// acked immediately; later rounds are joined locally with **zero**
 /// wire traffic. Any churn, fingerprint or topology disagreement is
-/// [`ProtocolError::RatchetMismatch`](crate::ProtocolError::RatchetMismatch)
+/// [`ProtocolError::RatchetMismatch`]
 /// and purges the remaining window nonces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RatchetWindowCommit {
@@ -181,20 +184,13 @@ pub struct RatchetWindowCommit {
     pub group: usize,
     /// First round the window covers.
     pub round: u64,
-    /// [`CohortFingerprint::raw`] of the cohort both sides must agree on.
+    /// Raw value of the [`CohortFingerprint`] both sides must agree on
+    /// ([`CohortFingerprint::from_raw`] reads it back).
     pub fingerprint: u64,
     /// Pad topology every window round derives its pads under.
     pub topology: PadTopology,
     /// Per-round nonces: `nonces[k]` serves round `round + k`.
     pub nonces: Vec<u64>,
-}
-
-impl RatchetWindowCommit {
-    /// The committed nonce for `round`, if this window covers it.
-    pub fn nonce_for(&self, round: u64) -> Option<u64> {
-        let offset = round.checked_sub(self.round)?;
-        self.nonces.get(usize::try_from(offset).ok()?).copied()
-    }
 }
 
 /// Whether `envelope` belongs to the ratchet handshake (a commit or an
@@ -286,7 +282,7 @@ impl Handshake {
 /// takes a `derive(base, nonce, topology)` closure and hands back what
 /// it built.
 #[derive(Debug, Clone)]
-pub struct ClientRatchet<B> {
+pub(crate) struct ClientRatchet<B> {
     id: usize,
     group: usize,
     /// The retained base and the fingerprint of the cohort it was
@@ -417,7 +413,7 @@ impl<B> ClientRatchet<B> {
 /// The server half of the handshake, shared by both server endpoints:
 /// the one commit in flight and the envelopes that announce it.
 #[derive(Debug, Clone)]
-pub struct ServerRatchet<F> {
+pub(crate) struct ServerRatchet<F> {
     group: usize,
     /// The commit acks are being collected for, the cohort members
     /// that must ack it, and those that have.
@@ -576,7 +572,7 @@ pub enum PadTopology {
 
 impl PadTopology {
     /// Stable one-byte wire tag (carried in [`RatchetWindowCommit`]).
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             PadTopology::Clique => 0,
             PadTopology::Hypercube => 1,
@@ -584,7 +580,7 @@ impl PadTopology {
     }
 
     /// Decode a wire tag; `None` for an unknown byte.
-    pub fn from_tag(tag: u8) -> Option<Self> {
+    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(PadTopology::Clique),
             1 => Some(PadTopology::Hypercube),
@@ -652,11 +648,11 @@ impl PadTopology {
 }
 
 /// Default number of rounds a single [`RatchetWindowCommit`] covers.
-pub const DEFAULT_COMMIT_WINDOW: usize = 8;
+pub(crate) const DEFAULT_COMMIT_WINDOW: usize = 8;
 
 /// Hard cap on the commit window (also the decode-side sanity bound on
 /// the nonce count a commit may carry).
-pub const MAX_COMMIT_WINDOW: usize = 1024;
+pub(crate) const MAX_COMMIT_WINDOW: usize = 1024;
 
 /// How one leaf cohort ratchets: whether it does, over which pad graph,
 /// and how many rounds one nonce commit covers. A value carried on
@@ -665,7 +661,7 @@ pub const MAX_COMMIT_WINDOW: usize = 1024;
 /// policy its round ran under.
 ///
 /// The default is ratchet on, [`PadTopology::Hypercube`], a window of
-/// [`DEFAULT_COMMIT_WINDOW`] rounds. Every policy produces bit-identical
+/// `DEFAULT_COMMIT_WINDOW` (8) rounds. Every policy produces bit-identical
 /// aggregates — the policy moves cost and the per-round refresh's
 /// collusion threshold, never the sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -677,7 +673,7 @@ pub struct RatchetPolicy {
 
 impl RatchetPolicy {
     /// A policy from its three values; `window` is clamped to
-    /// `1..=`[`MAX_COMMIT_WINDOW`] (`1` reproduces the per-round
+    /// `1..=MAX_COMMIT_WINDOW` (1024; `1` reproduces the per-round
     /// [`RatchetAnnouncement`] handshake byte-for-byte).
     pub fn new(enabled: bool, topology: PadTopology, window: usize) -> Self {
         Self {
@@ -701,13 +697,13 @@ impl RatchetPolicy {
     }
 
     /// The pad graph ratcheted rounds derive pairwise pads over.
-    pub fn topology(self) -> PadTopology {
+    pub(crate) fn topology(self) -> PadTopology {
         self.topology
     }
 
     /// Rounds one server commit carries nonces for: a steady stretch
     /// pays the commit/ack round trip once per `window` rounds.
-    pub fn window(self) -> usize {
+    pub(crate) fn window(self) -> usize {
         self.window
     }
 }
@@ -1172,22 +1168,6 @@ pub(crate) mod tests {
         }
         assert_eq!(PadTopology::from_tag(2), None);
         assert_eq!(PadTopology::default(), PadTopology::Hypercube);
-    }
-
-    #[test]
-    fn window_commit_maps_rounds_to_nonces() {
-        let wc = RatchetWindowCommit {
-            from: RATCHET_FROM_SERVER,
-            group: 0,
-            round: 10,
-            fingerprint: 7,
-            topology: PadTopology::Hypercube,
-            nonces: vec![100, 101, 102],
-        };
-        assert_eq!(wc.nonce_for(10), Some(100));
-        assert_eq!(wc.nonce_for(12), Some(102));
-        assert_eq!(wc.nonce_for(13), None);
-        assert_eq!(wc.nonce_for(9), None);
     }
 
     #[test]

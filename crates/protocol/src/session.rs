@@ -13,7 +13,7 @@
 //!
 //! # Sessions
 //!
-//! * [`crate::federation::FederationClient`] — the persistent user of
+//! * [`crate::FederationClient`] — the persistent user of
 //!   both variants: it holds each live round's state and routes its
 //!   traffic by round id; [`crate::FederationClient::timestamped`]
 //!   builds the buffered-asynchronous user (§4.2, Appendix F);
@@ -84,7 +84,7 @@ pub enum Recipient {
 }
 
 /// An envelope together with its destination.
-pub type Outgoing<F> = (Recipient, Envelope<F>);
+pub(crate) type Outgoing<F> = (Recipient, Envelope<F>);
 
 /// The uniform sans-IO interface every session implements.
 pub trait Session<F: Field> {

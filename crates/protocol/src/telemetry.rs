@@ -20,9 +20,9 @@
 //!
 //! Three operations define the discipline:
 //!
-//! * [`TrafficMark`] snapshots a transport at round open; its
-//!   [`TrafficMark::cut`] at round close yields the round's report.
-//! * [`RoundReport::merge`] folds per-subtree reports into the root's
+//! * `TrafficMark` snapshots a transport at round open; its
+//!   `cut` at round close yields the round's report.
+//! * `RoundReport::merge` folds per-subtree reports into the root's
 //!   critical path (starts min'd, ends max'd, traffic and events
 //!   summed) — the composed-tree view.
 //! * [`RoundReport::average`] means per-label durations and traffic
@@ -37,7 +37,7 @@ use lsa_field::Field;
 use std::collections::BTreeMap;
 
 /// Per-round protocol event counters. All counters are additive under
-/// [`RoundReport::merge`] and [`RoundReport::average`] (an averaged
+/// `RoundReport::merge` and [`RoundReport::average`] (an averaged
 /// report sums events: "how many happened across the run" is the
 /// useful bench column, a fractional mean dropout is not).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,7 +66,7 @@ pub struct EventCounters {
 
 impl EventCounters {
     /// Add every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &EventCounters) {
+    pub(crate) fn absorb(&mut self, other: &EventCounters) {
         self.dropouts += other.dropouts;
         self.requeues += other.requeues;
         self.ratchets += other.ratchets;
@@ -74,11 +74,6 @@ impl EventCounters {
         self.fallbacks += other.fallbacks;
         self.rejections += other.rejections;
         self.quarantined += other.quarantined;
-    }
-
-    /// Whether any counter is non-zero.
-    pub fn any(&self) -> bool {
-        *self != EventCounters::default()
     }
 }
 
@@ -103,7 +98,7 @@ pub struct RoundReport {
     pub envelopes: usize,
     /// Protocol event counters.
     pub events: EventCounters,
-    /// The policy the round ran under ([`RoundReport::merge`] and
+    /// The policy the round ran under (`RoundReport::merge` and
     /// [`RoundReport::average`] keep the first report's).
     pub ratchet: RatchetPolicy,
 }
@@ -124,7 +119,7 @@ impl RoundReport {
 
     /// Total duration of every phase carrying `label` (labels repeat
     /// when a phase ran more than once).
-    pub fn phase_seconds(&self, label: &str) -> f64 {
+    pub(crate) fn phase_seconds(&self, label: &str) -> f64 {
         self.phases
             .iter()
             .filter(|p| p.label == label)
@@ -167,7 +162,7 @@ impl RoundReport {
     /// independent per-subtree links, so the merged end is the moment
     /// the *slowest* subtree finished that phase — the root's critical
     /// path. Traffic and event counters are summed.
-    pub fn merge(round: u64, children: &[RoundReport]) -> RoundReport {
+    pub(crate) fn merge(round: u64, children: &[RoundReport]) -> RoundReport {
         // key = (label, occurrence index of that label within one child)
         let mut merged: Vec<((&'static str, usize), PhaseTiming)> = Vec::new();
         let mut out = RoundReport::new(round);
@@ -338,20 +333,20 @@ impl RoundReport {
 /// open; [`TrafficMark::cut`] at round close yields the delta as that
 /// round's [`RoundReport`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TrafficMark {
+pub(crate) struct TrafficMark {
     /// Payload bytes sent at snapshot time.
-    pub payload: usize,
+    pub(crate) payload: usize,
     /// Framing bytes sent at snapshot time.
-    pub framing: usize,
+    pub(crate) framing: usize,
     /// Envelopes sent at snapshot time.
-    pub envelopes: usize,
+    pub(crate) envelopes: usize,
     /// Phase records cut at snapshot time.
-    pub phases: usize,
+    pub(crate) phases: usize,
 }
 
 impl TrafficMark {
     /// Snapshot `transport`'s cumulative counters.
-    pub fn of<F: Field, T: Transport<F>>(transport: &T) -> TrafficMark {
+    pub(crate) fn of<F: Field, T: Transport<F>>(transport: &T) -> TrafficMark {
         TrafficMark {
             payload: transport.bytes_sent(),
             framing: transport.framing_bytes(),
@@ -363,7 +358,7 @@ impl TrafficMark {
     /// The delta between this mark and `transport`'s counters now, as
     /// `round`'s report (events start at zero — the aggregator fills
     /// them in). Saturates if the transport was swapped or reset.
-    pub fn cut<F: Field, T: Transport<F>>(&self, transport: &T, round: u64) -> RoundReport {
+    pub(crate) fn cut<F: Field, T: Transport<F>>(&self, transport: &T, round: u64) -> RoundReport {
         let timings = transport.timings();
         RoundReport {
             round,

@@ -32,7 +32,7 @@
 //!
 //! Three id spaces coexist and must never be confused:
 //!
-//! * **global ids** `0..N` — what drivers speak ([`RoundPlan`]
+//! * **global ids** `0..N` — what drivers speak ([`crate::RoundPlan`]
 //!   cohorts, `submit`). Stable client identities across rounds.
 //! * **slots** `0..N` — depth-first-contiguous positions in the tree:
 //!   leaf `g` owns slots `starts[g] .. starts[g] + n_g`. The
@@ -114,24 +114,8 @@ pub enum TopologyNode {
 }
 
 impl TopologyNode {
-    /// Number of leaf groups in this subtree.
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            TopologyNode::Leaf(_) => 1,
-            TopologyNode::Internal(kids) => kids.iter().map(TopologyNode::leaf_count).sum(),
-        }
-    }
-
-    /// Number of clients in this subtree.
-    pub fn client_count(&self) -> usize {
-        match self {
-            TopologyNode::Leaf(cfg) => cfg.n(),
-            TopologyNode::Internal(kids) => kids.iter().map(TopologyNode::client_count).sum(),
-        }
-    }
-
     /// Edge-depth of the subtree (0 for a bare leaf).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         match self {
             TopologyNode::Leaf(_) => 0,
             TopologyNode::Internal(kids) => {
@@ -188,7 +172,7 @@ impl GroupTopology {
     ///
     /// Returns [`ProtocolError::InvalidConfig`] if no groups are given
     /// or the groups disagree on the model dimension `d`.
-    pub fn from_configs(configs: Vec<LsaConfig>) -> Result<Self, ProtocolError> {
+    pub(crate) fn from_configs(configs: Vec<LsaConfig>) -> Result<Self, ProtocolError> {
         Self::from_tree(TopologyNode::Internal(
             configs.into_iter().map(TopologyNode::Leaf).collect(),
         ))
@@ -389,7 +373,7 @@ impl GroupTopology {
     }
 
     /// The (shared) model dimension `d`.
-    pub fn d(&self) -> usize {
+    pub(crate) fn d(&self) -> usize {
         self.d
     }
 
@@ -420,7 +404,7 @@ impl GroupTopology {
     /// # Panics
     ///
     /// Panics if `g` is out of range.
-    pub fn group_members(&self, g: usize) -> core::ops::Range<usize> {
+    pub(crate) fn group_members(&self, g: usize) -> core::ops::Range<usize> {
         self.starts[g]..self.starts[g] + self.configs[g].n()
     }
 
@@ -440,7 +424,7 @@ impl GroupTopology {
     /// # Errors
     ///
     /// Returns [`ProtocolError::UnknownUser`] for an out-of-range id.
-    pub fn slot_of(&self, global: usize) -> Result<usize, ProtocolError> {
+    pub(crate) fn slot_of(&self, global: usize) -> Result<usize, ProtocolError> {
         self.perm
             .get(global)
             .copied()
@@ -521,7 +505,7 @@ impl GroupTopology {
     /// [`SecureAggregator::config`]): `N` total clients, privacy
     /// against `min_g t_g` colluders within any one leaf, and
     /// `Σ_g u_g` survivors required in total.
-    pub fn aggregate_view(&self) -> LsaConfig {
+    pub(crate) fn aggregate_view(&self) -> LsaConfig {
         self.view
     }
 
@@ -727,13 +711,9 @@ impl<F: Field> GroupedFederation<F> {
         self
     }
 
-    /// The topology this federation runs.
-    pub fn topology(&self) -> &GroupTopology {
-        &self.topology
-    }
-
     /// Updates currently buffered for re-queue (global ids, ascending).
-    pub fn requeued_clients(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn requeued_clients(&self) -> Vec<usize> {
         self.carryover.keys().copied().collect()
     }
 
@@ -1091,7 +1071,8 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::federation::{Federation, FederationClient, RoundPlan};
+    use crate::client::FederationClient;
+    use crate::federation::{Federation, RoundPlan};
     use crate::ratchet::policies;
     use crate::session::Session;
     use crate::transport::MemTransport;
@@ -1456,7 +1437,7 @@ mod tests {
             grouped.reassign(seed).unwrap();
             // round 1: the nested leaf stalls after merging the
             // moved clients' carryover
-            let nested_members = grouped.topology().members_of(1);
+            let nested_members = grouped.topology.members_of(1);
             grouped.open_round(&all).unwrap();
             for (id, u) in updates(&all, d) {
                 grouped.submit(id, &u).unwrap();
@@ -1612,7 +1593,8 @@ mod tests {
             let out0 = fed.run_round(&p0).unwrap();
             assert_eq!(out0.aggregate, expected(&all, d));
             // round 1 under a reseated mapping: same clients, fresh peers
-            let mut p1 = RoundPlan::new(all.clone()).with_reassignment(99);
+            fed.aggregator_mut().reassign(99).unwrap();
+            let mut p1 = RoundPlan::new(all.clone());
             p1.updates = updates(&all, d);
             let out1 = fed.run_round(&p1).unwrap();
             assert_eq!(out1.aggregate, expected(&all, d));

@@ -42,13 +42,13 @@ pub use lsa_net::timing::PhaseTiming;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery<F> {
     /// Sender address.
-    pub from: Recipient,
+    pub(crate) from: Recipient,
     /// Destination address.
     pub to: Recipient,
     /// The decoded message.
     pub envelope: Envelope<F>,
     /// Serialized size this message occupied on the wire.
-    pub wire_bytes: usize,
+    pub(crate) wire_bytes: usize,
 }
 
 /// A byte-level message channel between protocol endpoints.
@@ -351,13 +351,6 @@ impl SimTransport {
     /// Current simulated time (s).
     pub fn elapsed(&self) -> f64 {
         self.clock
-    }
-
-    /// Advance the clock by `dt` seconds of local compute (modelling
-    /// work done between communication phases).
-    pub fn advance_clock(&mut self, dt: f64) {
-        assert!(dt >= 0.0, "time cannot run backwards");
-        self.clock += dt;
     }
 
     /// Per-phase timings recorded so far.

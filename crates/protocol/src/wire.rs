@@ -41,7 +41,7 @@
 //!
 //! The top bit of the group word is the **wire version bit**
 //! ([`GROUP_VERSION_BIT`]). This crate speaks **Wire v2**
-//! ([`WIRE_VERSION`]): every encoder sets the bit, and the byte layout
+//! (`WIRE_VERSION` = 2): every encoder sets the bit, and the byte layout
 //! documented here is **frozen** — these are the first bytes that leave
 //! the address space over [`lsa_net::tcp`], so any change must claim a
 //! new version, not move an existing byte. Decoders reject a clear bit
@@ -70,7 +70,7 @@ use lsa_field::Field;
 /// when envelopes first crossed a process boundary (the
 /// [`lsa_net::tcp`] backend); v1 was the in-process era whose encoding
 /// kept the version bit clear.
-pub const WIRE_VERSION: u32 = 2;
+pub(crate) const WIRE_VERSION: u32 = 2;
 
 /// The wire-version bit of the group-id word (bytes `[1..5]` of every
 /// envelope). Wire v2 **sets** this bit on every encode; a clear bit
@@ -114,7 +114,7 @@ pub enum WireError {
         claimed: u64,
     },
     /// The group word claims a wire version other than
-    /// [`WIRE_VERSION`] — a legacy v1 envelope (version bit clear), or
+    /// `WIRE_VERSION` (2) — a legacy v1 envelope (version bit clear), or
     /// a corrupted word. Rejected before any payload parsing: the byte
     /// layout of another version cannot be assumed.
     UnsupportedVersion {
@@ -618,23 +618,6 @@ impl<F: Field> Envelope<F> {
     }
 }
 
-/// Read the wire version claimed by an encoded envelope without
-/// decoding it (`None` if the buffer cannot even hold the fixed
-/// header). Routers use this to drop foreign-version traffic before
-/// touching the payload.
-pub fn peek_version(bytes: &[u8]) -> Option<u32> {
-    let word = u32::from_le_bytes(bytes.get(1..5)?.try_into().ok()?);
-    Some(if word & GROUP_VERSION_BIT != 0 { 2 } else { 1 })
-}
-
-/// Read the tree-namespaced group id from an encoded envelope's
-/// fixed-offset group word without decoding the payload (`None` when
-/// the buffer is too short or the version is not [`WIRE_VERSION`]).
-pub fn peek_group(bytes: &[u8]) -> Option<u32> {
-    let word = u32::from_le_bytes(bytes.get(1..5)?.try_into().ok()?);
-    (word & GROUP_VERSION_BIT != 0).then_some(word & MAX_GROUP_ID)
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -935,21 +918,22 @@ mod tests {
     fn group_id_sits_at_fixed_offset_for_every_kind() {
         // routers dispatch server-bound traffic by group without a full
         // decode — bytes [1..5] must be the versioned group word for
-        // every kind, and the peek helpers must agree with the decoder
+        // every kind, and it must agree with the decoder
         let bytes = share().to_bytes();
         assert_eq!(
             u32::from_le_bytes(bytes[1..5].try_into().unwrap()),
             2 | GROUP_VERSION_BIT
         );
-        assert_eq!(peek_group(&bytes), Some(2));
-        assert_eq!(peek_version(&bytes), Some(WIRE_VERSION));
         let ann: Envelope<Fp61> = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
             group: 7,
             round: 1,
             survivors: vec![0],
         });
         let bytes = ann.to_bytes();
-        assert_eq!(peek_group(&bytes), Some(7));
+        assert_eq!(
+            u32::from_le_bytes(bytes[1..5].try_into().unwrap()),
+            7 | GROUP_VERSION_BIT
+        );
         assert_eq!(Envelope::<Fp61>::from_bytes(&bytes).unwrap().group(), 7);
     }
 
@@ -1015,15 +999,5 @@ mod tests {
             Envelope::<Fp61>::from_bytes(&bad),
             Err(WireError::InvalidTopology(0x7F))
         ));
-    }
-
-    #[test]
-    fn peek_helpers_reject_short_or_v1_buffers() {
-        assert_eq!(peek_version(&[0x01, 0, 0]), None);
-        assert_eq!(peek_group(&[0x01, 0, 0]), None);
-        let mut v1 = vec![0x01u8];
-        v1.extend_from_slice(&9u32.to_le_bytes());
-        assert_eq!(peek_version(&v1), Some(1));
-        assert_eq!(peek_group(&v1), None, "v1 group ids are not ours to read");
     }
 }

@@ -239,7 +239,8 @@ impl VectorQuantizer {
     }
 
     /// The quantization level `c`.
-    pub fn level(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn level(&self) -> u64 {
         self.c
     }
 

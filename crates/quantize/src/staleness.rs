@@ -71,16 +71,6 @@ impl QuantizedStaleness {
         Self { function, cg }
     }
 
-    /// The quantization level `c_g`.
-    pub fn level(&self) -> u64 {
-        self.cg
-    }
-
-    /// The underlying real-domain staleness function.
-    pub fn function(&self) -> StalenessFn {
-        self.function
-    }
-
     /// The integer weight `c_g·Q_{c_g}(s(τ))`.
     ///
     /// `s(τ) ∈ (0, 1]` so the result is in `[0, c_g]`; stochastic rounding

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use rand::Rng;
 
-/// Acceptable length specifications for [`vec`].
+/// Acceptable length specifications for [`vec()`].
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     lo: usize,
@@ -48,7 +48,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

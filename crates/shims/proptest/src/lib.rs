@@ -3,7 +3,7 @@
 //! Implements the subset of the proptest API this workspace's tests use:
 //! the [`proptest!`] macro (with optional `#![proptest_config(..)]`
 //! header), range / `any` / tuple / [`collection::vec`] strategies, the
-//! [`Strategy::prop_map`] adapter, and the `prop_assert*` /
+//! [`strategy::Strategy::prop_map`] adapter, and the `prop_assert*` /
 //! [`prop_assume!`] macros.
 //!
 //! Differences from the real crate, by design:

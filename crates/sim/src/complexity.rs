@@ -11,17 +11,17 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComplexityParams {
     /// Number of users `N`.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Model dimension `d`.
-    pub d: usize,
+    pub(crate) d: usize,
     /// Seed/key length `s` in field elements.
-    pub s: usize,
+    pub(crate) s: usize,
     /// Privacy guarantee `T`.
-    pub t: usize,
+    pub(crate) t: usize,
     /// Dropout-resiliency guarantee `D`.
-    pub dropped: usize,
+    pub(crate) dropped: usize,
     /// Targeted surviving users `U`.
-    pub u: usize,
+    pub(crate) u: usize,
 }
 
 impl ComplexityParams {
@@ -65,15 +65,6 @@ impl Protocol {
         Protocol::SecAggPlus,
         Protocol::LightSecAgg,
     ];
-
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Protocol::SecAgg => "SecAgg",
-            Protocol::SecAggPlus => "SecAgg+",
-            Protocol::LightSecAgg => "LightSecAgg",
-        }
-    }
 }
 
 /// Offline storage per user (Table 5 row 1).
@@ -186,7 +177,7 @@ pub mod zhao_sun {
     /// `Σ_{u=U}^{N} C(N, u)` — the number of survivor sets the trusted
     /// third party must prepare for (returned as `ln` to avoid overflow,
     /// and as `f64` when it fits).
-    pub fn survivor_set_count(p: &ComplexityParams) -> f64 {
+    pub(crate) fn survivor_set_count(p: &ComplexityParams) -> f64 {
         (p.u..=p.n).map(|k| ln_binomial(p.n, k).exp()).sum()
     }
 

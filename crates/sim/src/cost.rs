@@ -16,15 +16,15 @@ use std::time::Instant;
 pub struct KernelCosts {
     /// One field multiply-accumulate inside a vector kernel
     /// (MDS encode/decode inner loops).
-    pub field_mac_ns: f64,
+    pub(crate) field_mac_ns: f64,
     /// One field addition inside a vector kernel (mask application,
     /// aggregation).
-    pub field_add_ns: f64,
+    pub(crate) field_add_ns: f64,
     /// Producing one pseudo-random field element (ChaCha20 + rejection).
-    pub prg_elem_ns: f64,
+    pub(crate) prg_elem_ns: f64,
     /// One Shamir share evaluation/reconstruction step on seed-sized
     /// secrets (per limb-level multiply).
-    pub shamir_op_ns: f64,
+    pub(crate) shamir_op_ns: f64,
 }
 
 impl KernelCosts {
@@ -41,7 +41,7 @@ impl KernelCosts {
 
     /// Measure the real kernels on this machine (takes ~100 ms).
     ///
-    /// Each kernel is timed as the best of [`PASSES`] passes, so a pass
+    /// Each kernel is timed as the best of `PASSES` (4) passes, so a pass
     /// the scheduler interrupted does not skew the constant.
     pub fn calibrate() -> Self {
         let mut mask = vec![Fp32::from_u64(3); 1 << 16];

@@ -16,10 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The dropout rates evaluated throughout §7.
-pub const DROPOUT_RATES: [f64; 3] = [0.1, 0.3, 0.5];
+pub(crate) const DROPOUT_RATES: [f64; 3] = [0.1, 0.3, 0.5];
 
 /// The four learning tasks of Table 2.
-pub const TASKS: [(&str, usize); 4] = [
+pub(crate) const TASKS: [(&str, usize); 4] = [
     ("LogReg/MNIST", model_sizes::LOGISTIC_MNIST),
     ("CNN/FEMNIST", model_sizes::CNN_FEMNIST),
     ("MobileNetV3/CIFAR-10", model_sizes::MOBILENETV3_CIFAR10),
@@ -30,7 +30,7 @@ pub const TASKS: [(&str, usize); 4] = [
 /// the others are scaled with model size and dataset resolution in the
 /// proportions Table 2's "non-overlapped vs aggregation-only" gains
 /// imply.
-pub fn train_time_for(d: usize) -> f64 {
+pub(crate) fn train_time_for(d: usize) -> f64 {
     match d {
         model_sizes::LOGISTIC_MNIST => 5.0,
         model_sizes::CNN_FEMNIST => 22.8,
@@ -269,7 +269,7 @@ pub struct ConvergenceSeries {
 
 /// Synthetic stand-ins for the two convergence datasets:
 /// "mnist-like" (easier: wider separation) and "cifar-like" (harder).
-pub fn convergence_dataset(kind: &str, seed: u64) -> (Dataset, Dataset) {
+pub(crate) fn convergence_dataset(kind: &str, seed: u64) -> (Dataset, Dataset) {
     let mut rng = StdRng::seed_from_u64(seed);
     match kind {
         "mnist-like" => Dataset::synthetic(3000, 16, 10, 2.4, &mut rng).split_test(0.2),

@@ -59,20 +59,6 @@ impl<F: Field> SecureFedAvg<F> {
         self
     }
 
-    /// Synchronous federation over in-memory queues.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration.
-    pub fn sync_mem(
-        cfg: LsaConfig,
-        quantizer: VectorQuantizer,
-        seed: u64,
-    ) -> Result<Self, lsa_protocol::ProtocolError> {
-        let sync = SyncFederation::new(cfg, MemTransport::new(), seed)?;
-        Ok(Self::new(Federation::new(Box::new(sync)), quantizer, seed))
-    }
-
     /// Synchronous federation over the discrete-event network: every
     /// envelope pays simulated bandwidth/latency, so secure training
     /// also yields a wall-clock estimate.
@@ -89,27 +75,6 @@ impl<F: Field> SecureFedAvg<F> {
     ) -> Result<Self, lsa_protocol::ProtocolError> {
         let sync = SyncFederation::new(cfg, SimTransport::new(net, duplex), seed)?;
         Ok(Self::new(Federation::new(Box::new(sync)), quantizer, seed))
-    }
-
-    /// Grouped (hierarchical) federation over in-memory queues: the
-    /// cohort is partitioned per `topology`, each group runs its own
-    /// secure aggregation, and the per-group aggregates are summed —
-    /// the scaling topology of [`lsa_protocol::topology`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration.
-    pub fn grouped_mem(
-        topology: GroupTopology,
-        quantizer: VectorQuantizer,
-        seed: u64,
-    ) -> Result<Self, lsa_protocol::ProtocolError> {
-        let grouped = GroupedFederation::new(topology, MemTransport::new(), seed)?;
-        Ok(Self::new(
-            Federation::new(Box::new(grouped)),
-            quantizer,
-            seed,
-        ))
     }
 
     /// Grouped federation over the discrete-event network — the grouped
@@ -135,7 +100,7 @@ impl<F: Field> SecureFedAvg<F> {
     }
 
     /// Buffered-asynchronous federation (unit weights) over in-memory
-    /// queues — same training semantics as [`Self::sync_mem`], different
+    /// queues — same training semantics as [`Self::sync_sim`], different
     /// protocol underneath.
     ///
     /// # Errors
@@ -152,16 +117,6 @@ impl<F: Field> SecureFedAvg<F> {
             quantizer,
             seed,
         ))
-    }
-
-    /// The wrapped federation.
-    pub fn federation(&self) -> &Federation<F> {
-        &self.federation
-    }
-
-    /// The quantizer in use.
-    pub fn quantizer(&self) -> &VectorQuantizer {
-        &self.quantizer
     }
 
     /// Aggregate one FedAvg round: quantize every client's update,
@@ -222,6 +177,22 @@ mod tests {
         LsaConfig::new(n, (n - 1) / 2, (n - 1) / 2 + 1, d).unwrap()
     }
 
+    /// Synchronous secure FedAvg over in-memory queues.
+    fn sync_mem(cfg: LsaConfig, quantizer: VectorQuantizer, seed: u64) -> SecureFedAvg<Fp61> {
+        let sync = SyncFederation::new(cfg, MemTransport::new(), seed).unwrap();
+        SecureFedAvg::new(Federation::new(Box::new(sync)), quantizer, seed)
+    }
+
+    /// Grouped secure FedAvg over in-memory queues.
+    fn grouped_mem(
+        topology: GroupTopology,
+        quantizer: VectorQuantizer,
+        seed: u64,
+    ) -> SecureFedAvg<Fp61> {
+        let grouped = GroupedFederation::new(topology, MemTransport::new(), seed).unwrap();
+        SecureFedAvg::new(Federation::new(Box::new(grouped)), quantizer, seed)
+    }
+
     #[test]
     fn sync_and_buffered_average_agree_with_plain_mean() {
         let updates: Vec<Vec<f32>> = (0..4)
@@ -235,7 +206,7 @@ mod tests {
             .map(|k| updates.iter().map(|u| u[k]).sum::<f32>() / 4.0)
             .collect();
         let quantizer = VectorQuantizer::new(1 << 16);
-        let mut sync = SecureFedAvg::<Fp61>::sync_mem(cfg(4, 6), quantizer, 1).unwrap();
+        let mut sync = sync_mem(cfg(4, 6), quantizer, 1);
         let mut buffered = SecureFedAvg::<Fp61>::buffered_mem(cfg(4, 6), quantizer, 2).unwrap();
         for secure in [sync.aggregate(&updates), buffered.aggregate(&updates)] {
             for (a, b) in secure.iter().zip(&mean) {
@@ -257,8 +228,7 @@ mod tests {
             .map(|k| updates.iter().map(|u| u[k]).sum::<f32>() / 8.0)
             .collect();
         let topo = GroupTopology::uniform(8, 2, 0.25, 0.75, 5).unwrap();
-        let mut grouped =
-            SecureFedAvg::<Fp61>::grouped_mem(topo, VectorQuantizer::new(1 << 16), 6).unwrap();
+        let mut grouped = grouped_mem(topo, VectorQuantizer::new(1 << 16), 6);
         for (a, b) in grouped.aggregate(&updates).iter().zip(&mean) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -280,8 +250,7 @@ mod tests {
             .collect();
         // 2 super-groups x 2 leaf groups x 4 clients
         let topology = GroupTopology::two_level(n, 2, 2, 0.25, 0.75, d).unwrap();
-        let mut hier =
-            SecureFedAvg::<Fp61>::grouped_mem(topology, VectorQuantizer::new(1 << 16), 9).unwrap();
+        let mut hier = grouped_mem(topology, VectorQuantizer::new(1 << 16), 9);
         for (a, b) in hier.aggregate(&updates).iter().zip(&mean) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -290,10 +259,10 @@ mod tests {
     #[test]
     fn repeated_rounds_reuse_overlapped_masks() {
         let quantizer = VectorQuantizer::new(1 << 16);
-        let mut secure = SecureFedAvg::<Fp61>::sync_mem(cfg(4, 3), quantizer, 3).unwrap();
+        let mut secure = sync_mem(cfg(4, 3), quantizer, 3);
         let updates = vec![vec![0.5f32; 3]; 4];
         for round in 0..4u64 {
-            assert_eq!(secure.federation().round(), round);
+            assert_eq!(secure.federation.round(), round);
             let avg = secure.aggregate(&updates);
             assert!((avg[0] - 0.5).abs() < 1e-3);
         }

@@ -49,9 +49,4 @@ pub mod timed;
 
 pub use cost::KernelCosts;
 pub use federated::SecureFedAvg;
-pub use round::{
-    simulate_round, timeline, PhaseSegment, ProtocolKind, RoundBreakdown, RoundParams,
-};
 pub use secure_fedbuff::LsaBufferAggregator;
-pub use system::{run_system, SystemConfig, SystemRoundRecord};
-pub use timed::{run_timed_grouped_round, run_timed_sync_round, TimedRoundOutput};

@@ -51,11 +51,11 @@ pub struct RoundParams {
     /// Protocol under test.
     pub protocol: ProtocolKind,
     /// Number of users `N`.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Model dimension `d`.
-    pub d: usize,
+    pub(crate) d: usize,
     /// Worst-case dropout rate `p` (§7.1).
-    pub dropout_rate: f64,
+    pub(crate) dropout_rate: f64,
     /// Network parameters.
     pub net: NetworkConfig,
     /// Client duplexing (§6 ablation).
@@ -68,9 +68,9 @@ pub struct RoundParams {
     /// Calibrated kernel costs.
     pub costs: KernelCosts,
     /// Wire bytes per field element (4 for `GF(2^32−5)`).
-    pub bytes_per_elem: usize,
+    pub(crate) bytes_per_elem: usize,
     /// Override LightSecAgg's `U` (ablation; `None` = paper's rule).
-    pub u_override: Option<usize>,
+    pub(crate) u_override: Option<usize>,
 }
 
 impl RoundParams {
@@ -93,19 +93,19 @@ impl RoundParams {
     }
 
     /// Privacy guarantee `T = N/2`.
-    pub fn t(&self) -> usize {
+    pub(crate) fn t(&self) -> usize {
         self.n / 2
     }
 
     /// Number of users dropped in this round (capped by Theorem 1).
-    pub fn dropped(&self) -> usize {
+    pub(crate) fn dropped(&self) -> usize {
         let raw = (self.n as f64 * self.dropout_rate).round() as usize;
         raw.min(self.n - self.t() - 1)
     }
 
     /// LightSecAgg's `U`: the paper's empirically optimal `⌊0.7N⌋`,
     /// clamped into `(T, N − D]` (§7.2, "Impact of U").
-    pub fn lsa_u(&self) -> usize {
+    pub(crate) fn lsa_u(&self) -> usize {
         if let Some(u) = self.u_override {
             return u;
         }
@@ -114,7 +114,7 @@ impl RoundParams {
     }
 
     /// SecAgg+ graph degree `k = O(log N)` (even).
-    pub fn plus_degree(&self) -> usize {
+    pub(crate) fn plus_degree(&self) -> usize {
         lsa_baselines::CommunicationGraph::secagg_plus_default(self.n).degree()
     }
 }
@@ -139,7 +139,7 @@ pub struct RoundBreakdown {
 impl RoundBreakdown {
     /// Aggregation-only time (Table 2 "Aggregation-only" column):
     /// everything except training and the offline phase.
-    pub fn aggregation_only(&self) -> f64 {
+    pub(crate) fn aggregation_only(&self) -> f64 {
         self.uploading + self.recovery
     }
 }

@@ -36,7 +36,7 @@ impl<F: Field> LsaBufferAggregator<F> {
     /// Create with a model quantizer (the paper's `c_l`, best at `2^16`)
     /// and a staleness function quantized at `c_g` (the paper uses
     /// `2^6`).
-    pub fn new(quantizer: VectorQuantizer, staleness_fn: StalenessFn, cg: u64) -> Self {
+    pub(crate) fn new(quantizer: VectorQuantizer, staleness_fn: StalenessFn, cg: u64) -> Self {
         Self {
             quantizer,
             staleness: QuantizedStaleness::new(staleness_fn, cg),
@@ -47,11 +47,6 @@ impl<F: Field> LsaBufferAggregator<F> {
     /// The paper's default: `c_l = 2^16`, `c_g = 2^6`.
     pub fn paper_default(staleness_fn: StalenessFn) -> Self {
         Self::new(VectorQuantizer::new(1 << 16), staleness_fn, 1 << 6)
-    }
-
-    /// The model quantizer in use.
-    pub fn quantizer(&self) -> &VectorQuantizer {
-        &self.quantizer
     }
 }
 

@@ -4,11 +4,12 @@
 //! [`crate::round`] prices a round analytically from operation counts —
 //! fast at any scale but blind to what the implementation actually
 //! sends. This module instead runs the deployed round path — a
-//! [`SyncFederation`] or [`GroupedFederation`] of sans-IO sessions —
-//! over a [`SimTransport`], so every phase timing is derived from the
-//! **actual serialized envelope bytes** flowing through the
-//! [`lsa_net`] discrete-event network: headers, survivor announcements
-//! and padding included, with per-channel queueing at every endpoint.
+//! [`SyncFederation`] of sans-IO sessions — over a [`SimTransport`]
+//! (its tests also run a grouped federation the same way), so every
+//! phase timing is derived from the **actual serialized envelope
+//! bytes** flowing through the [`lsa_net`] discrete-event network:
+//! headers, survivor announcements and padding included, with
+//! per-channel queueing at every endpoint.
 //!
 //! Use this to validate the analytic model at feasible scales and to
 //! time concrete deployments of moderate size; use [`crate::round`] for
@@ -16,10 +17,9 @@
 
 use lsa_field::Field;
 use lsa_net::{Duplex, NetworkConfig};
-use lsa_protocol::federation::{RoundOutcome, RoundPlan, SecureAggregator, SyncFederation};
+use lsa_protocol::federation::{RoundOutcome, RoundPlan, SyncFederation};
 use lsa_protocol::telemetry::RoundReport;
-use lsa_protocol::topology::{GroupTopology, GroupedFederation};
-use lsa_protocol::transport::{PhaseTiming, SimTransport};
+use lsa_protocol::transport::SimTransport;
 use lsa_protocol::{DropoutSchedule, Federation, LsaConfig, ProtocolError};
 use rand::Rng;
 
@@ -46,11 +46,6 @@ pub struct TimedRoundOutput<F> {
 }
 
 impl<F> TimedRoundOutput<F> {
-    /// The timing of the named phase.
-    pub fn phase(&self, label: &str) -> Option<&PhaseTiming> {
-        self.report.phase(label)
-    }
-
     /// Total serialized bytes moved across all phases (payload plus
     /// framing — zero framing on the simulated network).
     pub fn total_bytes(&self) -> usize {
@@ -108,80 +103,13 @@ pub fn run_timed_sync_round<F: Field, R: Rng + ?Sized>(
     })
 }
 
-/// Run one full-participation **grouped** (tree-topology) round
-/// ([`lsa_protocol::topology`]) over the discrete-event network: every
-/// leaf group runs over its own simulated link (its own aggregator
-/// node, Turbo-Aggregate style), so the per-phase byte/timing records
-/// quantify exactly what the topology saves.
-///
-/// The per-leaf phase records are merged label-by-label
-/// ([`RoundReport::merge`]): message and byte counts are summed across
-/// leaves, while each phase's `end` is the moment the *slowest* leaf
-/// finished it — subtrees run concurrently in a real hierarchy, so the
-/// merged end is the root's critical path. `total` is the merged
-/// recovery end (a conservative bound that ignores straggler shares
-/// *within* a leaf).
-///
-/// The server-side compute behind those arrivals — the per-subtree
-/// one-shot decodes inside `finish_round` — runs one subtree after
-/// another on the calling thread; it costs this driver wall-clock time
-/// but never moves the simulated network timings.
-///
-/// # Errors
-///
-/// Propagates any [`ProtocolError`] from the grouped federation.
-///
-/// # Panics
-///
-/// Panics if `net.clients` is smaller than the largest leaf group:
-/// each leaf's cloned network indexes channels by leaf-local id, so a
-/// `net` sized for the largest leaf suffices (sizing for `n`, the old
-/// flat calling convention, always works too).
-pub fn run_timed_grouped_round<F: Field>(
-    topology: &GroupTopology,
-    models: &[Vec<F>],
-    seed: u64,
-    net: NetworkConfig,
-    duplex: Duplex,
-) -> Result<TimedRoundOutput<F>, ProtocolError> {
-    let largest_leaf = topology
-        .configs()
-        .iter()
-        .map(lsa_protocol::LsaConfig::n)
-        .max()
-        .unwrap_or(0);
-    assert!(
-        net.clients >= largest_leaf,
-        "network has {} client channels but the largest leaf group needs {}",
-        net.clients,
-        largest_leaf
-    );
-    assert_eq!(models.len(), topology.n(), "one model per client");
-    let mut grouped =
-        GroupedFederation::new(topology.clone(), SimTransport::new(net, duplex), seed)?;
-    let cohort: Vec<usize> = (0..topology.n()).collect();
-    grouped.open_round(&cohort)?;
-    for (id, model) in models.iter().enumerate() {
-        grouped.submit(id, model)?;
-    }
-    let outcome = grouped.finish_round()?;
-    let report = grouped.round_report().unwrap_or_default();
-    let total = report.phase("recovery").map_or_else(
-        || report.phases.last().map_or(0.0, |p| p.end),
-        |p: &PhaseTiming| p.end,
-    );
-    Ok(TimedRoundOutput {
-        output: outcome,
-        report,
-        total,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsa_field::Fp61;
-    use lsa_protocol::transport::MemTransport;
+    use lsa_protocol::federation::SecureAggregator;
+    use lsa_protocol::topology::{GroupTopology, GroupedFederation};
+    use lsa_protocol::transport::{MemTransport, PhaseTiming};
     use lsa_protocol::wire::Envelope;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -191,6 +119,75 @@ mod tests {
         (0..n)
             .map(|_| lsa_field::ops::random_vector(d, &mut rng))
             .collect()
+    }
+
+    /// Run one full-participation **grouped** (tree-topology) round
+    /// ([`lsa_protocol::topology`]) over the discrete-event network: every
+    /// leaf group runs over its own simulated link (its own aggregator
+    /// node, Turbo-Aggregate style), so the per-phase byte/timing records
+    /// quantify exactly what the topology saves.
+    ///
+    /// The per-leaf phase records are merged label-by-label
+    /// ([`RoundReport::merge`]): message and byte counts are summed across
+    /// leaves, while each phase's `end` is the moment the *slowest* leaf
+    /// finished it — subtrees run concurrently in a real hierarchy, so the
+    /// merged end is the root's critical path. `total` is the merged
+    /// recovery end (a conservative bound that ignores straggler shares
+    /// *within* a leaf).
+    ///
+    /// The server-side compute behind those arrivals — the per-subtree
+    /// one-shot decodes inside `finish_round` — runs one subtree after
+    /// another on the calling thread; it costs this driver wall-clock time
+    /// but never moves the simulated network timings.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`ProtocolError`] from the grouped federation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net.clients` is smaller than the largest leaf group:
+    /// each leaf's cloned network indexes channels by leaf-local id, so a
+    /// `net` sized for the largest leaf suffices (sizing for `n`, the old
+    /// flat calling convention, always works too).
+    fn run_timed_grouped_round<F: Field>(
+        topology: &GroupTopology,
+        models: &[Vec<F>],
+        seed: u64,
+        net: NetworkConfig,
+        duplex: Duplex,
+    ) -> Result<TimedRoundOutput<F>, ProtocolError> {
+        let largest_leaf = topology
+            .configs()
+            .iter()
+            .map(lsa_protocol::LsaConfig::n)
+            .max()
+            .unwrap_or(0);
+        assert!(
+            net.clients >= largest_leaf,
+            "network has {} client channels but the largest leaf group needs {}",
+            net.clients,
+            largest_leaf
+        );
+        assert_eq!(models.len(), topology.n(), "one model per client");
+        let mut grouped =
+            GroupedFederation::new(topology.clone(), SimTransport::new(net, duplex), seed)?;
+        let cohort: Vec<usize> = (0..topology.n()).collect();
+        grouped.open_round(&cohort)?;
+        for (id, model) in models.iter().enumerate() {
+            grouped.submit(id, model)?;
+        }
+        let outcome = grouped.finish_round()?;
+        let report = grouped.round_report().unwrap_or_default();
+        let total = report.phase("recovery").map_or_else(
+            || report.phases.last().map_or(0.0, |p| p.end),
+            |p: &PhaseTiming| p.end,
+        );
+        Ok(TimedRoundOutput {
+            output: outcome,
+            report,
+            total,
+        })
     }
 
     #[test]
@@ -225,8 +222,8 @@ mod tests {
         // the one wire-visible difference from announcing to everyone:
         // client 4 uploaded and vanished, so only the four survivors
         // still online are sent (and billed) an announcement
-        assert_eq!(timed.phase("announce").unwrap().messages, 4);
-        assert_eq!(timed.phase("recovery").unwrap().messages, 4);
+        assert_eq!(timed.report.phase("announce").unwrap().messages, 4);
+        assert_eq!(timed.report.phase("recovery").unwrap().messages, 4);
     }
 
     #[test]
@@ -254,7 +251,7 @@ mod tests {
             round: 0,
             payload: vec![Fp61::ZERO; cfg.segment_len()],
         });
-        let offline = timed.phase("offline").unwrap();
+        let offline = timed.report.phase("offline").unwrap();
         assert_eq!(offline.messages, n * (n - 1));
         assert_eq!(offline.bytes, n * (n - 1) * share_env.wire_len());
 
@@ -264,7 +261,7 @@ mod tests {
             round: 0,
             payload: vec![Fp61::ZERO; cfg.padded_len()],
         });
-        let upload = timed.phase("upload").unwrap();
+        let upload = timed.report.phase("upload").unwrap();
         assert_eq!(upload.messages, n);
         assert_eq!(upload.bytes, n * model_env.wire_len());
     }
@@ -285,7 +282,7 @@ mod tests {
             Duplex::Full,
         )
         .unwrap();
-        let recovery = timed.phase("recovery").unwrap();
+        let recovery = timed.report.phase("recovery").unwrap();
         assert_eq!(recovery.messages, n); // all helpers transmit...
         assert_eq!(timed.total, recovery.kth_completion(4)); // ...U gates
         assert!(
@@ -359,7 +356,7 @@ mod tests {
         assert!(timed.total > 0.0);
         // each of the 4 leaves of 4 clients moves 4*3 offline shares;
         // the merged record pools them
-        assert_eq!(timed.phase("offline").unwrap().messages, 4 * 4 * 3);
+        assert_eq!(timed.report.phase("offline").unwrap().messages, 4 * 4 * 3);
     }
 
     #[test]
@@ -406,8 +403,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(flat.output.aggregate, grouped.output.aggregate);
-        let flat_offline = flat.phase("offline").unwrap();
-        let grouped_offline = grouped.phase("offline").unwrap();
+        let flat_offline = flat.report.phase("offline").unwrap();
+        let grouped_offline = grouped.report.phase("offline").unwrap();
         assert_eq!(flat_offline.messages, n * (n - 1));
         assert_eq!(grouped_offline.messages, 4 * 4 * 3);
         assert!(
@@ -444,8 +441,8 @@ mod tests {
             Duplex::Half,
         )
         .unwrap();
-        let f = full.phase("offline").unwrap().duration();
-        let h = half.phase("offline").unwrap().duration();
+        let f = full.report.phase("offline").unwrap().duration();
+        let h = half.report.phase("offline").unwrap().duration();
         assert!(h > f * 1.2, "full {f} vs half {h}");
     }
 }
