@@ -2,7 +2,7 @@
 //! non-overlapped vs overlapped (MobileNetV3-sized model), plus the
 //! full-duplex vs half-duplex ablation of §6.
 
-use lsa_bench::{kernel_costs, n_users, results_dir};
+use lsa_bench::{n_users, results_dir};
 use lsa_net::Duplex;
 use lsa_sim::report;
 use lsa_sim::round::{timeline, ProtocolKind, RoundParams};
@@ -26,7 +26,6 @@ fn main() {
                 p.overlap = overlap;
                 p.duplex = duplex;
                 p.train_time_s = 60.0; // MobileNetV3 training input
-                p.costs = kernel_costs();
                 for seg in timeline(&p) {
                     rows.push(vec![
                         protocol.name().to_string(),

@@ -3,13 +3,14 @@
 //! settings (maximised over dropout rates, as the paper reports "up
 //! to").
 
-use lsa_bench::{kernel_costs, n_users, results_dir};
+use lsa_bench::{n_users, results_dir};
 use lsa_sim::experiments::table2;
 use lsa_sim::report::{self, gain};
+use lsa_sim::KernelCosts;
 
 fn main() {
     let n = n_users();
-    let rows = table2(n, kernel_costs());
+    let rows = table2(n, KernelCosts::nominal());
     let header = [
         "task",
         "model size d",

@@ -1,13 +1,14 @@
 //! Table 3: LightSecAgg's overlapped gain for CNN/FEMNIST under 4G,
 //! measured-320 Mb/s and 5G bandwidth settings.
 
-use lsa_bench::{kernel_costs, n_users, results_dir};
+use lsa_bench::{n_users, results_dir};
 use lsa_sim::experiments::table3;
 use lsa_sim::report::{self, gain};
+use lsa_sim::KernelCosts;
 
 fn main() {
     let n = n_users();
-    let rows = table3(n, kernel_costs());
+    let rows = table3(n, KernelCosts::nominal());
     let header = ["setting", "client Mb/s", "vs SecAgg", "vs SecAgg+"];
     let table: Vec<Vec<String>> = rows
         .iter()

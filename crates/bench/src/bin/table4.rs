@@ -2,13 +2,14 @@
 //! training / uploading / recovery / total) for all three protocols at
 //! dropout rates 10/30/50%, non-overlapped and overlapped.
 
-use lsa_bench::{kernel_costs, n_users, results_dir};
+use lsa_bench::{n_users, results_dir};
 use lsa_sim::experiments::table4;
 use lsa_sim::report::{self, secs};
+use lsa_sim::KernelCosts;
 
 fn main() {
     let n = n_users();
-    let rows = table4(n, kernel_costs());
+    let rows = table4(n, KernelCosts::nominal());
     let header = [
         "protocol",
         "mode",

@@ -54,29 +54,18 @@ fn parse_count(name: &str, value: Option<&str>, default: usize) -> usize {
     }
 }
 
-/// Whether to spend ~100 ms calibrating kernel costs instead of using
-/// the nominal constants (`LSA_CALIBRATE=1`).
-pub fn kernel_costs() -> lsa_sim::KernelCosts {
-    if std::env::var("LSA_CALIBRATE").as_deref() == Ok("1") {
-        lsa_sim::KernelCosts::calibrate()
-    } else {
-        lsa_sim::KernelCosts::nominal()
-    }
-}
-
 /// Shared driver for the running-time figures (6, 8, 9, 10): sweep `N`,
 /// write the full series to `results/<name>.tsv`, print a digest at the
 /// largest `N`.
 pub fn run_running_time_figure(name: &str, d: usize, task: &str) {
     use lsa_sim::experiments::{default_n_sweep, running_time_curve};
-    use lsa_sim::report;
+    use lsa_sim::{report, KernelCosts};
 
     let ns = default_n_sweep();
-    let costs = kernel_costs();
     let header = ["mode", "protocol", "dropout", "N", "total (s)"];
     let mut rows = Vec::new();
     for overlap in [false, true] {
-        let pts = running_time_curve(d, overlap, &ns, costs);
+        let pts = running_time_curve(d, overlap, &ns, KernelCosts::nominal());
         for p in pts {
             rows.push(vec![
                 if overlap {

@@ -39,32 +39,6 @@ pub(crate) fn lagrange_weights_at<F: Field>(xs: &[F], target: F) -> Result<Vec<F
     Ok(weights)
 }
 
-/// Coefficients (low-to-high degree) of the unique polynomial of degree
-/// `< xs.len()` passing through `(xs[i], ys[i])`.
-///
-/// Uses the master-polynomial + synthetic-division formulation:
-/// `M(x) = Π (x − x_i)`, `L_i(x) = M(x)/(x − x_i) · w_i`, so the whole
-/// routine is `O(n²)` field operations.
-///
-/// # Errors
-///
-/// Returns [`CodingError::LengthMismatch`] if `xs` and `ys` differ in
-/// length, or [`CodingError::DuplicateShareIndex`] on duplicate points.
-pub fn interpolate_coefficients<F: Field>(xs: &[F], ys: &[F]) -> Result<Vec<F>, CodingError> {
-    if xs.len() != ys.len() {
-        return Err(CodingError::LengthMismatch {
-            expected: xs.len(),
-            got: ys.len(),
-        });
-    }
-    let basis = lagrange_basis_coefficients(xs)?;
-    let n = xs.len();
-    let mut coeffs = vec![F::ZERO; n];
-    let rows: Vec<&[F]> = basis.iter().map(Vec::as_slice).collect();
-    lsa_field::ops::weighted_sum_into(&mut coeffs, ys, &rows);
-    Ok(coeffs)
-}
-
 /// The coefficient vectors of all Lagrange basis polynomials `L_i` for the
 /// point set `xs` (each of length `xs.len()`, low-to-high degree).
 ///
@@ -126,7 +100,7 @@ pub(crate) fn lagrange_basis_coefficients<F: Field>(xs: &[F]) -> Result<Vec<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_field::{Fp32, Fp61};
+    use lsa_field::Fp32;
 
     fn f(v: u64) -> Fp32 {
         Fp32::from_u64(v)
@@ -148,25 +122,5 @@ mod tests {
             lagrange_weights_at(&xs, Fp32::ZERO),
             Err(CodingError::DuplicateShareIndex(_))
         ));
-    }
-
-    #[test]
-    fn interpolate_quadratic() {
-        // p(x) = 3 + 2x + x², sample at 1,2,3
-        let coeffs = [f(3), f(2), f(1)];
-        let eval = |x: Fp32| coeffs[0] + coeffs[1] * x + coeffs[2] * x * x;
-        let xs = vec![f(1), f(2), f(3)];
-        let ys: Vec<Fp32> = xs.iter().map(|&x| eval(x)).collect();
-        let got = interpolate_coefficients(&xs, &ys).unwrap();
-        assert_eq!(got, coeffs.to_vec());
-    }
-
-    #[test]
-    fn interpolate_fp61() {
-        let c = [Fp61::from_u64(9), Fp61::from_u64(1_000_000_007)];
-        let xs = vec![Fp61::from_u64(5), Fp61::from_u64(6)];
-        let ys: Vec<Fp61> = xs.iter().map(|&x| c[0] + c[1] * x).collect();
-        let got = interpolate_coefficients(&xs, &ys).unwrap();
-        assert_eq!(got, c.to_vec());
     }
 }

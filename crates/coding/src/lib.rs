@@ -4,14 +4,14 @@
 //! protocol (So et al., MLSys 2022) and its baselines:
 //!
 //! * [`Matrix`] — dense matrices over a prime field with Gaussian
-//!   elimination (inversion, rank, solving), used for verification and
-//!   generic decoding.
+//!   elimination (inversion, rank), used for verification and generic
+//!   decoding.
 //! * [`vandermonde`] — the `T`-private `U×N` MDS matrices of Eq. (5) of the
 //!   paper, realised as Vandermonde matrices over distinct non-zero points,
 //!   plus efficient encoding (Horner) and decoding
 //!   (Lagrange-basis coefficient recovery).
-//! * [`interpolation`] — polynomial interpolation utilities shared by the
-//!   MDS decoder and Shamir reconstruction.
+//! * polynomial interpolation (crate-private), shared by the MDS decoder
+//!   and Shamir reconstruction.
 //! * [`shamir`] — `t`-out-of-`n` Shamir secret sharing used by the
 //!   SecAgg/SecAgg+ baselines to share PRG seeds and secret keys.
 //!
@@ -41,7 +41,7 @@
 //! assert_eq!(decoded, segments);
 //! ```
 
-pub mod interpolation;
+mod interpolation;
 pub mod matrix;
 pub mod shamir;
 pub mod vandermonde;

@@ -195,16 +195,6 @@ impl<F: Field> Matrix<F> {
         Ok(inv)
     }
 
-    /// Solve `self · x = b` for square `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::SingularMatrix`] if the system has no unique
-    /// solution.
-    pub fn solve(&self, b: &[F]) -> Result<Vec<F>, CodingError> {
-        Ok(self.inverse()?.mul_vec(b))
-    }
-
     /// Check the MDS property by brute force: every maximal square
     /// submatrix is non-singular. Exponential in size — test helper only.
     #[cfg(test)]
@@ -302,16 +292,6 @@ mod tests {
         }
         assert_eq!(m.inverse(), Err(CodingError::SingularMatrix));
         assert_eq!(m.rank(), 3);
-    }
-
-    #[test]
-    fn solve_recovers_x() {
-        let m = random_matrix(5, 5, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let x: Vec<Fp32> = lsa_field::ops::random_vector(5, &mut rng);
-        let b = m.mul_vec(&x);
-        let got = m.solve(&b).unwrap();
-        assert_eq!(got, x);
     }
 
     #[test]

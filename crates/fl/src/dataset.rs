@@ -95,8 +95,7 @@ impl Dataset {
         }
     }
 
-    /// Split off a held-out test set (the last `fraction` of samples,
-    /// after a seeded shuffle performed by the caller if desired).
+    /// Split off a held-out test set (the last `fraction` of samples).
     pub fn split_test(mut self, fraction: f64) -> (Dataset, Dataset) {
         let test_len = ((self.len() as f64) * fraction).round() as usize;
         let cut = self.len() - test_len.min(self.len());
@@ -109,15 +108,6 @@ impl Dataset {
             classes: self.classes,
         };
         (self, test)
-    }
-
-    /// Shuffle samples in place.
-    pub fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for i in (1..self.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            self.xs.swap(i, j);
-            self.ys.swap(i, j);
-        }
     }
 
     /// IID partition into `k` equal shards (round-robin).
@@ -136,72 +126,6 @@ impl Dataset {
             shards[i % k].ys.push(*y);
         }
         shards
-    }
-
-    /// Non-IID partition: each client's class mix is drawn from a
-    /// symmetric Dirichlet with concentration `alpha` (small `alpha` =
-    /// more skew), the standard federated-benchmark construction.
-    pub fn dirichlet_partition<R: Rng + ?Sized>(
-        &self,
-        k: usize,
-        alpha: f64,
-        rng: &mut R,
-    ) -> Vec<Dataset> {
-        assert!(k >= 1);
-        assert!(alpha > 0.0);
-        // group sample indices by class
-        let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); self.classes];
-        for (i, &y) in self.ys.iter().enumerate() {
-            by_class[y].push(i);
-        }
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for idxs in by_class {
-            // Dirichlet via normalized Gamma(alpha, 1); for alpha ≤ 1 use
-            // the Ahrens-Dieter boost: Gamma(a) = Gamma(a+1)·U^(1/a).
-            let props: Vec<f64> = (0..k).map(|_| gamma_sample(alpha, rng)).collect();
-            let total: f64 = props.iter().sum();
-            let mut cursor = 0usize;
-            for (c, p) in props.iter().enumerate() {
-                let take = if c + 1 == k {
-                    idxs.len() - cursor
-                } else {
-                    ((p / total) * idxs.len() as f64).floor() as usize
-                };
-                let take = take.min(idxs.len() - cursor);
-                assignment[c].extend(&idxs[cursor..cursor + take]);
-                cursor += take;
-            }
-        }
-        assignment
-            .into_iter()
-            .map(|idxs| Dataset {
-                xs: idxs.iter().map(|&i| self.xs[i].clone()).collect(),
-                ys: idxs.iter().map(|&i| self.ys[i]).collect(),
-                dim: self.dim,
-                classes: self.classes,
-            })
-            .collect()
-    }
-}
-
-/// Sample `Gamma(shape, 1)` (Marsaglia–Tsang, with the small-shape boost).
-fn gamma_sample<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
-    if shape < 1.0 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        return gamma_sample(shape + 1.0, rng) * u.powf(1.0 / shape);
-    }
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x: f64 = standard_normal(rng);
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
-            return d * v;
-        }
     }
 }
 
@@ -241,48 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn dirichlet_partition_covers_everything_and_skews() {
-        let d = Dataset::synthetic(1000, 4, 5, 1.0, &mut StdRng::seed_from_u64(5));
-        let mut rng = StdRng::seed_from_u64(6);
-        let shards = d.dirichlet_partition(10, 0.1, &mut rng);
-        assert_eq!(shards.iter().map(Dataset::len).sum::<usize>(), 1000);
-        // with alpha = 0.1 at least one shard should be visibly skewed:
-        // its majority class holds > 50% of its samples
-        let skewed = shards.iter().filter(|s| !s.is_empty()).any(|s| {
-            let mut counts = [0usize; 5];
-            for &y in &s.ys {
-                counts[y] += 1;
-            }
-            let max = *counts.iter().max().unwrap();
-            max * 2 > s.len()
-        });
-        assert!(skewed);
-    }
-
-    #[test]
     fn split_test_fraction() {
         let d = Dataset::synthetic(200, 3, 2, 1.0, &mut StdRng::seed_from_u64(7));
         let (train, test) = d.split_test(0.25);
         assert_eq!(train.len(), 150);
         assert_eq!(test.len(), 50);
-    }
-
-    #[test]
-    fn shuffle_permutes_but_preserves_pairs() {
-        let d = Dataset::synthetic(100, 4, 2, 1.0, &mut StdRng::seed_from_u64(9));
-        let mut shuffled = d.clone();
-        shuffled.shuffle(&mut StdRng::seed_from_u64(10));
-        assert_ne!(shuffled.xs, d.xs, "shuffle should move samples");
-        // every (x, y) pair still present exactly once
-        for (x, y) in d.xs.iter().zip(&d.ys) {
-            let count = shuffled
-                .xs
-                .iter()
-                .zip(&shuffled.ys)
-                .filter(|(sx, sy)| *sx == x && *sy == y)
-                .count();
-            assert_eq!(count, 1);
-        }
     }
 
     #[test]
@@ -294,30 +181,5 @@ mod tests {
         let (train, test) = d.split_test(1.0);
         assert!(train.is_empty());
         assert_eq!(test.len(), 50);
-    }
-
-    #[test]
-    fn dirichlet_large_alpha_near_uniform() {
-        let d = Dataset::synthetic(1000, 4, 4, 1.0, &mut StdRng::seed_from_u64(12));
-        let mut rng = StdRng::seed_from_u64(13);
-        let shards = d.dirichlet_partition(5, 100.0, &mut rng);
-        // with alpha = 100 every shard should get 100..300 of the 1000
-        for s in &shards {
-            assert!((100..=300).contains(&s.len()), "shard size {}", s.len());
-        }
-    }
-
-    #[test]
-    fn gamma_sampler_mean_close_to_shape() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for shape in [0.3f64, 1.0, 4.0] {
-            let n = 20_000;
-            let sum: f64 = (0..n).map(|_| gamma_sample(shape, &mut rng)).sum();
-            let mean = sum / n as f64;
-            assert!(
-                (mean - shape).abs() < 0.1 * shape.max(0.5),
-                "shape {shape}: mean {mean}"
-            );
-        }
     }
 }

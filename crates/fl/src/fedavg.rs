@@ -6,7 +6,7 @@
 //! The simulator swaps in LightSecAgg/SecAgg-backed aggregators there.
 
 use crate::dataset::Dataset;
-use crate::model::Model;
+use crate::model::LogisticRegression;
 use crate::sgd::{local_update, LocalTraining};
 use rand::Rng;
 
@@ -47,8 +47,8 @@ impl Default for FedAvgConfig {
 /// `aggregate` maps the clients' updates to their average; the default
 /// (insecure) choice is [`mean_aggregate`]. Returns per-round test
 /// accuracy.
-pub fn run_fedavg<M, A, R>(
-    model: &mut M,
+pub fn run_fedavg<A, R>(
+    model: &mut LogisticRegression,
     shards: &[Dataset],
     test: &Dataset,
     cfg: &FedAvgConfig,
@@ -56,7 +56,6 @@ pub fn run_fedavg<M, A, R>(
     rng: &mut R,
 ) -> Vec<RoundMetrics>
 where
-    M: Model,
     A: FnMut(&[Vec<f32>]) -> Vec<f32>,
     R: Rng + ?Sized,
 {

@@ -15,7 +15,7 @@
 
 use crate::dataset::Dataset;
 use crate::fedavg::RoundMetrics;
-use crate::model::Model;
+use crate::model::LogisticRegression;
 use crate::sgd::{local_update, LocalTraining};
 use lsa_quantize::StalenessFn;
 use rand::{Rng, SeedableRng};
@@ -106,8 +106,8 @@ impl Default for FedBuffConfig {
 /// base model is the global model `τ` rounds ago with
 /// `τ ~ Uniform[0, min(t, τ_max)]` (Appendix F.5). Returns per-round
 /// test accuracy.
-pub fn run_fedbuff<M, A, R>(
-    model: &mut M,
+pub fn run_fedbuff<A, R>(
+    model: &mut LogisticRegression,
     shards: &[Dataset],
     test: &Dataset,
     cfg: &FedBuffConfig,
@@ -115,7 +115,6 @@ pub fn run_fedbuff<M, A, R>(
     rng: &mut R,
 ) -> Vec<RoundMetrics>
 where
-    M: Model,
     A: BufferAggregator,
     R: Rng + ?Sized,
 {

@@ -4,12 +4,11 @@
 //! Replaces the paper's PyTorch + real-dataset stack with
 //! a small, fully deterministic pure-Rust pipeline:
 //!
-//! * [`Dataset`] — synthetic Gaussian-blob classification with IID and
-//!   Dirichlet non-IID federated partitioners;
-//! * [`Model`] — flat-parameter classifiers: [`LogisticRegression`] and a
-//!   one-hidden-layer [`Mlp`];
-//! * [`local_update`] — the FL local-update rule `Δ_i = x(t_i) − x_i^{(E)}`
-//!   (Eq. 24 of the paper);
+//! * [`Dataset`] — synthetic Gaussian-blob classification with an IID
+//!   federated partitioner;
+//! * [`LogisticRegression`] — the flat-parameter classifier;
+//! * [`LocalTraining`] — local SGD producing the FL local-update rule
+//!   `Δ_i = x(t_i) − x_i^{(E)}` (Eq. 24 of the paper);
 //! * [`run_fedavg`] — synchronous FedAvg with a pluggable aggregation
 //!   seam (where secure aggregation plugs in);
 //! * [`run_fedbuff`] — buffered asynchronous FL (FedBuff-style), the
@@ -20,7 +19,7 @@
 //!
 //! ```
 //! use lsa_fl::{mean_aggregate, run_fedavg, Dataset, FedAvgConfig,
-//!              LogisticRegression, Model};
+//!              LogisticRegression};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -43,8 +42,8 @@ pub use fedavg::{mean_aggregate, run_fedavg, FedAvgConfig, RoundMetrics};
 pub use fedbuff::{
     run_fedbuff, BufferAggregator, BufferedContribution, FedBuffConfig, PlainFedBuff,
 };
-pub use model::{LogisticRegression, Mlp, Model};
-pub use sgd::{local_update, LocalTraining};
+pub use model::LogisticRegression;
+pub use sgd::LocalTraining;
 
 /// Parameter counts of the paper's four evaluated models (Table 2); used
 /// by the timing experiments so message sizes match the paper exactly.

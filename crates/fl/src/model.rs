@@ -1,65 +1,12 @@
-//! Pure-Rust trainable models with flat parameter vectors.
+//! A pure-Rust trainable model with a flat parameter vector.
 //!
-//! The protocols mask *flattened* parameter vectors, so every model
+//! The protocols mask *flattened* parameter vectors, so the model
 //! exposes its parameters as a `Vec<f32>` (the paper's `x_i ∈ R^d`).
-//! Two architectures cover the experiments: multinomial logistic
-//! regression (the paper's MNIST task) and a one-hidden-layer MLP
-//! standing in for the small CNNs (training compute is an input of the
-//! timing model, so parameter count, not architecture, is what matters
-//! for the protocol comparison).
+//! Multinomial logistic regression is the paper's MNIST task; training
+//! compute is an input of the timing model, so parameter count, not
+//! architecture, is what matters for the protocol comparison.
 
 use crate::dataset::Dataset;
-
-/// A supervised classifier with a flat parameter vector.
-pub trait Model: Clone + Send {
-    /// Number of parameters `d`.
-    fn num_params(&self) -> usize;
-
-    /// Copy of the flattened parameters.
-    fn params(&self) -> Vec<f32>;
-
-    /// Overwrite parameters from a flat slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != self.num_params()`.
-    fn set_params(&mut self, params: &[f32]);
-
-    /// Mean cross-entropy loss and gradient on a batch (indices into the
-    /// dataset).
-    fn loss_grad(&self, data: &Dataset, batch: &[usize]) -> (f64, Vec<f32>);
-
-    /// Predicted class for one feature vector.
-    fn predict(&self, x: &[f32]) -> usize;
-
-    /// Mean cross-entropy loss over a full dataset — the convergence
-    /// metric secure-vs-plaintext training comparisons pin.
-    ///
-    /// The default delegates to [`Model::loss_grad`] and discards the
-    /// gradient; implementations should override with a forward-only
-    /// pass (both in-crate models do).
-    fn loss(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let batch: Vec<usize> = (0..data.len()).collect();
-        self.loss_grad(data, &batch).0
-    }
-
-    /// Accuracy on a dataset.
-    fn accuracy(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let correct = data
-            .xs
-            .iter()
-            .zip(&data.ys)
-            .filter(|(x, &y)| self.predict(x) == y)
-            .count();
-        correct as f64 / data.len() as f64
-    }
-}
 
 fn softmax(logits: &mut [f64]) {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -78,7 +25,7 @@ fn softmax(logits: &mut [f64]) {
 /// # Example
 ///
 /// ```
-/// use lsa_fl::{Dataset, LogisticRegression, Model};
+/// use lsa_fl::{Dataset, LogisticRegression};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -122,23 +69,30 @@ impl LogisticRegression {
             })
             .collect()
     }
-}
 
-impl Model for LogisticRegression {
-    fn num_params(&self) -> usize {
+    /// Number of parameters `d`.
+    pub fn num_params(&self) -> usize {
         self.theta.len()
     }
 
-    fn params(&self) -> Vec<f32> {
+    /// Copy of the flattened parameters.
+    pub fn params(&self) -> Vec<f32> {
         self.theta.clone()
     }
 
-    fn set_params(&mut self, params: &[f32]) {
+    /// Overwrite parameters from a flat slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != self.num_params()`.
+    pub fn set_params(&mut self, params: &[f32]) {
         assert_eq!(params.len(), self.theta.len(), "parameter length mismatch");
         self.theta.copy_from_slice(params);
     }
 
-    fn loss_grad(&self, data: &Dataset, batch: &[usize]) -> (f64, Vec<f32>) {
+    /// Mean cross-entropy loss and gradient on a batch (indices into the
+    /// dataset).
+    pub fn loss_grad(&self, data: &Dataset, batch: &[usize]) -> (f64, Vec<f32>) {
         assert!(!batch.is_empty(), "empty batch");
         let mut grad = vec![0.0f32; self.theta.len()];
         let mut loss = 0.0f64;
@@ -161,7 +115,8 @@ impl Model for LogisticRegression {
         (loss, grad)
     }
 
-    fn predict(&self, x: &[f32]) -> usize {
+    /// Predicted class for one feature vector.
+    pub(crate) fn predict(&self, x: &[f32]) -> usize {
         let logits = self.logits(x);
         logits
             .iter()
@@ -171,7 +126,11 @@ impl Model for LogisticRegression {
             .expect("at least one class")
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
+    /// Mean cross-entropy loss over a full dataset — the convergence
+    /// metric secure-vs-plaintext training comparisons pin. A
+    /// forward-only pass: it equals [`LogisticRegression::loss_grad`]'s
+    /// loss over every index without building the gradient.
+    pub(crate) fn loss(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
@@ -186,160 +145,19 @@ impl Model for LogisticRegression {
             })
             .sum()
     }
-}
 
-/// One-hidden-layer MLP with ReLU activations.
-///
-/// Parameter layout: `W1 (hidden×dim) ‖ b1 (hidden) ‖ W2 (classes×hidden)
-/// ‖ b2 (classes)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mlp {
-    dim: usize,
-    hidden: usize,
-    classes: usize,
-    theta: Vec<f32>,
-}
-
-impl Mlp {
-    /// Create with small deterministic init (scaled hash noise), so runs
-    /// are reproducible without an RNG.
-    pub fn new(dim: usize, hidden: usize, classes: usize) -> Self {
-        assert!(classes >= 2 && dim >= 1 && hidden >= 1);
-        let count = hidden * dim + hidden + classes * hidden + classes;
-        let scale = (2.0 / dim as f64).sqrt() as f32;
-        let theta: Vec<f32> = (0..count)
-            .map(|i| {
-                // xorshift-style deterministic pseudo-noise in (−1, 1)
-                let mut v = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                v ^= v >> 33;
-                v = v.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-                v ^= v >> 29;
-                let unit = (v >> 11) as f32 / (1u64 << 53) as f32 * 2.0 - 1.0;
-                unit * scale
-            })
-            .collect();
-        Self {
-            dim,
-            hidden,
-            classes,
-            theta,
-        }
-    }
-
-    fn slices(&self) -> (usize, usize, usize) {
-        let w1 = self.hidden * self.dim;
-        let b1 = w1 + self.hidden;
-        let w2 = b1 + self.classes * self.hidden;
-        (w1, b1, w2)
-    }
-
-    fn forward(&self, x: &[f32]) -> (Vec<f64>, Vec<f64>) {
-        let (w1_end, b1_end, w2_end) = self.slices();
-        let w1 = &self.theta[..w1_end];
-        let b1 = &self.theta[w1_end..b1_end];
-        let w2 = &self.theta[b1_end..w2_end];
-        let b2 = &self.theta[w2_end..];
-        let mut h = vec![0.0f64; self.hidden];
-        for j in 0..self.hidden {
-            let row = &w1[j * self.dim..(j + 1) * self.dim];
-            let z: f64 = row
-                .iter()
-                .zip(x)
-                .map(|(&w, &xi)| w as f64 * xi as f64)
-                .sum::<f64>()
-                + b1[j] as f64;
-            h[j] = z.max(0.0); // ReLU
-        }
-        let mut logits = vec![0.0f64; self.classes];
-        for c in 0..self.classes {
-            let row = &w2[c * self.hidden..(c + 1) * self.hidden];
-            logits[c] = row
-                .iter()
-                .zip(&h)
-                .map(|(&w, &hj)| w as f64 * hj)
-                .sum::<f64>()
-                + b2[c] as f64;
-        }
-        (h, logits)
-    }
-}
-
-impl Model for Mlp {
-    fn num_params(&self) -> usize {
-        self.theta.len()
-    }
-
-    fn params(&self) -> Vec<f32> {
-        self.theta.clone()
-    }
-
-    fn set_params(&mut self, params: &[f32]) {
-        assert_eq!(params.len(), self.theta.len(), "parameter length mismatch");
-        self.theta.copy_from_slice(params);
-    }
-
-    fn loss_grad(&self, data: &Dataset, batch: &[usize]) -> (f64, Vec<f32>) {
-        assert!(!batch.is_empty(), "empty batch");
-        let (w1_end, b1_end, w2_end) = self.slices();
-        let mut grad = vec![0.0f32; self.theta.len()];
-        let mut loss = 0.0f64;
-        let scale = 1.0 / batch.len() as f64;
-        for &i in batch {
-            let x = &data.xs[i];
-            let y = data.ys[i];
-            let (h, mut p) = self.forward(x);
-            softmax(&mut p);
-            loss -= p[y].max(1e-12).ln() * scale;
-            // output layer gradients
-            let mut dh = vec![0.0f64; self.hidden];
-            for c in 0..self.classes {
-                let err = (p[c] - if c == y { 1.0 } else { 0.0 }) * scale;
-                let w2_row_start = b1_end + c * self.hidden;
-                for j in 0..self.hidden {
-                    grad[w2_row_start + j] += (err * h[j]) as f32;
-                    dh[j] += err * self.theta[w2_row_start + j] as f64;
-                }
-                grad[w2_end + c] += err as f32;
-            }
-            // hidden layer gradients (ReLU mask)
-            for j in 0..self.hidden {
-                if h[j] <= 0.0 {
-                    continue;
-                }
-                let w1_row_start = j * self.dim;
-                for (k, &xi) in x.iter().enumerate() {
-                    grad[w1_row_start + k] += (dh[j] * xi as f64) as f32;
-                }
-                grad[w1_end + j] += dh[j] as f32;
-            }
-        }
-        (loss, grad)
-    }
-
-    fn predict(&self, x: &[f32]) -> usize {
-        let (_, logits) = self.forward(x);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(c, _)| c)
-            .expect("at least one class")
-    }
-
-    fn loss(&self, data: &Dataset) -> f64 {
+    /// Accuracy on a dataset.
+    pub(crate) fn accuracy(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let scale = 1.0 / data.len() as f64;
-        data.xs
+        let correct = data
+            .xs
             .iter()
             .zip(&data.ys)
-            .map(|(x, &y)| {
-                let (_, mut p) = self.forward(x);
-                softmax(&mut p);
-                -p[y].max(1e-12).ln() * scale
-            })
-            .sum()
+            .filter(|(x, &y)| self.predict(x) == y)
+            .count();
+        correct as f64 / data.len() as f64
     }
 }
 
@@ -386,33 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn mlp_gradient_matches_finite_difference() {
-        let data = toy_data(2);
-        let model = Mlp::new(6, 5, 3);
-        let p = model.params();
-        let batch: Vec<usize> = (0..8).collect();
-        let (_, grad) = model.loss_grad(&data, &batch);
-        let eps = 1e-3f32;
-        for idx in [0usize, 10, 31, 40, p.len() - 1] {
-            let mut m2 = model.clone();
-            let mut plus = p.clone();
-            plus[idx] += eps;
-            m2.set_params(&plus);
-            let (l_plus, _) = m2.loss_grad(&data, &batch);
-            let mut minus = p.clone();
-            minus[idx] -= eps;
-            m2.set_params(&minus);
-            let (l_minus, _) = m2.loss_grad(&data, &batch);
-            let fd = (l_plus - l_minus) / (2.0 * eps as f64);
-            assert!(
-                (fd - grad[idx] as f64).abs() < 2e-3,
-                "param {idx}: fd {fd} vs grad {}",
-                grad[idx]
-            );
-        }
-    }
-
-    #[test]
     fn gradient_descent_reduces_loss_and_learns() {
         let data = toy_data(3);
         let mut model = LogisticRegression::new(6, 3);
@@ -436,26 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn mlp_learns_toy_task() {
-        let data = toy_data(4);
-        let mut model = Mlp::new(6, 16, 3);
-        let batch: Vec<usize> = (0..data.len()).collect();
-        for _ in 0..300 {
-            let (_, g) = model.loss_grad(&data, &batch);
-            let mut p = model.params();
-            for (pv, gv) in p.iter_mut().zip(&g) {
-                *pv -= 0.3 * gv;
-            }
-            model.set_params(&p);
-        }
-        assert!(
-            model.accuracy(&data) > 0.85,
-            "acc {}",
-            model.accuracy(&data)
-        );
-    }
-
-    #[test]
     fn forward_only_loss_matches_loss_grad() {
         let data = toy_data(5);
         let batch: Vec<usize> = (0..data.len()).collect();
@@ -466,14 +237,12 @@ mod tests {
         }
         lr.set_params(&p);
         assert!((lr.loss(&data) - lr.loss_grad(&data, &batch).0).abs() < 1e-9);
-        let mlp = Mlp::new(6, 5, 3);
-        assert!((mlp.loss(&data) - mlp.loss_grad(&data, &batch).0).abs() < 1e-9);
     }
 
     #[test]
     fn params_roundtrip() {
-        let mut m = Mlp::new(4, 3, 2);
-        let p = m.params();
+        let mut m = LogisticRegression::new(4, 3);
+        let p: Vec<f32> = (0..m.num_params()).map(|i| i as f32 * 0.25 - 1.0).collect();
         m.set_params(&p);
         assert_eq!(m.params(), p);
     }
@@ -494,7 +263,6 @@ mod tests {
             classes: 2,
         };
         assert_eq!(LogisticRegression::new(4, 2).accuracy(&empty), 0.0);
-        assert_eq!(Mlp::new(4, 3, 2).accuracy(&empty), 0.0);
     }
 
     #[test]
@@ -505,14 +273,5 @@ mod tests {
         let p1 = m.predict(&[1.0, 2.0, 3.0, 4.0]);
         let p2 = m.predict(&[-1.0, 5.0, 0.0, 2.0]);
         assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn mlp_deterministic_init() {
-        let a = Mlp::new(6, 8, 3);
-        let b = Mlp::new(6, 8, 3);
-        assert_eq!(a.params(), b.params());
-        // and not all zeros (hidden layer must break symmetry)
-        assert!(a.params().iter().any(|&v| v != 0.0));
     }
 }

@@ -1,7 +1,7 @@
 //! Local SGD and the FL local-update rule.
 
 use crate::dataset::Dataset;
-use crate::model::Model;
+use crate::model::LogisticRegression;
 use rand::Rng;
 
 /// Local training hyper-parameters (the paper trains with `E = 5` local
@@ -32,8 +32,8 @@ impl Default for LocalTraining {
 ///
 /// Returns the zero vector when the shard is empty (a silent no-op would
 /// skew weighted averages; zero contributes nothing).
-pub fn local_update<M: Model, R: Rng + ?Sized>(
-    template: &M,
+pub(crate) fn local_update<R: Rng + ?Sized>(
+    template: &LogisticRegression,
     global_params: &[f32],
     shard: &Dataset,
     cfg: &LocalTraining,

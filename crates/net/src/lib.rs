@@ -100,26 +100,12 @@ pub struct Transfer {
     pub(crate) to: NodeId,
     /// Payload size in bytes.
     pub(crate) bytes: usize,
-    /// Earliest time the transfer may start (relative to the phase
-    /// start passed to [`Network::run_phase`]); defaults to `0`.
-    pub(crate) ready_at: f64,
 }
 
 impl Transfer {
     /// A transfer ready at the phase start.
     pub fn new(from: NodeId, to: NodeId, bytes: usize) -> Self {
-        Self {
-            from,
-            to,
-            bytes,
-            ready_at: 0.0,
-        }
-    }
-
-    /// A transfer that becomes ready `ready_at` seconds into the phase.
-    pub fn ready_at(mut self, t: f64) -> Self {
-        self.ready_at = t;
-        self
+        Self { from, to, bytes }
     }
 }
 
@@ -203,17 +189,8 @@ impl Network {
         }
     }
 
-    /// Reset all channels to idle (start of a fresh round).
-    pub fn reset(&mut self) {
-        for c in self.client_tx.iter_mut().chain(self.client_rx.iter_mut()) {
-            c.busy_until = 0.0;
-        }
-        self.server_tx.busy_until = 0.0;
-        self.server_rx.busy_until = 0.0;
-    }
-
-    /// Schedule all `transfers` no earlier than `start` (+ their
-    /// individual `ready_at` offsets) and return the completion report.
+    /// Schedule all `transfers` no earlier than `start` and return the
+    /// completion report.
     ///
     /// Transfers on the same channel serialize in input order — callers
     /// that want fair interleaving should interleave the input (the
@@ -223,10 +200,9 @@ impl Network {
         let mut finish_times = Vec::with_capacity(transfers.len());
         let mut phase_end = start;
         for t in transfers {
-            let ready = start + t.ready_at;
             let bytes = t.bytes as f64;
             // sender's transmit channel
-            let (_, tx_end) = self.tx_channel(t.from).reserve(ready, bytes);
+            let (_, tx_end) = self.tx_channel(t.from).reserve(start, bytes);
             // propagation
             let arrival = tx_end + self.cfg.latency;
             // receiver's receive channel: reception may cut through while
@@ -288,12 +264,12 @@ mod tests {
             server_bps: 1e9,
             latency: 0.01,
         };
-        let mut net = Network::new(cfg, Duplex::Full);
-        let r = net.run_phase(
-            0.0,
-            &[Transfer::new(NodeId::Client(0), NodeId::Server, 125_000)],
-        );
+        let transfer = [Transfer::new(NodeId::Client(0), NodeId::Server, 125_000)];
+        let r = Network::new(cfg, Duplex::Full).run_phase(0.0, &transfer);
         near(r.phase_end, 1.01);
+        // a later phase start shifts the whole schedule
+        let r = Network::new(cfg, Duplex::Full).run_phase(5.0, &transfer);
+        near(r.phase_end, 6.01);
     }
 
     #[test]
@@ -353,22 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn ready_at_delays_start() {
-        let cfg = NetworkConfig {
-            clients: 1,
-            client_bps: 1e6,
-            server_bps: 1e9,
-            latency: 0.0,
-        };
-        let mut net = Network::new(cfg, Duplex::Full);
-        let r = net.run_phase(
-            5.0,
-            &[Transfer::new(NodeId::Client(0), NodeId::Server, 125_000).ready_at(2.0)],
-        );
-        near(r.phase_end, 8.0);
-    }
-
-    #[test]
     fn kth_completion_supports_any_u_semantics() {
         let cfg = NetworkConfig {
             clients: 3,
@@ -384,27 +344,6 @@ mod tests {
         near(r.kth_completion(0), 1.0);
         near(r.kth_completion(1), 2.0);
         near(r.kth_completion(2), 3.0);
-    }
-
-    #[test]
-    fn reset_clears_backlog() {
-        let cfg = NetworkConfig {
-            clients: 1,
-            client_bps: 1e6,
-            server_bps: 1e9,
-            latency: 0.0,
-        };
-        let mut net = Network::new(cfg, Duplex::Full);
-        net.run_phase(
-            0.0,
-            &[Transfer::new(NodeId::Client(0), NodeId::Server, 125_000)],
-        );
-        net.reset();
-        let r = net.run_phase(
-            0.0,
-            &[Transfer::new(NodeId::Client(0), NodeId::Server, 125_000)],
-        );
-        near(r.phase_end, 1.0);
     }
 
     #[test]

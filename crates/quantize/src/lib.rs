@@ -238,12 +238,6 @@ impl VectorQuantizer {
         Self { c }
     }
 
-    /// The quantization level `c`.
-    #[cfg(test)]
-    pub(crate) fn level(&self) -> u64 {
-        self.c
-    }
-
     /// Quantize a real vector into the field: `φ(c·Q_c(x_k))` per
     /// coordinate, rejecting non-finite coordinates with a typed error.
     ///
@@ -329,36 +323,6 @@ impl VectorQuantizer {
         let scale = (self.c as f64) * (divisor as f64);
         vs.iter().map(|v| v.to_signed() as f64 / scale).collect()
     }
-
-    /// The largest per-coordinate magnitude that `count` summed updates
-    /// may reach before wrap-around, given each real coordinate is bounded
-    /// by `bound`.
-    ///
-    /// Useful for asserting `q` is large enough:
-    /// `count · (bound·c + 1) < (q−1)/2`.
-    pub fn wraparound_headroom<F: Field>(&self, bound: f64, count: usize) -> f64 {
-        let max_mag = (bound * self.c as f64 + 1.0) * count as f64;
-        let half_field = (F::MODULUS - 1) as f64 / 2.0;
-        half_field - max_mag
-    }
-
-    /// Pick the finest power-of-two level that still avoids wrap-around
-    /// when `count` updates bounded by `bound` are aggregated in field
-    /// `F` — the trade-off the paper resolves empirically in Figure 12
-    /// and suggests auto-tuning for (Appendix F.5, citing Bonawitz et
-    /// al. 2019c). A safety factor of 2 is reserved.
-    ///
-    /// Returns `None` when even `c = 1` would wrap (field too small for
-    /// the workload).
-    pub fn auto_tune<F: Field>(bound: f64, count: usize) -> Option<Self> {
-        for bits in (0..=F::BITS.min(62)).rev() {
-            let candidate = Self::new(1u64 << bits);
-            if candidate.wraparound_headroom::<F>(bound, count) > (F::MODULUS / 2) as f64 / 2.0 {
-                return Some(candidate);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -430,19 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn headroom_positive_for_sane_parameters() {
-        let q = VectorQuantizer::new(1 << 16);
-        // 100 users, coordinates bounded by 10.0: fits in both fields
-        assert!(q.wraparound_headroom::<Fp61>(10.0, 100) > 0.0);
-        assert!(q.wraparound_headroom::<Fp32>(10.0, 100) > 0.0);
-        // At c_l = 2^24 the 32-bit field wraps — the degradation Fig. 12
-        // shows for large c_l — while the 61-bit field still has room.
-        let q_fine = VectorQuantizer::new(1 << 24);
-        assert!(q_fine.wraparound_headroom::<Fp32>(10.0, 100) < 0.0);
-        assert!(q_fine.wraparound_headroom::<Fp61>(10.0, 100) > 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_level_panics() {
         let _ = VectorQuantizer::new(0);
@@ -482,22 +433,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let q = VectorQuantizer::new(1 << 16);
         let _ = q.quantize::<Fp61, _>(&[f64::NAN], &mut rng);
-    }
-
-    #[test]
-    fn auto_tune_picks_safe_level() {
-        // Fp61, 100 users, bound 10: plenty of room — should pick a fine
-        // grid that still leaves half-field headroom
-        let q = VectorQuantizer::auto_tune::<Fp61>(10.0, 100).expect("fits");
-        assert!(q.level() >= 1 << 16, "level {}", q.level());
-        assert!(q.wraparound_headroom::<Fp61>(10.0, 100) > 0.0);
-
-        // Fp32 with the same workload must choose a coarser grid than
-        // Fp61 (fewer bits of headroom)
-        let q32 = VectorQuantizer::auto_tune::<Fp32>(10.0, 100).expect("fits");
-        assert!(q32.level() < q.level());
-
-        // an absurd workload does not fit at all
-        assert!(VectorQuantizer::auto_tune::<Fp32>(1e12, 1_000_000).is_none());
     }
 }

@@ -6,7 +6,6 @@
 //! quantizes `s(τ)` to the integer `s_{c_g}(τ) = c_g·Q_{c_g}(s(τ))`.
 
 use crate::stochastic_round;
-use lsa_field::Field;
 use rand::Rng;
 
 /// The staleness weighting strategies evaluated in the paper
@@ -80,17 +79,11 @@ impl QuantizedStaleness {
         debug_assert!(w >= 0);
         w as u64
     }
-
-    /// The weight as a field element.
-    pub fn field_weight<F: Field, R: Rng + ?Sized>(&self, tau: u64, rng: &mut R) -> F {
-        F::from_u64(self.integer_weight(tau, rng))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_field::Fp61;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -154,15 +147,5 @@ mod tests {
         let sum: u64 = (0..n).map(|_| qs.integer_weight(tau, &mut rng)).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 64.0 / 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn field_weight_matches_integer() {
-        let mut rng1 = StdRng::seed_from_u64(3);
-        let mut rng2 = StdRng::seed_from_u64(3);
-        let qs = QuantizedStaleness::new(StalenessFn::Constant, 8);
-        let fi: Fp61 = qs.field_weight(5, &mut rng1);
-        let ii = qs.integer_weight(5, &mut rng2);
-        assert_eq!(fi.residue(), ii);
     }
 }

@@ -41,10 +41,8 @@ pub mod cost;
 pub mod experiments;
 pub mod federated;
 pub mod report;
-pub mod robust;
 pub mod round;
 pub mod secure_fedbuff;
-pub mod system;
 pub mod timed;
 
 pub use cost::KernelCosts;

@@ -6,9 +6,7 @@
 //! rounds, and land within 5% of the plaintext-FedAvg loss.
 
 use lsa_field::Fp61;
-use lsa_fl::{
-    mean_aggregate, run_fedavg, Dataset, FedAvgConfig, LogisticRegression, Model, RoundMetrics,
-};
+use lsa_fl::{mean_aggregate, run_fedavg, Dataset, FedAvgConfig, LogisticRegression, RoundMetrics};
 use lsa_protocol::federation::{SecureAggregator, SyncFederation};
 use lsa_protocol::ratchet::policies;
 use lsa_protocol::transport::MemTransport;

@@ -14,7 +14,7 @@
 
 use lightsecagg::field::Fp61;
 use lightsecagg::fl::{
-    mean_aggregate, run_fedavg, Dataset, FedAvgConfig, LogisticRegression, Model, RoundMetrics,
+    mean_aggregate, run_fedavg, Dataset, FedAvgConfig, LogisticRegression, RoundMetrics,
 };
 use lightsecagg::protocol::federation::{BufferedFederation, Federation, SyncFederation};
 use lightsecagg::protocol::transport::MemTransport;

@@ -5,7 +5,7 @@
 use lightsecagg::field::Fp61;
 use lightsecagg::fl::{
     mean_aggregate, run_fedavg, run_fedbuff, Dataset, FedAvgConfig, FedBuffConfig,
-    LogisticRegression, Model, PlainFedBuff,
+    LogisticRegression, PlainFedBuff,
 };
 use lightsecagg::net::{Duplex, NetworkConfig};
 use lightsecagg::protocol::topology::GroupTopology;
