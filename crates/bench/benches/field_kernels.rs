@@ -20,9 +20,9 @@
 //!   the round ledger's `flat_churn` leaf and at the paper's `N = 200`,
 //!   per backend. The encode splits the segments into even and odd
 //!   coefficient halves, evaluates each at the `⌈N/2⌉` squares `β²`
-//!   and combines them into `p(±β)`; the backend decides whether the
-//!   halves go through the multi-point Horner kernel or the per-point
-//!   scalar path. On a SIMD host the bench asserts the detected backend
+//!   and combines them into `p(±β)`; the backend decides whether that
+//!   is the single-limb Horner pair kernel (`ymm` under `avx2`, `zmm`
+//!   under `avx512`) or the per-point scalar path. On a SIMD host the bench asserts the detected backend
 //!   is ≥ 1.5× the forced-scalar run at `N = 64` (best of 20 calls
 //!   each; skipped, with a stderr note, on scalar-only hosts).
 //! * `field_kernels/encode_at/{fp32,fp61}/{N16_U12_m32,N64_U48_m1024}`
@@ -255,7 +255,7 @@ fn best_encode(
     })
 }
 
-/// The multi-point Horner kernel must earn its keep: ≥ 1.5× the
+/// The Horner pair kernel must earn its keep: ≥ 1.5× the
 /// per-point scalar encode at the ledger's shape. Guarded as
 /// `mask_ratchet`'s wall-clock assert is — on a scalar-only host there
 /// is nothing to compare.

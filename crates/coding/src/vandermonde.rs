@@ -27,17 +27,20 @@
 //! `p(β) = E(β²) + β·O(β²)` and `p(−β) = E(β²) − β·O(β²)`. So all `N`
 //! coded segments come from evaluating the two half-degree polynomials
 //! at the `⌈N/2⌉` squares `β²` — half the Horner steps of evaluating
-//! `p` at `N` points — and one pass that forms the sum and difference.
-//! The halves are views of the caller's segments, never copies, and the
-//! multi-point evaluation ([`lsa_field::ops::eval_points`]) multiplies
-//! by `β²` itself — one 32-bit limb, where the field has the kernel —
-//! instead of by full-width powers. The decoder cannot: Lagrange
+//! `p` at `N` points. The pair evaluation
+//! ([`lsa_field::ops::eval_pairs`]) reads the caller's segments in
+//! place, never copies them into halves, and where the field has the
+//! kernel it multiplies by `β²` and `β` themselves — one 32-bit limb —
+//! instead of by full-width powers, forms `E ± β·O` in registers and
+//! stores each coded segment once, only for the signs a caller asked
+//! for. The decoder cannot: Lagrange
 //! coefficients are arbitrary residues, so it stays on the fused
 //! [`lsa_field::ops::weighted_sum_into`], `O(U²)` scalar operations for
 //! the basis plus `O(k·U·m)` multiply-accumulates for the first `k`
 //! segments of length `m`.
 
 use crate::{interpolation, CodingError};
+use lsa_field::ops::Signs;
 use lsa_field::Field;
 
 /// A systematic-free Vandermonde MDS code of length `n` and dimension `u`.
@@ -125,20 +128,18 @@ impl<F: Field> VandermondeCode<F> {
     }
 
     /// Encode the coded segments destined to each of `users`, in that
-    /// order. Where the field's multi-point kernel runs, each coefficient
-    /// half is evaluated once at the squares `β²` of the users' points,
-    /// so two users that share a `±β` pair cost one evaluation; without
-    /// it the halves cost what `p` does, and each user's column is one
-    /// fused pass at its own point. The segments are borrowed views (any
-    /// `AsRef<[F]>`), so a caller can encode straight from chunks of a
-    /// longer vector without copying them.
+    /// order. Two users that share a `±β` pair cost one evaluation of
+    /// the coefficient halves at `β²`, and a lone user of a pair costs
+    /// the same halves and one combine, storing only its own sign (see
+    /// [`lsa_field::ops::eval_pairs`]). The segments are borrowed views
+    /// (any `AsRef<[F]>`), so a caller can encode straight from chunks
+    /// of a longer vector without copying them.
     ///
     /// # Panics
     ///
     /// Panics if `segments.len() != u`, the segments are ragged, a user
     /// is listed twice, or a user is `>= n`.
     pub fn encode_at<S: AsRef<[F]>>(&self, segments: &[S], users: &[usize]) -> Vec<Vec<F>> {
-        assert_eq!(segments.len(), self.u, "expected u segments");
         let mut sorted = users.to_vec();
         sorted.sort_unstable();
         assert!(
@@ -149,23 +150,27 @@ impl<F: Field> VandermondeCode<F> {
             sorted.last().is_none_or(|&j| j < self.n),
             "user out of range"
         );
-        let mut pairs: Vec<usize> = sorted.iter().map(|j| j / 2).collect();
-        pairs.dedup();
-        let betas: Vec<F> = pairs.iter().map(|&p| self.points[2 * p]).collect();
-        if !has_eval_kernel(&betas) {
-            return users
-                .iter()
-                .map(|&j| lsa_field::ops::horner_eval(segments, self.points[j]))
-                .collect();
+        // user 2i is `+β_i` and user 2i + 1 is `−β_i`: sorted users
+        // group into pairs whose outputs come back in sorted order
+        let mut pairs: Vec<(F, Signs)> = Vec::new();
+        for &j in &sorted {
+            let beta = self.points[j - j % 2];
+            let sign = if j % 2 == 0 {
+                Signs::Plus
+            } else {
+                Signs::Minus
+            };
+            match pairs.last_mut() {
+                Some((b, signs)) if *b == beta => *signs = Signs::Both,
+                _ => pairs.push((beta, sign)),
+            }
         }
-        let mut coded = self.encode_pairs(segments, &betas);
+        let mut coded = self.eval_pairs(segments, &pairs);
         users
             .iter()
-            .map(|&j| {
-                let pair = pairs
-                    .binary_search(&(j / 2))
-                    .expect("every pair was encoded");
-                std::mem::take(&mut coded[2 * pair + j % 2])
+            .map(|j| {
+                let at = sorted.binary_search(j).expect("every user was encoded");
+                std::mem::take(&mut coded[at])
             })
             .collect()
     }
@@ -179,51 +184,24 @@ impl<F: Field> VandermondeCode<F> {
     ///
     /// Panics if `segments.len() != u` or the segments are ragged.
     pub fn encode_all<S: AsRef<[F]>>(&self, segments: &[S]) -> Vec<Vec<F>> {
-        let betas: Vec<F> = self.points.iter().step_by(2).copied().collect();
-        let mut coded = self.encode_pairs(segments, &betas);
-        // odd n: the last pair's `−β` belongs to no user
-        coded.truncate(self.n);
-        coded
+        // the points are `+β, −β` pairs; for odd n the last `+β` is alone
+        let pairs: Vec<(F, Signs)> = self
+            .points
+            .chunks(2)
+            .map(|pair| match pair {
+                [beta, _] => (*beta, Signs::Both),
+                _ => (pair[0], Signs::Plus),
+            })
+            .collect();
+        self.eval_pairs(segments, &pairs)
     }
 
-    /// `p(β), p(−β)` for each `β` in `betas`, in that order: the even
-    /// and odd halves `E`, `O` evaluated at `β²`, then
-    /// `p(±β) = E(β²) ± β·O(β²)` written over the two buffers in one
-    /// pass.
-    fn encode_pairs<S: AsRef<[F]>>(&self, segments: &[S], betas: &[F]) -> Vec<Vec<F>> {
+    /// `p(±β)` for each `(β, signs)` of `pairs`, in order
+    /// ([`lsa_field::ops::eval_pairs`] over views of the segments).
+    fn eval_pairs<S: AsRef<[F]>>(&self, segments: &[S], pairs: &[(F, Signs)]) -> Vec<Vec<F>> {
         assert_eq!(segments.len(), self.u, "expected u segments");
-        let len = segments[0].as_ref().len();
-        assert!(
-            segments.iter().all(|s| s.as_ref().len() == len),
-            "segment length mismatch"
-        );
-        let half = |parity: usize| -> Vec<&[F]> {
-            segments
-                .iter()
-                .skip(parity)
-                .step_by(2)
-                .map(AsRef::as_ref)
-                .collect()
-        };
-        let squares: Vec<F> = betas.iter().map(|&b| b * b).collect();
-        let evens = lsa_field::ops::eval_points(&half(0), &squares);
-        let odd = half(1);
-        let odds = if odd.is_empty() {
-            // u = 1: p is the constant E
-            vec![vec![F::ZERO; len]; betas.len()]
-        } else {
-            lsa_field::ops::eval_points(&odd, &squares)
-        };
-        let mut coded = Vec::with_capacity(2 * betas.len());
-        for ((mut plus, mut minus), &beta) in evens.into_iter().zip(odds).zip(betas) {
-            for (e, o) in plus.iter_mut().zip(minus.iter_mut()) {
-                let t = beta * *o;
-                (*e, *o) = (*e + t, *e - t);
-            }
-            coded.push(plus);
-            coded.push(minus);
-        }
-        coded
+        let views: Vec<&[F]> = segments.iter().map(AsRef::as_ref).collect();
+        lsa_field::ops::eval_pairs(&views, pairs)
     }
 
     /// Decode the first `prefix` original segments from at least `u` coded
@@ -313,15 +291,6 @@ impl<F: Field> VandermondeCode<F> {
     }
 }
 
-/// Whether the field's multi-point kernel evaluates at the squares of
-/// `betas` on this thread's backend (tried on a one-element segment).
-fn has_eval_kernel<F: Field>(betas: &[F]) -> bool {
-    let backend = lsa_field::simd::backend();
-    let squares: Vec<F> = betas.iter().map(|&b| b * b).collect();
-    backend != lsa_field::simd::Backend::Scalar
-        && F::simd_eval_points(backend, &[&[F::ZERO]], &squares).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,6 +365,38 @@ mod tests {
         for (&j, got) in users.iter().zip(&picked) {
             assert_eq!(got, &all[j], "user {j}");
         }
+    }
+
+    /// A lone odd user, and lists of odd users only, take the `−β` sign
+    /// alone: each column equals `encode_all`'s, on both fields, under
+    /// every backend, with segments that leave the strips a tail.
+    fn lone_and_odd_users_match_encode_all<F: Field>() {
+        let code = VandermondeCode::<F>::new(15, 5).unwrap();
+        let segs = random_segments::<F>(5, 33, 11);
+        for backend in lsa_field::simd::available() {
+            lsa_field::simd::with_backend(backend, || {
+                let all = code.encode_all(&segs);
+                let odd: Vec<usize> = (1..15).step_by(2).collect();
+                for users in [
+                    vec![1],
+                    vec![13],
+                    vec![9, 3],
+                    odd.clone(),
+                    odd[..5].to_vec(),
+                ] {
+                    let picked = code.encode_at(&segs, &users);
+                    for (&j, got) in users.iter().zip(&picked) {
+                        assert_eq!(got, &all[j], "user {j}, backend {}", backend.name());
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn encode_at_lone_and_odd_users_match_encode_all() {
+        lone_and_odd_users_match_encode_all::<Fp32>();
+        lone_and_odd_users_match_encode_all::<Fp61>();
     }
 
     #[test]

@@ -130,17 +130,20 @@ impl Field for Fp61 {
         false
     }
 
-    fn simd_eval_points(
+    fn simd_eval_pairs(
         backend: crate::simd::Backend,
         segs: &[&[Self]],
-        points: &[Self],
+        pairs: &[(Self, crate::ops::Signs)],
     ) -> Option<Vec<Vec<Self>>> {
         #[cfg(target_arch = "x86_64")]
-        if backend.has_avx2() {
-            // SAFETY: as in `simd_weighted_block`.
-            return unsafe { avx2::eval_points(segs, points) };
+        match backend {
+            // SAFETY: `crate::simd` only produces `Avx512` after
+            // detecting avx512f (and avx2), `Avx2` after detecting avx2.
+            crate::simd::Backend::Avx512 => return unsafe { avx2::eval_pairs_zmm(segs, pairs) },
+            crate::simd::Backend::Avx2 => return unsafe { avx2::eval_pairs_ymm(segs, pairs) },
+            crate::simd::Backend::Scalar => {}
         }
-        let _ = (backend, segs, points);
+        let _ = (backend, segs, pairs);
         None
     }
 
@@ -176,7 +179,9 @@ impl Field for Fp61 {
     }
 }
 
-/// AVX2 kernels over four `u64` lanes.
+/// x86 kernels: AVX2 over four `u64` lanes, and the `±β` pair kernel
+/// over four (AVX2) or eight (AVX-512F) through the [`Lane`](avx2::Lane)
+/// trait.
 ///
 /// The scalar path accumulates **unfolded 122-bit products** in a
 /// `u128` — a representation with no 4-lane AVX2 analogue. The SIMD
@@ -199,17 +204,18 @@ impl Field for Fp61 {
 /// finished term below `2^61 + 4`.
 ///
 /// That is the price of a full-width coefficient. The Vandermonde
-/// encode multiplies by a square `β²` below `2^20`, and
-/// [`eval_points`](avx2::eval_points) keeps only what such a
-/// multiplier needs: the `p₀₀` and `pₘ` limbs, unfolded, in a Horner
-/// recurrence whose accumulator provably stays in its lane
-/// (`horner_step`).
+/// encode multiplies by a square `β²` below `2^20` and then by `β`, and
+/// the pair kernel ([`eval_pairs`](avx2::eval_pairs)) keeps only what
+/// such a multiplier needs: the `p₀₀` and `pₘ` limbs, unfolded, in a
+/// Horner recurrence whose accumulator provably stays in its lane
+/// ([`horner_step_vec`](avx2::horner_step_vec)).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{Fp61, P61};
-    use crate::ops::BLOCK;
+    use crate::ops::{Signs, BLOCK};
     use crate::Field;
     use core::arch::x86_64::*;
+    use core::mem::MaybeUninit;
 
     /// Terms of size `< 2^61 + 8` a `u64` lane absorbs before a re-fold
     /// (`7·(2^61 + 8) < 2^64`; an eighth term could overflow).
@@ -227,10 +233,13 @@ mod avx2 {
     };
 
     /// One Mersenne fold `(t >> 61) + (t & q)`, lanewise.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fold(t: __m256i, p: __m256i) -> __m256i {
-        _mm256_add_epi64(_mm256_srli_epi64::<61>(t), _mm256_and_si256(t, p))
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `L`'s feature.
+    #[inline(always)]
+    unsafe fn fold<L: Lane>(t: L, p: L) -> L {
+        t.shr61().add(t.and(p))
     }
 
     /// Lanewise `c·x mod`-folded term, `< 2^61 + 4`, via the limb
@@ -273,17 +282,16 @@ mod avx2 {
         t
     }
 
-    /// Canonical lanewise reduction: two folds, then one conditional
-    /// subtraction (values stay far below `2^63`, so the signed compare
-    /// is exact).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce_vec(acc: __m256i, p: __m256i) -> __m256i {
-        let v = fold(acc, p); // < 2^61 + 8
-        let w = fold(v, p); // <= 2^61
-        let lt = _mm256_cmpgt_epi64(p, w);
-        let sub = _mm256_andnot_si256(lt, p); // p where w >= p
-        _mm256_sub_epi64(w, sub)
+    /// Canonical lanewise reduction of any `u64` lanes: one fold lands
+    /// under `2^61 + 8 < 2q`, and one conditional subtraction of `q`
+    /// finishes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `L`'s feature.
+    #[inline(always)]
+    unsafe fn reduce<L: Lane>(acc: L, p: L) -> L {
+        fold(acc, p).csub(p)
     }
 
     /// Scalar replica of [`mul_term`] for loop tails — same limb
@@ -353,11 +361,8 @@ mod avx2 {
                 }
                 terms += 1;
             }
-            _mm256_storeu_si256(block.as_mut_ptr().add(k) as *mut __m256i, reduce_vec(a0, p));
-            _mm256_storeu_si256(
-                block.as_mut_ptr().add(k + 4) as *mut __m256i,
-                reduce_vec(a1, p),
-            );
+            _mm256_storeu_si256(block.as_mut_ptr().add(k) as *mut __m256i, reduce(a0, p));
+            _mm256_storeu_si256(block.as_mut_ptr().add(k + 4) as *mut __m256i, reduce(a1, p));
             k += 8;
         }
         // scalar tail (< 8 elements) on the same lane representation
@@ -478,12 +483,118 @@ mod avx2 {
         _mm256_add_epi64(d, _mm256_and_si256(borrow, p))
     }
 
-    /// Evaluation points below this take the single-limb Horner step
-    /// of [`eval_points`]: the multiplier fits one 32-bit limb with 12
-    /// bits to spare, which is what keeps the accumulator bounded
-    /// without a fold. The Vandermonde encode evaluates at `β²` for
-    /// `β ≤ ⌈N/2⌉`, so every cohort up to `N = 2046` takes it.
+    /// One register of `u64` lanes: the folds and the pair kernel
+    /// ([`eval_pairs`]) are written once over it, for `ymm` (AVX2, four
+    /// lanes) and `zmm` (AVX-512F, eight lanes).
+    ///
+    /// # Safety
+    ///
+    /// Every method requires the CPU feature its impl enables.
+    trait Lane: Copy {
+        const WIDTH: usize;
+        unsafe fn splat(x: u64) -> Self;
+        /// The first `WIDTH` elements of `src`.
+        unsafe fn load(src: &[Fp61]) -> Self;
+        /// The first `min(dst.len(), WIDTH)` lanes, masked when short.
+        unsafe fn store(self, dst: &mut [MaybeUninit<Fp61>]);
+        unsafe fn add(self, b: Self) -> Self;
+        unsafe fn sub(self, b: Self) -> Self;
+        unsafe fn and(self, b: Self) -> Self;
+        unsafe fn shr32(self) -> Self;
+        unsafe fn shr61(self) -> Self;
+        /// Each lane's high dword, copied over its low one.
+        unsafe fn hi_dwords(self) -> Self;
+        /// `vpmuludq` itself, through `asm!`: LLVM sees the `mul_epu32`
+        /// intrinsics as 64-bit multiplies of masked operands, and once
+        /// a loop hoists the mask out each costs two multiplies, a shift
+        /// and an add.
+        unsafe fn mul_lo32(self, b: Self) -> Self;
+        /// `self − q` where `self ≥ q`, for `self < 2q` (`p` holds `q`).
+        unsafe fn csub(self, p: Self) -> Self;
+    }
+
+    /// `impl Lane` for a register type: each method, one or two
+    /// instructions that need `$feature`, and `mul_lo32` on the register
+    /// class `$reg`.
+    macro_rules! lane {
+        ($ty:ty, $width:literal, $feature:literal, $reg:ident;
+         $(fn $name:ident($($arg:tt)*) $(-> $ret:ty)? $body:block)*) => {
+            impl Lane for $ty {
+                const WIDTH: usize = $width;
+                $(
+                    #[inline]
+                    #[target_feature(enable = $feature)]
+                    unsafe fn $name($($arg)*) $(-> $ret)? $body
+                )*
+                #[inline]
+                #[target_feature(enable = $feature)]
+                unsafe fn mul_lo32(self, b: Self) -> Self {
+                    let r: Self;
+                    core::arch::asm!(
+                        "vpmuludq {r}, {a}, {b}",
+                        r = lateout($reg) r,
+                        a = in($reg) self,
+                        b = in($reg) b,
+                        options(pure, nomem, nostack, preserves_flags),
+                    );
+                    r
+                }
+            }
+        };
+    }
+
+    lane! { __m256i, 4, "avx2", ymm_reg;
+        fn splat(x: u64) -> Self { _mm256_set1_epi64x(x as i64) }
+        fn load(src: &[Fp61]) -> Self { _mm256_loadu_si256(src[..4].as_ptr() as *const _) }
+        fn store(self, dst: &mut [MaybeUninit<Fp61>]) {
+            if dst.len() >= 4 {
+                _mm256_storeu_si256(dst[..4].as_mut_ptr() as *mut _, self);
+            } else {
+                let lanes = _mm256_setr_epi64x(0, 1, 2, 3);
+                let mask = _mm256_cmpgt_epi64(_mm256_set1_epi64x(dst.len() as i64), lanes);
+                _mm256_maskstore_epi64(dst.as_mut_ptr() as *mut i64, mask, self);
+            }
+        }
+        fn add(self, b: Self) -> Self { _mm256_add_epi64(self, b) }
+        fn sub(self, b: Self) -> Self { _mm256_sub_epi64(self, b) }
+        fn and(self, b: Self) -> Self { _mm256_and_si256(self, b) }
+        fn shr32(self) -> Self { _mm256_srli_epi64::<32>(self) }
+        fn shr61(self) -> Self { _mm256_srli_epi64::<61>(self) }
+        fn hi_dwords(self) -> Self { _mm256_shuffle_epi32::<0xF5>(self) }
+        fn csub(self, p: Self) -> Self { sub_mod(self, p, p) }
+    }
+
+    lane! { __m512i, 8, "avx512f", zmm_reg;
+        fn splat(x: u64) -> Self { _mm512_set1_epi64(x as i64) }
+        fn load(src: &[Fp61]) -> Self { _mm512_loadu_si512(src[..8].as_ptr() as *const _) }
+        fn store(self, dst: &mut [MaybeUninit<Fp61>]) {
+            if dst.len() >= 8 {
+                _mm512_storeu_si512(dst[..8].as_mut_ptr() as *mut _, self);
+            } else {
+                let mask = ((1u16 << dst.len()) - 1) as __mmask8;
+                _mm512_mask_storeu_epi64(dst.as_mut_ptr() as *mut i64, mask, self);
+            }
+        }
+        fn add(self, b: Self) -> Self { _mm512_add_epi64(self, b) }
+        fn sub(self, b: Self) -> Self { _mm512_sub_epi64(self, b) }
+        fn and(self, b: Self) -> Self { _mm512_and_si512(self, b) }
+        fn shr32(self) -> Self { _mm512_srli_epi64::<32>(self) }
+        fn shr61(self) -> Self { _mm512_srli_epi64::<61>(self) }
+        fn hi_dwords(self) -> Self { _mm512_shuffle_epi32::<_MM_PERM_DDBB>(self) }
+        // below `q` the difference wraps past every residue
+        fn csub(self, p: Self) -> Self { _mm512_min_epu64(self, _mm512_sub_epi64(self, p)) }
+    }
+
+    /// Multipliers below this take the single-limb Horner step
+    /// ([`horner_step_vec`]): the multiplier fits one 32-bit limb with
+    /// 12 bits to spare, which is what keeps the accumulator bounded
+    /// without a fold.
     const POINT_LIMIT: u64 = 1 << 20;
+
+    /// `β` below this take the pair kernel: both its multipliers, `β²`
+    /// and `β`, are below [`POINT_LIMIT`]. The Vandermonde encode's `β`
+    /// run to `⌈N/2⌉`, so every cohort up to `N = 2046` takes it.
+    const PAIR_LIMIT: u64 = 1 << 10;
 
     /// Exclusive bound the Horner accumulator stays under at every step.
     const HORNER_BOUND: u64 = (1 << 62) + (1 << 53);
@@ -491,7 +602,7 @@ mod avx2 {
     const LIMB: u64 = 0xFFFF_FFFF;
 
     // Pin the Horner bound: from the largest accumulator, the largest
-    // point and the largest residue, one step lands under the bound
+    // multiplier and the largest residue, one step lands under the bound
     // again (a canonical top segment starts under it).
     #[allow(clippy::assertions_on_constants)]
     const _: () = {
@@ -502,180 +613,236 @@ mod avx2 {
         let low = LIMB as u128 * beta;
         let wrapped = ((LIMB as u128) << 29) + ((hi * 8 * beta) >> 32);
         assert!(low + wrapped + (P61 as u128 - 1) < HORNER_BOUND as u128);
-        // `reduce_vec` / `lane_reduce` take lanes whose first fold lands
+        // `reduce` / `lane_reduce` take lanes whose first fold lands
         // under 2^61 + 8
         assert!(HORNER_BOUND >> 61 < 8);
+        // a panel is whole strips of either width
+        assert!(PANEL.is_multiple_of(16));
+        // a pair's multipliers `β²` and `β` are both single-limb ones
+        assert!((PAIR_LIMIT - 1) * (PAIR_LIMIT - 1) < POINT_LIMIT);
+        // `E + t` and `E + (3q − t)` for `E, t` under the bound fit a
+        // lane, and `3q − t` does not wrap
+        assert!(2 * (HORNER_BOUND as u128) < 1 << 64);
+        assert!(HORNER_BOUND <= 3 * P61);
+        assert!(HORNER_BOUND as u128 + 3 * P61 as u128 <= 1 << 64);
     };
 
-    /// One Horner step `acc·β + s (mod q)` for `β <` [`POINT_LIMIT`]
-    /// and `acc <` [`HORNER_BOUND`], unreduced but under the bound
-    /// again. With `acc = lo + hi·2^32` the low product `lo·β < 2^52`
-    /// is exact, and the high product `v = hi·β` carries `2^32`, which
-    /// wraps as in the module's `pₘ` fold: `(v mod 2^29)·2^32 + (v >>
-    /// 29)`. Taken on `w = 8v = hi·8β` that is `(w mod 2^32)·2^29 +
-    /// (w >> 32)`, whose mask-and-shift is a one-limb multiply too.
-    /// The SIMD twin is [`horner_step_vec`]; this one serves the loop
-    /// tail in checked `u64` arithmetic.
-    #[inline]
-    fn horner_step(acc: u64, beta: u64, s: u64) -> u64 {
-        let w = (acc >> 32) * (8 * beta);
-        (acc & LIMB) * beta + ((w & LIMB) << 29) + (w >> 32) + s
-    }
-
-    /// `vpmuludq` itself: the product of the low 32 bits of each lane.
-    /// `_mm256_mul_epu32` reaches LLVM as a generic 64-bit multiply of
-    /// masked operands; with the point fixed across the row loop its
-    /// mask is hoisted out, the loop body no longer shows that the
-    /// operand is one limb wide, and every product comes back as two
-    /// multiplies, a shift and an add (and a product by `2^29` as the
-    /// mask and shift it stands in for).
+    /// One Horner step `acc·β + s (mod q)` lanewise, with
+    /// `betas = (β, 8β)`, for `β <` [`POINT_LIMIT`], `acc <`
+    /// [`HORNER_BOUND`] and a canonical `s`: unreduced, but under the
+    /// bound again. With `acc = lo + hi·2^32` the low product
+    /// `lo·β < 2^52` is exact, and the high product `v = hi·β` carries
+    /// `2^32`, which wraps as in the module's `pₘ` fold:
+    /// `(v mod 2^29)·2^32 + (v >> 29)`. Taken on `w = 8v = hi·8β` that
+    /// is `(w mod 2^32)·2^29 + (w >> 32)`, whose mask-and-shift is a
+    /// one-limb multiply too. So a step is three `vpmuludq` (which reads
+    /// only the low 32 bits of each lane, so `acc` is its own low limb
+    /// and `w` its own `w mod 2^32`), a shuffle, a shift and three adds
+    /// — no fold.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_lo32(a: __m256i, b: __m256i) -> __m256i {
-        let r: __m256i;
-        core::arch::asm!(
-            "vpmuludq {r}, {a}, {b}",
-            r = lateout(ymm_reg) r,
-            a = in(ymm_reg) a,
-            b = in(ymm_reg) b,
-            options(pure, nomem, nostack, preserves_flags),
-        );
-        r
+    /// The CPU must have `L`'s feature.
+    #[inline(always)]
+    unsafe fn horner_step_vec<L: Lane>(acc: L, betas: (L, L), s: L, two29: L) -> L {
+        let w = acc.hi_dwords().mul_lo32(betas.1);
+        let low = acc.mul_lo32(betas.0);
+        let wrapped = w.mul_lo32(two29).add(w.shr32());
+        low.add(s).add(wrapped)
     }
 
-    /// Lanewise [`horner_step`] with `betas = (β, 8β)`: three
-    /// `vpmuludq` (which reads only the low 32 bits of each lane, so
-    /// `acc` is its own low limb and `w` its own `w mod 2^32`), a
-    /// shuffle, a shift and three adds — no fold.
+    /// `P` Horner recurrences down the strip rows `rows` (`2·WIDTH`
+    /// elements each, lowest degree first), one per multiplier pair in
+    /// `squares`: `2·P` independent chains, which is what hides the
+    /// multiply latency.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn horner_step_vec(
-        acc: __m256i,
-        betas: (__m256i, __m256i),
-        s: __m256i,
-        two29: __m256i,
-    ) -> __m256i {
-        // each lane's high dword, copied over its low one
-        let hi = _mm256_shuffle_epi32::<0xF5>(acc);
-        let w = mul_lo32(hi, betas.1);
-        let low = mul_lo32(acc, betas.0);
-        let wrapped = _mm256_add_epi64(mul_lo32(w, two29), _mm256_srli_epi64::<32>(w));
-        _mm256_add_epi64(_mm256_add_epi64(low, s), wrapped)
-    }
-
-    /// `P` points × the 8-element strip at `k`, whose segment rows
-    /// arrive packed in `rows` (8 elements each, lowest degree first):
-    /// `2·P` independent Horner chains down the rows, which is what
-    /// hides the multiply latency.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available. (Every 256-bit load and
-    /// store below goes through a bounds-checked 4-element slice of the
-    /// `repr(transparent)` `Fp61`, exactly the 32 bytes it touches, so
-    /// a short `outs`, `points` or `rows` panics instead.)
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn horner_strip<const P: usize>(
-        outs: &mut [Vec<Fp61>],
-        points: &[Fp61],
+    /// The CPU must have `L`'s feature.
+    #[inline(always)]
+    unsafe fn chains<L: Lane, const P: usize>(
         rows: &[Fp61],
-        k: usize,
-    ) {
-        let load = |row: &[Fp61]| {
-            (
-                _mm256_loadu_si256(row[..4].as_ptr() as *const __m256i),
-                _mm256_loadu_si256(row[4..8].as_ptr() as *const __m256i),
-            )
-        };
-        let two29 = _mm256_set1_epi64x(1 << 29);
-        let betas: [_; P] = core::array::from_fn(|i| {
-            let beta = points[i].0 as i64;
-            (_mm256_set1_epi64x(beta), _mm256_set1_epi64x(8 * beta))
-        });
-        let mut rows = rows.chunks_exact(8).rev();
-        let (s0, s1) = load(rows.next().expect("at least one segment"));
-        let (mut a0, mut a1) = ([s0; P], [s1; P]);
+        squares: &[(L, L); P],
+        two29: L,
+    ) -> [[L; 2]; P] {
+        let load = |row: &[Fp61]| [L::load(row), L::load(&row[L::WIDTH..])];
+        let mut rows = rows.chunks_exact(2 * L::WIDTH).rev();
+        let top = load(rows.next().expect("a non-empty half"));
+        let mut acc = [top; P];
         for row in rows {
-            let (s0, s1) = load(row);
-            for i in 0..P {
-                a0[i] = horner_step_vec(a0[i], betas[i], s0, two29);
-                a1[i] = horner_step_vec(a1[i], betas[i], s1, two29);
+            let s = load(row);
+            for (a, &m) in acc.iter_mut().zip(squares) {
+                a[0] = horner_step_vec(a[0], m, s[0], two29);
+                a[1] = horner_step_vec(a[1], m, s[1], two29);
             }
         }
-        let p = _mm256_set1_epi64x(P61 as i64);
-        for i in 0..P {
-            let dst = &mut outs[i][k..k + 8];
-            _mm256_storeu_si256(dst[..4].as_mut_ptr() as *mut __m256i, reduce_vec(a0[i], p));
-            _mm256_storeu_si256(dst[4..].as_mut_ptr() as *mut __m256i, reduce_vec(a1[i], p));
-        }
+        acc
     }
 
-    /// All the evaluations `Σ_k segs[k]·β^k`, `β` over `points` (see
-    /// [`Field::simd_eval_points`] for the contract), as true Horner
-    /// recurrences on the single-limb step.
-    ///
-    /// Strip-major, four points to a register block: the rows of one
-    /// 8-element strip are gathered from the segments once and then
-    /// read from L1 for every block of points, instead of streaming
-    /// every segment once per point.
-    ///
-    /// `None`, with nothing computed, if a point is not below
-    /// [`POINT_LIMIT`]: the bound proof does not cover it.
+    /// The `P` pairs of `pairs` over one strip, whose first `n` elements
+    /// land at `k` of `outs` (one per sign asked for, in order): the even
+    /// and odd chains at `β²` (`odd` is empty for one segment), then
+    /// `t = β·O` as one more step, and `p(β) = E + t`,
+    /// `p(−β) = E + (3q − t)`, each reduced once and stored once.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available.
+    /// The CPU must have `L`'s feature.
+    #[inline(always)]
+    unsafe fn pair_strip<L: Lane, const P: usize>(
+        outs: &mut [Vec<Fp61>],
+        pairs: &[(Fp61, Signs)],
+        (even, odd): (&[Fp61], &[Fp61]),
+        k: usize,
+        n: usize,
+    ) {
+        let (p, two29, zero) = (L::splat(P61), L::splat(1 << 29), L::splat(0));
+        let three_q = L::splat(3 * P61);
+        let multipliers = |x: u64| (L::splat(x), L::splat(8 * x));
+        let squares: [_; P] = core::array::from_fn(|i| multipliers(pairs[i].0 .0 * pairs[i].0 .0));
+        let e = chains(even, &squares, two29);
+        let o = (!odd.is_empty()).then(|| chains(odd, &squares, two29));
+        let mut outs = outs.iter_mut();
+        for (i, &(beta, signs)) in pairs[..P].iter().enumerate() {
+            let beta = multipliers(beta.0);
+            let mut plus = signs
+                .plus()
+                .then(|| outs.next().expect("an output per sign"));
+            let mut minus = signs
+                .minus()
+                .then(|| outs.next().expect("an output per sign"));
+            for h in 0..2 {
+                let (lo, hi) = (h * L::WIDTH, n.min((h + 1) * L::WIDTH));
+                if lo >= hi {
+                    break;
+                }
+                let t = match &o {
+                    Some(o) => horner_step_vec(o[i][h], beta, zero, two29),
+                    None => zero,
+                };
+                if let Some(out) = plus.as_mut() {
+                    let sum = reduce(e[i][h].add(t), p);
+                    sum.store(&mut out.spare_capacity_mut()[k + lo..k + hi]);
+                }
+                if let Some(out) = minus.as_mut() {
+                    let difference = reduce(e[i][h].add(three_q.sub(t)), p);
+                    difference.store(&mut out.spare_capacity_mut()[k + lo..k + hi]);
+                }
+            }
+        }
+    }
+
+    /// Elements of every segment the pair kernel gathers at once. A block
+    /// of four `β` runs over the whole panel before the next, so outputs
+    /// are written in runs of a panel: a strip at a time across all the
+    /// outputs measured 1.3× slower at `N = 64, U = 48` (2-vCPU Xeon,
+    /// AVX-512F).
+    const PANEL: usize = 64;
+
+    /// How many outputs `pairs` asks for.
+    fn outputs(pairs: &[(Fp61, Signs)]) -> usize {
+        pairs
+            .iter()
+            .map(|&(_, s)| s.plus() as usize + s.minus() as usize)
+            .sum()
+    }
+
+    /// The pair kernel (see [`Field::simd_eval_pairs`] for the
+    /// contract) on `L` registers: with `p(x) = E(x²) + x·O(x²)`, `E`
+    /// and `O` are Horner recurrences at `β²` on the single-limb step,
+    /// and `p(±β)` is formed in registers ([`pair_strip`]).
+    ///
+    /// Panel-major, four `β` to a register block, `2·WIDTH` elements a
+    /// strip: [`PANEL`] elements of every segment are gathered once,
+    /// strip by strip (even rows, then odd), and read from L1 by every
+    /// block. Each result is stored once into its final `Vec`, with no
+    /// zero-fill; a short last strip through masked stores.
+    ///
+    /// `None`, with nothing computed, if a `β` is not below
+    /// [`PAIR_LIMIT`]: the bound proof does not cover it.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `L`'s feature.
     ///
     /// # Panics
     ///
     /// Panics if `segs` is empty or ragged.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn eval_points(segs: &[&[Fp61]], points: &[Fp61]) -> Option<Vec<Vec<Fp61>>> {
-        if points.iter().any(|p| p.0 >= POINT_LIMIT) {
+    #[inline(always)]
+    unsafe fn eval_pairs<L: Lane>(
+        segs: &[&[Fp61]],
+        pairs: &[(Fp61, Signs)],
+    ) -> Option<Vec<Vec<Fp61>>> {
+        if pairs.iter().any(|(beta, _)| beta.0 >= PAIR_LIMIT) {
             return None;
         }
-        let (top, rest) = segs.split_last().expect("at least one segment");
-        let len = top.len();
-        let mut outs = vec![vec![Fp61::ZERO; len]; points.len()];
-        let mut rows = vec![Fp61::ZERO; 8 * segs.len()];
-        let blocks = points.len() / 4 * 4;
-        let mut k = 0;
-        while k + 8 <= len {
-            for (row, seg) in rows.chunks_exact_mut(8).zip(segs) {
-                row.copy_from_slice(&seg[k..k + 8]);
+        let width = 2 * L::WIDTH;
+        let len = segs[0].len();
+        let mut outs: Vec<Vec<Fp61>> = (0..outputs(pairs))
+            .map(|_| Vec::with_capacity(len))
+            .collect();
+        let (evens, strip) = (segs.len().div_ceil(2), width * segs.len());
+        let mut rows = vec![Fp61::ZERO; PANEL / width * strip];
+        // counted once: counting in the panel loop measured 1.4× slower
+        // on the same host
+        let counts: Vec<usize> = pairs.chunks(4).map(outputs).collect();
+        for base in (0..len).step_by(PANEL) {
+            let n = PANEL.min(len - base);
+            for (at, strip_rows) in (0..n).step_by(width).zip(rows.chunks_exact_mut(strip)) {
+                let m = width.min(n - at);
+                for (i, seg) in segs.iter().enumerate() {
+                    let row = (i / 2 + i % 2 * evens) * width;
+                    strip_rows[row..row + m].copy_from_slice(&seg[base + at..][..m]);
+                }
             }
-            for j in (0..blocks).step_by(4) {
-                horner_strip::<4>(&mut outs[j..], &points[j..], &rows, k);
+            let mut rest = &mut outs[..];
+            for (block, &count) in pairs.chunks(4).zip(&counts) {
+                let (outs, after) = rest.split_at_mut(count);
+                for (at, strip_rows) in (0..n).step_by(width).zip(rows.chunks_exact(strip)) {
+                    let halves = strip_rows.split_at(evens * width);
+                    let (k, m) = (base + at, width.min(n - at));
+                    match block.len() {
+                        4 => pair_strip::<L, 4>(outs, block, halves, k, m),
+                        3 => pair_strip::<L, 3>(outs, block, halves, k, m),
+                        2 => pair_strip::<L, 2>(outs, block, halves, k, m),
+                        _ => pair_strip::<L, 1>(outs, block, halves, k, m),
+                    }
+                }
+                rest = after;
             }
-            let (outs, points) = (&mut outs[blocks..], &points[blocks..]);
-            match points.len() {
-                1 => horner_strip::<1>(outs, points, &rows, k),
-                2 => horner_strip::<2>(outs, points, &rows, k),
-                3 => horner_strip::<3>(outs, points, &rows, k),
-                _ => {}
-            }
-            k += 8;
         }
-        // scalar tail (< 8 elements) on the same recurrence
-        for (out, beta) in outs.iter_mut().zip(points) {
-            for k in k..len {
-                let acc = rest
-                    .iter()
-                    .rev()
-                    .fold(top[k].0, |acc, seg| horner_step(acc, beta.0, seg[k].0));
-                out[k] = Fp61(lane_reduce(acc));
-            }
+        for out in &mut outs {
+            // SAFETY: the strips cover `0..len`, and each stored its
+            // elements of every output.
+            out.set_len(len);
         }
         Some(outs)
+    }
+
+    /// [`eval_pairs`] on `ymm` registers.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn eval_pairs_ymm(
+        segs: &[&[Fp61]],
+        pairs: &[(Fp61, Signs)],
+    ) -> Option<Vec<Vec<Fp61>>> {
+        eval_pairs::<__m256i>(segs, pairs)
+    }
+
+    /// [`eval_pairs`] on `zmm` registers.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn eval_pairs_zmm(
+        segs: &[&[Fp61]],
+        pairs: &[(Fp61, Signs)],
+    ) -> Option<Vec<Vec<Fp61>>> {
+        eval_pairs::<__m512i>(segs, pairs)
     }
 
     #[cfg(test)]
@@ -739,17 +906,42 @@ mod avx2 {
             assert_eq!(got, crate::ops::reference::dot(&x, &y));
         }
 
+        /// Every lane of [`horner_step_vec`] from splats of `acc`, `β`
+        /// and `s`, on each register width the host runs.
+        fn horner_step_lanes(acc: u64, beta: u64, s: u64) -> Vec<u64> {
+            unsafe fn step<L: Lane>(acc: u64, beta: u64, s: u64) -> Vec<u64> {
+                let betas = (L::splat(beta), L::splat(8 * beta));
+                let next = horner_step_vec(L::splat(acc), betas, L::splat(s), L::splat(1 << 29));
+                let mut out = vec![MaybeUninit::<Fp61>::uninit(); L::WIDTH];
+                next.store(&mut out);
+                out.iter().map(|lane| lane.assume_init().0).collect()
+            }
+            let mut lanes = Vec::new();
+            // SAFETY: each width runs only where its feature was detected
+            // (`Avx512` implies avx512f).
+            unsafe {
+                if detected().has_avx2() {
+                    lanes.extend(step::<__m256i>(acc, beta, s));
+                }
+                if detected() == crate::simd::Backend::Avx512 {
+                    lanes.extend(step::<__m512i>(acc, beta, s));
+                }
+            }
+            lanes
+        }
+
         #[test]
         fn horner_step_is_exact_and_stays_under_its_bound() {
             for acc in [0, 1, LIMB, LIMB + 1, P61 - 1, HORNER_BOUND - 1] {
                 for beta in [0, 1, 2, 200, POINT_LIMIT - 1] {
                     for s in [0, 1, P61 - 1] {
-                        let next = horner_step(acc, beta, s);
-                        assert!(next < HORNER_BOUND, "bound violated");
-                        assert_eq!(
-                            Fp61(lane_reduce(next)),
-                            Fp61::from_u64(acc) * Fp61(beta) + Fp61(s)
-                        );
+                        for next in horner_step_lanes(acc, beta, s) {
+                            assert!(next < HORNER_BOUND, "bound violated");
+                            assert_eq!(
+                                Fp61(lane_reduce(next)),
+                                Fp61::from_u64(acc) * Fp61(beta) + Fp61(s)
+                            );
+                        }
                     }
                 }
             }

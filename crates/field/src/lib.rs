@@ -142,22 +142,21 @@ pub trait Field:
         false
     }
 
-    /// SIMD multi-point evaluation of the vector polynomial
-    /// `Σ_k segs[k]·β^k` ([`ops::eval_points`]): one output per point,
-    /// `out[j][i] = Σ_k segs[k][i] · points[j]^k`. `segs` is non-empty
-    /// and its segments have one common length.
+    /// SIMD evaluation of the vector polynomial `p(x) = Σ_k segs[k]·x^k`
+    /// at `±β` ([`ops::eval_pairs`]): for each `(β, signs)` of `pairs`
+    /// in order, `p(β)` then `p(−β)`, each only where `signs` asks for
+    /// it. `segs` is non-empty and its segments have one common length.
     ///
     /// Returns `None` when this field has no kernel for `backend` *or
-    /// for these points* (a kernel may take only small multipliers);
-    /// the caller then evaluates point by point through
-    /// [`ops::horner_eval`]. Same bit-identical contract as
-    /// [`Field::simd_weighted_block`].
-    fn simd_eval_points(
+    /// for these `β`* (a kernel may take only small multipliers); the
+    /// caller then runs the portable path. Same bit-identical contract
+    /// as [`Field::simd_weighted_block`].
+    fn simd_eval_pairs(
         backend: simd::Backend,
         segs: &[&[Self]],
-        points: &[Self],
+        pairs: &[(Self, ops::Signs)],
     ) -> Option<Vec<Vec<Self>>> {
-        let _ = (backend, segs, points);
+        let _ = (backend, segs, pairs);
         None
     }
 

@@ -21,19 +21,20 @@
 //! Long vectors are processed in cache-sized blocks, one pass on the
 //! caller's thread, with a fixed term order per output element.
 //!
-//! # Small multipliers: the multi-point evaluator
+//! # Small multipliers: the pair evaluator
 //!
 //! The fused kernels take arbitrary coefficients. The Vandermonde
-//! encode does not need that: it evaluates its even and odd
-//! coefficient halves at the small squares `β²` (`lsa_coding`'s
-//! points are `±β`), and [`eval_points`] — many evaluations of one
-//! vector polynomial in one call — hands them to
-//! [`Field::simd_eval_points`], where a field may run a true Horner
-//! recurrence with the point itself as a single-limb multiplier
-//! (`Fp61` under AVX2 does: no powers, no fold per step, every segment
-//! read once per strip for all the points). Without such a kernel it
-//! is [`horner_eval`] per point over the fused pass above. Decode
-//! stays on [`weighted_sum_into`]: Lagrange coefficients are
+//! encode does not need that: its points are `±β` for small `β`, and
+//! [`eval_pairs`] — `p(β)`, `p(−β)` or both at many `β` in one call —
+//! hands them to [`Field::simd_eval_pairs`], where a field may run the
+//! even and odd coefficient halves as true Horner recurrences with
+//! `β²` itself as a single-limb multiplier and form `p(±β)` in
+//! registers (`Fp61` does, on `ymm` under AVX2 and on `zmm` under
+//! AVX-512F: no powers, no fold per step, every segment read once per
+//! strip for all the `β`, each result stored once). Without such a
+//! kernel a pair is the two halves through [`horner_eval`] at `β²` and
+//! one combining pass, a lone sign [`horner_eval`] at its point.
+//! Decode stays on [`weighted_sum_into`]: Lagrange coefficients are
 //! full-width.
 //!
 //! The pre-refactor one-reduction-per-op loops survive in
@@ -305,22 +306,47 @@ pub fn horner_eval<F: Field, S: AsRef<[F]>>(segs: &[S], point: F) -> Vec<F> {
     out
 }
 
-/// Evaluate the vector polynomial `Σ_k segs[k] · β^k` at every `β` in
-/// `points`, `out[j]` for `points[j]`. The segments are borrowed views,
-/// so a caller can pass every other coefficient of a longer polynomial
-/// without copying it (the Vandermonde encode evaluates its even and
-/// odd halves this way).
+/// Which of `p(β)` and `p(−β)` [`eval_pairs`] evaluates at one `β`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Signs {
+    /// `p(β)` alone.
+    Plus,
+    /// `p(−β)` alone.
+    Minus,
+    /// `p(β)`, then `p(−β)`.
+    Both,
+}
+
+impl Signs {
+    pub(crate) fn plus(self) -> bool {
+        self != Signs::Minus
+    }
+
+    pub(crate) fn minus(self) -> bool {
+        self != Signs::Plus
+    }
+}
+
+/// Evaluate the vector polynomial `p(x) = Σ_k segs[k] · x^k` at `±β`:
+/// for each `(β, signs)` of `pairs` in order, `p(β)` then `p(−β)`, each
+/// only where `signs` asks for it (so `out` holds one vector per
+/// requested sign). The segments are borrowed views, so a caller can
+/// encode straight from chunks of a longer vector.
 ///
-/// Where the field has a multi-point kernel for the active backend
-/// ([`Field::simd_eval_points`]) the segments are read once per strip
-/// for all the points; otherwise — the scalar backend, `Fp32`, points
-/// the kernel does not take — this is [`horner_eval`] per point, and
-/// the result is the same either way.
+/// With `p(x) = E(x²) + x·O(x²)` split into its even and odd
+/// coefficients, `p(±β) = E(β²) ± β·O(β²)`: a pair costs the Horner
+/// steps of one point. Where the field has a pair kernel for the
+/// active backend ([`Field::simd_eval_pairs`]) the segments are read
+/// once per strip for all the `β` and each result is stored once;
+/// otherwise — the scalar backend, `Fp32`, a `β` the kernel does not
+/// take — a pair is the two halves through [`horner_eval`] at `β²` and
+/// one pass forming the sum and difference, and a lone sign is
+/// [`horner_eval`] at its point. The result is the same either way.
 ///
 /// # Panics
 ///
 /// Panics if `segs` is empty or the segments have different lengths.
-pub fn eval_points<F: Field>(segs: &[&[F]], points: &[F]) -> Vec<Vec<F>> {
+pub fn eval_pairs<F: Field>(segs: &[&[F]], pairs: &[(F, Signs)]) -> Vec<Vec<F>> {
     assert!(!segs.is_empty(), "no segments to evaluate");
     let len = segs[0].len();
     for seg in segs {
@@ -328,11 +354,37 @@ pub fn eval_points<F: Field>(segs: &[&[F]], points: &[F]) -> Vec<Vec<F>> {
     }
     let backend = simd::backend();
     if backend != simd::Backend::Scalar {
-        if let Some(out) = F::simd_eval_points(backend, segs, points) {
+        if let Some(out) = F::simd_eval_pairs(backend, segs, pairs) {
             return out;
         }
     }
-    points.iter().map(|&p| horner_eval(segs, p)).collect()
+    let half =
+        |parity: usize| -> Vec<&[F]> { segs.iter().skip(parity).step_by(2).copied().collect() };
+    let mut halves = None;
+    let mut out = Vec::with_capacity(2 * pairs.len());
+    for &(beta, signs) in pairs {
+        match signs {
+            Signs::Plus => out.push(horner_eval(segs, beta)),
+            Signs::Minus => out.push(horner_eval(segs, -beta)),
+            Signs::Both => {
+                let (even, odd) = halves.get_or_insert_with(|| (half(0), half(1)));
+                let square = beta * beta;
+                let mut plus = horner_eval(even, square);
+                let mut minus = if odd.is_empty() {
+                    vec![F::ZERO; len]
+                } else {
+                    horner_eval(odd, square)
+                };
+                for (e, o) in plus.iter_mut().zip(minus.iter_mut()) {
+                    let t = beta * *o;
+                    (*e, *o) = (*e + t, *e - t);
+                }
+                out.push(plus);
+                out.push(minus);
+            }
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------

@@ -24,6 +24,11 @@
 //! 3. CPU feature detection (`is_x86_feature_detected!`) on x86_64;
 //!    every other architecture runs the portable path.
 //!
+//! `Avx512` differs from `Avx2` only where a kernel has a 512-bit body:
+//! the ChaCha20 keystream and the `Fp61` pair kernel behind
+//! [`crate::ops::eval_pairs`]. Every other field kernel runs its AVX2
+//! body under both.
+//!
 //! Every SIMD kernel is required to be **bit-identical** to its scalar
 //! oracle on all inputs — the backends only trade instruction count,
 //! never results. `crates/field/tests/kernel_equivalence.rs` pins this
@@ -40,8 +45,9 @@ pub enum Backend {
     Scalar,
     /// 4-lane `u64` AVX2 kernels (x86_64 only).
     Avx2,
-    /// The 16-block AVX-512F ChaCha20 keystream, with the AVX2 field
-    /// kernels (x86_64 hosts with both features only).
+    /// The 16-block AVX-512F ChaCha20 keystream and the `Fp61` pair
+    /// kernel on eight-lane `zmm` registers, with the AVX2 field kernels
+    /// otherwise (x86_64 hosts with both features only).
     Avx512,
 }
 

@@ -13,13 +13,15 @@
 //! the same inputs. On hosts without AVX2 the sweep degenerates to the
 //! scalar backend alone.
 //!
-//! The Vandermonde encode (`lsa_coding`) is the multi-point kernel's
-//! one caller, and it does not evaluate at its own points: it splits
-//! the segments into even and odd halves, evaluates both at `β²` and
-//! combines them into `p(±β)`. So the split encode is held to the
-//! per-point Horner reference here too, at every `±β`.
+//! The Vandermonde encode (`lsa_coding`) is the pair kernel's one
+//! caller: it asks for `p(β)`, `p(−β)` or both at each `β`, and the
+//! kernel splits the segments into even and odd halves, evaluates both
+//! at `β²` and combines them into `p(±β)`. So the pair evaluation and
+//! the encode are held to the per-point Horner reference here, at every
+//! `±β`.
 
 use lsa_coding::VandermondeCode;
+use lsa_field::ops::Signs;
 use lsa_field::{ops, simd, Field, Fp32, Fp61};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,24 +61,46 @@ fn polynomial<F: Field>(base: &[F], degree: usize, mix: F) -> Vec<Vec<F>> {
         .collect()
 }
 
-/// First evaluation point the `Fp61` AVX2 Horner kernel does not take.
-const FAST_POINTS: u64 = 1 << 20;
+/// First `β` the `Fp61` pair kernel does not take (`β²` reaches the
+/// single-limb step's limit `2^20`).
+const FAST_BETAS: u64 = 1 << 10;
 
 fn views<F>(segs: &[Vec<F>]) -> Vec<&[F]> {
     segs.iter().map(Vec::as_slice).collect()
 }
 
-/// `ops::eval_points` equals `ops::reference::horner_eval` point by
-/// point, under every backend.
-fn assert_eval_points_match<F: Field>(segs: &[Vec<F>], points: &[F]) {
-    let expect: Vec<Vec<F>> = points
-        .iter()
-        .map(|&p| ops::reference::horner_eval(segs, p))
-        .collect();
+/// `ops::eval_pairs` equals `ops::reference::horner_eval` at every `±β`
+/// asked for, under every backend.
+fn assert_eval_pairs_match<F: Field>(segs: &[Vec<F>], pairs: &[(F, Signs)]) {
+    let mut expect = Vec::new();
+    for &(beta, signs) in pairs {
+        if signs != Signs::Minus {
+            expect.push(ops::reference::horner_eval(segs, beta));
+        }
+        if signs != Signs::Plus {
+            expect.push(ops::reference::horner_eval(segs, -beta));
+        }
+    }
     for_each_backend(|b| {
-        let got = ops::eval_points(&views(segs), points);
+        let got = ops::eval_pairs(&views(segs), pairs);
         assert_eq!(got, expect, "backend {}", b.name());
     });
+}
+
+/// `β = 1, 2, …` with the signs cycling through `Both`, `Plus`, `Minus`
+/// (all `Both` with `both`).
+fn pairs<F: Field>(betas: impl IntoIterator<Item = u64>, both: bool) -> Vec<(F, Signs)> {
+    let cycle = [Signs::Both, Signs::Plus, Signs::Minus];
+    betas
+        .into_iter()
+        .enumerate()
+        .map(|(i, b)| {
+            (
+                F::from_u64(b),
+                if both { Signs::Both } else { cycle[i % 3] },
+            )
+        })
+        .collect()
 }
 
 /// The split encode of an `n`-user code over `segs` equals
@@ -193,20 +217,21 @@ macro_rules! kernel_equivalence {
                     });
                 }
 
-                /// Multi-point evaluation against the per-point Horner
-                /// reference: segment lengths around the 8-element
-                /// strip (0, below 8, not a multiple of 8) and point
-                /// counts around the 4-point register block.
+                /// Pair evaluation against the per-point Horner
+                /// reference: segment lengths around the 8- and
+                /// 16-element strips (0, below 8, not a multiple of 8),
+                /// `β` counts around the 4-point register block, and
+                /// every mix of signs.
                 #[test]
                 fn eval_points_matches_reference(
                     base in $vector(0..40),
                     degree in 1usize..10,
-                    count in 0usize..11,
+                    count in 0u64..11,
+                    both in any::<bool>(),
                     mix in $scalar(),
                 ) {
                     let segs = polynomial(&base, degree, mix);
-                    let points = lsa_field::evaluation_points::<$F>(count);
-                    assert_eval_points_match(&segs, &points);
+                    assert_eval_pairs_match(&segs, &pairs::<$F>(1..=count, both));
                 }
 
                 /// The split encode at every `±β`: odd and even `N`
@@ -297,22 +322,49 @@ macro_rules! kernel_equivalence {
 
             /// The no-fold Horner bound at its worst: every residue
             /// `q−1`, degrees past the paper's `U = 150`, and the
-            /// largest point the single-limb step takes among the
-            /// points (seven of them: one register block and a
-            /// remainder of three; eleven elements: one strip and a
-            /// scalar tail).
+            /// largest `β` the pair kernel takes among the `β` (seven
+            /// of them: one register block and a remainder of three;
+            /// 33 elements: two 16-element strips and a one-element
+            /// tail).
             #[test]
             fn eval_points_worst_case_all_q_minus_one() {
                 let q1 = <$F>::from_u64(<$F>::MODULUS - 1);
-                let points: Vec<$F> = [1, 2, 3, 64, 200, FAST_POINTS - 2, FAST_POINTS - 1]
-                    .map(<$F>::from_u64)
-                    .to_vec();
+                let betas = [1, 2, 3, 64, 200, FAST_BETAS - 2, FAST_BETAS - 1];
                 for degree in [48usize, 150, 1000] {
-                    let segs = vec![vec![q1; 11]; degree];
-                    assert_eval_points_match(&segs, &points);
-                    // closed form at β = 1: Σ (−1) over `degree` terms
-                    let at_one = ops::eval_points(&views(&segs), &points[..1]);
+                    let segs = vec![vec![q1; 33]; degree];
+                    assert_eval_pairs_match(&segs, &pairs::<$F>(betas, true));
+                    assert_eval_pairs_match(&segs, &pairs::<$F>(betas, false));
+                    // closed form at β = ±1: Σ (−1) over `degree` terms,
+                    // and the alternating sum of an even number of them
+                    let at_one = ops::eval_pairs(&views(&segs), &pairs::<$F>([1], true));
                     assert_eq!(at_one[0][0], <$F>::from_i64(-(degree as i64)));
+                    assert_eq!(at_one[1][0], <$F>::ZERO);
+                }
+            }
+
+            /// The pair kernel at every edge of its shape: segment
+            /// lengths around the 8- and 16-element strips (the `zmm`
+            /// masked tails) and the 64-element panel, `β` counts that leave 0–3 after the
+            /// 4-point blocks, `U ∈ {1, 2, 3}` (no odd half, a
+            /// one-segment odd half) and a longer `U`, with each sign
+            /// mix.
+            #[test]
+            fn eval_pairs_at_strip_and_block_edges() {
+                let mut rng = StdRng::seed_from_u64(19);
+                for len in [1, 7, 8, 15, 16, 17, 31, 33, 64, 65, 100] {
+                    for u in [1, 2, 3, 9] {
+                        let segs: Vec<Vec<$F>> =
+                            (0..u).map(|_| ops::random_vector(len, &mut rng)).collect();
+                        for count in 1..=7 {
+                            for both in [true, false] {
+                                assert_eval_pairs_match(&segs, &pairs::<$F>(1..=count, both));
+                            }
+                            let minus: Vec<($F, Signs)> = (1..=count)
+                                .map(|b| (<$F>::from_u64(b), Signs::Minus))
+                                .collect();
+                            assert_eval_pairs_match(&segs, &minus);
+                        }
+                    }
                 }
             }
 
@@ -337,35 +389,39 @@ macro_rules! kernel_equivalence {
                 }
             }
 
-            /// `2^20 − 1` is the last point the single-limb step takes
-            /// and `2^20` the first that falls back: alone, together,
-            /// and mixed with small points, the answer is the
-            /// reference's.
+            /// `2^10 − 1` is the last `β` the pair kernel takes and
+            /// `2^10` the first that falls back: alone, together, and
+            /// mixed with small `β`, the answer is the reference's. So
+            /// is it at a `β` whose square is small but which is not
+            /// (`q − 5`, `u64::MAX` reduced).
             #[test]
             fn eval_points_across_the_fast_point_limit() {
                 let mut rng = StdRng::seed_from_u64(17);
                 let segs: Vec<Vec<$F>> = (0..9).map(|_| ops::random_vector(21, &mut rng)).collect();
-                for points in [
-                    vec![FAST_POINTS - 1],
-                    vec![FAST_POINTS - 1, FAST_POINTS],
-                    vec![FAST_POINTS - 1, 1, 2, 3, FAST_POINTS - 1],
-                    vec![5, FAST_POINTS, 6, u64::MAX],
+                for betas in [
+                    vec![FAST_BETAS - 1],
+                    vec![FAST_BETAS - 1, FAST_BETAS],
+                    vec![FAST_BETAS - 1, 1, 2, 3, FAST_BETAS - 1],
+                    vec![5, FAST_BETAS, 6, u64::MAX],
+                    vec![<$F>::MODULUS - 5, 1],
                 ] {
-                    let points: Vec<$F> = points.into_iter().map(<$F>::from_u64).collect();
-                    assert_eval_points_match(&segs, &points);
+                    for both in [true, false] {
+                        assert_eval_pairs_match(&segs, &pairs::<$F>(betas.clone(), both));
+                    }
                 }
             }
 
-            /// Long segments (32 781 elements: many 8-element strips
-            /// and a scalar tail) with a point count (9) that is not a
-            /// whole number of 4-point register blocks.
+            /// Long segments (32 781 elements: many strips and a short
+            /// tail) with a `β` count (9) that is not a whole number of
+            /// 4-point register blocks.
             #[test]
             fn eval_points_long_segments_match_reference() {
                 let mut rng = StdRng::seed_from_u64(18);
                 let len = 32_781;
                 let segs: Vec<Vec<$F>> =
                     (0..3).map(|_| ops::random_vector(len, &mut rng)).collect();
-                assert_eval_points_match(&segs, &lsa_field::evaluation_points::<$F>(9));
+                assert_eval_pairs_match(&segs, &pairs::<$F>(1..=9, true));
+                assert_eval_pairs_match(&segs, &pairs::<$F>(1..=9, false));
                 assert_encode_matches(9, &segs);
             }
 

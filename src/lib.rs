@@ -45,3 +45,8 @@ pub use lsa_net as net;
 pub use lsa_protocol as protocol;
 pub use lsa_quantize as quantize;
 pub use lsa_sim as sim;
+
+/// README.md's Rust blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
