@@ -17,7 +17,7 @@
 //! the matrix a full cross-product a reviewer can diff PR-over-PR
 //! without holes.
 //!
-//! Rounds run over [`SimTransport`], so per-phase wall clock is priced
+//! Rounds run over a timed [`MemTransport`], so per-phase wall clock is priced
 //! from the actual serialized envelope bytes crossing the
 //! discrete-event network, and byte columns match what a distributed
 //! run moves (minus TCP framing, reported separately — see
@@ -30,7 +30,7 @@ use lsa_protocol::federation::{
 };
 use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
-use lsa_protocol::transport::SimTransport;
+use lsa_protocol::transport::MemTransport;
 use lsa_protocol::{DropoutSchedule, LsaConfig, PadTopology, ProtocolError, RatchetPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -252,7 +252,7 @@ pub fn workload<F: Field>(p: &MatrixParams, seed: u64) -> Vec<RoundPlan<F>> {
 }
 
 /// Build the federation a cell runs: the mode's variant and topology
-/// over a fresh [`SimTransport`] per aggregation domain.
+/// over a fresh timed [`MemTransport`] per aggregation domain.
 ///
 /// # Errors
 ///
@@ -267,13 +267,13 @@ pub fn build_aggregator<F: Field>(
     let agg: BoxedAggregator<F> = match (mode.variant, mode.topo) {
         (Variant::Sync, Topo::Flat) => Box::new(SyncFederation::new(
             p.flat_config()?.with_ratchet(policy),
-            SimTransport::new(net, Duplex::Full),
+            MemTransport::timed(net, Duplex::Full),
             seed,
         )?),
         (Variant::Sync, topo) => {
             let grouped = GroupedFederation::new(
                 p.topology(topo)?.with_ratchet(policy),
-                SimTransport::new(net, Duplex::Full),
+                MemTransport::timed(net, Duplex::Full),
                 seed,
             )?;
             if mode.partial {
@@ -284,7 +284,7 @@ pub fn build_aggregator<F: Field>(
         }
         (Variant::Buffered, Topo::Flat) => Box::new(BufferedFederation::unit_weight(
             p.flat_config()?.with_ratchet(policy),
-            SimTransport::new(net, Duplex::Full),
+            MemTransport::timed(net, Duplex::Full),
             seed,
         )?),
         (Variant::Buffered, topo) => {
@@ -317,7 +317,7 @@ fn buffered_tree<F: Field>(
         .map(|&cfg| -> Result<BoxedAggregator<F>, ProtocolError> {
             Ok(Box::new(BufferedFederation::unit_weight(
                 cfg,
-                SimTransport::new(net, Duplex::Full),
+                MemTransport::timed(net, Duplex::Full),
                 master.gen(),
             )?))
         })

@@ -18,7 +18,7 @@ use lsa_protocol::federation::{
     BoxedAggregator, BufferedFederation, Federation, RoundPlan, SyncFederation,
 };
 use lsa_protocol::topology::{GroupTopology, GroupedFederation, TopologyNode};
-use lsa_protocol::transport::SimTransport;
+use lsa_protocol::transport::MemTransport;
 use lsa_protocol::{LsaConfig, PadTopology, ProtocolError, RatchetPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +62,7 @@ fn direct_federation<F: Field>(
             children.push(match sub.root() {
                 TopologyNode::Leaf(cfg) => Box::new(BufferedFederation::unit_weight(
                     *cfg,
-                    SimTransport::new(net, Duplex::Full),
+                    MemTransport::timed(net, Duplex::Full),
                     master.gen(),
                 )?),
                 TopologyNode::Internal(_) => Box::new(buffered(&sub, net, master)?),
@@ -73,13 +73,13 @@ fn direct_federation<F: Field>(
     let agg: BoxedAggregator<F> = match (mode.variant, mode.topo) {
         (Variant::Sync, Topo::Flat) => Box::new(SyncFederation::new(
             flat,
-            SimTransport::new(net, Duplex::Full),
+            MemTransport::timed(net, Duplex::Full),
             seed,
         )?),
         (Variant::Sync, topo) => {
             let grouped = GroupedFederation::new(
                 topology(topo)?,
-                SimTransport::new(net, Duplex::Full),
+                MemTransport::timed(net, Duplex::Full),
                 seed,
             )?;
             if mode.partial {
@@ -90,7 +90,7 @@ fn direct_federation<F: Field>(
         }
         (Variant::Buffered, Topo::Flat) => Box::new(BufferedFederation::unit_weight(
             flat,
-            SimTransport::new(net, Duplex::Full),
+            MemTransport::timed(net, Duplex::Full),
             seed,
         )?),
         (Variant::Buffered, topo) => {

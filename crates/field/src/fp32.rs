@@ -114,16 +114,6 @@ impl Field for Fp32 {
         false
     }
 
-    fn simd_dot(backend: crate::simd::Backend, x: &[Self], y: &[Self]) -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if backend.has_avx2() {
-            // SAFETY: as in `simd_weighted_block`.
-            return Some(unsafe { avx2::dot(x, y) });
-        }
-        let _ = (backend, x, y);
-        None
-    }
-
     fn simd_add_words(
         backend: crate::simd::Backend,
         acc: &mut [Self],
@@ -281,50 +271,6 @@ mod avx2 {
         }
     }
 
-    /// Inner product: four parallel lane accumulators with the scalar
-    /// re-fold cadence per lane, collapsed exactly at the end.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn dot(x: &[Fp32], y: &[Fp32]) -> Fp32 {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let mask32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-        let mut acc = _mm256_setzero_si256();
-        let mut terms: u64 = 0;
-        let mut k = 0;
-        while k + 4 <= n {
-            if terms == Fp32::WIDE_CAPACITY {
-                // lanewise canonical re-fold, mirroring the scalar kernel
-                let mut lanes = [0u64; 4];
-                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-                for l in lanes.iter_mut() {
-                    *l = Fp32::wide_reduce(*l).to_wide();
-                }
-                acc = _mm256_loadu_si256(lanes.as_ptr() as *const __m256i);
-                terms = 1;
-            }
-            let xs = _mm256_cvtepu32_epi64(_mm_loadu_si128(x.as_ptr().add(k) as *const __m128i));
-            let ys = _mm256_cvtepu32_epi64(_mm_loadu_si128(y.as_ptr().add(k) as *const __m128i));
-            let t = _mm256_mul_epu32(xs, ys);
-            acc = _mm256_add_epi64(acc, fold(t, mask32));
-            terms += 1;
-            k += 4;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        // canonical per-lane residues sum to < 4·2^32; tail terms are
-        // each < 6·2^32, so the u64 accumulator has ample headroom
-        let mut wide: u64 = lanes.iter().map(|&l| Fp32::wide_reduce(l).residue()).sum();
-        while k < n {
-            wide = Fp32::wide_mul_add(wide, x[k], y[k]);
-            k += 1;
-        }
-        Fp32::wide_reduce(wide)
-    }
-
     /// The one-pass pad step (see [`Field::simd_add_words`] for the
     /// contract), sixteen words a group in `u32` lanes: stop at a group
     /// holding a word `≥ q`, and add into the mask as `a − (q − w)`,
@@ -407,20 +353,6 @@ mod avx2 {
             unsafe { weighted_block(&mut simd_out, &coeffs, &inputs, 0) };
             crate::ops::reference::weighted_sum_into(&mut scalar_out, &coeffs, &inputs);
             assert_eq!(simd_out, scalar_out);
-        }
-
-        #[test]
-        fn dot_worst_case_matches_scalar() {
-            if !detected().has_avx2() {
-                return;
-            }
-            // 4·k + 3 so a 3-element scalar tail follows the lane loop
-            let len = 4 * 25 + 3;
-            let x = vec![worst(); len];
-            let y = vec![worst(); len];
-            // SAFETY: detection checked above.
-            let got = unsafe { dot(&x, &y) };
-            assert_eq!(got, crate::ops::reference::dot(&x, &y));
         }
     }
 }

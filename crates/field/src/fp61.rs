@@ -147,16 +147,6 @@ impl Field for Fp61 {
         None
     }
 
-    fn simd_dot(backend: crate::simd::Backend, x: &[Self], y: &[Self]) -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if backend.has_avx2() {
-            // SAFETY: as in `simd_weighted_block`.
-            return Some(unsafe { avx2::dot(x, y) });
-        }
-        let _ = (backend, x, y);
-        None
-    }
-
     fn simd_add_words(
         backend: crate::simd::Backend,
         acc: &mut [Self],
@@ -260,15 +250,6 @@ mod avx2 {
         let f11 = _mm256_slli_epi64::<3>(p11);
         let term = _mm256_add_epi64(f00, _mm256_add_epi64(fm, f11));
         fold(term, p)
-    }
-
-    /// Re-fold every lane of a scratch back under `2^61 + 8` (each
-    /// folded lane thereafter counts as one absorbed term).
-    #[inline]
-    fn refold(wide: &mut [u64]) {
-        for w in wide.iter_mut() {
-            *w = (*w >> 61) + (*w & P61);
-        }
     }
 
     /// Collapse a lane accumulator to its canonical residue.
@@ -388,47 +369,6 @@ mod avx2 {
             block[k] = Fp61(lane_reduce(acc));
             k += 1;
         }
-    }
-
-    /// Inner product: four parallel lane accumulators on the
-    /// [`LANE_CAPACITY`] cadence, collapsed exactly at the end.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn dot(x: &[Fp61], y: &[Fp61]) -> Fp61 {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let p = _mm256_set1_epi64x(P61 as i64);
-        let mut acc = _mm256_setzero_si256();
-        let mut terms: u64 = 0;
-        let mut k = 0;
-        while k + 4 <= n {
-            if terms == LANE_CAPACITY {
-                let mut lanes = [0u64; 4];
-                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-                refold(&mut lanes);
-                acc = _mm256_loadu_si256(lanes.as_ptr() as *const __m256i);
-                terms = 1;
-            }
-            let xs = _mm256_loadu_si256(x.as_ptr().add(k) as *const __m256i);
-            let xs_hi = _mm256_srli_epi64::<32>(xs);
-            let ys = _mm256_loadu_si256(y.as_ptr().add(k) as *const __m256i);
-            acc = _mm256_add_epi64(acc, mul_term(xs, xs_hi, ys, p));
-            terms += 1;
-            k += 4;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        // canonical lane residues sum below 2^63; tail products ride the
-        // scalar unfolded-u128 path, which has capacity to spare
-        let mut wide: u128 = lanes.iter().map(|&l| lane_reduce(l) as u128).sum();
-        while k < n {
-            wide = Fp61::wide_mul_add(wide, x[k], y[k]);
-            k += 1;
-        }
-        Fp61::wide_reduce(wide)
     }
 
     /// The one-pass pad step (see [`Field::simd_add_words`] for the
@@ -890,20 +830,6 @@ mod avx2 {
             unsafe { weighted_block(&mut simd_out, &coeffs, &inputs, 0) };
             crate::ops::reference::weighted_sum_into(&mut scalar_out, &coeffs, &inputs);
             assert_eq!(simd_out, scalar_out);
-        }
-
-        #[test]
-        fn dot_worst_case_matches_scalar() {
-            if !detected().has_avx2() {
-                return;
-            }
-            // long enough to re-fold, with a 3-element scalar tail
-            let len = 4 * (LANE_CAPACITY as usize) * 3 + 3;
-            let x = vec![worst(); len];
-            let y = vec![worst(); len];
-            // SAFETY: detection checked above.
-            let got = unsafe { dot(&x, &y) };
-            assert_eq!(got, crate::ops::reference::dot(&x, &y));
         }
 
         /// Every lane of [`horner_step_vec`] from splats of `acc`, `β`

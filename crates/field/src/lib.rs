@@ -160,14 +160,6 @@ pub trait Field:
         None
     }
 
-    /// SIMD inner product `Σ x[k]·y[k]`, or `None` when this field has
-    /// no kernel for `backend`. Same bit-identical contract as
-    /// [`Field::simd_weighted_block`].
-    fn simd_dot(backend: simd::Backend, x: &[Self], y: &[Self]) -> Option<Self> {
-        let _ = (backend, x, y);
-        None
-    }
-
     /// SIMD one-pass pad step: `acc[k] += w_k` (`-=` with `subtract`)
     /// for the keystream words `w_k` of `words` — consecutive
     /// `⌈BITS/8⌉`-byte little-endian words masked to `BITS` bits, one per

@@ -125,13 +125,6 @@ pub fn scale_assign<F: Field>(x: &mut [F], c: F) {
 /// Panics if the slices have different lengths.
 pub fn dot<F: Field>(x: &[F], y: &[F]) -> F {
     assert_eq!(x.len(), y.len(), "vector length mismatch");
-    // one dispatch per bulk call, never per element
-    let backend = simd::backend();
-    if backend != simd::Backend::Scalar {
-        if let Some(r) = F::simd_dot(backend, x, y) {
-            return r;
-        }
-    }
     let mut acc = F::ZERO.to_wide();
     let mut terms: u64 = 0;
     for (&a, &b) in x.iter().zip(y) {
@@ -444,12 +437,6 @@ pub mod reference {
         for (a, b) in acc.iter_mut().zip(x) {
             *a += c * *b;
         }
-    }
-
-    /// Scalar inner product, reduced per term.
-    pub fn dot<F: Field>(x: &[F], y: &[F]) -> F {
-        assert_eq!(x.len(), y.len(), "vector length mismatch");
-        x.iter().zip(y).map(|(a, b)| *a * *b).sum()
     }
 
     /// Scalar multi-axpy: one reduced axpy sweep per input.

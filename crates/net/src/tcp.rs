@@ -32,7 +32,8 @@
 //!
 //! # Accounting
 //!
-//! `bytes_sent`/`timings` mirror `SimTransport`: bytes count the
+//! `bytes_sent`/`timings` mirror a timed in-memory transport
+//! (`lsa_protocol`'s `MemTransport::timed`): bytes count the
 //! serialized payloads (not the 14-byte frame overhead), and
 //! [`TcpTransport::flush_phase`] cuts a [`PhaseTiming`] whose
 //! `messages`/`bytes` are the sends since the previous cut and whose

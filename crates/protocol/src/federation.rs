@@ -1022,8 +1022,8 @@ impl<F: Field, T: Transport<F>> LeafFederation<F, T> {
         &self.transport
     }
 
-    /// Mutable access to the transport (e.g. to advance a simulated
-    /// clock between rounds).
+    /// Mutable access to the transport (e.g. to inject a fault, start a
+    /// transcript or send a forged envelope between rounds).
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
     }
@@ -1743,7 +1743,7 @@ fn drive_open_round<F: Field>(
     // round's participants are still computing their updates. It
     // must run *before* the submissions so its transport flush
     // carries only mask traffic — otherwise pending uploads would be
-    // mis-billed to the overlapped offline phase on a SimTransport.
+    // mis-billed to the overlapped offline phase on a timed link.
     if let Some(next) = &plan.prepare_next {
         aggregator.prepare_next(next)?;
     }
@@ -1970,17 +1970,16 @@ mod tests {
 
     #[test]
     fn overlap_phase_never_swallows_upload_traffic() {
-        // over SimTransport the overlapped offline exchange must be
+        // over a timed link the overlapped offline exchange must be
         // billed to "offline-overlap" and the masked uploads to
         // "upload" — the critical-path accounting the bench relies on
-        use crate::transport::SimTransport;
         use lsa_net::{Duplex, NetworkConfig};
 
         let cfg = cfg();
         let n = cfg.n();
         let sync = SyncFederation::new(
             cfg,
-            SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full),
+            MemTransport::timed(NetworkConfig::paper_default(n), Duplex::Full),
             4,
         )
         .unwrap();
@@ -1992,9 +1991,9 @@ mod tests {
 
         // downcast not available through the trait object; rebuild the
         // same run on a concrete federation to inspect timings
-        let mut sync = SyncFederation::<Fp61, SimTransport>::new(
+        let mut sync = SyncFederation::<Fp61, MemTransport>::new(
             cfg,
-            SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full),
+            MemTransport::timed(NetworkConfig::paper_default(n), Duplex::Full),
             4,
         )
         .unwrap();
@@ -2004,9 +2003,7 @@ mod tests {
             sync.submit(id, &update).unwrap();
         }
         sync.finish_round().unwrap();
-        let phases: Vec<(&str, usize)> = sync
-            .transport()
-            .timings()
+        let phases: Vec<(&str, usize)> = Transport::<Fp61>::timings(sync.transport())
             .iter()
             .map(|t| (t.label, t.messages))
             .collect();
@@ -2277,15 +2274,14 @@ mod tests {
     /// are the `CodedMaskShare` payloads that went on the wire, and the
     /// pair seeds its pads use hash exactly those payloads.
     fn reencoded_shares_are_the_wire_shares<F: Field>(topology: ratchet::PadTopology) {
-        use crate::transport::FaultTransport;
         let name = format!("{topology:?}");
         let cfg = cfg().with_ratchet(ratchet::RatchetPolicy::new(true, topology, 1));
         let code = VandermondeCode::<F>::new(cfg.n(), cfg.u()).unwrap();
-        let mut fed = SyncFederation::<F, _>::new(cfg, FaultTransport::new(), 36).unwrap();
-        let transcript = fed.transport().transcript();
+        let mut fed = SyncFederation::<F, _>::new(cfg, MemTransport::new(), 36).unwrap();
+        let transcript = fed.transport_mut().transcript();
         let everyone: Vec<usize> = (0..cfg.n()).collect();
         let model = vec![F::ONE; cfg.d()];
-        let run = |fed: &mut SyncFederation<F, FaultTransport>| {
+        let run = |fed: &mut SyncFederation<F, MemTransport>| {
             for &id in &everyone {
                 fed.submit(id, &model).unwrap();
             }
@@ -2352,14 +2348,13 @@ mod tests {
 
     #[test]
     fn recovery_answers_are_exact_whether_summed_or_retained() {
-        use crate::transport::FaultTransport;
         use crate::wire::{AggregatedShare, SurvivorAnnouncement};
         let everyone: Vec<usize> = (0..5).collect();
         for policy in policies() {
             let name = format!("{policy:?}");
             let cfg = cfg().with_ratchet(policy);
-            let mut fed = SyncFederation::<Fp61, _>::new(cfg, FaultTransport::new(), 35).unwrap();
-            let transcript = fed.transport().transcript();
+            let mut fed = SyncFederation::<Fp61, _>::new(cfg, MemTransport::new(), 35).unwrap();
+            let transcript = fed.transport_mut().transcript();
             let mut retained: Option<*const Fp61> = None;
             for round in 0..4 {
                 fed.open_round(&everyone).unwrap();

@@ -35,10 +35,11 @@
 //!   interface of every endpoint: pure event-driven state machines,
 //!   entropy injected at construction, never during message handling;
 //! * [`transport`] — the [`transport::Transport`] trait with
-//!   [`transport::MemTransport`] (ordered in-memory queues) and
-//!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
-//!   network, so protocol bytes pay simulated bandwidth/latency and
-//!   phase timings come from real serialized message sizes);
+//!   [`transport::MemTransport`]: ordered in-memory queues, optionally
+//!   over a link on the [`lsa_net`] discrete-event network
+//!   ([`transport::MemTransport::timed`]), so protocol bytes pay
+//!   simulated bandwidth/latency and phase timings come from real
+//!   serialized message sizes;
 //! * [`FederationClient`] and [`FederationServer`] — the user and the
 //!   server of both variants, each one persistent [`session::Session`]
 //!   that serves every round itself;
@@ -53,8 +54,8 @@
 //!
 //! # Example: 3 users, 1 dropout, 1 colluder — the paper's Figure 3
 //!
-//! Swap [`transport::MemTransport`] for [`transport::SimTransport`] and
-//! the identical protocol bytes pay simulated network time.
+//! Build the transport with [`transport::MemTransport::timed`] instead
+//! and the identical protocol bytes pay simulated network time.
 //!
 //! ```
 //! use lsa_protocol::transport::MemTransport;

@@ -75,13 +75,8 @@ use crate::ProtocolError;
 use lsa_field::Field;
 
 /// A protocol endpoint address: where an envelope should be delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Recipient {
-    /// User (client) `i`.
-    Client(usize),
-    /// The aggregation server.
-    Server,
-}
+/// The network's endpoint type, so every transport routes on it as is.
+pub use lsa_net::NodeId as Recipient;
 
 /// An envelope together with its destination.
 pub(crate) type Outgoing<F> = (Recipient, Envelope<F>);

@@ -6,30 +6,29 @@
 //! every hop and a transport knows the exact size of everything it
 //! moves. The leaf driver ([`crate::federation`]) receives after every
 //! sender, so a backend that delivers immediately holds one sender's
-//! envelopes at a time; one that delivers at [`Transport::flush`]
-//! (`SimTransport`) sees whole phases, as it always did.
+//! envelopes at a time; one that delivers at [`Transport::flush`] (a
+//! timed [`MemTransport`]) sees whole phases, as it always did.
 //!
-//! Three backends ship with the workspace:
+//! Two backends ship with the workspace:
 //!
 //! * [`MemTransport`] — ordered in-memory queues; the default for tests
-//!   and in-process federations;
-//! * [`SimTransport`] — drives the [`lsa_net`] discrete-event network so
-//!   protocol bytes pay simulated bandwidth and latency; phase timings
-//!   come from the *actual serialized envelope sizes*, not a
-//!   side-channel cost model;
+//!   and in-process federations. [`MemTransport::timed`] gives it a
+//!   link on the [`lsa_net`] discrete-event network: frames then wait
+//!   for `flush`, which prices the phase from the *actual serialized
+//!   envelope sizes* (not a side-channel cost model) and delivers in
+//!   arrival order. Either way, [`MemTransport::inject`] aims a
+//!   [`Fault`] at one frame and [`MemTransport::transcript`] records
+//!   what `recv` delivered;
 //! * [`lsa_net::TcpTransport`] — real blocking sockets over `std::net`;
 //!   this module implements [`Transport`] for it so the same poll-based
 //!   sessions run unchanged across OS processes (Wire-v2 envelopes in
 //!   length-prefixed frames).
-//!
-//! [`FaultTransport`] wraps a [`MemTransport`] for tests: it records
-//! what it delivers and duplicates or bit-flips an addressed frame.
 
 use crate::session::Recipient;
 use crate::wire::{Envelope, EnvelopeKind};
 use crate::ProtocolError;
 use lsa_field::Field;
-use lsa_net::{Duplex, Network, NetworkConfig, NodeId, TcpTransport, Transfer};
+use lsa_net::{Duplex, Network, NetworkConfig, TcpTransport, Transfer};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -75,9 +74,9 @@ pub trait Transport<F: Field> {
     /// decode (corruption).
     fn recv(&mut self) -> Result<Option<Delivery<F>>, ProtocolError>;
 
-    /// Mark a protocol phase boundary named `label`. Queue-based
-    /// transports ignore this; simulated transports schedule everything
-    /// sent since the previous boundary and advance their clock.
+    /// Mark a protocol phase boundary named `label`. Untimed transports
+    /// ignore this; timed ones schedule everything sent since the
+    /// previous boundary and advance their clock.
     fn flush(&mut self, label: &'static str) {
         let _ = label;
     }
@@ -97,10 +96,10 @@ pub trait Transport<F: Field> {
     }
 
     /// Transport framing overhead sent on top of [`Self::bytes_sent`]:
-    /// 0 for in-memory and simulated backends (an envelope *is* its
-    /// payload there), [`lsa_net::FRAME_OVERHEAD`] per frame for TCP.
-    /// Kept separate so the payload-byte column is identical across
-    /// backends for the same round.
+    /// 0 for in-memory backends (an envelope *is* its payload there),
+    /// [`lsa_net::FRAME_OVERHEAD`] per frame for TCP. Kept separate so
+    /// the payload-byte column is identical across backends for the
+    /// same round.
     fn framing_bytes(&self) -> usize {
         0
     }
@@ -121,15 +120,63 @@ pub trait Transport<F: Field> {
 // MemTransport
 // ---------------------------------------------------------------------
 
+/// One frame in flight: sender, destination and the serialized envelope.
+type Frame = (Recipient, Recipient, Vec<u8>);
+
+/// What [`MemTransport::inject`] does to the one frame a fault is aimed
+/// at. A fault acts on the frame where it waits: in the queue, or, on a
+/// timed transport, on the link before `flush` prices the phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Send the frame twice; `bytes_sent` still counts one send. On a
+    /// timed transport the copy crosses the link like any other frame:
+    /// it is priced, and counted in its phase's `messages` and `bytes`.
+    Duplicate,
+    /// XOR byte `byte` of the frame with `mask` (byte 0 is the envelope
+    /// tag), so the receiver's decoder sees the damage. The send panics
+    /// if the frame is shorter.
+    Flip { byte: usize, mask: u8 },
+}
+
+/// The `(from, to, bytes)` frames a [`MemTransport`] delivered, in
+/// order, behind a handle that stays readable while a federation owns it.
+pub type Transcript = Arc<Mutex<Vec<(Recipient, Recipient, Vec<u8>)>>>;
+
+/// A timed transport's link: frames sent since the last `flush` wait in
+/// `pending` until the network prices them.
+#[derive(Debug, Clone)]
+struct Link {
+    net: Network,
+    clock: f64,
+    pending: VecDeque<Frame>,
+    timings: Vec<PhaseTiming>,
+}
+
 /// Ordered in-memory byte queues: messages are delivered FIFO in send
 /// order, after a serialize → deserialize round trip.
+///
+/// A transport built with [`MemTransport::timed`] holds every frame on
+/// its link until [`Transport::flush`], which schedules the frames sent
+/// since the previous flush as one network phase — each a [`Transfer`]
+/// of its serialized size, queueing resolved at every endpoint — and
+/// makes them receivable in order of simulated arrival (ties in send
+/// order).
+///
+/// For tests of a misbehaving wire, [`MemTransport::inject`] arms
+/// [`Fault`]s and [`MemTransport::transcript`] starts a record of every
+/// frame `recv` returns.
 #[derive(Debug, Clone, Default)]
 pub struct MemTransport {
-    queue: VecDeque<(Recipient, Recipient, Vec<u8>)>,
+    queue: VecDeque<Frame>,
     bytes_sent: usize,
     messages_sent: usize,
     /// Messages ever sent, per envelope kind (indexed by `tag() - 1`).
     counts: [usize; EnvelopeKind::ALL.len()],
+    /// `(fault, kind, recipient, matching sends still to let through)`.
+    armed: Vec<(Fault, EnvelopeKind, Option<Recipient>, usize)>,
+    transcript: Option<Transcript>,
+    peak: usize,
+    link: Option<Link>,
 }
 
 impl MemTransport {
@@ -138,14 +185,27 @@ impl MemTransport {
         Self::default()
     }
 
-    /// Messages currently in flight.
+    /// An empty transport over a link with the given parameters.
+    pub fn timed(cfg: NetworkConfig, duplex: Duplex) -> Self {
+        Self {
+            link: Some(Link {
+                net: Network::new(cfg, duplex),
+                clock: 0.0,
+                pending: VecDeque::new(),
+                timings: Vec::new(),
+            }),
+            ..Self::default()
+        }
+    }
+
+    /// Messages currently in flight (on the link or queued).
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.link.as_ref().map_or(0, |link| link.pending.len())
     }
 
     /// Whether no messages are in flight.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.len() == 0
     }
 
     /// Total bytes ever sent through this transport.
@@ -164,6 +224,23 @@ impl MemTransport {
     pub fn kind_count(&self, kind: EnvelopeKind) -> usize {
         self.counts[(kind.tag() - 1) as usize]
     }
+
+    /// Aim `fault` at the `nth` (0-based) send of a `kind` envelope from
+    /// now on, counting only those addressed to `to` when given.
+    pub fn inject(&mut self, fault: Fault, kind: EnvelopeKind, to: Option<Recipient>, nth: usize) {
+        self.armed.push((fault, kind, to, nth));
+    }
+
+    /// A handle on the delivered frames. Recording starts with the first
+    /// call; later calls return the same handle.
+    pub fn transcript(&mut self) -> Transcript {
+        Arc::clone(self.transcript.get_or_insert_with(Transcript::default))
+    }
+
+    /// The most frames ever in flight at once.
+    pub fn peak(&self) -> usize {
+        self.peak
+    }
 }
 
 impl<F: Field> Transport<F> for MemTransport {
@@ -177,7 +254,31 @@ impl<F: Field> Transport<F> for MemTransport {
         self.bytes_sent += bytes.len();
         self.messages_sent += 1;
         self.counts[(envelope.kind().tag() - 1) as usize] += 1;
-        self.queue.push_back((from, to, bytes));
+        let frames = match &mut self.link {
+            Some(link) => &mut link.pending,
+            None => &mut self.queue,
+        };
+        frames.push_back((from, to, bytes));
+        if !self.armed.is_empty() {
+            let mut fired = Vec::new();
+            self.armed.retain_mut(|(fault, kind, at, skip)| {
+                let aimed = *kind == envelope.kind() && at.is_none_or(|r| r == to);
+                if aimed && *skip == 0 {
+                    fired.push(*fault);
+                    return false;
+                }
+                *skip -= usize::from(aimed);
+                true
+            });
+            for fault in fired {
+                let last = frames.len() - 1;
+                match fault {
+                    Fault::Duplicate => frames.push_back(frames[last].clone()),
+                    Fault::Flip { byte, mask } => frames[last].2[byte] ^= mask,
+                }
+            }
+        }
+        self.peak = self.peak.max(self.len());
         Ok(())
     }
 
@@ -186,254 +287,48 @@ impl<F: Field> Transport<F> for MemTransport {
             return Ok(None);
         };
         let envelope = Envelope::from_bytes(&bytes).map_err(ProtocolError::Wire)?;
+        let wire_bytes = bytes.len();
+        if let Some(transcript) = &self.transcript {
+            let mut delivered = transcript.lock().expect("no holder panicked");
+            delivered.push((from, to, bytes));
+        }
         Ok(Some(Delivery {
             from,
             to,
             envelope,
-            wire_bytes: bytes.len(),
-        }))
-    }
-
-    fn bytes_sent(&self) -> usize {
-        self.bytes_sent
-    }
-
-    fn messages_sent(&self) -> usize {
-        self.messages_sent
-    }
-}
-
-// ---------------------------------------------------------------------
-// FaultTransport
-// ---------------------------------------------------------------------
-
-/// What a [`FaultTransport`] does to the one frame a fault is aimed at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// Queue the frame twice; `bytes_sent` still counts one send.
-    Duplicate,
-    /// XOR byte `byte` of the queued frame with `mask` (byte 0 is the
-    /// envelope tag), so the receiver's decoder sees the damage. The
-    /// send panics if the frame is shorter.
-    Flip { byte: usize, mask: u8 },
-}
-
-/// The `(from, to, bytes)` frames a [`FaultTransport`] delivered, in
-/// order, behind a handle that stays readable while a federation owns it.
-pub type Transcript = Arc<Mutex<Vec<(Recipient, Recipient, Vec<u8>)>>>;
-
-/// A [`MemTransport`] for tests of a misbehaving wire: the same FIFO,
-/// byte counting and serialize → deserialize round trip, plus a
-/// [`Transcript`] of every frame `recv` returned, the peak number of
-/// frames in flight, and injected [`Fault`]s.
-#[derive(Debug, Default)]
-pub struct FaultTransport {
-    inner: MemTransport,
-    /// `(fault, kind, recipient, matching sends still to let through)`.
-    armed: Vec<(Fault, EnvelopeKind, Option<Recipient>, usize)>,
-    transcript: Transcript,
-    peak: usize,
-}
-
-impl FaultTransport {
-    /// A fault-free transport with an empty transcript.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Aim `fault` at the `nth` (0-based) send of a `kind` envelope from
-    /// now on, counting only those addressed to `to` when given.
-    pub fn inject(&mut self, fault: Fault, kind: EnvelopeKind, to: Option<Recipient>, nth: usize) {
-        self.armed.push((fault, kind, to, nth));
-    }
-
-    /// A handle on the delivered frames.
-    pub fn transcript(&self) -> Transcript {
-        Arc::clone(&self.transcript)
-    }
-
-    /// The most frames ever in flight at once.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// The wrapped queue: frames in flight and per-kind send counts.
-    pub fn inner(&self) -> &MemTransport {
-        &self.inner
-    }
-}
-
-impl<F: Field> Transport<F> for FaultTransport {
-    fn send(
-        &mut self,
-        from: Recipient,
-        to: Recipient,
-        envelope: &Envelope<F>,
-    ) -> Result<(), ProtocolError> {
-        Transport::<F>::send(&mut self.inner, from, to, envelope)?;
-        let mut fired = Vec::new();
-        self.armed.retain_mut(|(fault, kind, at, skip)| {
-            let aimed = *kind == envelope.kind() && at.is_none_or(|r| r == to);
-            if aimed && *skip == 0 {
-                fired.push(*fault);
-                return false;
-            }
-            *skip -= usize::from(aimed);
-            true
-        });
-        let queue = &mut self.inner.queue;
-        for fault in fired {
-            let last = queue.len() - 1;
-            match fault {
-                Fault::Duplicate => queue.push_back(queue[last].clone()),
-                Fault::Flip { byte, mask } => queue[last].2[byte] ^= mask,
-            }
-        }
-        self.peak = self.peak.max(queue.len());
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Delivery<F>>, ProtocolError> {
-        let Some(frame) = self.inner.queue.front().cloned() else {
-            return Ok(None);
-        };
-        let delivery = Transport::<F>::recv(&mut self.inner)?;
-        let mut delivered = self.transcript.lock().expect("no holder panicked");
-        delivered.push(frame);
-        Ok(delivery)
-    }
-
-    fn bytes_sent(&self) -> usize {
-        self.inner.bytes_sent
-    }
-
-    fn messages_sent(&self) -> usize {
-        self.inner.messages_sent
-    }
-}
-
-// ---------------------------------------------------------------------
-// SimTransport
-// ---------------------------------------------------------------------
-
-/// A transport whose deliveries pay simulated bandwidth and latency
-/// through the [`lsa_net`] discrete-event network.
-///
-/// Envelopes sent since the last [`Transport::flush`] are scheduled as
-/// one network phase: each becomes a [`Transfer`] of its *actual
-/// serialized size*, the network resolves queueing at every endpoint,
-/// and deliveries become receivable ordered by simulated arrival time.
-#[derive(Debug, Clone)]
-pub struct SimTransport {
-    net: Network,
-    clock: f64,
-    pending: Vec<(Recipient, Recipient, Vec<u8>)>,
-    inbox: VecDeque<(Recipient, Recipient, Vec<u8>)>,
-    timings: Vec<PhaseTiming>,
-    bytes_sent: usize,
-    messages_sent: usize,
-}
-
-impl SimTransport {
-    /// Build over a network with the given parameters.
-    pub fn new(cfg: NetworkConfig, duplex: Duplex) -> Self {
-        Self {
-            net: Network::new(cfg, duplex),
-            clock: 0.0,
-            pending: Vec::new(),
-            inbox: VecDeque::new(),
-            timings: Vec::new(),
-            bytes_sent: 0,
-            messages_sent: 0,
-        }
-    }
-
-    /// Current simulated time (s).
-    pub fn elapsed(&self) -> f64 {
-        self.clock
-    }
-
-    /// Per-phase timings recorded so far.
-    pub fn timings(&self) -> &[PhaseTiming] {
-        &self.timings
-    }
-
-    fn node(r: Recipient) -> NodeId {
-        match r {
-            Recipient::Client(i) => NodeId::Client(i),
-            Recipient::Server => NodeId::Server,
-        }
-    }
-}
-
-impl<F: Field> Transport<F> for SimTransport {
-    fn send(
-        &mut self,
-        from: Recipient,
-        to: Recipient,
-        envelope: &Envelope<F>,
-    ) -> Result<(), ProtocolError> {
-        let bytes = envelope.to_bytes();
-        self.bytes_sent += bytes.len();
-        self.messages_sent += 1;
-        self.pending.push((from, to, bytes));
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Delivery<F>>, ProtocolError> {
-        let Some((from, to, bytes)) = self.inbox.pop_front() else {
-            return Ok(None);
-        };
-        let envelope = Envelope::from_bytes(&bytes).map_err(ProtocolError::Wire)?;
-        Ok(Some(Delivery {
-            from,
-            to,
-            envelope,
-            wire_bytes: bytes.len(),
+            wire_bytes,
         }))
     }
 
     fn flush(&mut self, label: &'static str) {
-        let start = self.clock;
-        let pending = std::mem::take(&mut self.pending);
-        if pending.is_empty() {
-            self.timings.push(PhaseTiming {
-                label,
-                start,
-                end: start,
-                messages: 0,
-                bytes: 0,
-                arrivals: Vec::new(),
-            });
+        let Some(link) = &mut self.link else {
             return;
-        }
-        let transfers: Vec<Transfer> = pending
+        };
+        let start = link.clock;
+        let transfers: Vec<Transfer> = link
+            .pending
             .iter()
-            .map(|(from, to, bytes)| Transfer::new(Self::node(*from), Self::node(*to), bytes.len()))
+            .map(|(from, to, bytes)| Transfer::new(*from, *to, bytes.len()))
             .collect();
-        let report = self.net.run_phase(start, &transfers);
-        // deliver ordered by simulated arrival
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        order.sort_by(|&a, &b| report.finish_times[a].total_cmp(&report.finish_times[b]));
-        let bytes_total: usize = pending.iter().map(|(_, _, b)| b.len()).sum();
-        let messages = pending.len();
-        let mut slots: Vec<Option<(Recipient, Recipient, Vec<u8>)>> =
-            pending.into_iter().map(Some).collect();
-        let mut arrivals = Vec::with_capacity(order.len());
-        for i in order {
-            arrivals.push(report.finish_times[i]);
-            self.inbox
-                .push_back(slots[i].take().expect("each delivery moved once"));
-        }
-        self.clock = report.phase_end;
-        self.timings.push(PhaseTiming {
+        let report = link.net.run_phase(start, &transfers);
+        let mut arrived: Vec<(f64, Frame)> = report
+            .finish_times
+            .into_iter()
+            .zip(link.pending.drain(..))
+            .collect();
+        // a stable sort: simultaneous arrivals keep their send order
+        arrived.sort_by(|a, b| a.0.total_cmp(&b.0));
+        link.clock = report.phase_end;
+        link.timings.push(PhaseTiming {
             label,
             start,
             end: report.phase_end,
-            messages,
-            bytes: bytes_total,
-            arrivals,
+            messages: arrived.len(),
+            bytes: arrived.iter().map(|(_, frame)| frame.2.len()).sum(),
+            arrivals: arrived.iter().map(|&(at, _)| at).collect(),
         });
+        self.queue
+            .extend(arrived.into_iter().map(|(_, frame)| frame));
     }
 
     fn bytes_sent(&self) -> usize {
@@ -445,11 +340,11 @@ impl<F: Field> Transport<F> for SimTransport {
     }
 
     fn timings(&self) -> &[PhaseTiming] {
-        &self.timings
+        self.link.as_ref().map_or(&[], |link| &link.timings)
     }
 
     fn elapsed(&self) -> f64 {
-        self.clock
+        self.link.as_ref().map_or(0.0, |link| link.clock)
     }
 }
 
@@ -457,19 +352,11 @@ impl<F: Field> Transport<F> for SimTransport {
 // TcpTransport
 // ---------------------------------------------------------------------
 
-fn recipient_of(node: NodeId) -> Recipient {
-    match node {
-        NodeId::Client(i) => Recipient::Client(i),
-        NodeId::Server => Recipient::Server,
-    }
-}
-
 /// Real sockets speak the same [`Transport`] contract as the in-memory
-/// and simulated backends: `send` serializes the envelope into one
-/// length-prefixed frame, `recv` polls the shared inbox without
-/// blocking (use [`TcpTransport::recv_bytes_timeout`] directly when a
-/// driver wants to park), and `flush` cuts a wall-clock
-/// [`PhaseTiming`].
+/// backend: `send` serializes the envelope into one length-prefixed
+/// frame, `recv` polls the shared inbox without blocking (use
+/// [`TcpTransport::recv_bytes_timeout`] directly when a caller wants to
+/// park), and `flush` cuts a wall-clock [`PhaseTiming`].
 impl<F: Field> Transport<F> for TcpTransport {
     fn send(
         &mut self,
@@ -477,8 +364,7 @@ impl<F: Field> Transport<F> for TcpTransport {
         to: Recipient,
         envelope: &Envelope<F>,
     ) -> Result<(), ProtocolError> {
-        let bytes = envelope.to_bytes();
-        self.send_bytes(SimTransport::node(from), SimTransport::node(to), &bytes)?;
+        self.send_bytes(from, to, &envelope.to_bytes())?;
         Ok(())
     }
 
@@ -488,8 +374,8 @@ impl<F: Field> Transport<F> for TcpTransport {
         };
         let envelope = Envelope::from_bytes(&delivery.payload).map_err(ProtocolError::Wire)?;
         Ok(Some(Delivery {
-            from: recipient_of(delivery.from),
-            to: recipient_of(delivery.to),
+            from: delivery.from,
+            to: delivery.to,
             envelope,
             wire_bytes: delivery.payload.len(),
         }))
@@ -525,6 +411,7 @@ mod tests {
     use super::*;
     use crate::wire::MaskedModel;
     use lsa_field::Fp61;
+    use lsa_net::NodeId;
 
     fn env(from: usize, elems: usize) -> Envelope<Fp61> {
         Envelope::MaskedModel(MaskedModel {
@@ -581,30 +468,49 @@ mod tests {
         std::iter::from_fn(|| t.recv().transpose()).collect()
     }
 
+    /// [`traffic`] as the deliveries a fault-free transport returns.
+    fn delivered() -> Vec<Result<Delivery<Fp61>, ProtocolError>> {
+        traffic()
+            .into_iter()
+            .map(|(from, to, envelope)| {
+                let wire_bytes = envelope.wire_len();
+                Ok(Delivery {
+                    from,
+                    to,
+                    envelope,
+                    wire_bytes,
+                })
+            })
+            .collect()
+    }
+
     const UNKNOWN_TAG: Fault = Fault::Flip {
         byte: 0,
         mask: 0xFF,
     };
 
     #[test]
-    fn fault_transport_without_faults_is_a_mem_transport() {
-        let (mut mem, mut faulty) = (MemTransport::new(), FaultTransport::new());
+    fn recording_a_transcript_changes_no_delivery_or_count() {
+        let (mut mem, mut recorded) = (MemTransport::new(), MemTransport::new());
+        let transcript = recorded.transcript();
         send_all(&mut mem);
-        send_all(&mut faulty);
-        assert_eq!(Transport::<Fp61>::bytes_sent(&faulty), mem.bytes_sent());
+        send_all(&mut recorded);
+        assert_eq!(Transport::<Fp61>::bytes_sent(&recorded), mem.bytes_sent());
         assert_eq!(
-            Transport::<Fp61>::messages_sent(&faulty),
+            Transport::<Fp61>::messages_sent(&recorded),
             mem.messages_sent()
         );
         for kind in EnvelopeKind::ALL {
-            assert_eq!(faulty.inner().kind_count(kind), mem.kind_count(kind));
+            assert_eq!(recorded.kind_count(kind), mem.kind_count(kind));
         }
-        assert_eq!(drain(&mut faulty), drain(&mut mem));
+        assert_eq!(recorded.peak(), mem.peak());
+        assert_eq!(drain(&mut recorded), drain(&mut mem));
+        assert_eq!(transcript.lock().unwrap().len(), traffic().len());
     }
 
     #[test]
     fn duplicate_and_flip_hit_only_their_addressed_frame() {
-        let mut t = FaultTransport::new();
+        let mut t = MemTransport::new();
         // client 1's upload (the second to the server) and client 1's
         // share (the first to client 2)
         t.inject(
@@ -630,18 +536,7 @@ mod tests {
         assert_eq!(Transport::<Fp61>::messages_sent(&t), sent.len());
         assert_eq!(t.peak(), sent.len() + 1, "the copy is in flight");
 
-        let mut want: Vec<Result<Delivery<Fp61>, ProtocolError>> = sent
-            .into_iter()
-            .map(|(from, to, envelope)| {
-                let wire_bytes = envelope.wire_len();
-                Ok(Delivery {
-                    from,
-                    to,
-                    envelope,
-                    wire_bytes,
-                })
-            })
-            .collect();
+        let mut want = delivered();
         want[3] = Err(ProtocolError::Wire(crate::wire::WireError::UnknownTag(
             0x04 ^ 0xFF,
         )));
@@ -650,8 +545,39 @@ mod tests {
     }
 
     #[test]
+    fn faults_on_a_timed_link_act_before_the_phase_is_priced() {
+        let mut t = MemTransport::timed(NetworkConfig::mbps(4, 8.0, 800.0, 0.0), Duplex::Full);
+        t.inject(Fault::Duplicate, EnvelopeKind::MaskedModel, None, 1);
+        t.inject(UNKNOWN_TAG, EnvelopeKind::AggregatedShare, None, 1);
+        send_all(&mut t);
+        assert!(Transport::<Fp61>::recv(&mut t).unwrap().is_none());
+        assert_eq!(t.len(), traffic().len() + 1, "the copy waits on the link");
+        Transport::<Fp61>::flush(&mut t, "mixed");
+
+        // the copy is not billed to the sender but pays the link
+        let upload = env(1, 4).wire_len();
+        let bytes: usize = traffic().iter().map(|(_, _, e)| e.wire_len()).sum();
+        assert_eq!(Transport::<Fp61>::bytes_sent(&t), bytes);
+        let phase = &Transport::<Fp61>::timings(&t)[0];
+        assert_eq!((phase.messages, phase.bytes), (9, bytes + upload));
+
+        // the same deliveries as on the queue, in arrival order
+        let mut want = delivered();
+        want[3] = Err(ProtocolError::Wire(crate::wire::WireError::UnknownTag(
+            0x04 ^ 0xFF,
+        )));
+        want.insert(3, want[2].clone());
+        let mut got = drain(&mut t);
+        let order =
+            |d: &Result<Delivery<Fp61>, ProtocolError>| d.as_ref().map(|d| (d.to, d.from)).ok();
+        got.sort_by_key(order);
+        want.sort_by_key(order);
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn the_transcript_is_what_recv_returned_in_delivery_order() {
-        let mut t = FaultTransport::new();
+        let mut t = MemTransport::new();
         let transcript = t.transcript();
         t.inject(UNKNOWN_TAG, EnvelopeKind::AggregatedShare, None, 0);
         send_all(&mut t);
@@ -673,50 +599,41 @@ mod tests {
 
     #[test]
     fn sim_transport_delivers_only_after_flush() {
-        let mut t = SimTransport::new(NetworkConfig::mbps(2, 100.0, 1000.0, 0.001), Duplex::Full);
+        let mut t = MemTransport::timed(NetworkConfig::mbps(2, 100.0, 1000.0, 0.001), Duplex::Full);
         Transport::<Fp61>::send(&mut t, Recipient::Client(0), Recipient::Server, &env(0, 4))
             .unwrap();
         assert!(Transport::<Fp61>::recv(&mut t).unwrap().is_none());
         Transport::<Fp61>::flush(&mut t, "upload");
         let d: Delivery<Fp61> = t.recv().unwrap().unwrap();
         assert_eq!(d.envelope, env(0, 4));
-        assert!(t.elapsed() > 0.0);
+        assert!(Transport::<Fp61>::elapsed(&t) > 0.0);
     }
 
     #[test]
     fn sim_phase_time_scales_with_envelope_bytes() {
         let cfg = NetworkConfig::mbps(1, 8.0, 80.0, 0.0);
-        let mut small = SimTransport::new(cfg, Duplex::Full);
-        Transport::<Fp61>::send(
-            &mut small,
-            Recipient::Client(0),
-            Recipient::Server,
-            &env(0, 100),
-        )
-        .unwrap();
-        Transport::<Fp61>::flush(&mut small, "upload");
-
-        let mut big = SimTransport::new(cfg, Duplex::Full);
-        Transport::<Fp61>::send(
-            &mut big,
-            Recipient::Client(0),
-            Recipient::Server,
-            &env(0, 10_000),
-        )
-        .unwrap();
-        Transport::<Fp61>::flush(&mut big, "upload");
-
-        let t_small = small.timings()[0].duration();
-        let t_big = big.timings()[0].duration();
+        let phase = |elems| {
+            let mut t = MemTransport::timed(cfg, Duplex::Full);
+            Transport::<Fp61>::send(
+                &mut t,
+                Recipient::Client(0),
+                Recipient::Server,
+                &env(0, elems),
+            )
+            .unwrap();
+            Transport::<Fp61>::flush(&mut t, "upload");
+            Transport::<Fp61>::timings(&t)[0].clone()
+        };
+        let (small, big) = (phase(100), phase(10_000));
         // 1 MB/s link: durations are bytes/1e6 seconds — ratio tracks the
         // actual serialized sizes (envelope headers included)
         let expected = env(0, 10_000).wire_len() as f64 / env(0, 100).wire_len() as f64;
+        let ratio = big.duration() / small.duration();
         assert!(
-            (t_big / t_small - expected).abs() < 0.01,
-            "ratio {} vs {expected}",
-            t_big / t_small
+            (ratio - expected).abs() < 0.01,
+            "ratio {ratio} vs {expected}"
         );
-        assert_eq!(big.timings()[0].bytes, env(0, 10_000).wire_len());
+        assert_eq!(big.bytes, env(0, 10_000).wire_len());
     }
 
     #[test]
@@ -760,7 +677,7 @@ mod tests {
         // distinct receive channels: client 1's upload to the server is
         // 500× larger than client 0's message to client 1, so the latter
         // arrives first even though it was sent second
-        let mut t = SimTransport::new(NetworkConfig::mbps(2, 8.0, 800.0, 0.0), Duplex::Full);
+        let mut t = MemTransport::timed(NetworkConfig::mbps(2, 8.0, 800.0, 0.0), Duplex::Full);
         Transport::<Fp61>::send(
             &mut t,
             Recipient::Client(1),

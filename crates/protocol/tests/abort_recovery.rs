@@ -14,7 +14,7 @@ use lsa_protocol::federation::{
 };
 use lsa_protocol::ratchet::policies;
 use lsa_protocol::topology::GroupedFederation;
-use lsa_protocol::transport::{Fault, FaultTransport, MemTransport, Transport};
+use lsa_protocol::transport::{Fault, MemTransport, Transport};
 use lsa_protocol::wire::{Envelope, EnvelopeKind};
 use lsa_protocol::{AggregatedShare, LsaConfig, ProtocolError, Recipient};
 
@@ -201,7 +201,7 @@ const UNKNOWN_TAG: Fault = Fault::Flip {
 /// third is delivered into the next round and fails its first pump.
 fn abort_drains_past_an_undecodable_frame(
     name: &str,
-    mut leaf: LeafFederation<Fp61, FaultTransport>,
+    mut leaf: LeafFederation<Fp61, MemTransport>,
 ) {
     let everyone: Vec<usize> = (0..8).collect();
     leaf.open_round(&everyone).unwrap();
@@ -221,7 +221,7 @@ fn abort_drains_past_an_undecodable_frame(
             .unwrap();
     }
     leaf.abort_round();
-    assert!(leaf.transport().inner().is_empty(), "{name}");
+    assert!(leaf.transport().is_empty(), "{name}");
     leaf.open_round(&everyone)
         .unwrap_or_else(|e| panic!("{name}: a frame outlived the abort: {e}"));
     for id in 0..8 {
@@ -234,7 +234,7 @@ fn abort_drains_past_an_undecodable_frame(
 #[test]
 fn abort_discards_every_frame_in_flight_past_a_corrupt_one() {
     let cfg = LsaConfig::new(8, 2, 6, D).unwrap();
-    let wire = FaultTransport::new;
+    let wire = MemTransport::new;
     abort_drains_past_an_undecodable_frame("sync", SyncFederation::new(cfg, wire(), 40).unwrap());
     abort_drains_past_an_undecodable_frame(
         "buffered",
@@ -256,7 +256,7 @@ fn an_undecodable_share_fails_its_exchange_without_wedging_the_leaf() {
     for (phase, nth) in [("offline", 20), ("overlap", EXCHANGE + 20)] {
         // one fault per variant's share kind: the other stays unarmed
         let wire = || {
-            let mut wire = FaultTransport::new();
+            let mut wire = MemTransport::new();
             for kind in [EnvelopeKind::CodedMaskShare, EnvelopeKind::TimestampedShare] {
                 wire.inject(UNKNOWN_TAG, kind, None, nth);
             }

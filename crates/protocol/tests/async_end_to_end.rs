@@ -5,7 +5,7 @@
 use lsa_field::{Field, Fp61};
 use lsa_protocol::asynchronous::BufferEntry;
 use lsa_protocol::federation::{Federation, RoundPlan, SecureAggregator};
-use lsa_protocol::transport::{Fault, FaultTransport};
+use lsa_protocol::transport::{Fault, MemTransport};
 use lsa_protocol::{
     BufferedFederation, Envelope, EnvelopeKind, FederationClient, FederationServer, LsaConfig,
     ProtocolError, Recipient, Session, SyncFederation,
@@ -218,7 +218,7 @@ fn redelivered_upload_is_rejected_and_the_sum_stays_exact() {
     let updates: Vec<Vec<Fp61>> = (1..=4u64).map(|v| vec![Fp61::from_u64(v); 5]).collect();
     let sum = vec![Fp61::from_u64(10); 5];
     let wire = |upload| {
-        let mut wire = FaultTransport::new();
+        let mut wire = MemTransport::new();
         wire.inject(Fault::Duplicate, upload, None, 0);
         wire
     };

@@ -10,7 +10,7 @@ use lsa_protocol::federation::{
 };
 use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
-use lsa_protocol::transport::{Fault, FaultTransport, MemTransport};
+use lsa_protocol::transport::{Fault, MemTransport};
 use lsa_protocol::wire::EnvelopeKind;
 use lsa_protocol::{
     CohortFingerprint, Federation, LsaConfig, PadTopology, ProtocolError, RatchetPolicy, Recipient,
@@ -211,7 +211,7 @@ fn churn_mid_stretch_falls_back_then_ratchets_again() {
 /// ratchets again the round after.
 #[test]
 fn corrupted_fingerprint_falls_back_to_full_exchange() {
-    let mut wire = FaultTransport::new();
+    let mut wire = MemTransport::new();
     // tag, group, sender and round fill bytes 0..17; the fingerprint
     // follows
     let corrupt = Fault::Flip {
@@ -221,10 +221,8 @@ fn corrupted_fingerprint_falls_back_to_full_exchange() {
     let commit = EnvelopeKind::RatchetWindowCommit;
     wire.inject(corrupt, commit, Some(Recipient::Client(2)), 0);
     let mut fed = SyncFederation::<Fp61, _>::new(cfg(), wire, 13).unwrap();
-    let coded_shares = |fed: &SyncFederation<Fp61, FaultTransport>| {
-        fed.transport()
-            .inner()
-            .kind_count(EnvelopeKind::CodedMaskShare)
+    let coded_shares = |fed: &SyncFederation<Fp61, MemTransport>| {
+        fed.transport().kind_count(EnvelopeKind::CodedMaskShare)
     };
     let cohort: Vec<usize> = (0..8).collect();
 

@@ -1,11 +1,11 @@
 //! Cross-check: the federation — sans-IO sessions over a serialized
 //! wire — produces **identical** aggregates and contributor sets to a
 //! hand-routed flow of the same endpoints under identical dropout
-//! schedules, over both `MemTransport` and `SimTransport`.
+//! schedules, over `MemTransport` both untimed and timed.
 
 use lsa_field::{Field, Fp32, Fp61};
 use lsa_net::{Duplex, NetworkConfig};
-use lsa_protocol::transport::{MemTransport, SimTransport, Transport};
+use lsa_protocol::transport::{MemTransport, Transport};
 use lsa_protocol::{
     DropoutSchedule, Envelope, Federation, FederationClient, FederationServer, LsaConfig,
     Recipient, RoundOutcome, RoundPlan, RoundReport, Session, SurvivorAnnouncement, SyncFederation,
@@ -125,9 +125,9 @@ fn check_field<F: Field>(seed: u64) {
         assert_eq!(over.contributors, survivors);
         assert!(mem.payload_bytes > 0, "every message crossed the wire");
 
-        let sim = SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full);
+        let sim = MemTransport::timed(NetworkConfig::paper_default(n), Duplex::Full);
         let (timed, sim) = federated(cfg, &ms, &sched, sim, seed);
-        assert_eq!(timed.aggregate, aggregate, "SimTransport {sched:?}");
+        assert_eq!(timed.aggregate, aggregate, "timed MemTransport {sched:?}");
         assert_eq!(timed.contributors, survivors);
         assert!(sim.critical_path() > 0.0, "simulated time must advance");
         // same envelopes on both backends, byte for byte in total
@@ -157,7 +157,7 @@ fn sim_transport_timings_cover_all_phases() {
     let n = 6;
     let cfg = LsaConfig::new(n, 2, 4, 16).unwrap();
     let ms = models::<Fp61>(n, 16, 5);
-    let sim = SimTransport::new(NetworkConfig::paper_default(n), Duplex::Full);
+    let sim = MemTransport::timed(NetworkConfig::paper_default(n), Duplex::Full);
     let (_, report) = federated(cfg, &ms, &DropoutSchedule::after_upload(vec![1]), sim, 5);
     let labels: Vec<&str> = report.phases.iter().map(|t| t.label).collect();
     assert_eq!(labels, vec!["offline", "upload", "announce", "recovery"]);

@@ -10,8 +10,8 @@ use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::federation::{
     BufferedFederation, LeafFederation, RoundPlan, SecureAggregator, SyncFederation,
 };
-use lsa_protocol::transport::{FaultTransport, MemTransport, PhaseTiming, SimTransport, Transport};
-use lsa_protocol::wire::Envelope;
+use lsa_protocol::transport::{Fault, MemTransport, PhaseTiming, Transport};
+use lsa_protocol::wire::{Envelope, EnvelopeKind, WireError};
 use lsa_protocol::{LsaConfig, MaskedModel, ProtocolError, Recipient};
 
 const N: usize = 8;
@@ -37,14 +37,14 @@ fn sum(ids: impl IntoIterator<Item = usize>, round: u64) -> Vec<Fp61> {
 
 /// Three rounds by hand — full exchange, ratchet handshake, windowed
 /// join — checking the queue after every `submit`.
-fn stream_three_rounds(name: &str, mut leaf: LeafFederation<Fp61, FaultTransport>) {
+fn stream_three_rounds(name: &str, mut leaf: LeafFederation<Fp61, MemTransport>) {
     let everyone: Vec<usize> = (0..N).collect();
     for round in 0..3u64 {
         leaf.open_round(&everyone).unwrap();
         for id in 0..N {
             leaf.submit(id, &update(id, round)).unwrap();
             assert_eq!(
-                leaf.transport().inner().len(),
+                leaf.transport().len(),
                 0,
                 "{name} round {round}: member {id}'s upload was left queued"
             );
@@ -70,7 +70,7 @@ fn stream_three_rounds(name: &str, mut leaf: LeafFederation<Fp61, FaultTransport
 
 #[test]
 fn envelopes_in_flight_never_exceed_one_senders_worth() {
-    let wire = FaultTransport::new;
+    let wire = MemTransport::new;
     stream_three_rounds("sync", SyncFederation::new(cfg(), wire(), 11).unwrap());
     stream_three_rounds(
         "buffered",
@@ -125,8 +125,8 @@ fn phases(timings: &[PhaseTiming]) -> Vec<(&'static str, usize, usize)> {
         .collect()
 }
 
-fn sim() -> SimTransport {
-    SimTransport::new(NetworkConfig::paper_default(N), Duplex::Full)
+fn sim() -> MemTransport {
+    MemTransport::timed(NetworkConfig::paper_default(N), Duplex::Full)
 }
 
 // `(label, messages, bytes)` per phase, recorded with this file's plan
@@ -177,7 +177,11 @@ fn a_phase_buffered_transport_sees_the_phases_it_always_saw() {
     let mut leaf = SyncFederation::new(cfg(), sim(), 23).unwrap();
     let mut mem = SyncFederation::new(cfg(), MemTransport::new(), 23).unwrap();
     assert_eq!(run_plan(&mut leaf), run_plan(&mut mem), "sync aggregates");
-    assert_eq!(phases(leaf.transport().timings()), SYNC_PHASES, "sync");
+    assert_eq!(
+        phases(Transport::<Fp61>::timings(leaf.transport())),
+        SYNC_PHASES,
+        "sync"
+    );
 
     let mut leaf = BufferedFederation::unit_weight(cfg(), sim(), 23).unwrap();
     let mut mem = BufferedFederation::unit_weight(cfg(), MemTransport::new(), 23).unwrap();
@@ -187,7 +191,7 @@ fn a_phase_buffered_transport_sees_the_phases_it_always_saw() {
         "buffered aggregates"
     );
     assert_eq!(
-        phases(leaf.transport().timings()),
+        phases(Transport::<Fp61>::timings(leaf.transport())),
         BUFFERED_PHASES,
         "buffered"
     );
@@ -237,4 +241,62 @@ fn a_server_side_upload_rejection_surfaces_where_the_upload_is_delivered() {
         leaf.submit(id, &update(id, 0)).unwrap();
     }
     duplicate(leaf.finish_round().map(drop));
+}
+
+/// The phases of [`faults_on_a_timed_link_are_typed_and_priced`]: the
+/// duplicate upload is a ninth frame in round 0's "upload" phase, priced
+/// like the other eight; each aborted round ends in an empty "abort"
+/// flush, and the round after it runs a full exchange, since an abort
+/// forgets the ratchet base.
+const FAULTED_PHASES: &[(&str, usize, usize)] = &[
+    ("offline", 56, 3192),
+    ("upload", 9, 1341),
+    ("abort", 0, 0),
+    ("offline", 56, 3192),
+    ("upload", 8, 1192),
+    ("announce", 8, 392),
+    ("recovery", 8, 424),
+    ("abort", 0, 0),
+    ("offline", 56, 3192),
+    ("upload", 8, 1192),
+    ("announce", 8, 392),
+    ("recovery", 8, 424),
+];
+
+/// Faults on a timed link: each fails its round with a typed error
+/// where the frame is delivered, no round yields a wrong sum, and the
+/// next round is exact.
+#[test]
+fn faults_on_a_timed_link_are_typed_and_priced() {
+    let mut wire = sim();
+    wire.inject(Fault::Duplicate, EnvelopeKind::MaskedModel, None, 0);
+    let unknown_tag = Fault::Flip {
+        byte: 0,
+        mask: 0xFF,
+    };
+    wire.inject(unknown_tag, EnvelopeKind::AggregatedShare, None, 0);
+    let mut leaf = SyncFederation::new(cfg(), wire, 23).unwrap();
+    let everyone: Vec<usize> = (0..N).collect();
+    let share_tag = EnvelopeKind::AggregatedShare.tag();
+    let want = [
+        Err(ProtocolError::DuplicateMessage(0)),
+        Err(ProtocolError::Wire(WireError::UnknownTag(share_tag ^ 0xFF))),
+        Ok(sum(0..N, 2)),
+    ];
+    for (round, want) in (0..3u64).zip(want) {
+        leaf.open_round(&everyone).unwrap();
+        for id in 0..N {
+            // nothing is delivered before `finish_round`'s flushes
+            leaf.submit(id, &update(id, round)).unwrap();
+        }
+        let out = leaf.finish_round().map(|out| out.aggregate);
+        if out.is_err() {
+            leaf.abort_round();
+        }
+        assert_eq!(out, want, "round {round}");
+    }
+    assert_eq!(
+        phases(Transport::<Fp61>::timings(leaf.transport())),
+        FAULTED_PHASES
+    );
 }

@@ -30,7 +30,7 @@ use lsa_field::{simd, Field, Fp32, Fp61};
 use lsa_protocol::federation::{
     BufferedFederation, Federation, RoundPlan, SecureAggregator, SyncFederation,
 };
-use lsa_protocol::transport::{FaultTransport, Transcript};
+use lsa_protocol::transport::{MemTransport, Transcript};
 use lsa_protocol::wire::Envelope;
 use lsa_protocol::{LsaConfig, PadTopology, RatchetPolicy, Recipient};
 
@@ -107,10 +107,10 @@ fn plan<F: Field>(step: u64) -> RoundPlan<F> {
     }
 }
 
-/// A leaf federation over a [`FaultTransport`], and the digests its
+/// A leaf federation over a recording [`MemTransport`], and the digests its
 /// transcript feeds.
 fn recorded<F: Field>(cfg: LsaConfig, buffered: bool) -> (Federation<F>, Digests) {
-    let transport = FaultTransport::new();
+    let mut transport = MemTransport::new();
     let digests = Digests {
         transcript: transport.transcript(),
         value: Sha256::default(),

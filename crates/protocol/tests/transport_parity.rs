@@ -1,11 +1,11 @@
 //! Byte-accounting parity across transport backends: for the same
 //! protocol round, the payload-byte column must be identical on
-//! `MemTransport`, `SimTransport` and `TcpTransport`, with TCP's framing
+//! `MemTransport` (untimed and timed) and `TcpTransport`, with TCP's framing
 //! overhead reported *separately* so distributed and in-memory records
 //! stay comparable.
 //!
 //! The TCP leg replays the round's delivered frames, as a
-//! `FaultTransport` records them, over a real loopback socket: the live
+//! a `MemTransport` transcript records them, over a real loopback socket: the live
 //! federation driver polls non-blockingly, so replay (rather than
 //! driving sessions over the socket) keeps the test deterministic while
 //! still exercising the real framing path.
@@ -13,7 +13,7 @@
 use lsa_field::Fp61;
 use lsa_net::{NodeId, TcpTransport, FRAME_OVERHEAD};
 use lsa_protocol::telemetry::RoundReport;
-use lsa_protocol::transport::{FaultTransport, SimTransport, Transport};
+use lsa_protocol::transport::{MemTransport, Transport};
 use lsa_protocol::{
     DropoutSchedule, LsaConfig, RoundOutcome, RoundPlan, SecureAggregator, SyncFederation,
 };
@@ -55,15 +55,16 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
     let plan = RoundPlan::from_schedule(&ms, &DropoutSchedule::after_upload(vec![3]));
 
     // Same round over the in-memory and the discrete-event backends.
-    let (mem_out, mem_fed) = run_over(cfg, &plan, FaultTransport::new());
-    let sim = SimTransport::new(
+    let mut mem = MemTransport::new();
+    let transcript = mem.transcript();
+    let (mem_out, mem_fed) = run_over(cfg, &plan, mem);
+    let sim = MemTransport::timed(
         lsa_net::NetworkConfig::paper_default(n),
         lsa_net::Duplex::Full,
     );
     let (sim_out, sim_fed) = run_over(cfg, &plan, sim);
     assert_eq!(mem_out.aggregate, sim_out.aggregate);
     let (mem, sim) = (mem_fed.transport(), sim_fed.transport());
-    let transcript = mem.transcript();
     let frames: Vec<Vec<u8>> = transcript.lock().unwrap().drain(..).map(|f| f.2).collect();
 
     let payload_total: usize = frames.iter().map(Vec::len).sum();
@@ -75,7 +76,7 @@ fn payload_bytes_identical_across_mem_sim_and_tcp() {
     assert_eq!(
         Transport::<Fp61>::bytes_sent(sim),
         payload_total,
-        "SimTransport moves the identical payload bytes for the same round"
+        "a timed MemTransport moves the identical payload bytes for the same round"
     );
     assert_eq!(
         Transport::<Fp61>::messages_sent(sim),

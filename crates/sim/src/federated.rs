@@ -7,7 +7,7 @@
 //! through one federated round — sync or buffered-async, chosen **by
 //! value** via the boxed aggregator variant — and the recovered
 //! aggregate is dequantized back into the weighted-average update. Over
-//! a [`lsa_protocol::transport::SimTransport`] every envelope also pays
+//! a timed [`MemTransport`] every envelope also pays
 //! simulated network time, so the same object yields both convergence
 //! curves and wall-clock estimates.
 //!
@@ -20,7 +20,7 @@ use lsa_field::Field;
 use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::federation::{BufferedFederation, Federation, RoundPlan, SyncFederation};
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
-use lsa_protocol::transport::{MemTransport, SimTransport};
+use lsa_protocol::transport::MemTransport;
 use lsa_protocol::LsaConfig;
 use lsa_quantize::VectorQuantizer;
 use rand::rngs::StdRng;
@@ -73,7 +73,7 @@ impl<F: Field> SecureFedAvg<F> {
         duplex: Duplex,
         seed: u64,
     ) -> Result<Self, lsa_protocol::ProtocolError> {
-        let sync = SyncFederation::new(cfg, SimTransport::new(net, duplex), seed)?;
+        let sync = SyncFederation::new(cfg, MemTransport::timed(net, duplex), seed)?;
         Ok(Self::new(Federation::new(Box::new(sync)), quantizer, seed))
     }
 
@@ -91,7 +91,7 @@ impl<F: Field> SecureFedAvg<F> {
         duplex: Duplex,
         seed: u64,
     ) -> Result<Self, lsa_protocol::ProtocolError> {
-        let grouped = GroupedFederation::new(topology, SimTransport::new(net, duplex), seed)?;
+        let grouped = GroupedFederation::new(topology, MemTransport::timed(net, duplex), seed)?;
         Ok(Self::new(
             Federation::new(Box::new(grouped)),
             quantizer,

@@ -4,7 +4,7 @@
 //! [`crate::round`] prices a round analytically from operation counts —
 //! fast at any scale but blind to what the implementation actually
 //! sends. This module instead runs the deployed round path — a
-//! [`SyncFederation`] of sans-IO sessions — over a [`SimTransport`]
+//! [`SyncFederation`] of sans-IO sessions — over a timed [`MemTransport`]
 //! (its tests also run a grouped federation the same way), so every
 //! phase timing is derived from the **actual serialized envelope
 //! bytes** flowing through the [`lsa_net`] discrete-event network:
@@ -19,7 +19,7 @@ use lsa_field::Field;
 use lsa_net::{Duplex, NetworkConfig};
 use lsa_protocol::federation::{RoundOutcome, RoundPlan, SyncFederation};
 use lsa_protocol::telemetry::RoundReport;
-use lsa_protocol::transport::SimTransport;
+use lsa_protocol::transport::MemTransport;
 use lsa_protocol::{DropoutSchedule, Federation, LsaConfig, ProtocolError};
 use rand::Rng;
 
@@ -82,7 +82,7 @@ pub fn run_timed_sync_round<F: Field, R: Rng + ?Sized>(
         net.clients,
         cfg.n()
     );
-    let sync = SyncFederation::new(cfg, SimTransport::new(net, duplex), rng.gen())?;
+    let sync = SyncFederation::new(cfg, MemTransport::timed(net, duplex), rng.gen())?;
     let mut fed = Federation::new(Box::new(sync));
     let output = fed.run_round(&RoundPlan::from_schedule(models, dropouts))?;
     let report = fed.last_report().cloned().unwrap_or_default();
@@ -171,7 +171,7 @@ mod tests {
         );
         assert_eq!(models.len(), topology.n(), "one model per client");
         let mut grouped =
-            GroupedFederation::new(topology.clone(), SimTransport::new(net, duplex), seed)?;
+            GroupedFederation::new(topology.clone(), MemTransport::timed(net, duplex), seed)?;
         let cohort: Vec<usize> = (0..topology.n()).collect();
         grouped.open_round(&cohort)?;
         for (id, model) in models.iter().enumerate() {
@@ -192,9 +192,9 @@ mod tests {
 
     #[test]
     fn timed_round_matches_mem_transport_aggregate() {
-        // Acceptance: a full round with dropouts completes over
-        // SimTransport with byte-identical aggregates to the same
-        // federation over MemTransport under the same seed.
+        // Acceptance: a full round with dropouts completes over a
+        // timed MemTransport with byte-identical aggregates to the same
+        // federation over an untimed one under the same seed.
         let cfg = LsaConfig::new(6, 2, 4, 17).unwrap();
         let ms = models(6, 17, 1);
         let sched = DropoutSchedule {

@@ -34,8 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // their models still count, they just can't help recovery.
     //
     // The round is one plan on a federation over an explicit transport
-    // — swap MemTransport for SimTransport and the same protocol bytes
-    // pay simulated network time (see `lsa_sim::timed`); keep the
+    // — swap `MemTransport::new()` for `MemTransport::timed(..)` and the
+    // same protocol bytes pay simulated network time (see
+    // `lsa_sim::timed`); keep the
     // federation and run more plans for a multi-round training run.
     let dropouts = DropoutSchedule::after_upload(vec![2, 6]);
     let sync = SyncFederation::new(cfg, MemTransport::new(), rng.gen())?;

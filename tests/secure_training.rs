@@ -203,7 +203,7 @@ fn fedavg_through_grouped_federation_over_simtransport_converges() {
 fn fedavg_through_two_level_hierarchy_at_n4096_converges() {
     // The aggregator-tree acceptance bar (ISSUE 5): a two-level
     // hierarchical secure-FedAvg run at N = 4096 (16 super-groups x 16
-    // leaf groups x 16 clients) over SimTransport — every leaf group on
+    // leaf groups x 16 clients) over a timed MemTransport — every leaf group on
     // its own simulated link — lands within 5% of the plaintext FedAvg
     // loss on the identical client-sampling stream. No loop anywhere
     // touches all 4096 clients: the root folds 16 child aggregates,
