@@ -178,7 +178,11 @@ fn hierarchical_partial_cells_name_the_stalled_leaf_by_its_tree_id() {
             assert_eq!(out.contributors, survivors, "{name}");
             let want: u64 = survivors.iter().map(|&i| i as u64 + 1).sum();
             assert_eq!(out.aggregate, vec![Fp61::from_u64(want); p.d], "{name}");
-            assert_eq!(fed.aggregator().stalled_leaves(), vec![2], "{name}");
+            assert_eq!(
+                fed.aggregator().round_report().unwrap().stalled,
+                vec![2],
+                "{name}"
+            );
         }
     }
 }

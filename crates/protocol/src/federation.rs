@@ -69,7 +69,7 @@
 use crate::asynchronous::BufferEntry;
 use crate::client::FederationClient;
 use crate::config::LsaConfig;
-use crate::ratchet::{self, CohortFingerprint, ServerRatchet};
+use crate::ratchet::{self, ServerRatchet};
 use crate::session::{Outgoing, Recipient, Session};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
@@ -106,10 +106,12 @@ pub struct RoundOutcome<F> {
 /// One round of secure aggregation, variant-agnostic and object-safe.
 ///
 /// The lifecycle per round is
-/// `open_round → submit* → [prepare_next] → [mark_dropped*] → finish_round`.
-/// Entropy is injected at construction only, so implementations coerce
-/// to `Box<dyn SecureAggregator<F>>` and a single [`Federation`] loop
-/// drives any variant.
+/// `open_round → submit* → [prepare_next] → [mark_dropped*] → finish_round`
+/// (or `abort_round`); [`SecureAggregator::reassign`] runs between
+/// rounds, and [`SecureAggregator::round_report`] describes the last
+/// finished one. Entropy is injected at construction only, so
+/// implementations coerce to `Box<dyn SecureAggregator<F>>` and a
+/// single [`Federation`] loop drives any variant.
 pub trait SecureAggregator<F: Field> {
     /// The protocol configuration.
     fn config(&self) -> LsaConfig;
@@ -181,52 +183,32 @@ pub trait SecureAggregator<F: Field> {
     fn abort_round(&mut self);
 
     /// Re-seat the client-id mapping with a permutation derived from
-    /// `seed`, between rounds. For a flat aggregator there is a single
-    /// privacy domain and nothing to permute (the default no-op); an
-    /// aggregator tree re-assigns clients across its leaf groups so
-    /// slowly-accumulating intra-group collusion never watches the same
-    /// peers for long.
+    /// `seed`, between rounds. An aggregator tree re-assigns clients
+    /// across its leaf groups, so slowly-accumulating intra-group
+    /// collusion never watches the same peers for long, then passes
+    /// `seed` to every leaf. A leaf has a single privacy domain and no
+    /// mapping of its own: it carries its ratchet *across* the
+    /// permutation, keeping the retained base masks and shares
+    /// (recovery is seat-based and untouched by the permute) but
+    /// advancing every member's pad-derivation epoch in lockstep
+    /// (`ratchet::reseat_epoch`) and dropping any pre-committed nonce
+    /// window. The buffered leaf ([`BufferedFederation`]) does not
+    /// reseat: it clears its ratchet
+    /// ([`SecureAggregator::clear_ratchet`]), correct, just slower (the
+    /// next round pays a full exchange).
     ///
     /// # Errors
     ///
-    /// Implementations reject a reassignment while a round is open or
-    /// prepared ([`ProtocolError::WrongPhase`] /
-    /// [`ProtocolError::InvalidConfig`]) — the mapping is part of a
-    /// round's identity.
-    fn reassign(&mut self, seed: u64) -> Result<(), ProtocolError> {
-        let _ = seed;
-        Ok(())
-    }
-
-    /// Leaf groups (tree-namespaced wire ids) skipped by the most
-    /// recent `finish_round` under partial recovery; empty after a full
-    /// round and for flat aggregators.
-    fn stalled_leaves(&self) -> Vec<usize> {
-        Vec::new()
-    }
+    /// [`ProtocolError::WrongPhase`] while a round is open and
+    /// [`ProtocolError::InvalidConfig`] while one is prepared: the
+    /// mapping is part of a round's identity.
+    fn reassign(&mut self, seed: u64) -> Result<(), ProtocolError>;
 
     /// Discard all stable-cohort ratchet state ([`crate::ratchet`]):
     /// retained base masks, in-flight commits, and any *prepared* round
     /// whose masks were derived by ratcheting (so a retry runs the full
     /// offline exchange). The aggregator tree clears every leaf.
     fn clear_ratchet(&mut self);
-
-    /// Carry the ratchet *across* a seat permutation derived from
-    /// `seed`: keep the retained base masks and shares (recovery is
-    /// seat-based and untouched by the permute) but advance every
-    /// member's pad-derivation epoch in lockstep
-    /// (`ratchet::reseat_epoch`) and drop any pre-committed
-    /// nonce window. The buffered leaf ([`BufferedFederation`]) does not
-    /// reseat: it falls back to [`SecureAggregator::clear_ratchet`],
-    /// correct, just slower (the next round pays a full exchange).
-    fn reseat_ratchet(&mut self, seed: u64);
-
-    /// The order-independent fingerprint of `cohort`'s current seating
-    /// ([`crate::ratchet::CohortFingerprint`]), or `None` when the
-    /// cohort is malformed. A driver stamps this into its [`RoundPlan`]
-    /// so a round silently re-seated under it fails typed instead of
-    /// aggregating across the wrong peers.
-    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint>;
 
     /// Total serialized bytes this aggregator (including every leaf of
     /// a tree) has moved across its transport(s).
@@ -237,7 +219,8 @@ pub trait SecureAggregator<F: Field> {
     /// any round completed. The aggregator tree returns the
     /// `RoundReport::merge` of its leaves' reports: leaves run over
     /// independent links in a real deployment, so the merged view is
-    /// the root's critical path.
+    /// the root's critical path. Its [`RoundReport::stalled`] names the
+    /// leaves a partial-recovery tree skipped.
     fn round_report(&self) -> Option<RoundReport>;
 }
 
@@ -853,6 +836,24 @@ pub(crate) fn ensure_unprepared(
     Ok(())
 }
 
+/// Reject a reassignment unless the aggregator is between rounds:
+/// nothing open, nothing prepared (shared by every `SecureAggregator`
+/// impl).
+pub(crate) fn ensure_between_rounds(
+    open: bool,
+    prepared: &BTreeMap<u64, BTreeSet<usize>>,
+) -> Result<(), ProtocolError> {
+    if open {
+        return Err(ProtocolError::WrongPhase);
+    }
+    if !prepared.is_empty() {
+        return Err(ProtocolError::InvalidConfig(
+            "cannot reassign while a prepared round is pending".into(),
+        ));
+    }
+    Ok(())
+}
+
 fn validate_cohort(cfg: &LsaConfig, cohort: &[usize]) -> Result<BTreeSet<usize>, ProtocolError> {
     let set: BTreeSet<usize> = cohort.iter().copied().collect();
     if set.len() != cohort.len() {
@@ -961,9 +962,9 @@ pub struct LeafFederation<F: Field, T> {
     /// Fingerprint of the cohort whose base masks the clients retain,
     /// set after each successful round ([`crate::ratchet`]).
     ratchet_fp: Option<u64>,
-    /// Every seat's [`CohortFingerprint`] digest, hashed once: a leaf's
-    /// group and config never change, so a cohort's fingerprint is a
-    /// sum of these.
+    /// Every seat's fingerprint digest (`ratchet::member_digest`),
+    /// hashed once: a leaf's group and config never change, so a
+    /// cohort's fingerprint is a sum of these.
     seat_digests: Vec<u64>,
     /// Driver-side mirror of the pre-committed window, `round → nonce`
     /// — membership decides whether the next round joins with zero
@@ -1008,7 +1009,7 @@ impl<F: Field, T: Transport<F>> LeafFederation<F, T> {
             entropy: StdRng::seed_from_u64(entropy),
             ratchet_fp: None,
             seat_digests: (0..cfg.n())
-                .map(|id| ratchet::member_digest(group, cfg, id, id))
+                .map(|id| ratchet::member_digest(group, cfg, id))
                 .collect(),
             window: BTreeMap::new(),
             mark: TrafficMark::default(),
@@ -1050,14 +1051,14 @@ impl<F: Field, T: Transport<F>> LeafFederation<F, T> {
         ) {}
     }
 
-    /// The raw seat fingerprint of `cohort` in this leaf, that of
-    /// [`CohortFingerprint::of_flat`]. An id past the last seat (only a
-    /// caller's unvalidated cohort has one) is hashed on the spot.
+    /// The seat fingerprint of `cohort` in this leaf: the wrapping sum
+    /// of its members' `ratchet::member_digest`s. An id past the last
+    /// seat is hashed on the spot.
     fn fingerprint<'a>(&self, cohort: impl IntoIterator<Item = &'a usize>) -> u64 {
         cohort.into_iter().fold(0, |acc, &id| {
             let seat = self.seat_digests.get(id).copied();
             acc.wrapping_add(
-                seat.unwrap_or_else(|| ratchet::member_digest(self.group, self.cfg, id, id)),
+                seat.unwrap_or_else(|| ratchet::member_digest(self.group, self.cfg, id)),
             )
         })
     }
@@ -1377,11 +1378,12 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for LeafFederation<F, T> {
         }
     }
 
-    fn reseat_ratchet(&mut self, seed: u64) {
+    fn reassign(&mut self, seed: u64) -> Result<(), ProtocolError> {
+        ensure_between_rounds(self.open.is_some(), &self.prepared)?;
         // a buffered leaf does not carry its bases across a reseat
         if self.server.buffer.is_some() {
             self.clear_ratchet();
-            return;
+            return Ok(());
         }
         // the leaf fingerprint is seat-based and unchanged by a global
         // permute, so the retained bases stay valid — only the pad
@@ -1394,10 +1396,7 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for LeafFederation<F, T> {
         }
         self.window.clear();
         self.server.ratchet.clear();
-    }
-
-    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
-        Some(CohortFingerprint::from_raw(self.fingerprint(cohort)))
+        Ok(())
     }
 
     fn bytes_sent(&self) -> usize {
@@ -1463,7 +1462,7 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
 /// ([`FederationServer::timestamped`]) recover a staleness-weighted
 /// aggregate from whatever its buffer holds when the round closes. Runs
 /// flat (group 0) and clears, rather than reseats, its ratchet on a
-/// reseat.
+/// [`SecureAggregator::reassign`].
 pub type BufferedFederation<F, T> = LeafFederation<F, T>;
 
 impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
@@ -1510,13 +1509,6 @@ pub struct RoundPlan<F> {
     /// When set, the next round's mask exchange runs overlapped with
     /// this round (§4.1).
     pub prepare_next: Option<Vec<usize>>,
-    /// When set, the aggregator's
-    /// [`SecureAggregator::cohort_fingerprint`] of this plan's cohort
-    /// must match before the round opens — a seating change under the
-    /// caller's feet fails typed
-    /// ([`ProtocolError::RatchetMismatch`], never retried) instead of
-    /// aggregating across the wrong peers.
-    pub(crate) fingerprint: Option<CohortFingerprint>,
 }
 
 impl<F> RoundPlan<F> {
@@ -1527,7 +1519,6 @@ impl<F> RoundPlan<F> {
             updates: Vec::new(),
             drop_after_upload: Vec::new(),
             prepare_next: None,
-            fingerprint: None,
         }
     }
 
@@ -1614,14 +1605,6 @@ impl<F> RoundPlan<F> {
         self.prepare_next = Some(cohort);
         self
     }
-
-    /// Pin the cohort's seating: the round only opens if the
-    /// aggregator's fingerprint of this cohort still matches.
-    #[must_use]
-    pub fn with_fingerprint(mut self, fingerprint: CohortFingerprint) -> Self {
-        self.fingerprint = Some(fingerprint);
-        self
-    }
 }
 
 /// The multi-round driver: owns a boxed [`SecureAggregator`] (either
@@ -1680,10 +1663,7 @@ impl<F: Field> Federation<F> {
     /// round lost a member before upload —
     /// [`ProtocolError::RatchetMismatch`]), the ratchet state is
     /// discarded, the round aborted, and the plan replayed **once**
-    /// with a full mask exchange; the failed round number is burned. A
-    /// mismatch against the plan's own pinned
-    /// fingerprint ([`RoundPlan::with_fingerprint`]) is a caller error and is never
-    /// retried.
+    /// with a full mask exchange; the failed round number is burned.
     ///
     /// # Errors
     ///
@@ -1693,12 +1673,6 @@ impl<F: Field> Federation<F> {
     /// next plan runs. Driving the lifecycle by hand keeps
     /// `finish_round`'s "the round stays open for more shares".
     pub fn run_round(&mut self, plan: &RoundPlan<F>) -> Result<RoundOutcome<F>, ProtocolError> {
-        if let Some(expected) = plan.fingerprint {
-            match self.aggregator.cohort_fingerprint(&plan.cohort) {
-                Some(actual) if actual == expected => {}
-                _ => return Err(ProtocolError::RatchetMismatch),
-            }
-        }
         let (out, fell_back) = match attempt_round(self.aggregator.as_mut(), plan) {
             Err(ProtocolError::RatchetMismatch) => {
                 (attempt_round(self.aggregator.as_mut(), plan), true)
@@ -1813,6 +1787,38 @@ mod tests {
                 assert_eq!(out.round, round, "{name}");
                 assert_eq!(out.aggregate, expected(&[0, 1, 2, 3, 4]), "{name}");
                 assert_eq!(out.total_weight, 5, "{name}");
+            }
+        }
+    }
+
+    /// A leaf takes a reassignment only between rounds: mid-round is
+    /// `WrongPhase`, a prepared next round is `InvalidConfig`, and the
+    /// rounds on either side of an accepted one stay exact.
+    #[test]
+    fn leaf_reassign_waits_for_the_round_boundary() {
+        let cohort = [0, 1, 2, 3, 4];
+        for (name, mut fed) in variants() {
+            let leaf = fed.aggregator_mut();
+            leaf.reassign(1).unwrap();
+            for round in 0..3u64 {
+                leaf.open_round(&cohort).unwrap();
+                assert_eq!(leaf.reassign(2), Err(ProtocolError::WrongPhase), "{name}");
+                if round == 0 {
+                    leaf.prepare_next(&cohort).unwrap();
+                }
+                for (id, u) in updates(&cohort) {
+                    leaf.submit(id, &u).unwrap();
+                }
+                let out = leaf.finish_round().unwrap();
+                assert_eq!(out.aggregate, expected(&cohort), "{name} round {round}");
+                if round == 0 {
+                    assert!(
+                        matches!(leaf.reassign(3), Err(ProtocolError::InvalidConfig(_))),
+                        "{name}"
+                    );
+                } else {
+                    leaf.reassign(4 + round).unwrap();
+                }
             }
         }
     }
@@ -2182,7 +2188,7 @@ mod tests {
         // rounds 0 and 1 are retired: a commit replayed from round 1 is
         // rejected as stale before any mask re-derivation, whatever its
         // nonce claims
-        let fp = CohortFingerprint::of_flat(0, cfg(), &cohort).raw();
+        let fp = ratchet::tests::fingerprint_of(0, cfg(), &cohort);
         let replay = RatchetAnnouncement {
             from: RATCHET_FROM_SERVER,
             group: 0,
@@ -2482,10 +2488,10 @@ mod tests {
         assert_seat_fingerprints(buffered, 0);
     }
 
-    /// Sampled cohorts fingerprint as [`CohortFingerprint::of_flat`]
-    /// says, after a full round, after a reseat (what an aggregator
-    /// tree's `reassign` does to every leaf) and a ratcheted round, and
-    /// after a churned round.
+    /// Sampled cohorts fingerprint as the sum of their
+    /// [`ratchet::member_digest`]s, after a full round, after a
+    /// reassignment (what an aggregator tree's `reassign` passes to
+    /// every leaf) and a ratcheted round, and after a churned round.
     fn assert_seat_fingerprints(mut fed: LeafFederation<Fp61, MemTransport>, group: usize) {
         let cfg = fed.cfg;
         let mut rng = StdRng::seed_from_u64(group as u64);
@@ -2495,7 +2501,7 @@ mod tests {
             .enumerate()
         {
             if step == 1 {
-                fed.reseat_ratchet(0xD00D);
+                fed.reassign(0xD00D).unwrap();
             }
             fed.open_round(cohort).unwrap();
             for (id, u) in updates(cohort) {
@@ -2504,14 +2510,14 @@ mod tests {
             fed.finish_round().unwrap();
             for _ in 0..20 {
                 let sampled: Vec<usize> = (0..cfg.n()).filter(|_| rng.gen_bool(0.6)).collect();
-                let want = CohortFingerprint::of_flat(group, cfg, &sampled);
-                assert_eq!(fed.cohort_fingerprint(&sampled), Some(want));
+                let want = ratchet::tests::fingerprint_of(group, cfg, &sampled);
+                assert_eq!(fed.fingerprint(&sampled), want);
             }
         }
         // an id past the last seat has no cached digest
         let stray = [0, 3, cfg.n(), 99];
-        let want = CohortFingerprint::of_flat(group, cfg, &stray);
-        assert_eq!(fed.cohort_fingerprint(&stray), Some(want));
+        let want = ratchet::tests::fingerprint_of(group, cfg, &stray);
+        assert_eq!(fed.fingerprint(&stray), want);
     }
 
     // -----------------------------------------------------------------

@@ -102,8 +102,7 @@ pub use federation::{
     SyncFederation,
 };
 pub use ratchet::{
-    CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetPolicy, RatchetWindowCommit,
-    RATCHET_FROM_SERVER,
+    PadTopology, RatchetAnnouncement, RatchetPolicy, RatchetWindowCommit, RATCHET_FROM_SERVER,
 };
 pub use session::{Recipient, Session};
 pub use telemetry::RoundReport;

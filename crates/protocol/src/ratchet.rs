@@ -78,54 +78,17 @@ const EPOCH_DOMAIN: &[u8] = b"lsa-ratchet-epoch-v1";
 /// acks carry the client's own id, which is always `< n < u32::MAX`.
 pub const RATCHET_FROM_SERVER: u32 = u32::MAX;
 
-/// Order-independent digest of a cohort: who participates, in which
-/// seat, under which per-group code parameters.
-///
-/// Two rounds with equal fingerprints see the same clients in the same
-/// leaf slots under the same `LsaConfig`, which is exactly the
-/// condition under which retained offline state can be re-used. The
-/// combine is a wrapping sum of per-member SHA-256 digests, so the
-/// fingerprint does not depend on cohort ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CohortFingerprint(u64);
-
-impl CohortFingerprint {
-    /// Rebuild a fingerprint from its raw wire representation.
-    pub fn from_raw(raw: u64) -> Self {
-        CohortFingerprint(raw)
-    }
-
-    /// The raw 64-bit value (what [`RatchetAnnouncement`] carries).
-    #[cfg(test)]
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Fingerprint a cohort given per-member `(group, config, global
-    /// id, slot)` tuples. Order-independent.
-    pub(crate) fn of_members<I>(members: I) -> Self
-    where
-        I: IntoIterator<Item = (usize, LsaConfig, usize, usize)>,
-    {
-        let mut acc = 0u64;
-        for (group, cfg, id, slot) in members {
-            acc = acc.wrapping_add(member_digest(group, cfg, id, slot));
-        }
-        CohortFingerprint(acc)
-    }
-
-    /// Fingerprint a flat (single-group) cohort, where each member's
-    /// slot is its own id.
-    #[cfg(test)]
-    pub(crate) fn of_flat(group: usize, cfg: LsaConfig, cohort: &[usize]) -> Self {
-        Self::of_members(cohort.iter().map(|&id| (group, cfg, id, id)))
-    }
-}
-
-/// SHA-256-derived digest of one cohort seat.
-pub(crate) fn member_digest(group: usize, cfg: LsaConfig, id: usize, slot: usize) -> u64 {
+/// SHA-256-derived digest of the seat `id` of leaf `group` under `cfg`.
+/// A cohort's fingerprint is the wrapping sum of its members' digests,
+/// so it does not depend on cohort order; two rounds with equal
+/// fingerprints see the same seats filled under the same `LsaConfig`,
+/// which is exactly the condition under which retained offline state
+/// can be re-used. The seat enters the hash twice, as the member's id
+/// and as its slot, which coincide in a leaf; the two words keep the
+/// `lsa-ratchet-fp-v1` fingerprints unchanged.
+pub(crate) fn member_digest(group: usize, cfg: LsaConfig, id: usize) -> u64 {
     let (n, t, u, d) = (cfg.n(), cfg.t(), cfg.u(), cfg.d());
-    digest_words(FP_DOMAIN, [group, n, t, u, d, id, slot].map(|v| v as u64))
+    digest_words(FP_DOMAIN, [group, n, t, u, d, id, id].map(|v| v as u64))
 }
 
 /// The first 8 bytes, read little-endian, of
@@ -159,8 +122,9 @@ pub struct RatchetAnnouncement {
     pub round: u64,
     /// Per-round nonce hashed into every pairwise pad seed.
     pub nonce: u64,
-    /// Raw value of the [`CohortFingerprint`] both sides must agree on
-    /// ([`CohortFingerprint::from_raw`] reads it back).
+    /// The cohort fingerprint both sides must agree on: the wrapping
+    /// sum, over the cohort's seats, of a SHA-256 digest of the seat
+    /// and of the leaf's group and code parameters.
     pub fingerprint: u64,
 }
 
@@ -184,8 +148,9 @@ pub struct RatchetWindowCommit {
     pub group: usize,
     /// First round the window covers.
     pub round: u64,
-    /// Raw value of the [`CohortFingerprint`] both sides must agree on
-    /// ([`CohortFingerprint::from_raw`] reads it back).
+    /// The cohort fingerprint both sides must agree on: the wrapping
+    /// sum, over the cohort's seats, of a SHA-256 digest of the seat
+    /// and of the leaf's group and code parameters.
     pub fingerprint: u64,
     /// Pad topology every window round derives its pads under.
     pub topology: PadTopology,
@@ -726,11 +691,12 @@ pub fn policies() -> [RatchetPolicy; 3] {
     ]
 }
 
-/// Evolve the pad epoch across a reseat ([`crate::topology`]'s
-/// `reassign`): every member of a leaf folds the same `(old epoch,
-/// reseat seed)` through SHA-256, so the refreshed edge secrets still
-/// agree pairwise and the pads keep cancelling — while pads from
-/// before the reseat become underivable without the new epoch.
+/// Evolve the pad epoch across a reseat (a leaf's
+/// [`crate::SecureAggregator::reassign`]): every member of a leaf folds
+/// the same `(old epoch, reseat seed)` through SHA-256, so the
+/// refreshed edge secrets still agree pairwise and the pads keep
+/// cancelling — while pads from before the reseat become underivable
+/// without the new epoch.
 pub(crate) fn reseat_epoch(old: u64, seed: u64) -> u64 {
     digest_words(EPOCH_DOMAIN, [old, seed])
 }
@@ -835,27 +801,35 @@ pub(crate) mod tests {
         LsaConfig::new(4, 1, 3, 6).unwrap()
     }
 
+    /// The fingerprint of `cohort`'s seats in leaf `group`: the sum
+    /// of [`member_digest`]s a leaf commits to.
+    pub(crate) fn fingerprint_of(group: usize, cfg: LsaConfig, cohort: &[usize]) -> u64 {
+        cohort.iter().fold(0, |acc, &id| {
+            acc.wrapping_add(member_digest(group, cfg, id))
+        })
+    }
+
     #[test]
     fn fingerprint_is_order_independent() {
-        let a = CohortFingerprint::of_flat(0, cfg(), &[0, 1, 2, 3]);
-        let b = CohortFingerprint::of_flat(0, cfg(), &[3, 1, 0, 2]);
+        let a = fingerprint_of(0, cfg(), &[0, 1, 2, 3]);
+        let b = fingerprint_of(0, cfg(), &[3, 1, 0, 2]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn fingerprint_separates_membership_seat_group_and_config() {
-        let base = CohortFingerprint::of_flat(0, cfg(), &[0, 1, 2]);
-        // membership
-        assert_ne!(base, CohortFingerprint::of_flat(0, cfg(), &[0, 1, 3]));
+        let base = fingerprint_of(0, cfg(), &[0, 1, 2]);
+        // membership: in a leaf a member's seat is its id, so a
+        // different member is a different seat
+        assert_ne!(base, fingerprint_of(0, cfg(), &[0, 1, 3]));
         // group namespace
-        assert_ne!(base, CohortFingerprint::of_flat(1, cfg(), &[0, 1, 2]));
+        assert_ne!(base, fingerprint_of(1, cfg(), &[0, 1, 2]));
         // config (same shape, different dimension)
         let other = LsaConfig::new(4, 1, 3, 7).unwrap();
-        assert_ne!(base, CohortFingerprint::of_flat(0, other, &[0, 1, 2]));
-        // seat: same ids in different slots
-        let reseated =
-            CohortFingerprint::of_members([(0, cfg(), 0, 1), (0, cfg(), 1, 0), (0, cfg(), 2, 2)]);
-        assert_ne!(base, reseated);
+        assert_ne!(base, fingerprint_of(0, other, &[0, 1, 2]));
+        // seat: the id is hashed as both the member and its slot
+        let digest = digest_words(FP_DOMAIN, [0, 4, 1, 3, 6, 2, 2]);
+        assert_eq!(member_digest(0, cfg(), 2), digest);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   frame for TCP) and envelope counts, so distributed and in-memory
 //!   byte columns are directly comparable;
 //! * **events** — dropout / requeue / ratchet / fallback / rejection /
-//!   quarantine counters ([`EventCounters`]).
+//!   quarantine counters ([`EventCounters`]), and the wire ids of the
+//!   leaves a partial-recovery tree skipped ([`RoundReport::stalled`]).
 //!
 //! Three operations define the discipline:
 //!
@@ -44,8 +45,8 @@ use std::collections::BTreeMap;
 pub struct EventCounters {
     /// Cohort members marked vanished after upload this round.
     pub dropouts: usize,
-    /// Updates re-queued into a later round after a subtree stalled
-    /// (partial recovery).
+    /// Updates re-queued into a later round after a leaf stalled
+    /// (partial recovery; [`RoundReport::stalled`] names the leaves).
     pub requeues: usize,
     /// Rounds whose masks came from the stable-cohort ratchet instead
     /// of a full offline exchange, paying a commit/ack handshake (0 or
@@ -98,6 +99,10 @@ pub struct RoundReport {
     pub envelopes: usize,
     /// Protocol event counters.
     pub events: EventCounters,
+    /// Wire ids of the leaf groups a partial-recovery aggregator tree
+    /// skipped this round, ascending; empty after a full round and for
+    /// a flat aggregator.
+    pub stalled: Vec<usize>,
     /// The policy the round ran under (`RoundReport::merge` and
     /// [`RoundReport::average`] keep the first report's).
     pub ratchet: RatchetPolicy,
@@ -161,7 +166,8 @@ impl RoundReport {
     /// message/byte counts and arrival times are pooled. Children model
     /// independent per-subtree links, so the merged end is the moment
     /// the *slowest* subtree finished that phase — the root's critical
-    /// path. Traffic and event counters are summed.
+    /// path. Traffic and event counters are summed; `stalled` is left
+    /// empty for the tree to fill.
     pub(crate) fn merge(round: u64, children: &[RoundReport]) -> RoundReport {
         // key = (label, occurrence index of that label within one child)
         let mut merged: Vec<((&'static str, usize), PhaseTiming)> = Vec::new();
@@ -368,8 +374,7 @@ impl TrafficMark {
             payload_bytes: transport.bytes_sent().saturating_sub(self.payload),
             framing_bytes: transport.framing_bytes().saturating_sub(self.framing),
             envelopes: transport.messages_sent().saturating_sub(self.envelopes),
-            events: EventCounters::default(),
-            ratchet: RatchetPolicy::default(),
+            ..RoundReport::default()
         }
     }
 }

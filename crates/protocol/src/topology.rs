@@ -84,10 +84,10 @@
 
 use crate::config::LsaConfig;
 use crate::federation::{
-    claim_prepared, ensure_unprepared, BoxedAggregator, OpenRound, RoundOutcome, SecureAggregator,
-    SyncFederation,
+    claim_prepared, ensure_between_rounds, ensure_unprepared, BoxedAggregator, OpenRound,
+    RoundOutcome, SecureAggregator, SyncFederation,
 };
-use crate::ratchet::{CohortFingerprint, RatchetPolicy};
+use crate::ratchet::RatchetPolicy;
 use crate::telemetry::RoundReport;
 use crate::transport::Transport;
 use crate::wire::MAX_GROUP_ID;
@@ -610,8 +610,6 @@ pub struct GroupedFederation<F: Field> {
     /// When set, a leaf that cannot decode is skipped and its
     /// submitted updates re-queued into the next round.
     partial_recovery: bool,
-    /// Leaf wire ids skipped by the last `finish_round` in partial mode.
-    stalled: Vec<usize>,
     /// This round's effective submissions (partial mode only):
     /// global id → (update incl. merged carryover, weight).
     round_updates: BTreeMap<usize, (Vec<F>, u64)>,
@@ -689,7 +687,6 @@ impl<F: Field> GroupedFederation<F> {
             participating: Vec::new(),
             prepared: BTreeMap::new(),
             partial_recovery: false,
-            stalled: Vec::new(),
             round_updates: BTreeMap::new(),
             carryover: BTreeMap::new(),
             merged: BTreeMap::new(),
@@ -702,7 +699,7 @@ impl<F: Field> GroupedFederation<F> {
     /// leaves' sum is still emitted, the stalled leaves' submitted
     /// updates are **re-queued** by global id into the next round (each
     /// lands in a later aggregate exactly once), and
-    /// [`SecureAggregator::stalled_leaves`] reports who was left out.
+    /// the round's [`RoundReport::stalled`] names who was left out.
     /// Off by default — deferring a whole leaf's updates silently is a
     /// policy decision, not a default.
     #[must_use]
@@ -967,11 +964,11 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         // operator wants telemetry for.
         let mut report = RoundReport::merge(open.round, &leaf_reports);
         report.events.requeues += requeued;
+        report.stalled = stalled;
         self.last_report = Some(report);
 
         self.merged.clear();
         self.round_updates.clear();
-        self.stalled = stalled;
         self.open = None;
         self.participating = Vec::new();
         if contributors.is_empty() {
@@ -1009,22 +1006,19 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
     }
 
     fn reassign(&mut self, seed: u64) -> Result<(), ProtocolError> {
-        if self.open.is_some() {
-            return Err(ProtocolError::WrongPhase);
-        }
-        if !self.prepared.is_empty() {
-            return Err(ProtocolError::InvalidConfig(
-                "cannot reassign the group mapping while a prepared round is pending".into(),
-            ));
+        ensure_between_rounds(self.open.is_some(), &self.prepared)?;
+        // a leaf sees only local seat indices, which look identical
+        // across a reassignment even though different clients now sit in
+        // them — freshen the pad-seed epoch under the retained bases so
+        // the ratchet stretches across the permute instead of re-keying.
+        // The leaves go first: one that refuses leaves the mapping as it
+        // was (an epoch bumped in lockstep under it is harmless)
+        for leaf in &mut self.leaves {
+            leaf.reassign(seed)?;
         }
         // re-queued updates are keyed by global id and follow their
         // client to its new leaf
         self.topology.reassign(seed);
-        // a leaf sees only local seat indices, which look identical
-        // across a reassignment even though different clients now sit in
-        // them — freshen the pad-seed epoch under the retained bases so
-        // the ratchet stretches across the permute instead of re-keying
-        self.reseat_ratchet(seed);
         Ok(())
     }
 
@@ -1032,31 +1026,6 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         for leaf in &mut self.leaves {
             leaf.clear_ratchet();
         }
-    }
-
-    fn reseat_ratchet(&mut self, seed: u64) {
-        for leaf in &mut self.leaves {
-            leaf.reseat_ratchet(seed);
-        }
-    }
-
-    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
-        let mut members = Vec::with_capacity(cohort.len());
-        for &id in cohort {
-            let slot = self.topology.slot_of(id).ok()?;
-            let (leaf, _) = self.topology.locate(id).ok()?;
-            members.push((
-                self.topology.wire_id(leaf) as usize,
-                self.topology.group_config(leaf),
-                id,
-                slot,
-            ));
-        }
-        Some(CohortFingerprint::of_members(members))
-    }
-
-    fn stalled_leaves(&self) -> Vec<usize> {
-        self.stalled.clone()
     }
 
     fn bytes_sent(&self) -> usize {
@@ -1275,7 +1244,7 @@ mod tests {
             assert_eq!(out.contributors, vec![0, 1, 2, 3]);
             assert_eq!(out.aggregate, expected(&[0, 1, 2, 3], d));
             assert_eq!(out.total_weight, 4);
-            assert_eq!(fed.aggregator().stalled_leaves(), vec![1]);
+            assert_eq!(fed.aggregator().round_report().unwrap().stalled, vec![1]);
             // round 1: group 1's round-0 updates ride along, exactly once
             let mut next = RoundPlan::new(all.clone());
             next.updates = updates(&all, d);
@@ -1285,7 +1254,7 @@ mod tests {
             lsa_field::ops::add_assign(&mut want, &expected(&[4, 5, 6, 7], d));
             assert_eq!(out.aggregate, want);
             assert_eq!(out.total_weight, 8 + 4);
-            assert!(fed.aggregator().stalled_leaves().is_empty());
+            assert!(fed.aggregator().round_report().unwrap().stalled.is_empty());
             // round 2: nothing re-queued is left over
             let mut last = RoundPlan::new(all.clone());
             last.updates = updates(&all, d);
@@ -1316,7 +1285,7 @@ mod tests {
             let out = fed.run_round(&plan).unwrap();
             assert_eq!(out.contributors, (4..16).collect::<Vec<_>>());
             assert_eq!(out.aggregate, expected(&(4..16).collect::<Vec<_>>(), d));
-            assert_eq!(fed.aggregator().stalled_leaves(), vec![0]);
+            assert_eq!(fed.aggregator().round_report().unwrap().stalled, vec![0]);
             // next round: leaf 0's deferred updates land exactly once
             let mut next = RoundPlan::new(all.clone());
             next.updates = updates(&all, d);
@@ -1469,6 +1438,51 @@ mod tests {
     }
 
     #[test]
+    fn every_leaf_stalled_requeues_the_whole_round() {
+        for policy in policies() {
+            // leaf 0 keeps 2 recovery helpers and leaf 1 keeps 1, both
+            // below u = 3: nothing decodes, everything is re-queued
+            let d = 3;
+            let all: Vec<usize> = (0..8).collect();
+            let mut grouped = GroupedFederation::<Fp61>::new(
+                topo_2x4(d).with_ratchet(policy),
+                MemTransport::new(),
+                18,
+            )
+            .unwrap()
+            .with_partial_recovery();
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            for id in [0, 1, 4, 5, 6] {
+                grouped.mark_dropped(id).unwrap();
+            }
+            // the first leaf's error, not the second's
+            assert_eq!(
+                grouped.finish_round().unwrap_err(),
+                ProtocolError::NotEnoughSurvivors { got: 2, need: 3 }
+            );
+            let report = grouped.round_report().unwrap();
+            assert_eq!(report.round, 0);
+            assert_eq!(report.stalled, vec![0, 1]);
+            assert_eq!(report.events.requeues, 8);
+            assert_eq!(grouped.requeued_clients(), all);
+            // the next round lands every deferred update exactly once
+            grouped.open_round(&all).unwrap();
+            for (id, u) in updates(&all, d) {
+                grouped.submit(id, &u).unwrap();
+            }
+            let out = grouped.finish_round().unwrap();
+            let want: Vec<Fp61> = expected(&all, d).iter().map(|&x| x + x).collect();
+            assert_eq!(out.aggregate, want);
+            assert_eq!(out.total_weight, 16);
+            assert!(grouped.round_report().unwrap().stalled.is_empty());
+            assert!(grouped.requeued_clients().is_empty());
+        }
+    }
+
+    #[test]
     fn reassignment_with_requeued_updates_lands_them_exactly_once() {
         for policy in policies() {
             // re-queued updates are keyed by global id, so re-seating the
@@ -1490,7 +1504,7 @@ mod tests {
                 grouped.mark_dropped(id).unwrap(); // leaf 0 stalls
             }
             grouped.finish_round().unwrap();
-            assert_eq!(grouped.stalled_leaves(), vec![0]);
+            assert_eq!(grouped.round_report().unwrap().stalled, vec![0]);
             assert!(!grouped.requeued_clients().is_empty());
             grouped.reassign(5).unwrap();
             grouped.open_round(&all).unwrap();

@@ -109,20 +109,30 @@ fn a_stalled_subtree_unstalls_and_lands_its_requeue_exactly_once() {
         let out = fed.run_round(&plan(16, 0, &[9, 12, 14])).unwrap();
         assert_eq!(out.total_weight, 8, "{name}");
         assert_eq!(out.aggregate, sum(0..8, 0), "{name}");
-        assert_eq!(fed.aggregator().stalled_leaves(), vec![1], "{name}");
+        assert_eq!(
+            fed.aggregator().round_report().unwrap().stalled,
+            vec![1],
+            "{name}"
+        );
         // round 1: the stalled leaf is back and its round-0 updates ride
         // along, once
         let out = fed
             .run_round(&plan(16, 1, &[]))
             .unwrap_or_else(|e| panic!("{name}: round after the stall failed: {e}"));
-        assert!(fed.aggregator().stalled_leaves().is_empty(), "{name}");
+        assert!(
+            fed.aggregator().round_report().unwrap().stalled.is_empty(),
+            "{name}"
+        );
         assert_eq!(out.total_weight, 16 + 8, "{name}");
         let mut want = sum(0..16, 1);
         lsa_field::ops::add_assign(&mut want, &sum(8..16, 0));
         assert_eq!(out.aggregate, want, "{name}");
         // round 2: nothing re-queued is left over
         let out = fed.run_round(&plan(16, 2, &[])).unwrap();
-        assert!(fed.aggregator().stalled_leaves().is_empty(), "{name}");
+        assert!(
+            fed.aggregator().round_report().unwrap().stalled.is_empty(),
+            "{name}"
+        );
         assert_eq!(out.total_weight, 16, "{name}");
         assert_eq!(out.aggregate, sum(0..16, 2), "{name}");
     }

@@ -12,9 +12,7 @@ use lsa_protocol::telemetry::RoundReport;
 use lsa_protocol::topology::{GroupTopology, GroupedFederation};
 use lsa_protocol::transport::{Fault, MemTransport};
 use lsa_protocol::wire::EnvelopeKind;
-use lsa_protocol::{
-    CohortFingerprint, Federation, LsaConfig, PadTopology, ProtocolError, RatchetPolicy, Recipient,
-};
+use lsa_protocol::{Federation, LsaConfig, PadTopology, ProtocolError, RatchetPolicy, Recipient};
 use std::sync::Barrier;
 
 fn cfg() -> LsaConfig {
@@ -302,32 +300,6 @@ fn before_upload_dropout_falls_back_via_typed_mismatch() {
     assert_eq!(out.aggregate, expected_sum(&cohort, 3));
 }
 
-/// A plan pinned to a stale [`CohortFingerprint`] fails typed without
-/// consuming a round; re-pinning to the live fingerprint succeeds.
-#[test]
-fn plan_fingerprint_mismatch_fails_typed_without_retry() {
-    let sync = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 23).unwrap();
-    let mut fed = Federation::new(Box::new(sync));
-    let cohort: Vec<usize> = (0..8).collect();
-
-    let mut plan = RoundPlan::new(cohort.clone());
-    for &id in &cohort {
-        plan = plan.with_update(id, update(id, 0));
-    }
-    let stale = plan
-        .clone()
-        .with_fingerprint(CohortFingerprint::from_raw(0xBAD));
-    assert!(matches!(
-        fed.run_round(&stale),
-        Err(ProtocolError::RatchetMismatch)
-    ));
-    assert_eq!(fed.round(), 0, "a pinning failure must not consume a round");
-
-    let live = fed.aggregator().cohort_fingerprint(&cohort).unwrap();
-    let out = fed.run_round(&plan.with_fingerprint(live)).unwrap();
-    assert_eq!(out.aggregate, expected_sum(&cohort, 0));
-}
-
 /// The buffered-asynchronous variant ratchets the same way: a stable
 /// stretch moves no timestamped mask shares, only announcements.
 #[test]
@@ -552,31 +524,6 @@ fn reassignment_mid_stretch_ratchets_through() {
     fed.reassign(123).unwrap();
     let b_again = offline(&mut fed, &full);
     assert!(0 < b_again && b_again * 2 < b_full);
-}
-
-/// The grouped fingerprint pins the *seating*: after a reassignment the
-/// same cohort fingerprints differently, so a pinned plan fails typed.
-#[test]
-fn grouped_fingerprint_changes_under_reassignment() {
-    let topology = GroupTopology::uniform(16, 4, 0.25, 0.75, 16).unwrap();
-    let grouped = GroupedFederation::<Fp61>::new(topology, MemTransport::new(), 41).unwrap();
-    let mut fed = Federation::new(Box::new(grouped));
-    let cohort: Vec<usize> = (0..16).collect();
-
-    let before = fed.aggregator().cohort_fingerprint(&cohort).unwrap();
-    let mut plan = RoundPlan::new(cohort.clone()).with_fingerprint(before);
-    for &id in &cohort {
-        plan = plan.with_update(id, update(id, 0));
-    }
-    fed.run_round(&plan).unwrap();
-
-    fed.aggregator_mut().reassign(7).unwrap();
-    let after = fed.aggregator().cohort_fingerprint(&cohort).unwrap();
-    assert_ne!(before, after, "reassignment must change the fingerprint");
-    assert!(matches!(
-        fed.run_round(&plan),
-        Err(ProtocolError::RatchetMismatch)
-    ));
 }
 
 /// The policy is a value, not process state: federations under

@@ -6,7 +6,7 @@
 //! exchange, ratchet handshake, churn out and back in, an after-upload
 //! dropout, a before-upload dropout inside a ratcheted round (typed
 //! mismatch → abort → replay with a full exchange), an overlapped
-//! `prepare_next`, and a `reseat_ratchet` mid-stretch.
+//! `prepare_next`, and a `reassign` mid-stretch.
 //!
 //! * The **value** digest hashes recipient + `to_bytes()`: a single
 //!   reordered envelope, a changed recipient filter, one moved RNG draw
@@ -155,7 +155,7 @@ fn transcript_digests<F: Field>(buffered: bool, policy: RatchetPolicy) -> (Strin
     let (mut fallbacks, mut ratcheted) = (0, 0);
     for step in 0..10u64 {
         if step == 7 {
-            fed.aggregator_mut().reseat_ratchet(0xA11CE);
+            fed.aggregator_mut().reassign(0xA11CE).unwrap();
         }
         run_checked(&mut fed, &mut digests, &plan::<F>(step), step);
         let events = fed.last_report().expect("a finished round reports").events;

@@ -144,12 +144,6 @@ impl<F: Field> SecureFedAvg<F> {
             .collect();
         let cohort: Vec<usize> = (0..cfg.n()).collect();
         let mut plan = RoundPlan::new(cohort.clone()).with_updates(quantized);
-        // Pin the round to the cohort we quantized for: if the
-        // federation's membership drifted, run_round fails typed
-        // (RatchetMismatch) instead of aggregating a stale roster.
-        if let Some(fp) = self.federation.aggregator().cohort_fingerprint(&cohort) {
-            plan = plan.with_fingerprint(fp);
-        }
         // overlap the next round's mask exchange — unless this is the
         // declared final round, whose successor will never run
         let next_round = self.federation.round() + 1;
